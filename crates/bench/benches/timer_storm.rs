@@ -1,18 +1,20 @@
 //! Scheduler-shape benchmarks: timer-heavy and cancel-heavy storms.
 //!
-//! `wheel/timer_storm` spreads periodic deadlines across 20 binary decades
-//! (1 µs to ~0.5 s), filing events into every level of the hierarchical
-//! timer wheel so the cascade path dominates. `wheel/cancel_storm` arms
-//! and cancels one far-future timeout per dispatched event — the
-//! protocol's probe/retry pattern — exercising tombstone cancellation and
-//! slab slot reuse. Baselines: `results/BENCH_timer_storm.json` (the
-//! timer storm; the cancel storm rides along uncommitted).
+//! `sim/timer_storm` keeps 500 periodic timers live with periods spread
+//! across 20 binary decades (1 µs to ~0.5 s), so every dispatch is a pop
+//! and a push through a scheduler heap five levels deep — far denser than
+//! the 14–42 live events of the `BENCHMARK.json` workloads the queue is
+//! sized for. `sim/cancel_storm` arms and cancels one far-future timeout
+//! per dispatched event — the protocol's probe/retry pattern — exercising
+//! indexed removal and slab slot reuse. Baselines:
+//! `results/BENCH_timer_storm.json` (the timer storm; the cancel storm
+//! rides along uncommitted).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use tt_bench::{CANCEL_STORM, TIMER_STORM};
 
 fn bench_timer_storm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wheel");
+    let mut group = c.benchmark_group("sim");
     group.throughput(Throughput::Elements(TIMER_STORM.events_per_run));
     group.bench_function("timer_storm", |b| {
         b.iter(|| black_box((TIMER_STORM.run)()));
@@ -25,8 +27,8 @@ fn bench_timer_storm(c: &mut Criterion) {
 }
 
 criterion_group!(
-    name = wheel;
+    name = storms;
     config = Criterion::default().sample_size(20);
     targets = bench_timer_storm
 );
-criterion_main!(wheel);
+criterion_main!(storms);

@@ -107,7 +107,7 @@ pub const KERNEL: Workload = Workload {
 };
 
 // ---------------------------------------------------------------------------
-// wheel: timer-heavy calibration storm
+// sim: timer-heavy calibration storm
 // ---------------------------------------------------------------------------
 
 /// Actors in the timer storm.
@@ -137,10 +137,10 @@ impl Actor<(), u64> for PeriodicTimer {
 /// Timer-heavy storm: periodic timers with periods spanning 1 µs to ~0.5 s.
 ///
 /// This is the calibration-tick/AEX-arrival shape from the experiments —
-/// few message chains, many self-timers at heterogeneous horizons — and
-/// the widely spread deadlines make events file across every level of the
-/// timer wheel, exercising the cascade path rather than the same-instant
-/// fast path.
+/// few message chains, many self-timers at heterogeneous horizons — but
+/// at 500 live events it is 12–35× denser than any workload in
+/// `BENCHMARK.json` (14–42 live), so it measures the scheduler heap five
+/// levels deep rather than the two or three the real runs see.
 pub fn timer_storm() -> u64 {
     let mut s = Simulation::with_capacity((), 2, TIMER_ACTORS + 1);
     for i in 0..TIMER_ACTORS {
@@ -154,7 +154,7 @@ pub fn timer_storm() -> u64 {
 
 /// The timer-storm workload.
 pub const TIMER_STORM: Workload = Workload {
-    name: "wheel/timer_storm",
+    name: "sim/timer_storm",
     events_per_run: TIMER_ACTORS as u64 * TIMER_TICKS,
     run: timer_storm,
     samples: 10,
@@ -162,7 +162,7 @@ pub const TIMER_STORM: Workload = Workload {
 };
 
 // ---------------------------------------------------------------------------
-// wheel: cancel-heavy workload
+// sim: cancel-heavy workload
 // ---------------------------------------------------------------------------
 
 /// Actors in the cancel storm.
@@ -199,9 +199,8 @@ impl Actor<(), u64> for TimeoutLoop {
 /// Cancel-heavy storm: one cancellation per dispatched event.
 ///
 /// The shape of every probe/retry in the protocol crates (arm a timeout,
-/// cancel it when the response lands). Under the old scheduler each cancel
-/// grew a `HashSet` probed on every pop; under tombstones it is one slab
-/// access and slot reuse.
+/// cancel it when the response lands): each cancel unlinks the timeout's
+/// record from the scheduler heap and recycles its slab slot on the spot.
 pub fn cancel_storm() -> u64 {
     let mut s = Simulation::with_capacity((), 3, CANCEL_ACTORS * 2 + 1);
     for _ in 0..CANCEL_ACTORS {
@@ -213,7 +212,7 @@ pub fn cancel_storm() -> u64 {
 
 /// The cancel-storm workload.
 pub const CANCEL_STORM: Workload = Workload {
-    name: "wheel/cancel_storm",
+    name: "sim/cancel_storm",
     events_per_run: CANCEL_ACTORS as u64 * CANCEL_ROUNDS,
     run: cancel_storm,
     samples: 10,

@@ -12,7 +12,7 @@
 //!   counters (real tick sources with node-specific true frequencies for
 //!   calibration to discover).
 //! - [`timers`] — a monotonic-deadline timer queue with the same
-//!   tombstone-cancellation semantics as the simulation's timer wheel.
+//!   cancellation semantics as the simulation's scheduler queue.
 //! - [`frame`] — the datagram format: cleartext `src` routing prefix,
 //!   AEAD-sealed payload bound to the (src, dst) link.
 //! - [`board`] — cross-thread observables (published clocks, node

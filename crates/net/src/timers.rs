@@ -1,6 +1,6 @@
 //! The live driver's monotonic-deadline timer queue.
 //!
-//! Mirrors the simulation wheel's tombstone-cancellation contract at the
+//! Mirrors the simulation scheduler's cancellation contract at the
 //! [`proto::Env`] token granularity: arming a token overwrites any
 //! earlier arming, cancelling orphans the heap entry, and a popped stale
 //! entry (cancelled or superseded) is silently skipped.

@@ -4,7 +4,7 @@
 //! is captured here, so the *same* machine types run under two drivers:
 //!
 //! - the deterministic discrete-event simulation (`runtime::MachineActor`
-//!   binds [`Env`] onto the sim world, fabric, and timer wheel), and
+//!   binds [`Env`] onto the sim world, fabric, and event queue), and
 //! - the real UDP runtime (`net::LiveEnv` binds it onto sockets, OS
 //!   clocks, and a monotonic timer queue).
 //!

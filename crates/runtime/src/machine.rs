@@ -8,9 +8,7 @@
 //! call sites the pre-refactor actors used, which is what keeps seeded
 //! artifacts byte-identical across the effect-boundary refactor.
 
-use std::collections::BTreeMap;
-
-use netsim::Addr;
+use netsim::{Addr, FastMap};
 use proto::{ClockState, Env, Input, Lie, Machine, AEX_RESUME_TOKEN};
 use rand::rngs::StdRng;
 use sim::{Actor, Ctx, EventId, SimDuration, SimTime};
@@ -25,20 +23,21 @@ use crate::world::World;
 ///
 /// Timer identity: machines arm timers by `u64` token; the adapter holds
 /// the token → [`EventId`] map so [`proto::Env::cancel_timer`] reaches the
-/// wheel's O(1) tombstone cancellation. Tokens of concurrently armed
-/// timers must be distinct (the protocol machines derive them from
-/// nonces/epochs), matching the uniqueness the old per-actor `EventId`
-/// handles provided.
+/// scheduler queue's cancellation. The map is only ever probed by token,
+/// never iterated, so its order cannot reach an artifact. Tokens of
+/// concurrently armed timers must be distinct (the protocol machines derive
+/// them from nonces/epochs), matching the uniqueness the old per-actor
+/// `EventId` handles provided.
 #[derive(Debug)]
 pub struct MachineActor<M: Machine> {
     machine: M,
-    timers: BTreeMap<u64, EventId>,
+    timers: FastMap<u64, EventId>,
 }
 
 impl<M: Machine> MachineActor<M> {
     /// Wraps `machine` for the simulation driver.
     pub fn new(machine: M) -> Self {
-        MachineActor { machine, timers: BTreeMap::new() }
+        MachineActor { machine, timers: FastMap::default() }
     }
 
     /// The wrapped machine.
@@ -110,12 +109,12 @@ impl<M: Machine> Actor<World, SysEvent> for MachineActor<M> {
 }
 
 /// The simulation-side [`Env`]: every capability resolves against the
-/// shared [`World`] and the event wheel, immediately.
+/// shared [`World`] and the event queue, immediately.
 struct SimEnv<'e, 'w> {
     me: Addr,
     node_index: Option<usize>,
     ctx: &'e mut Ctx<'w, World, SysEvent>,
-    timers: &'e mut BTreeMap<u64, EventId>,
+    timers: &'e mut FastMap<u64, EventId>,
 }
 
 impl SimEnv<'_, '_> {
@@ -242,7 +241,7 @@ mod tests {
         s.world_mut().register_actor(Addr(1), id);
         s.run_until(SimTime::from_secs(1));
         assert!(s.world().clocks[0].valid, "timer 1 published the clock");
-        // Timer 2 was tombstoned before it could fire.
+        // Timer 2 was cancelled before it could fire.
         assert!(s.dispatched() >= 2);
     }
 }

@@ -1,15 +1,30 @@
 //! Event-queue internals: scheduled events, their deterministic ordering,
-//! and the generation-stamped slab that backs payload storage *and*
-//! cancellation.
+//! and the one structure that stores, orders, and cancels them.
 //!
-//! The queue only holds small fixed-size [`QueuedEvent`] records
-//! (time, seq, id, target); payloads live in an [`EventPool`] slab indexed
-//! by the slot half of the [`EventId`]. Every slot carries a generation
-//! counter that is bumped each time the slot is vacated, so a stale handle
-//! (an already-fired or already-cancelled event, or a recycled slot) can
-//! never reach a payload it does not own. Cancellation is a single O(1)
-//! slab access — the queue record becomes a tombstone that the scheduler
-//! discards when its time comes, with no per-dispatch hash probes.
+//! [`EventQueue`] is an implicit 4-ary min-heap of small fixed-size
+//! [`QueuedEvent`] records keyed by `(time, seq)`, over a generation-stamped
+//! slab that holds the payloads. Each slab slot remembers where its record
+//! currently sits in the heap, so cancellation removes the record on the
+//! spot (O(log n)) instead of leaving a tombstone to ride the queue to its
+//! deadline: the heap only ever holds live events. Every slot carries a
+//! generation counter that is bumped each time the slot is vacated, so a
+//! stale handle (an already-fired or already-cancelled event, or a recycled
+//! slot) can never reach a payload — or a heap record — it does not own.
+//!
+//! # Ordering contract
+//!
+//! [`EventQueue::pop`] yields events in exactly `(time, seq)` order. `seq`
+//! is drawn from one monotone counter at scheduling time and is therefore
+//! unique, so the key is a total order and the pop sequence is a pure
+//! function of the set of live keys: it cannot depend on the heap's arity,
+//! on the order pushes arrived in, or on which removals happened in
+//! between. That is the whole determinism argument, and it is what lets
+//! actor callbacks push straight into the queue.
+//!
+//! The heap is sized for the populations the repo benchmark measures
+//! (14–42 live events with nanosecond-scattered deadlines, see DESIGN.md):
+//! at that depth a push or pop is a two-level sift over one or two cache
+//! lines.
 
 use crate::actor::ActorId;
 use crate::time::SimTime;
@@ -36,8 +51,8 @@ impl EventId {
     }
 }
 
-/// An event waiting in the scheduler queue. Its payload lives in the
-/// [`EventPool`] under `id`.
+/// An event waiting in the scheduler queue. Its payload lives in the slab
+/// slot named by `id`.
 ///
 /// Ordering is by `(time, seq)`: earlier deadlines first, and FIFO among
 /// events scheduled for the same instant. `seq` is a global monotonically
@@ -51,119 +66,54 @@ pub(crate) struct QueuedEvent {
     pub target: ActorId,
 }
 
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl QueuedEvent {
+    /// `(time, seq)` as one integer, so ordering is a single compare.
+    fn key(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
 
-impl Eq for QueuedEvent {}
+/// Heap arity: four children per node halves the depth of a binary heap
+/// and keeps one node's children in a single 128-byte span.
+const ARITY: usize = 4;
 
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// One slab slot: its current generation and (when live) the payload.
+/// One slab slot: its current generation and, while the event is live,
+/// the payload and the index of its record in the heap.
 #[derive(Debug)]
-struct PoolSlot<M> {
+struct Slot<M> {
     generation: u32,
+    heap_pos: u32,
     payload: Option<M>,
 }
 
-/// Generation-stamped slab allocator for in-flight event payloads.
+/// The scheduler queue: slab-indexed 4-ary min-heap (see module docs).
 ///
 /// Slots are handed out densely and recycled through a free list, so a
 /// steady-state simulation (schedule one, dispatch one) reaches a fixed
-/// footprint and never allocates again. Vacating a slot (dispatch *or*
-/// cancellation) bumps its generation, so the [`EventId`] handed out for a
-/// previous occupancy can never take, cancel, or observe a payload stored
-/// there later — the ABA guard that makes tombstone cancellation safe.
+/// footprint and never allocates again. Invariant: `heap[i]` is live, and
+/// `slots[heap[i].id.slot()].heap_pos == i`; a slot is on the free list
+/// exactly when its payload is `None`.
 #[derive(Debug)]
-pub(crate) struct EventPool<M> {
-    slots: Vec<PoolSlot<M>>,
+pub(crate) struct EventQueue<M> {
+    heap: Vec<QueuedEvent>,
+    slots: Vec<Slot<M>>,
     free: Vec<u32>,
-    cancels: u64,
+    next_seq: u64,
 }
 
-impl<M> EventPool<M> {
+impl<M> EventQueue<M> {
     pub fn with_capacity(capacity: usize) -> Self {
-        EventPool { slots: Vec::with_capacity(capacity), free: Vec::new(), cancels: 0 }
-    }
-
-    /// Stores `payload`, returning the generation-stamped id of its slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u32::MAX` events are simultaneously in flight.
-    pub fn insert(&mut self, payload: M) -> EventId {
-        match self.free.pop() {
-            Some(slot) => {
-                let entry = &mut self.slots[slot as usize];
-                debug_assert!(entry.payload.is_none(), "free slot occupied");
-                entry.payload = Some(payload);
-                EventId::pack(slot, entry.generation)
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("event pool slot fits u32");
-                self.slots.push(PoolSlot { generation: 0, payload: Some(payload) });
-                EventId::pack(slot, 0)
-            }
+        EventQueue {
+            heap: Vec::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            free: Vec::new(),
+            next_seq: 0,
         }
     }
 
-    /// Removes and returns the payload of `id`, recycling the slot.
-    ///
-    /// Returns `None` when the event is no longer live — it was cancelled,
-    /// already taken, or the slot has been recycled for a newer event
-    /// (generation mismatch).
-    pub fn take(&mut self, id: EventId) -> Option<M> {
-        let entry = self.slots.get_mut(id.slot() as usize)?;
-        if entry.generation != id.generation() {
-            return None;
-        }
-        let payload = entry.payload.take()?;
-        entry.generation = entry.generation.wrapping_add(1);
-        self.free.push(id.slot());
-        Some(payload)
-    }
-
-    /// Cancels the event `id`: drops its payload and recycles the slot.
-    ///
-    /// Returns `true` if the event was live. Stale ids (already fired,
-    /// already cancelled, or recycled slots) are a no-op.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.cancels += 1;
-        self.take(id).is_some()
-    }
-
-    /// Monotone count of [`EventPool::cancel`] calls (live or stale).
-    ///
-    /// The scheduler snapshots this around each actor callback: when it is
-    /// unchanged, none of the events staged by the callback can have been
-    /// cancelled, so the commit path skips the per-event liveness probe.
-    pub fn cancel_count(&self) -> u64 {
-        self.cancels
-    }
-
-    /// True while `id` still owns a payload (scheduled, not yet fired or
-    /// cancelled).
-    pub fn is_live(&self, id: EventId) -> bool {
-        self.slots
-            .get(id.slot() as usize)
-            .is_some_and(|e| e.generation == id.generation() && e.payload.is_some())
-    }
-
-    /// Number of payloads currently stored.
+    /// Number of events scheduled and not yet fired or cancelled.
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.heap.len()
     }
 
     /// Number of slab slots ever allocated (the memory high-water mark in
@@ -172,91 +122,302 @@ impl<M> EventPool<M> {
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
+
+    /// Deadline of the next event in `(time, seq)` order.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|ev| ev.time)
+    }
+
+    /// Stores `payload` and queues it for `target` at `time`, after every
+    /// event already scheduled for the same instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `u32::MAX` events are simultaneously in flight.
+    pub fn push(&mut self, time: SimTime, target: ActorId, payload: M) -> EventId {
+        let id = match self.free.pop() {
+            Some(slot) => {
+                let entry = &mut self.slots[slot as usize];
+                debug_assert!(entry.payload.is_none(), "free slot occupied");
+                entry.payload = Some(payload);
+                EventId::pack(slot, entry.generation)
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("event slab slot fits u32");
+                self.slots.push(Slot { generation: 0, heap_pos: 0, payload: Some(payload) });
+                EventId::pack(slot, 0)
+            }
+        };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let ev = QueuedEvent { time, seq, id, target };
+        let pos = self.heap.len();
+        self.heap.push(ev);
+        self.sift_up(pos, ev);
+        id
+    }
+
+    /// Removes and returns the next event in `(time, seq)` order together
+    /// with its payload, recycling the slot.
+    pub fn pop(&mut self) -> Option<(QueuedEvent, M)> {
+        let ev = *self.heap.first()?;
+        self.remove_at(0);
+        let payload = self.vacate(ev.id.slot()).expect("queued event owns a payload");
+        Some((ev, payload))
+    }
+
+    /// Cancels the event `id`: unlinks its record from the heap, drops its
+    /// payload, and recycles the slot.
+    ///
+    /// Returns `true` if the event was live. Stale ids (already fired,
+    /// already cancelled, or recycled slots) are a no-op.
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        let Some(entry) = self.slots.get(id.slot() as usize) else { return false };
+        if entry.generation != id.generation() || entry.payload.is_none() {
+            return false;
+        }
+        let pos = entry.heap_pos as usize;
+        debug_assert_eq!(self.heap[pos].id, id, "slot points at another event's record");
+        self.remove_at(pos);
+        self.vacate(id.slot());
+        true
+    }
+
+    /// Takes the payload out of `slot`, bumps its generation so every
+    /// handle to this occupancy goes stale, and frees it.
+    fn vacate(&mut self, slot: u32) -> Option<M> {
+        let entry = &mut self.slots[slot as usize];
+        let payload = entry.payload.take();
+        entry.generation = entry.generation.wrapping_add(1);
+        self.free.push(slot);
+        payload
+    }
+
+    /// Unlinks the record at heap index `pos`, re-seating the last record
+    /// in its place.
+    fn remove_at(&mut self, pos: usize) {
+        let last = self.heap.pop().expect("remove from a non-empty heap");
+        if pos == self.heap.len() {
+            return;
+        }
+        // The filler comes from an unrelated subtree when `pos` is not the
+        // root, so it may belong above or below the vacated position.
+        if pos > 0 && last.key() < self.heap[(pos - 1) / ARITY].key() {
+            self.sift_up(pos, last);
+        } else {
+            self.sift_down(pos, last);
+        }
+    }
+
+    fn place(&mut self, pos: usize, ev: QueuedEvent) {
+        self.heap[pos] = ev;
+        self.slots[ev.id.slot() as usize].heap_pos = pos as u32;
+    }
+
+    /// Settles `ev` at or above the hole at `pos`.
+    fn sift_up(&mut self, mut pos: usize, ev: QueuedEvent) {
+        let key = ev.key();
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            let above = self.heap[parent];
+            if above.key() <= key {
+                break;
+            }
+            self.place(pos, above);
+            pos = parent;
+        }
+        self.place(pos, ev);
+    }
+
+    /// Settles `ev` at or below the hole at `pos`.
+    fn sift_down(&mut self, mut pos: usize, ev: QueuedEvent) {
+        let key = ev.key();
+        let len = self.heap.len();
+        loop {
+            let first = ARITY * pos + 1;
+            if first >= len {
+                break;
+            }
+            let mut best = first;
+            let mut best_key = self.heap[first].key();
+            for child in first + 1..(first + ARITY).min(len) {
+                let child_key = self.heap[child].key();
+                if child_key < best_key {
+                    best = child;
+                    best_key = child_key;
+                }
+            }
+            if key <= best_key {
+                break;
+            }
+            let below = self.heap[best];
+            self.place(pos, below);
+            pos = best;
+        }
+        self.place(pos, ev);
+    }
+}
+
+#[cfg(test)]
+impl<M> EventQueue<M> {
+    /// True while `id` still owns a payload (scheduled, not yet fired or
+    /// cancelled).
+    pub fn is_live(&self, id: EventId) -> bool {
+        self.slots
+            .get(id.slot() as usize)
+            .is_some_and(|e| e.generation == id.generation() && e.payload.is_some())
+    }
+
+    /// Checks the structural invariants (heap order, slot back-pointers,
+    /// free-list accounting).
+    pub fn assert_consistent(&self) {
+        for (pos, ev) in self.heap.iter().enumerate() {
+            let slot = &self.slots[ev.id.slot() as usize];
+            assert_eq!(slot.heap_pos as usize, pos, "back-pointer of {ev:?}");
+            assert_eq!(slot.generation, ev.id.generation(), "generation of {ev:?}");
+            assert!(slot.payload.is_some(), "queued record without a payload: {ev:?}");
+            if pos > 0 {
+                assert!(self.heap[(pos - 1) / ARITY].key() < ev.key(), "heap order at {pos}");
+            }
+        }
+        assert_eq!(self.heap.len() + self.free.len(), self.slots.len(), "slot accounting");
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
-    fn ev(t: u64, seq: u64) -> QueuedEvent {
-        QueuedEvent {
-            time: SimTime::from_nanos(t),
-            seq,
-            id: EventId::pack(0, 0),
-            target: ActorId(0),
+    const TARGET: ActorId = ActorId(0);
+
+    fn at(t: u64) -> SimTime {
+        SimTime::from_nanos(t)
+    }
+
+    fn drain<M>(q: &mut EventQueue<M>) -> Vec<(u64, M)> {
+        std::iter::from_fn(|| q.pop()).map(|(ev, m)| (ev.time.as_nanos(), m)).collect()
+    }
+
+    #[test]
+    fn key_orders_by_time_then_seq() {
+        let ev = |t, seq| QueuedEvent { time: at(t), seq, id: EventId::pack(0, 0), target: TARGET };
+        assert!(ev(1, 10).key() < ev(2, 0).key());
+        assert!(ev(5, 1).key() < ev(5, 2).key());
+        assert_eq!(ev(5, 1).key(), ev(5, 1).key());
+        assert!(ev(u64::MAX, 0).key() > ev(u64::MAX - 1, u64::MAX).key());
+    }
+
+    #[test]
+    fn pops_in_time_then_seq_order() {
+        let mut q = EventQueue::with_capacity(0);
+        for (seq, t) in [500, 3, 500, 1 << 40, 4096, u64::MAX].into_iter().enumerate() {
+            q.push(at(t), TARGET, seq);
+        }
+        assert_eq!(
+            drain(&mut q),
+            vec![(3, 1), (500, 0), (500, 2), (4096, 4), (1 << 40, 3), (u64::MAX, 5)]
+        );
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn push_behind_the_head_after_a_peek_pops_first() {
+        let mut q = EventQueue::with_capacity(0);
+        q.push(at(1000), TARGET, 'a');
+        assert_eq!(q.peek_time(), Some(at(1000)));
+        q.push(at(10), TARGET, 'b');
+        assert_eq!(q.peek_time(), Some(at(10)));
+        assert_eq!(drain(&mut q), vec![(10, 'b'), (1000, 'a')]);
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn same_instant_push_during_drain_stays_fifo() {
+        let mut q = EventQueue::with_capacity(0);
+        q.push(at(100), TARGET, 0);
+        q.push(at(100), TARGET, 1);
+        assert_eq!(q.pop().unwrap().1, 0);
+        // A same-instant later push must pop after the remaining event.
+        q.push(at(100), TARGET, 2);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 2);
+    }
+
+    #[test]
+    fn cancel_unlinks_from_any_heap_position() {
+        // Pushed in this order no key sifts, so the list is the heap
+        // layout: root 0, its children 100 1 2 3, then their children in
+        // turn. Cancelling under 100 re-seats the last record (33, from
+        // the subtree of 3) *upwards*; every other position sifts down.
+        const KEYS: [u64; 21] =
+            [0, 100, 1, 2, 3, 101, 102, 103, 104, 10, 11, 12, 13, 20, 21, 22, 23, 30, 31, 32, 33];
+        for doomed in 0..KEYS.len() {
+            let mut q = EventQueue::with_capacity(0);
+            let ids: Vec<EventId> = KEYS.iter().map(|&t| q.push(at(t), TARGET, t)).collect();
+            assert!(q.cancel(ids[doomed]));
+            q.assert_consistent();
+            let mut expected = KEYS.to_vec();
+            expected.remove(doomed);
+            expected.sort_unstable();
+            let popped: Vec<u64> = drain(&mut q).into_iter().map(|(_, m)| m).collect();
+            assert_eq!(popped, expected, "after cancelling key {}", KEYS[doomed]);
         }
     }
 
     #[test]
-    fn orders_by_time_then_seq() {
-        assert!(ev(1, 10) < ev(2, 0));
-        assert!(ev(5, 1) < ev(5, 2));
-        assert!(ev(5, 2) > ev(5, 1));
-        assert_eq!(ev(5, 1), ev(5, 1));
-    }
-
-    #[test]
-    fn pool_recycles_slots() {
-        let mut pool: EventPool<String> = EventPool::with_capacity(4);
-        let a = pool.insert("a".into());
-        let b = pool.insert("b".into());
+    fn slots_are_recycled_before_the_slab_grows() {
+        let mut q: EventQueue<String> = EventQueue::with_capacity(4);
+        let a = q.push(at(1), TARGET, "a".into());
+        let b = q.push(at(2), TARGET, "b".into());
         assert_ne!(a, b);
-        assert_eq!(pool.take(a), Some("a".into()));
-        assert_eq!(pool.len(), 1);
-        // The freed slot is reused before the slab grows.
-        let c = pool.insert("c".into());
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.len(), 1);
+        let c = q.push(at(3), TARGET, "c".into());
         assert_eq!(c.slot(), a.slot());
-        assert_eq!(pool.slot_count(), 2);
-        assert_eq!(pool.take(b), Some("b".into()));
-        assert_eq!(pool.take(c), Some("c".into()));
-        assert_eq!(pool.len(), 0);
-    }
-
-    #[test]
-    fn double_take_is_none() {
-        let mut pool: EventPool<u8> = EventPool::with_capacity(1);
-        let a = pool.insert(1);
-        assert_eq!(pool.take(a), Some(1));
-        assert_eq!(pool.take(a), None);
+        assert_eq!(q.slot_count(), 2);
+        assert_eq!(drain(&mut q), vec![(2, "b".to_string()), (3, "c".to_string())]);
+        q.assert_consistent();
     }
 
     #[test]
     fn stale_id_cannot_reach_recycled_slot() {
-        let mut pool: EventPool<&'static str> = EventPool::with_capacity(1);
-        let a = pool.insert("old");
-        assert!(pool.cancel(a));
+        let mut q = EventQueue::with_capacity(1);
+        let a = q.push(at(1), TARGET, "old");
+        assert!(q.cancel(a));
         // The recycled slot now belongs to a different event.
-        let b = pool.insert("new");
+        let b = q.push(at(2), TARGET, "new");
         assert_eq!(b.slot(), a.slot());
         assert_ne!(b.generation(), a.generation());
-        assert!(!pool.is_live(a));
-        assert!(pool.is_live(b));
-        // The stale handle is inert in every operation.
-        assert_eq!(pool.take(a), None);
-        assert!(!pool.cancel(a));
-        assert_eq!(pool.take(b), Some("new"));
+        assert!(!q.is_live(a));
+        assert!(q.is_live(b));
+        // The stale handle is inert.
+        assert!(!q.cancel(a));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().unwrap().1, "new");
+        // So is the handle of an event that already fired.
+        assert!(!q.cancel(b));
     }
 
     #[test]
-    fn cancel_is_idempotent() {
-        let mut pool: EventPool<u8> = EventPool::with_capacity(1);
-        let a = pool.insert(9);
-        assert!(pool.is_live(a));
-        assert!(pool.cancel(a));
-        assert!(!pool.cancel(a));
-        assert!(!pool.is_live(a));
-        assert_eq!(pool.len(), 0);
+    fn cancel_is_idempotent_and_ignores_unknown_slots() {
+        let mut q = EventQueue::with_capacity(1);
+        let a = q.push(at(1), TARGET, 9u8);
+        assert!(q.is_live(a));
+        assert!(q.cancel(a));
+        assert!(!q.cancel(a));
+        assert!(!q.is_live(a));
+        assert!(!q.cancel(EventId::pack(77, 0)));
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn long_cancel_loop_reuses_one_slot() {
-        let mut pool: EventPool<u64> = EventPool::with_capacity(1);
+        let mut q = EventQueue::with_capacity(1);
         for i in 0..100_000u64 {
-            let id = pool.insert(i);
-            assert!(pool.cancel(id));
+            let id = q.push(at(i), TARGET, i);
+            assert!(q.cancel(id));
         }
-        assert_eq!(pool.slot_count(), 1, "cancel/insert loop must not grow the slab");
-        assert_eq!(pool.len(), 0);
+        assert_eq!(q.slot_count(), 1, "cancel/push loop must not grow the slab");
+        assert_eq!(q.len(), 0);
     }
 }

@@ -43,10 +43,8 @@
 
 mod actor;
 mod event;
-mod reference;
 mod simulation;
 mod time;
-mod wheel;
 
 pub use actor::{Actor, ActorId};
 pub use event::EventId;

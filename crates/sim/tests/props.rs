@@ -66,11 +66,8 @@ proptest! {
     }
 
     /// The dispatch sequence equals the schedule stable-sorted by time with
-    /// cancelled entries removed — the full ordering oracle, covering
-    /// same-time FIFO and cancellation tombstones. Runs against whichever
-    /// queue the crate was built with (timer wheel by default, binary heap
-    /// under `--features reference-heap`), so the two configurations are
-    /// checked against the same model.
+    /// cancelled entries removed — the full ordering oracle through the
+    /// public API, covering same-time FIFO and cancellation.
     #[test]
     fn dispatch_order_matches_sorted_oracle(
         schedule in proptest::collection::vec((0u64..5_000, any::<bool>()), 1..64),

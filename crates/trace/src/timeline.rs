@@ -103,6 +103,12 @@ impl StateTimeline {
 
     /// The state at instant `t`, if the timeline has started by then.
     pub fn state_at(&self, t: SimTime) -> Option<NodeStateTag> {
+        // "Now" is the common question (every front-end admit and flush
+        // asks it) and is never before the last transition.
+        let &(last_t, last_state) = self.transitions.last()?;
+        if t >= last_t {
+            return Some(last_state);
+        }
         let idx = self.transitions.partition_point(|&(tt, _)| tt <= t);
         idx.checked_sub(1).map(|i| self.transitions[i].1)
     }
@@ -182,6 +188,24 @@ mod tests {
         assert_eq!(tl.state_at(t(20)), Some(NodeStateTag::Tainted));
         assert_eq!(tl.state_at(t(100)), Some(NodeStateTag::Ok));
         assert_eq!(StateTimeline::new().state_at(t(0)), None);
+    }
+
+    #[test]
+    fn past_instant_queries_see_the_state_held_then() {
+        // Everything before the last transition takes the search path,
+        // including two transitions sharing one instant (the later wins).
+        let mut tl = StateTimeline::new();
+        tl.enter(t(5), NodeStateTag::FullCalib);
+        tl.enter(t(10), NodeStateTag::Ok);
+        tl.enter(t(10), NodeStateTag::Tainted);
+        tl.enter(t(30), NodeStateTag::Ok);
+        assert_eq!(tl.state_at(t(4)), None);
+        assert_eq!(tl.state_at(t(5)), Some(NodeStateTag::FullCalib));
+        assert_eq!(tl.state_at(t(9)), Some(NodeStateTag::FullCalib));
+        assert_eq!(tl.state_at(t(10)), Some(NodeStateTag::Tainted));
+        assert_eq!(tl.state_at(t(29)), Some(NodeStateTag::Tainted));
+        assert_eq!(tl.state_at(t(30)), Some(NodeStateTag::Ok));
+        assert_eq!(tl.state_at(t(31)), Some(NodeStateTag::Ok));
     }
 
     #[test]
