@@ -5,7 +5,8 @@
 //! - **Soft** — the portable table-based path (`aes.rs`/`ghash.rs`),
 //!   always available, and the differential oracle for the fast path;
 //! - **Accel** — AES-NI + PCLMULQDQ kernels (`clmul.rs`), selected only
-//!   when the CPU advertises both feature bits at runtime.
+//!   when the CPU advertises the `aes`, `pclmulqdq` and `ssse3` feature
+//!   bits at runtime.
 //!
 //! Selection happens **once per process** ([`CryptoBackend::active`],
 //! cached in a `OnceLock`) so the hot path never re-detects. The two
@@ -17,10 +18,10 @@
 
 use std::sync::OnceLock;
 
-use crate::ghash::gf_mul;
+use crate::gcm::NONCE_LEN;
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
-use crate::clmul;
+use crate::{clmul, ghash::gf_mul};
 
 /// Which AES-GCM implementation this process uses.
 ///
@@ -31,7 +32,7 @@ pub enum CryptoBackend {
     /// Portable table-based AES + 4-bit-table GHASH. Always available.
     Soft,
     /// AES-NI block kernel + PCLMULQDQ GHASH. x86-64 with runtime-
-    /// detected `aes` and `pclmulqdq` feature bits only.
+    /// detected `aes`, `pclmulqdq` and `ssse3` feature bits only.
     Accel,
 }
 
@@ -56,9 +57,11 @@ impl CryptoBackend {
         {
             // tt-lint: allow(unsafe-intrinsics) — the runtime feature probe that licenses every unsafe intrinsic call in clmul.rs.
             let aes = std::arch::is_x86_feature_detected!("aes");
-            // tt-lint: allow(unsafe-intrinsics) — second half of the same probe.
+            // tt-lint: allow(unsafe-intrinsics) — second part of the same probe.
             let clmul = std::arch::is_x86_feature_detected!("pclmulqdq");
-            if aes && clmul {
+            // tt-lint: allow(unsafe-intrinsics) — third part of the same probe: the GHASH kernel byte-reverses blocks with `pshufb`.
+            let ssse3 = std::arch::is_x86_feature_detected!("ssse3");
+            if aes && clmul && ssse3 {
                 return CryptoBackend::Accel;
             }
         }
@@ -67,7 +70,8 @@ impl CryptoBackend {
 }
 
 /// Per-key accelerated state: the AES round keys laid out for `aesenc`
-/// and the GHASH key powers `[H, H², …, H⁸]` for aggregated reduction.
+/// and the GHASH key powers `[H, H², …, H⁸]` for aggregated reduction,
+/// both stored as the kernels' own block type so they are read in place.
 ///
 /// Existence of a value of this type is the safety proof for calling
 /// into `clmul.rs`: [`Accel::new`] returns `Some` only when the active
@@ -76,8 +80,8 @@ impl CryptoBackend {
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[derive(Clone)]
 pub(crate) struct Accel {
-    rk: [[u8; 16]; clmul::ROUND_KEYS],
-    powers: [u128; clmul::POWERS],
+    rk: [clmul::Block; clmul::ROUND_KEYS],
+    powers: [clmul::Block; clmul::POWERS],
 }
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
@@ -92,49 +96,39 @@ impl Accel {
         if backend != CryptoBackend::Accel {
             return None;
         }
-        let mut powers = [h; clmul::POWERS];
-        for i in 1..clmul::POWERS {
-            powers[i] = gf_mul(powers[i - 1], h);
-        }
-        Some(Accel { rk, powers })
+        let mut power = h;
+        let powers = core::array::from_fn(|_| {
+            let block = clmul::from_u128(power);
+            power = gf_mul(power, h);
+            block
+        });
+        Some(Accel { rk: rk.map(|b| clmul::load(&b)), powers })
     }
 
-    /// AES-256-encrypts every block in place (8-wide AES-NI sweep).
-    #[inline]
-    #[allow(unsafe_code)]
-    pub(crate) fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
-        // SAFETY: constructing `Accel` required `CryptoBackend::Accel`,
-        // i.e. the `aes` feature bit was runtime-detected.
-        // tt-lint: allow(unsafe-intrinsics) — sole safe wrapper over the feature-gated AES kernel; the Accel value is the detection proof.
-        unsafe { clmul::encrypt_blocks(&self.rk, blocks) }
-    }
-
-    /// Absorbs one zero-padded GHASH section into accumulator `y`
-    /// (differential-test harness for the aggregated kernel).
+    /// The complete GHASH digest (`aad` ∥ `ct` ∥ lengths) of one message
+    /// (differential-test harness for the kernel's digest).
     #[cfg(test)]
     #[inline]
     #[allow(unsafe_code)]
-    pub(crate) fn ghash_padded(&self, y: u128, data: &[u8]) -> u128 {
-        // SAFETY: as in `encrypt_blocks` — `pclmulqdq` was detected.
-        unsafe { clmul::ghash_padded(&self.powers, y, data) }
-    }
-
-    /// The complete GHASH digest (`aad` ∥ `ct` ∥ lengths) of one message.
-    #[inline]
-    #[allow(unsafe_code)]
-    pub(crate) fn ghash_tag(&self, aad: &[u8], ct: &[u8]) -> u128 {
-        // SAFETY: as in `encrypt_blocks` — `pclmulqdq` was detected.
-        // tt-lint: allow(unsafe-intrinsics) — sole safe wrapper over the feature-gated one-call digest kernel; the Accel value is the detection proof.
+    pub(crate) fn ghash_tag(&self, aad: &[u8], ct: &[u8]) -> [u8; 16] {
+        // SAFETY: as in `seal_frame` — the feature bits were detected.
         unsafe { clmul::ghash_tag(&self.powers, aad, ct) }
     }
 
     /// Seals one frame (encrypt in place + tag) in one kernel call.
     #[inline]
     #[allow(unsafe_code)]
-    pub(crate) fn seal_frame(&self, j0: &[u8; 16], aad: &[u8], data: &mut [u8]) -> [u8; 16] {
-        // SAFETY: as in `encrypt_blocks` — both feature bits were detected.
+    pub(crate) fn seal_frame(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        data: &mut [u8],
+    ) -> [u8; 16] {
+        // SAFETY: constructing `Accel` required `CryptoBackend::Accel`,
+        // i.e. the `aes`, `pclmulqdq` and `ssse3` feature bits were
+        // runtime-detected.
         // tt-lint: allow(unsafe-intrinsics) — sole safe wrapper over the fused seal kernel; the Accel value is the detection proof.
-        unsafe { clmul::seal_frame(&self.rk, &self.powers, j0, aad, data) }
+        unsafe { clmul::seal_frame(&self.rk, &self.powers, nonce, aad, data) }
     }
 
     /// Verifies one frame's tag and, on success, decrypts in place.
@@ -142,24 +136,14 @@ impl Accel {
     #[allow(unsafe_code)]
     pub(crate) fn open_frame(
         &self,
-        j0: &[u8; 16],
+        nonce: &[u8; NONCE_LEN],
         aad: &[u8],
         data: &mut [u8],
-        tag: &[u8],
+        tag: &[u8; 16],
     ) -> bool {
-        // SAFETY: as in `encrypt_blocks` — both feature bits were detected.
+        // SAFETY: as in `seal_frame` — the feature bits were detected.
         // tt-lint: allow(unsafe-intrinsics) — sole safe wrapper over the fused open kernel; the Accel value is the detection proof.
-        unsafe { clmul::open_frame(&self.rk, &self.powers, j0, aad, data, tag) }
-    }
-
-    /// Multiplies `x` by the GHASH subkey `H` (the final length-block
-    /// step of a tag; differential-test harness).
-    #[cfg(test)]
-    #[inline]
-    #[allow(unsafe_code)]
-    pub(crate) fn mul_h(&self, x: u128) -> u128 {
-        // SAFETY: as in `encrypt_blocks` — `pclmulqdq` was detected.
-        unsafe { clmul::gf_mul_clmul(x, self.powers[0]) }
+        unsafe { clmul::open_frame(&self.rk, &self.powers, nonce, aad, data, tag) }
     }
 }
 
@@ -177,24 +161,21 @@ impl Accel {
         None
     }
 
-    pub(crate) fn encrypt_blocks(&self, _blocks: &mut [[u8; 16]]) {
-        match *self {}
-    }
-
-    pub(crate) fn ghash_tag(&self, _aad: &[u8], _ct: &[u8]) -> u128 {
-        match *self {}
-    }
-
-    pub(crate) fn seal_frame(&self, _j0: &[u8; 16], _aad: &[u8], _data: &mut [u8]) -> [u8; 16] {
+    pub(crate) fn seal_frame(
+        &self,
+        _nonce: &[u8; NONCE_LEN],
+        _aad: &[u8],
+        _data: &mut [u8],
+    ) -> [u8; 16] {
         match *self {}
     }
 
     pub(crate) fn open_frame(
         &self,
-        _j0: &[u8; 16],
+        _nonce: &[u8; NONCE_LEN],
         _aad: &[u8],
         _data: &mut [u8],
-        _tag: &[u8],
+        _tag: &[u8; 16],
     ) -> bool {
         match *self {}
     }
@@ -253,16 +234,19 @@ mod tests {
         let h = u128::from_be_bytes(h_bytes);
         let accel = Accel::new(CryptoBackend::Accel, [[0; 16]; 15], h).unwrap();
         let key = GhashKey::new(&h_bytes);
-        // Lengths straddling the 4-block aggregation boundary, including
-        // partial final blocks and multi-section updates.
-        let data: Vec<u8> = (0..=255u8).cycle().take(200).collect();
-        for len in [0, 1, 15, 16, 17, 63, 64, 65, 100, 128, 130, 200] {
-            let mut g = Ghash::new(&key);
-            g.update_padded(&data[..len]);
-            let want = g.finalize(len, 0);
-            let mut y = accel.ghash_padded(0, &data[..len]);
-            y = accel.mul_h(y ^ ((len as u128 * 8) << 64));
-            assert_eq!(y.to_be_bytes(), want, "len={len}");
+        // Lengths straddling the one-reduction boundary (POWERS blocks
+        // with the length block), including partial final blocks, split
+        // between the two sections every way the lengths allow.
+        let data: Vec<u8> = (0..=255u8).cycle().take(300).collect();
+        for len in [0, 1, 15, 16, 17, 63, 64, 65, 100, 111, 112, 113, 128, 130, 200, 257] {
+            for aad_len in [0, 4, 16, 20].into_iter().filter(|&a| a <= len) {
+                let (aad, ct) = data[..len].split_at(aad_len);
+                let mut g = Ghash::new(&key);
+                g.update_padded(aad);
+                g.update_padded(ct);
+                let want = g.finalize(aad.len(), ct.len());
+                assert_eq!(accel.ghash_tag(aad, ct), want, "aad={aad_len} len={len}");
+            }
         }
     }
 }

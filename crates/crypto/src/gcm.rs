@@ -81,25 +81,11 @@ impl Aes256Gcm {
         }
     }
 
-    pub(crate) fn j0(nonce: &[u8; NONCE_LEN]) -> [u8; 16] {
+    fn j0(nonce: &[u8; NONCE_LEN]) -> [u8; 16] {
         let mut j0 = [0u8; 16];
         j0[..12].copy_from_slice(nonce);
         j0[15] = 1;
         j0
-    }
-
-    /// AES-encrypts every 16-byte block in place — counter blocks on the
-    /// batch-seal path. One backend dispatch for the whole slice: the
-    /// accelerated path sweeps 8 blocks per AES-NI round trip.
-    pub(crate) fn encrypt_counter_blocks(&self, blocks: &mut [[u8; 16]]) {
-        match &self.accel {
-            Some(a) => a.encrypt_blocks(blocks),
-            None => {
-                for b in blocks {
-                    self.cipher.encrypt_block(b);
-                }
-            }
-        }
     }
 
     /// Portable CTR keystream XOR (the accelerated path fuses this into
@@ -117,32 +103,17 @@ impl Aes256Gcm {
         }
     }
 
-    /// GHASH digest over `aad || ciphertext` (each zero-padded) plus the
-    /// length block — the tag before the `E(J0)` mask.
-    fn ghash_digest(&self, aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        if let Some(a) = &self.accel {
-            return a.ghash_tag(aad, ciphertext).to_be_bytes();
-        }
+    /// Portable tag: the GHASH digest over `aad || ciphertext` (each
+    /// zero-padded) plus the length block, masked with `E(J0)`.
+    fn tag(&self, j0: &[u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
         let mut ghash = Ghash::new(&self.h);
         ghash.update_padded(aad);
         ghash.update_padded(ciphertext);
-        ghash.finalize(aad.len(), ciphertext.len())
-    }
-
-    /// Computes a tag from an *already encrypted* `J0` block — the
-    /// batch-seal path, where all `E(J0)`s of a batch were produced in
-    /// one counter-block sweep.
-    pub(crate) fn tag_with_ej0(&self, ek_j0: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
-        let s = self.ghash_digest(aad, ct);
-        let mut tag = [0u8; 16];
-        for i in 0..16 {
-            tag[i] = s[i] ^ ek_j0[i];
+        let mut tag = ghash.finalize(aad.len(), ciphertext.len());
+        for (t, m) in tag.iter_mut().zip(self.cipher.encrypt_block_copy(j0)) {
+            *t ^= m;
         }
         tag
-    }
-
-    fn tag(&self, j0: &[u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        self.tag_with_ej0(&self.cipher.encrypt_block_copy(j0), aad, ciphertext)
     }
 
     /// Encrypts and authenticates `plaintext` (authenticating `aad` as
@@ -165,18 +136,16 @@ impl Aes256Gcm {
         plaintext: &[u8],
         out: &mut Vec<u8>,
     ) {
-        let j0 = Self::j0(nonce);
+        let start = out.len();
+        out.extend_from_slice(plaintext);
         if let Some(a) = &self.accel {
             // One fused kernel call per frame: CTR keystream, in-place
-            // XOR, GHASH, and tag mask behind a single round-key load.
-            let start = out.len();
-            out.extend_from_slice(plaintext);
-            let tag = a.seal_frame(&j0, aad, &mut out[start..]);
+            // XOR, GHASH, and tag mask.
+            let tag = a.seal_frame(nonce, aad, &mut out[start..]);
             out.extend_from_slice(&tag);
             return;
         }
-        let start = out.len();
-        out.extend_from_slice(plaintext);
+        let j0 = Self::j0(nonce);
         self.ctr_xor(&j0, &mut out[start..]);
         let tag = self.tag(&j0, aad, &out[start..]);
         out.extend_from_slice(&tag);
@@ -217,7 +186,7 @@ impl Aes256Gcm {
             return Err(AuthError);
         }
         let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let j0 = Self::j0(nonce);
+        let tag: &[u8; TAG_LEN] = tag.try_into().expect("split at TAG_LEN from the end");
         if let Some(a) = &self.accel {
             // Same fused shape as the sealing side. The ciphertext is
             // staged into `out` (it is public data) and only decrypted
@@ -225,12 +194,13 @@ impl Aes256Gcm {
             // truncated away, so no plaintext is ever materialized.
             let start = out.len();
             out.extend_from_slice(ciphertext);
-            if !a.open_frame(&j0, aad, &mut out[start..], tag) {
+            if !a.open_frame(nonce, aad, &mut out[start..], tag) {
                 out.truncate(start);
                 return Err(AuthError);
             }
             return Ok(());
         }
+        let j0 = Self::j0(nonce);
         let expected = self.tag(&j0, aad, ciphertext);
         // Branch-free comparison; full constant-time operation is a non-goal
         // (see crate docs) but there is no reason to be sloppy here.

@@ -19,16 +19,16 @@
 //! Two implementations of the primitives coexist and produce
 //! byte-identical outputs: the portable `#![deny(unsafe_code)]` table
 //! path (always available, the differential oracle) and a runtime-
-//! detected AES-NI + PCLMULQDQ fast path confined to `backend.rs` /
-//! `clmul.rs`. See [`CryptoBackend`].
+//! detected AES-NI + PCLMULQDQ fast path — one fused kernel per frame —
+//! confined to `backend.rs` / `clmul.rs`. See [`CryptoBackend`].
 //!
 //! ## Layers
 //!
 //! - [`Aes256`]: the raw block cipher (FIPS-197),
 //! - [`Aes256Gcm`]: one-shot AEAD seal/open (SP 800-38D),
 //! - [`SealingKey`]: per-session wrapper with automatic nonce sequencing,
-//!   reflection rejection, and one-pass batch sealing — what the
-//!   protocol crates actually use.
+//!   reflection rejection, and batch sealing — what the protocol crates
+//!   actually use.
 
 #![deny(unsafe_code)] // allowed, with justification, only in clmul.rs
 #![warn(missing_docs)]

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use crate::backend::CryptoBackend;
 use crate::gcm::{Aes256Gcm, AuthError, NONCE_LEN, TAG_LEN};
 
-/// Bytes of wire framing around each sealed payload:
-/// `direction (1) || seq (8)` header plus the GCM tag.
+/// Bytes of wire framing in front of each sealed payload:
+/// `direction (1) || seq (8)`.
 const HEADER_LEN: usize = 9;
 
 /// A directional AEAD session: one endpoint's sending half of a shared key.
@@ -43,9 +43,6 @@ pub struct SealingKey {
     aead: Arc<Aes256Gcm>,
     direction: u8,
     next_seq: u64,
-    /// Counter-block scratch for the batch paths (J0s + keystream),
-    /// reused across batches so steady state never allocates.
-    blocks: Vec<[u8; 16]>,
 }
 
 impl SealingKey {
@@ -73,7 +70,7 @@ impl SealingKey {
     }
 
     fn over(aead: Arc<Aes256Gcm>, direction: u8) -> Self {
-        SealingKey { aead, direction, next_seq: 0, blocks: Vec::new() }
+        SealingKey { aead, direction, next_seq: 0 }
     }
 
     /// The backend the underlying AEAD runs on.
@@ -96,7 +93,7 @@ impl SealingKey {
     /// Seals `plaintext`, embedding the sequence number in the wire format:
     /// `direction (1) || seq (8) || ciphertext || tag`.
     pub fn seal(&mut self, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut wire = Vec::with_capacity(9 + plaintext.len() + 16);
+        let mut wire = Vec::with_capacity(HEADER_LEN + plaintext.len() + TAG_LEN);
         self.seal_into(aad, plaintext, &mut wire);
         wire
     }
@@ -131,7 +128,7 @@ impl SealingKey {
     ///
     /// Fails exactly as [`SealingKey::open`] does.
     pub fn open_into(&self, aad: &[u8], wire: &[u8], out: &mut Vec<u8>) -> Result<(), AuthError> {
-        if wire.len() < 9 {
+        if wire.len() < HEADER_LEN {
             return Err(AuthError);
         }
         let direction = wire[0];
@@ -139,24 +136,17 @@ impl SealingKey {
             // Reflected message: an attacker replaying our own traffic back.
             return Err(AuthError);
         }
-        let seq = u64::from_be_bytes(wire[1..9].try_into().expect("length checked"));
+        let seq = u64::from_be_bytes(wire[1..HEADER_LEN].try_into().expect("length checked"));
         let nonce = Self::nonce(direction, seq);
-        self.aead.open_into(&nonce, aad, &wire[9..], out)
+        self.aead.open_into(&nonce, aad, &wire[HEADER_LEN..], out)
     }
 
-    /// Seals a whole batch of plaintexts in one pass, appending one wire
-    /// frame per part to `out` and pushing each frame's byte range into
-    /// `frames`.
+    /// Seals a batch of plaintexts, appending one wire frame per part to
+    /// `out` and pushing each frame's byte range into `frames`.
     ///
     /// `parts` are ranges into `plain`; every part gets the same `aad`
-    /// and a consecutive sequence number, exactly as if
-    /// [`SealingKey::seal_into`] had been called once per part — the
-    /// produced bytes are identical. The difference is scheduling: the
-    /// batch's sequence numbers are known up front, so *all* counter
-    /// blocks (each frame's `J0` for the tag mask plus its keystream)
-    /// are encrypted in a single backend dispatch, keeping the AES-NI
-    /// pipeline full across frame boundaries instead of draining it at
-    /// every tag.
+    /// and a consecutive sequence number — this *is*
+    /// [`SealingKey::seal_into`] called once per part.
     pub fn seal_batch_into(
         &mut self,
         aad: &[u8],
@@ -165,123 +155,11 @@ impl SealingKey {
         out: &mut Vec<u8>,
         frames: &mut Vec<Range<usize>>,
     ) {
-        // Stage every counter block of the batch: J0 then the keystream
-        // blocks, per frame, back to back.
-        self.blocks.clear();
-        for (i, part) in parts.iter().enumerate() {
-            let seq = self.next_seq + i as u64;
-            let j0 = Aes256Gcm::j0(&Self::nonce(self.direction, seq));
-            self.blocks.push(j0);
-            let mut counter = 1u32;
-            for _ in 0..part.len().div_ceil(16) {
-                counter = counter.wrapping_add(1);
-                let mut b = j0;
-                b[12..].copy_from_slice(&counter.to_be_bytes());
-                self.blocks.push(b);
-            }
-        }
-        self.aead.encrypt_counter_blocks(&mut self.blocks);
-        // Emit the frames against the precomputed blocks.
-        let mut base = 0;
-        for (i, part) in parts.iter().enumerate() {
-            let seq = self.next_seq + i as u64;
+        for part in parts {
             let start = out.len();
-            out.push(self.direction);
-            out.extend_from_slice(&seq.to_be_bytes());
-            let ct_start = out.len();
-            let pt = &plain[part.clone()];
-            out.extend_from_slice(pt);
-            let nblocks = pt.len().div_ceil(16);
-            let ej0 = self.blocks[base];
-            let ks = self.blocks[base + 1..base + 1 + nblocks].iter().flatten();
-            for (b, k) in out[ct_start..].iter_mut().zip(ks) {
-                *b ^= k;
-            }
-            let tag = self.aead.tag_with_ej0(&ej0, aad, &out[ct_start..]);
-            out.extend_from_slice(&tag);
+            self.seal_into(aad, &plain[part.clone()], out);
             frames.push(start..out.len());
-            base += 1 + nblocks;
         }
-        self.next_seq += parts.len() as u64;
-    }
-
-    /// Opens a whole batch of wire frames in one pass — the receiving
-    /// twin of [`SealingKey::seal_batch_into`].
-    ///
-    /// `frames` are ranges into `wire`, one sealed frame each. On
-    /// success every plaintext is appended to `out` with its range
-    /// pushed into `parts`, in frame order.
-    ///
-    /// # Errors
-    ///
-    /// All-or-nothing: if *any* frame is malformed, reflected, or fails
-    /// authentication, nothing is appended and [`AuthError`] is
-    /// returned — a batch is one logical unit, and verify-then-decrypt
-    /// must hold for the whole of it.
-    pub fn open_batch_into(
-        &mut self,
-        aad: &[u8],
-        wire: &[u8],
-        frames: &[Range<usize>],
-        out: &mut Vec<u8>,
-        parts: &mut Vec<Range<usize>>,
-    ) -> Result<(), AuthError> {
-        // Pass 1: validate framing and stage every counter block.
-        self.blocks.clear();
-        for frame in frames {
-            let f = wire.get(frame.clone()).ok_or(AuthError)?;
-            if f.len() < HEADER_LEN + TAG_LEN {
-                return Err(AuthError);
-            }
-            let direction = f[0];
-            if direction == self.direction {
-                // Reflected frame: our own traffic replayed back at us.
-                return Err(AuthError);
-            }
-            let seq = u64::from_be_bytes(f[1..9].try_into().expect("length checked"));
-            let j0 = Aes256Gcm::j0(&Self::nonce(direction, seq));
-            self.blocks.push(j0);
-            let ct_len = f.len() - HEADER_LEN - TAG_LEN;
-            let mut counter = 1u32;
-            for _ in 0..ct_len.div_ceil(16) {
-                counter = counter.wrapping_add(1);
-                let mut b = j0;
-                b[12..].copy_from_slice(&counter.to_be_bytes());
-                self.blocks.push(b);
-            }
-        }
-        self.aead.encrypt_counter_blocks(&mut self.blocks);
-        // Pass 2: verify every tag before any plaintext is written.
-        let mut base = 0;
-        let mut diff = 0u8;
-        for frame in frames {
-            let f = &wire[frame.clone()];
-            let (ct, tag) = f[HEADER_LEN..].split_at(f.len() - HEADER_LEN - TAG_LEN);
-            let expected = self.aead.tag_with_ej0(&self.blocks[base], aad, ct);
-            for (a, b) in expected.iter().zip(tag.iter()) {
-                diff |= a ^ b;
-            }
-            base += 1 + ct.len().div_ceil(16);
-        }
-        if diff != 0 {
-            return Err(AuthError);
-        }
-        // Pass 3: decrypt.
-        base = 0;
-        for frame in frames {
-            let f = &wire[frame.clone()];
-            let ct = &f[HEADER_LEN..f.len() - TAG_LEN];
-            let start = out.len();
-            out.extend_from_slice(ct);
-            let nblocks = ct.len().div_ceil(16);
-            let ks = self.blocks[base + 1..base + 1 + nblocks].iter().flatten();
-            for (b, k) in out[start..].iter_mut().zip(ks) {
-                *b ^= k;
-            }
-            parts.push(start..out.len());
-            base += 1 + nblocks;
-        }
-        Ok(())
     }
 }
 

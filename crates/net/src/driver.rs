@@ -266,7 +266,7 @@ impl Env for LiveEnv<'_> {
         let mut i = 0;
         while i < batch.len() {
             // Consecutive same-destination messages share a session, so
-            // the run seals in one AEAD pass; each frame still travels
+            // the run seals under one lookup; each frame still travels
             // as its own datagram, exactly like per-message sends.
             let dst = batch[i].0;
             let mut j = i + 1;

@@ -101,8 +101,9 @@ pub trait Env {
     /// order — same wire bytes, same RNG draws, same effect order — which
     /// is exactly what this default does. Drivers with a batching
     /// transport override it to seal each same-destination run of the
-    /// batch in one AEAD pass (see the simulation driver), which changes
-    /// only how fast the bytes are produced, never the bytes themselves.
+    /// batch under one session lookup (see the simulation driver), which
+    /// changes only how fast the bytes are produced, never the bytes
+    /// themselves.
     fn send_batch(&mut self, batch: &[(Addr, Message)]) -> usize {
         let mut accepted = 0;
         for (dst, msg) in batch {

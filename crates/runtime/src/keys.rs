@@ -81,8 +81,8 @@ impl KeyTable {
         session.seal_into(&link_aad(src, dst), plaintext, out);
     }
 
-    /// Seals a whole batch of plaintexts from `src` to `dst` in one
-    /// AEAD pass (see [`tt_crypto::SealingKey::seal_batch_into`]): one
+    /// Seals a batch of plaintexts from `src` to `dst` under one session
+    /// lookup (see [`tt_crypto::SealingKey::seal_batch_into`]): one
     /// wire frame per `parts` range is appended to `out`, with each
     /// frame's byte range pushed into `frames`. Bytes are identical to
     /// calling [`KeyTable::seal_into`] once per part.
@@ -104,27 +104,6 @@ impl KeyTable {
             .get_mut(&(src, dst))
             .unwrap_or_else(|| panic!("no key provisioned for {src} -> {dst}"));
         session.seal_batch_into(&link_aad(src, dst), plain, parts, out, frames);
-    }
-
-    /// Opens a whole batch of wire frames received by `me` from `from`
-    /// in one AEAD pass — the receiving twin of
-    /// [`KeyTable::seal_batch_into`].
-    ///
-    /// # Errors
-    ///
-    /// All-or-nothing: fails without appending anything when the pair
-    /// has no key or any frame fails to authenticate.
-    pub fn open_batch_into(
-        &mut self,
-        me: Addr,
-        from: Addr,
-        wire: &[u8],
-        frames: &[std::ops::Range<usize>],
-        out: &mut Vec<u8>,
-        parts: &mut Vec<std::ops::Range<usize>>,
-    ) -> Result<(), AuthError> {
-        let session = self.sessions.get_mut(&(me, from)).ok_or(AuthError)?;
-        session.open_batch_into(&link_aad(from, me), wire, frames, out, parts)
     }
 
     /// Opens a sealed payload received by `me` from `from`.

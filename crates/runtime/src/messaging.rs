@@ -52,9 +52,9 @@ pub fn send_message(
 /// Batch form of [`send_message`]: encodes, seals, and dispatches every
 /// `(dst, msg)` entry in order, returning how many the fabric accepted.
 ///
-/// Consecutive entries to the *same* destination are sealed in one AEAD
-/// pass ([`crate::keys::KeyTable::seal_batch_into`]), keeping the AES
-/// pipeline full across frame boundaries. The wire bytes, RNG draws, and
+/// Consecutive entries to the *same* destination are sealed under one
+/// session lookup ([`crate::keys::KeyTable::seal_batch_into`]), frame
+/// by frame with the per-frame kernel. The wire bytes, RNG draws, and
 /// delivery scheduling order are identical to calling [`send_message`]
 /// once per entry: sealing draws no randomness, frames are dispatched in
 /// message order, and each run's deliveries are scheduled in staging
@@ -275,7 +275,7 @@ mod tests {
     }
 
     /// Sends a mixed batch — a same-destination run plus a second
-    /// destination — through the one-pass batch path.
+    /// destination — through the batch path.
     struct BatchSender {
         me: Addr,
         peers: (Addr, Addr),
@@ -311,7 +311,7 @@ mod tests {
         s.world_mut().register_actor(Addr(2), a2);
         s.world_mut().register_actor(Addr(3), a3);
         s.run_until(SimTime::from_secs(1));
-        // Every frame of the one-pass batch opened under its own session:
+        // Every frame of the batch opened under its own session:
         // the run of two to node 2, the single to node 3.
         assert_eq!(s.dispatched(), 4, "timer + three deliveries");
     }

@@ -79,7 +79,7 @@ pub struct Frontend {
     lie_seq: u64,
     /// The batch of answers being assembled by [`Frontend::flush`],
     /// handed to [`Env::send_batch`] in one call so the driver can seal
-    /// same-client runs in one AEAD pass. Reused across flushes.
+    /// same-client runs together. Reused across flushes.
     outbox: Vec<(Addr, Message)>,
 }
 

@@ -2,9 +2,7 @@
 //! closed-loop think-time populations, with failover routing and
 //! client-side SLO accounting.
 
-use std::collections::BTreeMap;
-
-use netsim::Addr;
+use netsim::{Addr, FastMap};
 use proto::{Env, Input, Machine};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -46,13 +44,15 @@ struct Dispatcher {
     router: Router,
     spec: RouterSpec,
     accept_degraded: bool,
-    in_flight: BTreeMap<u64, Pending>,
+    /// Probed by nonce only, never iterated, so its order cannot reach
+    /// an artifact.
+    in_flight: FastMap<u64, Pending>,
 }
 
 impl Dispatcher {
     fn new(me: Addr, frontends: Vec<Addr>, spec: RouterSpec, accept_degraded: bool) -> Self {
         let router = Router::new(spec, frontends.len());
-        Dispatcher { me, frontends, router, spec, accept_degraded, in_flight: BTreeMap::new() }
+        Dispatcher { me, frontends, router, spec, accept_degraded, in_flight: FastMap::default() }
     }
 
     /// Issues a brand-new request (attempt 1 of `max_attempts`). Returns

@@ -15,9 +15,7 @@
 //! probation/half-open rejoin policy shaped like `triad_core`'s TA
 //! circuit breaker.
 
-use std::collections::BTreeMap;
-
-use netsim::Addr;
+use netsim::{Addr, FastMap};
 use proto::{Env, Input, Machine};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -257,7 +255,9 @@ pub struct QuorumGen {
     frontends: Vec<Addr>,
     health: QuorumHealth,
     cursor: usize,
-    pending: BTreeMap<u64, PendingRead>,
+    /// Probed by nonce only, never iterated, so its order cannot reach
+    /// an artifact.
+    pending: FastMap<u64, PendingRead>,
     next_nonce: u64,
     /// The fan-out batch being assembled by `issue`, handed to
     /// [`Env::send_batch`] in one call. Reused across reads.
@@ -285,7 +285,7 @@ impl QuorumGen {
             frontends,
             health,
             cursor: 0,
-            pending: BTreeMap::new(),
+            pending: FastMap::default(),
             next_nonce: 0,
             outbox: Vec::new(),
         }

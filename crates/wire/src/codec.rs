@@ -1,7 +1,7 @@
 //! Binary encoding of [`Message`]: version byte, tag byte, fixed-width
 //! big-endian fields.
 
-use bytes::{Buf, Bytes};
+use bytes::Buf;
 
 use crate::message::{AttestOutcome, Message, NodeId, ServeOutcome};
 
@@ -216,7 +216,7 @@ impl Message {
     /// Returns a [`DecodeError`] when the buffer is truncated, versioned
     /// wrong, tagged unknown, carries invalid values, or has trailing bytes.
     pub fn decode(data: &[u8]) -> Result<Message, DecodeError> {
-        let mut buf = Bytes::copy_from_slice(data);
+        let mut buf = data;
         let version = get_u8(&mut buf)?;
         if version != PROTOCOL_VERSION {
             return Err(DecodeError::BadVersion(version));
@@ -340,21 +340,21 @@ impl Message {
     }
 }
 
-fn get_u8(buf: &mut Bytes) -> Result<u8, DecodeError> {
+fn get_u8(buf: &mut &[u8]) -> Result<u8, DecodeError> {
     if buf.remaining() < 1 {
         return Err(DecodeError::UnexpectedEof);
     }
     Ok(buf.get_u8())
 }
 
-fn get_u16(buf: &mut Bytes) -> Result<u16, DecodeError> {
+fn get_u16(buf: &mut &[u8]) -> Result<u16, DecodeError> {
     if buf.remaining() < 2 {
         return Err(DecodeError::UnexpectedEof);
     }
     Ok(buf.get_u16())
 }
 
-fn get_u64(buf: &mut Bytes) -> Result<u64, DecodeError> {
+fn get_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
     if buf.remaining() < 8 {
         return Err(DecodeError::UnexpectedEof);
     }

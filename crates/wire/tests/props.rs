@@ -1,7 +1,7 @@
 //! Property-based round-trip tests for the wire codec.
 
 use proptest::prelude::*;
-use wire::{AttestOutcome, Message, NodeId, ServeOutcome, TimeReading};
+use wire::{AttestOutcome, DecodeError, Message, NodeId, ServeOutcome, TimeReading};
 
 fn arb_reading() -> impl Strategy<Value = TimeReading> {
     (any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
@@ -81,12 +81,21 @@ proptest! {
         let _ = Message::decode(&data);
     }
 
+    /// The decoder reads from the borrowed slice, so its end-of-input
+    /// checks are the only thing between a short datagram and a panic:
+    /// every strict prefix of a valid encoding is `UnexpectedEof` (never
+    /// another error, never `Ok`), and one extra byte is counted exactly.
     #[test]
-    fn truncated_encodings_never_decode_to_ok(msg in arb_message(), cut_fraction in 0.0..1.0f64) {
-        let encoded = msg.encode();
-        let cut = ((encoded.len() as f64) * cut_fraction) as usize;
-        if cut < encoded.len() {
-            prop_assert!(Message::decode(&encoded[..cut]).is_err());
+    fn truncation_at_every_offset_is_eof_and_one_extra_byte_is_trailing(msg in arb_message()) {
+        let mut encoded = msg.encode();
+        for cut in 0..encoded.len() {
+            prop_assert_eq!(
+                Message::decode(&encoded[..cut]),
+                Err(DecodeError::UnexpectedEof),
+                "cut at {}", cut
+            );
         }
+        encoded.push(0);
+        prop_assert_eq!(Message::decode(&encoded), Err(DecodeError::TrailingBytes(1)));
     }
 }
