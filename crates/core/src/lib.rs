@@ -16,9 +16,11 @@
 //! - only when no peer answers does the node fall back to the TA
 //!   (RefCalib).
 //!
-//! [`TriadNode`] is the actor implementing all of this over the `runtime`
-//! composition layer; experiments attack it via `netsim` interceptors
-//! without touching protocol code.
+//! The lifecycle is written once, as [`Node`] over a [`Policy`];
+//! [`TriadNode`] is the paper's protocol ([`Paper`]) and
+//! `resilient::ResilientNode` its §V hardening. Both are pure
+//! [`proto::Machine`]s, so experiments attack them via `netsim`
+//! interceptors without touching protocol code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,9 +28,14 @@
 mod calib;
 mod config;
 mod node;
+mod paper;
 mod retry;
 
 pub use calib::Calibrator;
 pub use config::TriadConfig;
-pub use node::TriadNode;
+pub use node::{Core, Node, PeerRound, PeerSample, Policy, ProbeKind, TaSample, POLICY_TIMERS};
+pub use paper::Paper;
 pub use retry::{CircuitBreakerPolicy, RetryPolicy};
+
+/// One base Triad protocol node (the paper's primary artifact).
+pub type TriadNode = Node<Paper>;

@@ -1,8 +1,11 @@
-//! The Triad node state machine.
+//! The Triad node lifecycle, written once.
 //!
-//! Implements the protocol of §III-B/C/D as a pure [`proto::Machine`]
-//! over the effect boundary — the same type runs under the deterministic
-//! simulation (`runtime::MachineActor`) and the live UDP runtime:
+//! The paper states its §V hardening as *changes to* Triad: the same
+//! calibrate → serve → taint-on-AEX → refresh-via-peers-or-TA lifecycle
+//! (§III-B/C/D) with a different rule for whom to believe. [`Node`] is
+//! that lifecycle as a pure [`proto::Machine`] over the effect boundary —
+//! the same type runs under the deterministic simulation
+//! (`runtime::MachineActor`) and the live UDP runtime:
 //!
 //! - **FullCalib**: regression-based TSC frequency calibration against the
 //!   TA, followed by a time-reference exchange;
@@ -12,34 +15,51 @@
 //! - **RefCalib**: no peer answered — refresh the time reference with the
 //!   TA.
 //!
-//! The peer-untaint policy is the paper's: a peer timestamp higher than the
-//! local pre-interrupt one is adopted wholesale; otherwise the local clock
-//! is kept, ε-bumped if needed for monotonicity. This is the policy that
-//! makes every node follow the fastest clock in the cluster (§III-D) and
-//! what the F– attack exploits.
+//! [`Core`] is the state and the steps every variant shares; a [`Policy`]
+//! supplies the rule: how a TA sample becomes an anchor, how a concluded
+//! peer round untaints, which periodic checks run inside the TCB, and
+//! what error bound the node claims. [`crate::Paper`] is the paper's
+//! protocol; `resilient::Hardened` is its §V hardening.
 
 use netsim::Addr;
 use proto::{ClockState, Env, Input, Machine, AEX_RESUME_TOKEN, TA_ADDR};
 use sim::{SimDuration, SimTime};
-use trace::NodeStateTag;
+use trace::{NodeStateTag, NodeTrace};
 use wire::Message;
 
 use crate::calib::Calibrator;
 use crate::config::TriadConfig;
 
-const TOKEN_MONITOR: u64 = 1 << 63;
 const TOKEN_PEER_TIMEOUT: u64 = 1 << 62;
 const TOKEN_PROBE_RETRY: u64 = 1 << 61;
 const TOKEN_BREAKER: u64 = 1 << 60;
-const TOKEN_MASK: u64 = (1 << 60) - 1;
+/// The timer kinds a policy may arm through [`Core::arm_policy_timer`].
+pub const POLICY_TIMERS: [u64; 2] = [1 << 59, 1 << 58];
+/// The low token bits carry a nonce (probe retry, round timeout) or the
+/// crash epoch (every periodic chain).
+const TOKEN_MASK: u64 = (1 << 58) - 1;
+
+// Dispatch reads a token as exactly one kind bit over a masked payload.
+const KINDS: u64 =
+    TOKEN_PEER_TIMEOUT | TOKEN_PROBE_RETRY | TOKEN_BREAKER | POLICY_TIMERS[0] | POLICY_TIMERS[1];
+const _: () = assert!(KINDS.count_ones() == 5 && KINDS & TOKEN_MASK == 0);
+
+/// What an outstanding TA exchange is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProbeKind {
+    /// Frequency calibration sample for sleep index `i`.
+    Speed(usize),
+    /// (Re-)anchoring the time reference (node is unavailable meanwhile).
+    Anchor,
+    /// Background consistency check while serving (node stays available).
+    CrossCheck,
+}
 
 /// An in-flight exchange with the Time Authority.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingProbe {
     nonce: u64,
-    /// `Some(idx)` = speed probe for sleep index `idx`; `None` = the
-    /// time-reference exchange.
-    sleep_idx: Option<usize>,
+    kind: ProbeKind,
     send_ticks: u64,
     aex_count_at_send: u64,
     /// 0-based retransmission count within the current burst (0 = the
@@ -47,31 +67,103 @@ struct PendingProbe {
     attempt: u32,
 }
 
-impl PendingProbe {
-    /// The retry timer armed for this probe (nonce-unique).
-    fn retry_token(&self) -> u64 {
-        TOKEN_PROBE_RETRY | self.nonce
-    }
+/// A completed, AEX-free [`ProbeKind::Anchor`] or [`ProbeKind::CrossCheck`]
+/// exchange, handed to [`Policy::on_ta_sample`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaSample {
+    /// Which of the two exchanges this was.
+    pub kind: ProbeKind,
+    /// The round trip on the local clock.
+    pub rtt_ns: f64,
+    /// Local TSC when the answer arrived.
+    pub recv_ticks: u64,
+    /// The TA's reference time in the answer.
+    pub ta_time_ns: u64,
 }
 
-/// An in-flight peer untainting round.
+/// One peer's answer within a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeerSample {
+    /// The answering peer.
+    pub from: Addr,
+    /// Its timestamp.
+    pub timestamp_ns: u64,
+    /// Its self-assessed error bound (0 when the protocol carries none).
+    pub error_bound_ns: u64,
+}
+
+/// A peer round: one request to every peer, concluded by the last answer
+/// or by the peer timeout.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct PendingPeerRound {
+pub struct PeerRound {
     nonce: u64,
-    responses: Vec<u64>,
-    expected: usize,
+    /// True for a check the policy started while serving; false for the
+    /// untaint round after an AEX.
+    pub proactive: bool,
+    /// The usable answers so far.
+    pub responses: Vec<PeerSample>,
 }
 
-impl PendingPeerRound {
-    /// The round timeout armed for this round (nonce-unique).
-    fn timeout_token(&self) -> u64 {
-        TOKEN_PEER_TIMEOUT | self.nonce
+/// The rule a [`Node`] applies at each point where Triad variants differ.
+///
+/// Every hook is called from exactly one place in the shared lifecycle
+/// (DESIGN.md, *One node lifecycle, two policies*).
+pub trait Policy: Sized {
+    /// The node configuration this policy is constructed from.
+    type Config;
+
+    /// Validates `cfg` (panicking when it is invalid) and splits it into
+    /// the shared lifecycle parameters and the policy's initial state.
+    fn new(cfg: Self::Config) -> (TriadConfig, Self);
+
+    /// The self-assessed half-width error bound `secs_since_anchor` after
+    /// the last anchor; `None` when the protocol claims none (the clock is
+    /// published with uncertainty 0 and readings fall back to the
+    /// configured floor).
+    fn error_bound_ns(&self, _secs_since_anchor: f64) -> Option<f64> {
+        None
     }
+
+    /// Arms the policy's periodic in-TCB timers (boot and every restart).
+    fn arm_timers(&mut self, core: &mut Core, env: &mut dyn Env);
+
+    /// A timer armed through [`Core::arm_policy_timer`] fired in the
+    /// current crash epoch; `kind` is the [`POLICY_TIMERS`] entry.
+    fn on_timer(&mut self, core: &mut Core, env: &mut dyn Env, kind: u64);
+
+    /// An AEX interrupted the monitoring thread.
+    fn on_aex(&mut self) {}
+
+    /// The platform crashed: drop everything an enclave loses.
+    fn reset(&mut self);
+
+    /// The TA answered an Anchor or CrossCheck exchange with an
+    /// uninterrupted round trip.
+    fn on_ta_sample(&mut self, core: &mut Core, env: &mut dyn Env, sample: TaSample);
+
+    /// The request a round sends to each peer.
+    fn peer_request(nonce: u64) -> Message;
+
+    /// A message the shared lifecycle does not handle itself. Returns the
+    /// round this message completed, if any (see [`Core::peer_answer`]).
+    fn on_message(
+        &mut self,
+        core: &mut Core,
+        env: &mut dyn Env,
+        from: Addr,
+        msg: Message,
+    ) -> Option<PeerRound>;
+
+    /// Applies the untaint rule to a concluded round. For an untaint
+    /// (non-proactive) round the node is Tainted and `round.responses` is
+    /// non-empty; a proactive round comes as it ended.
+    fn conclude_round(&mut self, core: &mut Core, env: &mut dyn Env, round: PeerRound);
 }
 
-/// One Triad protocol node (the paper's primary artifact).
+/// The state and steps every Triad variant shares; policies drive it
+/// through the methods below.
 #[derive(Debug)]
-pub struct TriadNode {
+pub struct Core {
     me: Addr,
     index: usize,
     peers: Vec<Addr>,
@@ -87,15 +179,10 @@ pub struct TriadNode {
 
     calibrator: Calibrator,
     pending_probe: Option<PendingProbe>,
-    pending_peer: Option<PendingPeerRound>,
+    pending_round: Option<PeerRound>,
     taint_snapshot_ns: Option<f64>,
     resume_pending: bool,
     aex_count: u64,
-
-    monitor_anchor: Option<(SimTime, u64)>,
-    inc_ticks_per_inc: Option<f64>,
-    /// Detections raised by the INC monitor (visible for experiments).
-    pub monitor_detections: u64,
 
     // Fault tolerance: crash-recovery, retry bookkeeping, degradation.
     crashed: bool,
@@ -104,9 +191,9 @@ pub struct TriadNode {
     timer_epoch: u64,
     /// Consecutive probe timeouts without a TA answer (feeds the breaker).
     probe_failures: u32,
-    breaker_open: bool,
-    /// The probe stage to resume on the half-open trial.
-    breaker_stage: Option<Option<usize>>,
+    /// `Some` while the TA circuit breaker is open: the probe stage to
+    /// resume on the half-open trial.
+    breaker_stage: Option<ProbeKind>,
     /// When the node last left the OK state (staleness anchor for the
     /// widening reading uncertainty); `None` while serving normally.
     degraded_since: Option<SimTime>,
@@ -114,22 +201,13 @@ pub struct TriadNode {
     next_nonce: u64,
 }
 
-impl TriadNode {
-    /// Creates a node at `me` with the given cluster peers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is the TA address, appears in `peers`, or the
-    /// configuration is invalid.
-    pub fn new(me: Addr, peers: Vec<Addr>, cfg: TriadConfig) -> Self {
-        assert!(me.0 >= 1, "a Triad node cannot use the TA address");
-        assert!(!peers.contains(&me), "a node is not its own peer");
-        cfg.validate();
-        let calibrator = Calibrator::new(cfg.calib_sleeps.clone(), cfg.samples_per_sleep);
-        TriadNode {
+impl Core {
+    fn new(me: Addr, peers: Vec<Addr>, cfg: TriadConfig) -> Self {
+        Core {
             me,
             index: (me.0 - 1) as usize,
             peers,
+            calibrator: Calibrator::new(cfg.calib_sleeps.clone(), cfg.samples_per_sleep),
             cfg,
             state: NodeStateTag::FullCalib,
             anchor_ref_ns: 0.0,
@@ -137,23 +215,33 @@ impl TriadNode {
             f_calib_hz: None,
             clock_valid: false,
             last_served_ns: 0.0,
-            calibrator,
             pending_probe: None,
-            pending_peer: None,
+            pending_round: None,
             taint_snapshot_ns: None,
             resume_pending: false,
             aex_count: 0,
-            monitor_anchor: None,
-            inc_ticks_per_inc: None,
-            monitor_detections: 0,
             crashed: false,
             timer_epoch: 0,
             probe_failures: 0,
-            breaker_open: false,
             breaker_stage: None,
             degraded_since: None,
             next_nonce: 0,
         }
+    }
+
+    /// The node's own address.
+    pub fn me(&self) -> Addr {
+        self.me
+    }
+
+    /// The cluster peers.
+    pub fn peers(&self) -> &[Addr] {
+        &self.peers
+    }
+
+    /// The shared lifecycle parameters.
+    pub fn cfg(&self) -> &TriadConfig {
+        &self.cfg
     }
 
     /// The node's current protocol state.
@@ -161,85 +249,104 @@ impl TriadNode {
         self.state
     }
 
-    /// The calibrated TSC frequency, once the first calibration completed.
-    pub fn calibrated_hz(&self) -> Option<f64> {
+    /// This node's trace in the run's recorder.
+    pub fn trace<'e>(&self, env: &'e mut dyn Env) -> &'e mut NodeTrace {
+        env.recorder().node_mut(self.index)
+    }
+
+    /// The calibrated TSC frequency, once a calibration completed.
+    pub fn frequency_hz(&self) -> Option<f64> {
         self.f_calib_hz
     }
 
-    /// True while the node's platform is down (between `Crash` and
-    /// `Restart` fault events).
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
-    /// True while the TA circuit breaker is open (no TA traffic is sent).
-    pub fn breaker_is_open(&self) -> bool {
-        self.breaker_open
-    }
-
-    // ------------------------------------------------------------------
-    // Clock arithmetic
-    // ------------------------------------------------------------------
-
-    fn clock_ns(&self, ticks: u64) -> Option<f64> {
-        let f = self.f_calib_hz?;
-        if !self.clock_valid {
-            return None;
-        }
+    /// The clock at TSC value `ticks`; `None` while it is invalid.
+    pub fn clock_ns(&self, ticks: u64) -> Option<f64> {
+        let f = self.f_calib_hz.filter(|_| self.clock_valid)?;
         let dticks = ticks as f64 - self.anchor_ticks as f64;
         Some(self.anchor_ref_ns + dticks / f * 1e9)
     }
 
-    fn publish_clock(&self, env: &mut dyn Env) {
+    /// Seconds of local clock progress between the anchor and `ticks`.
+    pub fn secs_since_anchor(&self, ticks: u64) -> f64 {
+        self.f_calib_hz.map_or(0.0, |f| ((ticks as f64 - self.anchor_ticks as f64) / f).abs())
+    }
+
+    /// The lowest timestamp the node may still serve.
+    pub fn serving_floor_ns(&self) -> f64 {
+        self.last_served_ns + self.cfg.epsilon_ns as f64
+    }
+
+    fn publish_clock(&self, env: &mut dyn Env, bound: Option<f64>) {
         env.publish_clock(ClockState {
             valid: self.clock_valid,
             anchor_ref_ns: self.anchor_ref_ns,
             anchor_ticks: self.anchor_ticks,
             f_calib_hz: self.f_calib_hz.unwrap_or(1.0),
-            // Base Triad nodes carry no self-assessed error bound; the
-            // serving layer substitutes its configured floor.
-            uncertainty_ns: 0.0,
+            // With no self-assessed bound the serving layer substitutes
+            // its configured floor; readers widen a published bound for
+            // staleness (ticks since the anchor).
+            uncertainty_ns: bound.unwrap_or(0.0),
         });
     }
 
-    fn set_anchor(&mut self, env: &mut dyn Env, ticks: u64, ref_ns: f64) {
+    /// Re-anchors the clock and publishes it. `bound` is the policy's
+    /// error bound evaluated *at the new anchor* (drift term zero).
+    pub fn set_anchor(&mut self, env: &mut dyn Env, ticks: u64, ref_ns: f64, bound: Option<f64>) {
         self.anchor_ref_ns = ref_ns;
         self.anchor_ticks = ticks;
         self.clock_valid = true;
-        self.publish_clock(env);
+        self.publish_clock(env, bound);
+    }
+
+    /// Replaces the calibrated frequency, re-anchoring at the current
+    /// instant so the slope change does not retroactively move the clock.
+    pub fn refit_frequency(&mut self, env: &mut dyn Env, hz: f64, bound: Option<f64>) {
+        let ticks = env.read_tsc();
+        let own = self.clock_ns(ticks);
+        self.f_calib_hz = Some(hz);
+        if let Some(own) = own {
+            self.set_anchor(env, ticks, own, bound);
+        }
+    }
+
+    /// Anchors to a TA sample and returns to OK.
+    pub fn anchor_to_ta(&mut self, env: &mut dyn Env, ticks: u64, ref_ns: f64, bound: Option<f64>) {
+        self.set_anchor(env, ticks, ref_ns, bound);
+        let now = env.now();
+        self.trace(env).ta_references.increment(now);
+        self.taint_snapshot_ns = None;
+        self.enter_state(env, NodeStateTag::Ok);
+    }
+
+    /// The all-or-nothing serving rule: a timestamp only while OK.
+    fn serve_if_ok(&mut self, env: &mut dyn Env) -> Option<u64> {
+        if self.state != NodeStateTag::Ok {
+            return None; // Tainted/calibrating nodes stay silent (§III-D)
+        }
+        let ticks = env.read_tsc();
+        self.serve_ns(ticks)
     }
 
     /// A monotonic timestamp for serving (peer or client). `None` while
     /// the clock is invalid.
-    fn serve_ns(&mut self, ticks: u64) -> Option<u64> {
+    pub fn serve_ns(&mut self, ticks: u64) -> Option<u64> {
         let now = self.clock_ns(ticks)?;
-        let served = if now > self.last_served_ns {
-            now
-        } else {
-            self.last_served_ns + self.cfg.epsilon_ns as f64
-        };
+        let served = if now > self.last_served_ns { now } else { self.serving_floor_ns() };
         self.last_served_ns = served;
         Some(served as u64)
     }
-
-    // ------------------------------------------------------------------
-    // State transitions
-    // ------------------------------------------------------------------
 
     fn enter_state(&mut self, env: &mut dyn Env, state: NodeStateTag) {
         self.state = state;
         let now = env.now();
         // Track degradation staleness: the reading uncertainty widens from
         // the instant the node left OK and collapses when it returns.
-        match state {
-            NodeStateTag::Ok => self.degraded_since = None,
-            _ => {
-                if self.degraded_since.is_none() {
-                    self.degraded_since = Some(now);
-                }
-            }
+        if state == NodeStateTag::Ok {
+            self.degraded_since = None;
+        } else {
+            self.degraded_since.get_or_insert(now);
         }
-        env.recorder().node_mut(self.index).states.enter(now, state);
+        self.trace(env).states.enter(now, state);
     }
 
     fn fresh_nonce(&mut self) -> u64 {
@@ -247,65 +354,76 @@ impl TriadNode {
         self.next_nonce & TOKEN_MASK
     }
 
-    // ------------------------------------------------------------------
-    // Calibration (FullCalib / RefCalib)
-    // ------------------------------------------------------------------
+    /// Arms one of the [`POLICY_TIMERS`], stamped with the crash epoch so
+    /// a chain armed before a crash dies out after the restart.
+    pub fn arm_policy_timer(&self, env: &mut dyn Env, kind: u64, after: SimDuration) {
+        env.set_timer(kind | (self.timer_epoch & TOKEN_MASK), after);
+    }
 
-    fn begin_full_calibration(&mut self, env: &mut dyn Env) {
+    /// Starts a full calibration from scratch, abandoning anything in
+    /// flight.
+    pub fn begin_full_calibration(&mut self, env: &mut dyn Env) {
         self.enter_state(env, NodeStateTag::FullCalib);
         self.calibrator.reset();
         self.abandon_probe(env);
-        self.abandon_peer_round(env);
+        self.abandon_round(env);
         self.send_next_speed_probe(env);
     }
 
     fn abandon_probe(&mut self, env: &mut dyn Env) {
         if let Some(p) = self.pending_probe.take() {
-            env.cancel_timer(p.retry_token());
+            env.cancel_timer(TOKEN_PROBE_RETRY | p.nonce);
         }
     }
 
-    fn abandon_peer_round(&mut self, env: &mut dyn Env) {
-        if let Some(p) = self.pending_peer.take() {
-            env.cancel_timer(p.timeout_token());
+    fn abandon_round(&mut self, env: &mut dyn Env) {
+        if let Some(r) = self.pending_round.take() {
+            env.cancel_timer(TOKEN_PEER_TIMEOUT | r.nonce);
         }
     }
 
     fn send_next_speed_probe(&mut self, env: &mut dyn Env) {
         match self.calibrator.next_probe() {
-            Some(idx) => self.send_probe(env, Some(idx)),
+            Some(idx) => self.send_probe(env, ProbeKind::Speed(idx)),
             None => {
                 // Speed fit complete → F^calib, then anchor the reference.
-                let fit = self
-                    .calibrator
-                    .fit()
-                    .expect("complete calibrator always has two distinct sleeps");
+                let fit = self.calibrator.fit().expect("two distinct sleeps are configured");
                 self.f_calib_hz = Some(fit.slope);
                 let now = env.now();
-                env.recorder().node_mut(self.index).calibrations_hz.push((now, fit.slope));
-                self.send_probe(env, None);
+                self.trace(env).calibrations_hz.push((now, fit.slope));
+                self.send_probe(env, ProbeKind::Anchor);
             }
         }
     }
 
-    fn send_probe(&mut self, env: &mut dyn Env, sleep_idx: Option<usize>) {
-        self.send_probe_attempt(env, sleep_idx, 0);
+    /// Starts a background check against the TA, unless the node is not
+    /// serving or a TA exchange is already outstanding.
+    pub fn cross_check(&mut self, env: &mut dyn Env) {
+        if self.state == NodeStateTag::Ok && self.pending_probe.is_none() {
+            self.send_probe(env, ProbeKind::CrossCheck);
+        }
     }
 
-    fn send_probe_attempt(&mut self, env: &mut dyn Env, sleep_idx: Option<usize>, attempt: u32) {
+    /// Starts a TA exchange, replacing any outstanding one.
+    pub fn send_probe(&mut self, env: &mut dyn Env, kind: ProbeKind) {
+        self.send_probe_attempt(env, kind, 0);
+    }
+
+    fn send_probe_attempt(&mut self, env: &mut dyn Env, kind: ProbeKind, attempt: u32) {
         self.abandon_probe(env);
         let nonce = self.fresh_nonce();
-        let sleep = match sleep_idx {
-            Some(idx) => self.calibrator.sleep_at(idx),
-            None => SimDuration::ZERO,
+        let sleep = match kind {
+            ProbeKind::Speed(idx) => self.calibrator.sleep_at(idx),
+            _ => SimDuration::ZERO,
         };
-        let msg = Message::CalibrationRequest { nonce, sleep_ns: sleep.as_nanos() };
-        env.send(TA_ADDR, &msg);
+        // The order send → backoff draw → timer → TSC read fixes the
+        // seeded stream and the measured round trip; keep it.
+        env.send(TA_ADDR, &Message::CalibrationRequest { nonce, sleep_ns: sleep.as_nanos() });
         let backoff = self.cfg.probe_retry.backoff(self.cfg.probe_timeout, attempt, env.rng());
         env.set_timer(TOKEN_PROBE_RETRY | nonce, sleep + backoff);
         self.pending_probe = Some(PendingProbe {
             nonce,
-            sleep_idx,
+            kind,
             send_ticks: env.read_tsc(),
             aex_count_at_send: self.aex_count,
             attempt,
@@ -313,21 +431,21 @@ impl TriadNode {
     }
 
     /// The retry timer fired and the probe is still outstanding: the TA
-    /// did not answer in time. Retransmit under the backoff schedule, or
-    /// trip the circuit breaker after too many consecutive failures.
-    fn on_probe_timeout(&mut self, env: &mut dyn Env, sleep_idx: Option<usize>, attempt: u32) {
+    /// did not answer in time (response lost, attacker-dropped, or the TA
+    /// is down). Retransmit under the backoff schedule, or trip the
+    /// circuit breaker after too many consecutive failures.
+    fn on_probe_timeout(&mut self, env: &mut dyn Env, kind: ProbeKind, attempt: u32) {
         self.probe_failures = self.probe_failures.saturating_add(1);
         let now = env.now();
-        env.recorder().node_mut(self.index).probe_retries.increment(now);
+        self.trace(env).probe_retries.increment(now);
+        self.pending_probe = None;
 
         if let Some(breaker) = self.cfg.ta_breaker {
             if self.probe_failures >= breaker.failure_threshold {
                 // Stop hammering an unreachable TA; try again once per
                 // cooldown until it answers (half-open trials).
-                self.pending_probe = None;
-                self.breaker_open = true;
-                self.breaker_stage = Some(sleep_idx);
-                env.recorder().node_mut(self.index).breaker_opens.increment(now);
+                self.breaker_stage = Some(kind);
+                self.trace(env).breaker_opens.increment(now);
                 env.set_timer(TOKEN_BREAKER | (self.timer_epoch & TOKEN_MASK), breaker.cooldown);
                 return;
             }
@@ -337,100 +455,22 @@ impl TriadNode {
         // (the backoff re-tightens); giving up entirely is the breaker's
         // job, not the retry schedule's.
         let next = if self.cfg.probe_retry.exhausted(next) { 0 } else { next };
-        self.pending_probe = None;
-        self.send_probe_attempt(env, sleep_idx, next);
+        self.send_probe_attempt(env, kind, next);
     }
 
-    /// Cooldown elapsed: close the breaker and send one trial probe. A
-    /// further timeout re-opens it immediately (`probe_failures` is still
-    /// above the threshold).
+    /// Cooldown elapsed: close the breaker and send one trial probe for
+    /// the stalled stage. A further timeout re-opens it immediately
+    /// (`probe_failures` is still above the threshold).
     fn on_breaker_timer(&mut self, env: &mut dyn Env) {
-        if !self.breaker_open {
-            return;
-        }
-        self.breaker_open = false;
-        let stage = self.breaker_stage.take().expect("open breaker remembers its probe stage");
-        self.send_probe_attempt(env, stage, 0);
-    }
-
-    fn on_calibration_response(&mut self, env: &mut dyn Env, nonce: u64, ta_time_ns: u64) {
-        let Some(probe) = self.pending_probe else { return };
-        if probe.nonce != nonce {
-            return; // stale response from an abandoned probe
-        }
-        self.pending_probe = None;
-        env.cancel_timer(probe.retry_token());
-        self.probe_failures = 0; // the TA is reachable again
-
-        let now = env.now();
-        let recv_ticks = env.read_tsc();
-
-        if probe.aex_count_at_send != self.aex_count {
-            // The monitoring thread was interrupted mid-round-trip: the
-            // measurement is unbounded and must be discarded (§III-C).
-            self.send_probe(env, probe.sleep_idx);
-            return;
-        }
-
-        match probe.sleep_idx {
-            Some(idx) => {
-                self.calibrator.record(idx, recv_ticks.saturating_sub(probe.send_ticks));
-                self.send_next_speed_probe(env);
-            }
-            None => {
-                // Time-reference exchange: anchor to the TA timestamp.
-                let f = self.f_calib_hz.expect("reference exchange follows speed fit");
-                let rtt_ticks = recv_ticks.saturating_sub(probe.send_ticks);
-                let correction_ns = if self.cfg.rtt_half_correction {
-                    rtt_ticks as f64 / f * 1e9 / 2.0
-                } else {
-                    0.0
-                };
-                self.set_anchor(env, recv_ticks, ta_time_ns as f64 + correction_ns);
-                env.recorder().node_mut(self.index).ta_references.increment(now);
-                self.taint_snapshot_ns = None;
-                self.enter_state(env, NodeStateTag::Ok);
-            }
+        if let Some(kind) = self.breaker_stage.take() {
+            self.send_probe_attempt(env, kind, 0);
         }
     }
 
-    // ------------------------------------------------------------------
-    // AEX handling (taint / resume / peer untainting)
-    // ------------------------------------------------------------------
-
-    fn on_aex(&mut self, env: &mut dyn Env) {
-        self.aex_count += 1;
-        let now = env.now();
-        env.recorder().node_mut(self.index).aex_events.increment(now);
-        // The monitoring window is severed.
-        self.monitor_anchor = None;
-
-        match self.state {
-            NodeStateTag::FullCalib => {
-                // Probes self-invalidate via the AEX counter; nothing else.
-            }
-            NodeStateTag::Ok => {
-                let ticks = env.read_tsc();
-                self.taint_snapshot_ns = self.clock_ns(ticks);
-                self.enter_state(env, NodeStateTag::Tainted);
-                self.schedule_resume(env);
-            }
-            NodeStateTag::RefCalib => {
-                // Abandon the TA exchange; go back through the peer path
-                // once the enclave resumes.
-                self.abandon_probe(env);
-                self.enter_state(env, NodeStateTag::Tainted);
-                self.schedule_resume(env);
-            }
-            NodeStateTag::Tainted => {
-                // Another AEX while already tainted (e.g. machine-wide on
-                // top of core-local): ensure a resume is on its way.
-                self.schedule_resume(env);
-            }
-            // A crashed platform takes no interrupts (events are ignored
-            // before dispatch); unreachable, but harmless.
-            NodeStateTag::Crashed => {}
-        }
+    /// Gives up on the peers: refresh the time reference with the TA.
+    pub fn fall_back_to_ta(&mut self, env: &mut dyn Env) {
+        self.enter_state(env, NodeStateTag::RefCalib);
+        self.send_probe(env, ProbeKind::Anchor);
     }
 
     fn schedule_resume(&mut self, env: &mut dyn Env) {
@@ -442,263 +482,294 @@ impl TriadNode {
         env.set_timer(AEX_RESUME_TOKEN, pause);
     }
 
-    fn on_resume(&mut self, env: &mut dyn Env) {
-        self.resume_pending = false;
-        if self.state != NodeStateTag::Tainted {
-            return;
-        }
-        self.abandon_peer_round(env);
+    /// True while a peer round is collecting answers.
+    pub fn round_pending(&self) -> bool {
+        self.pending_round.is_some()
+    }
+
+    /// Sends `request(nonce)` to every peer and arms the round timeout,
+    /// replacing any round in flight. Without peers an untaint round goes
+    /// straight to the TA and a proactive one is skipped.
+    pub fn start_round(&mut self, env: &mut dyn Env, proactive: bool, request: fn(u64) -> Message) {
+        self.abandon_round(env);
         if self.peers.is_empty() {
-            self.fall_back_to_ta(env);
+            if !proactive {
+                self.fall_back_to_ta(env);
+            }
             return;
         }
         let nonce = self.fresh_nonce();
-        for &peer in &self.peers.clone() {
-            env.send(peer, &Message::PeerTimeRequest { nonce });
+        let request = request(nonce);
+        for &peer in &self.peers {
+            env.send(peer, &request);
         }
         env.set_timer(TOKEN_PEER_TIMEOUT | nonce, self.cfg.peer_timeout);
-        self.pending_peer =
-            Some(PendingPeerRound { nonce, responses: Vec::new(), expected: self.peers.len() });
+        self.pending_round = Some(PeerRound { nonce, proactive, responses: Vec::new() });
     }
 
-    fn on_peer_response(&mut self, env: &mut dyn Env, nonce: u64, timestamp_ns: u64) {
-        let Some(round) = self.pending_peer.as_mut() else { return };
-        if round.nonce != nonce {
-            return;
+    /// Books one peer's answer to round `nonce` and returns the round if
+    /// that completed it. An answer with no usable `sample` (a tainted
+    /// peer) does not count toward completion, so that round ends by
+    /// timeout. Stale nonces are ignored.
+    pub fn peer_answer(
+        &mut self,
+        env: &mut dyn Env,
+        nonce: u64,
+        sample: Option<PeerSample>,
+    ) -> Option<PeerRound> {
+        let round = self.pending_round.as_mut().filter(|r| r.nonce == nonce)?;
+        round.responses.extend(sample);
+        if round.responses.len() < self.peers.len() {
+            return None;
         }
-        round.responses.push(timestamp_ns);
-        if round.responses.len() == round.expected {
-            let round = self.pending_peer.take().expect("round present");
-            env.cancel_timer(round.timeout_token());
-            self.conclude_peer_round(env, round.responses);
-        }
+        env.cancel_timer(TOKEN_PEER_TIMEOUT | nonce);
+        self.pending_round.take()
     }
 
-    fn on_peer_timeout(&mut self, env: &mut dyn Env, nonce: u64) {
-        let Some(round) = self.pending_peer.as_ref() else { return };
-        if round.nonce != nonce {
-            return;
-        }
-        let round = self.pending_peer.take().expect("round present");
-        self.conclude_peer_round(env, round.responses);
-    }
-
-    /// Applies the §III-D untaint policy to the collected peer timestamps.
-    fn conclude_peer_round(&mut self, env: &mut dyn Env, responses: Vec<u64>) {
-        if self.state != NodeStateTag::Tainted {
-            return;
-        }
-        if responses.is_empty() {
-            self.fall_back_to_ta(env);
-            return;
-        }
+    /// The paper's §III-D untaint rule: a peer timestamp higher than the
+    /// local pre-interrupt one is adopted wholesale; otherwise the local
+    /// clock is kept, ε-bumped if needed for monotonicity. This is what
+    /// makes every node follow the fastest clock in the cluster and what
+    /// the F– attack exploits.
+    pub fn max_adopt(&mut self, env: &mut dyn Env, responses: &[PeerSample], bound: Option<f64>) {
         let now = env.now();
         let ticks = env.read_tsc();
         let local_pre_interrupt =
             self.taint_snapshot_ns.expect("tainted state always has a snapshot");
-        let best_peer = *responses.iter().max().expect("non-empty");
+        let best_peer = responses.iter().map(|r| r.timestamp_ns).max().expect("non-empty") as f64;
 
-        if (best_peer as f64) > local_pre_interrupt {
+        if best_peer > local_pre_interrupt {
             // "the incoming timestamp becomes the new reference"
-            self.set_anchor(env, ticks, best_peer as f64);
-            env.recorder().node_mut(self.index).peer_adoptions.increment(now);
-        } else {
+            self.set_anchor(env, ticks, best_peer, bound);
+            self.trace(env).peer_adoptions.increment(now);
+        } else if self.clock_ns(ticks).expect("clock was valid before the taint")
+            <= local_pre_interrupt
+        {
             // "the local timestamp is increased by the smallest possible
             // increment to ensure monotonicity"
-            let own_now = self.clock_ns(ticks).expect("clock was valid before the taint");
-            if own_now <= local_pre_interrupt {
-                self.set_anchor(env, ticks, local_pre_interrupt + self.cfg.epsilon_ns as f64);
-            }
+            self.set_anchor(env, ticks, local_pre_interrupt + self.cfg.epsilon_ns as f64, bound);
         }
-        env.recorder().node_mut(self.index).peer_untaints.increment(now);
+        self.untainted_by_peers(env);
+    }
+
+    /// The peers vouched for the clock (possibly after a correction):
+    /// back to OK.
+    pub fn untainted_by_peers(&mut self, env: &mut dyn Env) {
+        let now = env.now();
+        self.trace(env).peer_untaints.increment(now);
         self.taint_snapshot_ns = None;
         self.enter_state(env, NodeStateTag::Ok);
     }
+}
 
-    fn fall_back_to_ta(&mut self, env: &mut dyn Env) {
-        self.enter_state(env, NodeStateTag::RefCalib);
-        self.send_probe(env, None);
+/// One Triad protocol node: the shared lifecycle ([`Core`]) under the
+/// untaint and calibration rule `P`.
+#[derive(Debug)]
+pub struct Node<P: Policy> {
+    core: Core,
+    policy: P,
+}
+
+impl<P: Policy> Node<P> {
+    /// Creates a node at `me` with the given cluster peers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is the TA address, appears in `peers`, or the
+    /// configuration is invalid.
+    pub fn new(me: Addr, peers: Vec<Addr>, cfg: P::Config) -> Self {
+        assert!(me.0 >= 1, "a Triad node cannot use the TA address");
+        assert!(!peers.contains(&me), "a node is not its own peer");
+        let (cfg, policy) = P::new(cfg);
+        Node { core: Core::new(me, peers, cfg), policy }
     }
 
-    // ------------------------------------------------------------------
-    // Crash / recovery (fault injection)
-    // ------------------------------------------------------------------
+    fn on_calibration_response(&mut self, env: &mut dyn Env, nonce: u64, ta_time_ns: u64) {
+        let core = &mut self.core;
+        let Some(probe) = core.pending_probe.filter(|p| p.nonce == nonce) else {
+            return; // stale response from an abandoned probe
+        };
+        core.abandon_probe(env);
+        core.probe_failures = 0; // the TA is reachable again
+        let recv_ticks = env.read_tsc();
+
+        if probe.aex_count_at_send != core.aex_count {
+            // The monitoring thread was interrupted mid-round-trip: the
+            // measurement is unbounded and must be discarded (§III-C). A
+            // background cross-check is dropped, not resent — the next
+            // periodic check retries.
+            if probe.kind != ProbeKind::CrossCheck {
+                core.send_probe(env, probe.kind);
+            }
+            return;
+        }
+        match probe.kind {
+            ProbeKind::Speed(idx) => {
+                core.calibrator.record(idx, recv_ticks.saturating_sub(probe.send_ticks));
+                core.send_next_speed_probe(env);
+            }
+            kind => {
+                let f = core.f_calib_hz.expect("anchor/check follows the speed fit");
+                let rtt_ns = recv_ticks.saturating_sub(probe.send_ticks) as f64 / f * 1e9;
+                let sample = TaSample { kind, rtt_ns, recv_ticks, ta_time_ns };
+                self.policy.on_ta_sample(core, env, sample);
+            }
+        }
+    }
+
+    fn on_aex(&mut self, env: &mut dyn Env) {
+        let core = &mut self.core;
+        core.aex_count += 1;
+        let now = env.now();
+        core.trace(env).aex_events.increment(now);
+        self.policy.on_aex();
+
+        match core.state {
+            NodeStateTag::Ok => {
+                let ticks = env.read_tsc();
+                core.taint_snapshot_ns = core.clock_ns(ticks);
+                core.enter_state(env, NodeStateTag::Tainted);
+                core.schedule_resume(env);
+            }
+            NodeStateTag::RefCalib => {
+                // Abandon the TA exchange; go back through the peer path
+                // once the enclave resumes.
+                core.abandon_probe(env);
+                core.enter_state(env, NodeStateTag::Tainted);
+                core.schedule_resume(env);
+            }
+            NodeStateTag::Tainted => {
+                // Another AEX while already tainted (e.g. machine-wide on
+                // top of core-local): ensure a resume is on its way.
+                core.schedule_resume(env);
+            }
+            // Calibration probes self-invalidate via the AEX counter; a
+            // crashed platform takes no interrupts (dropped before dispatch).
+            NodeStateTag::FullCalib | NodeStateTag::Crashed => {}
+        }
+    }
+
+    fn on_resume(&mut self, env: &mut dyn Env) {
+        self.core.resume_pending = false;
+        if self.core.state == NodeStateTag::Tainted {
+            self.core.start_round(env, false, P::peer_request);
+        }
+    }
+
+    fn conclude_round(&mut self, env: &mut dyn Env, round: PeerRound) {
+        if !round.proactive {
+            if self.core.state != NodeStateTag::Tainted {
+                return;
+            }
+            if round.responses.is_empty() {
+                // §III-D: "only asks the TA upon failure to receive any
+                // responses from peers".
+                self.core.fall_back_to_ta(env);
+                return;
+            }
+        }
+        self.policy.conclude_round(&mut self.core, env, round);
+    }
 
     /// The platform goes down: all enclave state is lost. Only
     /// `last_served_ns` survives — Triad seals the monotonic serving floor
     /// outside the enclave, so a rebooted node can never serve a timestamp
     /// below one it already handed out.
     fn on_crash(&mut self, env: &mut dyn Env) {
-        if self.crashed {
+        let core = &mut self.core;
+        if core.crashed {
             return;
         }
-        self.crashed = true;
-        self.timer_epoch += 1; // orphan every timer chain armed pre-crash
-        self.abandon_probe(env);
-        self.abandon_peer_round(env);
-        self.calibrator.reset();
-        self.f_calib_hz = None;
-        self.clock_valid = false;
-        self.taint_snapshot_ns = None;
-        self.resume_pending = false;
-        self.aex_count = 0;
-        self.monitor_anchor = None;
-        self.inc_ticks_per_inc = None;
-        self.probe_failures = 0;
-        self.breaker_open = false;
-        self.breaker_stage = None;
-        self.publish_clock(env);
+        core.crashed = true;
+        core.timer_epoch += 1; // orphan every timer chain armed pre-crash
+        core.abandon_probe(env);
+        core.abandon_round(env);
+        core.calibrator.reset();
+        core.f_calib_hz = None;
+        core.clock_valid = false;
+        core.taint_snapshot_ns = None;
+        core.resume_pending = false;
+        core.aex_count = 0;
+        core.probe_failures = 0;
+        core.breaker_stage = None;
+        self.policy.reset();
+        core.publish_clock(env, self.policy.error_bound_ns(0.0));
         let now = env.now();
-        env.recorder().node_mut(self.index).crashes.increment(now);
-        self.enter_state(env, NodeStateTag::Crashed);
-    }
-
-    /// The platform boots again: the node must re-earn a clock through a
-    /// full calibration before serving anything.
-    fn on_restart(&mut self, env: &mut dyn Env) {
-        if !self.crashed {
-            return;
-        }
-        self.crashed = false;
-        self.begin_full_calibration(env);
-        self.schedule_monitor(env);
-    }
-
-    fn monitor_token(&self) -> u64 {
-        TOKEN_MONITOR | (self.timer_epoch & TOKEN_MASK)
-    }
-
-    fn schedule_monitor(&mut self, env: &mut dyn Env) {
-        env.set_timer(self.monitor_token(), self.cfg.monitor_interval);
-    }
-
-    // ------------------------------------------------------------------
-    // INC monitoring (§IV-A.1)
-    // ------------------------------------------------------------------
-
-    fn on_monitor_tick(&mut self, env: &mut dyn Env) {
-        let now = env.now();
-        let ticks_now = env.read_tsc();
-        if let Some((t0, ticks0)) = self.monitor_anchor {
-            // Only windows with uninterrupted execution count; AEXs clear
-            // the anchor.
-            let wall = now - t0;
-            if !wall.is_zero() {
-                let inc = env.sample_inc(wall);
-                if inc > 0 {
-                    let tsc_delta = ticks_now.saturating_sub(ticks0);
-                    let ratio = tsc_delta as f64 / inc as f64;
-                    match self.inc_ticks_per_inc {
-                        None => self.inc_ticks_per_inc = Some(ratio),
-                        Some(baseline) => {
-                            let ppm = (ratio / baseline - 1.0).abs() * 1e6;
-                            if ppm > self.cfg.monitor_threshold_ppm {
-                                self.monitor_detections += 1;
-                                env.recorder()
-                                    .node_mut(self.index)
-                                    .monitor_detections
-                                    .increment(now);
-                                self.inc_ticks_per_inc = None;
-                                self.monitor_anchor = Some((now, ticks_now));
-                                self.schedule_monitor(env);
-                                self.begin_full_calibration(env);
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.monitor_anchor = Some((now, ticks_now));
-        self.schedule_monitor(env);
-    }
-
-    // ------------------------------------------------------------------
-    // Graceful degradation (staleness-aware readings)
-    // ------------------------------------------------------------------
-
-    /// Self-assessed uncertainty half-width: the configured floor, widened
-    /// linearly with staleness while the node is degraded.
-    fn reading_uncertainty_ns(&self, now: SimTime) -> u64 {
-        let mut u = self.cfg.reading_uncertainty_ns as f64;
-        if let Some(t0) = self.degraded_since {
-            u += self.cfg.reading_drift_ppm * 1e-6 * (now - t0).as_nanos() as f64;
-        }
-        u as u64
+        core.trace(env).crashes.increment(now);
+        core.enter_state(env, NodeStateTag::Crashed);
     }
 
     /// Serves a degraded-tolerant reading: unlike the all-or-nothing
     /// client API, a Tainted or recalibrating node keeps answering with a
-    /// monotonic estimate and an honestly widening uncertainty bound.
+    /// monotonic estimate and an honestly widening uncertainty — the
+    /// policy's error bound (or the configured floor), widened linearly
+    /// with staleness while degraded, so clients watch the bound grow
+    /// under faults and snap back after recalibration.
     fn serve_reading(&mut self, env: &mut dyn Env) -> Option<wire::TimeReading> {
+        let core = &mut self.core;
         let now = env.now();
         let ticks = env.read_tsc();
-        let estimate_ns = self.serve_ns(ticks)?;
-        let uncertainty_ns = self.reading_uncertainty_ns(now);
-        env.recorder().node_mut(self.index).reading_uncertainty_ns.push(now, uncertainty_ns as f64);
-        Some(wire::TimeReading {
-            estimate_ns,
-            uncertainty_ns,
-            degraded: self.state != NodeStateTag::Ok,
-        })
+        let floor = core.cfg.reading_uncertainty_ns as f64;
+        let mut uncertainty =
+            self.policy.error_bound_ns(core.secs_since_anchor(ticks)).unwrap_or(floor);
+        if let Some(t0) = core.degraded_since {
+            uncertainty += core.cfg.reading_drift_ppm * 1e-6 * (now - t0).as_nanos() as f64;
+        }
+        let estimate_ns = core.serve_ns(ticks)?;
+        let uncertainty_ns = uncertainty as u64;
+        core.trace(env).reading_uncertainty_ns.push(now, uncertainty_ns as f64);
+        let degraded = core.state != NodeStateTag::Ok;
+        Some(wire::TimeReading { estimate_ns, uncertainty_ns, degraded })
     }
-
-    // ------------------------------------------------------------------
-    // Message dispatch
-    // ------------------------------------------------------------------
 
     fn on_message(&mut self, env: &mut dyn Env, from: Addr, msg: Message) {
         match msg {
             Message::CalibrationResponse { nonce, ta_time_ns, .. } if from == TA_ADDR => {
                 self.on_calibration_response(env, nonce, ta_time_ns);
             }
-            Message::PeerTimeRequest { nonce } if self.state == NodeStateTag::Ok => {
-                let ticks = env.read_tsc();
-                if let Some(ts) = self.serve_ns(ticks) {
-                    env.send(from, &Message::PeerTimeResponse { nonce, timestamp_ns: ts });
+            // Base-protocol peers may coexist with any policy in mixed
+            // clusters; a request the node may not answer is dropped.
+            Message::PeerTimeRequest { nonce } => {
+                if let Some(timestamp_ns) = self.core.serve_if_ok(env) {
+                    env.send(from, &Message::PeerTimeResponse { nonce, timestamp_ns });
                 }
             }
-            // Tainted/calibrating nodes stay silent (§III-D).
-            Message::PeerTimeResponse { nonce, timestamp_ns } => {
-                self.on_peer_response(env, nonce, timestamp_ns);
-            }
             Message::ClientTimeRequest { nonce } => {
-                let timestamp_ns = if self.state == NodeStateTag::Ok {
-                    let ticks = env.read_tsc();
-                    self.serve_ns(ticks)
-                } else {
-                    None
-                };
+                let timestamp_ns = self.core.serve_if_ok(env);
                 env.send(from, &Message::ClientTimeResponse { nonce, timestamp_ns });
             }
             Message::TimeReadingRequest { nonce } => {
                 let reading = self.serve_reading(env);
                 env.send(from, &Message::TimeReadingResponse { nonce, reading });
             }
-            // Hardened-protocol messages are ignored by the base node.
-            _ => {}
+            msg => {
+                if let Some(round) = self.policy.on_message(&mut self.core, env, from, msg) {
+                    self.conclude_round(env, round);
+                }
+            }
         }
     }
 }
 
-impl Machine for TriadNode {
+impl<P: Policy> Machine for Node<P> {
     fn addr(&self) -> Addr {
-        self.me
+        self.core.me
     }
 
     fn node_index(&self) -> Option<usize> {
-        Some(self.index)
+        Some(self.core.index)
     }
 
     fn crashed(&self) -> bool {
-        self.crashed
+        self.core.crashed
     }
 
+    /// Boot, and reboot after a crash: the node must (re-)earn a clock
+    /// through a full calibration before serving anything.
     fn on_start(&mut self, env: &mut dyn Env) {
-        let now = env.now();
-        env.recorder().node_mut(self.index).states.enter(now, NodeStateTag::FullCalib);
-        self.begin_full_calibration(env);
-        self.schedule_monitor(env);
+        self.core.crashed = false;
+        self.core.begin_full_calibration(env);
+        self.policy.arm_timers(&mut self.core, env);
     }
 
     fn on_input(&mut self, env: &mut dyn Env, input: Input) {
@@ -706,29 +777,26 @@ impl Machine for TriadNode {
             Input::Aex { .. } => self.on_aex(env),
             Input::AexResume => self.on_resume(env),
             Input::Crash => self.on_crash(env),
-            Input::Restart => self.on_restart(env),
+            Input::Restart if self.core.crashed => self.on_start(env),
+            Input::Restart => {}
             Input::Message { src, msg } => self.on_message(env, src, msg),
             Input::Timer { token } => {
-                if token & TOKEN_MONITOR != 0 {
-                    if token & TOKEN_MASK == self.timer_epoch & TOKEN_MASK {
-                        self.on_monitor_tick(env);
-                    }
-                    // Stale chains from before a crash die out silently.
-                } else if token & TOKEN_BREAKER != 0 {
-                    if token & TOKEN_MASK == self.timer_epoch & TOKEN_MASK {
-                        self.on_breaker_timer(env);
-                    }
-                } else if token & TOKEN_PEER_TIMEOUT != 0 {
-                    self.on_peer_timeout(env, token & TOKEN_MASK);
-                } else if token & TOKEN_PROBE_RETRY != 0 {
-                    let nonce = token & TOKEN_MASK;
-                    if let Some(probe) = self.pending_probe {
-                        if probe.nonce == nonce {
-                            // Response lost (attacker-dropped, or the TA is
-                            // down): retry under the backoff schedule.
-                            self.on_probe_timeout(env, probe.sleep_idx, probe.attempt);
+                let low = token & TOKEN_MASK;
+                match token & !TOKEN_MASK {
+                    TOKEN_PEER_TIMEOUT => {
+                        if let Some(round) = self.core.pending_round.take_if(|r| r.nonce == low) {
+                            self.conclude_round(env, round);
                         }
                     }
+                    TOKEN_PROBE_RETRY => {
+                        if let Some(p) = self.core.pending_probe.filter(|p| p.nonce == low) {
+                            self.core.on_probe_timeout(env, p.kind, p.attempt);
+                        }
+                    }
+                    // Stale chains from before a crash die out silently.
+                    _ if low != self.core.timer_epoch & TOKEN_MASK => {}
+                    TOKEN_BREAKER => self.core.on_breaker_timer(env),
+                    kind => self.policy.on_timer(&mut self.core, env, kind),
                 }
             }
         }

@@ -196,11 +196,15 @@ fn baseline_genomes(space: &GenomeSpace, base_seed: u64) -> Vec<(String, Adversa
     out
 }
 
-/// Runs the grid, shrinks the winners, writes the CSVs, the search log
-/// and the reproducer corpus.
+/// Runs the mode's grid ([`run_grid`] over its shapes and budgets).
 pub fn run(opts: &RunOpts) -> SearchResult {
-    let shapes = shapes(opts);
-    let budgets = budgets(opts);
+    run_grid(opts, &shapes(opts), &budgets(opts))
+}
+
+/// Runs `shapes` × both fitness targets × `budgets` (ascending), shrinks
+/// the winners, writes the CSVs, the search log and the reproducer
+/// corpus.
+pub fn run_grid(opts: &RunOpts, shapes: &[GenomeSpace], budgets: &[usize]) -> SearchResult {
     let targets = [FitnessTarget::Drift, FitnessTarget::Slo];
     let mut cells: Vec<CellResult> = Vec::new();
     let mut baselines: Vec<BaselineResult> = Vec::new();
@@ -211,7 +215,7 @@ pub fn run(opts: &RunOpts) -> SearchResult {
     let dir = opts.dir_for("search");
     let corpus_dir = dir.join("corpus");
 
-    for &space in &shapes {
+    for &space in shapes {
         for &target in &targets {
             let seed = eval_seed(opts, &space, target);
 
@@ -226,7 +230,7 @@ pub fn run(opts: &RunOpts) -> SearchResult {
             }
 
             let mut best_of_max: Option<(SearchOutcome, u64)> = None;
-            for &budget in &budgets {
+            for &budget in budgets {
                 let cfg = SearchConfig {
                     space,
                     target,

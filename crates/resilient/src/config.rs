@@ -21,7 +21,10 @@ use triad_core::TriadConfig;
 ///   round-trips are retried, bounding delay-attack offsets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilientConfig {
-    /// Base Triad parameters (probe scheduling, peer timeout, ε, monitor).
+    /// Shared lifecycle parameters (probe scheduling, retry and breaker,
+    /// peer timeout, ε, AEX pause, degraded readings). The INC-monitor
+    /// fields `monitor_interval` / `monitor_threshold_ppm` are accepted
+    /// and ignored: [`crate::Hardened`] runs no monitor.
     pub base: TriadConfig,
     /// §V change 1: proactive in-TCB deadline checks.
     pub enable_deadline: bool,

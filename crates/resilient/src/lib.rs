@@ -18,9 +18,11 @@
 //! 4. **RTT filtering** — TA anchors with implausible round-trips are
 //!    retried, bounding what message delaying can do to the offset.
 //!
-//! [`ResilientNode`] is drop-in compatible with the `harness` builder via
-//! its node-factory hook; [`ResilientConfig`] exposes one switch per
-//! countermeasure for ablations.
+//! The lifecycle itself is `triad_core::Node`, shared with the paper's
+//! protocol; this crate contributes only the rule, [`Hardened`], and
+//! [`ResilientNode`] = `Node<Hardened>`. [`ResilientConfig`] exposes one
+//! switch per countermeasure for ablations. The hardening does **not**
+//! include the paper's INC monitor (see [`Hardened`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,4 +31,4 @@ mod config;
 mod node;
 
 pub use config::ResilientConfig;
-pub use node::ResilientNode;
+pub use node::{Hardened, ResilientNode};

@@ -1,69 +1,29 @@
-//! The hardened node implementing §V's protocol changes.
+//! The paper's §V protocol changes as a [`Policy`] over the shared Triad
+//! lifecycle.
 
 use std::collections::VecDeque;
 
 use netsim::Addr;
-use proto::{ClockState, Env, Input, Machine, AEX_RESUME_TOKEN, TA_ADDR};
-use sim::SimDuration;
+use proto::Env;
 use stats::{marzullo, Interval, Regression};
 use trace::NodeStateTag;
 use wire::Message;
 
-use triad_core::Calibrator;
+use triad_core::{
+    Core, Node, PeerRound, PeerSample, Policy, ProbeKind, TaSample, TriadConfig, POLICY_TIMERS,
+};
 
 use crate::config::ResilientConfig;
 
-const TOKEN_PEER_TIMEOUT: u64 = 1 << 62;
-const TOKEN_PROBE_RETRY: u64 = 1 << 61;
-const TOKEN_DEADLINE: u64 = 1 << 60;
-const TOKEN_TA_CHECK: u64 = 1 << 59;
-const TOKEN_BREAKER: u64 = 1 << 58;
-const TOKEN_MASK: u64 = (1 << 58) - 1;
-
-/// What an outstanding TA exchange is for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProbeKind {
-    /// Initial frequency calibration sample for sleep index `i`.
-    Speed(usize),
-    /// (Re-)anchoring the time reference (node is unavailable meanwhile).
-    Anchor,
-    /// Background consistency check while serving (node stays available).
-    CrossCheck,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PendingProbe {
-    nonce: u64,
-    kind: ProbeKind,
-    send_ticks: u64,
-    aex_count_at_send: u64,
-    /// 0-based retransmission count within the current burst.
-    attempt: u32,
-}
-
-impl PendingProbe {
-    fn retry_token(&self) -> u64 {
-        TOKEN_PROBE_RETRY | self.nonce
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct IntervalRound {
-    nonce: u64,
-    proactive: bool,
-    responses: Vec<(Addr, u64, u64)>, // (peer, timestamp_ns, error_bound_ns)
-    expected: usize,
-}
-
-impl IntervalRound {
-    fn timeout_token(&self) -> u64 {
-        TOKEN_PEER_TIMEOUT | self.nonce
-    }
-}
+const DEADLINE: u64 = POLICY_TIMERS[0];
+const TA_CHECK: u64 = POLICY_TIMERS[1];
 
 /// A Triad node hardened with the countermeasures of §V.
+pub type ResilientNode = Node<Hardened>;
+
+/// The §V rule for whom a Triad node believes.
 ///
-/// Shares the base protocol's shape — calibrate, serve, taint on AEX,
+/// Shares the base protocol's lifecycle — calibrate, serve, taint on AEX,
 /// refresh via peers or TA — but changes *whom it believes*:
 ///
 /// - peer timestamps carry error bounds and are accepted only when a
@@ -77,368 +37,42 @@ impl IntervalRound {
 /// - TA anchors with implausible round-trips are retried, bounding
 ///   message-delay offsets.
 ///
-/// Like the base node, it is a pure [`proto::Machine`]: the same type runs
-/// under the simulation driver and the live UDP runtime.
+/// **This policy does not run the §III-B / §IV-A.1 INC monitor.**
+/// `ResilientConfig::base.monitor_interval` and `monitor_threshold_ppm`
+/// are accepted and unused here, so a TSC rate manipulation that stays
+/// inside the node's own error bound (the committed `drift-n5`
+/// reproducer) raises no detection on a hardened node while the paper's
+/// node catches it. Switching it on changes `results/` and the corpus
+/// and is ROADMAP item 4(c); `crates/scenario/tests/monitor_gap.rs` pins
+/// the gap until then.
 #[derive(Debug)]
-pub struct ResilientNode {
-    me: Addr,
-    index: usize,
-    peers: Vec<Addr>,
+pub struct Hardened {
     cfg: ResilientConfig,
-    state: NodeStateTag,
-
-    anchor_ref_ns: f64,
-    anchor_ticks: u64,
-    f_calib_hz: Option<f64>,
-    clock_valid: bool,
-    last_served_ns: f64,
-
-    calibrator: Calibrator,
-    pending_probe: Option<PendingProbe>,
-    pending_round: Option<IntervalRound>,
-    taint_snapshot_ns: Option<f64>,
-    resume_pending: bool,
-    aex_count: u64,
-
     rtt_rejects: u32,
+    /// Bound widening carried by the last TA sample that was accepted
+    /// despite an implausible round trip.
     extra_bound_ns: f64,
     ta_samples: VecDeque<(f64, f64)>, // (recv ticks, estimated reference ns)
     drift_bound_ppm: f64,
+    /// True once the long-window refinement replaced the bootstrap fit.
     refined: bool,
-
+    /// Announcement counter. It goes on the wire, so unlike the rest of
+    /// the enclave state it is not rewound by a crash.
     epoch: u64,
     gossip_suspicion: u32,
-
-    // Fault tolerance: crash-recovery, retry bookkeeping, degradation.
-    crashed: bool,
-    timer_epoch: u64,
-    probe_failures: u32,
-    breaker_open: bool,
-    breaker_kind: Option<ProbeKind>,
-    degraded_since: Option<sim::SimTime>,
-
-    next_nonce: u64,
 }
 
-impl ResilientNode {
-    /// Creates a hardened node.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the TA address, self-peering, or invalid configuration.
-    pub fn new(me: Addr, peers: Vec<Addr>, cfg: ResilientConfig) -> Self {
-        assert!(me.0 >= 1, "a node cannot use the TA address");
-        assert!(!peers.contains(&me), "a node is not its own peer");
-        cfg.validate();
-        let calibrator = Calibrator::new(cfg.base.calib_sleeps.clone(), cfg.base.samples_per_sleep);
-        let drift_bound = cfg.drift_bound_ppm_initial;
-        ResilientNode {
-            me,
-            index: (me.0 - 1) as usize,
-            peers,
-            cfg,
-            state: NodeStateTag::FullCalib,
-            anchor_ref_ns: 0.0,
-            anchor_ticks: 0,
-            f_calib_hz: None,
-            clock_valid: false,
-            last_served_ns: 0.0,
-            calibrator,
-            pending_probe: None,
-            pending_round: None,
-            taint_snapshot_ns: None,
-            resume_pending: false,
-            aex_count: 0,
-            rtt_rejects: 0,
-            extra_bound_ns: 0.0,
-            ta_samples: VecDeque::new(),
-            drift_bound_ppm: drift_bound,
-            refined: false,
-            epoch: 0,
-            gossip_suspicion: 0,
-            crashed: false,
-            timer_epoch: 0,
-            probe_failures: 0,
-            breaker_open: false,
-            breaker_kind: None,
-            degraded_since: None,
-            next_nonce: 0,
-        }
-    }
-
-    /// True while the node's platform is down (between `Crash` and
-    /// `Restart` fault events).
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
-    /// True while the TA circuit breaker is open (no TA traffic is sent).
-    pub fn breaker_is_open(&self) -> bool {
-        self.breaker_open
-    }
-
-    /// True once the long-window refinement replaced the bootstrap fit.
-    pub fn is_refined(&self) -> bool {
-        self.refined
-    }
-
-    // ------------------------------------------------------------------
-    // Clock
-    // ------------------------------------------------------------------
-
-    fn clock_ns(&self, ticks: u64) -> Option<f64> {
-        let f = self.f_calib_hz?;
-        if !self.clock_valid {
-            return None;
-        }
-        Some(self.anchor_ref_ns + (ticks as f64 - self.anchor_ticks as f64) / f * 1e9)
-    }
-
-    fn publish_clock(&self, env: &mut dyn Env) {
-        env.publish_clock(ClockState {
-            valid: self.clock_valid,
-            anchor_ref_ns: self.anchor_ref_ns,
-            anchor_ticks: self.anchor_ticks,
-            f_calib_hz: self.f_calib_hz.unwrap_or(1.0),
-            // Publish the §V self-assessed bound evaluated at the anchor;
-            // readers widen it for staleness (ticks since the anchor).
-            uncertainty_ns: self.error_bound_ns(self.anchor_ticks),
-        });
-    }
-
-    fn set_anchor(&mut self, env: &mut dyn Env, ticks: u64, ref_ns: f64) {
-        self.anchor_ref_ns = ref_ns;
-        self.anchor_ticks = ticks;
-        self.clock_valid = true;
-        self.publish_clock(env);
-    }
-
-    fn serve_ns(&mut self, ticks: u64) -> Option<u64> {
-        let now = self.clock_ns(ticks)?;
-        let served = if now > self.last_served_ns {
-            now
-        } else {
-            self.last_served_ns + self.cfg.base.epsilon_ns as f64
-        };
-        self.last_served_ns = served;
-        Some(served as u64)
-    }
-
-    /// Self-assessed half-width error bound at TSC value `ticks`.
-    fn error_bound_ns(&self, ticks: u64) -> f64 {
-        let secs_since_anchor = self
-            .f_calib_hz
-            .map(|f| ((ticks as f64 - self.anchor_ticks as f64) / f).abs())
-            .unwrap_or(0.0);
-        self.cfg.base_error_bound.as_nanos() as f64
-            + self.drift_bound_ppm * 1e-6 * secs_since_anchor * 1e9
-            + self.extra_bound_ns
-    }
-
-    fn enter_state(&mut self, env: &mut dyn Env, state: NodeStateTag) {
-        self.state = state;
-        let now = env.now();
-        match state {
-            NodeStateTag::Ok => self.degraded_since = None,
-            _ => {
-                if self.degraded_since.is_none() {
-                    self.degraded_since = Some(now);
-                }
-            }
-        }
-        env.recorder().node_mut(self.index).states.enter(now, state);
-    }
-
-    fn fresh_nonce(&mut self) -> u64 {
-        self.next_nonce += 1;
-        self.next_nonce & TOKEN_MASK
-    }
-
-    // ------------------------------------------------------------------
-    // TA exchanges
-    // ------------------------------------------------------------------
-
-    fn abandon_probe(&mut self, env: &mut dyn Env) {
-        if let Some(p) = self.pending_probe.take() {
-            env.cancel_timer(p.retry_token());
-        }
-    }
-
-    fn send_probe(&mut self, env: &mut dyn Env, kind: ProbeKind) {
-        self.send_probe_attempt(env, kind, 0);
-    }
-
-    fn send_probe_attempt(&mut self, env: &mut dyn Env, kind: ProbeKind, attempt: u32) {
-        self.abandon_probe(env);
-        let nonce = self.fresh_nonce();
-        let sleep = match kind {
-            ProbeKind::Speed(idx) => self.calibrator.sleep_at(idx),
-            _ => SimDuration::ZERO,
-        };
-        env.send(TA_ADDR, &Message::CalibrationRequest { nonce, sleep_ns: sleep.as_nanos() });
-        let backoff =
-            self.cfg.base.probe_retry.backoff(self.cfg.base.probe_timeout, attempt, env.rng());
-        env.set_timer(TOKEN_PROBE_RETRY | nonce, sleep + backoff);
-        self.pending_probe = Some(PendingProbe {
-            nonce,
-            kind,
-            send_ticks: env.read_tsc(),
-            aex_count_at_send: self.aex_count,
-            attempt,
-        });
-    }
-
-    /// The retry timer fired with the probe still outstanding: retransmit
-    /// under the backoff schedule, or trip the circuit breaker.
-    fn on_probe_timeout(&mut self, env: &mut dyn Env, kind: ProbeKind, attempt: u32) {
-        self.probe_failures = self.probe_failures.saturating_add(1);
-        let now = env.now();
-        env.recorder().node_mut(self.index).probe_retries.increment(now);
-
-        if let Some(breaker) = self.cfg.base.ta_breaker {
-            if self.probe_failures >= breaker.failure_threshold {
-                self.pending_probe = None;
-                // An unanswerable background cross-check is simply dropped;
-                // the breaker only queues stages the protocol depends on.
-                self.breaker_open = true;
-                self.breaker_kind = Some(kind);
-                env.recorder().node_mut(self.index).breaker_opens.increment(now);
-                env.set_timer(TOKEN_BREAKER | (self.timer_epoch & TOKEN_MASK), breaker.cooldown);
-                return;
-            }
-        }
-        let next = attempt + 1;
-        let next = if self.cfg.base.probe_retry.exhausted(next) { 0 } else { next };
-        self.pending_probe = None;
-        self.send_probe_attempt(env, kind, next);
-    }
-
-    /// Cooldown elapsed: half-open trial probe for the stalled stage.
-    fn on_breaker_timer(&mut self, env: &mut dyn Env) {
-        if !self.breaker_open {
-            return;
-        }
-        self.breaker_open = false;
-        let kind = self.breaker_kind.take().expect("open breaker remembers its probe kind");
-        self.send_probe_attempt(env, kind, 0);
-    }
-
-    fn send_next_speed_probe(&mut self, env: &mut dyn Env) {
-        match self.calibrator.next_probe() {
-            Some(idx) => self.send_probe(env, ProbeKind::Speed(idx)),
-            None => {
-                let fit = self.calibrator.fit().expect("two distinct sleeps configured");
-                self.f_calib_hz = Some(fit.slope);
-                let now = env.now();
-                env.recorder().node_mut(self.index).calibrations_hz.push((now, fit.slope));
-                self.send_probe(env, ProbeKind::Anchor);
-            }
-        }
-    }
-
-    fn on_calibration_response(&mut self, env: &mut dyn Env, nonce: u64, ta_time_ns: u64) {
-        let Some(probe) = self.pending_probe else { return };
-        if probe.nonce != nonce {
-            return;
-        }
-        self.pending_probe = None;
-        env.cancel_timer(probe.retry_token());
-        self.probe_failures = 0; // the TA is reachable again
-
-        let recv_ticks = env.read_tsc();
-
-        if probe.aex_count_at_send != self.aex_count {
-            // Interrupted round-trip: unusable measurement.
-            match probe.kind {
-                ProbeKind::Speed(idx) => self.send_probe(env, ProbeKind::Speed(idx)),
-                ProbeKind::Anchor => self.send_probe(env, ProbeKind::Anchor),
-                ProbeKind::CrossCheck => {} // next periodic check will retry
-            }
-            return;
-        }
-
-        match probe.kind {
-            ProbeKind::Speed(idx) => {
-                self.calibrator.record(idx, recv_ticks.saturating_sub(probe.send_ticks));
-                self.send_next_speed_probe(env);
-            }
-            ProbeKind::Anchor | ProbeKind::CrossCheck => {
-                self.accept_ta_sample(env, probe.kind, probe.send_ticks, recv_ticks, ta_time_ns);
-            }
-        }
-    }
-
-    fn accept_ta_sample(
-        &mut self,
-        env: &mut dyn Env,
-        kind: ProbeKind,
-        send_ticks: u64,
-        recv_ticks: u64,
-        ta_time_ns: u64,
-    ) {
-        let f = self.f_calib_hz.expect("anchor/check follows the speed fit");
-        let rtt_ns = recv_ticks.saturating_sub(send_ticks) as f64 / f * 1e9;
-        let implausible = rtt_ns > self.cfg.max_rtt.as_nanos() as f64;
-        if self.cfg.enable_rtt_filter && implausible && self.rtt_rejects < self.cfg.max_rtt_rejects
-        {
-            // An on-path attacker is (or congestion is) stretching the
-            // exchange: retry rather than anchor to a skewed estimate.
-            self.rtt_rejects += 1;
-            match kind {
-                ProbeKind::Anchor => self.send_probe(env, ProbeKind::Anchor),
-                ProbeKind::CrossCheck => self.send_probe(env, ProbeKind::CrossCheck),
-                ProbeKind::Speed(_) => unreachable!("speed probes skip the RTT filter"),
-            }
-            return;
-        }
-        let forced = self.cfg.enable_rtt_filter && implausible;
-        self.rtt_rejects = 0;
-        let est_ns = ta_time_ns as f64 + rtt_ns / 2.0;
-        let sample_extra_bound = if forced { rtt_ns } else { 0.0 };
-
-        // Feed the long-window (NTP-style) refinement.
-        self.ta_samples.push_back((recv_ticks as f64, est_ns));
-        while self.ta_samples.len() > self.cfg.ntp_max_samples {
-            self.ta_samples.pop_front();
-        }
-        self.maybe_refit(env);
-
-        let now = env.now();
-        match kind {
-            ProbeKind::Anchor => {
-                self.set_anchor(env, recv_ticks, est_ns);
-                self.extra_bound_ns = sample_extra_bound;
-                env.recorder().node_mut(self.index).ta_references.increment(now);
-                self.taint_snapshot_ns = None;
-                self.enter_state(env, NodeStateTag::Ok);
-            }
-            ProbeKind::CrossCheck => {
-                let own = self.clock_ns(recv_ticks).expect("checked only while serving");
-                let bound = self.error_bound_ns(recv_ticks) + sample_extra_bound;
-                if (est_ns - own).abs() > bound {
-                    // The clock fell outside its own confidence interval
-                    // against the root of trust: correct it.
-                    let target = est_ns.max(self.last_served_ns + self.cfg.base.epsilon_ns as f64);
-                    self.set_anchor(env, recv_ticks, target);
-                    self.extra_bound_ns = sample_extra_bound;
-                    env.recorder().node_mut(self.index).corrections.increment(now);
-                    env.recorder().node_mut(self.index).ta_references.increment(now);
-                }
-            }
-            ProbeKind::Speed(_) => unreachable!("handled by caller"),
-        }
-    }
-
+impl Hardened {
     /// NTP-style long-window frequency refinement: once TA samples span
     /// the configured window, a robust fit of reference time over TSC
     /// ticks replaces the short-window bootstrap estimate (§V: "calibration
     /// phases with short-duration measurements ... can be replaced by more
     /// mature synchronization protocols like NTPsec").
-    fn maybe_refit(&mut self, env: &mut dyn Env) {
+    fn maybe_refit(&mut self, core: &mut Core, env: &mut dyn Env) {
         if !self.cfg.enable_long_window || self.ta_samples.len() < 8 {
             return;
         }
-        let f = self.f_calib_hz.expect("samples only exist after bootstrap");
+        let f = core.frequency_hz().expect("samples only exist after bootstrap");
         let span_ticks = self.ta_samples.back().expect("non-empty").0
             - self.ta_samples.front().expect("non-empty").0;
         let span_ns = span_ticks / f * 1e9;
@@ -452,204 +86,47 @@ impl ResilientNode {
             return;
         }
         let f_new = 1e9 / fit.slope; // slope is ns of reference per tick
-                                     // Sanity: reject fits wildly off the current estimate (a poisoned
-                                     // majority of samples cannot silently take over).
-        if (f_new / f - 1.0).abs() > 0.2 {
+        let changed = (f_new / f - 1.0).abs();
+        // Sanity: reject fits wildly off the current estimate (a poisoned
+        // majority of samples cannot silently take over).
+        if changed > 0.2 {
             return;
         }
-        let first_refit = !self.refined;
-        let changed_ppm = (f_new / f - 1.0).abs() * 1e6;
-        if first_refit || changed_ppm > 1.0 {
-            // Re-anchor at the current instant so the slope change does not
-            // retroactively move the clock.
-            let ticks = env.read_tsc();
-            if let Some(own) = self.clock_ns(ticks) {
-                self.f_calib_hz = Some(f_new);
-                self.set_anchor(env, ticks, own);
-            } else {
-                self.f_calib_hz = Some(f_new);
-            }
+        if !self.refined || changed * 1e6 > 1.0 {
+            core.refit_frequency(env, f_new, self.error_bound_ns(0.0));
             self.drift_bound_ppm = self.cfg.drift_bound_ppm_refined;
             self.refined = true;
             let refit_at = env.now();
-            env.recorder().node_mut(self.index).calibrations_hz.push((refit_at, f_new));
+            core.trace(env).calibrations_hz.push((refit_at, f_new));
         }
     }
 
-    // ------------------------------------------------------------------
-    // AEX / taint
-    // ------------------------------------------------------------------
-
-    fn on_aex(&mut self, env: &mut dyn Env) {
-        self.aex_count += 1;
-        let now = env.now();
-        env.recorder().node_mut(self.index).aex_events.increment(now);
-        match self.state {
-            NodeStateTag::FullCalib => {}
-            NodeStateTag::Ok => {
-                let ticks = env.read_tsc();
-                self.taint_snapshot_ns = self.clock_ns(ticks);
-                self.enter_state(env, NodeStateTag::Tainted);
-                self.schedule_resume(env);
-            }
-            NodeStateTag::RefCalib => {
-                self.abandon_probe(env);
-                self.enter_state(env, NodeStateTag::Tainted);
-                self.schedule_resume(env);
-            }
-            NodeStateTag::Tainted => self.schedule_resume(env),
-            // Crashed platforms take no interrupts (events are dropped
-            // before dispatch); unreachable, but harmless.
-            NodeStateTag::Crashed => {}
-        }
-    }
-
-    fn schedule_resume(&mut self, env: &mut dyn Env) {
-        if self.resume_pending {
-            return;
-        }
-        self.resume_pending = true;
-        let pause = self.cfg.base.aex_pause.sample(env.rng());
-        env.set_timer(AEX_RESUME_TOKEN, pause);
-    }
-
-    fn on_resume(&mut self, env: &mut dyn Env) {
-        self.resume_pending = false;
-        if self.state != NodeStateTag::Tainted {
-            return;
-        }
-        self.start_round(env, false);
-    }
-
-    // ------------------------------------------------------------------
-    // Interval rounds (peer consistency)
-    // ------------------------------------------------------------------
-
-    fn abandon_round(&mut self, env: &mut dyn Env) {
-        if let Some(r) = self.pending_round.take() {
-            env.cancel_timer(r.timeout_token());
-        }
-    }
-
-    fn start_round(&mut self, env: &mut dyn Env, proactive: bool) {
-        self.abandon_round(env);
-        if self.peers.is_empty() {
-            if !proactive {
-                self.fall_back_to_ta(env);
-            }
-            return;
-        }
-        let nonce = self.fresh_nonce();
-        for &peer in &self.peers {
-            env.send(peer, &Message::IntervalRequest { nonce });
-        }
-        env.set_timer(TOKEN_PEER_TIMEOUT | nonce, self.cfg.base.peer_timeout);
-        self.pending_round = Some(IntervalRound {
-            nonce,
-            proactive,
-            responses: Vec::new(),
-            expected: self.peers.len(),
-        });
-    }
-
-    fn on_interval_response(
-        &mut self,
-        env: &mut dyn Env,
-        from: Addr,
-        nonce: u64,
-        timestamp_ns: u64,
-        error_bound_ns: u64,
-        tainted: bool,
-    ) {
-        let Some(round) = self.pending_round.as_mut() else { return };
-        if round.nonce != nonce {
-            return;
-        }
-        if !tainted {
-            round.responses.push((from, timestamp_ns, error_bound_ns));
-        }
-        if round.responses.len() == round.expected {
-            let round = self.pending_round.take().expect("present");
-            env.cancel_timer(round.timeout_token());
-            self.conclude_round(env, round);
-        }
-    }
-
-    fn on_round_timeout(&mut self, env: &mut dyn Env, nonce: u64) {
-        let Some(round) = self.pending_round.as_ref() else { return };
-        if round.nonce != nonce {
-            return;
-        }
-        let round = self.pending_round.take().expect("present");
-        self.conclude_round(env, round);
-    }
-
-    fn conclude_round(&mut self, env: &mut dyn Env, round: IntervalRound) {
-        if round.proactive {
-            if self.state == NodeStateTag::Ok {
-                self.apply_consistency(env, &round.responses, true);
-            }
-            return;
-        }
-        if self.state != NodeStateTag::Tainted {
-            return;
-        }
-        if round.responses.is_empty() {
-            self.fall_back_to_ta(env);
-            return;
-        }
-        if self.cfg.enable_chimer_filter {
-            let resolved = self.apply_consistency(env, &round.responses, false);
-            if resolved {
-                let now = env.now();
-                env.recorder().node_mut(self.index).peer_untaints.increment(now);
-                self.taint_snapshot_ns = None;
-                self.enter_state(env, NodeStateTag::Ok);
-            } else {
-                self.fall_back_to_ta(env);
-            }
-        } else {
-            // Base Triad policy (ablation baseline).
-            let now = env.now();
-            let ticks = env.read_tsc();
-            let local = self.taint_snapshot_ns.expect("tainted has a snapshot");
-            let best = round.responses.iter().map(|&(_, ts, _)| ts).max().expect("non-empty");
-            if (best as f64) > local {
-                self.set_anchor(env, ticks, best as f64);
-                env.recorder().node_mut(self.index).peer_adoptions.increment(now);
-            } else if self.clock_ns(ticks).expect("valid before taint") <= local {
-                self.set_anchor(env, ticks, local + self.cfg.base.epsilon_ns as f64);
-            }
-            env.recorder().node_mut(self.index).peer_untaints.increment(now);
-            self.taint_snapshot_ns = None;
-            self.enter_state(env, NodeStateTag::Ok);
-        }
+    /// The self-assessed half-width error bound `secs` after the anchor.
+    fn bound_ns(&self, secs_since_anchor: f64) -> f64 {
+        self.cfg.base_error_bound.as_nanos() as f64
+            + self.drift_bound_ppm * 1e-6 * secs_since_anchor * 1e9
+            + self.extra_bound_ns
     }
 
     /// Runs the Marzullo majority test over peer intervals plus our own
     /// clock. Returns `true` when a majority agreement existed (whether or
     /// not our clock needed correcting).
-    fn apply_consistency(
-        &mut self,
-        env: &mut dyn Env,
-        responses: &[(Addr, u64, u64)],
-        proactive: bool,
-    ) -> bool {
+    fn apply_consistency(&mut self, core: &mut Core, env: &mut dyn Env, round: &PeerRound) -> bool {
+        let responses = &round.responses;
         let now = env.now();
         let ticks = env.read_tsc();
         // A small allowance for the network delay on peer responses.
-        let net_margin_ns = self.cfg.base.peer_timeout.as_nanos() as f64;
+        let net_margin_ns = core.cfg().peer_timeout.as_nanos() as f64;
 
         let mut intervals: Vec<Interval> = responses
             .iter()
-            .map(|&(_, ts, bound)| Interval::around(ts as f64, bound as f64 + net_margin_ns))
+            .map(|r| {
+                Interval::around(r.timestamp_ns as f64, r.error_bound_ns as f64 + net_margin_ns)
+            })
             .collect();
         let own_idx = intervals.len();
-        let own_now = match self.clock_ns(ticks) {
-            Some(v) => v,
-            None => return false,
-        };
-        intervals.push(Interval::around(own_now, self.error_bound_ns(ticks)));
+        let Some(own_now) = core.clock_ns(ticks) else { return false };
+        intervals.push(Interval::around(own_now, self.bound_ns(core.secs_since_anchor(ticks))));
 
         let Some(agreement) = marzullo(&intervals) else { return false };
         let total = intervals.len();
@@ -659,271 +136,194 @@ impl ResilientNode {
         // Flag the outvoted clocks (false-chimers) — the paper's §V
         // suggestion of publishing true-chimer lists reduces to counting
         // them here.
-        let rejected = total - agreement.support;
-        for _ in 0..rejected {
-            env.recorder().node_mut(self.index).chimer_rejections.increment(now);
+        for _ in agreement.support..total {
+            core.trace(env).chimer_rejections.increment(now);
         }
         // §V: publish the true-chimer set ("Nodes may publish ... their
         // list of true-chimers"). Peers excluded by all of their peers
         // self-check against the TA.
         if self.cfg.enable_gossip {
             self.epoch += 1;
-            let chimer_ids: Vec<wire::NodeId> = agreement
+            let chimers = agreement
                 .chimers
                 .iter()
                 .map(|&idx| {
-                    if idx == own_idx {
-                        wire::NodeId(self.me.0)
-                    } else {
-                        wire::NodeId(responses[idx].0 .0)
-                    }
+                    wire::NodeId(if idx == own_idx { core.me().0 } else { responses[idx].from.0 })
                 })
                 .collect();
-            let announcement =
-                Message::ChimerAnnouncement { epoch: self.epoch, chimers: chimer_ids };
-            for &peer in &self.peers {
+            let announcement = Message::ChimerAnnouncement { epoch: self.epoch, chimers };
+            for &peer in core.peers() {
                 env.send(peer, &announcement);
             }
         }
-        if agreement.chimers.contains(&own_idx) {
-            // Our clock is consistent with the majority: keep it.
-            return true;
+        if !agreement.chimers.contains(&own_idx) {
+            // Outvoted: correct toward the agreement midpoint, monotonic.
+            // (A clock consistent with the majority is kept as it is.)
+            let target = agreement.interval.center().max(core.serving_floor_ns());
+            core.set_anchor(env, ticks, target, self.error_bound_ns(0.0));
+            core.trace(env).corrections.increment(now);
         }
-        // Outvoted: correct toward the agreement midpoint, monotonic.
-        let target =
-            agreement.interval.center().max(self.last_served_ns + self.cfg.base.epsilon_ns as f64);
-        self.set_anchor(env, ticks, target);
-        env.recorder().node_mut(self.index).corrections.increment(now);
-        let _ = proactive;
         true
     }
+}
 
-    fn fall_back_to_ta(&mut self, env: &mut dyn Env) {
-        self.enter_state(env, NodeStateTag::RefCalib);
-        self.send_probe(env, ProbeKind::Anchor);
+impl Policy for Hardened {
+    type Config = ResilientConfig;
+
+    fn new(cfg: ResilientConfig) -> (TriadConfig, Self) {
+        cfg.validate();
+        let policy = Hardened {
+            rtt_rejects: 0,
+            extra_bound_ns: 0.0,
+            ta_samples: VecDeque::new(),
+            drift_bound_ppm: cfg.drift_bound_ppm_initial,
+            refined: false,
+            epoch: 0,
+            gossip_suspicion: 0,
+            cfg,
+        };
+        (policy.cfg.base.clone(), policy)
     }
 
-    // ------------------------------------------------------------------
-    // Crash / recovery (fault injection)
-    // ------------------------------------------------------------------
+    fn error_bound_ns(&self, secs_since_anchor: f64) -> Option<f64> {
+        Some(self.bound_ns(secs_since_anchor))
+    }
 
-    /// The platform goes down: every piece of enclave state is lost except
-    /// the sealed monotonic serving floor (`last_served_ns`).
-    fn on_crash(&mut self, env: &mut dyn Env) {
-        if self.crashed {
-            return;
+    fn arm_timers(&mut self, core: &mut Core, env: &mut dyn Env) {
+        if self.cfg.enable_deadline {
+            core.arm_policy_timer(env, DEADLINE, self.cfg.deadline);
         }
-        self.crashed = true;
-        self.timer_epoch += 1;
-        self.abandon_probe(env);
-        self.abandon_round(env);
-        self.calibrator.reset();
-        self.f_calib_hz = None;
-        self.clock_valid = false;
-        self.taint_snapshot_ns = None;
-        self.resume_pending = false;
-        self.aex_count = 0;
+        if self.cfg.enable_ta_cross_check {
+            core.arm_policy_timer(env, TA_CHECK, self.cfg.ta_check_interval);
+        }
+    }
+
+    fn on_timer(&mut self, core: &mut Core, env: &mut dyn Env, kind: u64) {
+        if kind == DEADLINE {
+            if core.state() == NodeStateTag::Ok && !core.round_pending() {
+                let now = env.now();
+                core.trace(env).deadline_checks.increment(now);
+                core.start_round(env, true, Self::peer_request);
+            }
+            core.arm_policy_timer(env, DEADLINE, self.cfg.deadline);
+        } else if kind == TA_CHECK {
+            core.cross_check(env);
+            core.arm_policy_timer(env, TA_CHECK, self.cfg.ta_check_interval);
+        }
+    }
+
+    fn reset(&mut self) {
         self.rtt_rejects = 0;
         self.extra_bound_ns = 0.0;
         self.ta_samples.clear();
         self.drift_bound_ppm = self.cfg.drift_bound_ppm_initial;
         self.refined = false;
         self.gossip_suspicion = 0;
-        self.probe_failures = 0;
-        self.breaker_open = false;
-        self.breaker_kind = None;
-        self.publish_clock(env);
-        let now = env.now();
-        env.recorder().node_mut(self.index).crashes.increment(now);
-        self.enter_state(env, NodeStateTag::Crashed);
     }
 
-    /// The platform boots again: full recalibration before serving, fresh
-    /// periodic timer chains.
-    fn on_restart(&mut self, env: &mut dyn Env) {
-        if !self.crashed {
+    fn on_ta_sample(&mut self, core: &mut Core, env: &mut dyn Env, sample: TaSample) {
+        let TaSample { kind, rtt_ns, recv_ticks, ta_time_ns } = sample;
+        let implausible = self.cfg.enable_rtt_filter && rtt_ns > self.cfg.max_rtt.as_nanos() as f64;
+        if implausible && self.rtt_rejects < self.cfg.max_rtt_rejects {
+            // An on-path attacker is (or congestion is) stretching the
+            // exchange: retry rather than anchor to a skewed estimate.
+            self.rtt_rejects += 1;
+            core.send_probe(env, kind);
             return;
         }
-        self.crashed = false;
-        self.enter_state(env, NodeStateTag::FullCalib);
-        self.send_next_speed_probe(env);
-        if self.cfg.enable_deadline {
-            env.set_timer(self.epoch_token(TOKEN_DEADLINE), self.cfg.deadline);
+        // Out of retries (liveness): accept, with the bound widened by the
+        // observed round trip.
+        self.rtt_rejects = 0;
+        let est_ns = ta_time_ns as f64 + rtt_ns / 2.0;
+        let sample_extra_bound = if implausible { rtt_ns } else { 0.0 };
+
+        // Feed the long-window (NTP-style) refinement.
+        self.ta_samples.push_back((recv_ticks as f64, est_ns));
+        while self.ta_samples.len() > self.cfg.ntp_max_samples {
+            self.ta_samples.pop_front();
         }
-        if self.cfg.enable_ta_cross_check {
-            env.set_timer(self.epoch_token(TOKEN_TA_CHECK), self.cfg.ta_check_interval);
+        self.maybe_refit(core, env);
+
+        // Both anchors below publish the bound with the *previous*
+        // `extra_bound_ns`; this sample's widening applies from the next
+        // publication on.
+        if kind == ProbeKind::Anchor {
+            core.anchor_to_ta(env, recv_ticks, est_ns, self.error_bound_ns(0.0));
+            self.extra_bound_ns = sample_extra_bound;
+            return;
+        }
+        let own = core.clock_ns(recv_ticks).expect("checked only while serving");
+        let bound = self.bound_ns(core.secs_since_anchor(recv_ticks)) + sample_extra_bound;
+        if (est_ns - own).abs() > bound {
+            // The clock fell outside its own confidence interval against
+            // the root of trust: correct it.
+            let target = est_ns.max(core.serving_floor_ns());
+            core.set_anchor(env, recv_ticks, target, self.error_bound_ns(0.0));
+            self.extra_bound_ns = sample_extra_bound;
+            let now = env.now();
+            core.trace(env).corrections.increment(now);
+            core.trace(env).ta_references.increment(now);
         }
     }
 
-    fn epoch_token(&self, kind: u64) -> u64 {
-        kind | (self.timer_epoch & TOKEN_MASK)
+    fn peer_request(nonce: u64) -> Message {
+        Message::IntervalRequest { nonce }
     }
 
-    fn epoch_matches(&self, token: u64) -> bool {
-        token & TOKEN_MASK == self.timer_epoch & TOKEN_MASK
-    }
-
-    // ------------------------------------------------------------------
-    // Graceful degradation (staleness-aware readings)
-    // ------------------------------------------------------------------
-
-    /// Serves a degraded-tolerant reading. The uncertainty is the node's
-    /// standing self-assessed error bound plus a widening term while
-    /// degraded, so clients watch the bound grow under faults and snap
-    /// back after recalibration.
-    fn serve_reading(&mut self, env: &mut dyn Env) -> Option<wire::TimeReading> {
-        let now = env.now();
-        let ticks = env.read_tsc();
-        let mut uncertainty = self.error_bound_ns(ticks);
-        if let Some(t0) = self.degraded_since {
-            uncertainty += self.cfg.base.reading_drift_ppm * 1e-6 * (now - t0).as_nanos() as f64;
-        }
-        let estimate_ns = self.serve_ns(ticks)?;
-        let uncertainty_ns = uncertainty as u64;
-        env.recorder().node_mut(self.index).reading_uncertainty_ns.push(now, uncertainty_ns as f64);
-        Some(wire::TimeReading {
-            estimate_ns,
-            uncertainty_ns,
-            degraded: self.state != NodeStateTag::Ok,
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Messages
-    // ------------------------------------------------------------------
-
-    fn on_message(&mut self, env: &mut dyn Env, from: Addr, msg: Message) {
+    fn on_message(
+        &mut self,
+        core: &mut Core,
+        env: &mut dyn Env,
+        from: Addr,
+        msg: Message,
+    ) -> Option<PeerRound> {
         match msg {
-            Message::CalibrationResponse { nonce, ta_time_ns, .. } if from == TA_ADDR => {
-                self.on_calibration_response(env, nonce, ta_time_ns);
-            }
-            Message::IntervalRequest { nonce } if self.state == NodeStateTag::Ok => {
+            Message::IntervalRequest { nonce } if core.state() == NodeStateTag::Ok => {
                 let ticks = env.read_tsc();
-                let bound = self.error_bound_ns(ticks) as u64;
-                if let Some(ts) = self.serve_ns(ticks) {
-                    env.send(
-                        from,
-                        &Message::IntervalResponse {
-                            nonce,
-                            timestamp_ns: ts,
-                            error_bound_ns: bound,
-                            tainted: false,
-                        },
-                    );
+                let error_bound_ns = self.bound_ns(core.secs_since_anchor(ticks)) as u64;
+                if let Some(timestamp_ns) = core.serve_ns(ticks) {
+                    let tainted = false;
+                    let reply =
+                        Message::IntervalResponse { nonce, timestamp_ns, error_bound_ns, tainted };
+                    env.send(from, &reply);
                 }
             }
             Message::IntervalResponse { nonce, timestamp_ns, error_bound_ns, tainted } => {
-                self.on_interval_response(env, from, nonce, timestamp_ns, error_bound_ns, tainted);
+                let sample = PeerSample { from, timestamp_ns, error_bound_ns };
+                return core.peer_answer(env, nonce, (!tainted).then_some(sample));
             }
             Message::ChimerAnnouncement { chimers, .. } if self.cfg.enable_gossip => {
-                let me_id = wire::NodeId(self.me.0);
-                if !chimers.contains(&me_id) {
-                    let now = env.now();
-                    env.recorder().node_mut(self.index).gossip_alerts.increment(now);
-                    self.gossip_suspicion += 1;
-                    if self.gossip_suspicion as usize >= self.peers.len().max(1) {
-                        self.gossip_suspicion = 0;
-                        // Every peer thinks our clock is off: verify
-                        // against the root of trust right away.
-                        if self.state == NodeStateTag::Ok && self.pending_probe.is_none() {
-                            self.send_probe(env, ProbeKind::CrossCheck);
-                        }
-                    }
-                } else {
+                if chimers.contains(&wire::NodeId(core.me().0)) {
                     self.gossip_suspicion = 0;
+                    return None;
                 }
-            }
-            // Base-protocol peers may coexist in mixed clusters.
-            Message::PeerTimeRequest { nonce } if self.state == NodeStateTag::Ok => {
-                let ticks = env.read_tsc();
-                if let Some(ts) = self.serve_ns(ticks) {
-                    env.send(from, &Message::PeerTimeResponse { nonce, timestamp_ns: ts });
+                let now = env.now();
+                core.trace(env).gossip_alerts.increment(now);
+                self.gossip_suspicion += 1;
+                if self.gossip_suspicion as usize >= core.peers().len().max(1) {
+                    self.gossip_suspicion = 0;
+                    // Every peer thinks our clock is off: verify against
+                    // the root of trust right away.
+                    core.cross_check(env);
                 }
-            }
-            Message::ClientTimeRequest { nonce } => {
-                let timestamp_ns = if self.state == NodeStateTag::Ok {
-                    let ticks = env.read_tsc();
-                    self.serve_ns(ticks)
-                } else {
-                    None
-                };
-                env.send(from, &Message::ClientTimeResponse { nonce, timestamp_ns });
-            }
-            Message::TimeReadingRequest { nonce } => {
-                let reading = self.serve_reading(env);
-                env.send(from, &Message::TimeReadingResponse { nonce, reading });
             }
             _ => {}
         }
-    }
-}
-
-impl Machine for ResilientNode {
-    fn addr(&self) -> Addr {
-        self.me
+        None
     }
 
-    fn node_index(&self) -> Option<usize> {
-        Some(self.index)
-    }
-
-    fn crashed(&self) -> bool {
-        self.crashed
-    }
-
-    fn on_start(&mut self, env: &mut dyn Env) {
-        let now = env.now();
-        env.recorder().node_mut(self.index).states.enter(now, NodeStateTag::FullCalib);
-        self.send_next_speed_probe(env);
-        if self.cfg.enable_deadline {
-            env.set_timer(TOKEN_DEADLINE, self.cfg.deadline);
-        }
-        if self.cfg.enable_ta_cross_check {
-            env.set_timer(TOKEN_TA_CHECK, self.cfg.ta_check_interval);
-        }
-    }
-
-    fn on_input(&mut self, env: &mut dyn Env, input: Input) {
-        match input {
-            Input::Aex { .. } => self.on_aex(env),
-            Input::AexResume => self.on_resume(env),
-            Input::Crash => self.on_crash(env),
-            Input::Restart => self.on_restart(env),
-            Input::Message { src, msg } => self.on_message(env, src, msg),
-            Input::Timer { token } => {
-                if token & TOKEN_DEADLINE != 0 {
-                    if !self.epoch_matches(token) {
-                        return; // stale chain from before a crash
-                    }
-                    if self.state == NodeStateTag::Ok && self.pending_round.is_none() {
-                        let now = env.now();
-                        env.recorder().node_mut(self.index).deadline_checks.increment(now);
-                        self.start_round(env, true);
-                    }
-                    env.set_timer(self.epoch_token(TOKEN_DEADLINE), self.cfg.deadline);
-                } else if token & TOKEN_TA_CHECK != 0 {
-                    if !self.epoch_matches(token) {
-                        return;
-                    }
-                    if self.state == NodeStateTag::Ok && self.pending_probe.is_none() {
-                        self.send_probe(env, ProbeKind::CrossCheck);
-                    }
-                    env.set_timer(self.epoch_token(TOKEN_TA_CHECK), self.cfg.ta_check_interval);
-                } else if token & TOKEN_BREAKER != 0 {
-                    if self.epoch_matches(token) {
-                        self.on_breaker_timer(env);
-                    }
-                } else if token & TOKEN_PEER_TIMEOUT != 0 {
-                    self.on_round_timeout(env, token & TOKEN_MASK);
-                } else if token & TOKEN_PROBE_RETRY != 0 {
-                    let nonce = token & TOKEN_MASK;
-                    if let Some(probe) = self.pending_probe {
-                        if probe.nonce == nonce {
-                            self.on_probe_timeout(env, probe.kind, probe.attempt);
-                        }
-                    }
-                }
+    fn conclude_round(&mut self, core: &mut Core, env: &mut dyn Env, round: PeerRound) {
+        if round.proactive {
+            if core.state() == NodeStateTag::Ok {
+                self.apply_consistency(core, env, &round);
             }
+        } else if !self.cfg.enable_chimer_filter {
+            // Base Triad policy (ablation baseline).
+            core.max_adopt(env, &round.responses, self.error_bound_ns(0.0));
+        } else if self.apply_consistency(core, env, &round) {
+            core.untainted_by_peers(env);
+        } else {
+            core.fall_back_to_ta(env);
         }
     }
 }

@@ -7,11 +7,23 @@
 //! subsystem: candidate genomes derive from the master seed alone and
 //! evaluation merges in plan order, so the thread count must be
 //! unobservable in everything the search writes.
+//!
+//! The property is about the merge, not about what the search finds, so
+//! this runs E23's own code over a cheaper grid than any CLI mode: both
+//! cluster shapes and both budgets of the full grid, but a 24 s horizon
+//! and no serving layer (25× of an evaluation's cost in a debug build).
+//! Every `--jobs`-dependent path still runs — parallel baseline scoring,
+//! parallel generations, the in-run cross-check at the other job count —
+//! and the test fails when `scenario::Runner` merges in completion order
+//! instead of plan order. It has to stay well under 30 s unoptimised;
+//! the full-budget check with the serving layer up is the CI
+//! `search-smoke` lane.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use triad_tt::experiments::{run_by_id, RunOpts};
+use triad_tt::experiments::{search, RunOpts};
+use triad_tt::search::GenomeSpace;
 
 /// All files under `dir`, relative paths, sorted.
 fn files_under(dir: &Path) -> Vec<PathBuf> {
@@ -35,12 +47,12 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
 fn search_smoke_artifacts_are_identical_across_jobs() {
     let base = std::env::temp_dir().join("triad_search_determinism");
     fs::remove_dir_all(&base).ok();
+    let shapes = [3, 5].map(|n| GenomeSpace { n, horizon_s: 24, service: false });
     let run = |jobs: usize| {
         let mut opts = RunOpts::smoke(base.join(format!("jobs{jobs}")));
         opts.jobs = jobs;
-        opts.budget = Some(16);
-        let (report, comparisons) = run_by_id("search", &opts);
-        (opts.out_dir, report, comparisons)
+        let result = search::run_grid(&opts, &shapes, &[8, 16]);
+        (opts.out_dir, result.render(), result.comparisons())
     };
     let (dir1, report1, rows1) = run(1);
     let (dir8, report8, rows8) = run(8);
