@@ -240,7 +240,7 @@ fn spec_for(opts: &RunOpts, size: usize, load: LoadLevel, overlay: Overlay) -> S
     spec
 }
 
-fn rate_in(counter: &trace::StepCounter, from: SimTime, to: SimTime) -> f64 {
+fn rate_in(counter: &trace::RateCounter, from: SimTime, to: SimTime) -> f64 {
     counter.count_in(from, to) as f64 / (to - from).as_secs_f64()
 }
 

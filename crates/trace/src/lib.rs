@@ -5,12 +5,16 @@
 //! - [`TimeSeries`]: drift-vs-reference curves (Figs. 2a, 3a, 4, 5, 6a),
 //! - [`StateTimeline`] / [`NodeStateTag`]: the FullCalib / RefCalib /
 //!   Tainted / OK timing diagram (Fig. 3b) and the availability metric,
-//! - [`StepCounter`]: cumulative TA-reference and AEX counts (Figs. 2b,
-//!   6b),
+//! - [`StepCounter`]: cumulative protocol-event counts that keep every
+//!   instant — TA references and AEXs (Figs. 2b, 6b), detections,
+//!   crashes, retries,
+//! - [`RateCounter`]: per-request serving counts on a one-second grid —
+//!   a total, exact counts between whole-second instants and a digest of
+//!   the instants, in memory that does not grow with the requests,
 //! - [`NodeTrace`] / [`Recorder`]: the per-node bundle a simulation run
 //!   fills in,
 //! - [`ServiceTrace`]: serving-layer SLO accounting — end-to-end latency
-//!   histogram, goodput/shed/failover counters,
+//!   histogram, goodput/shed/failover grid counters,
 //! - [`RunSink`] and its implementations ([`CsvSink`], [`MarkdownSink`],
 //!   [`TableSink`]): the one row-streaming interface behind every tabular
 //!   artifact,
@@ -28,7 +32,7 @@ mod service;
 mod sink;
 mod timeline;
 
-pub use counter::StepCounter;
+pub use counter::{RateCounter, StepCounter};
 pub use recorder::{FaultLog, NodeTrace, Recorder, DETECTION_GRACE};
 pub use render::{
     ascii_chart, ascii_fault_overlay, ascii_gantt, availability_report, render_table,

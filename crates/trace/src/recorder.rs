@@ -2,7 +2,7 @@
 
 use sim::{SimDuration, SimTime};
 
-use crate::counter::StepCounter;
+use crate::counter::{RateCounter, StepCounter};
 use crate::series::TimeSeries;
 use crate::service::ServiceTrace;
 use crate::timeline::StateTimeline;
@@ -44,10 +44,10 @@ pub struct NodeTrace {
     /// this node (§V gossip; a high count marks a suspected clock).
     pub gossip_alerts: StepCounter,
     /// Client workload: timestamps successfully served to clients.
-    pub client_served: StepCounter,
+    pub client_served: RateCounter,
     /// Client workload: requests answered "unavailable" (tainted or
     /// calibrating).
-    pub client_denied: StepCounter,
+    pub client_denied: RateCounter,
     /// Fault injection: platform crashes suffered by this node.
     pub crashes: StepCounter,
     /// Hardened protocol: calibration probes retransmitted after a timeout
@@ -61,14 +61,14 @@ pub struct NodeTrace {
     pub reading_uncertainty_ns: TimeSeries,
     /// Serving front-end: batches flushed (each one enclave timestamp
     /// read amortized over every request in the batch).
-    pub frontend_batches: StepCounter,
+    pub frontend_batches: RateCounter,
     /// Serving front-end: requests answered (full or degraded).
-    pub frontend_served: StepCounter,
+    pub frontend_served: RateCounter,
     /// Serving front-end: requests shed with an `Overloaded` reply because
     /// the admission queue was full.
-    pub frontend_shed: StepCounter,
+    pub frontend_shed: RateCounter,
     /// Serving front-end: quorum attestations answered.
-    pub frontend_attests: StepCounter,
+    pub frontend_attests: RateCounter,
     /// Quorum reader: times this node's attestation was flagged as a
     /// `ByzantineSuspect` outlier (disjoint from the agreed interval).
     pub byzantine_suspected: StepCounter,

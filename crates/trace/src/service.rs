@@ -2,7 +2,7 @@
 
 use stats::LogHistogram;
 
-use crate::counter::StepCounter;
+use crate::counter::{RateCounter, StepCounter};
 
 /// Everything the serving layer measures about a run, recorded from the
 /// *client* side (load generators): one request is counted exactly once
@@ -12,40 +12,45 @@ use crate::counter::StepCounter;
 /// Latencies are end-to-end — first send to final verdict, across all
 /// failover attempts — in a log-linear [`LogHistogram`] whose percentiles
 /// feed the SLO tables (p50/p95/p99/p99.9).
+///
+/// The per-request outcome counters are [`RateCounter`]s: their memory
+/// follows simulated seconds, not requests, and their windows are asked
+/// at whole-second bounds. The rare detection and drop events keep their
+/// instants in [`StepCounter`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceTrace {
     /// End-to-end request latency (ns) of every *answered* request.
     pub latency: LogHistogram,
     /// Requests issued by the load generators (before retries).
-    pub offered: StepCounter,
+    pub offered: RateCounter,
     /// Requests answered with a full-precision timestamp.
-    pub served_ok: StepCounter,
+    pub served_ok: RateCounter,
     /// Requests answered with a degraded `TimeReading` estimate.
-    pub served_degraded: StepCounter,
+    pub served_degraded: RateCounter,
     /// Requests that ended `Overloaded` after exhausting failover.
-    pub shed: StepCounter,
+    pub shed: RateCounter,
     /// Requests that ended `Unavailable` after exhausting failover.
-    pub unavailable: StepCounter,
+    pub unavailable: RateCounter,
     /// Requests abandoned after timing out on their last attempt.
-    pub timeouts: StepCounter,
+    pub timeouts: RateCounter,
     /// Retries that switched to a different node (failover routing).
-    pub failovers: StepCounter,
+    pub failovers: RateCounter,
     /// Requests failed fast because every node was held down by the
     /// router's health tracker (no attempt was worth making).
-    pub all_down: StepCounter,
+    pub all_down: RateCounter,
     /// End-to-end quorum-read latency (ns): first fan-out send to the
     /// accept verdict. Compare against `latency` for the quorum price.
     pub quorum_latency: LogHistogram,
     /// Quorum reads issued (each fans out to a whole panel).
-    pub quorum_offered: StepCounter,
+    pub quorum_offered: RateCounter,
     /// Quorum reads that reached `f+1` mutually overlapping attestations.
-    pub quorum_accepted: StepCounter,
+    pub quorum_accepted: RateCounter,
     /// Quorum reads whose collected attestations never overlapped enough.
-    pub quorum_no_quorum: StepCounter,
+    pub quorum_no_quorum: RateCounter,
     /// Quorum reads that failed for *liveness*: fewer than `f+1`
     /// panel-eligible nodes at issue, or fewer than `f+1` attestations
     /// collected by the deadline (nodes refused or never answered).
-    pub quorum_unavailable: StepCounter,
+    pub quorum_unavailable: RateCounter,
     /// `ByzantineSuspect` detection events (one per flagged attestation).
     pub byzantine_suspects: StepCounter,
     /// Suspect nodes quarantined by the probation policy.
@@ -67,19 +72,19 @@ impl Default for ServiceTrace {
     fn default() -> Self {
         ServiceTrace {
             latency: LogHistogram::latency_ns(),
-            offered: StepCounter::default(),
-            served_ok: StepCounter::default(),
-            served_degraded: StepCounter::default(),
-            shed: StepCounter::default(),
-            unavailable: StepCounter::default(),
-            timeouts: StepCounter::default(),
-            failovers: StepCounter::default(),
-            all_down: StepCounter::default(),
+            offered: RateCounter::default(),
+            served_ok: RateCounter::default(),
+            served_degraded: RateCounter::default(),
+            shed: RateCounter::default(),
+            unavailable: RateCounter::default(),
+            timeouts: RateCounter::default(),
+            failovers: RateCounter::default(),
+            all_down: RateCounter::default(),
             quorum_latency: LogHistogram::latency_ns(),
-            quorum_offered: StepCounter::default(),
-            quorum_accepted: StepCounter::default(),
-            quorum_no_quorum: StepCounter::default(),
-            quorum_unavailable: StepCounter::default(),
+            quorum_offered: RateCounter::default(),
+            quorum_accepted: RateCounter::default(),
+            quorum_no_quorum: RateCounter::default(),
+            quorum_unavailable: RateCounter::default(),
             byzantine_suspects: StepCounter::default(),
             quarantines: StepCounter::default(),
             rejoins: StepCounter::default(),
