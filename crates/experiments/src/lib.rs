@@ -46,24 +46,47 @@ pub mod tsc_detect;
 
 pub use output::{comparison_markdown, comparison_table, write_text, Comparison, RunOpts};
 
-/// Every experiment id accepted by the runner.
-pub const ALL_EXPERIMENTS: [&str; 15] = [
-    "fig1",
-    "inc-table",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "resilience",
-    "tsc-detect",
-    "sweeps",
-    "baseline",
-    "chaos",
-    "serve",
-    "quorum",
-    "search",
+/// Runs one experiment to its rendered report and comparison rows.
+type RunFn = fn(&RunOpts) -> (String, Vec<Comparison>);
+
+macro_rules! experiment {
+    ($id:literal, $module:ident) => {
+        ($id, |opts: &RunOpts| {
+            let r = $module::run(opts);
+            (r.render(), r.comparisons())
+        })
+    };
+}
+
+/// The experiment registry: id and runner, in report order.
+const EXPERIMENTS: &[(&str, RunFn)] = &[
+    experiment!("fig1", fig1),
+    experiment!("inc-table", inc_table),
+    experiment!("fig2", fig2),
+    experiment!("fig3", fig3),
+    experiment!("fig4", fig4),
+    experiment!("fig5", fig5),
+    experiment!("fig6", fig6),
+    experiment!("resilience", resilience),
+    experiment!("tsc-detect", tsc_detect),
+    experiment!("sweeps", sweeps),
+    experiment!("baseline", baseline),
+    experiment!("chaos", chaos),
+    experiment!("serve", serve),
+    experiment!("quorum", quorum),
+    experiment!("search", search),
 ];
+
+/// Every experiment id accepted by the runner.
+pub const ALL_EXPERIMENTS: [&str; EXPERIMENTS.len()] = {
+    let mut ids = [""; EXPERIMENTS.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].0;
+        i += 1;
+    }
+    ids
+};
 
 /// Runs one experiment by id, returning its rendered report and
 /// comparison rows.
@@ -72,69 +95,11 @@ pub const ALL_EXPERIMENTS: [&str; 15] = [
 ///
 /// Panics on an unknown id (the CLI validates beforehand).
 pub fn run_by_id(id: &str, opts: &RunOpts) -> (String, Vec<Comparison>) {
-    match id {
-        "fig1" => {
-            let r = fig1::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "inc-table" => {
-            let r = inc_table::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "fig2" => {
-            let r = fig2::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "fig3" => {
-            let r = fig3::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "fig4" => {
-            let r = fig4::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "fig5" => {
-            let r = fig5::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "fig6" => {
-            let r = fig6::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "resilience" => {
-            let r = resilience::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "tsc-detect" => {
-            let r = tsc_detect::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "sweeps" => {
-            let r = sweeps::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "baseline" => {
-            let r = baseline::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "chaos" => {
-            let r = chaos::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "serve" => {
-            let r = serve::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "quorum" => {
-            let r = quorum::run(opts);
-            (r.render(), r.comparisons())
-        }
-        "search" => {
-            let r = search::run(opts);
-            (r.render(), r.comparisons())
-        }
-        other => panic!("unknown experiment id {other:?} (known: {ALL_EXPERIMENTS:?})"),
-    }
+    let (_, run) = EXPERIMENTS
+        .iter()
+        .find(|(known, _)| *known == id)
+        .unwrap_or_else(|| panic!("unknown experiment id {id:?} (known: {ALL_EXPERIMENTS:?})"));
+    run(opts)
 }
 
 /// Runs all experiments in parallel (one thread each) and returns their

@@ -78,6 +78,24 @@ fn replay(paths: &[String]) -> ExitCode {
     }
 }
 
+/// Resolves the positional experiment ids: none, or `all` anywhere,
+/// selects every experiment; a repeated id collapses into its first
+/// occurrence, so no experiment runs or reports twice. The error is the
+/// first unknown id.
+fn select_experiments(ids: &[String]) -> Result<Vec<&'static str>, &str> {
+    if ids.is_empty() || ids.iter().any(|i| i == "all") {
+        return Ok(ALL_EXPERIMENTS.to_vec());
+    }
+    let mut selected = Vec::new();
+    for id in ids {
+        let known = *ALL_EXPERIMENTS.iter().find(|k| *k == id).ok_or(id.as_str())?;
+        if !selected.contains(&known) {
+            selected.push(known);
+        }
+    }
+    Ok(selected)
+}
+
 fn main() -> ExitCode {
     let mut opts = RunOpts::default();
     let mut ids: Vec<String> = Vec::new();
@@ -113,15 +131,10 @@ fn main() -> ExitCode {
     if ids.first().is_some_and(|i| i == "replay") {
         return replay(&ids[1..]);
     }
-    if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        ids = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-    }
-    for id in &ids {
-        if !ALL_EXPERIMENTS.contains(&id.as_str()) {
-            eprintln!("unknown experiment: {id}");
-            usage();
-        }
-    }
+    let ids = select_experiments(&ids).unwrap_or_else(|unknown| {
+        eprintln!("unknown experiment: {unknown}");
+        usage()
+    });
 
     println!(
         "Running {} experiment(s), seed {}, {} mode, {} job(s), output to {}",
@@ -146,7 +159,7 @@ fn main() -> ExitCode {
         ids.iter()
             .map(|id| {
                 let (report, rows) = run_by_id(id, &opts);
-                (id.clone(), report, rows)
+                (id.to_string(), report, rows)
             })
             .collect()
     };
@@ -170,5 +183,27 @@ fn main() -> ExitCode {
     } else {
         println!("SOME SHAPE CRITERIA FAILED — see the table above");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn select(ids: &[&str]) -> Result<Vec<&'static str>, String> {
+        let ids: Vec<String> = ids.iter().map(|s| s.to_string()).collect();
+        select_experiments(&ids).map_err(str::to_string)
+    }
+
+    #[test]
+    fn repeated_ids_collapse_in_first_seen_order() {
+        assert_eq!(select(&["fig3", "fig2", "fig3", "fig2"]), Ok(vec!["fig3", "fig2"]));
+        // Fifteen ids with a repeat are fourteen experiments, not `all`.
+        let mut ids = ALL_EXPERIMENTS.to_vec();
+        ids[14] = ids[0];
+        assert_eq!(select(&ids), Ok(ALL_EXPERIMENTS[..14].to_vec()));
+        assert_eq!(select(&[]), Ok(ALL_EXPERIMENTS.to_vec()));
+        assert_eq!(select(&["fig2", "all", "fig2"]), Ok(ALL_EXPERIMENTS.to_vec()));
+        assert_eq!(select(&["fig2", "fig99"]), Err("fig99".to_string()));
     }
 }

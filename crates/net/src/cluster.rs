@@ -58,8 +58,8 @@ pub struct LiveSpec {
     pub node_cfg: TriadConfig,
     /// When true, no TA and no protocol-node threads run: the clock and
     /// state boards are pre-anchored valid/Ok, so front-ends serve from
-    /// the first datagram. The live analogue of the simulation's
-    /// serving-storm setup, used by benches and serving-only tests.
+    /// the first datagram. Used by the repo benchmark's `live_closed`
+    /// workload and by serving-only tests.
     pub precalibrated: bool,
     /// Per-node serving front-end parameters.
     pub frontend: FrontendSpec,

@@ -102,13 +102,8 @@ pub(crate) struct EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: Vec::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            next_seq: 0,
-        }
+    pub fn new() -> Self {
+        EventQueue { heap: Vec::new(), slots: Vec::new(), free: Vec::new(), next_seq: 0 }
     }
 
     /// Number of events scheduled and not yet fired or cancelled.
@@ -309,7 +304,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        let mut q = EventQueue::with_capacity(0);
+        let mut q = EventQueue::new();
         for (seq, t) in [500, 3, 500, 1 << 40, 4096, u64::MAX].into_iter().enumerate() {
             q.push(at(t), TARGET, seq);
         }
@@ -322,7 +317,7 @@ mod tests {
 
     #[test]
     fn push_behind_the_head_after_a_peek_pops_first() {
-        let mut q = EventQueue::with_capacity(0);
+        let mut q = EventQueue::new();
         q.push(at(1000), TARGET, 'a');
         assert_eq!(q.peek_time(), Some(at(1000)));
         q.push(at(10), TARGET, 'b');
@@ -333,7 +328,7 @@ mod tests {
 
     #[test]
     fn same_instant_push_during_drain_stays_fifo() {
-        let mut q = EventQueue::with_capacity(0);
+        let mut q = EventQueue::new();
         q.push(at(100), TARGET, 0);
         q.push(at(100), TARGET, 1);
         assert_eq!(q.pop().unwrap().1, 0);
@@ -352,7 +347,7 @@ mod tests {
         const KEYS: [u64; 21] =
             [0, 100, 1, 2, 3, 101, 102, 103, 104, 10, 11, 12, 13, 20, 21, 22, 23, 30, 31, 32, 33];
         for doomed in 0..KEYS.len() {
-            let mut q = EventQueue::with_capacity(0);
+            let mut q = EventQueue::new();
             let ids: Vec<EventId> = KEYS.iter().map(|&t| q.push(at(t), TARGET, t)).collect();
             assert!(q.cancel(ids[doomed]));
             q.assert_consistent();
@@ -366,7 +361,7 @@ mod tests {
 
     #[test]
     fn slots_are_recycled_before_the_slab_grows() {
-        let mut q: EventQueue<String> = EventQueue::with_capacity(4);
+        let mut q: EventQueue<String> = EventQueue::new();
         let a = q.push(at(1), TARGET, "a".into());
         let b = q.push(at(2), TARGET, "b".into());
         assert_ne!(a, b);
@@ -381,7 +376,7 @@ mod tests {
 
     #[test]
     fn stale_id_cannot_reach_recycled_slot() {
-        let mut q = EventQueue::with_capacity(1);
+        let mut q = EventQueue::new();
         let a = q.push(at(1), TARGET, "old");
         assert!(q.cancel(a));
         // The recycled slot now belongs to a different event.
@@ -400,7 +395,7 @@ mod tests {
 
     #[test]
     fn cancel_is_idempotent_and_ignores_unknown_slots() {
-        let mut q = EventQueue::with_capacity(1);
+        let mut q = EventQueue::new();
         let a = q.push(at(1), TARGET, 9u8);
         assert!(q.is_live(a));
         assert!(q.cancel(a));
@@ -412,7 +407,7 @@ mod tests {
 
     #[test]
     fn long_cancel_loop_reuses_one_slot() {
-        let mut q = EventQueue::with_capacity(1);
+        let mut q = EventQueue::new();
         for i in 0..100_000u64 {
             let id = q.push(at(i), TARGET, i);
             assert!(q.cancel(id));

@@ -21,9 +21,8 @@ use crate::time::{SimDuration, SimTime};
 /// queue length *is* the live-event count, and steady-state execution is
 /// allocation-free.
 ///
-/// Lifecycle: construct with [`Simulation::new`] (or
-/// [`Simulation::with_capacity`] to pre-reserve the queue), register actors
-/// with [`Simulation::add_actor`], then drive with [`Simulation::run`],
+/// Lifecycle: construct with [`Simulation::new`], register actors with
+/// [`Simulation::add_actor`], then drive with [`Simulation::run`],
 /// [`Simulation::run_until`], or [`Simulation::step`]. Results are read back
 /// from the world ([`Simulation::world`] / [`Simulation::into_world`]).
 pub struct Simulation<W, M> {
@@ -106,16 +105,9 @@ impl<W, M> Simulation<W, M> {
     /// Creates an empty simulation over `world`, with all randomness derived
     /// from `seed`.
     pub fn new(world: W, seed: u64) -> Self {
-        Self::with_capacity(world, seed, 0)
-    }
-
-    /// Like [`Simulation::new`], but pre-reserves room for `capacity`
-    /// simultaneously in-flight events in the queue and its payload slab,
-    /// avoiding growth reallocations on known-hot workloads.
-    pub fn with_capacity(world: W, seed: u64, capacity: usize) -> Self {
         Simulation {
             now: SimTime::ZERO,
-            queue: EventQueue::with_capacity(capacity),
+            queue: EventQueue::new(),
             actors: Vec::new(),
             world,
             rng: StdRng::seed_from_u64(seed),
@@ -517,6 +509,76 @@ mod tests {
             "slab grew to {} slots over a 1M cancel/fire loop",
             s.pool_slots()
         );
+        assert_eq!(s.live_events(), 0);
+        s.queue.assert_consistent();
+    }
+
+    #[test]
+    fn dense_population_dispatches_exactly_and_recycles_slots() {
+        // The only test that holds the heap five levels deep (2 000 live
+        // events): 1 000 ping chains interleaved with 500 probe loops that
+        // arm a far timeout and cancel it on every near response.
+        const CHAINS: usize = 1_000;
+        const CHAIN_EVENTS: u64 = 101;
+        const PROBERS: usize = 500;
+        const PROBE_ROUNDS: u64 = 200;
+        const TIMEOUT: u64 = u64::MAX;
+
+        struct Pinger {
+            peer: Option<ActorId>,
+        }
+        impl Actor<(), u64> for Pinger {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, (), u64>) {
+                self.on_event(ctx, 0);
+            }
+            fn on_event(&mut self, ctx: &mut Ctx<'_, (), u64>, received: u64) {
+                if received < CHAIN_EVENTS {
+                    let peer = self.peer.unwrap_or_else(|| ctx.self_id());
+                    ctx.send(peer, SimDuration::from_micros(1), received + 1);
+                }
+            }
+        }
+
+        struct Prober {
+            remaining: u64,
+            timeout: Option<EventId>,
+        }
+        impl Prober {
+            fn probe(&mut self, ctx: &mut Ctx<'_, (), u64>) {
+                self.timeout = Some(ctx.schedule_in(SimDuration::from_secs(10), TIMEOUT));
+                ctx.schedule_in(SimDuration::from_micros(3), 0);
+            }
+        }
+        impl Actor<(), u64> for Prober {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, (), u64>) {
+                self.probe(ctx);
+            }
+            fn on_event(&mut self, ctx: &mut Ctx<'_, (), u64>, event: u64) {
+                assert_ne!(event, TIMEOUT, "a cancelled timeout fired");
+                ctx.cancel(self.timeout.take().expect("every response has a timeout armed"));
+                self.remaining -= 1;
+                if self.remaining > 0 {
+                    self.probe(ctx);
+                }
+            }
+        }
+
+        let mut s = Simulation::new((), 1);
+        // Each chain pings its predecessor, so all of them stay live.
+        let mut prev = s.add_actor(Box::new(Pinger { peer: None }));
+        for _ in 1..CHAINS {
+            prev = s.add_actor(Box::new(Pinger { peer: Some(prev) }));
+        }
+        for _ in 0..PROBERS {
+            s.add_actor(Box::new(Prober { remaining: PROBE_ROUNDS, timeout: None }));
+        }
+        let mut peak_live = 0;
+        while s.step().is_some() {
+            peak_live = peak_live.max(s.live_events());
+        }
+        assert_eq!(s.dispatched(), CHAINS as u64 * CHAIN_EVENTS + PROBERS as u64 * PROBE_ROUNDS);
+        assert_eq!(peak_live, CHAINS + 2 * PROBERS);
+        assert!(s.pool_slots() <= peak_live, "slab grew to {} slots", s.pool_slots());
         assert_eq!(s.live_events(), 0);
         s.queue.assert_consistent();
     }

@@ -55,9 +55,9 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 ];
 
 /// Crates scanned only for scoped lints (Machine impls, hot-path
-/// modules): the live runtime and the bench harness legitimately use
-/// wall clocks, threads, and sockets outside those spans.
-pub const NON_DETERMINISTIC_CRATES: &[&str] = &["net", "bench"];
+/// modules): the live runtime legitimately uses wall clocks, threads,
+/// and sockets outside those spans.
+pub const NON_DETERMINISTIC_CRATES: &[&str] = &["net"];
 
 /// The designated artifact-writing modules, exempt from `ambient-io`:
 /// every byte that leaves a run goes through one of these.
@@ -152,7 +152,7 @@ fn classify(rel: &str) -> Option<FileClass> {
     }
     let krate = parts.next()?;
     if parts.next() != Some("src") {
-        return None; // integration tests/ and benches/ are out of scope
+        return None; // integration tests/ are out of scope
     }
     let deterministic = DETERMINISTIC_CRATES.contains(&krate);
     if !deterministic && !NON_DETERMINISTIC_CRATES.contains(&krate) {
