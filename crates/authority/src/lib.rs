@@ -32,8 +32,7 @@ struct Hold {
 /// The Time Authority actor.
 ///
 /// Listens at [`World::TA_ADDR`]; every node shares a pairwise AEAD key
-/// with it. Tracks per-node service statistics for the Figure 2b
-/// reproduction.
+/// with it.
 ///
 /// ## Hold jitter
 ///
@@ -47,9 +46,6 @@ struct Hold {
 pub struct TimeAuthority {
     holds: BTreeMap<u64, Hold>,
     next_token: u64,
-    requests_seen: BTreeMap<Addr, u64>,
-    responses_sent: BTreeMap<Addr, u64>,
-    outage_dropped: u64,
     hold_jitter: netsim::DelayModel,
 }
 
@@ -72,35 +68,11 @@ impl TimeAuthority {
     /// Creates a TA with an explicit hold-jitter model (use
     /// `DelayModel::Constant(SimDuration::ZERO)` for an ideal TA).
     pub fn with_hold_jitter(hold_jitter: netsim::DelayModel) -> Self {
-        TimeAuthority {
-            holds: BTreeMap::new(),
-            next_token: 0,
-            requests_seen: BTreeMap::new(),
-            responses_sent: BTreeMap::new(),
-            outage_dropped: 0,
-            hold_jitter,
-        }
-    }
-
-    /// Requests and held responses discarded because the TA was down
-    /// (`World::ta_online == false`) when they would have been served.
-    pub fn outage_dropped(&self) -> u64 {
-        self.outage_dropped
-    }
-
-    /// Calibration requests received from `node` so far.
-    pub fn requests_from(&self, node: Addr) -> u64 {
-        self.requests_seen.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Responses sent to `node` so far.
-    pub fn responses_to(&self, node: Addr) -> u64 {
-        self.responses_sent.get(&node).copied().unwrap_or(0)
+        TimeAuthority { holds: BTreeMap::new(), next_token: 0, hold_jitter }
     }
 
     fn respond(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, hold: Hold) {
         let ta_time_ns = ctx.now().as_nanos();
-        *self.responses_sent.entry(hold.reply_to).or_insert(0) += 1;
         send_message(
             ctx,
             World::TA_ADDR,
@@ -121,7 +93,6 @@ impl Actor<World, SysEvent> for TimeAuthority {
                 if !ctx.world.ta_online {
                     // Crashed TA: in-flight requests die silently; the
                     // sender's retry/backoff path has to cope.
-                    self.outage_dropped += 1;
                     return;
                 }
                 let now = ctx.now();
@@ -129,7 +100,6 @@ impl Actor<World, SysEvent> for TimeAuthority {
                     return; // forged or corrupted datagram (counted)
                 };
                 if let Message::CalibrationRequest { nonce, sleep_ns } = msg {
-                    *self.requests_seen.entry(d.src).or_insert(0) += 1;
                     let hold = Hold { reply_to: d.src, nonce, slept_ns: sleep_ns };
                     // OS sleeps only ever overshoot: jitter applies to
                     // immediate responses (scheduling latency) too.
@@ -147,11 +117,9 @@ impl Actor<World, SysEvent> for TimeAuthority {
             }
             SysEvent::Timer { token } => {
                 if let Some(hold) = self.holds.remove(&token) {
+                    // A crash wipes the pending OS sleep with the TA.
                     if ctx.world.ta_online {
                         self.respond(ctx, hold);
-                    } else {
-                        // The crash wiped the pending OS sleep.
-                        self.outage_dropped += 1;
                     }
                 }
             }

@@ -18,6 +18,7 @@ use proto::{node_addr, ClockState, NonceWindow, RetryPolicy, TA_ADDR};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use runtime::KeyTable;
+pub use service::{frontend_addr, generator_addr};
 use service::{
     Frontend, FrontendSpec, OpenLoopGen, OpenLoopSpec, QuorumGen, QuorumLoopSpec, RouterSpec,
 };
@@ -30,16 +31,6 @@ use crate::board::Boards;
 use crate::clock::{MonoClock, SyntheticInc, SyntheticTsc};
 use crate::driver::{run_machine, DriverConfig};
 use crate::frame::{frame_into, parse_frame};
-
-/// Address of serving front-end `i` (matches the simulated layout).
-pub fn frontend_addr(i: usize) -> Addr {
-    Addr(u16::try_from(2000 + i).expect("frontend address fits u16"))
-}
-
-/// Address of load generator `g` (matches the simulated layout).
-pub fn generator_addr(g: usize) -> Addr {
-    Addr(u16::try_from(3000 + g).expect("generator address fits u16"))
-}
 
 /// Address of external blocking client `c` (matches the simulated layout).
 pub fn client_addr(c: usize) -> Addr {

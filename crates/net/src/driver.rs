@@ -259,53 +259,6 @@ impl Env for LiveEnv<'_> {
         self.socket.send_to(self.wire_buf, target).is_ok()
     }
 
-    fn send_batch(&mut self, batch: &[(Addr, Message)]) -> usize {
-        let mut accepted = 0;
-        let mut parts = Vec::new();
-        let mut frames = Vec::new();
-        let mut i = 0;
-        while i < batch.len() {
-            // Consecutive same-destination messages share a session, so
-            // the run seals under one lookup; each frame still travels
-            // as its own datagram, exactly like per-message sends.
-            let dst = batch[i].0;
-            let mut j = i + 1;
-            while j < batch.len() && batch[j].0 == dst {
-                j += 1;
-            }
-            if !self.keys.has_session(self.me, dst) {
-                i = j;
-                continue;
-            }
-            let Some(&target) = self.directory.get(&dst) else {
-                i = j;
-                continue;
-            };
-            self.plain.clear();
-            parts.clear();
-            for (_, msg) in &batch[i..j] {
-                let start = self.plain.len();
-                msg.encode_into(self.plain);
-                parts.push(start..self.plain.len());
-            }
-            self.wire_buf.clear();
-            frames.clear();
-            self.keys.seal_batch_into(self.me, dst, self.plain, &parts, self.wire_buf, &mut frames);
-            for frame in &frames {
-                // The cleartext scratch is free once sealed; reuse it to
-                // prepend the routing prefix of each datagram.
-                self.plain.clear();
-                self.plain.extend_from_slice(&self.me.0.to_be_bytes());
-                self.plain.extend_from_slice(&self.wire_buf[frame.clone()]);
-                if self.socket.send_to(self.plain, target).is_ok() {
-                    accepted += 1;
-                }
-            }
-            i = j;
-        }
-        accepted
-    }
-
     fn set_timer(&mut self, token: u64, after: SimDuration) {
         self.timers.arm(token, self.clock.now_ns().saturating_add(after.as_nanos()));
     }

@@ -94,30 +94,14 @@ pub trait Env {
     /// senders see nothing more, exactly like UDP.
     fn send(&mut self, dst: Addr, msg: &Message) -> bool;
 
-    /// Seals and transmits a whole batch of messages, returning how many
-    /// the transport accepted.
-    ///
-    /// Semantically identical to calling [`Env::send`] once per entry in
-    /// order — same wire bytes, same RNG draws, same effect order — which
-    /// is exactly what this default does. Drivers with a batching
-    /// transport override it to seal each same-destination run of the
-    /// batch under one session lookup (see the simulation driver), which
-    /// changes only how fast the bytes are produced, never the bytes
-    /// themselves.
-    fn send_batch(&mut self, batch: &[(Addr, Message)]) -> usize {
-        let mut accepted = 0;
-        for (dst, msg) in batch {
-            if self.send(*dst, msg) {
-                accepted += 1;
-            }
-        }
-        accepted
-    }
-
     /// Arms a timer that will come back as [`Input::Timer`] (or
     /// [`Input::AexResume`] for [`AEX_RESUME_TOKEN`]) after `after`.
-    /// Tokens of concurrently armed timers must be distinct if the
-    /// machine intends to cancel them individually.
+    ///
+    /// Re-arming a token that is still armed is driver-dependent, so
+    /// machines should cancel first: the live `TimerQueue` supersedes the
+    /// old deadline (one firing), while the simulation's `MachineActor`
+    /// keeps both events — both fire, and the first firing drops the
+    /// second's cancellation handle.
     fn set_timer(&mut self, token: u64, after: SimDuration);
 
     /// Cancels a pending timer; a no-op when `token` is not armed.

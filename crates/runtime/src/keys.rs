@@ -81,31 +81,6 @@ impl KeyTable {
         session.seal_into(&link_aad(src, dst), plaintext, out);
     }
 
-    /// Seals a batch of plaintexts from `src` to `dst` under one session
-    /// lookup (see [`tt_crypto::SealingKey::seal_batch_into`]): one
-    /// wire frame per `parts` range is appended to `out`, with each
-    /// frame's byte range pushed into `frames`. Bytes are identical to
-    /// calling [`KeyTable::seal_into`] once per part.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pair was never provisioned.
-    pub fn seal_batch_into(
-        &mut self,
-        src: Addr,
-        dst: Addr,
-        plain: &[u8],
-        parts: &[std::ops::Range<usize>],
-        out: &mut Vec<u8>,
-        frames: &mut Vec<std::ops::Range<usize>>,
-    ) {
-        let session = self
-            .sessions
-            .get_mut(&(src, dst))
-            .unwrap_or_else(|| panic!("no key provisioned for {src} -> {dst}"));
-        session.seal_batch_into(&link_aad(src, dst), plain, parts, out, frames);
-    }
-
     /// Opens a sealed payload received by `me` from `from`.
     ///
     /// # Errors

@@ -33,7 +33,7 @@ pub use env::EnvDriver;
 pub use event::SysEvent;
 pub use keys::{link_aad, KeyTable};
 pub use machine::MachineActor;
-pub use messaging::{open_delivery, send_message, send_message_batch, DropReason};
+pub use messaging::{open_delivery, send_message, DropReason};
 pub use proto::NonceWindow;
 pub use sampler::Sampler;
 pub use world::{ClockState, Host, Lie, World};

@@ -16,7 +16,7 @@ use trace::{NodeStateTag, Recorder};
 use wire::Message;
 
 use crate::event::SysEvent;
-use crate::messaging::{open_delivery, send_message, send_message_batch};
+use crate::messaging::{open_delivery, send_message};
 use crate::world::World;
 
 /// Adapts a [`proto::Machine`] into a simulation [`Actor`].
@@ -24,10 +24,9 @@ use crate::world::World;
 /// Timer identity: machines arm timers by `u64` token; the adapter holds
 /// the token → [`EventId`] map so [`proto::Env::cancel_timer`] reaches the
 /// scheduler queue's cancellation. The map is only ever probed by token,
-/// never iterated, so its order cannot reach an artifact. Tokens of
-/// concurrently armed timers must be distinct (the protocol machines derive
-/// them from nonces/epochs), matching the uniqueness the old per-actor
-/// `EventId` handles provided.
+/// never iterated, so its order cannot reach an artifact. Re-arming a
+/// still-armed token overwrites its handle without cancelling the earlier
+/// event, so both fire (see [`proto::Env::set_timer`]).
 #[derive(Debug)]
 pub struct MachineActor<M: Machine> {
     machine: M,
@@ -139,10 +138,6 @@ impl Env for SimEnv<'_, '_> {
         send_message(self.ctx, self.me, dst, msg)
     }
 
-    fn send_batch(&mut self, batch: &[(Addr, Message)]) -> usize {
-        send_message_batch(self.ctx, self.me, batch)
-    }
-
     fn set_timer(&mut self, token: u64, after: SimDuration) {
         let id = self.ctx.schedule_in(after, SysEvent::timer(token));
         self.timers.insert(token, id);
@@ -243,5 +238,36 @@ mod tests {
         assert!(s.world().clocks[0].valid, "timer 1 published the clock");
         // Timer 2 was cancelled before it could fire.
         assert!(s.dispatched() >= 2);
+    }
+
+    /// Arms token 7 twice without cancelling, then cancels it on every
+    /// firing.
+    struct Rearmer;
+
+    impl Machine for Rearmer {
+        fn addr(&self) -> Addr {
+            Addr(1)
+        }
+        fn on_start(&mut self, env: &mut dyn Env) {
+            env.set_timer(7, SimDuration::from_millis(10));
+            env.set_timer(7, SimDuration::from_millis(20));
+        }
+        fn on_input(&mut self, env: &mut dyn Env, _input: Input) {
+            env.cancel_timer(7);
+        }
+    }
+
+    /// Pins a sim↔live divergence (`net::TimerQueue::arm` supersedes, see
+    /// its `rearm_supersedes_the_old_deadline`): here both events stay
+    /// queued, and the first firing drops the second one's handle, so not
+    /// even the cancel at 10 ms stops the 20 ms firing.
+    #[test]
+    fn rearming_an_armed_token_fires_twice() {
+        let net = Network::new(DelayModel::Constant(SimDuration::ZERO), 0.0);
+        let mut s = Simulation::new(World::new(net, vec![Host::paper_default()]), 1);
+        s.add_actor(Box::new(MachineActor::new(Rearmer)));
+        s.run();
+        assert_eq!(s.dispatched(), 2, "the superseded 10 ms event and the 20 ms one");
+        assert_eq!(s.now(), SimTime::ZERO + SimDuration::from_millis(20));
     }
 }

@@ -49,85 +49,6 @@ pub fn send_message(
     true
 }
 
-/// Batch form of [`send_message`]: encodes, seals, and dispatches every
-/// `(dst, msg)` entry in order, returning how many the fabric accepted.
-///
-/// Consecutive entries to the *same* destination are sealed under one
-/// session lookup ([`crate::keys::KeyTable::seal_batch_into`]), frame
-/// by frame with the per-frame kernel. The wire bytes, RNG draws, and
-/// delivery scheduling order are identical to calling [`send_message`]
-/// once per entry: sealing draws no randomness, frames are dispatched in
-/// message order, and each run's deliveries are scheduled in staging
-/// order — so simulation artifacts cannot depend on which path sent them.
-///
-/// # Panics
-///
-/// Panics if any pair has no provisioned key or a destination has no
-/// registered actor.
-pub fn send_message_batch(
-    ctx: &mut Ctx<'_, World, SysEvent>,
-    src: Addr,
-    batch: &[(Addr, Message)],
-) -> usize {
-    let now = ctx.now();
-    let mut accepted = 0;
-    let mut i = 0;
-    while i < batch.len() {
-        // One run = the longest stretch of consecutive same-destination
-        // messages; each run shares a session, so it seals as one batch.
-        let dst = batch[i].0;
-        let mut j = i + 1;
-        while j < batch.len() && batch[j].0 == dst {
-            j += 1;
-        }
-        {
-            let World { ref mut net, ref mut keys, ref mut scratch, .. } = *ctx.world;
-            scratch.plain.clear();
-            scratch.parts.clear();
-            for (_, msg) in &batch[i..j] {
-                let start = scratch.plain.len();
-                msg.encode_into(&mut scratch.plain);
-                scratch.parts.push(start..scratch.plain.len());
-            }
-            scratch.wire.clear();
-            scratch.frames.clear();
-            keys.seal_batch_into(
-                src,
-                dst,
-                &scratch.plain,
-                &scratch.parts,
-                &mut scratch.wire,
-                &mut scratch.frames,
-            );
-            scratch.deliveries.clear();
-            for frame in &scratch.frames {
-                let staged = scratch.deliveries.len();
-                net.dispatch_into(
-                    now,
-                    ctx.rng,
-                    src,
-                    dst,
-                    &scratch.wire[frame.clone()],
-                    &mut scratch.deliveries,
-                );
-                if scratch.deliveries.len() > staged {
-                    accepted += 1;
-                }
-            }
-        }
-        if !ctx.world.scratch.deliveries.is_empty() {
-            let target = ctx.world.actor_of(dst);
-            let mut deliveries = std::mem::take(&mut ctx.world.scratch.deliveries);
-            for (deliver_at, delivery) in deliveries.drain(..) {
-                ctx.send_at(target, deliver_at, SysEvent::Deliver(delivery));
-            }
-            ctx.world.scratch.deliveries = deliveries;
-        }
-        i = j;
-    }
-    accepted
-}
-
 /// Why an inbound datagram was dropped before reaching a machine.
 ///
 /// The decode → machine-input hot path never panics on network input;
@@ -255,65 +176,6 @@ mod tests {
         // Round trip = 1 ms initial delay + 2 × 200 µs.
         assert_eq!(s.now(), SimTime::from_secs(1));
         assert!(s.dispatched() >= 3);
-    }
-
-    /// Counts every message that authenticates and decodes.
-    struct Sink {
-        me: Addr,
-        got: Vec<&'static str>,
-    }
-
-    impl Actor<World, SysEvent> for Sink {
-        fn on_event(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, ev: SysEvent) {
-            if let SysEvent::Deliver(d) = ev {
-                let now = ctx.now();
-                if let Ok(msg) = open_delivery(ctx.world, self.me, now, &d) {
-                    self.got.push(msg.kind());
-                }
-            }
-        }
-    }
-
-    /// Sends a mixed batch — a same-destination run plus a second
-    /// destination — through the batch path.
-    struct BatchSender {
-        me: Addr,
-        peers: (Addr, Addr),
-    }
-
-    impl Actor<World, SysEvent> for BatchSender {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, World, SysEvent>) {
-            ctx.schedule_in(SimDuration::from_millis(1), SysEvent::timer(0));
-        }
-        fn on_event(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, ev: SysEvent) {
-            if matches!(ev, SysEvent::Timer { .. }) {
-                let batch = [
-                    (self.peers.0, Message::PeerTimeRequest { nonce: 1 }),
-                    (self.peers.0, Message::PeerTimeRequest { nonce: 2 }),
-                    (self.peers.1, Message::PeerTimeResponse { nonce: 3, timestamp_ns: 9 }),
-                ];
-                assert_eq!(send_message_batch(ctx, self.me, &batch), 3);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_sends_authenticate_at_every_destination() {
-        let net = Network::new(DelayModel::Constant(SimDuration::from_micros(200)), 0.0);
-        let hosts = vec![Host::paper_default(), Host::paper_default(), Host::paper_default()];
-        let mut world = World::new(net, hosts);
-        world.provision_all_keys(7);
-        let mut s = Simulation::new(world, 7);
-        let a1 = s.add_actor(Box::new(BatchSender { me: Addr(1), peers: (Addr(2), Addr(3)) }));
-        let a2 = s.add_actor(Box::new(Sink { me: Addr(2), got: vec![] }));
-        let a3 = s.add_actor(Box::new(Sink { me: Addr(3), got: vec![] }));
-        s.world_mut().register_actor(Addr(1), a1);
-        s.world_mut().register_actor(Addr(2), a2);
-        s.world_mut().register_actor(Addr(3), a3);
-        s.run_until(SimTime::from_secs(1));
-        // Every frame of the batch opened under its own session:
-        // the run of two to node 2, the single to node 3.
-        assert_eq!(s.dispatched(), 4, "timer + three deliveries");
     }
 
     #[test]

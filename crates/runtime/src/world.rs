@@ -20,10 +20,6 @@ pub(crate) struct Scratch {
     pub wire: Vec<u8>,
     /// Deliveries staged by the fabric for the message being sent.
     pub deliveries: Vec<(SimTime, netsim::Delivery)>,
-    /// Plaintext ranges of the batch being sealed (one per message).
-    pub parts: Vec<std::ops::Range<usize>>,
-    /// Wire-frame ranges of the batch just sealed (one per message).
-    pub frames: Vec<std::ops::Range<usize>>,
 }
 
 /// One node's physical platform: its TSC, its monitoring core's frequency,

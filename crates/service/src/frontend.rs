@@ -77,10 +77,6 @@ pub struct Frontend {
     /// Answers served while a lying-node fault is active; drives the
     /// equivocation alternation in [`Lie::skew_ns`].
     lie_seq: u64,
-    /// The batch of answers being assembled by [`Frontend::flush`],
-    /// handed to [`Env::send_batch`] in one call so the driver can seal
-    /// same-client runs together. Reused across flushes.
-    outbox: Vec<(Addr, Message)>,
 }
 
 impl Frontend {
@@ -99,7 +95,6 @@ impl Frontend {
             floor_ns: 0,
             degraded_since: None,
             lie_seq: 0,
-            outbox: Vec::new(),
         }
     }
 
@@ -190,7 +185,6 @@ impl Frontend {
         let lie = env.lie(self.node_index);
 
         let drained = self.queue.len().min(self.spec.batch_max);
-        self.outbox.clear();
         for _ in 0..drained {
             let Queued { client, nonce, kind } =
                 self.queue.pop_front().expect("drained within queue length");
@@ -235,12 +229,8 @@ impl Frontend {
                     Message::AttestResponse { nonce, outcome }
                 }
             };
-            self.outbox.push((client, answer));
+            env.send(client, &answer);
         }
-        // One driver call for the whole batch: same bytes and ordering as
-        // per-answer sends, but same-client runs seal in a single pass.
-        env.send_batch(&self.outbox);
-        self.outbox.clear();
         if !self.queue.is_empty() {
             // Backlog remains: drain it at the paced batch rate rather
             // than instantly, so a saturated node sheds instead of
@@ -299,5 +289,53 @@ impl Machine for Frontend {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proto::{Effect, ScriptedEnv};
+
+    use super::*;
+
+    #[test]
+    fn flush_sends_one_answer_per_request_in_admission_order_then_rearms() {
+        let spec = FrontendSpec { batch_max: 3, ..FrontendSpec::default() };
+        let mut fe = Frontend::new(crate::frontend_addr(0), 0, spec);
+        let mut env = ScriptedEnv::new(1, 7);
+        env.states[0] = Some(NodeStateTag::Ok);
+        let asks = [(Addr(1003), 40), (Addr(1001), 41), (Addr(1002), 42), (Addr(1000), 43)];
+        for (i, &(src, nonce)) in asks.iter().enumerate() {
+            let msg = if i == 1 {
+                Message::AttestRequest { nonce }
+            } else {
+                Message::ServeRequest { nonce, accept_degraded: false }
+            };
+            fe.on_input(&mut env, Input::Message { src, msg });
+        }
+        // Admission arms the flush once and sends nothing.
+        assert!(matches!(env.take_effects()[..], [Effect::SetTimer { token: TOKEN_FLUSH, .. }]));
+
+        let answered = |effects: &[Effect]| -> Vec<(Addr, u64)> {
+            effects
+                .iter()
+                .map(|e| match e {
+                    Effect::Send {
+                        dst,
+                        msg:
+                            Message::ServeResponse { nonce, .. } | Message::AttestResponse { nonce, .. },
+                    } => (*dst, *nonce),
+                    other => panic!("expected an answer, got {other:?}"),
+                })
+                .collect()
+        };
+        fe.on_input(&mut env, Input::Timer { token: TOKEN_FLUSH });
+        let first = env.take_effects();
+        assert_eq!(answered(&first[..3]), asks[..3]);
+        assert_eq!(first[3..], [Effect::SetTimer { token: TOKEN_FLUSH, after: spec.batch_window }]);
+
+        // The backlog drains on the re-armed flush, which arms nothing more.
+        fe.on_input(&mut env, Input::Timer { token: TOKEN_FLUSH });
+        assert_eq!(answered(&env.take_effects()), asks[3..]);
     }
 }

@@ -61,6 +61,12 @@ pub fn frontend_addr(i: usize) -> Addr {
     Addr(2000 + u16::try_from(i).expect("node count fits the frontend address range"))
 }
 
+/// The node index whose front-end serves from `addr`: the inverse of
+/// [`frontend_addr`], `None` for node, client and generator addresses.
+pub fn frontend_index(addr: Addr) -> Option<usize> {
+    (2000..3000).contains(&addr.0).then(|| usize::from(addr.0 - 2000))
+}
+
 /// The source address of generator index `g`.
 pub fn generator_addr(g: usize) -> Addr {
     Addr(3000 + u16::try_from(g).expect("generator count fits the address range"))
@@ -135,5 +141,23 @@ pub fn install(simulation: &mut Simulation<World, SysEvent>, spec: &ServiceSpec,
         ))));
         register(simulation, g, id);
         g += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frontend_index_inverts_frontend_addr_only() {
+        for i in 0..64 {
+            assert_eq!(frontend_index(frontend_addr(i)), Some(i));
+            // Node i, client i (`Addr(1000 + i)`) and generator i are not
+            // front-ends.
+            assert_eq!(frontend_index(proto::node_addr(i)), None);
+            assert_eq!(frontend_index(Addr(1000 + i as u16)), None);
+            assert_eq!(frontend_index(generator_addr(i)), None);
+        }
+        assert_eq!(frontend_index(proto::TA_ADDR), None);
     }
 }

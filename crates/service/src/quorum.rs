@@ -259,9 +259,6 @@ pub struct QuorumGen {
     /// an artifact.
     pending: FastMap<u64, PendingRead>,
     next_nonce: u64,
-    /// The fan-out batch being assembled by `issue`, handed to
-    /// [`Env::send_batch`] in one call. Reused across reads.
-    outbox: Vec<(Addr, Message)>,
 }
 
 impl QuorumGen {
@@ -287,7 +284,6 @@ impl QuorumGen {
             cursor: 0,
             pending: FastMap::default(),
             next_nonce: 0,
-            outbox: Vec::new(),
         }
     }
 
@@ -336,15 +332,9 @@ impl QuorumGen {
         }
         self.next_nonce += 1;
         let nonce = self.next_nonce & TOKEN_PAYLOAD;
-        // One driver call for the whole fan-out; panel members are
-        // distinct addresses, so this batches the dispatch plumbing
-        // rather than the sealing itself.
-        self.outbox.clear();
         for &i in &panel {
-            self.outbox.push((self.frontends[i], Message::AttestRequest { nonce }));
+            env.send(self.frontends[i], &Message::AttestRequest { nonce });
         }
-        env.send_batch(&self.outbox);
-        self.outbox.clear();
         env.set_timer(TOKEN_DEADLINE | nonce, self.spec.quorum.collect_timeout);
         self.pending.insert(
             nonce,
@@ -356,9 +346,8 @@ impl QuorumGen {
         let Some(read) = self.pending.get_mut(&nonce) else {
             return; // Post-deadline straggler or duplicate.
         };
-        let node = match src.0.checked_sub(2000) {
-            Some(i) => i as usize,
-            None => return,
+        let Some(node) = crate::frontend_index(src) else {
+            return;
         };
         let Some(pos) = read.panel.iter().position(|&i| i == node) else {
             return;
@@ -467,6 +456,30 @@ mod tests {
             sent: at,
             received: at,
         }
+    }
+
+    #[test]
+    fn issue_fans_out_in_panel_order_before_the_deadline_timer() {
+        let frontends: Vec<Addr> = (0..4).map(crate::frontend_addr).collect();
+        let spec = QuorumLoopSpec::default();
+        let mut gen = QuorumGen::new(crate::generator_addr(0), frontends, spec);
+        let mut env = proto::ScriptedEnv::new(4, 7);
+        // The start cursor rotates one node per read, so the fourth read's
+        // 2f + 1 = 3 panel wraps: nodes 3, 0, 1 — not address order.
+        for _ in 0..3 {
+            gen.on_input(&mut env, Input::Timer { token: TOKEN_ARRIVAL });
+        }
+        env.take_effects();
+        gen.on_input(&mut env, Input::Timer { token: TOKEN_ARRIVAL });
+        let ask = |i| proto::Effect::Send {
+            dst: crate::frontend_addr(i),
+            msg: Message::AttestRequest { nonce: 4 },
+        };
+        let deadline = proto::Effect::SetTimer {
+            token: TOKEN_DEADLINE | 4,
+            after: spec.quorum.collect_timeout,
+        };
+        assert_eq!(env.take_effects()[..4], [ask(3), ask(0), ask(1), deadline]);
     }
 
     #[test]
