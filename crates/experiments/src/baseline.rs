@@ -14,7 +14,7 @@ use sim::{SimDuration, SimTime, Simulation};
 use t3e::{T3eConfig, T3eNode, Tpm};
 use tsc::TriadLike;
 
-use crate::output::{Comparison, RunOpts};
+use crate::output::{Comparison, RunOpts, Table};
 
 const NODE: Addr = Addr(1);
 const TPM: Addr = Addr(500);
@@ -136,6 +136,21 @@ fn summarise(label: &'static str, world: &World, horizon: SimTime) -> BaselineRo
     }
 }
 
+/// `e19_baseline.csv`.
+pub(crate) const CSV: Table<BaselineRow> = Table(&[
+    ("system", |r| r.label.to_string()),
+    ("client_success", |r| format!("{:.4}", r.client_success)),
+    ("max_abs_drift_ms", |r| format!("{:.1}", r.max_abs_drift_ms)),
+    ("drift_slope_ms_per_s", |r| format!("{:.2}", r.drift_slope_ms_per_s)),
+]);
+
+const REPORT: Table<BaselineRow> = Table(&[
+    ("system / condition", |r| r.label.to_string()),
+    ("client success", |r| format!("{:.1}%", r.client_success * 100.0)),
+    ("max |drift|", |r| format!("{:.0} ms", r.max_abs_drift_ms)),
+    ("drift rate", |r| format!("{:+.2} ms/s", r.drift_slope_ms_per_s)),
+]);
+
 /// Runs the four cells and writes the summary CSV.
 pub fn run(opts: &RunOpts) -> BaselineResult {
     let horizon = if opts.quick { SimTime::from_secs(90) } else { SimTime::from_secs(180) };
@@ -160,19 +175,7 @@ pub fn run(opts: &RunOpts) -> BaselineResult {
     ];
 
     let dir = opts.dir_for("baseline");
-    trace::write_csv(
-        &dir.join("e19_baseline.csv"),
-        &["system", "client_success", "max_abs_drift_ms", "drift_slope_ms_per_s"],
-        rows.iter().map(|r| {
-            vec![
-                r.label.to_string(),
-                format!("{:.4}", r.client_success),
-                format!("{:.1}", r.max_abs_drift_ms),
-                format!("{:.2}", r.drift_slope_ms_per_s),
-            ]
-        }),
-    )
-    .expect("write baseline csv");
+    CSV.write_csv(&dir, "e19_baseline.csv", &rows).expect("write baseline csv");
     BaselineResult { rows }
 }
 
@@ -226,24 +229,9 @@ impl BaselineResult {
 
     /// Human-readable rendering.
     pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.label.to_string(),
-                    format!("{:.1}%", r.client_success * 100.0),
-                    format!("{:.0} ms", r.max_abs_drift_ms),
-                    format!("{:+.2} ms/s", r.drift_slope_ms_per_s),
-                ]
-            })
-            .collect();
         format!(
             "E19 — trusted-time baselines under their respective attacks\n{}",
-            trace::render_table(
-                &["system / condition", "client success", "max |drift|", "drift rate"],
-                &rows
-            )
+            REPORT.render(&self.rows)
         )
     }
 }

@@ -11,14 +11,15 @@
 //! violation, including across crash-recovery).
 
 use faults::{FaultAction, FaultPlan, RandomFaultConfig};
-use netsim::Addr;
+use netsim::{Addr, LinkStats};
 use resilient::ResilientConfig;
 use runtime::World;
 use scenario::{AexSpec, FaultSpec, NodeImplSpec, ParamGrid, RunCell, ScenarioSpec};
 use sim::{SimDuration, SimTime};
 use triad_core::{RetryPolicy, TriadConfig};
 
-use crate::output::{Comparison, RunOpts};
+use crate::grid;
+use crate::output::{Comparison, RunOpts, Table};
 
 /// Fault onset (all classes schedule their first fault here).
 const FAULT_FROM_S: u64 = 40;
@@ -182,8 +183,8 @@ pub struct CellResult {
     pub unc_final_ms: f64,
     /// Worst |drift| of the faulted node over the run (ms).
     pub max_abs_drift_ms: f64,
-    /// Worst |drift| across all nodes with no detection event within
-    /// [`trace::DETECTION_GRACE`] — the E23 search's drift fitness.
+    /// [`trace::Recorder::max_undetected_drift_ms`] — the E23 search's
+    /// drift fitness.
     pub max_undetected_drift_ms: f64,
     /// Probe retransmissions on the faulted node.
     pub retries: u64,
@@ -216,10 +217,53 @@ fn ratio(served: u64, denied: u64) -> f64 {
     }
 }
 
+/// One `chaos_links.csv` row: a directed link and its counters.
+type LinkRow = (Addr, Addr, LinkStats);
+
 /// Per-cell payload: the measured row plus the two side artifacts that
-/// only specific cells produce (rendered *inside* the cell so measured
+/// only specific cells produce (extracted *inside* the cell so measured
 /// [`World`]s never have to be collected across worker threads).
-type CellOutput = (CellResult, Option<String>, Option<Vec<Vec<String>>>);
+type CellOutput = (CellResult, Option<String>, Option<Vec<LinkRow>>);
+
+/// `chaos_grid.csv`.
+pub(crate) const GRID: Table<CellResult> = Table(&[
+    ("fault_class", |c| c.class.label().to_string()),
+    ("variant", |c| c.variant.label().to_string()),
+    ("avail_during", |c| format!("{:.3}", c.avail_during)),
+    ("avail_after", |c| format!("{:.3}", c.avail_after)),
+    ("unc_peak_ms", |c| format!("{:.3}", c.unc_peak_ms)),
+    ("unc_final_ms", |c| format!("{:.3}", c.unc_final_ms)),
+    ("max_abs_drift_ms", |c| format!("{:.1}", c.max_abs_drift_ms)),
+    ("max_undetected_drift_ms", |c| format!("{:.3}", c.max_undetected_drift_ms)),
+    ("retries", |c| c.retries.to_string()),
+    ("breaker_opens", |c| c.breaker_opens.to_string()),
+    ("crashes", |c| c.crashes.to_string()),
+    ("faults_applied", |c| c.faults_applied.to_string()),
+]);
+
+/// `chaos_links.csv`.
+pub(crate) const LINKS: Table<LinkRow> = Table(&[
+    ("src", |(src, _, _)| src.to_string()),
+    ("dst", |(_, dst, _)| dst.to_string()),
+    ("sent", |(_, _, s)| s.sent.to_string()),
+    ("delivered", |(_, _, s)| s.delivered.to_string()),
+    ("lost", |(_, _, s)| s.lost.to_string()),
+    ("partition_dropped", |(_, _, s)| s.partition_dropped.to_string()),
+    ("duplicated", |(_, _, s)| s.duplicated.to_string()),
+    ("reordered", |(_, _, s)| s.reordered.to_string()),
+]);
+
+const REPORT: Table<CellResult> = Table(&[
+    ("fault", |c| c.class.label().to_string()),
+    ("variant", |c| c.variant.label().to_string()),
+    ("avail@fault", |c| format!("{:.2}", c.avail_during)),
+    ("avail@after", |c| format!("{:.2}", c.avail_after)),
+    ("unc peak (ms)", |c| format!("{:.1}", c.unc_peak_ms)),
+    ("unc final (ms)", |c| format!("{:.1}", c.unc_final_ms)),
+    ("retries", |c| c.retries.to_string()),
+    ("breaker", |c| c.breaker_opens.to_string()),
+    ("crashes", |c| c.crashes.to_string()),
+]);
 
 fn spec_for(opts: &RunOpts, class: FaultClass, variant: Variant, seed: u64) -> ScenarioSpec {
     let horizon = if opts.quick { SimTime::from_secs(150) } else { SimTime::from_secs(300) };
@@ -262,9 +306,7 @@ fn run_cell(opts: &RunOpts, cell: &RunCell<(FaultClass, Variant)>) -> CellOutput
         unc_peak_ms: unc_peak / 1e6,
         unc_final_ms: t.reading_uncertainty_ns.last().map(|(_, u)| u / 1e6).unwrap_or(0.0),
         max_abs_drift_ms: d_lo.abs().max(d_hi.abs()),
-        max_undetected_drift_ms: (0..world.node_count())
-            .map(|i| world.recorder.node(i).max_undetected_drift_ms(trace::DETECTION_GRACE))
-            .fold(0.0f64, f64::max),
+        max_undetected_drift_ms: world.recorder.max_undetected_drift_ms(),
         retries: t.probe_retries.count(),
         breaker_opens: t.breaker_opens.count(),
         crashes: t.crashes.count(),
@@ -273,25 +315,8 @@ fn run_cell(opts: &RunOpts, cell: &RunCell<(FaultClass, Variant)>) -> CellOutput
 
     let detail = (class == FaultClass::TaOutage && variant == Variant::Hardened)
         .then(|| render_detail(&world, horizon));
-    let link_rows = (class == FaultClass::Loss && variant == Variant::Hardened).then(|| {
-        world
-            .net
-            .per_link_stats()
-            .into_iter()
-            .map(|(src, dst, s)| {
-                vec![
-                    src.to_string(),
-                    dst.to_string(),
-                    s.sent.to_string(),
-                    s.delivered.to_string(),
-                    s.lost.to_string(),
-                    s.partition_dropped.to_string(),
-                    s.duplicated.to_string(),
-                    s.reordered.to_string(),
-                ]
-            })
-            .collect()
-    });
+    let link_rows = (class == FaultClass::Loss && variant == Variant::Hardened)
+        .then(|| world.net.per_link_stats());
     (result, detail, link_rows)
 }
 
@@ -329,7 +354,7 @@ pub fn run(opts: &RunOpts) -> ChaosResult {
 
     let mut cells = Vec::new();
     let mut detail = String::new();
-    let mut link_rows: Vec<Vec<String>> = Vec::new();
+    let mut link_rows: Vec<LinkRow> = Vec::new();
     for (cell, cell_detail, cell_links) in outputs {
         if let Some(d) = cell_detail {
             detail = d;
@@ -344,65 +369,19 @@ pub fn run(opts: &RunOpts) -> ChaosResult {
     let deterministic = {
         let (class, variant) = (FaultClass::Random, Variant::Hardened);
         let seed = opts.seed ^ 0xE20_0000 ^ ((class as u64) << 8) ^ (variant as u64);
-        let spec = spec_for(opts, class, variant, seed);
-        let world_a = spec.run(seed);
-        let world_b = spec.run(seed);
-        world_a.recorder.faults == world_b.recorder.faults
-            && world_a.recorder.node(0).client_served.count()
-                == world_b.recorder.node(0).client_served.count()
-            && world_a.recorder.node(0).calibrations_hz == world_b.recorder.node(0).calibrations_hz
+        grid::reproducible(&spec_for(opts, class, variant, seed), seed, |world| {
+            let node0 = world.recorder.node(0);
+            (
+                world.recorder.faults.clone(),
+                node0.client_served.count(),
+                node0.calibrations_hz.clone(),
+            )
+        })
     };
 
     let dir = opts.dir_for("chaos");
-    trace::write_csv(
-        &dir.join("chaos_grid.csv"),
-        &[
-            "fault_class",
-            "variant",
-            "avail_during",
-            "avail_after",
-            "unc_peak_ms",
-            "unc_final_ms",
-            "max_abs_drift_ms",
-            "max_undetected_drift_ms",
-            "retries",
-            "breaker_opens",
-            "crashes",
-            "faults_applied",
-        ],
-        cells.iter().map(|c| {
-            vec![
-                c.class.label().to_string(),
-                c.variant.label().to_string(),
-                format!("{:.3}", c.avail_during),
-                format!("{:.3}", c.avail_after),
-                format!("{:.3}", c.unc_peak_ms),
-                format!("{:.3}", c.unc_final_ms),
-                format!("{:.1}", c.max_abs_drift_ms),
-                format!("{:.3}", c.max_undetected_drift_ms),
-                c.retries.to_string(),
-                c.breaker_opens.to_string(),
-                c.crashes.to_string(),
-                c.faults_applied.to_string(),
-            ]
-        }),
-    )
-    .expect("write chaos grid csv");
-    trace::write_csv(
-        &dir.join("chaos_links.csv"),
-        &[
-            "src",
-            "dst",
-            "sent",
-            "delivered",
-            "lost",
-            "partition_dropped",
-            "duplicated",
-            "reordered",
-        ],
-        link_rows,
-    )
-    .expect("write chaos links csv");
+    GRID.write_csv(&dir, "chaos_grid.csv", &cells).expect("write chaos grid csv");
+    LINKS.write_csv(&dir, "chaos_links.csv", &link_rows).expect("write chaos links csv");
 
     ChaosResult { cells, deterministic, detail }
 }
@@ -467,11 +446,10 @@ impl ChaosResult {
                     && hardened.retries
                         < self.cell(FaultClass::TaOutage, Variant::BaseTriad).retries,
             ),
-            Comparison::new(
+            grid::reproducible_claim(
                 "chaos",
                 "seeded chaos suite is bit-reproducible",
                 "same seed, same fault log and measurements",
-                if self.deterministic { "two runs identical" } else { "runs diverged" }.to_string(),
                 self.deterministic,
             ),
         ]
@@ -479,39 +457,9 @@ impl ChaosResult {
 
     /// Human-readable rendering.
     pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                vec![
-                    c.class.label().to_string(),
-                    c.variant.label().to_string(),
-                    format!("{:.2}", c.avail_during),
-                    format!("{:.2}", c.avail_after),
-                    format!("{:.1}", c.unc_peak_ms),
-                    format!("{:.1}", c.unc_final_ms),
-                    c.retries.to_string(),
-                    c.breaker_opens.to_string(),
-                    c.crashes.to_string(),
-                ]
-            })
-            .collect();
         format!(
             "E20 — chaos suite (availability under injected faults)\n{}\n{}",
-            trace::render_table(
-                &[
-                    "fault",
-                    "variant",
-                    "avail@fault",
-                    "avail@after",
-                    "unc peak (ms)",
-                    "unc final (ms)",
-                    "retries",
-                    "breaker",
-                    "crashes"
-                ],
-                &rows
-            ),
+            REPORT.render(&self.cells),
             self.detail
         )
     }
@@ -526,11 +474,7 @@ mod tests {
         let opts = RunOpts::quick(std::env::temp_dir().join("triad_chaos_test"));
         let r = run(&opts);
         assert_eq!(r.cells.len(), FaultClass::ALL.len() * Variant::ALL.len());
-        for c in r.comparisons() {
-            assert!(c.matches, "chaos claim failed: {} — {}", c.metric, c.measured);
-        }
-        assert!(opts.dir_for("chaos").join("chaos_grid.csv").exists());
-        assert!(opts.dir_for("chaos").join("chaos_links.csv").exists());
-        std::fs::remove_dir_all(&opts.out_dir).ok();
+        let files = ["chaos_grid.csv", "chaos_links.csv"];
+        grid::assert_claims_and_files(&opts, "chaos", &r.comparisons(), &files);
     }
 }

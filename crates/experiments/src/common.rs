@@ -3,23 +3,32 @@
 use std::path::Path;
 
 use runtime::World;
+use sim::SimTime;
 use trace::{StepCounter, TimeSeries};
+
+use crate::output::Table;
+
+/// The drift CSVs of Figs. 2a/3a/4/5/6a: `(0-based node, time, drift ms)`.
+pub(crate) const DRIFT: Table<(usize, SimTime, f64)> = Table(&[
+    ("node", |(i, _, _)| format!("{}", i + 1)),
+    ("ref_time_s", |(_, t, _)| format!("{:.3}", t.as_secs_f64())),
+    ("drift_ms", |(_, _, d)| format!("{d:.4}")),
+]);
+
+/// The step-curve CSVs of Figs. 2b/6b: `(0-based node, time, count)`.
+pub(crate) const COUNTER: Table<(usize, SimTime, u64)> = Table(&[
+    ("node", |(i, _, _)| format!("{}", i + 1)),
+    ("ref_time_s", |(_, t, _)| format!("{:.3}", t.as_secs_f64())),
+    ("count", |(_, _, c)| c.to_string()),
+]);
 
 /// Writes all nodes' drift series in long format
 /// (`node,ref_time_s,drift_ms`).
 pub(crate) fn write_drift_csv(dir: &Path, name: &str, world: &World) {
-    let mut rows = Vec::new();
-    for i in 0..world.recorder.node_count() {
-        for &(t, d) in world.recorder.node(i).drift_ms.points() {
-            rows.push(vec![
-                format!("{}", i + 1),
-                format!("{:.3}", t.as_secs_f64()),
-                format!("{d:.4}"),
-            ]);
-        }
-    }
-    trace::write_csv(&dir.join(name), &["node", "ref_time_s", "drift_ms"], rows)
-        .expect("write drift csv");
+    let rows = (0..world.recorder.node_count()).flat_map(|i| {
+        world.recorder.node(i).drift_ms.points().iter().map(move |&(t, d)| (i, t, d))
+    });
+    DRIFT.write_csv(dir, name, rows).expect("write drift csv");
 }
 
 /// Writes a cumulative counter's step curve (`node,ref_time_s,count`).
@@ -29,14 +38,9 @@ pub(crate) fn write_counter_csv<'a>(
     world: &'a World,
     select: impl Fn(usize) -> &'a StepCounter,
 ) {
-    let mut rows = Vec::new();
-    for i in 0..world.recorder.node_count() {
-        for (t, c) in select(i).curve() {
-            rows.push(vec![format!("{}", i + 1), format!("{:.3}", t.as_secs_f64()), c.to_string()]);
-        }
-    }
-    trace::write_csv(&dir.join(name), &["node", "ref_time_s", "count"], rows)
-        .expect("write counter csv");
+    let rows = (0..world.recorder.node_count())
+        .flat_map(|i| select(i).curve().into_iter().map(move |(t, c)| (i, t, c)));
+    COUNTER.write_csv(dir, name, rows).expect("write counter csv");
 }
 
 /// Renders all nodes' drift curves as one ASCII chart.

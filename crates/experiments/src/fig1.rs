@@ -10,7 +10,7 @@ use sim::SimTime;
 use stats::Cdf;
 use tsc::{AexModel, IsolatedCore, TriadLike};
 
-use crate::output::{Comparison, RunOpts};
+use crate::output::{Comparison, RunOpts, Table};
 
 /// Results of the Figure 1 reproduction.
 #[derive(Debug, Clone)]
@@ -20,6 +20,13 @@ pub struct Fig1Result {
     /// CDF of isolated-core inter-AEX delays (seconds).
     pub isolated: Cdf,
 }
+
+/// `fig1a_triad_like.csv` / `fig1b_isolated.csv`: `(delay s, cumulative
+/// probability)` points.
+pub(crate) const CDF: Table<(f64, f64)> = Table(&[
+    ("inter_aex_delay_s", |(v, _)| format!("{v:.6}")),
+    ("cum_prob", |(_, p)| format!("{p:.6}")),
+]);
 
 /// Draws both distributions and writes their CDFs.
 pub fn run(opts: &RunOpts) -> Fig1Result {
@@ -46,13 +53,7 @@ pub fn run(opts: &RunOpts) -> Fig1Result {
     for (name, cdf) in
         [("fig1a_triad_like.csv", &result.triad_like), ("fig1b_isolated.csv", &result.isolated)]
     {
-        let rows = cdf
-            .points_decimated(500)
-            .into_iter()
-            .map(|(v, p)| vec![format!("{v:.6}"), format!("{p:.6}")])
-            .collect::<Vec<_>>();
-        trace::write_csv(&dir.join(name), &["inter_aex_delay_s", "cum_prob"], rows)
-            .expect("write fig1 csv");
+        CDF.write_csv(&dir, name, cdf.points_decimated(500)).expect("write fig1 csv");
     }
     result
 }

@@ -54,8 +54,7 @@ pub fn run(opts: &RunOpts) -> Fig2Result {
     write_counter_csv(&dir, "fig2b_ta_references.csv", &world, |i| {
         &world.recorder.node(i).ta_references
     });
-    crate::output::write_text(&dir, "fig2a_drift.txt", &drift_chart(&world, 100, 24))
-        .expect("write chart");
+    trace::write_text(&dir, "fig2a_drift.txt", &drift_chart(&world, 100, 24)).expect("write chart");
 
     let nodes = (0..3)
         .map(|i| {

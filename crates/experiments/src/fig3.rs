@@ -8,10 +8,10 @@
 
 use scenario::{AexSpec, ScenarioSpec};
 use sim::{SimDuration, SimTime};
-use trace::StateTimeline;
+use trace::{Segment, StateTimeline};
 
 use crate::common::{drift_chart, mhz, write_drift_csv};
-use crate::output::{Comparison, RunOpts};
+use crate::output::{Comparison, RunOpts, Table};
 
 /// Per-node summary of the Figure 3 run.
 #[derive(Debug, Clone)]
@@ -37,6 +37,14 @@ pub struct Fig3Result {
     pub horizon_s: f64,
 }
 
+/// `fig3b_states.csv`: `(0-based node, state segment)`.
+pub(crate) const STATES: Table<(usize, Segment)> = Table(&[
+    ("node", |(i, _)| format!("{}", i + 1)),
+    ("state", |(_, seg)| seg.state.label().to_string()),
+    ("from_s", |(_, seg)| format!("{:.3}", seg.from.as_secs_f64())),
+    ("to_s", |(_, seg)| format!("{:.3}", seg.to.as_secs_f64())),
+]);
+
 /// Runs the scenario; writes drift CSV and the first-hour state Gantt.
 pub fn run(opts: &RunOpts) -> Fig3Result {
     let horizon = if opts.quick { SimTime::from_secs(1800) } else { SimTime::from_secs(8 * 3600) };
@@ -48,8 +56,7 @@ pub fn run(opts: &RunOpts) -> Fig3Result {
 
     let dir = opts.dir_for("fig3");
     write_drift_csv(&dir, "fig3a_drift.csv", &world);
-    crate::output::write_text(&dir, "fig3a_drift.txt", &drift_chart(&world, 100, 24))
-        .expect("write chart");
+    trace::write_text(&dir, "fig3a_drift.txt", &drift_chart(&world, 100, 24)).expect("write chart");
 
     // Figure 3b: the first hour's timing diagram.
     let timelines: Vec<(String, StateTimeline)> = (0..3)
@@ -58,29 +65,16 @@ pub fn run(opts: &RunOpts) -> Fig3Result {
     let refs: Vec<(&str, &StateTimeline)> =
         timelines.iter().map(|(l, t)| (l.as_str(), t)).collect();
     let gantt_end = horizon.min(SimTime::from_secs(3600));
-    crate::output::write_text(
+    trace::write_text(
         &dir,
         "fig3b_states.txt",
         &trace::ascii_gantt(&refs, SimTime::ZERO, gantt_end, 100),
     )
     .expect("write gantt");
-    let mut state_rows = Vec::new();
-    for (i, (_, tl)) in timelines.iter().enumerate() {
-        for seg in tl.segments(SimTime::ZERO, gantt_end) {
-            state_rows.push(vec![
-                format!("{}", i + 1),
-                seg.state.label().to_string(),
-                format!("{:.3}", seg.from.as_secs_f64()),
-                format!("{:.3}", seg.to.as_secs_f64()),
-            ]);
-        }
-    }
-    trace::write_csv(
-        &dir.join("fig3b_states.csv"),
-        &["node", "state", "from_s", "to_s"],
-        state_rows,
-    )
-    .expect("write states csv");
+    let state_rows = timelines.iter().enumerate().flat_map(|(i, (_, tl))| {
+        tl.segments(SimTime::ZERO, gantt_end).into_iter().map(move |seg| (i, seg))
+    });
+    STATES.write_csv(&dir, "fig3b_states.csv", state_rows).expect("write states csv");
 
     let steady_from = SimTime::from_secs(60);
     let nodes = (0..3)

@@ -44,8 +44,7 @@ pub fn run(opts: &RunOpts) -> Fig4Result {
 
     let dir = opts.dir_for("fig4");
     write_drift_csv(&dir, "fig4_drift.csv", &world);
-    crate::output::write_text(&dir, "fig4_drift.txt", &drift_chart(&world, 100, 24))
-        .expect("write chart");
+    trace::write_text(&dir, "fig4_drift.txt", &drift_chart(&world, 100, 24)).expect("write chart");
 
     let victim = world.recorder.node(2);
     // Slope between the first TA anchor and the next reset (or horizon).

@@ -39,8 +39,7 @@ pub fn run(opts: &RunOpts) -> Fig5Result {
 
     let dir = opts.dir_for("fig5");
     write_drift_csv(&dir, "fig5_drift.csv", &world);
-    crate::output::write_text(&dir, "fig5_drift.txt", &drift_chart(&world, 100, 24))
-        .expect("write chart");
+    trace::write_text(&dir, "fig5_drift.txt", &drift_chart(&world, 100, 24)).expect("write chart");
 
     let victim = world.recorder.node(2);
     let settle = SimTime::from_secs(60);

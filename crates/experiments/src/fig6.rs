@@ -57,8 +57,7 @@ pub fn run(opts: &RunOpts) -> Fig6Result {
     let dir = opts.dir_for("fig6");
     write_drift_csv(&dir, "fig6a_drift.csv", &world);
     write_counter_csv(&dir, "fig6b_aex_counts.csv", &world, |i| &world.recorder.node(i).aex_events);
-    crate::output::write_text(&dir, "fig6a_drift.txt", &drift_chart(&world, 100, 24))
-        .expect("write chart");
+    trace::write_text(&dir, "fig6a_drift.txt", &drift_chart(&world, 100, 24)).expect("write chart");
 
     let victim = world.recorder.node(2);
     let victim_slope =

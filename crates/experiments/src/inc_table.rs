@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use stats::Summary;
 use tsc::{reject_outliers, IncExperiment};
 
-use crate::output::{Comparison, RunOpts};
+use crate::output::{Comparison, RunOpts, Table};
 
 /// Results of the INC campaign.
 #[derive(Debug, Clone)]
@@ -25,6 +25,10 @@ pub struct IncTableResult {
     pub rejection_exact: bool,
 }
 
+/// `inc_counts.csv`: `(run index, INC count)`.
+pub(crate) const CSV: Table<(usize, u64)> =
+    Table(&[("run", |(i, _)| i.to_string()), ("inc_count", |(_, c)| c.to_string())]);
+
 /// Runs the campaign and writes the sample CSV.
 pub fn run(opts: &RunOpts) -> IncTableResult {
     let n = if opts.quick { 1_000 } else { 10_000 };
@@ -37,13 +41,7 @@ pub fn run(opts: &RunOpts) -> IncTableResult {
     let cleaned: Summary = kept.iter().map(|&c| c as f64).collect();
 
     let dir = opts.dir_for("inc-table");
-    let rows = samples
-        .counts
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| vec![i.to_string(), c.to_string()])
-        .collect::<Vec<_>>();
-    trace::write_csv(&dir.join("inc_counts.csv"), &["run", "inc_count"], rows)
+    CSV.write_csv(&dir, "inc_counts.csv", samples.counts.iter().copied().enumerate())
         .expect("write inc csv");
 
     IncTableResult {

@@ -35,6 +35,7 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
+mod grid;
 pub mod inc_table;
 mod output;
 pub mod quorum;
@@ -44,7 +45,7 @@ pub mod serve;
 pub mod sweeps;
 pub mod tsc_detect;
 
-pub use output::{comparison_markdown, comparison_table, write_text, Comparison, RunOpts};
+pub use output::{comparison_markdown, comparison_table, Comparison, RunOpts};
 
 /// Runs one experiment to its rendered report and comparison rows.
 type RunFn = fn(&RunOpts) -> (String, Vec<Comparison>);

@@ -28,17 +28,23 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use experiments::{
-    comparison_markdown, comparison_table, run_all, run_by_id, write_text, RunOpts, ALL_EXPERIMENTS,
+    comparison_markdown, comparison_table, run_all, run_by_id, RunOpts, ALL_EXPERIMENTS,
 };
+use trace::write_text;
 
-fn usage() -> ! {
-    eprintln!(
+fn usage_text() -> String {
+    format!(
         "usage: triad-experiments [EXPERIMENT ...] [--quick] [--smoke] [--jobs N] \
          [--seed N] [--budget N] [--out DIR]\n\
          \x20      triad-experiments replay FILE...\n\
          experiments: {} all",
         ALL_EXPERIMENTS.join(" ")
-    );
+    )
+}
+
+/// Rejects a malformed command line: usage on stderr, exit status 2.
+fn usage() -> ! {
+    eprintln!("{}", usage_text());
     std::process::exit(2);
 }
 
@@ -123,7 +129,10 @@ fn main() -> ExitCode {
                 let v = args.next().unwrap_or_else(|| usage());
                 opts.out_dir = PathBuf::from(v);
             }
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => {
+                println!("{}", usage_text());
+                return ExitCode::SUCCESS;
+            }
             id if id.starts_with('-') => usage(),
             id => ids.push(id.to_string()),
         }

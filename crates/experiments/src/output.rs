@@ -1,9 +1,9 @@
-//! Shared experiment plumbing: options, output locations, and the
-//! paper-vs-measured comparison rows that feed EXPERIMENTS.md.
+//! Shared experiment plumbing: options, output locations, the [`Table`]
+//! every CSV and report table is declared as, and the paper-vs-measured
+//! comparison rows that feed EXPERIMENTS.md.
 
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
-
-use trace::{MarkdownSink, RunSink, TableSink};
 
 /// How to run an experiment.
 #[derive(Debug, Clone)]
@@ -96,44 +96,71 @@ impl Comparison {
     }
 }
 
+/// One column of a [`Table`]: its header and the function that formats a
+/// row's cell under it.
+type Column<R> = (&'static str, fn(&R) -> String);
+
+/// One tabular artifact, declared once as its column list, so a header
+/// without a cell (or the reverse) cannot be written. The same list
+/// drives the CSV file and the aligned report table.
+pub(crate) struct Table<R: 'static>(pub &'static [Column<R>]);
+
+impl<R> Table<R> {
+    /// The column headers, in order.
+    pub fn headers(&self) -> Vec<&'static str> {
+        self.0.iter().map(|&(header, _)| header).collect()
+    }
+
+    fn cells(&self, row: &R) -> Vec<String> {
+        self.0.iter().map(|(_, cell)| cell(row)).collect()
+    }
+
+    /// Writes `rows` as the CSV file `dir/name`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn write_csv(
+        &self,
+        dir: &Path,
+        name: &str,
+        rows: impl IntoIterator<Item = impl Borrow<R>>,
+    ) -> std::io::Result<()> {
+        let rows = rows.into_iter().map(|r| self.cells(r.borrow()));
+        trace::write_csv(&dir.join(name), &self.headers(), rows)
+    }
+
+    /// Renders `rows` as an aligned plain-text table.
+    pub fn render(&self, rows: impl IntoIterator<Item = impl Borrow<R>>) -> String {
+        let rows: Vec<Vec<String>> = rows.into_iter().map(|r| self.cells(r.borrow())).collect();
+        trace::render_table(&self.headers(), &rows)
+    }
+}
+
 const COMPARISON_HEADERS: [&str; 5] = ["experiment", "metric", "paper", "measured", "match"];
 
-fn stream_comparisons(sink: &mut dyn RunSink, rows: &[Comparison], yes: &str, no: &str) {
-    sink.begin(&COMPARISON_HEADERS);
-    for c in rows {
-        sink.row(&[
-            c.experiment.to_string(),
-            c.metric.clone(),
-            c.paper.clone(),
-            c.measured.clone(),
-            if c.matches { yes.to_string() } else { no.to_string() },
-        ]);
-    }
-    sink.finish().expect("in-memory sink");
+fn comparison_rows(rows: &[Comparison], yes: &str, no: &str) -> Vec<Vec<String>> {
+    rows.iter()
+        .map(|c| {
+            vec![
+                c.experiment.to_string(),
+                c.metric.clone(),
+                c.paper.clone(),
+                c.measured.clone(),
+                if c.matches { yes } else { no }.to_string(),
+            ]
+        })
+        .collect()
 }
 
 /// Renders comparison rows as an aligned table.
 pub fn comparison_table(rows: &[Comparison]) -> String {
-    let mut sink = TableSink::new();
-    stream_comparisons(&mut sink, rows, "yes", "NO");
-    sink.into_string()
+    trace::render_table(&COMPARISON_HEADERS, &comparison_rows(rows, "yes", "NO"))
 }
 
 /// Renders comparison rows as a Markdown table (for EXPERIMENTS.md).
 pub fn comparison_markdown(rows: &[Comparison]) -> String {
-    let mut sink = MarkdownSink::new();
-    stream_comparisons(&mut sink, rows, "✔", "✘");
-    sink.into_string()
-}
-
-/// Writes a rendered text artifact next to the CSVs.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_text(dir: &Path, name: &str, content: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join(name), content)
+    trace::render_markdown(&COMPARISON_HEADERS, &comparison_rows(rows, "✔", "✘"))
 }
 
 #[cfg(test)]
@@ -149,6 +176,66 @@ mod tests {
         let s = RunOpts::smoke("/tmp/y");
         assert!(s.quick && s.smoke);
         assert!(s.runner().jobs() >= 1);
+    }
+
+    #[test]
+    fn one_column_list_drives_csv_and_text() {
+        const T: Table<(u32, &str)> =
+            Table(&[("id", |(id, _)| id.to_string()), ("name", |(_, name)| name.to_string())]);
+        assert_eq!(T.headers(), ["id", "name"]);
+        let rows = [(1, "plain"), (2, "a,b")];
+
+        let dir = std::env::temp_dir().join("triad_output_table_test");
+        T.write_csv(&dir, "t.csv", rows).unwrap();
+        let csv = std::fs::read_to_string(dir.join("t.csv")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(csv, "id,name\n1,plain\n2,\"a,b\"\n");
+
+        // Borrowed rows render too; both renderings have the header's arity.
+        let text = T.render(rows.iter());
+        assert_eq!(text, "| id | name  |\n|----|-------|\n| 1  | plain |\n| 2  | a,b   |\n");
+        assert_eq!(csv.lines().count(), text.lines().count() - 1);
+    }
+
+    /// Every `const` table that backs a committed CSV must still carry
+    /// that file's header line: a renamed or reordered column fails here,
+    /// not only in the refactor-oracle CI lane.
+    #[test]
+    fn committed_csv_headers_match_their_tables() {
+        macro_rules! golden {
+            ($($table:expr => $($file:literal),+;)+) => {$($(
+                let csv = include_str!(concat!("../../../results/", $file));
+                assert_eq!(Some($table.headers().join(",").as_str()), csv.lines().next(), $file);
+            )+)+};
+        }
+        use crate::{
+            baseline, chaos, common, fig1, fig3, inc_table, quorum, resilience, search, serve,
+            sweeps, tsc_detect,
+        };
+        golden! {
+            fig1::CDF => "fig1/fig1a_triad_like.csv", "fig1/fig1b_isolated.csv";
+            inc_table::CSV => "inc-table/inc_counts.csv";
+            common::DRIFT => "fig2/fig2a_drift.csv", "fig3/fig3a_drift.csv",
+                "fig4/fig4_drift.csv", "fig5/fig5_drift.csv", "fig6/fig6a_drift.csv";
+            common::COUNTER => "fig2/fig2b_ta_references.csv", "fig6/fig6b_aex_counts.csv";
+            fig3::STATES => "fig3/fig3b_states.csv";
+            resilience::CSV => "resilience/resilience_grid.csv";
+            tsc_detect::CSV => "tsc-detect/tsc_detection.csv";
+            sweeps::DELAY_CSV => "sweeps/e14_delay_sweep.csv";
+            sweeps::SIZE_CSV => "sweeps/e15_size_sweep.csv";
+            sweeps::AEX_RATE_CSV => "sweeps/e16_aex_rate_sweep.csv";
+            sweeps::NETWORK_CSV => "sweeps/e17_network_sweep.csv";
+            sweeps::TA_LOAD_CSV => "sweeps/e18_ta_load.csv";
+            baseline::CSV => "baseline/e19_baseline.csv";
+            chaos::GRID => "chaos/chaos_grid.csv";
+            chaos::LINKS => "chaos/chaos_links.csv";
+            serve::GRID => "serve/serve_grid.csv";
+            serve::NODES => "serve/serve_nodes.csv";
+            quorum::GRID => "quorum/quorum_grid.csv";
+            quorum::NODES => "quorum/quorum_nodes.csv";
+            search::GRID => "search/search_grid.csv";
+            search::BASELINES => "search/search_baselines.csv";
+        }
     }
 
     #[test]

@@ -17,12 +17,12 @@
 use faults::FaultPlan;
 use scenario::{AexSpec, FaultSpec, NodeImplSpec, ParamGrid, RunCell, ScenarioSpec};
 use service::{
-    ArrivalSpec, FrontendSpec, LoadProfile, OpenLoopSpec, QuorumLoopSpec, QuorumSpec, RouterSpec,
-    ServiceSpec,
+    ArrivalSpec, FrontendSpec, LoadProfile, OpenLoopSpec, QuorumLoopSpec, QuorumSpec, ServiceSpec,
 };
 use sim::{SimDuration, SimTime};
 
-use crate::output::{Comparison, RunOpts};
+use crate::grid;
+use crate::output::{Comparison, RunOpts, Table};
 
 /// How hard the planned liars skew their served timestamps, relative to
 /// the attestation uncertainty envelope.
@@ -124,18 +124,15 @@ fn timing(opts: &RunOpts) -> Timing {
     }
 }
 
+/// E21's front-end, except that attestations age differently.
 fn frontend_spec(opts: &RunOpts) -> FrontendSpec {
-    let batch_max = if opts.smoke { 4 } else { 8 };
     FrontendSpec {
-        queue_cap: 4 * batch_max,
-        batch_max,
-        batch_window: SimDuration::from_millis(8),
         // Attestations age the node's published §V bound at the hardened
         // protocol's *initial* drift bound, so the served interval stays a
         // sound over-approximation of the true error even right after a
         // recalibration anchor.
         degraded_drift_ppm: 400.0,
-        ..Default::default()
+        ..grid::frontend_spec(opts)
     }
 }
 
@@ -197,8 +194,8 @@ pub struct CellResult {
     pub all_liars_quarantined: bool,
     /// Quorum accept rate (accepted / offered) during the lie window.
     pub accept_rate_during: f64,
-    /// Worst |drift| across all nodes with no detection event within
-    /// [`trace::DETECTION_GRACE`] — the E23 search's drift fitness.
+    /// [`trace::Recorder::max_undetected_drift_ms`] — the E23 search's
+    /// drift fitness.
     pub max_undetected_drift_ms: f64,
     /// Per-node `(attestations, suspected, quarantined)` counts.
     pub per_node: Vec<(u64, u64, u64)>,
@@ -212,6 +209,60 @@ pub struct QuorumResult {
     /// Whether the determinism double-run reproduced identical traces.
     pub deterministic: bool,
 }
+
+/// `quorum_grid.csv`.
+pub(crate) const GRID: Table<CellResult> = Table(&[
+    ("size", |c| (2 * c.f + 1).to_string()),
+    ("f", |c| c.f.to_string()),
+    ("lie", |c| c.lie.label().to_string()),
+    ("load", |c| c.load.label().to_string()),
+    ("offered", |c| c.offered.to_string()),
+    ("accepted", |c| c.accepted.to_string()),
+    ("no_quorum", |c| c.no_quorum.to_string()),
+    ("unavailable", |c| c.unavailable.to_string()),
+    ("suspects", |c| c.suspects.to_string()),
+    ("quarantines", |c| c.quarantines.to_string()),
+    ("rejoins", |c| c.rejoins.to_string()),
+    ("false_positives", |c| c.false_positives.to_string()),
+    ("q_p50_ms", |c| format!("{:.3}", c.quorum_ms[0])),
+    ("q_p99_ms", |c| format!("{:.3}", c.quorum_ms[2])),
+    ("s_p50_ms", |c| format!("{:.3}", c.single_ms[0])),
+    ("s_p99_ms", |c| format!("{:.3}", c.single_ms[2])),
+    ("single_ok", |c| c.single_ok.to_string()),
+    ("accept_rate_during", |c| format!("{:.4}", c.accept_rate_during)),
+    ("max_undetected_drift_ms", |c| format!("{:.3}", c.max_undetected_drift_ms)),
+]);
+
+/// One `quorum_nodes.csv` row: the cell's coordinates, the 0-based node
+/// index and that node's `(attestations, suspected, quarantined)`.
+type NodeRow = (usize, LieLevel, LoadLevel, usize, (u64, u64, u64));
+
+/// `quorum_nodes.csv`.
+pub(crate) const NODES: Table<NodeRow> = Table(&[
+    ("size", |(f, ..)| (2 * f + 1).to_string()),
+    ("f", |(f, ..)| f.to_string()),
+    ("lie", |(_, lie, ..)| lie.label().to_string()),
+    ("load", |(_, _, load, ..)| load.label().to_string()),
+    ("node", |(.., node, _)| (node + 1).to_string()),
+    ("attests", |(.., (attests, _, _))| attests.to_string()),
+    ("suspected", |(.., (_, suspected, _))| suspected.to_string()),
+    ("quarantined", |(.., (_, _, quarantined))| quarantined.to_string()),
+]);
+
+const REPORT: Table<CellResult> = Table(&[
+    ("nodes", |c| (2 * c.f + 1).to_string()),
+    ("f", |c| c.f.to_string()),
+    ("lie", |c| c.lie.label().to_string()),
+    ("load", |c| c.load.label().to_string()),
+    ("offered", |c| c.offered.to_string()),
+    ("accepted", |c| c.accepted.to_string()),
+    ("suspects", |c| c.suspects.to_string()),
+    ("quarantines", |c| c.quarantines.to_string()),
+    ("rejoins", |c| c.rejoins.to_string()),
+    ("false+", |c| c.false_positives.to_string()),
+    ("q p50 (ms)", |c| format!("{:.1}", c.quorum_ms[0])),
+    ("s p50 (ms)", |c| format!("{:.1}", c.single_ms[0])),
+]);
 
 /// Nodes lying in this cell: the first `f` (node 0 equivocates).
 fn liars(f: usize, lie: LieLevel) -> Vec<usize> {
@@ -228,7 +279,7 @@ fn spec_for(opts: &RunOpts, f: usize, lie: LieLevel, load: LoadLevel) -> Scenari
     let (single_rate, quorum_rate) = load.rates(opts);
     let svc = ServiceSpec::new()
         .frontend(frontend_spec(opts))
-        .router(RouterSpec { timeout: SimDuration::from_millis(60), ..Default::default() })
+        .router(grid::router_spec())
         .open_loop(OpenLoopSpec {
             rate_per_s: single_rate,
             arrival: ArrivalSpec::Exponential,
@@ -300,9 +351,7 @@ fn run_cell(opts: &RunOpts, cell: &RunCell<(usize, LieLevel, LoadLevel)>) -> Cel
         all_liars_suspected: liars.iter().all(|&i| per_node[i].1 > 0),
         all_liars_quarantined: liars.iter().all(|&i| per_node[i].2 > 0),
         accept_rate_during: accepted_during as f64 / offered_during.max(1) as f64,
-        max_undetected_drift_ms: (0..world.node_count())
-            .map(|i| world.recorder.node(i).max_undetected_drift_ms(trace::DETECTION_GRACE))
-            .fold(0.0f64, f64::max),
+        max_undetected_drift_ms: world.recorder.max_undetected_drift_ms(),
         per_node,
     }
 }
@@ -343,82 +392,22 @@ pub fn run(opts: &RunOpts) -> QuorumResult {
     let deterministic = {
         let (f, lie, load) = (1, LieLevel::Beyond, LoadLevel::Nominal);
         let seed = cell_seed(opts, f, lie, load);
-        let spec = spec_for(opts, f, lie, load);
-        let a = spec.run(seed);
-        let b = spec.run(seed);
-        a.recorder.service == b.recorder.service
-            && a.recorder.node(0).byzantine_suspected == b.recorder.node(0).byzantine_suspected
-            && a.recorder.node(0).quarantined == b.recorder.node(0).quarantined
+        grid::reproducible(&spec_for(opts, f, lie, load), seed, |world| {
+            let node0 = world.recorder.node(0);
+            (
+                world.recorder.service.clone(),
+                node0.byzantine_suspected.clone(),
+                node0.quarantined.clone(),
+            )
+        })
     };
 
     let dir = opts.dir_for("quorum");
-    trace::write_csv(
-        &dir.join("quorum_grid.csv"),
-        &[
-            "size",
-            "f",
-            "lie",
-            "load",
-            "offered",
-            "accepted",
-            "no_quorum",
-            "unavailable",
-            "suspects",
-            "quarantines",
-            "rejoins",
-            "false_positives",
-            "q_p50_ms",
-            "q_p99_ms",
-            "s_p50_ms",
-            "s_p99_ms",
-            "single_ok",
-            "accept_rate_during",
-            "max_undetected_drift_ms",
-        ],
-        cells.iter().map(|c| {
-            vec![
-                (2 * c.f + 1).to_string(),
-                c.f.to_string(),
-                c.lie.label().to_string(),
-                c.load.label().to_string(),
-                c.offered.to_string(),
-                c.accepted.to_string(),
-                c.no_quorum.to_string(),
-                c.unavailable.to_string(),
-                c.suspects.to_string(),
-                c.quarantines.to_string(),
-                c.rejoins.to_string(),
-                c.false_positives.to_string(),
-                format!("{:.3}", c.quorum_ms[0]),
-                format!("{:.3}", c.quorum_ms[2]),
-                format!("{:.3}", c.single_ms[0]),
-                format!("{:.3}", c.single_ms[2]),
-                c.single_ok.to_string(),
-                format!("{:.4}", c.accept_rate_during),
-                format!("{:.3}", c.max_undetected_drift_ms),
-            ]
-        }),
-    )
-    .expect("write quorum grid csv");
-    trace::write_csv(
-        &dir.join("quorum_nodes.csv"),
-        &["size", "f", "lie", "load", "node", "attests", "suspected", "quarantined"],
-        cells.iter().flat_map(|c| {
-            c.per_node.iter().enumerate().map(move |(i, &(attests, suspected, quarantined))| {
-                vec![
-                    (2 * c.f + 1).to_string(),
-                    c.f.to_string(),
-                    c.lie.label().to_string(),
-                    c.load.label().to_string(),
-                    (i + 1).to_string(),
-                    attests.to_string(),
-                    suspected.to_string(),
-                    quarantined.to_string(),
-                ]
-            })
-        }),
-    )
-    .expect("write quorum nodes csv");
+    GRID.write_csv(&dir, "quorum_grid.csv", &cells).expect("write quorum grid csv");
+    let node_rows = cells.iter().flat_map(|c| {
+        c.per_node.iter().enumerate().map(move |(i, &node)| (c.f, c.lie, c.load, i, node))
+    });
+    NODES.write_csv(&dir, "quorum_nodes.csv", node_rows).expect("write quorum nodes csv");
 
     QuorumResult { cells, deterministic }
 }
@@ -505,11 +494,10 @@ impl QuorumResult {
                 ),
                 price < 6.0 && honest.quorum_ms[2] < 60.0 && honest.accepted > 0,
             ),
-            Comparison::new(
+            grid::reproducible_claim(
                 "quorum",
                 "quorum sweep is bit-reproducible",
                 "same seed, same suspect/quarantine/latency traces",
-                if self.deterministic { "two runs identical" } else { "runs diverged" }.to_string(),
                 self.deterministic,
             ),
         ]
@@ -517,45 +505,9 @@ impl QuorumResult {
 
     /// Human-readable rendering.
     pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                vec![
-                    (2 * c.f + 1).to_string(),
-                    c.f.to_string(),
-                    c.lie.label().to_string(),
-                    c.load.label().to_string(),
-                    c.offered.to_string(),
-                    c.accepted.to_string(),
-                    c.suspects.to_string(),
-                    c.quarantines.to_string(),
-                    c.rejoins.to_string(),
-                    c.false_positives.to_string(),
-                    format!("{:.1}", c.quorum_ms[0]),
-                    format!("{:.1}", c.single_ms[0]),
-                ]
-            })
-            .collect();
         format!(
             "E22 — quorum sweep (Byzantine detection, quarantine, latency price)\n{}",
-            trace::render_table(
-                &[
-                    "nodes",
-                    "f",
-                    "lie",
-                    "load",
-                    "offered",
-                    "accepted",
-                    "suspects",
-                    "quarantines",
-                    "rejoins",
-                    "false+",
-                    "q p50 (ms)",
-                    "s p50 (ms)"
-                ],
-                &rows
-            )
+            REPORT.render(&self.cells)
         )
     }
 }
@@ -573,11 +525,7 @@ mod tests {
         let opts = RunOpts::smoke(std::env::temp_dir().join("triad_quorum_test"));
         let r = run(&opts);
         assert_eq!(r.cells.len(), SMOKE_CELLS.len());
-        for c in r.comparisons() {
-            assert!(c.matches, "quorum claim failed: {} — {}", c.metric, c.measured);
-        }
-        assert!(opts.dir_for("quorum").join("quorum_grid.csv").exists());
-        assert!(opts.dir_for("quorum").join("quorum_nodes.csv").exists());
-        std::fs::remove_dir_all(&opts.out_dir).ok();
+        let files = ["quorum_grid.csv", "quorum_nodes.csv"];
+        grid::assert_claims_and_files(&opts, "quorum", &r.comparisons(), &files);
     }
 }

@@ -13,7 +13,7 @@ use resilient::ResilientConfig;
 use scenario::{AexSpec, AttackSpec, NodeImplSpec, ParamGrid, RunCell, ScenarioSpec};
 use sim::SimTime;
 
-use crate::output::{Comparison, RunOpts};
+use crate::output::{Comparison, RunOpts, Table};
 
 /// One protocol variant in the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,35 +139,29 @@ fn run_cell(opts: &RunOpts, cell: &RunCell<Variant>) -> CellResult {
     }
 }
 
+/// `resilience_grid.csv`.
+pub(crate) const CSV: Table<CellResult> = Table(&[
+    ("variant", |c| c.variant.label().to_string()),
+    ("honest_final_drift_ms", |c| format!("{:.1}", c.honest_final_ms)),
+    ("honest_max_abs_drift_ms", |c| format!("{:.1}", c.honest_max_abs_ms)),
+    ("victim_max_abs_drift_ms", |c| format!("{:.1}", c.victim_max_abs_ms)),
+    ("honest_chimer_rejections", |c| c.honest_rejections.to_string()),
+]);
+
+const REPORT: Table<CellResult> = Table(&[
+    ("variant", |c| c.variant.label().to_string()),
+    ("honest final (ms)", |c| format!("{:+.0}", c.honest_final_ms)),
+    ("honest max |d| (ms)", |c| format!("{:.0}", c.honest_max_abs_ms)),
+    ("victim max |d| (ms)", |c| format!("{:.0}", c.victim_max_abs_ms)),
+    ("rejections", |c| c.honest_rejections.to_string()),
+]);
+
 /// Runs the full grid and writes the summary CSV.
 pub fn run(opts: &RunOpts) -> ResilienceResult {
     let plan = ParamGrid::new(Variant::ALL).plan_seeded(|&v| opts.seed ^ 0xE12 ^ (v as u64));
     let cells: Vec<CellResult> = opts.runner().run(&plan, |cell| run_cell(opts, cell));
     let dir = opts.dir_for("resilience");
-    let rows = cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.variant.label().to_string(),
-                format!("{:.1}", c.honest_final_ms),
-                format!("{:.1}", c.honest_max_abs_ms),
-                format!("{:.1}", c.victim_max_abs_ms),
-                c.honest_rejections.to_string(),
-            ]
-        })
-        .collect::<Vec<_>>();
-    trace::write_csv(
-        &dir.join("resilience_grid.csv"),
-        &[
-            "variant",
-            "honest_final_drift_ms",
-            "honest_max_abs_drift_ms",
-            "victim_max_abs_drift_ms",
-            "honest_chimer_rejections",
-        ],
-        rows,
-    )
-    .expect("write resilience csv");
+    CSV.write_csv(&dir, "resilience_grid.csv", &cells).expect("write resilience csv");
     ResilienceResult { cells }
 }
 
@@ -228,32 +222,7 @@ impl ResilienceResult {
 
     /// Human-readable rendering.
     pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                vec![
-                    c.variant.label().to_string(),
-                    format!("{:+.0}", c.honest_final_ms),
-                    format!("{:.0}", c.honest_max_abs_ms),
-                    format!("{:.0}", c.victim_max_abs_ms),
-                    c.honest_rejections.to_string(),
-                ]
-            })
-            .collect();
-        format!(
-            "E12 — F− propagation vs protocol variant\n{}",
-            trace::render_table(
-                &[
-                    "variant",
-                    "honest final (ms)",
-                    "honest max |d| (ms)",
-                    "victim max |d| (ms)",
-                    "rejections"
-                ],
-                &rows
-            )
-        )
+        format!("E12 — F− propagation vs protocol variant\n{}", REPORT.render(&self.cells))
     }
 }
 

@@ -32,7 +32,7 @@ use sim::{SimDuration, SimTime};
 use tsc::TscManipulation;
 
 use crate::chaos::FaultClass;
-use crate::output::{write_text, Comparison, RunOpts};
+use crate::output::{Comparison, RunOpts, Table};
 
 /// Genomes bred per generation in every cell.
 const POPULATION: usize = 16;
@@ -84,6 +84,28 @@ pub struct SearchResult {
     /// a byte-identical outcome and log.
     pub deterministic: bool,
 }
+
+/// `search_grid.csv`.
+pub(crate) const GRID: Table<CellResult> = Table(&[
+    ("n", |c| c.cfg.space.n.to_string()),
+    ("service", |c| c.cfg.space.service.to_string()),
+    ("target", |c| c.cfg.target.encode().to_string()),
+    ("budget", |c| c.cfg.budget.to_string()),
+    ("evaluations", |c| c.outcome.evaluations.to_string()),
+    ("best_detections", |c| c.outcome.fitness.detections.to_string()),
+    ("best_value", |c| format!("{:.6}", c.outcome.fitness.value)),
+    ("best_size", |c| c.outcome.best.size().to_string()),
+    ("best_candidate", |c| c.outcome.candidate.to_string()),
+]);
+
+/// `search_baselines.csv`.
+pub(crate) const BASELINES: Table<BaselineResult> = Table(&[
+    ("n", |b| b.space.n.to_string()),
+    ("target", |b| b.target.encode().to_string()),
+    ("baseline", |b| b.name.clone()),
+    ("detections", |b| b.fitness.detections.to_string()),
+    ("value", |b| format!("{:.6}", b.fitness.value)),
+]);
 
 /// Replay tolerance: detections must match exactly; the damage value
 /// may differ by at most `1e-6` absolute or relative (CSV-style noise),
@@ -301,49 +323,11 @@ pub fn run_grid(opts: &RunOpts, shapes: &[GenomeSpace], budgets: &[usize]) -> Se
             && rerun.log == first.outcome.log
     };
 
-    trace::write_csv(
-        &dir.join("search_grid.csv"),
-        &[
-            "n",
-            "service",
-            "target",
-            "budget",
-            "evaluations",
-            "best_detections",
-            "best_value",
-            "best_size",
-            "best_candidate",
-        ],
-        cells.iter().map(|c| {
-            vec![
-                c.cfg.space.n.to_string(),
-                c.cfg.space.service.to_string(),
-                c.cfg.target.encode().to_string(),
-                c.cfg.budget.to_string(),
-                c.outcome.evaluations.to_string(),
-                c.outcome.fitness.detections.to_string(),
-                format!("{:.6}", c.outcome.fitness.value),
-                c.outcome.best.size().to_string(),
-                c.outcome.candidate.to_string(),
-            ]
-        }),
-    )
-    .expect("write search grid csv");
-    trace::write_csv(
-        &dir.join("search_baselines.csv"),
-        &["n", "target", "baseline", "detections", "value"],
-        baselines.iter().map(|b| {
-            vec![
-                b.space.n.to_string(),
-                b.target.encode().to_string(),
-                b.name.clone(),
-                b.fitness.detections.to_string(),
-                format!("{:.6}", b.fitness.value),
-            ]
-        }),
-    )
-    .expect("write search baselines csv");
-    write_text(&dir, "search_log.txt", &log).expect("write search log");
+    GRID.write_csv(&dir, "search_grid.csv", &cells).expect("write search grid csv");
+    BASELINES
+        .write_csv(&dir, "search_baselines.csv", &baselines)
+        .expect("write search baselines csv");
+    trace::write_text(&dir, "search_log.txt", &log).expect("write search log");
 
     SearchResult { cells, baselines, reproducers, minimal, replay_ok, deterministic }
 }

@@ -13,13 +13,12 @@
 
 use faults::{FaultAction, FaultPlan};
 use scenario::{AexSpec, FaultSpec, ParamGrid, RunCell, ScenarioSpec};
-use service::{
-    ArrivalSpec, ClosedLoopSpec, FrontendSpec, LoadProfile, OpenLoopSpec, RouterSpec, ServiceSpec,
-};
+use service::{ArrivalSpec, ClosedLoopSpec, LoadProfile, OpenLoopSpec, ServiceSpec};
 use sim::{SimDuration, SimTime};
 use triad_core::TriadConfig;
 
-use crate::output::{Comparison, RunOpts};
+use crate::grid;
+use crate::output::{Comparison, RunOpts, Table};
 
 /// Offered-load level, anchored to the two-node cluster's drain
 /// capacity: `Light` ≈ 50 %, `Nominal` ≈ 75 %, `Overload` ≈ 200 %.
@@ -135,26 +134,6 @@ fn timing(opts: &RunOpts) -> Timing {
     }
 }
 
-/// Per-node drain capacity: `batch_max / batch_window`. Smoke halves it
-/// so the reduced smoke loads still cross the overload knee. The
-/// admission queue is kept four batches deep so the worst-case queue
-/// delay (32 ms) stays well under the router's per-attempt timeout —
-/// answers always beat the retry timer, so timeouts mean a dead node,
-/// not a slow one.
-fn frontend_spec(opts: &RunOpts) -> FrontendSpec {
-    let batch_max = if opts.smoke { 4 } else { 8 };
-    FrontendSpec {
-        queue_cap: 4 * batch_max,
-        batch_max,
-        batch_window: SimDuration::from_millis(8),
-        ..Default::default()
-    }
-}
-
-fn router_spec() -> RouterSpec {
-    RouterSpec { timeout: SimDuration::from_millis(60), ..Default::default() }
-}
-
 /// Measurements from one (size, load, overlay) cell.
 #[derive(Debug, Clone)]
 pub struct CellResult {
@@ -211,11 +190,65 @@ pub struct ServeResult {
     pub deterministic: bool,
 }
 
+/// `serve_grid.csv`.
+pub(crate) const GRID: Table<CellResult> = Table(&[
+    ("size", |c| c.size.to_string()),
+    ("load", |c| c.load.label().to_string()),
+    ("overlay", |c| c.overlay.label().to_string()),
+    ("offered", |c| c.offered.to_string()),
+    ("served_ok", |c| c.served_ok.to_string()),
+    ("served_degraded", |c| c.served_degraded.to_string()),
+    ("shed", |c| c.shed.to_string()),
+    ("unavailable", |c| c.unavailable.to_string()),
+    ("timeouts", |c| c.timeouts.to_string()),
+    ("failovers", |c| c.failovers.to_string()),
+    ("p50_ms", |c| format!("{:.3}", c.slo_ms[0])),
+    ("p95_ms", |c| format!("{:.3}", c.slo_ms[1])),
+    ("p99_ms", |c| format!("{:.3}", c.slo_ms[2])),
+    ("p999_ms", |c| format!("{:.3}", c.slo_ms[3])),
+    ("enclave_reads", |c| c.batches.to_string()),
+    ("fe_served", |c| c.fe_served.to_string()),
+    ("fe_shed", |c| c.fe_shed.to_string()),
+    ("ok_before_rps", |c| format!("{:.1}", c.ok_before_rate)),
+    ("ok_during_rps", |c| format!("{:.1}", c.ok_during_rate)),
+    ("ok_after_rps", |c| format!("{:.1}", c.ok_after_rate)),
+    ("deg_during", |c| c.deg_during.to_string()),
+]);
+
+/// One `serve_nodes.csv` row: the cell's coordinates, the 0-based node
+/// index and that node's `(served, shed, qps)`.
+type NodeRow = (usize, LoadLevel, Overlay, usize, (u64, u64, f64));
+
+/// `serve_nodes.csv`.
+pub(crate) const NODES: Table<NodeRow> = Table(&[
+    ("size", |(size, ..)| size.to_string()),
+    ("load", |(_, load, ..)| load.label().to_string()),
+    ("overlay", |(_, _, overlay, ..)| overlay.label().to_string()),
+    ("node", |(.., node, _)| (node + 1).to_string()),
+    ("fe_served", |(.., (served, _, _))| served.to_string()),
+    ("fe_shed", |(.., (_, shed, _))| shed.to_string()),
+    ("qps", |(.., (_, _, qps))| format!("{qps:.1}")),
+]);
+
+const REPORT: Table<CellResult> = Table(&[
+    ("nodes", |c| c.size.to_string()),
+    ("load", |c| c.load.label().to_string()),
+    ("overlay", |c| c.overlay.label().to_string()),
+    ("offered", |c| c.offered.to_string()),
+    ("goodput", |c| (c.served_ok + c.served_degraded).to_string()),
+    ("shed", |c| c.shed.to_string()),
+    ("timeouts", |c| c.timeouts.to_string()),
+    ("failovers", |c| c.failovers.to_string()),
+    ("p50 (ms)", |c| format!("{:.1}", c.slo_ms[0])),
+    ("p99 (ms)", |c| format!("{:.1}", c.slo_ms[2])),
+    ("reqs/read", |c| format!("{:.1}", c.fe_served as f64 / c.batches.max(1) as f64)),
+]);
+
 fn spec_for(opts: &RunOpts, size: usize, load: LoadLevel, overlay: Overlay) -> ScenarioSpec {
     let t = timing(opts);
     let svc = ServiceSpec::new()
-        .frontend(frontend_spec(opts))
-        .router(router_spec())
+        .frontend(grid::frontend_spec(opts))
+        .router(grid::router_spec())
         .open_loop(OpenLoopSpec {
             rate_per_s: load.rate(opts),
             arrival: ArrivalSpec::Exponential,
@@ -321,85 +354,22 @@ pub fn run(opts: &RunOpts) -> ServeResult {
     let deterministic = {
         let (size, load, overlay) = (2, LoadLevel::Nominal, Overlay::Quiet);
         let seed = cell_seed(opts, size, load, overlay);
-        let spec = spec_for(opts, size, load, overlay);
-        let a = spec.run(seed);
-        let b = spec.run(seed);
-        a.recorder.service == b.recorder.service
-            && a.recorder.node(0).frontend_batches == b.recorder.node(0).frontend_batches
-            && a.recorder.node(0).frontend_shed == b.recorder.node(0).frontend_shed
+        grid::reproducible(&spec_for(opts, size, load, overlay), seed, |world| {
+            let node0 = world.recorder.node(0);
+            (
+                world.recorder.service.clone(),
+                node0.frontend_batches.clone(),
+                node0.frontend_shed.clone(),
+            )
+        })
     };
 
     let dir = opts.dir_for("serve");
-    trace::write_csv(
-        &dir.join("serve_grid.csv"),
-        &[
-            "size",
-            "load",
-            "overlay",
-            "offered",
-            "served_ok",
-            "served_degraded",
-            "shed",
-            "unavailable",
-            "timeouts",
-            "failovers",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-            "p999_ms",
-            "enclave_reads",
-            "fe_served",
-            "fe_shed",
-            "ok_before_rps",
-            "ok_during_rps",
-            "ok_after_rps",
-            "deg_during",
-        ],
-        cells.iter().map(|c| {
-            vec![
-                c.size.to_string(),
-                c.load.label().to_string(),
-                c.overlay.label().to_string(),
-                c.offered.to_string(),
-                c.served_ok.to_string(),
-                c.served_degraded.to_string(),
-                c.shed.to_string(),
-                c.unavailable.to_string(),
-                c.timeouts.to_string(),
-                c.failovers.to_string(),
-                format!("{:.3}", c.slo_ms[0]),
-                format!("{:.3}", c.slo_ms[1]),
-                format!("{:.3}", c.slo_ms[2]),
-                format!("{:.3}", c.slo_ms[3]),
-                c.batches.to_string(),
-                c.fe_served.to_string(),
-                c.fe_shed.to_string(),
-                format!("{:.1}", c.ok_before_rate),
-                format!("{:.1}", c.ok_during_rate),
-                format!("{:.1}", c.ok_after_rate),
-                c.deg_during.to_string(),
-            ]
-        }),
-    )
-    .expect("write serve grid csv");
-    trace::write_csv(
-        &dir.join("serve_nodes.csv"),
-        &["size", "load", "overlay", "node", "fe_served", "fe_shed", "qps"],
-        cells.iter().flat_map(|c| {
-            c.per_node.iter().enumerate().map(move |(i, &(served, shed, qps))| {
-                vec![
-                    c.size.to_string(),
-                    c.load.label().to_string(),
-                    c.overlay.label().to_string(),
-                    (i + 1).to_string(),
-                    served.to_string(),
-                    shed.to_string(),
-                    format!("{qps:.1}"),
-                ]
-            })
-        }),
-    )
-    .expect("write serve nodes csv");
+    GRID.write_csv(&dir, "serve_grid.csv", &cells).expect("write serve grid csv");
+    let node_rows = cells.iter().flat_map(|c| {
+        c.per_node.iter().enumerate().map(move |(i, &node)| (c.size, c.load, c.overlay, i, node))
+    });
+    NODES.write_csv(&dir, "serve_nodes.csv", node_rows).expect("write serve nodes csv");
 
     ServeResult { cells, deterministic }
 }
@@ -479,11 +449,10 @@ impl ServeResult {
                 ),
                 crash.failovers > 0 && crash.ok_during_rate > 0.0 && crash.node0_recovered,
             ),
-            Comparison::new(
+            grid::reproducible_claim(
                 "serve",
                 "serving sweep is bit-reproducible",
                 "same seed, same SLO histogram and counters",
-                if self.deterministic { "two runs identical" } else { "runs diverged" }.to_string(),
                 self.deterministic,
             ),
         ]
@@ -491,43 +460,9 @@ impl ServeResult {
 
     /// Human-readable rendering.
     pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                vec![
-                    c.size.to_string(),
-                    c.load.label().to_string(),
-                    c.overlay.label().to_string(),
-                    c.offered.to_string(),
-                    (c.served_ok + c.served_degraded).to_string(),
-                    c.shed.to_string(),
-                    c.timeouts.to_string(),
-                    c.failovers.to_string(),
-                    format!("{:.1}", c.slo_ms[0]),
-                    format!("{:.1}", c.slo_ms[2]),
-                    format!("{:.1}", c.fe_served as f64 / c.batches.max(1) as f64),
-                ]
-            })
-            .collect();
         format!(
             "E21 — serving sweep (goodput, shedding, failover, SLO tails)\n{}",
-            trace::render_table(
-                &[
-                    "nodes",
-                    "load",
-                    "overlay",
-                    "offered",
-                    "goodput",
-                    "shed",
-                    "timeouts",
-                    "failovers",
-                    "p50 (ms)",
-                    "p99 (ms)",
-                    "reqs/read"
-                ],
-                &rows
-            )
+            REPORT.render(&self.cells)
         )
     }
 }
@@ -541,11 +476,7 @@ mod tests {
         let opts = RunOpts::smoke(std::env::temp_dir().join("triad_serve_test"));
         let r = run(&opts);
         assert_eq!(r.cells.len(), SMOKE_CELLS.len());
-        for c in r.comparisons() {
-            assert!(c.matches, "serve claim failed: {} — {}", c.metric, c.measured);
-        }
-        assert!(opts.dir_for("serve").join("serve_grid.csv").exists());
-        assert!(opts.dir_for("serve").join("serve_nodes.csv").exists());
-        std::fs::remove_dir_all(&opts.out_dir).ok();
+        let files = ["serve_grid.csv", "serve_nodes.csv"];
+        grid::assert_claims_and_files(&opts, "serve", &r.comparisons(), &files);
     }
 }

@@ -1,4 +1,4 @@
-//! E14–E16 — extension sweeps: quantifying the design space around the
+//! E14–E18 — extension sweeps: quantifying the design space around the
 //! paper's point measurements.
 //!
 //! - **E14 (delay sweep)**: the F– drift rate as a function of the
@@ -11,13 +11,19 @@
 //! - **E16 (AEX-rate sweep)**: availability and untainting load as the
 //!   interrupt rate varies, quantifying §IV-B's observation that *fewer*
 //!   AEXs mean *more* availability (and a stronger F+).
+//! - **E17 (network-scale sweep)**: the cluster-wide drift slope from
+//!   localhost to WAN one-way delays, replicated over a seed grid — every
+//!   peer-timestamp adoption is stale by one propagation time, an erosion
+//!   the paper's localhost testbed hides.
+//! - **E18 (TA-load sweep)**: TA references per node per minute, solo vs
+//!   clustered — what §III-B's clustering buys.
 
 use attacks::DelayAttackMode;
 use netsim::{Addr, DelayModel};
 use scenario::{AexSpec, AttackSpec, ParamGrid, ScenarioSpec, SeedGrid};
 use sim::{SimDuration, SimTime};
 
-use crate::output::{Comparison, RunOpts};
+use crate::output::{Comparison, RunOpts, Table};
 
 /// One point of the F– delay sweep.
 #[derive(Debug, Clone)]
@@ -95,6 +101,77 @@ pub struct SweepsResult {
     /// E18 points.
     pub ta_load: Vec<TaLoadPoint>,
 }
+
+/// `e14_delay_sweep.csv`.
+pub(crate) const DELAY_CSV: Table<DelayPoint> = Table(&[
+    ("injected_ms", |p| format!("{}", p.injected_ms)),
+    ("predicted_ms_per_s", |p| format!("{:.2}", p.predicted_ms_per_s)),
+    ("measured_ms_per_s", |p| format!("{:.2}", p.measured_ms_per_s)),
+]);
+
+const DELAY_REPORT: Table<DelayPoint> = Table(&[
+    ("injected", |p| format!("{} ms", p.injected_ms)),
+    ("predicted (ms/s)", |p| format!("{:+.1}", p.predicted_ms_per_s)),
+    ("measured (ms/s)", |p| format!("{:+.1}", p.measured_ms_per_s)),
+]);
+
+/// `e15_size_sweep.csv`.
+pub(crate) const SIZE_CSV: Table<SizePoint> = Table(&[
+    ("n", |p| p.n.to_string()),
+    ("fault_free_availability", |p| format!("{:.4}", p.fault_free_availability)),
+    ("honest_final_drift_ms", |p| format!("{:.1}", p.honest_final_drift_ms)),
+]);
+
+const SIZE_REPORT: Table<SizePoint> = Table(&[
+    ("n", |p| p.n.to_string()),
+    ("fault-free availability", |p| format!("{:.2}%", p.fault_free_availability * 100.0)),
+    ("honest drift under F-", |p| format!("{:+.0} ms", p.honest_final_drift_ms)),
+]);
+
+/// `e16_aex_rate_sweep.csv`.
+pub(crate) const AEX_RATE_CSV: Table<AexRatePoint> = Table(&[
+    ("mean_inter_aex_s", |p| format!("{}", p.mean_inter_aex_s)),
+    ("availability", |p| format!("{:.5}", p.availability)),
+    ("untaints", |p| p.untaints.to_string()),
+]);
+
+const AEX_RATE_REPORT: Table<AexRatePoint> = Table(&[
+    ("mean inter-AEX", |p| format!("{} s", p.mean_inter_aex_s)),
+    ("availability", |p| format!("{:.3}%", p.availability * 100.0)),
+    ("peer untaints", |p| p.untaints.to_string()),
+]);
+
+/// `e17_network_sweep.csv`.
+pub(crate) const NETWORK_CSV: Table<NetworkPoint> = Table(&[
+    ("label", |p| p.label.to_string()),
+    ("one_way_us", |p| p.one_way_us.to_string()),
+    ("mean_cluster_slope_ms_per_s", |p| format!("{:.4}", p.cluster_slope_ms_per_s)),
+    ("slope_min", |p| format!("{:.4}", p.slope_min_ms_per_s)),
+    ("slope_max", |p| format!("{:.4}", p.slope_max_ms_per_s)),
+    ("reps", |p| p.reps.to_string()),
+]);
+
+const NETWORK_REPORT: Table<NetworkPoint> = Table(&[
+    ("network", |p| p.label.to_string()),
+    ("one-way", |p| format!("{} us", p.one_way_us)),
+    ("mean cluster slope", |p| format!("{:+.3} ms/s", p.cluster_slope_ms_per_s)),
+    ("range over seeds", |p| {
+        format!("[{:+.2}, {:+.2}] x{}", p.slope_min_ms_per_s, p.slope_max_ms_per_s, p.reps)
+    }),
+]);
+
+/// `e18_ta_load.csv`.
+pub(crate) const TA_LOAD_CSV: Table<TaLoadPoint> = Table(&[
+    ("n", |p| p.n.to_string()),
+    ("ta_refs_per_node_per_min", |p| format!("{:.2}", p.ta_refs_per_node_per_min)),
+    ("availability", |p| format!("{:.5}", p.availability)),
+]);
+
+const TA_LOAD_REPORT: Table<TaLoadPoint> = Table(&[
+    ("n", |p| p.n.to_string()),
+    ("TA refs/node/min", |p| format!("{:.1}", p.ta_refs_per_node_per_min)),
+    ("availability", |p| format!("{:.3}%", p.availability * 100.0)),
+]);
 
 fn delay_sweep(opts: &RunOpts) -> Vec<DelayPoint> {
     let horizon = if opts.quick { SimTime::from_secs(90) } else { SimTime::from_secs(180) };
@@ -272,69 +349,15 @@ pub fn run(opts: &RunOpts) -> SweepsResult {
         ta_load: ta_load_sweep(opts),
     };
     let dir = opts.dir_for("sweeps");
-    trace::write_csv(
-        &dir.join("e14_delay_sweep.csv"),
-        &["injected_ms", "predicted_ms_per_s", "measured_ms_per_s"],
-        result.delay.iter().map(|p| {
-            vec![
-                format!("{}", p.injected_ms),
-                format!("{:.2}", p.predicted_ms_per_s),
-                format!("{:.2}", p.measured_ms_per_s),
-            ]
-        }),
-    )
-    .expect("write delay sweep");
-    trace::write_csv(
-        &dir.join("e15_size_sweep.csv"),
-        &["n", "fault_free_availability", "honest_final_drift_ms"],
-        result.size.iter().map(|p| {
-            vec![
-                p.n.to_string(),
-                format!("{:.4}", p.fault_free_availability),
-                format!("{:.1}", p.honest_final_drift_ms),
-            ]
-        }),
-    )
-    .expect("write size sweep");
-    trace::write_csv(
-        &dir.join("e16_aex_rate_sweep.csv"),
-        &["mean_inter_aex_s", "availability", "untaints"],
-        result.aex_rate.iter().map(|p| {
-            vec![
-                format!("{}", p.mean_inter_aex_s),
-                format!("{:.5}", p.availability),
-                p.untaints.to_string(),
-            ]
-        }),
-    )
-    .expect("write aex sweep");
-    trace::write_csv(
-        &dir.join("e17_network_sweep.csv"),
-        &["label", "one_way_us", "mean_cluster_slope_ms_per_s", "slope_min", "slope_max", "reps"],
-        result.network.iter().map(|p| {
-            vec![
-                p.label.to_string(),
-                p.one_way_us.to_string(),
-                format!("{:.4}", p.cluster_slope_ms_per_s),
-                format!("{:.4}", p.slope_min_ms_per_s),
-                format!("{:.4}", p.slope_max_ms_per_s),
-                p.reps.to_string(),
-            ]
-        }),
-    )
-    .expect("write network sweep");
-    trace::write_csv(
-        &dir.join("e18_ta_load.csv"),
-        &["n", "ta_refs_per_node_per_min", "availability"],
-        result.ta_load.iter().map(|p| {
-            vec![
-                p.n.to_string(),
-                format!("{:.2}", p.ta_refs_per_node_per_min),
-                format!("{:.5}", p.availability),
-            ]
-        }),
-    )
-    .expect("write ta load sweep");
+    DELAY_CSV.write_csv(&dir, "e14_delay_sweep.csv", &result.delay).expect("write delay sweep");
+    SIZE_CSV.write_csv(&dir, "e15_size_sweep.csv", &result.size).expect("write size sweep");
+    AEX_RATE_CSV
+        .write_csv(&dir, "e16_aex_rate_sweep.csv", &result.aex_rate)
+        .expect("write aex sweep");
+    NETWORK_CSV
+        .write_csv(&dir, "e17_network_sweep.csv", &result.network)
+        .expect("write network sweep");
+    TA_LOAD_CSV.write_csv(&dir, "e18_ta_load.csv", &result.ta_load).expect("write ta load sweep");
     result
 }
 
@@ -452,88 +475,18 @@ impl SweepsResult {
 
     /// Human-readable rendering.
     pub fn render(&self) -> String {
-        let mut out = String::from("E14 — F− drift rate vs injected delay\n");
-        let rows: Vec<Vec<String>> = self
-            .delay
-            .iter()
-            .map(|p| {
-                vec![
-                    format!("{} ms", p.injected_ms),
-                    format!("{:+.1}", p.predicted_ms_per_s),
-                    format!("{:+.1}", p.measured_ms_per_s),
-                ]
-            })
-            .collect();
-        out.push_str(&trace::render_table(
-            &["injected", "predicted (ms/s)", "measured (ms/s)"],
-            &rows,
-        ));
-        out.push_str("\nE15 — cluster size\n");
-        let rows: Vec<Vec<String>> = self
-            .size
-            .iter()
-            .map(|p| {
-                vec![
-                    p.n.to_string(),
-                    format!("{:.2}%", p.fault_free_availability * 100.0),
-                    format!("{:+.0} ms", p.honest_final_drift_ms),
-                ]
-            })
-            .collect();
-        out.push_str(&trace::render_table(
-            &["n", "fault-free availability", "honest drift under F-"],
-            &rows,
-        ));
-        out.push_str("\nE16 — AEX rate\n");
-        let rows: Vec<Vec<String>> = self
-            .aex_rate
-            .iter()
-            .map(|p| {
-                vec![
-                    format!("{} s", p.mean_inter_aex_s),
-                    format!("{:.3}%", p.availability * 100.0),
-                    p.untaints.to_string(),
-                ]
-            })
-            .collect();
-        out.push_str(&trace::render_table(
-            &["mean inter-AEX", "availability", "peer untaints"],
-            &rows,
-        ));
-        out.push_str("\nE17 — network scale (adoption staleness erosion)\n");
-        let rows: Vec<Vec<String>> = self
-            .network
-            .iter()
-            .map(|p| {
-                vec![
-                    p.label.to_string(),
-                    format!("{} us", p.one_way_us),
-                    format!("{:+.3} ms/s", p.cluster_slope_ms_per_s),
-                    format!(
-                        "[{:+.2}, {:+.2}] x{}",
-                        p.slope_min_ms_per_s, p.slope_max_ms_per_s, p.reps
-                    ),
-                ]
-            })
-            .collect();
-        out.push_str(&trace::render_table(
-            &["network", "one-way", "mean cluster slope", "range over seeds"],
-            &rows,
-        ));
-        out.push_str("\nE18 — TA load: solo vs cluster\n");
-        let rows: Vec<Vec<String>> = self
-            .ta_load
-            .iter()
-            .map(|p| {
-                vec![
-                    p.n.to_string(),
-                    format!("{:.1}", p.ta_refs_per_node_per_min),
-                    format!("{:.3}%", p.availability * 100.0),
-                ]
-            })
-            .collect();
-        out.push_str(&trace::render_table(&["n", "TA refs/node/min", "availability"], &rows));
-        out
+        format!(
+            "E14 — F− drift rate vs injected delay\n{}\
+             \nE15 — cluster size\n{}\
+             \nE16 — AEX rate\n{}\
+             \nE17 — network scale (adoption staleness erosion)\n{}\
+             \nE18 — TA load: solo vs cluster\n{}",
+            DELAY_REPORT.render(&self.delay),
+            SIZE_REPORT.render(&self.size),
+            AEX_RATE_REPORT.render(&self.aex_rate),
+            NETWORK_REPORT.render(&self.network),
+            TA_LOAD_REPORT.render(&self.ta_load),
+        )
     }
 }
 

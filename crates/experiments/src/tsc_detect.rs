@@ -11,7 +11,7 @@ use scenario::{ParamGrid, RunCell, ScenarioSpec};
 use sim::SimTime;
 use tsc::TscManipulation;
 
-use crate::output::{Comparison, RunOpts};
+use crate::output::{Comparison, RunOpts, Table};
 
 /// One sweep point.
 #[derive(Debug, Clone)]
@@ -62,6 +62,22 @@ fn run_one(cell: &RunCell<SweepPoint>) -> DetectOutcome {
     }
 }
 
+/// `tsc_detection.csv`.
+pub(crate) const CSV: Table<DetectOutcome> = Table(&[
+    ("manipulation", |o| o.manipulation.clone()),
+    ("magnitude", |o| format!("{}", o.magnitude)),
+    ("detected", |o| o.detected.to_string()),
+    ("latency_s", |o| o.latency_s.map(|l| format!("{l:.2}")).unwrap_or_else(|| "-".into())),
+    ("final_abs_drift_ms", |o| format!("{:.2}", o.final_abs_drift_ms)),
+]);
+
+const REPORT: Table<DetectOutcome> = Table(&[
+    ("manipulation", |o| o.manipulation.clone()),
+    ("detected", |o| o.detected.to_string()),
+    ("latency", |o| o.latency_s.map(|l| format!("{l:.2} s")).unwrap_or_else(|| "-".into())),
+    ("final |drift|", |o| format!("{:.1} ms", o.final_abs_drift_ms)),
+]);
+
 /// Runs the sweep and writes its CSV.
 pub fn run(opts: &RunOpts) -> TscDetectResult {
     let mut points: Vec<SweepPoint> = Vec::new();
@@ -88,24 +104,7 @@ pub fn run(opts: &RunOpts) -> TscDetectResult {
     let outcomes: Vec<DetectOutcome> = opts.runner().run(&plan, run_one);
 
     let dir = opts.dir_for("tsc-detect");
-    let rows = outcomes
-        .iter()
-        .map(|o| {
-            vec![
-                o.manipulation.clone(),
-                format!("{}", o.magnitude),
-                o.detected.to_string(),
-                o.latency_s.map(|l| format!("{l:.2}")).unwrap_or_else(|| "-".into()),
-                format!("{:.2}", o.final_abs_drift_ms),
-            ]
-        })
-        .collect::<Vec<_>>();
-    trace::write_csv(
-        &dir.join("tsc_detection.csv"),
-        &["manipulation", "magnitude", "detected", "latency_s", "final_abs_drift_ms"],
-        rows,
-    )
-    .expect("write detection csv");
+    CSV.write_csv(&dir, "tsc_detection.csv", &outcomes).expect("write detection csv");
     TscDetectResult { outcomes }
 }
 
@@ -162,22 +161,7 @@ impl TscDetectResult {
 
     /// Human-readable rendering.
     pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                vec![
-                    o.manipulation.clone(),
-                    o.detected.to_string(),
-                    o.latency_s.map(|l| format!("{l:.2} s")).unwrap_or_else(|| "-".into()),
-                    format!("{:.1} ms", o.final_abs_drift_ms),
-                ]
-            })
-            .collect();
-        format!(
-            "E13 — INC monitor vs TSC manipulation\n{}",
-            trace::render_table(&["manipulation", "detected", "latency", "final |drift|"], &rows)
-        )
+        format!("E13 — INC monitor vs TSC manipulation\n{}", REPORT.render(&self.outcomes))
     }
 }
 

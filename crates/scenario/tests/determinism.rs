@@ -9,7 +9,6 @@ use std::path::Path;
 
 use scenario::{AexSpec, ParamGrid, RunPlan, Runner, ScenarioSpec, SeedGrid};
 use sim::{SimDuration, SimTime};
-use trace::{CsvSink, RunSink};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Variant {
@@ -55,12 +54,9 @@ fn cell_rows(plan: &RunPlan<(usize, Variant)>, jobs: usize) -> Vec<Vec<String>> 
 }
 
 fn write_artifacts(dir: &Path, rows: &[Vec<String>]) {
-    let mut csv = CsvSink::create(dir.join("grid.csv"));
-    csv.begin(&["cell", "rep", "variant", "seed", "f_calib_hz", "served", "denied", "drift_ms"]);
-    for row in rows {
-        csv.row(row);
-    }
-    csv.finish().expect("write grid.csv");
+    let headers = ["cell", "rep", "variant", "seed", "f_calib_hz", "served", "denied", "drift_ms"];
+    trace::write_csv(&dir.join("grid.csv"), &headers, rows.iter().cloned())
+        .expect("write grid.csv");
 
     // A second, JSON-shaped artifact exercising a different serialization
     // path (any formatting divergence between runs shows up here too).

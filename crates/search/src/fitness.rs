@@ -3,7 +3,6 @@
 use std::cmp::Ordering;
 
 use runtime::World;
-use trace::DETECTION_GRACE;
 
 use crate::genome::{AdversaryGenome, GenomeSpace};
 
@@ -114,9 +113,7 @@ pub fn score(world: &World, target: FitnessTarget) -> Fitness {
     let detections =
         (0..world.node_count()).map(|i| world.recorder.node(i).detection_count()).sum();
     let value = match target {
-        FitnessTarget::Drift => (0..world.node_count())
-            .map(|i| world.recorder.node(i).max_undetected_drift_ms(DETECTION_GRACE))
-            .fold(0.0f64, f64::max),
+        FitnessTarget::Drift => world.recorder.max_undetected_drift_ms(),
         FitnessTarget::Slo => world.recorder.service.badput() as f64,
     };
     Fitness { detections, value }

@@ -15,11 +15,10 @@
 //!   fills in,
 //! - [`ServiceTrace`]: serving-layer SLO accounting — end-to-end latency
 //!   histogram, goodput/shed/failover grid counters,
-//! - [`RunSink`] and its implementations ([`CsvSink`], [`MarkdownSink`],
-//!   [`TableSink`]): the one row-streaming interface behind every tabular
-//!   artifact,
-//! - rendering: ASCII charts/Gantt diagrams for the terminal and CSV export
-//!   for external plotting.
+//! - [`write_csv`], [`render_markdown`], [`write_text`]: the three
+//!   functions through which every experiment byte reaches disk,
+//! - rendering: ASCII charts/Gantt diagrams and aligned tables for the
+//!   terminal.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,5 +38,5 @@ pub use render::{
 };
 pub use series::TimeSeries;
 pub use service::ServiceTrace;
-pub use sink::{stream_rows, write_csv, CsvSink, MarkdownSink, RunSink, TableSink};
+pub use sink::{render_markdown, write_csv, write_text};
 pub use timeline::{NodeStateTag, Segment, StateTimeline};

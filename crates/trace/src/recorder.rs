@@ -238,6 +238,13 @@ impl Recorder {
     pub fn iter(&self) -> impl Iterator<Item = &NodeTrace> {
         self.nodes.iter()
     }
+
+    /// The worst `|drift|` (ms) across all nodes with no detection event
+    /// within [`DETECTION_GRACE`] of the sample: the E23 search's drift
+    /// fitness and the chaos/quorum "max undetected drift" column.
+    pub fn max_undetected_drift_ms(&self) -> f64 {
+        self.iter().map(|n| n.max_undetected_drift_ms(DETECTION_GRACE)).fold(0.0, f64::max)
+    }
 }
 
 #[cfg(test)]
@@ -307,5 +314,12 @@ mod tests {
         assert_eq!(t.max_undetected_drift_ms(SimDuration::ZERO), 80.0);
         // A huge grace blankets the whole run.
         assert_eq!(t.max_undetected_drift_ms(SimDuration::from_secs(100)), 0.0);
+
+        // The run-level fitness is the worst node at the default grace.
+        let mut r = Recorder::for_nodes(2);
+        assert_eq!(r.max_undetected_drift_ms(), 0.0);
+        *r.node_mut(1) = t;
+        r.node_mut(0).drift_ms.push(SimTime::from_secs(30), -3.0);
+        assert_eq!(r.max_undetected_drift_ms(), 12.5);
     }
 }

@@ -1,30 +1,9 @@
-//! Streaming result sinks: one row-oriented interface behind every
-//! tabular artifact (CSV files, Markdown tables, aligned ASCII tables).
-//!
-//! Experiment reducers push rows as cells complete — in deterministic
-//! merge order — instead of accumulating whole `Recorder`s or formatting
-//! the same table three different ways per figure.
+//! The one module that writes experiment bytes: CSV files, Markdown
+//! tables and rendered text artifacts. (The aligned terminal table is
+//! [`crate::render_table`]; it writes nothing.)
 
 use std::io::Write as _;
 use std::path::Path;
-
-/// A row-oriented consumer of tabular experiment output.
-///
-/// Lifecycle: one [`RunSink::begin`] with the column headers, any number
-/// of [`RunSink::row`] calls, one [`RunSink::finish`]. Implementations
-/// may buffer or stream; `finish` flushes.
-pub trait RunSink {
-    /// Declares the column headers. Must be called exactly once, first.
-    fn begin(&mut self, headers: &[&str]);
-    /// Appends one data row (must match the header arity).
-    fn row(&mut self, cells: &[String]);
-    /// Completes the table, flushing any buffered output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from file-backed sinks.
-    fn finish(&mut self) -> std::io::Result<()>;
-}
 
 fn csv_quote(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
@@ -34,223 +13,102 @@ fn csv_quote(s: &str) -> String {
     }
 }
 
-/// Streams rows into a CSV file (RFC-4180-style quoting), creating parent
-/// directories on demand.
-#[derive(Debug)]
-pub struct CsvSink {
-    path: std::path::PathBuf,
-    writer: Option<std::io::BufWriter<std::fs::File>>,
-    error: Option<std::io::Error>,
+fn csv_line<'a>(cells: impl Iterator<Item = &'a str>) -> String {
+    cells.map(csv_quote).collect::<Vec<_>>().join(",")
 }
 
-impl CsvSink {
-    /// Creates a sink writing to `path`. The file is created lazily at
-    /// [`RunSink::begin`]; errors are deferred to [`RunSink::finish`] so
-    /// the row-pushing hot path stays infallible.
-    pub fn create(path: impl Into<std::path::PathBuf>) -> Self {
-        CsvSink { path: path.into(), writer: None, error: None }
-    }
-
-    fn write_line(&mut self, cells: impl Iterator<Item = String>) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Some(w) = self.writer.as_mut() {
-            let line = cells.collect::<Vec<_>>().join(",");
-            if let Err(e) = writeln!(w, "{line}") {
-                self.error = Some(e);
-            }
-        }
-    }
-}
-
-impl RunSink for CsvSink {
-    fn begin(&mut self, headers: &[&str]) {
-        assert!(self.writer.is_none(), "begin called twice");
-        let open = || -> std::io::Result<std::io::BufWriter<std::fs::File>> {
-            if let Some(parent) = self.path.parent() {
-                std::fs::create_dir_all(parent)?;
-            }
-            Ok(std::io::BufWriter::new(std::fs::File::create(&self.path)?))
-        };
-        match open() {
-            Ok(w) => self.writer = Some(w),
-            Err(e) => self.error = Some(e),
-        }
-        self.write_line(headers.iter().map(|h| csv_quote(h)));
-    }
-
-    fn row(&mut self, cells: &[String]) {
-        self.write_line(cells.iter().map(|c| csv_quote(c)));
-    }
-
-    fn finish(&mut self) -> std::io::Result<()> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        if let Some(mut w) = self.writer.take() {
-            w.flush()?;
-        }
-        Ok(())
-    }
-}
-
-/// Accumulates rows as a GitHub-flavoured Markdown table.
-#[derive(Debug, Default)]
-pub struct MarkdownSink {
-    out: String,
-}
-
-impl MarkdownSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The rendered table (valid after [`RunSink::finish`]).
-    pub fn into_string(self) -> String {
-        self.out
-    }
-}
-
-impl RunSink for MarkdownSink {
-    fn begin(&mut self, headers: &[&str]) {
-        assert!(self.out.is_empty(), "begin called twice");
-        self.out.push_str(&format!("| {} |\n", headers.join(" | ")));
-        self.out.push_str(&format!("|{}\n", "---|".repeat(headers.len())));
-    }
-
-    fn row(&mut self, cells: &[String]) {
-        self.out.push_str(&format!("| {} |\n", cells.join(" | ")));
-    }
-
-    fn finish(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Accumulates rows and renders an aligned plain-text table (the
-/// terminal-report format of [`crate::render_table`]).
-#[derive(Debug, Default)]
-pub struct TableSink {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl TableSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Renders the aligned table (valid after [`RunSink::finish`]).
-    pub fn into_string(self) -> String {
-        let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
-        crate::render_table(&headers, &self.rows)
-    }
-}
-
-impl RunSink for TableSink {
-    fn begin(&mut self, headers: &[&str]) {
-        assert!(self.headers.is_empty(), "begin called twice");
-        self.headers = headers.iter().map(|h| h.to_string()).collect();
-    }
-
-    fn row(&mut self, cells: &[String]) {
-        self.rows.push(cells.to_vec());
-    }
-
-    fn finish(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Streams `rows` under `headers` into `sink` and finishes it.
-///
-/// # Errors
-///
-/// Propagates the sink's I/O errors.
-pub fn stream_rows(
-    sink: &mut dyn RunSink,
-    headers: &[&str],
-    rows: impl IntoIterator<Item = Vec<String>>,
-) -> std::io::Result<()> {
-    sink.begin(headers);
-    for row in rows {
-        sink.row(&row);
-    }
-    sink.finish()
-}
-
-/// Writes `rows` as a CSV file at `path` (convenience wrapper over
-/// [`CsvSink`]; the historical `trace::write_csv` entry point).
+/// Writes `rows` under `headers` as a CSV file at `path` (RFC-4180-style
+/// quoting), creating parent directories on demand.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
+///
+/// # Panics
+///
+/// Panics if any row's length differs from the header's.
 pub fn write_csv(
     path: &Path,
     headers: &[&str],
     rows: impl IntoIterator<Item = Vec<String>>,
 ) -> std::io::Result<()> {
-    let mut sink = CsvSink::create(path);
-    stream_rows(&mut sink, headers, rows)
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+    writeln!(w, "{}", csv_line(headers.iter().copied()))?;
+    for row in rows {
+        assert_eq!(row.len(), headers.len(), "csv row width mismatch in {}", path.display());
+        writeln!(w, "{}", csv_line(row.iter().map(String::as_str)))?;
+    }
+    w.flush()
+}
+
+/// Renders `rows` under `headers` as a GitHub-flavoured Markdown table.
+pub fn render_markdown(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut out = format!("| {} |\n|{}\n", headers.join(" | "), "---|".repeat(headers.len()));
+    for row in rows {
+        out.push_str(&format!("| {} |\n", row.join(" | ")));
+    }
+    out
+}
+
+/// Writes a rendered text artifact `name` under `dir`, creating the
+/// directory on demand.
+///
+/// # Errors
+///
+/// Propagates I/O errors.
+pub fn write_text(dir: &Path, name: &str, content: &str) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    std::fs::write(dir.join(name), content)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn row(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(|c| c.to_string()).collect()
+    }
+
     #[test]
-    fn csv_sink_quotes_and_writes() {
+    fn csv_quotes_and_creates_parent_directories() {
         let dir = std::env::temp_dir().join("trace_sink_test");
         let path = dir.join("nested").join("t.csv");
-        write_csv(
-            &path,
-            &["a", "b"],
-            vec![
-                vec!["1".to_string(), "x,y".to_string()],
-                vec!["2".to_string(), "quo\"te".to_string()],
-            ],
-        )
-        .unwrap();
+        write_csv(&path, &["a", "b"], vec![row(&["1", "x,y"]), row(&["2", "quo\"te"])]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "a,b\n1,\"x,y\"\n2,\"quo\"\"te\"\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn markdown_sink_renders_table() {
-        let mut sink = MarkdownSink::new();
-        stream_rows(&mut sink, &["x", "y"], vec![vec!["1".to_string(), "2".to_string()]]).unwrap();
-        assert_eq!(sink.into_string(), "| x | y |\n|---|---|\n| 1 | 2 |\n");
+    #[should_panic(expected = "csv row width mismatch in")]
+    fn csv_rejects_a_ragged_row() {
+        let dir = std::env::temp_dir().join("trace_sink_ragged_test");
+        let result = std::panic::catch_unwind(|| {
+            write_csv(&dir.join("t.csv"), &["a", "b"], vec![row(&["1"])])
+        });
+        std::fs::remove_dir_all(&dir).ok();
+        std::panic::resume_unwind(result.unwrap_err());
     }
 
     #[test]
-    fn table_sink_aligns() {
-        let mut sink = TableSink::new();
-        stream_rows(
-            &mut sink,
-            &["name", "v"],
-            vec![vec!["long-name".to_string(), "1".to_string()]],
-        )
-        .unwrap();
-        let s = sink.into_string();
-        assert!(s.contains("long-name"));
-        assert!(s.contains("name"));
+    fn markdown_renders_table() {
+        assert_eq!(
+            render_markdown(&["x", "y"], &[row(&["1", "2"])]),
+            "| x | y |\n|---|---|\n| 1 | 2 |\n"
+        );
     }
 
     #[test]
-    fn csv_sink_reports_io_error_at_finish() {
+    fn io_errors_are_returned() {
         // A path under a file (not a directory) cannot be created.
         let dir = std::env::temp_dir().join("trace_sink_err_test");
-        std::fs::create_dir_all(&dir).unwrap();
         let blocker = dir.join("blocker");
-        std::fs::write(&blocker, "x").unwrap();
-        let mut sink = CsvSink::create(blocker.join("t.csv"));
-        sink.begin(&["a"]);
-        sink.row(&["1".to_string()]);
-        assert!(sink.finish().is_err());
+        write_text(&dir, "blocker", "x").unwrap();
+        assert!(write_csv(&blocker.join("t.csv"), &["a"], vec![row(&["1"])]).is_err());
+        assert!(write_text(&blocker, "t.txt", "x").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -60,12 +60,9 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 pub const NON_DETERMINISTIC_CRATES: &[&str] = &["net"];
 
 /// The designated artifact-writing modules, exempt from `ambient-io`:
-/// every byte that leaves a run goes through one of these.
-pub const OUTPUT_MODULES: &[&str] = &[
-    "crates/trace/src/sink.rs",
-    "crates/experiments/src/output.rs",
-    "crates/search/src/corpus.rs",
-];
+/// every experiment byte leaves through `trace::sink`, every reproducer
+/// file through `search::corpus`.
+pub const OUTPUT_MODULES: &[&str] = &["crates/trace/src/sink.rs", "crates/search/src/corpus.rs"];
 
 /// The designated intrinsics module pair, the only files where
 /// `unsafe-intrinsics` hits may be waived: the safe-wrapper/detection

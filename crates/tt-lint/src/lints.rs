@@ -80,8 +80,8 @@ pub const LINTS: &[Lint] = &[
         scope: Scope::DeterministicCrates,
         patterns: &["std::fs", "std::env"],
         message: "ambient filesystem/environment access in a deterministic crate",
-        help: "artifact writing goes through the designated output modules (trace::sink, \
-               experiments::output); nothing else may touch the host environment",
+        help: "artifact writing goes through trace::sink (write_csv, write_text), the one \
+               experiment writer; nothing else may touch the host environment",
     },
     Lint {
         name: "effect-boundary",
