@@ -20,39 +20,101 @@ use sim::{SimDuration, SimTime};
 
 use crate::plan::{FaultAction, FaultEvent, FaultPlan};
 
-/// Splits `key=value`, or errors with the offending token.
-fn kv(token: &str) -> Result<(&str, &str), String> {
-    token.split_once('=').ok_or_else(|| format!("expected key=value, got {token:?}"))
-}
-
-/// A tiny field reader over the `key=value` tail of one encoded action.
-struct Fields<'a> {
+/// The strict reader over the `key=value` tokens of one reproducer-format
+/// line, shared by every keyed decoder of the format ([`FaultAction`],
+/// `scenario::AttackSpec`, `search::{Fitness, GenomeSpace}`). The text
+/// comes from files outside the program, so a token that is not
+/// `key=value`, a key given twice, a missing or unparseable value and —
+/// at [`Fields::finish`] — a key no decoder asked for are all errors.
+#[derive(Debug)]
+pub struct Fields<'a> {
     tokens: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Fields<'a> {
-    fn new(tokens: &'a [&'a str]) -> Result<Self, String> {
-        Ok(Fields { tokens: tokens.iter().map(|t| kv(t)).collect::<Result<_, _>>()? })
+    /// Splits `s` on whitespace into `key=value` tokens.
+    ///
+    /// # Errors
+    ///
+    /// Names the first token without a `=` or the first repeated key.
+    pub fn new(s: &'a str) -> Result<Self, String> {
+        let mut tokens: Vec<(&str, &str)> = Vec::new();
+        for token in s.split_whitespace() {
+            let (key, value) = token
+                .split_once('=')
+                .ok_or_else(|| format!("expected key=value, got {token:?}"))?;
+            if tokens.iter().any(|&(seen, _)| seen == key) {
+                return Err(format!("duplicate field {key:?}"));
+            }
+            tokens.push((key, value));
+        }
+        Ok(Fields { tokens })
     }
 
-    fn raw(&self, key: &str) -> Result<&'a str, String> {
-        self.tokens
+    /// Splits a `keyword key=value ...` line into its keyword (empty for
+    /// a blank line) and the fields after it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fields::new`].
+    pub fn after_keyword(s: &'a str) -> Result<(&'a str, Self), String> {
+        let s = s.trim_start();
+        let (keyword, rest) = s.split_once(char::is_whitespace).unwrap_or((s, ""));
+        Ok((keyword, Fields::new(rest)?))
+    }
+
+    /// Takes `key`'s value as text.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the key is absent.
+    pub fn raw(&mut self, key: &str) -> Result<&'a str, String> {
+        let i = self
+            .tokens
             .iter()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("missing field {key}"))
+            .position(|&(k, _)| k == key)
+            .ok_or_else(|| format!("missing field {key}"))?;
+        Ok(self.tokens.swap_remove(i).1)
     }
 
-    fn parse<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
-        self.raw(key)?.parse().map_err(|_| format!("unparseable field {key}"))
+    /// Takes and parses `key`'s value.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the key is absent or its value does not parse.
+    pub fn parse<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, String> {
+        let value = self.raw(key)?;
+        value.parse().map_err(|_| format!("unparseable field {key}: {value:?}"))
     }
 
-    fn addr(&self, key: &str) -> Result<Addr, String> {
+    /// Takes `key` as a raw [`Addr`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Fields::parse`].
+    pub fn addr(&mut self, key: &str) -> Result<Addr, String> {
         Ok(Addr(self.parse::<u16>(key)?))
     }
 
-    fn duration(&self, key: &str) -> Result<SimDuration, String> {
+    /// Takes `key` as a duration in nanoseconds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fields::parse`].
+    pub fn duration(&mut self, key: &str) -> Result<SimDuration, String> {
         Ok(SimDuration::from_nanos(self.parse::<u64>(key)?))
+    }
+
+    /// Ends the line: every field must have been taken.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field the decoder never asked for.
+    pub fn finish(self) -> Result<(), String> {
+        match self.tokens.first() {
+            None => Ok(()),
+            Some((key, _)) => Err(format!("unknown field {key:?}")),
+        }
     }
 }
 
@@ -99,10 +161,7 @@ impl FaultAction {
     ///
     /// Returns a description of the first malformed token.
     pub fn decode(s: &str) -> Result<FaultAction, String> {
-        let tokens: Vec<&str> = s.split_whitespace().collect();
-        let (&keyword, rest) =
-            tokens.split_first().ok_or_else(|| "empty fault action".to_string())?;
-        let f = Fields::new(rest)?;
+        let (keyword, mut f) = Fields::after_keyword(s)?;
         let action = match keyword {
             "partition-pair" => FaultAction::PartitionPair { a: f.addr("a")?, b: f.addr("b")? },
             "partition-link" => {
@@ -143,6 +202,7 @@ impl FaultAction {
             "stop-lie" => FaultAction::StopLie { node: f.parse("node")? },
             other => return Err(format!("unknown fault action {other:?}")),
         };
+        f.finish()?;
         Ok(action)
     }
 
@@ -325,6 +385,24 @@ mod tests {
         assert!(FaultAction::decode("crash node=banana").is_err());
         assert!(FaultEvent::decode("ta-outage").is_err());
         assert!(FaultPlan::decode("5 ta-outage\nnonsense").is_err());
+        assert!(FaultAction::decode("").is_err());
+    }
+
+    #[test]
+    fn fields_are_strict_about_unknown_and_repeated_keys() {
+        assert!(FaultAction::decode("crash node=1").is_ok());
+        assert!(FaultAction::decode("crash node=1 bogus=2").is_err());
+        assert!(FaultAction::decode("crash node=1 node=2").is_err());
+        assert!(FaultAction::decode("ta-outage node=1").is_err());
+        assert!(FaultEvent::decode("5 partition-pair a=1 b=0 a=1").is_err());
+
+        let mut f = Fields::new("b=2  a=1").expect("two fields, any order");
+        assert_eq!((f.parse::<u8>("a"), f.raw("b")), (Ok(1), Ok("2")));
+        assert!(f.raw("a").is_err(), "a field is taken once");
+        assert_eq!(f.finish(), Ok(()));
+        let (keyword, f) = Fields::after_keyword("  crash\tnode=1").expect("keyword + field");
+        assert_eq!((keyword, f.finish()), ("crash", Err("unknown field \"node\"".to_string())));
+        assert!(Fields::new("a").is_err() && Fields::new("a=1 a=1").is_err());
     }
 
     #[test]

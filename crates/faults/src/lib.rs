@@ -21,5 +21,6 @@ mod codec;
 mod driver;
 mod plan;
 
+pub use codec::Fields;
 pub use driver::FaultDriver;
 pub use plan::{FaultAction, FaultEvent, FaultPlan, RandomFaultConfig};

@@ -53,7 +53,7 @@ pub struct ClusterBuilder {
     extra_actors: Vec<Box<dyn Actor<World, SysEvent>>>,
     node_factory: Option<NodeFactory>,
     hosts: Option<Vec<Host>>,
-    clients: Vec<(usize, SimDuration, ClientMode, bool)>,
+    clients: Vec<(usize, SimDuration, ClientMode)>,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -148,10 +148,8 @@ impl ClusterBuilder {
     /// # Panics
     ///
     /// Panics if `target` is out of range.
-    pub fn client(mut self, target: usize, period: SimDuration) -> Self {
-        assert!(target < self.n, "client target {target} out of range");
-        self.clients.push((target, period, ClientMode::Timestamp, false));
-        self
+    pub fn client(self, target: usize, period: SimDuration) -> Self {
+        self.client_with(target, period, ClientMode::Timestamp)
     }
 
     /// Like [`ClusterBuilder::client`], but the workload uses the
@@ -162,28 +160,18 @@ impl ClusterBuilder {
     /// # Panics
     ///
     /// Panics if `target` is out of range.
-    pub fn reading_client(mut self, target: usize, period: SimDuration) -> Self {
-        assert!(target < self.n, "client target {target} out of range");
-        self.clients.push((target, period, ClientMode::Reading, false));
-        self
+    pub fn reading_client(self, target: usize, period: SimDuration) -> Self {
+        self.client_with(target, period, ClientMode::Reading)
     }
 
-    /// Attaches a client workload with an explicit [`ClientMode`] and,
-    /// when `jitter` is set, a seeded start-phase offset so co-located
-    /// fixed-period clients don't fire in lockstep at `t = k·period`.
+    /// Attaches a client workload with an explicit [`ClientMode`].
     ///
     /// # Panics
     ///
     /// Panics if `target` is out of range.
-    pub fn client_with(
-        mut self,
-        target: usize,
-        period: SimDuration,
-        mode: ClientMode,
-        jitter: bool,
-    ) -> Self {
+    pub fn client_with(mut self, target: usize, period: SimDuration, mode: ClientMode) -> Self {
         assert!(target < self.n, "client target {target} out of range");
-        self.clients.push((target, period, mode, jitter));
+        self.clients.push((target, period, mode));
         self
     }
 
@@ -256,7 +244,7 @@ impl ClusterBuilder {
         simulation.add_actor(Box::new(EnvDriver::new(node_ids.clone(), per_node_aex, machine_aex)));
         simulation.add_actor(Box::new(Sampler { interval: sample_interval }));
         let mut client_regs = Vec::new();
-        for (i, &(target, period, mode, jitter)) in clients.iter().enumerate() {
+        for (i, &(target, period, mode)) in clients.iter().enumerate() {
             let client_addr = Addr(1000 + u16::try_from(i).expect("client count fits u16"));
             let target_addr = World::node_addr(target);
             let key = {
@@ -267,10 +255,7 @@ impl ClusterBuilder {
                 key
             };
             simulation.world_mut().keys.provision_pair(client_addr, target_addr, key);
-            let mut workload = ClientWorkload::with_mode(client_addr, target_addr, period, mode);
-            if jitter {
-                workload = workload.with_start_jitter();
-            }
+            let workload = ClientWorkload::with_mode(client_addr, target_addr, period, mode);
             let id = simulation.add_actor(Box::new(workload));
             client_regs.push((client_addr, id));
         }

@@ -7,23 +7,14 @@
 //! scheduling-latency effect the simulated TA has to synthesize.
 
 use std::collections::HashMap;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, UdpSocket};
-use std::time::Duration;
 
 use netsim::Addr;
-use proto::TA_ADDR;
-use runtime::KeyTable;
 use wire::Message;
 
 use crate::board::Boards;
 use crate::clock::MonoClock;
-use crate::frame::{frame_into, parse_frame};
+use crate::endpoint::{Endpoint, Recv, MAX_IDLE_NS, MIN_WAIT_NS};
 use crate::timers::TimerQueue;
-
-/// Wait clamp while no hold deadline is imminent.
-const MIN_WAIT_NS: u64 = 50_000;
-const MAX_IDLE_NS: u64 = 2_000_000;
 
 /// Blocking-recv timeouts round up to kernel tick granularity (several
 /// milliseconds on a coarse-HZ host), which would bias every hold long
@@ -48,11 +39,9 @@ struct Hold {
     slept_ns: u64,
 }
 
-/// Serves calibration requests on `socket` until shutdown is requested.
-pub fn run_authority(
-    socket: UdpSocket,
-    mut keys: KeyTable,
-    directory: &HashMap<Addr, SocketAddr>,
+/// Serves calibration requests on `endpoint` until shutdown is requested.
+pub(crate) fn run_authority(
+    mut endpoint: Endpoint,
     boards: &Boards,
     clock: MonoClock,
 ) -> AuthorityReport {
@@ -60,15 +49,11 @@ pub fn run_authority(
     let mut holds: HashMap<u64, Hold> = HashMap::new();
     let mut timers = TimerQueue::new();
     let mut next_token = 0u64;
-    let mut plain = Vec::new();
-    let mut wire_buf = Vec::new();
-    let mut open_buf = Vec::new();
-    let mut buf = [0u8; 2048];
 
     loop {
         while let Some(token) = timers.pop_due(clock.now_ns()) {
             if let Some(hold) = holds.remove(&token) {
-                respond(&mut keys, directory, &socket, clock, hold, &mut plain, &mut wire_buf);
+                respond(&mut endpoint, clock, hold);
                 report.responses += 1;
             }
         }
@@ -87,55 +72,33 @@ pub fn run_authority(
             continue;
         }
         let wait = remaining.clamp(MIN_WAIT_NS, MAX_IDLE_NS);
-        socket.set_read_timeout(Some(Duration::from_nanos(wait))).expect("nonzero read timeout");
-        match socket.recv_from(&mut buf) {
-            Ok((n, _)) => {
-                let Some((src, sealed)) = parse_frame(&buf[..n]) else { continue };
-                open_buf.clear();
-                if keys.open_into(TA_ADDR, src, sealed, &mut open_buf).is_err() {
-                    continue;
-                }
-                let Ok(Message::CalibrationRequest { nonce, sleep_ns }) =
-                    Message::decode(&open_buf)
-                else {
-                    continue;
-                };
-                report.requests += 1;
-                let hold = Hold { reply_to: src, nonce, slept_ns: sleep_ns };
-                if sleep_ns == 0 {
-                    // Immediate exchange: the recv wakeup latency already
-                    // happened, answer in-line.
-                    respond(&mut keys, directory, &socket, clock, hold, &mut plain, &mut wire_buf);
-                    report.responses += 1;
-                } else {
-                    let token = next_token;
-                    next_token += 1;
-                    holds.insert(token, hold);
-                    timers.arm(token, clock.now_ns().saturating_add(sleep_ns));
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => {}
+        let Recv::Message { src, msg: Message::CalibrationRequest { nonce, sleep_ns } } =
+            endpoint.recv(wait)
+        else {
+            continue;
+        };
+        report.requests += 1;
+        let hold = Hold { reply_to: src, nonce, slept_ns: sleep_ns };
+        if sleep_ns == 0 {
+            // Immediate exchange: the recv wakeup latency already
+            // happened, answer in-line.
+            respond(&mut endpoint, clock, hold);
+            report.responses += 1;
+        } else {
+            let token = next_token;
+            next_token += 1;
+            holds.insert(token, hold);
+            timers.arm(token, clock.now_ns().saturating_add(sleep_ns));
         }
     }
     report
 }
 
-fn respond(
-    keys: &mut KeyTable,
-    directory: &HashMap<Addr, SocketAddr>,
-    socket: &UdpSocket,
-    clock: MonoClock,
-    hold: Hold,
-    plain: &mut Vec<u8>,
-    wire_buf: &mut Vec<u8>,
-) {
-    let Some(&target) = directory.get(&hold.reply_to) else { return };
+fn respond(endpoint: &mut Endpoint, clock: MonoClock, hold: Hold) {
     let msg = Message::CalibrationResponse {
         nonce: hold.nonce,
         ta_time_ns: clock.now_ns(),
         slept_ns: hold.slept_ns,
     };
-    frame_into(keys, TA_ADDR, hold.reply_to, &msg, plain, wire_buf);
-    let _ = socket.send_to(wire_buf, target);
+    endpoint.send(hold.reply_to, &msg);
 }

@@ -10,11 +10,12 @@
 //! driver fills in.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::UdpSocket;
+use std::sync::Arc;
 use std::time::Duration;
 
 use netsim::Addr;
-use proto::{node_addr, ClockState, NonceWindow, RetryPolicy, TA_ADDR};
+use proto::{node_addr, ClockState, Machine, NonceWindow, RetryPolicy, TA_ADDR};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use runtime::KeyTable;
@@ -30,7 +31,7 @@ use crate::authority::{run_authority, AuthorityReport};
 use crate::board::Boards;
 use crate::clock::{MonoClock, SyntheticInc, SyntheticTsc};
 use crate::driver::{run_machine, DriverConfig};
-use crate::frame::{frame_into, parse_frame};
+use crate::endpoint::{Endpoint, Recv};
 
 /// Address of external blocking client `c` (matches the simulated layout).
 pub fn client_addr(c: usize) -> Addr {
@@ -137,11 +138,6 @@ impl LiveHandle<'_> {
         &self.frontends
     }
 
-    /// Node `i`'s currently published clock parameters.
-    pub fn published_clock(&self, i: usize) -> ClockState {
-        self.boards.clock(i)
-    }
-
     /// Node `i`'s currently published protocol state.
     pub fn node_state(&self, i: usize) -> Option<NodeStateTag> {
         self.boards.state(i)
@@ -158,18 +154,12 @@ impl LiveHandle<'_> {
 /// ([`NonceWindow`]) and backoff ([`RetryPolicy`]) types.
 #[derive(Debug)]
 pub struct LiveClient {
-    me: Addr,
-    socket: UdpSocket,
-    keys: KeyTable,
+    endpoint: Endpoint,
     clock: MonoClock,
     window: NonceWindow,
     retry: RetryPolicy,
     rng: StdRng,
     next_nonce: u64,
-    plain: Vec<u8>,
-    wire_buf: Vec<u8>,
-    open_buf: Vec<u8>,
-    directory: HashMap<Addr, SocketAddr>,
 }
 
 impl LiveClient {
@@ -181,10 +171,11 @@ impl LiveClient {
         let nonce = self.next_nonce;
         self.next_nonce += 1;
         self.window.insert(nonce);
-        let target = *self.directory.get(&frontend)?;
+        if !self.endpoint.knows(frontend) {
+            return None;
+        }
         let msg = Message::ServeRequest { nonce, accept_degraded: true };
         let started = self.clock.now_ns();
-        let mut buf = [0u8; 2048];
         for attempt in 0..attempts.max(1) {
             if attempt > 0 {
                 // Losses are real here: back off with the shared policy
@@ -196,15 +187,7 @@ impl LiveClient {
                 );
                 std::thread::sleep(Duration::from_nanos(pause.as_nanos()));
             }
-            frame_into(
-                &mut self.keys,
-                self.me,
-                frontend,
-                &msg,
-                &mut self.plain,
-                &mut self.wire_buf,
-            );
-            if self.socket.send_to(&self.wire_buf, target).is_err() {
+            if !self.endpoint.send(frontend, &msg) {
                 continue;
             }
             let deadline = self.clock.now_ns() + per_attempt.as_nanos() as u64;
@@ -213,19 +196,13 @@ impl LiveClient {
                 if left == 0 {
                     break;
                 }
-                self.socket
-                    .set_read_timeout(Some(Duration::from_nanos(left.max(50_000))))
-                    .expect("nonzero read timeout");
-                let Ok((n, _)) = self.socket.recv_from(&mut buf) else { break };
-                let Some((src, sealed)) = parse_frame(&buf[..n]) else { continue };
-                self.open_buf.clear();
-                if self.keys.open_into(self.me, src, sealed, &mut self.open_buf).is_err() {
-                    continue;
-                }
-                let Ok(Message::ServeResponse { nonce: answered, outcome }) =
-                    Message::decode(&self.open_buf)
-                else {
-                    continue;
+                let (answered, outcome) = match self.endpoint.recv(left) {
+                    Recv::Message {
+                        msg: Message::ServeResponse { nonce: answered, outcome },
+                        ..
+                    } => (answered, outcome),
+                    Recv::Idle => break,
+                    _ => continue,
                 };
                 if !self.window.take(answered) {
                     continue; // duplicate, stale straggler, or never issued
@@ -267,20 +244,6 @@ fn thread_rng_for(seed: u64, addr: Addr) -> StdRng {
     )
 }
 
-fn keys_for(seed: u64, me: Addr, peers: &[Addr]) -> KeyTable {
-    let mut keys = KeyTable::new();
-    for &p in peers {
-        keys.provision_pair(me, p, pair_key(seed, me, p));
-    }
-    keys
-}
-
-fn bind_endpoint(directory: &mut HashMap<Addr, SocketAddr>, addr: Addr) -> UdpSocket {
-    let socket = UdpSocket::bind("127.0.0.1:0").expect("bind loopback socket");
-    directory.insert(addr, socket.local_addr().expect("bound socket has an address"));
-    socket
-}
-
 /// Stands up the cluster described by `spec`, runs `body` on the calling
 /// thread while it is live, then shuts every driver down and collects
 /// their traces. Returns the report alongside the body's own result.
@@ -296,32 +259,47 @@ pub fn run_cluster<R>(
         SyntheticInc::new(spec.inc_rate_hz, spec.inc_jitter_ppm),
     );
 
-    let node_addrs: Vec<Addr> = (0..n).map(node_addr).collect();
+    let node_addrs: Vec<Addr> =
+        if spec.precalibrated { Vec::new() } else { (0..n).map(node_addr).collect() };
     let frontend_addrs: Vec<Addr> = (0..n).map(frontend_addr).collect();
-    let mut generators: Vec<Addr> = Vec::new();
-    if spec.open_loop.is_some() {
-        generators.push(generator_addr(generators.len()));
+    let mut generators: Vec<Box<dyn Machine + Send>> = Vec::new();
+    if let Some(open) = spec.open_loop {
+        let me = generator_addr(generators.len());
+        generators.push(Box::new(OpenLoopGen::new(me, frontend_addrs.clone(), open, spec.router)));
     }
-    if spec.quorum_loop.is_some() {
-        generators.push(generator_addr(generators.len()));
+    if let Some(quorum) = spec.quorum_loop {
+        let me = generator_addr(generators.len());
+        generators.push(Box::new(QuorumGen::new(me, frontend_addrs.clone(), quorum)));
     }
+    let generator_addrs: Vec<Addr> = generators.iter().map(|g| g.addr()).collect();
     let client_addrs: Vec<Addr> = (0..spec.external_clients).map(client_addr).collect();
 
     // Bind every endpoint before spawning anything: the directory must be
     // complete (and immutable) when the first datagram flies.
-    let mut directory = HashMap::new();
-    let ta_socket = (!spec.precalibrated).then(|| bind_endpoint(&mut directory, TA_ADDR));
-    let node_sockets: Vec<UdpSocket> = if spec.precalibrated {
-        Vec::new()
-    } else {
-        node_addrs.iter().map(|&a| bind_endpoint(&mut directory, a)).collect()
+    let mut sockets: HashMap<Addr, UdpSocket> = (!spec.precalibrated)
+        .then_some(TA_ADDR)
+        .into_iter()
+        .chain(node_addrs.iter().copied())
+        .chain(frontend_addrs.iter().copied())
+        .chain(generator_addrs.iter().copied())
+        .chain(client_addrs.iter().copied())
+        .map(|a| (a, UdpSocket::bind("127.0.0.1:0").expect("bind loopback socket")))
+        .collect();
+    let directory = Arc::new(
+        sockets
+            .iter()
+            .map(|(&a, socket)| (a, socket.local_addr().expect("bound socket has an address")))
+            .collect::<HashMap<_, _>>(),
+    );
+    // `me`'s endpoint, carrying the pairwise keys for exactly `peers`.
+    let mut endpoint = |me: Addr, peers: &[Addr]| {
+        let socket = sockets.remove(&me).expect("every address was bound above");
+        let mut keys = KeyTable::new();
+        for &p in peers {
+            keys.provision_pair(me, p, pair_key(spec.seed, me, p));
+        }
+        Endpoint::new(me, socket, keys, Arc::clone(&directory))
     };
-    let frontend_sockets: Vec<UdpSocket> =
-        frontend_addrs.iter().map(|&a| bind_endpoint(&mut directory, a)).collect();
-    let generator_sockets: Vec<UdpSocket> =
-        generators.iter().map(|&a| bind_endpoint(&mut directory, a)).collect();
-    let client_sockets: Vec<UdpSocket> =
-        client_addrs.iter().map(|&a| bind_endpoint(&mut directory, a)).collect();
 
     if spec.precalibrated {
         // No protocol threads: anchor every node's clock at the shared
@@ -345,106 +323,59 @@ pub fn run_cluster<R>(
     // Who talks to whom (and therefore which pairwise keys each endpoint
     // carries): nodes ↔ TA, nodes ↔ nodes, front-ends ↔ generators and
     // external clients.
-    let frontend_peers: Vec<Addr> = generators.iter().chain(client_addrs.iter()).copied().collect();
+    let frontend_peers: Vec<Addr> =
+        generator_addrs.iter().chain(client_addrs.iter()).copied().collect();
 
     let clients: Vec<LiveClient> = client_addrs
         .iter()
-        .zip(client_sockets)
-        .map(|(&me, socket)| LiveClient {
-            me,
-            socket,
-            keys: keys_for(spec.seed, me, &frontend_addrs),
+        .map(|&me| LiveClient {
+            endpoint: endpoint(me, &frontend_addrs),
             clock,
             window: NonceWindow::new(64),
             retry: RetryPolicy::hardened(),
             rng: thread_rng_for(spec.seed, me),
             next_nonce: 1,
-            plain: Vec::new(),
-            wire_buf: Vec::new(),
-            open_buf: Vec::new(),
-            directory: directory.clone(),
         })
         .collect();
 
     let scope_result = crossbeam::thread::scope(|s| {
-        let ta_handle = ta_socket.map(|socket| {
-            let keys = keys_for(spec.seed, TA_ADDR, &node_addrs);
-            let (directory, boards) = (&directory, &boards);
-            s.spawn(move |_| run_authority(socket, keys, directory, boards, clock))
+        let boards = &boards;
+        let ta_handle = (!spec.precalibrated).then(|| {
+            let endpoint = endpoint(TA_ADDR, &node_addrs);
+            s.spawn(move |_| run_authority(endpoint, boards, clock))
         });
 
-        let node_handles: Vec<_> = node_sockets
-            .into_iter()
-            .enumerate()
-            .map(|(i, socket)| {
-                let me = node_addrs[i];
+        // One driver thread per machine; only protocol nodes publish state.
+        let mut spawn = |machine: Box<dyn Machine + Send>, peers: &[Addr], publishes_state| {
+            let me = machine.addr();
+            let cfg = DriverConfig {
+                endpoint: endpoint(me, peers),
+                rng: thread_rng_for(spec.seed, me),
+                publishes_state,
+            };
+            s.spawn(move |_| run_machine(machine, cfg, boards, clock))
+        };
+
+        let node_handles: Vec<_> = node_addrs
+            .iter()
+            .map(|&me| {
                 let peers: Vec<Addr> = node_addrs.iter().copied().filter(|&p| p != me).collect();
                 let mut key_peers = peers.clone();
                 key_peers.push(TA_ADDR);
-                let cfg = DriverConfig {
-                    socket,
-                    keys: keys_for(spec.seed, me, &key_peers),
-                    rng: thread_rng_for(spec.seed, me),
-                    publishes_state: true,
-                };
-                let machine = Box::new(TriadNode::new(me, peers, spec.node_cfg.clone()));
-                let (directory, boards) = (&directory, &boards);
-                s.spawn(move |_| run_machine(machine, cfg, directory, boards, clock))
+                spawn(Box::new(TriadNode::new(me, peers, spec.node_cfg.clone())), &key_peers, true)
             })
             .collect();
-
-        let frontend_handles: Vec<_> = frontend_sockets
-            .into_iter()
+        let frontend_handles: Vec<_> = frontend_addrs
+            .iter()
             .enumerate()
-            .map(|(i, socket)| {
-                let me = frontend_addrs[i];
-                let cfg = DriverConfig {
-                    socket,
-                    keys: keys_for(spec.seed, me, &frontend_peers),
-                    rng: thread_rng_for(spec.seed, me),
-                    publishes_state: false,
-                };
-                let machine = Box::new(Frontend::new(me, i, spec.frontend));
-                let (directory, boards) = (&directory, &boards);
-                s.spawn(move |_| run_machine(machine, cfg, directory, boards, clock))
+            .map(|(i, &me)| {
+                spawn(Box::new(Frontend::new(me, i, spec.frontend)), &frontend_peers, false)
             })
             .collect();
+        let generator_handles: Vec<_> =
+            generators.into_iter().map(|g| spawn(g, &frontend_addrs, false)).collect();
 
-        let mut generator_sockets = generator_sockets.into_iter();
-        let mut generator_handles = Vec::new();
-        let mut next_gen = 0usize;
-        if let Some(open) = spec.open_loop {
-            let me = generators[next_gen];
-            next_gen += 1;
-            let socket = generator_sockets.next().expect("socket per generator");
-            let cfg = DriverConfig {
-                socket,
-                keys: keys_for(spec.seed, me, &frontend_addrs),
-                rng: thread_rng_for(spec.seed, me),
-                publishes_state: false,
-            };
-            let machine = Box::new(OpenLoopGen::new(me, frontend_addrs.clone(), open, spec.router));
-            let (directory, boards) = (&directory, &boards);
-            generator_handles
-                .push(s.spawn(move |_| run_machine(machine, cfg, directory, boards, clock)));
-        }
-        if let Some(quorum) = spec.quorum_loop {
-            let me = generators[next_gen];
-            let socket = generator_sockets.next().expect("socket per generator");
-            let cfg = DriverConfig {
-                socket,
-                keys: keys_for(spec.seed, me, &frontend_addrs),
-                rng: thread_rng_for(spec.seed, me),
-                publishes_state: false,
-            };
-            let machine = Box::new(QuorumGen::new(me, frontend_addrs.clone(), quorum));
-            let (directory, boards) = (&directory, &boards);
-            generator_handles
-                .push(s.spawn(move |_| run_machine(machine, cfg, directory, boards, clock)));
-        }
-
-        let mut handle =
-            LiveHandle { clock, boards: &boards, frontends: frontend_addrs.clone(), clients };
+        let mut handle = LiveHandle { clock, boards, frontends: frontend_addrs.clone(), clients };
         let body_result = body(&mut handle);
         boards.request_shutdown();
 

@@ -1,16 +1,11 @@
 //! The live UDP driver for [`proto::Machine`] state machines.
 //!
-//! One driver per machine, one thread per driver: the loop multiplexes a
-//! `std::net::UdpSocket` (sealed datagrams in the [`crate::frame`]
-//! format) with a monotonic-deadline [`TimerQueue`], translating both
-//! into [`proto::Input`]s. Every [`proto::Env`] effect is interpreted
+//! One driver per machine, one thread per driver: the loop multiplexes
+//! an [`Endpoint`] (sealed datagrams in the [`crate::frame`] format) with
+//! a monotonic-deadline [`TimerQueue`], translating both into
+//! [`proto::Input`]s. Every [`proto::Env`] effect is interpreted
 //! inline in emission order, exactly like the simulation adapter — the
 //! machine cannot tell which driver it is riding.
-
-use std::collections::HashMap;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, UdpSocket};
-use std::time::Duration;
 
 use netsim::Addr;
 use proto::{ClockState, Env, Input, Lie, Machine, AEX_RESUME_TOKEN};
@@ -21,213 +16,96 @@ use wire::Message;
 
 use crate::board::Boards;
 use crate::clock::MonoClock;
-use crate::frame::{frame_into, parse_frame};
+use crate::endpoint::{Dropped, Endpoint, Recv, MAX_IDLE_NS, MIN_WAIT_NS};
 use crate::timers::TimerQueue;
-use runtime::KeyTable;
-
-/// Shortest socket wait (keeps timer precision ~tens of µs).
-const MIN_WAIT_NS: u64 = 50_000;
-/// Longest socket wait (bounds shutdown latency).
-const MAX_IDLE_NS: u64 = 2_000_000;
 
 /// Everything one live driver thread owns.
-pub struct DriverConfig {
-    /// The machine's bound socket (its directory entry).
-    pub socket: UdpSocket,
-    /// This endpoint's provisioned AEAD sessions.
-    pub keys: KeyTable,
+pub(crate) struct DriverConfig {
+    /// The machine's bound address.
+    pub(crate) endpoint: Endpoint,
     /// The machine's seeded randomness stream.
-    pub rng: StdRng,
+    pub(crate) rng: StdRng,
     /// Whether this machine's recorder is the authority for its node's
     /// protocol state (true for protocol nodes, false for front-ends and
     /// generators, which only *read* the state board).
-    pub publishes_state: bool,
+    pub(crate) publishes_state: bool,
 }
 
 /// Runs `machine` against real sockets and wall-clock timers until the
 /// boards request shutdown. Returns the thread's [`Recorder`] — the same
 /// traces the simulation driver would have produced into the `World`.
-pub fn run_machine(
+pub(crate) fn run_machine(
     mut machine: Box<dyn Machine + Send>,
     cfg: DriverConfig,
-    directory: &HashMap<Addr, SocketAddr>,
     boards: &Boards,
     clock: MonoClock,
 ) -> Recorder {
-    let DriverConfig { socket, mut keys, mut rng, publishes_state } = cfg;
-    let me = machine.addr();
-    let node_index = machine.node_index();
-    let mut timers = TimerQueue::new();
-    let mut recorder = Recorder::for_nodes(boards.nodes());
-    let mut plain = Vec::new();
-    let mut wire_buf = Vec::new();
-    let mut open_buf = Vec::new();
-    let mut buf = [0u8; 2048];
-
-    {
-        let mut env = LiveEnv {
-            me,
-            node_index,
-            clock,
-            boards,
-            directory,
-            socket: &socket,
-            keys: &mut keys,
-            timers: &mut timers,
-            rng: &mut rng,
-            recorder: &mut recorder,
-            plain: &mut plain,
-            wire_buf: &mut wire_buf,
-        };
-        machine.on_start(&mut env);
-    }
-    sync_state(publishes_state, node_index, &recorder, boards, &clock);
+    let mut env = LiveEnv {
+        node_index: machine.node_index(),
+        publishes_state: cfg.publishes_state,
+        clock,
+        boards,
+        endpoint: cfg.endpoint,
+        timers: TimerQueue::new(),
+        rng: cfg.rng,
+        recorder: Recorder::for_nodes(boards.nodes()),
+    };
+    machine.on_start(&mut env);
+    env.sync_state();
 
     loop {
         // Fire everything due before blocking on the socket again.
-        while let Some(token) = timers.pop_due(clock.now_ns()) {
+        while let Some(token) = env.timers.pop_due(clock.now_ns()) {
             let input =
                 if token == AEX_RESUME_TOKEN { Input::AexResume } else { Input::Timer { token } };
-            step(
-                machine.as_mut(),
-                input,
-                me,
-                node_index,
-                clock,
-                boards,
-                directory,
-                &socket,
-                &mut keys,
-                &mut timers,
-                &mut rng,
-                &mut recorder,
-                &mut plain,
-                &mut wire_buf,
-            );
-            sync_state(publishes_state, node_index, &recorder, boards, &clock);
+            machine.on_input(&mut env, input);
+            env.sync_state();
         }
         if boards.shutting_down() {
             break;
         }
-        let wait = timers
+        let wait = env
+            .timers
             .next_deadline()
             .map(|d| d.saturating_sub(clock.now_ns()))
             .unwrap_or(MAX_IDLE_NS)
             .clamp(MIN_WAIT_NS, MAX_IDLE_NS);
-        // tt-lint: allow(panic-surface) — not the decode path: `wait` is
-        // clamped to MIN_WAIT_NS above, so the only failure is a dead fd,
-        // which no amount of network input can cause.
-        socket.set_read_timeout(Some(Duration::from_nanos(wait))).expect("nonzero read timeout");
-        match socket.recv_from(&mut buf) {
-            Ok((n, _)) => {
-                if machine.crashed() {
-                    continue; // a downed platform does not even open seals
-                }
-                // Every pre-machine drop is typed and counted, mirroring
-                // the simulation's open_delivery accounting.
-                let Some((src, sealed)) = parse_frame(&buf[..n]) else {
-                    recorder.service.drops_frame.increment(clock.now());
-                    continue;
-                };
-                open_buf.clear();
-                if keys.open_into(me, src, sealed, &mut open_buf).is_err() {
-                    recorder.service.drops_auth.increment(clock.now());
-                    continue; // forged, tampered, or misrouted datagram
-                }
-                let Ok(msg) = Message::decode(&open_buf) else {
-                    recorder.service.drops_decode.increment(clock.now());
-                    continue;
-                };
-                step(
-                    machine.as_mut(),
-                    Input::Message { src, msg },
-                    me,
-                    node_index,
-                    clock,
-                    boards,
-                    directory,
-                    &socket,
-                    &mut keys,
-                    &mut timers,
-                    &mut rng,
-                    &mut recorder,
-                    &mut plain,
-                    &mut wire_buf,
-                );
-                sync_state(publishes_state, node_index, &recorder, boards, &clock);
+        let received = env.endpoint.recv(wait);
+        if machine.crashed() {
+            continue; // a downed platform hears nothing, not even a drop
+        }
+        match received {
+            Recv::Message { src, msg } => {
+                machine.on_input(&mut env, Input::Message { src, msg });
+                env.sync_state();
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => {} // transient socket error: UDP semantics, drop and go on
+            // Every pre-machine drop is typed and counted, mirroring the
+            // simulation's open_delivery accounting.
+            Recv::Dropped(kind) => {
+                let drops = &mut env.recorder.service;
+                match kind {
+                    Dropped::Frame => drops.drops_frame.increment(clock.now()),
+                    Dropped::Auth => drops.drops_auth.increment(clock.now()),
+                    Dropped::Decode => drops.drops_decode.increment(clock.now()),
+                }
+            }
+            Recv::Idle => {}
         }
     }
-    recorder
+    env.recorder
 }
 
-#[allow(clippy::too_many_arguments)]
-fn step(
-    machine: &mut dyn Machine,
-    input: Input,
-    me: Addr,
-    node_index: Option<usize>,
-    clock: MonoClock,
-    boards: &Boards,
-    directory: &HashMap<Addr, SocketAddr>,
-    socket: &UdpSocket,
-    keys: &mut KeyTable,
-    timers: &mut TimerQueue,
-    rng: &mut StdRng,
-    recorder: &mut Recorder,
-    plain: &mut Vec<u8>,
-    wire_buf: &mut Vec<u8>,
-) {
-    let mut env = LiveEnv {
-        me,
-        node_index,
-        clock,
-        boards,
-        directory,
-        socket,
-        keys,
-        timers,
-        rng,
-        recorder,
-        plain,
-        wire_buf,
-    };
-    machine.on_input(&mut env, input);
-}
-
-/// Protocol nodes publish their recorder's state timeline to the shared
-/// board after every step, so co-located front-ends (separate threads,
-/// separate recorders) observe it through [`proto::Env::node_state`].
-fn sync_state(
-    publishes: bool,
-    node_index: Option<usize>,
-    recorder: &Recorder,
-    boards: &Boards,
-    clock: &MonoClock,
-) {
-    if publishes {
-        if let Some(i) = node_index {
-            boards.publish_state(i, recorder.node(i).states.state_at(clock.now()));
-        }
-    }
-}
-
-/// The live [`Env`]: wall clock, real sockets, shared boards.
+/// The live [`Env`]: wall clock, real sockets, shared boards. One value
+/// per driver thread, alive for the whole loop.
 struct LiveEnv<'a> {
-    me: Addr,
     node_index: Option<usize>,
+    publishes_state: bool,
     clock: MonoClock,
     boards: &'a Boards,
-    directory: &'a HashMap<Addr, SocketAddr>,
-    socket: &'a UdpSocket,
-    keys: &'a mut KeyTable,
-    timers: &'a mut TimerQueue,
-    rng: &'a mut StdRng,
-    recorder: &'a mut Recorder,
-    plain: &'a mut Vec<u8>,
-    wire_buf: &'a mut Vec<u8>,
+    endpoint: Endpoint,
+    timers: TimerQueue,
+    rng: StdRng,
+    recorder: Recorder,
 }
 
 impl LiveEnv<'_> {
@@ -237,6 +115,19 @@ impl LiveEnv<'_> {
         // error, never reachable from network input (mirrors SimEnv).
         self.node_index.expect("machine has no co-located node for this capability")
     }
+
+    /// Protocol nodes publish their recorder's state timeline to the
+    /// shared board after every step, so co-located front-ends (separate
+    /// threads, separate recorders) observe it through
+    /// [`proto::Env::node_state`].
+    fn sync_state(&self) {
+        if self.publishes_state {
+            if let Some(i) = self.node_index {
+                let state = self.recorder.node(i).states.state_at(self.clock.now());
+                self.boards.publish_state(i, state);
+            }
+        }
+    }
 }
 
 impl Env for LiveEnv<'_> {
@@ -245,18 +136,11 @@ impl Env for LiveEnv<'_> {
     }
 
     fn rng(&mut self) -> &mut StdRng {
-        self.rng
+        &mut self.rng
     }
 
     fn send(&mut self, dst: Addr, msg: &Message) -> bool {
-        if !self.keys.has_session(self.me, dst) {
-            return false;
-        }
-        let Some(&target) = self.directory.get(&dst) else {
-            return false;
-        };
-        frame_into(self.keys, self.me, dst, msg, self.plain, self.wire_buf);
-        self.socket.send_to(self.wire_buf, target).is_ok()
+        self.endpoint.send(dst, msg)
     }
 
     fn set_timer(&mut self, token: u64, after: SimDuration) {
@@ -272,7 +156,7 @@ impl Env for LiveEnv<'_> {
     }
 
     fn sample_inc(&mut self, wall: SimDuration) -> u64 {
-        self.boards.inc().sample(wall, self.rng)
+        self.boards.inc().sample(wall, &mut self.rng)
     }
 
     fn publish_clock(&mut self, clock: ClockState) {
@@ -293,7 +177,7 @@ impl Env for LiveEnv<'_> {
     }
 
     fn recorder(&mut self) -> &mut Recorder {
-        self.recorder
+        &mut self.recorder
     }
 }
 
@@ -301,7 +185,9 @@ impl Env for LiveEnv<'_> {
 mod tests {
     use super::*;
     use crate::clock::{SyntheticInc, SyntheticTsc};
+    use crate::endpoint::tests::{hostile_datagrams, raw_peer};
     use rand::SeedableRng;
+    use std::time::Duration;
 
     /// Sends one `PeerTimeRequest` per timer tick and counts answers
     /// through the service trace.
@@ -348,48 +234,28 @@ mod tests {
         }
     }
 
+    fn config(endpoint: Endpoint, seed: u64) -> DriverConfig {
+        DriverConfig { endpoint, rng: StdRng::seed_from_u64(seed), publishes_state: false }
+    }
+
+    fn boards() -> Boards {
+        Boards::new(vec![SyntheticTsc::new(3.0e9)], SyntheticInc::new(20_000.0, 10.0))
+    }
+
     #[test]
     fn sealed_round_trips_over_loopback() {
         let clock = MonoClock::start();
-        let boards = Boards::new(vec![SyntheticTsc::new(3.0e9)], SyntheticInc::new(20_000.0, 10.0));
-        let a = UdpSocket::bind("127.0.0.1:0").expect("bind");
-        let b = UdpSocket::bind("127.0.0.1:0").expect("bind");
-        let mut directory = HashMap::new();
-        directory.insert(Addr(10), a.local_addr().expect("addr"));
-        directory.insert(Addr(20), b.local_addr().expect("addr"));
-        let mut keys_a = KeyTable::new();
-        keys_a.provision_pair(Addr(10), Addr(20), [7u8; 32]);
-        let mut keys_b = KeyTable::new();
-        keys_b.provision_pair(Addr(10), Addr(20), [7u8; 32]);
+        let boards = boards();
+        let (a, keys_a, directory, b) = raw_peer(Addr(10), Addr(20));
+        let a = Endpoint::new(Addr(10), a, keys_a, directory);
 
         let recorders = crossbeam::thread::scope(|s| {
             let client = s.spawn(|_| {
-                run_machine(
-                    Box::new(EchoClient { me: Addr(10), peer: Addr(20) }),
-                    DriverConfig {
-                        socket: a,
-                        keys: keys_a,
-                        rng: StdRng::seed_from_u64(1),
-                        publishes_state: false,
-                    },
-                    &directory,
-                    &boards,
-                    clock,
-                )
+                let machine = Box::new(EchoClient { me: Addr(10), peer: Addr(20) });
+                run_machine(machine, config(a, 1), &boards, clock)
             });
             let server = s.spawn(|_| {
-                run_machine(
-                    Box::new(EchoServer { me: Addr(20) }),
-                    DriverConfig {
-                        socket: b,
-                        keys: keys_b,
-                        rng: StdRng::seed_from_u64(2),
-                        publishes_state: false,
-                    },
-                    &directory,
-                    &boards,
-                    clock,
-                )
+                run_machine(Box::new(EchoServer { me: Addr(20) }), config(b, 2), &boards, clock)
             });
             std::thread::sleep(Duration::from_millis(150));
             boards.request_shutdown();
@@ -401,6 +267,45 @@ mod tests {
             recorders.0.service.served_ok.count() >= 5,
             "expected several sealed round trips, saw {}",
             recorders.0.service.served_ok.count()
+        );
+    }
+
+    #[test]
+    fn hostile_datagrams_land_in_the_three_drop_counters() {
+        let clock = MonoClock::start();
+        let boards = boards();
+        let (raw, mut keys, directory, server) = raw_peer(Addr(10), Addr(20));
+        let target = directory[&Addr(20)];
+        // One runt, two forged prefixes, three undecodable seals: the
+        // counts tell the kinds apart.
+        let hostile = hostile_datagrams(&mut keys, Addr(10), Addr(20));
+
+        let recorder = crossbeam::thread::scope(|s| {
+            let server = s.spawn(|_| {
+                let machine = Box::new(EchoServer { me: Addr(20) });
+                run_machine(machine, config(server, 2), &boards, clock)
+            });
+            for (datagram, copies) in hostile.iter().zip(1..) {
+                for _ in 0..copies {
+                    raw.send_to(datagram, target).expect("send");
+                }
+            }
+            // One socket, FIFO on loopback: the echo proves the six bad
+            // datagrams were consumed first and did not wedge the loop.
+            let mut client = Endpoint::new(Addr(10), raw, keys, directory);
+            assert!(client.send(Addr(20), &Message::PeerTimeRequest { nonce: 9 }));
+            let answer = client.recv(1_000_000_000);
+            boards.request_shutdown();
+            let msg = Message::PeerTimeResponse { nonce: 9, timestamp_ns: 9 };
+            assert_eq!(answer, Recv::Message { src: Addr(20), msg });
+            server.join().expect("server")
+        })
+        .expect("scope");
+
+        let drops = &recorder.service;
+        assert_eq!(
+            (drops.drops_frame.count(), drops.drops_auth.count(), drops.drops_decode.count()),
+            (1, 2, 3)
         );
     }
 }

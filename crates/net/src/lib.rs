@@ -17,7 +17,10 @@
 //!   AEAD-sealed payload bound to the (src, dst) link.
 //! - [`board`] — cross-thread observables (published clocks, node
 //!   states, shutdown), the live stand-in for the simulation `World`.
-//! - [`driver`] — the per-machine socket/timer loop interpreting
+//! - `endpoint` — one live address: the only `send_to`/`recv_from` in
+//!   the crate, with parse → authenticate → decode and its typed drops.
+//!   The driver, the Time Authority and the blocking client all ride it.
+//! - `driver` — the per-machine endpoint/timer loop interpreting
 //!   [`proto::Env`] effects inline.
 //! - [`authority`] — the live Time Authority service.
 //! - [`cluster`] — orchestration: sockets, key derivation, scoped
@@ -30,18 +33,18 @@ pub mod authority;
 pub mod board;
 pub mod clock;
 pub mod cluster;
-pub mod driver;
+mod driver;
+mod endpoint;
 pub mod frame;
 pub mod sync;
 pub mod timers;
 
-pub use authority::{run_authority, AuthorityReport};
+pub use authority::AuthorityReport;
 pub use board::Boards;
 pub use clock::{MonoClock, SyntheticInc, SyntheticTsc};
 pub use cluster::{
     client_addr, frontend_addr, generator_addr, run_cluster, LiveClient, LiveHandle, LiveReport,
     LiveSpec,
 };
-pub use driver::{run_machine, DriverConfig};
 pub use frame::{frame_into, parse_frame};
 pub use timers::TimerQueue;

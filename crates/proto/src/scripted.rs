@@ -77,17 +77,6 @@ impl ScriptedEnv {
     pub fn take_effects(&mut self) -> Vec<Effect> {
         std::mem::take(&mut self.effects)
     }
-
-    /// The messages sent to `dst`, in emission order.
-    pub fn sent_to(&self, dst: Addr) -> Vec<&Message> {
-        self.effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send { dst: d, msg } if *d == dst => Some(msg),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 impl Env for ScriptedEnv {

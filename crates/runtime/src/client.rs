@@ -6,7 +6,6 @@
 //! from outside the TCB.
 
 use netsim::Addr;
-use rand::Rng;
 use sim::{Actor, Ctx, SimDuration};
 use wire::Message;
 
@@ -52,10 +51,6 @@ pub struct ClientWorkload {
     /// serves nor feed the monotonicity check twice.
     pending: NonceWindow,
     last_timestamp: u64,
-    /// Offset the first request by a seeded uniform draw in `(0, period]`
-    /// so co-located fixed-period clients don't fire in lockstep. Off by
-    /// default: existing experiment artifacts depend on the phase.
-    start_jitter: bool,
 }
 
 impl ClientWorkload {
@@ -70,15 +65,6 @@ impl ClientWorkload {
     /// Panics if `target` is not a node address.
     pub fn new(me: Addr, target: Addr, period: SimDuration) -> Self {
         Self::with_mode(me, target, period, ClientMode::Timestamp)
-    }
-
-    /// Creates a workload using the degraded-tolerant reading API.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not a node address.
-    pub fn new_reading(me: Addr, target: Addr, period: SimDuration) -> Self {
-        Self::with_mode(me, target, period, ClientMode::Reading)
     }
 
     /// Creates a workload with an explicit [`ClientMode`].
@@ -97,18 +83,7 @@ impl ClientWorkload {
             next_nonce: 0,
             pending: NonceWindow::new(1),
             last_timestamp: 0,
-            start_jitter: false,
         }
-    }
-
-    /// Enables seeded start-phase jitter: the first request fires at a
-    /// uniform draw in `(0, period]` instead of exactly at `period`, so a
-    /// population of same-period clients spreads over the whole period
-    /// instead of hammering the node in lockstep at `t = k·period`.
-    #[must_use]
-    pub fn with_start_jitter(mut self) -> Self {
-        self.start_jitter = true;
-        self
     }
 
     fn record_serve(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, ts: u64) {
@@ -131,12 +106,7 @@ impl ClientWorkload {
 
 impl Actor<World, SysEvent> for ClientWorkload {
     fn on_start(&mut self, ctx: &mut Ctx<'_, World, SysEvent>) {
-        let first = if self.start_jitter {
-            SimDuration::from_nanos(ctx.rng.gen_range(1..=self.period.as_nanos()))
-        } else {
-            self.period
-        };
-        ctx.schedule_in(first, SysEvent::timer(0));
+        ctx.schedule_in(self.period, SysEvent::timer(0));
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, ev: SysEvent) {

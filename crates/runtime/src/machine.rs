@@ -44,11 +44,6 @@ impl<M: Machine> MachineActor<M> {
         &self.machine
     }
 
-    /// Mutable access to the wrapped machine (test setup).
-    pub fn inner_mut(&mut self) -> &mut M {
-        &mut self.machine
-    }
-
     fn step(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, input: Input) {
         let mut env = SimEnv {
             me: self.machine.addr(),

@@ -2,7 +2,7 @@
 //! [`harness::ClusterBuilder`] assembles, as cloneable data.
 
 use attacks::{CalibrationDelayAttack, DelayAttackMode, PlannedManipulation, TscAttackSchedule};
-use faults::{FaultPlan, RandomFaultConfig};
+use faults::{FaultPlan, Fields, RandomFaultConfig};
 use harness::ClusterBuilder;
 use netsim::{Addr, DelayModel};
 use resilient::{ResilientConfig, ResilientNode};
@@ -118,46 +118,22 @@ impl AttackSpec {
     ///
     /// Returns a description of the first malformed token.
     pub fn decode(s: &str) -> Result<AttackSpec, String> {
-        let mut parts = s.trim().split(' ').filter(|t| !t.is_empty());
-        match parts.next() {
-            Some("calibration-delay") => {}
-            Some(other) => return Err(format!("unknown attack {other:?}")),
-            None => return Err("empty attack line".to_string()),
+        let (keyword, mut f) = Fields::after_keyword(s)?;
+        if keyword != "calibration-delay" {
+            return Err(format!("unknown attack {keyword:?}"));
         }
-        let (mut victim, mut mode, mut delay, mut threshold) = (None, None, None, None);
-        for kv in parts {
-            let (k, v) = kv.split_once('=').ok_or_else(|| format!("expected k=v, got {kv:?}"))?;
-            match k {
-                "victim" => {
-                    victim =
-                        Some(v.parse().map_err(|_| format!("unparseable victim {v:?}")).map(Addr)?);
-                }
-                "mode" => {
-                    mode = Some(match v {
-                        "f+" => DelayAttackMode::FPlus,
-                        "f-" => DelayAttackMode::FMinus,
-                        _ => return Err(format!("unknown mode {v:?} (expected f+ or f-)")),
-                    });
-                }
-                "delay" => {
-                    delay = Some(SimDuration::from_nanos(
-                        v.parse().map_err(|_| format!("unparseable delay {v:?}"))?,
-                    ));
-                }
-                "threshold" => {
-                    threshold = Some(SimDuration::from_nanos(
-                        v.parse().map_err(|_| format!("unparseable threshold {v:?}"))?,
-                    ));
-                }
-                _ => return Err(format!("unknown field {k:?}")),
-            }
-        }
-        Ok(AttackSpec::CalibrationDelay {
-            victim: victim.ok_or("missing victim")?,
-            mode: mode.ok_or("missing mode")?,
-            added_delay: delay.ok_or("missing delay")?,
-            sleep_threshold: threshold.ok_or("missing threshold")?,
-        })
+        let attack = AttackSpec::CalibrationDelay {
+            victim: f.addr("victim")?,
+            mode: match f.raw("mode")? {
+                "f+" => DelayAttackMode::FPlus,
+                "f-" => DelayAttackMode::FMinus,
+                v => return Err(format!("unknown mode {v:?} (expected f+ or f-)")),
+            },
+            added_delay: f.duration("delay")?,
+            sleep_threshold: f.duration("threshold")?,
+        };
+        f.finish()?;
+        Ok(attack)
     }
 
     /// Bounds-checks against an `n_nodes` cluster: the victim must be a
@@ -209,11 +185,6 @@ pub struct ClientSpec {
     /// `true` for the graceful-degradation reading API, `false` for plain
     /// timestamp requests.
     pub reading: bool,
-    /// Seeded start-phase jitter: offset the first request by a uniform
-    /// draw in `(0, period]` so co-located fixed-period clients don't fire
-    /// in lockstep. Off by default — existing artifacts depend on the
-    /// deterministic phase.
-    pub jitter: bool,
 }
 
 /// A declarative, cloneable description of one simulation scenario.
@@ -383,7 +354,7 @@ impl ScenarioSpec {
     /// Attaches a timestamp-request client against node index `target`.
     #[must_use]
     pub fn client(mut self, target: usize, period: SimDuration) -> Self {
-        self.clients.push(ClientSpec { target, period, reading: false, jitter: false });
+        self.clients.push(ClientSpec { target, period, reading: false });
         self
     }
 
@@ -391,19 +362,7 @@ impl ScenarioSpec {
     /// `target`.
     #[must_use]
     pub fn reading_client(mut self, target: usize, period: SimDuration) -> Self {
-        self.clients.push(ClientSpec { target, period, reading: true, jitter: false });
-        self
-    }
-
-    /// Enables seeded start-phase jitter on every client attached so far
-    /// (and leaves later attachments untouched). With many same-period
-    /// clients this spreads the request phases over the whole period
-    /// instead of firing them in lockstep.
-    #[must_use]
-    pub fn jitter_clients(mut self) -> Self {
-        for c in &mut self.clients {
-            c.jitter = true;
-        }
+        self.clients.push(ClientSpec { target, period, reading: true });
         self
     }
 
@@ -477,7 +436,7 @@ impl ScenarioSpec {
         }
         for c in &self.clients {
             let mode = if c.reading { ClientMode::Reading } else { ClientMode::Timestamp };
-            builder = builder.client_with(c.target, c.period, mode, c.jitter);
+            builder = builder.client_with(c.target, c.period, mode);
         }
         let mut simulation = builder.build();
         if let Some(svc) = &self.service {
@@ -530,6 +489,10 @@ mod tests {
         assert!(AttackSpec::decode("calibration-delay victim=1 mode=f*").is_err());
         assert!(AttackSpec::decode("replay-storm victim=1").is_err());
         assert!(AttackSpec::decode("calibration-delay victim=1 mode=f+ delay=5").is_err());
+        let good = "calibration-delay victim=1 mode=f+ delay=5 threshold=9";
+        assert!(AttackSpec::decode(good).is_ok());
+        assert!(AttackSpec::decode(&format!("{good} bogus=2")).is_err(), "unknown key");
+        assert!(AttackSpec::decode(&format!("{good} delay=5")).is_err(), "repeated key");
         let oob = AttackSpec::calibration_delay_paper(Addr(4), DelayAttackMode::FPlus);
         assert!(oob.validate(3).is_err());
         assert!(AttackSpec::calibration_delay_paper(Addr(0), DelayAttackMode::FPlus)

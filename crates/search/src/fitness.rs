@@ -2,6 +2,7 @@
 
 use std::cmp::Ordering;
 
+use faults::Fields;
 use runtime::World;
 
 use crate::genome::{AdversaryGenome, GenomeSpace};
@@ -83,28 +84,13 @@ impl Fitness {
     ///
     /// Returns a description of the first malformed token.
     pub fn decode(s: &str) -> Result<Fitness, String> {
-        let (mut detections, mut value) = (None, None);
-        for kv in s.trim().split(' ').filter(|t| !t.is_empty()) {
-            let (k, v) = kv.split_once('=').ok_or_else(|| format!("expected k=v, got {kv:?}"))?;
-            match k {
-                "detections" => {
-                    detections =
-                        Some(v.parse().map_err(|_| format!("unparseable detections {v:?}"))?);
-                }
-                "value" => {
-                    value = Some(v.parse::<f64>().map_err(|_| format!("unparseable value {v:?}"))?);
-                }
-                _ => return Err(format!("unknown field {k:?}")),
-            }
+        let mut f = Fields::new(s)?;
+        let fitness = Fitness { detections: f.parse("detections")?, value: f.parse("value")? };
+        f.finish()?;
+        if !fitness.value.is_finite() {
+            return Err(format!("non-finite fitness value {}", fitness.value));
         }
-        let f = Fitness {
-            detections: detections.ok_or("missing detections")?,
-            value: value.ok_or("missing value")?,
-        };
-        if !f.value.is_finite() {
-            return Err(format!("non-finite fitness value {}", f.value));
-        }
-        Ok(f)
+        Ok(fitness)
     }
 }
 
@@ -162,6 +148,9 @@ mod tests {
         }
         assert!(Fitness::decode("detections=1 value=inf").is_err());
         assert!(Fitness::decode("value=1").is_err());
+        assert!(Fitness::decode("detections=1 value=2").is_ok());
+        assert!(Fitness::decode("detections=1 value=2 bogus=3").is_err(), "unknown key");
+        assert!(Fitness::decode("detections=1 value=2 value=2").is_err(), "repeated key");
     }
 
     #[test]

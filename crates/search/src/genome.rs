@@ -1,7 +1,7 @@
 //! The searchable adversary description and the scenario it runs in.
 
 use attacks::PlannedManipulation;
-use faults::{FaultEvent, FaultPlan};
+use faults::{FaultEvent, FaultPlan, Fields};
 use scenario::{AexSpec, AttackSpec, FaultSpec, NodeImplSpec, ScenarioSpec};
 use service::{QuorumLoopSpec, QuorumSpec, ServiceSpec};
 use sim::{SimDuration, SimTime};
@@ -69,25 +69,13 @@ impl GenomeSpace {
     ///
     /// Returns a description of the first malformed token.
     pub fn decode(s: &str) -> Result<GenomeSpace, String> {
-        let (mut n, mut horizon_s, mut service) = (None, None, None);
-        for kv in s.trim().split(' ').filter(|t| !t.is_empty()) {
-            let (k, v) = kv.split_once('=').ok_or_else(|| format!("expected k=v, got {kv:?}"))?;
-            match k {
-                "n" => n = Some(v.parse().map_err(|_| format!("unparseable n {v:?}"))?),
-                "horizon-s" => {
-                    horizon_s = Some(v.parse().map_err(|_| format!("unparseable horizon {v:?}"))?);
-                }
-                "service" => {
-                    service = Some(v.parse().map_err(|_| format!("unparseable service {v:?}"))?);
-                }
-                _ => return Err(format!("unknown field {k:?}")),
-            }
-        }
+        let mut f = Fields::new(s)?;
         let space = GenomeSpace {
-            n: n.ok_or("missing n")?,
-            horizon_s: horizon_s.ok_or("missing horizon-s")?,
-            service: service.ok_or("missing service")?,
+            n: f.parse("n")?,
+            horizon_s: f.parse("horizon-s")?,
+            service: f.parse("service")?,
         };
+        f.finish()?;
         if space.n == 0 {
             return Err("n must be at least 1".to_string());
         }
@@ -283,6 +271,11 @@ mod tests {
         }
         assert!(GenomeSpace::decode("n=0 horizon-s=90 service=true").is_err());
         assert!(GenomeSpace::decode("n=3 horizon-s=90").is_err());
+        assert!(
+            GenomeSpace::decode("n=3 horizon-s=90 service=true bogus=1").is_err(),
+            "unknown key"
+        );
+        assert!(GenomeSpace::decode("n=3 n=3 horizon-s=90 service=true").is_err(), "repeated key");
     }
 
     #[test]

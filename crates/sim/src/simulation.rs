@@ -13,7 +13,7 @@ use crate::time::{SimDuration, SimTime};
 /// one [`StdRng`] seeded at construction: two runs with identical actors,
 /// world, and seed produce identical event sequences.
 ///
-/// The queue ([`crate::event`]) is a 4-ary min-heap of small fixed-size
+/// The queue (`crate::event`) is a 4-ary min-heap of small fixed-size
 /// records ordered by `(time, seq)`, indexed by the generation-stamped
 /// slab that holds the payloads. Scheduling, dispatch, and cancellation
 /// are each one short sift (O(log n) at the few dozen live events real
@@ -247,12 +247,6 @@ impl<W, M> Simulation<W, M> {
         if self.now < horizon {
             self.now = horizon;
         }
-    }
-
-    /// Runs for `span` of simulated time past the current instant.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let horizon = self.now + span;
-        self.run_until(horizon);
     }
 }
 

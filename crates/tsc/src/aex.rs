@@ -47,11 +47,6 @@ impl Default for TriadLike {
 }
 
 impl TriadLike {
-    /// A three-point distribution with custom support.
-    pub fn with_delays(delays: [SimDuration; 3]) -> Self {
-        TriadLike { delays }
-    }
-
     /// Mean inter-AEX delay of this distribution.
     pub fn mean(&self) -> SimDuration {
         SimDuration::from_nanos(

@@ -81,6 +81,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/runtime/src/messaging.rs",
     "crates/runtime/src/machine.rs",
     "crates/net/src/frame.rs",
+    "crates/net/src/endpoint.rs",
     "crates/net/src/driver.rs",
 ];
 

@@ -32,3 +32,24 @@ fn committed_reproducers_replay_to_recorded_fitness() {
         );
     }
 }
+
+/// The committed text is the format: every `.scn` the repo carries must
+/// decode and re-encode to the same bytes through the shared readers.
+#[test]
+fn committed_scn_files_round_trip_byte_for_byte() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut seen = 0;
+    for dir in ["results/search/corpus", "bench/inputs"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("directory readable") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_some_and(|e| e == "scn") {
+                let text = std::fs::read_to_string(&path).expect("file readable");
+                let rep = Reproducer::decode(&text)
+                    .unwrap_or_else(|e| panic!("{} does not decode: {e}", path.display()));
+                assert_eq!(rep.encode(), text, "{} changed in a round trip", path.display());
+                seen += 1;
+            }
+        }
+    }
+    assert_eq!(seen, 6, "four corpus reproducers and two benchmark inputs");
+}
