@@ -22,7 +22,7 @@
 //! protocol; `resilient::Hardened` is its §V hardening.
 
 use netsim::Addr;
-use proto::{ClockState, Env, Input, Machine, AEX_RESUME_TOKEN, TA_ADDR};
+use proto::{ClockState, Env, Input, Machine, TimerId, AEX_RESUME_TOKEN, TA_ADDR};
 use sim::{SimDuration, SimTime};
 use trace::{NodeStateTag, NodeTrace};
 use wire::Message;
@@ -65,6 +65,8 @@ struct PendingProbe {
     /// 0-based retransmission count within the current burst (0 = the
     /// initial transmission); drives the backoff schedule.
     attempt: u32,
+    /// The retry timer guarding this exchange.
+    retry: TimerId,
 }
 
 /// A completed, AEX-free [`ProbeKind::Anchor`] or [`ProbeKind::CrossCheck`]
@@ -97,6 +99,8 @@ pub struct PeerSample {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerRound {
     nonce: u64,
+    /// The round's timeout.
+    timeout: TimerId,
     /// True for a check the policy started while serving; false for the
     /// untaint round after an AEX.
     pub proactive: bool,
@@ -372,13 +376,13 @@ impl Core {
 
     fn abandon_probe(&mut self, env: &mut dyn Env) {
         if let Some(p) = self.pending_probe.take() {
-            env.cancel_timer(TOKEN_PROBE_RETRY | p.nonce);
+            env.cancel_timer(p.retry);
         }
     }
 
     fn abandon_round(&mut self, env: &mut dyn Env) {
         if let Some(r) = self.pending_round.take() {
-            env.cancel_timer(TOKEN_PEER_TIMEOUT | r.nonce);
+            env.cancel_timer(r.timeout);
         }
     }
 
@@ -420,13 +424,14 @@ impl Core {
         // seeded stream and the measured round trip; keep it.
         env.send(TA_ADDR, &Message::CalibrationRequest { nonce, sleep_ns: sleep.as_nanos() });
         let backoff = self.cfg.probe_retry.backoff(self.cfg.probe_timeout, attempt, env.rng());
-        env.set_timer(TOKEN_PROBE_RETRY | nonce, sleep + backoff);
+        let retry = env.set_timer(TOKEN_PROBE_RETRY | nonce, sleep + backoff);
         self.pending_probe = Some(PendingProbe {
             nonce,
             kind,
             send_ticks: env.read_tsc(),
             aex_count_at_send: self.aex_count,
             attempt,
+            retry,
         });
     }
 
@@ -503,8 +508,8 @@ impl Core {
         for &peer in &self.peers {
             env.send(peer, &request);
         }
-        env.set_timer(TOKEN_PEER_TIMEOUT | nonce, self.cfg.peer_timeout);
-        self.pending_round = Some(PeerRound { nonce, proactive, responses: Vec::new() });
+        let timeout = env.set_timer(TOKEN_PEER_TIMEOUT | nonce, self.cfg.peer_timeout);
+        self.pending_round = Some(PeerRound { nonce, timeout, proactive, responses: Vec::new() });
     }
 
     /// Books one peer's answer to round `nonce` and returns the round if
@@ -522,7 +527,7 @@ impl Core {
         if round.responses.len() < self.peers.len() {
             return None;
         }
-        env.cancel_timer(TOKEN_PEER_TIMEOUT | nonce);
+        env.cancel_timer(round.timeout);
         self.pending_round.take()
     }
 

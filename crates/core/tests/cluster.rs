@@ -24,7 +24,7 @@ fn build_cluster(
     world.provision_all_keys(seed);
 
     let mut s = Simulation::new(world, seed);
-    let ta = s.add_actor(Box::new(TimeAuthority::new()));
+    let ta = s.add_actor(Box::new(MachineActor::new(TimeAuthority::new())));
     let mut node_ids = Vec::new();
     for i in 0..n {
         let me = World::node_addr(i);

@@ -192,7 +192,7 @@ fn manual_wiring_without_the_harness_works() {
     let mut world = World::new(net, vec![Host::paper_default(), Host::paper_default()]);
     world.provision_all_keys(57);
     let mut s = Simulation::new(world, 57);
-    let ta = s.add_actor(Box::new(TimeAuthority::new()));
+    let ta = s.add_actor(Box::new(MachineActor::new(TimeAuthority::new())));
     let n1 = s.add_actor(Box::new(MachineActor::new(TriadNode::new(
         Addr(1),
         vec![Addr(2)],

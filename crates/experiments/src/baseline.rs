@@ -8,17 +8,12 @@
 
 use attacks::{CalibrationDelayAttack, DelayAttackMode};
 use harness::ClusterBuilder;
-use netsim::{Addr, DelayModel, InterceptAction, Interceptor, MsgMeta, Network};
-use runtime::{ClientWorkload, Host, Sampler, World};
-use sim::{SimDuration, SimTime, Simulation};
-use t3e::{T3eConfig, T3eNode, Tpm};
+use netsim::Addr;
+use runtime::World;
+use sim::{SimDuration, SimTime};
 use tsc::TriadLike;
 
 use crate::output::{Comparison, RunOpts, Table};
-
-const NODE: Addr = Addr(1);
-const TPM: Addr = Addr(500);
-const CLIENT: Addr = Addr(1000);
 
 /// One system-under-condition row.
 #[derive(Debug, Clone)]
@@ -40,28 +35,6 @@ pub struct BaselineResult {
     pub rows: Vec<BaselineRow>,
 }
 
-/// Rations TPM → node readings to one per `min_gap`.
-#[derive(Debug)]
-struct ThrottleTpm {
-    min_gap: SimDuration,
-    last: Option<SimTime>,
-}
-
-impl Interceptor for ThrottleTpm {
-    fn on_message(&mut self, now: SimTime, meta: &MsgMeta, _ct: &[u8]) -> InterceptAction {
-        if meta.src != TPM || meta.dst != NODE {
-            return InterceptAction::Deliver;
-        }
-        if let Some(last) = self.last {
-            if now.saturating_duration_since(last) < self.min_gap {
-                return InterceptAction::Drop;
-            }
-        }
-        self.last = Some(now);
-        InterceptAction::Delay(SimDuration::from_millis(100))
-    }
-}
-
 fn run_t3e(
     label: &'static str,
     tpm_drift_ppm: f64,
@@ -69,22 +42,7 @@ fn run_t3e(
     horizon: SimTime,
     seed: u64,
 ) -> BaselineRow {
-    let mut net = Network::new(DelayModel::lan_default(), 0.0);
-    if let Some(gap) = throttle {
-        net.add_interceptor(Box::new(ThrottleTpm { min_gap: gap, last: None }));
-    }
-    let mut world = World::new(net, vec![Host::paper_default()]);
-    world.keys.provision_pair(NODE, TPM, [1u8; 32]);
-    world.keys.provision_pair(CLIENT, NODE, [2u8; 32]);
-    let mut s = Simulation::new(world, seed);
-    let node = s.add_actor(Box::new(T3eNode::new(NODE, TPM, T3eConfig::default())));
-    let tpm = s.add_actor(Box::new(Tpm::new(TPM, tpm_drift_ppm)));
-    let client =
-        s.add_actor(Box::new(ClientWorkload::new(CLIENT, NODE, SimDuration::from_millis(5))));
-    s.add_actor(Box::new(Sampler { interval: SimDuration::from_millis(250) }));
-    s.world_mut().register_actor(NODE, node);
-    s.world_mut().register_actor(TPM, tpm);
-    s.world_mut().register_actor(CLIENT, client);
+    let mut s = t3e::deployment(tpm_drift_ppm, throttle, SimDuration::from_millis(5), seed);
     s.run_until(horizon);
     summarise(label, s.world(), horizon)
 }

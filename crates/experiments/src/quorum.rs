@@ -16,9 +16,7 @@
 
 use faults::FaultPlan;
 use scenario::{AexSpec, FaultSpec, NodeImplSpec, ParamGrid, RunCell, ScenarioSpec};
-use service::{
-    ArrivalSpec, FrontendSpec, LoadProfile, OpenLoopSpec, QuorumLoopSpec, QuorumSpec, ServiceSpec,
-};
+use service::{FrontendSpec, OpenLoopSpec, QuorumLoopSpec, QuorumSpec, ServiceSpec};
 use sim::{SimDuration, SimTime};
 
 use crate::grid;
@@ -280,18 +278,8 @@ fn spec_for(opts: &RunOpts, f: usize, lie: LieLevel, load: LoadLevel) -> Scenari
     let svc = ServiceSpec::new()
         .frontend(frontend_spec(opts))
         .router(grid::router_spec())
-        .open_loop(OpenLoopSpec {
-            rate_per_s: single_rate,
-            arrival: ArrivalSpec::Exponential,
-            profile: LoadProfile::Constant,
-            accept_degraded: true,
-        })
-        .quorum_loop(QuorumLoopSpec {
-            rate_per_s: quorum_rate,
-            arrival: ArrivalSpec::Exponential,
-            profile: LoadProfile::Constant,
-            quorum: quorum_spec(f),
-        });
+        .open_loop(OpenLoopSpec { rate_per_s: single_rate, accept_degraded: true })
+        .quorum_loop(QuorumLoopSpec { rate_per_s: quorum_rate, quorum: quorum_spec(f) });
     // The §V hardened node is the one that publishes a usable
     // self-assessed error bound — the quantity quorum attestations carry.
     let mut spec = ScenarioSpec::new(size)

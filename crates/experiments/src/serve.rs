@@ -13,7 +13,7 @@
 
 use faults::{FaultAction, FaultPlan};
 use scenario::{AexSpec, FaultSpec, ParamGrid, RunCell, ScenarioSpec};
-use service::{ArrivalSpec, ClosedLoopSpec, LoadProfile, OpenLoopSpec, ServiceSpec};
+use service::{ClosedLoopSpec, OpenLoopSpec, ServiceSpec};
 use sim::{SimDuration, SimTime};
 use triad_core::TriadConfig;
 
@@ -249,12 +249,7 @@ fn spec_for(opts: &RunOpts, size: usize, load: LoadLevel, overlay: Overlay) -> S
     let svc = ServiceSpec::new()
         .frontend(grid::frontend_spec(opts))
         .router(grid::router_spec())
-        .open_loop(OpenLoopSpec {
-            rate_per_s: load.rate(opts),
-            arrival: ArrivalSpec::Exponential,
-            profile: LoadProfile::Constant,
-            accept_degraded: true,
-        })
+        .open_loop(OpenLoopSpec { rate_per_s: load.rate(opts), accept_degraded: true })
         // A small strict population: full precision or nothing, so
         // degraded windows show up as `Unavailable` pressure too.
         .closed_loop(ClosedLoopSpec {

@@ -11,10 +11,11 @@ use crate::plan::{FaultAction, FaultEvent, FaultPlan};
 /// applies every due action in plan order, logs each into
 /// `world.recorder.faults`, and re-arms for the next. Network actions
 /// mutate the fabric in place (affecting datagrams sent from that instant
-/// on); TA outages flip [`World::ta_online`]; crashes, restarts and AEX
-/// interrupts are delivered to the node actors as ordinary [`SysEvent`]s
-/// with zero delay, so they interleave deterministically with protocol
-/// traffic scheduled at the same instant.
+/// on); TA outages and restores, node crashes and restarts, and AEX
+/// interrupts are delivered to the TA and node actors as ordinary
+/// [`SysEvent`]s (`Crash`, `Restart`, `Aex`) with zero delay, so they
+/// interleave deterministically with protocol traffic scheduled at the
+/// same instant.
 ///
 /// Register it via `harness::ClusterBuilder::fault_plan`, or add it as an
 /// extra actor by hand.
@@ -41,6 +42,14 @@ impl FaultDriver {
         }
     }
 
+    /// Tells the TA it goes down or comes back. A world without a TA
+    /// (E19's T3E deployment) has no one to tell.
+    fn signal_ta(ctx: &mut Ctx<'_, World, SysEvent>, ev: SysEvent) {
+        if let Some(ta) = ctx.world.try_actor_of(World::TA_ADDR) {
+            ctx.send(ta, SimDuration::ZERO, ev);
+        }
+    }
+
     fn apply(&self, ctx: &mut Ctx<'_, World, SysEvent>, action: &FaultAction) {
         match *action {
             FaultAction::PartitionPair { a, b } => ctx.world.net.partition_pair(a, b),
@@ -59,8 +68,8 @@ impl FaultDriver {
             FaultAction::SetReordering { probability, window } => {
                 ctx.world.net.set_reordering(probability, window);
             }
-            FaultAction::TaOutage => ctx.world.ta_online = false,
-            FaultAction::TaRestore => ctx.world.ta_online = true,
+            FaultAction::TaOutage => Self::signal_ta(ctx, SysEvent::Crash),
+            FaultAction::TaRestore => Self::signal_ta(ctx, SysEvent::Restart),
             FaultAction::CrashNode { node } => {
                 let actor = ctx.world.actor_of(World::node_addr(node));
                 ctx.send(actor, SimDuration::ZERO, SysEvent::Crash);
@@ -119,7 +128,20 @@ impl Actor<World, SysEvent> for FaultDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::SimTime;
+    use netsim::{DelayModel, Network};
+    use runtime::Host;
+    use sim::{SimTime, Simulation};
+
+    #[test]
+    fn a_ta_outage_without_a_ta_is_logged_and_otherwise_a_no_op() {
+        let net = Network::new(DelayModel::Constant(SimDuration::ZERO), 0.0);
+        let mut s = Simulation::new(World::new(net, vec![Host::paper_default()]), 1);
+        let plan = FaultPlan::new().ta_outage(SimTime::from_secs(1), SimDuration::from_secs(1));
+        s.add_actor(Box::new(FaultDriver::new(plan)));
+        s.run();
+        assert_eq!(s.world().recorder.faults.len(), 2);
+        assert_eq!(s.dispatched(), 2, "the driver's own two wake-ups, nothing delivered");
+    }
 
     #[test]
     fn driver_orders_schedule_and_tracks_remaining() {

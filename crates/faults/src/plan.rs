@@ -7,10 +7,10 @@ use sim::{SimDuration, SimTime};
 
 /// One fault to apply at a scheduled instant.
 ///
-/// Network actions mutate the fabric directly; `TaOutage`/`TaRestore` flip
-/// the world's availability flag; crash, restart and AEX actions are
-/// delivered to the target node actor as ordinary events, so they compose
-/// with everything the node was already doing.
+/// Network actions mutate the fabric directly; TA outage/restore, crash,
+/// restart and AEX actions are delivered to the TA or the target node
+/// actor as ordinary events, so they compose with everything it was
+/// already doing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultAction {
     /// Block both directions between `a` and `b`.

@@ -8,7 +8,7 @@
 //! machine cannot tell which driver it is riding.
 
 use netsim::Addr;
-use proto::{ClockState, Env, Input, Lie, Machine, AEX_RESUME_TOKEN};
+use proto::{ClockState, Env, Input, Lie, Machine, TimerId, AEX_RESUME_TOKEN};
 use rand::rngs::StdRng;
 use sim::{SimDuration, SimTime};
 use trace::{NodeStateTag, Recorder};
@@ -143,12 +143,12 @@ impl Env for LiveEnv<'_> {
         self.endpoint.send(dst, msg)
     }
 
-    fn set_timer(&mut self, token: u64, after: SimDuration) {
-        self.timers.arm(token, self.clock.now_ns().saturating_add(after.as_nanos()));
+    fn set_timer(&mut self, token: u64, after: SimDuration) -> TimerId {
+        self.timers.arm(token, self.clock.now_ns().saturating_add(after.as_nanos()))
     }
 
-    fn cancel_timer(&mut self, token: u64) {
-        self.timers.cancel(token);
+    fn cancel_timer(&mut self, id: TimerId) {
+        self.timers.cancel(id);
     }
 
     fn read_tsc(&mut self) -> u64 {

@@ -73,8 +73,8 @@ fn timer_queue_cancel_race_keeps_tombstone_contract() {
         let queue = Arc::new(Mutex::new(TimerQueue::new()));
         let (qa, qb) = (Arc::clone(&queue), Arc::clone(&queue));
         let canceller = thread::spawn(move || {
-            qa.lock().expect("queue").arm(1, 100);
-            qa.lock().expect("queue").cancel(1);
+            let id = qa.lock().expect("queue").arm(1, 100);
+            qa.lock().expect("queue").cancel(id);
         });
         let armer = thread::spawn(move || qb.lock().expect("queue").arm(2, 50));
         canceller.join().expect("canceller");
@@ -88,7 +88,7 @@ fn timer_queue_cancel_race_keeps_tombstone_contract() {
 
 /// Concurrent re-arms of one token: exactly one firing survives, at one
 /// of the two racing deadlines (the armed-map entry of the loser is a
-/// heap tombstone).
+/// heap tombstone), and cancelling the loser's id leaves it standing.
 #[test]
 fn timer_queue_concurrent_rearms_fire_exactly_once() {
     loom::model(|| {
@@ -96,9 +96,11 @@ fn timer_queue_concurrent_rearms_fire_exactly_once() {
         let (qa, qb) = (Arc::clone(&queue), Arc::clone(&queue));
         let t1 = thread::spawn(move || qa.lock().expect("queue").arm(7, 100));
         let t2 = thread::spawn(move || qb.lock().expect("queue").arm(7, 50));
-        t1.join().expect("armer 1");
-        t2.join().expect("armer 2");
+        let a = t1.join().expect("armer 1");
+        let b = t2.join().expect("armer 2");
         let mut q = queue.lock().expect("queue");
+        // Arming sequences are issued in lock order: the lower one lost.
+        q.cancel(if a.handle() < b.handle() { a } else { b });
         assert_eq!(q.pop_due(200), Some(7));
         assert_eq!(q.pop_due(200), None, "a superseded arm fired twice");
         assert!(q.is_empty());

@@ -16,6 +16,37 @@ use crate::clock::{ClockState, Lie};
 /// tokens.
 pub const AEX_RESUME_TOKEN: u64 = u64::MAX;
 
+/// Handle to one arming of a timer, returned by [`Env::set_timer`].
+///
+/// Carries the machine's token plus the driver's own handle for that
+/// arming (the simulation's event id, the live timer queue's arming
+/// sequence), so a cancel names one arming and the simulation driver
+/// keeps no token → handle map. A machine that may cancel keeps the id
+/// in the record the timer guards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerId {
+    token: u64,
+    handle: u64,
+}
+
+impl TimerId {
+    /// An id for the arming of `token` the driver knows as `handle`.
+    /// Only drivers construct ids.
+    pub fn new(token: u64, handle: u64) -> Self {
+        TimerId { token, handle }
+    }
+
+    /// The token the timer was armed with.
+    pub fn token(self) -> u64 {
+        self.token
+    }
+
+    /// The driver's handle for this arming.
+    pub fn handle(self) -> u64 {
+        self.handle
+    }
+}
+
 /// One step's worth of input to a protocol machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Input {
@@ -66,7 +97,8 @@ pub enum Effect {
         /// Delay from now until the timer fires.
         after: SimDuration,
     },
-    /// Disarm the timer identified by `token`, if still pending.
+    /// Disarm one arming of the timer identified by `token`, if still
+    /// pending.
     CancelTimer {
         /// The token the timer was armed with.
         token: u64,
@@ -95,17 +127,19 @@ pub trait Env {
     fn send(&mut self, dst: Addr, msg: &Message) -> bool;
 
     /// Arms a timer that will come back as [`Input::Timer`] (or
-    /// [`Input::AexResume`] for [`AEX_RESUME_TOKEN`]) after `after`.
+    /// [`Input::AexResume`] for [`AEX_RESUME_TOKEN`]) after `after`, and
+    /// returns the handle [`Env::cancel_timer`] takes.
     ///
     /// Re-arming a token that is still armed is driver-dependent, so
     /// machines should cancel first: the live `TimerQueue` supersedes the
-    /// old deadline (one firing), while the simulation's `MachineActor`
-    /// keeps both events — both fire, and the first firing drops the
-    /// second's cancellation handle.
-    fn set_timer(&mut self, token: u64, after: SimDuration);
+    /// old arming (one firing, and the old id goes stale), while the
+    /// simulation's `MachineActor` keeps both events — both fire, and
+    /// each id cancels only its own arming.
+    fn set_timer(&mut self, token: u64, after: SimDuration) -> TimerId;
 
-    /// Cancels a pending timer; a no-op when `token` is not armed.
-    fn cancel_timer(&mut self, token: u64);
+    /// Cancels the arming `id` names; a no-op when it already fired, was
+    /// cancelled, or was superseded.
+    fn cancel_timer(&mut self, id: TimerId);
 
     /// Reads the co-located node's TimeStamp Counter.
     ///

@@ -35,7 +35,7 @@ mod retry;
 mod scripted;
 
 pub use clock::{ClockState, Lie};
-pub use env::{Effect, Env, Input, Machine, AEX_RESUME_TOKEN};
+pub use env::{Effect, Env, Input, Machine, TimerId, AEX_RESUME_TOKEN};
 pub use nonce::NonceWindow;
 pub use retry::{CircuitBreakerPolicy, RetryPolicy};
 pub use scripted::ScriptedEnv;

@@ -7,7 +7,7 @@ use trace::{NodeStateTag, Recorder};
 use wire::Message;
 
 use crate::clock::{ClockState, Lie};
-use crate::env::{Effect, Env};
+use crate::env::{Effect, Env, TimerId};
 use netsim::Addr;
 
 /// An [`Env`] that interprets nothing: every effect is appended to
@@ -93,12 +93,14 @@ impl Env for ScriptedEnv {
         true
     }
 
-    fn set_timer(&mut self, token: u64, after: SimDuration) {
+    /// The id's handle is the arming's index in [`ScriptedEnv::effects`].
+    fn set_timer(&mut self, token: u64, after: SimDuration) -> TimerId {
         self.effects.push(Effect::SetTimer { token, after });
+        TimerId::new(token, self.effects.len() as u64 - 1)
     }
 
-    fn cancel_timer(&mut self, token: u64) {
-        self.effects.push(Effect::CancelTimer { token });
+    fn cancel_timer(&mut self, id: TimerId) {
+        self.effects.push(Effect::CancelTimer { token: id.token() });
     }
 
     fn read_tsc(&mut self) -> u64 {

@@ -1,18 +1,14 @@
 //! A client application workload against one Triad node.
 //!
 //! The paper measures availability from the node's state machine; this
-//! actor measures it the way a *user* would — by asking for timestamps and
-//! counting answers — and enforces the serving contract (monotonicity)
-//! from outside the TCB.
+//! machine measures it the way a *user* would — by asking for timestamps
+//! and counting answers — and enforces the serving contract
+//! (monotonicity) from outside the TCB.
 
 use netsim::Addr;
-use sim::{Actor, Ctx, SimDuration};
+use proto::{Env, Input, Machine, NonceWindow};
+use sim::SimDuration;
 use wire::Message;
-
-use crate::event::SysEvent;
-use crate::messaging::{open_delivery, send_message};
-use crate::world::World;
-use proto::NonceWindow;
 
 /// Which client-facing API the workload exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +27,7 @@ pub enum ClientMode {
 ///
 /// # Panics
 ///
-/// The actor panics the simulation if the node ever serves a
+/// The machine panics the simulation if the node ever serves a
 /// non-increasing timestamp — the one contract Triad must never break.
 /// In [`ClientMode::Reading`] the monotonicity contract applies to the
 /// reading estimates, across crashes and recalibrations included.
@@ -86,7 +82,19 @@ impl ClientWorkload {
         }
     }
 
-    fn record_serve(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, ts: u64) {
+    /// Books the answer to request `nonce`: a timestamp (or reading
+    /// estimate) when served, `None` when denied.
+    #[inline]
+    fn record(&mut self, env: &mut dyn Env, nonce: u64, served: Option<u64>) {
+        if !self.pending.take(nonce) {
+            return;
+        }
+        let now = env.now();
+        let trace = env.recorder().node_mut(self.target_index);
+        let Some(ts) = served else {
+            trace.client_denied.increment(now);
+            return;
+        };
         assert!(
             ts > self.last_timestamp,
             "{} served non-monotonic timestamp {ts} after {}",
@@ -94,56 +102,40 @@ impl ClientWorkload {
             self.last_timestamp
         );
         self.last_timestamp = ts;
-        let now = ctx.now();
-        ctx.world.recorder.node_mut(self.target_index).client_served.increment(now);
-    }
-
-    fn record_denial(&mut self, ctx: &mut Ctx<'_, World, SysEvent>) {
-        let now = ctx.now();
-        ctx.world.recorder.node_mut(self.target_index).client_denied.increment(now);
+        trace.client_served.increment(now);
     }
 }
 
-impl Actor<World, SysEvent> for ClientWorkload {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, World, SysEvent>) {
-        ctx.schedule_in(self.period, SysEvent::timer(0));
+impl Machine for ClientWorkload {
+    fn addr(&self) -> Addr {
+        self.me
     }
 
-    fn on_event(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, ev: SysEvent) {
-        match ev {
-            SysEvent::Timer { .. } => {
+    fn on_start(&mut self, env: &mut dyn Env) {
+        env.set_timer(0, self.period);
+    }
+
+    // Inlined into `MachineActor<ClientWorkload>` so the `Env` calls
+    // resolve statically: client events are half of a chaos cell's
+    // events, and out of line the adapter costs `protocol_chaos` ~2 %.
+    #[inline]
+    fn on_input(&mut self, env: &mut dyn Env, input: Input) {
+        match input {
+            Input::Timer { .. } => {
                 self.next_nonce += 1;
                 self.pending.insert(self.next_nonce);
                 let req = match self.mode {
                     ClientMode::Timestamp => Message::ClientTimeRequest { nonce: self.next_nonce },
                     ClientMode::Reading => Message::TimeReadingRequest { nonce: self.next_nonce },
                 };
-                send_message(ctx, self.me, self.target, &req);
-                ctx.schedule_in(self.period, SysEvent::timer(0));
+                env.send(self.target, &req);
+                env.set_timer(0, self.period);
             }
-            SysEvent::Deliver(d) => {
-                let now = ctx.now();
-                match open_delivery(ctx.world, self.me, now, &d) {
-                    Ok(Message::ClientTimeResponse { nonce, timestamp_ns }) => {
-                        if !self.pending.take(nonce) {
-                            return;
-                        }
-                        match timestamp_ns {
-                            Some(ts) => self.record_serve(ctx, ts),
-                            None => self.record_denial(ctx),
-                        }
-                    }
-                    Ok(Message::TimeReadingResponse { nonce, reading }) => {
-                        if !self.pending.take(nonce) {
-                            return;
-                        }
-                        match reading {
-                            Some(r) => self.record_serve(ctx, r.estimate_ns),
-                            None => self.record_denial(ctx),
-                        }
-                    }
-                    _ => {}
-                }
+            Input::Message { msg: Message::ClientTimeResponse { nonce, timestamp_ns }, .. } => {
+                self.record(env, nonce, timestamp_ns);
+            }
+            Input::Message { msg: Message::TimeReadingResponse { nonce, reading }, .. } => {
+                self.record(env, nonce, reading.map(|r| r.estimate_ns));
             }
             _ => {}
         }

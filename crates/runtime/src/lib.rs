@@ -9,7 +9,9 @@
 //!   [`KeyTable`], each node's published [`ClockState`], and the run's
 //!   [`trace::Recorder`];
 //! - [`SysEvent`]: the one event vocabulary all actors share;
-//! - [`send_message`] / [`open_delivery`]: sealed protocol messaging;
+//! - [`MachineActor`]: the simulation driver for every protocol
+//!   participant (a [`proto::Machine`]), with sealed messaging inside;
+//! - [`ClientWorkload`]: a client application querying one node;
 //! - [`EnvDriver`]: OS-side AEX injection (per-core and machine-wide);
 //! - [`Sampler`]: the external drift-measurement harness.
 //!
@@ -24,7 +26,6 @@ mod env;
 mod event;
 mod keys;
 mod machine;
-mod messaging;
 mod sampler;
 mod world;
 
@@ -33,7 +34,6 @@ pub use env::EnvDriver;
 pub use event::SysEvent;
 pub use keys::{link_aad, KeyTable};
 pub use machine::MachineActor;
-pub use messaging::{open_delivery, send_message, DropReason};
-pub use proto::NonceWindow;
+pub use proto::{Effect, Env, Input, Machine, NonceWindow, ScriptedEnv, TimerId};
 pub use sampler::Sampler;
 pub use world::{ClockState, Host, Lie, World};

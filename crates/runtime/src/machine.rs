@@ -8,35 +8,33 @@
 //! call sites the pre-refactor actors used, which is what keeps seeded
 //! artifacts byte-identical across the effect-boundary refactor.
 
-use netsim::{Addr, FastMap};
-use proto::{ClockState, Env, Input, Lie, Machine, AEX_RESUME_TOKEN};
+use netsim::{Addr, Delivery};
+use proto::{ClockState, Env, Input, Lie, Machine, TimerId, AEX_RESUME_TOKEN};
 use rand::rngs::StdRng;
 use sim::{Actor, Ctx, EventId, SimDuration, SimTime};
 use trace::{NodeStateTag, Recorder};
 use wire::Message;
 
 use crate::event::SysEvent;
-use crate::messaging::{open_delivery, send_message};
 use crate::world::World;
 
 /// Adapts a [`proto::Machine`] into a simulation [`Actor`].
 ///
-/// Timer identity: machines arm timers by `u64` token; the adapter holds
-/// the token → [`EventId`] map so [`proto::Env::cancel_timer`] reaches the
-/// scheduler queue's cancellation. The map is only ever probed by token,
-/// never iterated, so its order cannot reach an artifact. Re-arming a
-/// still-armed token overwrites its handle without cancelling the earlier
-/// event, so both fire (see [`proto::Env::set_timer`]).
+/// The adapter holds nothing but the machine. A timer's cancellation
+/// handle is the sim [`EventId`] inside the [`TimerId`] the machine
+/// keeps, so cancelling an arming that already fired or was cancelled is
+/// a no-op through the event queue's generation check. Re-arming a
+/// still-armed token schedules a second event, and both fire (see
+/// [`proto::Env::set_timer`]).
 #[derive(Debug)]
 pub struct MachineActor<M: Machine> {
     machine: M,
-    timers: FastMap<u64, EventId>,
 }
 
 impl<M: Machine> MachineActor<M> {
     /// Wraps `machine` for the simulation driver.
     pub fn new(machine: M) -> Self {
-        MachineActor { machine, timers: FastMap::default() }
+        MachineActor { machine }
     }
 
     /// The wrapped machine.
@@ -44,62 +42,104 @@ impl<M: Machine> MachineActor<M> {
         &self.machine
     }
 
-    fn step(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, input: Input) {
-        let mut env = SimEnv {
-            me: self.machine.addr(),
-            node_index: self.machine.node_index(),
-            ctx,
-            timers: &mut self.timers,
-        };
-        self.machine.on_input(&mut env, input);
+    fn env<'e, 'w>(&self, ctx: &'e mut Ctx<'w, World, SysEvent>) -> SimEnv<'e, 'w> {
+        SimEnv { me: self.machine.addr(), node_index: self.machine.node_index(), ctx }
     }
 }
 
 impl<M: Machine> Actor<World, SysEvent> for MachineActor<M> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, World, SysEvent>) {
-        let mut env = SimEnv {
-            me: self.machine.addr(),
-            node_index: self.machine.node_index(),
-            ctx,
-            timers: &mut self.timers,
-        };
+        let mut env = self.env(ctx);
         self.machine.on_start(&mut env);
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, ev: SysEvent) {
-        if self.machine.crashed() {
+        if self.machine.crashed() && ev != SysEvent::Restart {
             // A downed platform processes nothing — deliveries are not
             // even opened; only a restart fault event brings it back.
-            if ev == SysEvent::Restart {
-                self.step(ctx, Input::Restart);
-            }
             return;
         }
         let input = match ev {
             SysEvent::Deliver(d) => {
                 let now = ctx.now();
-                let Ok(msg) = open_delivery(ctx.world, self.machine.addr(), now, &d) else {
+                let Some(msg) = open_delivery(ctx.world, self.machine.addr(), now, &d) else {
                     return; // forged, tampered, or corrupted datagram (counted)
                 };
                 Input::Message { src: d.src, msg }
             }
             SysEvent::Aex { machine_wide } => Input::Aex { machine_wide },
-            SysEvent::AexResume => Input::AexResume,
+            SysEvent::AexResume | SysEvent::Timer { token: AEX_RESUME_TOKEN } => Input::AexResume,
+            SysEvent::Timer { token } => Input::Timer { token },
             SysEvent::Crash => Input::Crash,
-            SysEvent::Restart => Input::Restart, // not crashed: spurious
-            SysEvent::Timer { token } => {
-                // The fired event is spent; drop its cancellation handle.
-                self.timers.remove(&token);
-                if token == AEX_RESUME_TOKEN {
-                    Input::AexResume
-                } else {
-                    Input::Timer { token }
-                }
-            }
+            SysEvent::Restart => Input::Restart,
             SysEvent::Sample => return, // the Sampler's private event
         };
-        self.step(ctx, input);
+        let mut env = self.env(ctx);
+        self.machine.on_input(&mut env, input);
     }
+}
+
+/// Encodes, seals, and dispatches `msg` from `src` to `dst`, scheduling the
+/// delivery event on the destination actor.
+///
+/// Returns `false` when the fabric killed the datagram (loss or an
+/// attacker drop) — senders see nothing, exactly like UDP.
+///
+/// # Panics
+///
+/// Panics if no key is provisioned for the pair or `dst` has no registered
+/// actor.
+fn send_message(ctx: &mut Ctx<'_, World, SysEvent>, src: Addr, dst: Addr, msg: &Message) -> bool {
+    let now = ctx.now();
+    {
+        // Split the world into its disjoint hot-path parts so the scratch
+        // buffers can feed the key table and fabric without cloning.
+        let World { ref mut net, ref mut keys, ref mut scratch, .. } = *ctx.world;
+        scratch.plain.clear();
+        msg.encode_into(&mut scratch.plain);
+        scratch.wire.clear();
+        keys.seal_into(src, dst, &scratch.plain, &mut scratch.wire);
+        scratch.deliveries.clear();
+        net.dispatch_into(now, ctx.rng, src, dst, &scratch.wire, &mut scratch.deliveries);
+    }
+    if ctx.world.scratch.deliveries.is_empty() {
+        return false;
+    }
+    let target = ctx.world.actor_of(dst);
+    // Scheduling needs `ctx` whole, so lift the staged deliveries out of the
+    // world for the duration and hand the (emptied) buffer back after.
+    let mut deliveries = std::mem::take(&mut ctx.world.scratch.deliveries);
+    for (deliver_at, delivery) in deliveries.drain(..) {
+        ctx.send_at(target, deliver_at, SysEvent::Deliver(delivery));
+    }
+    ctx.world.scratch.deliveries = deliveries;
+    true
+}
+
+/// Opens and decodes a delivery addressed to `me` at simulation time
+/// `now`. The decode → machine-input hot path never panics on network
+/// input: a datagram that fails authentication (forged, tampered,
+/// replayed, misrouted) or decoding is counted into the world recorder's
+/// drop counters and `None` comes back — the adapter ignores it, as a
+/// UDP service would.
+fn open_delivery(
+    world: &mut World,
+    me: Addr,
+    now: SimTime,
+    delivery: &Delivery,
+) -> Option<Message> {
+    debug_assert_eq!(delivery.dst, me, "delivery routed to the wrong actor");
+    let World { ref keys, ref mut scratch, ref mut recorder, .. } = *world;
+    scratch.plain.clear();
+    if keys.open_into(me, delivery.src, &delivery.payload, &mut scratch.plain).is_err() {
+        recorder.service.drops_auth.increment(now);
+        return None;
+    }
+    let msg = Message::decode(&scratch.plain).ok();
+    if msg.is_none() {
+        recorder.service.drops_decode.increment(now);
+    }
+    msg
 }
 
 /// The simulation-side [`Env`]: every capability resolves against the
@@ -108,7 +148,6 @@ struct SimEnv<'e, 'w> {
     me: Addr,
     node_index: Option<usize>,
     ctx: &'e mut Ctx<'w, World, SysEvent>,
-    timers: &'e mut FastMap<u64, EventId>,
 }
 
 impl SimEnv<'_, '_> {
@@ -133,15 +172,12 @@ impl Env for SimEnv<'_, '_> {
         send_message(self.ctx, self.me, dst, msg)
     }
 
-    fn set_timer(&mut self, token: u64, after: SimDuration) {
-        let id = self.ctx.schedule_in(after, SysEvent::timer(token));
-        self.timers.insert(token, id);
+    fn set_timer(&mut self, token: u64, after: SimDuration) -> TimerId {
+        TimerId::new(token, self.ctx.schedule_in(after, SysEvent::timer(token)).to_bits())
     }
 
-    fn cancel_timer(&mut self, token: u64) {
-        if let Some(id) = self.timers.remove(&token) {
-            self.ctx.cancel(id);
-        }
+    fn cancel_timer(&mut self, id: TimerId) {
+        self.ctx.cancel(EventId::from_bits(id.handle()));
     }
 
     fn read_tsc(&mut self) -> u64 {
@@ -184,15 +220,21 @@ mod tests {
     use crate::world::Host;
     use netsim::{DelayModel, Network};
     use sim::Simulation;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    /// A machine that arms, cancels, and re-arms timers and publishes a
-    /// clock, exercising every adapter path.
-    struct Pinger {
+    type Log = Rc<RefCell<Vec<(u64, Input)>>>;
+
+    /// Logs every input with its arrival time in ms, answers
+    /// `PeerTimeRequest`s, and runs `hook` on start (`None`) and after
+    /// every input.
+    struct Scripted<F> {
         me: Addr,
-        fired: Vec<u64>,
+        hook: F,
+        log: Log,
     }
 
-    impl Machine for Pinger {
+    impl<F: FnMut(&mut dyn Env, Option<&Input>)> Machine for Scripted<F> {
         fn addr(&self) -> Addr {
             self.me
         }
@@ -200,69 +242,155 @@ mod tests {
             Some((self.me.0 - 1) as usize)
         }
         fn on_start(&mut self, env: &mut dyn Env) {
-            env.set_timer(1, SimDuration::from_millis(10));
-            env.set_timer(2, SimDuration::from_millis(20));
-            env.cancel_timer(2); // never fires
-            env.set_timer(3, SimDuration::from_millis(30));
+            (self.hook)(env, None);
         }
         fn on_input(&mut self, env: &mut dyn Env, input: Input) {
-            if let Input::Timer { token } = input {
-                self.fired.push(token);
-                if token == 1 {
-                    let ticks = env.read_tsc();
-                    env.publish_clock(ClockState {
-                        valid: true,
-                        anchor_ref_ns: 0.0,
-                        anchor_ticks: ticks,
-                        f_calib_hz: 1e9,
-                        uncertainty_ns: 0.0,
-                    });
-                }
+            if let Input::Message { src, msg: Message::PeerTimeRequest { nonce } } = input {
+                env.send(src, &Message::PeerTimeResponse { nonce, timestamp_ns: 42 });
             }
+            (self.hook)(env, Some(&input));
+            self.log.borrow_mut().push((env.now().as_nanos() / 1_000_000, input));
         }
     }
 
-    #[test]
-    fn timers_cancel_by_token_and_clock_publishes() {
-        let net = Network::new(DelayModel::Constant(SimDuration::ZERO), 0.0);
-        let world = World::new(net, vec![Host::paper_default()]);
-        let mut s = Simulation::new(world, 1);
-        let id = s.add_actor(Box::new(MachineActor::new(Pinger { me: Addr(1), fired: vec![] })));
+    fn world(n: usize) -> World {
+        let net = Network::new(DelayModel::Constant(SimDuration::from_millis(1)), 0.0);
+        let mut world = World::new(net, (0..n).map(|_| Host::paper_default()).collect());
+        world.provision_all_keys(1);
+        world
+    }
+
+    /// Runs one scripted machine at `Addr(1)` to quiescence; returns its
+    /// input log and the world.
+    fn run_one(
+        hook: impl FnMut(&mut dyn Env, Option<&Input>) + 'static,
+    ) -> (Vec<(u64, Input)>, World) {
+        let log = Log::default();
+        let mut s = Simulation::new(world(1), 1);
+        let id = s.add_actor(Box::new(MachineActor::new(Scripted {
+            me: Addr(1),
+            hook,
+            log: Rc::clone(&log),
+        })));
         s.world_mut().register_actor(Addr(1), id);
-        s.run_until(SimTime::from_secs(1));
-        assert!(s.world().clocks[0].valid, "timer 1 published the clock");
-        // Timer 2 was cancelled before it could fire.
-        assert!(s.dispatched() >= 2);
+        s.run();
+        (log.take(), s.into_world())
     }
 
-    /// Arms token 7 twice without cancelling, then cancels it on every
-    /// firing.
-    struct Rearmer;
+    fn ms(n: u64) -> SimDuration {
+        SimDuration::from_millis(n)
+    }
 
-    impl Machine for Rearmer {
-        fn addr(&self) -> Addr {
-            Addr(1)
-        }
-        fn on_start(&mut self, env: &mut dyn Env) {
-            env.set_timer(7, SimDuration::from_millis(10));
-            env.set_timer(7, SimDuration::from_millis(20));
-        }
-        fn on_input(&mut self, env: &mut dyn Env, _input: Input) {
-            env.cancel_timer(7);
-        }
+    fn timer(at_ms: u64, token: u64) -> (u64, Input) {
+        (at_ms, Input::Timer { token })
+    }
+
+    /// The sim's `TimerId` contract: a cancelled id never fires, and
+    /// cancelling an id that already fired is a no-op that leaves a later
+    /// arming of the same token alone — even when that arming reuses the
+    /// fired event's queue slot.
+    #[test]
+    fn a_timer_id_cancels_only_its_own_arming() {
+        let mut first = None;
+        let (log, world) = run_one(move |env, input| match input {
+            None => {
+                first = Some(env.set_timer(1, ms(10)));
+                let doomed = env.set_timer(2, ms(20));
+                env.cancel_timer(doomed);
+                env.cancel_timer(doomed);
+            }
+            Some(Input::Timer { token: 1 }) if env.now() == SimTime::ZERO + ms(10) => {
+                // The fired event's slot is free again, so this arming
+                // takes it under a new generation.
+                env.set_timer(1, ms(10));
+                env.cancel_timer(first.expect("armed on start"));
+                let ticks = env.read_tsc();
+                env.publish_clock(ClockState {
+                    valid: true,
+                    anchor_ticks: ticks,
+                    ..ClockState::default()
+                });
+            }
+            Some(_) => {}
+        });
+        assert_eq!(log, [timer(10, 1), timer(20, 1)]);
+        assert!(world.clocks[0].valid, "the first firing published the clock");
     }
 
     /// Pins a sim↔live divergence (`net::TimerQueue::arm` supersedes, see
-    /// its `rearm_supersedes_the_old_deadline`): here both events stay
-    /// queued, and the first firing drops the second one's handle, so not
-    /// even the cancel at 10 ms stops the 20 ms firing.
+    /// its `rearm_supersedes_the_old_deadline`): here re-arming an armed
+    /// token queues a second event and both fire; cancelling the first
+    /// arming after it fired does not touch the second.
     #[test]
     fn rearming_an_armed_token_fires_twice() {
-        let net = Network::new(DelayModel::Constant(SimDuration::ZERO), 0.0);
-        let mut s = Simulation::new(World::new(net, vec![Host::paper_default()]), 1);
-        s.add_actor(Box::new(MachineActor::new(Rearmer)));
+        let mut first = None;
+        let (log, _) = run_one(move |env, input| match input {
+            None => {
+                first = Some(env.set_timer(7, ms(10)));
+                env.set_timer(7, ms(20));
+            }
+            Some(_) => env.cancel_timer(first.expect("armed on start")),
+        });
+        assert_eq!(log, [timer(10, 7), timer(20, 7)]);
+    }
+
+    #[test]
+    fn request_response_round_trip_over_sealed_fabric() {
+        let log = Log::default();
+        let mut s = Simulation::new(world(2), 1);
+        let ask = |env: &mut dyn Env, input: Option<&Input>| {
+            if input.is_none() {
+                env.send(Addr(2), &Message::PeerTimeRequest { nonce: 1 });
+            }
+        };
+        let quiet = |_: &mut dyn Env, _: Option<&Input>| {};
+        let a = s.add_actor(Box::new(MachineActor::new(Scripted {
+            me: Addr(1),
+            hook: ask,
+            log: Rc::clone(&log),
+        })));
+        let b = s.add_actor(Box::new(MachineActor::new(Scripted {
+            me: Addr(2),
+            hook: quiet,
+            log: Rc::clone(&log),
+        })));
+        s.world_mut().register_actor(Addr(1), a);
+        s.world_mut().register_actor(Addr(2), b);
         s.run();
-        assert_eq!(s.dispatched(), 2, "the superseded 10 ms event and the 20 ms one");
-        assert_eq!(s.now(), SimTime::ZERO + SimDuration::from_millis(20));
+        let request = Input::Message { src: Addr(1), msg: Message::PeerTimeRequest { nonce: 1 } };
+        let response = Input::Message {
+            src: Addr(2),
+            msg: Message::PeerTimeResponse { nonce: 1, timestamp_ns: 42 },
+        };
+        assert_eq!(log.take(), [(1, request), (2, response)]);
+    }
+
+    #[test]
+    fn tampered_payload_is_ignored() {
+        // Interceptors cannot rewrite payloads (read-only), so model the
+        // strongest forgery: an attacker-injected datagram of chosen bytes.
+        let mut world = world(1);
+        let forged = Delivery {
+            src: Addr(0),
+            dst: Addr(1),
+            payload: vec![0u8; 64],
+            send_time: SimTime::ZERO,
+        };
+        assert_eq!(open_delivery(&mut world, Addr(1), SimTime::ZERO, &forged), None);
+        assert_eq!(world.recorder.service.drops_auth.count(), 1);
+    }
+
+    #[test]
+    fn authenticated_garbage_counts_a_decode_drop() {
+        // Seal valid ciphertext over an invalid plaintext: authentication
+        // passes, decoding must fail and be counted, not panic.
+        let mut world = world(2);
+        let mut sealed = Vec::new();
+        world.keys.seal_into(Addr(2), Addr(1), &[0xFF; 8], &mut sealed);
+        let garbled =
+            Delivery { src: Addr(2), dst: Addr(1), payload: sealed, send_time: SimTime::ZERO };
+        assert_eq!(open_delivery(&mut world, Addr(1), SimTime::ZERO, &garbled), None);
+        assert_eq!(world.recorder.service.drops_decode.count(), 1);
+        assert_eq!(world.recorder.service.drops(), 1);
     }
 }

@@ -59,10 +59,6 @@ pub struct World {
     pub recorder: Recorder,
     /// Pairwise AEAD sessions.
     pub keys: KeyTable,
-    /// Whether the Time Authority is up. Fault drivers clear this during
-    /// TA-outage windows; the authority actor drops all traffic (and
-    /// pending held responses) while it is `false`.
-    pub ta_online: bool,
     /// Per-node active lying-node fault (same indexing as `hosts`).
     /// `None` everywhere unless a fault plan injects a [`Lie`].
     pub lies: Vec<Option<Lie>>,
@@ -81,7 +77,6 @@ impl World {
             clocks: vec![ClockState::default(); n],
             recorder: Recorder::for_nodes(n),
             keys: KeyTable::new(),
-            ta_online: true,
             lies: vec![None; n],
             actors: FastMap::default(),
             scratch: Scratch::default(),
@@ -153,13 +148,19 @@ impl World {
         assert!(prev.is_none(), "{addr} registered twice");
     }
 
+    /// The actor owning `addr`, if one is registered.
+    pub fn try_actor_of(&self, addr: Addr) -> Option<ActorId> {
+        self.actors.get(&addr).copied()
+    }
+
     /// The actor owning `addr`.
     ///
     /// # Panics
     ///
-    /// Panics for unregistered addresses.
+    /// Panics for unregistered addresses; use [`World::try_actor_of`] for
+    /// fallible access.
     pub fn actor_of(&self, addr: Addr) -> ActorId {
-        *self.actors.get(&addr).unwrap_or_else(|| panic!("no actor registered for {addr}"))
+        self.try_actor_of(addr).unwrap_or_else(|| panic!("no actor registered for {addr}"))
     }
 
     /// Provisions pairwise keys: every node with the TA, and every node
@@ -279,6 +280,7 @@ mod tests {
             fn on_event(&mut self, _: &mut sim::Ctx<'_, (), ()>, _: ()) {}
         }
         let id = s.add_actor(Box::new(Noop));
+        assert_eq!(w.try_actor_of(Addr(1)), None);
         w.register_actor(Addr(1), id);
         assert_eq!(w.actor_of(Addr(1)), id);
     }

@@ -303,6 +303,9 @@ mod tests {
         };
         let world = space.spec(&g).run(7);
         assert_eq!(world.node_count(), 3);
-        assert!(!world.ta_online);
+        assert_eq!(
+            world.recorder.faults.events()[..],
+            [(SimTime::from_secs(2), "ta-outage".to_string())]
+        );
     }
 }

@@ -3,14 +3,14 @@
 //! client-side SLO accounting.
 
 use netsim::{Addr, FastMap};
-use proto::{Env, Input, Machine};
+use proto::{Env, Input, Machine, TimerId};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sim::{SimDuration, SimTime};
 use wire::{Message, ServeOutcome};
 
 use crate::router::Router;
-use crate::spec::{ArrivalSpec, ClosedLoopSpec, OpenLoopSpec, RouterSpec};
+use crate::spec::{ClosedLoopSpec, OpenLoopSpec, RouterSpec};
 
 /// Timer token: next open-loop arrival.
 const TOKEN_ARRIVAL: u64 = 1 << 63;
@@ -21,7 +21,8 @@ const TOKEN_THINK: u64 = (1 << 63) | (1 << 62);
 /// Low bits available for a nonce or client index inside a token.
 const TOKEN_PAYLOAD: u64 = (1 << 62) - 1;
 
-fn exp_draw(rng: &mut StdRng, mean_ns: f64) -> u64 {
+/// An exponential draw with mean `mean_ns`, at least 1 ns.
+pub(crate) fn exp_draw(rng: &mut StdRng, mean_ns: f64) -> u64 {
     let u: f64 = rng.gen();
     ((-mean_ns * (1.0 - u).ln()).max(1.0)) as u64
 }
@@ -32,6 +33,8 @@ struct Pending {
     first_sent: SimTime,
     attempts: u32,
     target: usize,
+    /// The attempt's timeout.
+    timeout: TimerId,
 }
 
 /// The request/retry engine behind both generators: picks targets via
@@ -90,8 +93,8 @@ impl Dispatcher {
             self.frontends[target],
             &Message::ServeRequest { nonce, accept_degraded: self.accept_degraded },
         );
-        env.set_timer(TOKEN_TIMEOUT | nonce, self.spec.timeout);
-        self.in_flight.insert(nonce, Pending { first_sent, attempts, target });
+        let timeout = env.set_timer(TOKEN_TIMEOUT | nonce, self.spec.timeout);
+        self.in_flight.insert(nonce, Pending { first_sent, attempts, target, timeout });
         false
     }
 
@@ -102,7 +105,7 @@ impl Dispatcher {
         let Some(pending) = self.in_flight.remove(&nonce) else {
             return false; // Duplicate or post-timeout straggler.
         };
-        env.cancel_timer(TOKEN_TIMEOUT | nonce);
+        env.cancel_timer(pending.timeout);
         let now = env.now();
         let service = &mut env.recorder().service;
         match outcome {
@@ -153,7 +156,7 @@ impl Dispatcher {
             return false; // Already answered.
         };
         let now = env.now();
-        self.router.timed_out(pending.target, now, env.rng());
+        self.router.timed_out(pending.target, now);
         if pending.attempts < self.spec.max_attempts {
             return self.attempt(
                 env,
@@ -170,8 +173,8 @@ impl Dispatcher {
 
 /// An aggregated open-loop arrival process: one actor standing in for a
 /// large client population, issuing requests on a seeded inter-arrival
-/// stream shaped by a [`crate::LoadProfile`] — the offered load does not
-/// slow down when the cluster does.
+/// stream of exponential gaps — the offered load does not slow down when
+/// the cluster does.
 #[derive(Debug)]
 pub struct OpenLoopGen {
     spec: OpenLoopSpec,
@@ -197,15 +200,7 @@ impl OpenLoopGen {
     }
 
     fn next_gap(&self, env: &mut dyn Env) -> SimDuration {
-        let mean_ns = 1e9 / (self.spec.rate_per_s * self.spec.profile.factor_at(env.now()));
-        let gap_ns = match self.spec.arrival {
-            ArrivalSpec::Exponential => exp_draw(env.rng(), mean_ns),
-            ArrivalSpec::Uniform { spread } => {
-                let u: f64 = env.rng().gen();
-                ((mean_ns * (1.0 - spread + 2.0 * spread * u)).max(1.0)) as u64
-            }
-        };
-        SimDuration::from_nanos(gap_ns.max(1))
+        SimDuration::from_nanos(exp_draw(env.rng(), 1e9 / self.spec.rate_per_s).max(1))
     }
 }
 

@@ -5,8 +5,8 @@
 //!
 //! - [`OpenLoopGen`] / [`ClosedLoopGen`]: seeded load generators — an
 //!   aggregated open-loop arrival process standing in for a large client
-//!   population ([`ArrivalSpec`] gaps shaped by a [`LoadProfile`]), and a
-//!   closed-loop think-time population that self-throttles;
+//!   population (exponential gaps at a constant rate), and a closed-loop
+//!   think-time population that self-throttles;
 //! - [`Frontend`]: the per-node serving front-end — bounded admission
 //!   queue, request batching (one enclave timestamp read amortized over a
 //!   whole batch), load shedding with explicit `Overloaded` replies, and
@@ -52,8 +52,7 @@ pub use gen::{ClosedLoopGen, OpenLoopGen};
 pub use quorum::{decide, AttestSample, QuorumDecision, QuorumGen, QuorumHealth};
 pub use router::Router;
 pub use spec::{
-    ArrivalSpec, ClosedLoopSpec, FrontendSpec, LoadProfile, OpenLoopSpec, QuorumLoopSpec,
-    QuorumSpec, RouterSpec, ServiceSpec,
+    ClosedLoopSpec, FrontendSpec, OpenLoopSpec, QuorumLoopSpec, QuorumSpec, RouterSpec, ServiceSpec,
 };
 
 /// The serving address of the front-end beside node index `i`.

@@ -16,14 +16,15 @@
 //! circuit breaker.
 
 use netsim::{Addr, FastMap};
-use proto::{Env, Input, Machine};
+use proto::{Env, Input, Machine, TimerId};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sim::{SimDuration, SimTime};
 use stats::{marzullo, Interval};
 use wire::{AttestOutcome, Message, TimeReading};
 
-use crate::spec::{ArrivalSpec, QuorumLoopSpec, QuorumSpec};
+use crate::gen::exp_draw;
+use crate::spec::{QuorumLoopSpec, QuorumSpec};
 
 /// Timer token: next quorum-read arrival.
 const TOKEN_ARRIVAL: u64 = 1 << 63;
@@ -235,6 +236,8 @@ impl QuorumHealth {
 #[derive(Debug)]
 struct PendingRead {
     first_sent: SimTime,
+    /// The collection deadline.
+    deadline: TimerId,
     /// Panel node indices this read fanned out to.
     panel: Vec<usize>,
     /// Bitmask over `panel` positions that have answered (any outcome).
@@ -288,18 +291,7 @@ impl QuorumGen {
     }
 
     fn next_gap(&self, env: &mut dyn Env) -> SimDuration {
-        let mean_ns = 1e9 / (self.spec.rate_per_s * self.spec.profile.factor_at(env.now()));
-        let gap_ns = match self.spec.arrival {
-            ArrivalSpec::Exponential => {
-                let u: f64 = env.rng().gen();
-                ((-mean_ns * (1.0 - u).ln()).max(1.0)) as u64
-            }
-            ArrivalSpec::Uniform { spread } => {
-                let u: f64 = env.rng().gen();
-                ((mean_ns * (1.0 - spread + 2.0 * spread * u)).max(1.0)) as u64
-            }
-        };
-        SimDuration::from_nanos(gap_ns.max(1))
+        SimDuration::from_nanos(exp_draw(env.rng(), 1e9 / self.spec.rate_per_s).max(1))
     }
 
     /// Picks up to `2f + 1` eligible nodes, rotating the start so load
@@ -335,10 +327,10 @@ impl QuorumGen {
         for &i in &panel {
             env.send(self.frontends[i], &Message::AttestRequest { nonce });
         }
-        env.set_timer(TOKEN_DEADLINE | nonce, self.spec.quorum.collect_timeout);
+        let deadline = env.set_timer(TOKEN_DEADLINE | nonce, self.spec.quorum.collect_timeout);
         self.pending.insert(
             nonce,
-            PendingRead { first_sent: now, panel, answered: 0, samples: Vec::new() },
+            PendingRead { first_sent: now, deadline, panel, answered: 0, samples: Vec::new() },
         );
     }
 
@@ -368,7 +360,7 @@ impl QuorumGen {
         // refusing to attest is a liveness problem, not evidence of lying.
         if read.answered.count_ones() as usize == read.panel.len() {
             let read = self.pending.remove(&nonce).expect("present");
-            env.cancel_timer(TOKEN_DEADLINE | nonce);
+            env.cancel_timer(read.deadline);
             self.settle(env, read);
         }
     }

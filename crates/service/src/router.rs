@@ -1,8 +1,6 @@
 //! Client-side cluster routing: round-robin spreading with per-node
 //! health tracking and failover.
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use sim::SimTime;
 
 use crate::spec::RouterSpec;
@@ -17,11 +15,6 @@ use crate::spec::RouterSpec;
 /// node is hard-down [`Router::pick`] returns `None` so the caller can
 /// fail fast with a distinct outcome instead of burning its retry budget
 /// against known-dead machines.
-///
-/// With a non-zero [`RouterSpec::half_open_jitter`] each hard mark-down
-/// adds a seeded uniform draw to its cooldown, desynchronizing the
-/// instant different generators re-probe a recovering node (no rejoin
-/// stampede onto the first machine back up).
 #[derive(Debug, Clone)]
 pub struct Router {
     spec: RouterSpec,
@@ -93,17 +86,11 @@ impl Router {
         self.down_until[i] = self.down_until[i].max(now + self.spec.penalty);
     }
 
-    /// Records a timed-out attempt against node `i`: back off hard, plus
-    /// a seeded half-open jitter draw when the spec enables one (the draw
-    /// is skipped entirely at `ZERO`, leaving `rng` untouched).
-    pub fn timed_out(&mut self, i: usize, now: SimTime, rng: &mut StdRng) {
-        let mut hold = self.spec.cooldown;
-        if !self.spec.half_open_jitter.is_zero() {
-            let jitter_ns = rng.gen_range(0..=self.spec.half_open_jitter.as_nanos());
-            hold += sim::SimDuration::from_nanos(jitter_ns);
-        }
-        self.down_until[i] = self.down_until[i].max(now + hold);
-        self.hard_until[i] = self.hard_until[i].max(now + hold);
+    /// Records a timed-out attempt against node `i`: back off hard.
+    pub fn timed_out(&mut self, i: usize, now: SimTime) {
+        let until = now + self.spec.cooldown;
+        self.down_until[i] = self.down_until[i].max(until);
+        self.hard_until[i] = self.hard_until[i].max(until);
     }
 
     /// True when node `i` is currently held down.
@@ -114,7 +101,6 @@ impl Router {
 
 #[cfg(test)]
 mod tests {
-    use rand::SeedableRng;
     use sim::SimDuration;
 
     use super::*;
@@ -125,12 +111,7 @@ mod tests {
             max_attempts: 3,
             cooldown: SimDuration::from_millis(200),
             penalty: SimDuration::from_millis(20),
-            half_open_jitter: SimDuration::ZERO,
         }
-    }
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
     }
 
     #[test]
@@ -145,7 +126,7 @@ mod tests {
     fn down_nodes_are_skipped_until_they_recover() {
         let mut r = Router::new(spec(), 3);
         let now = SimTime::from_secs(1);
-        r.timed_out(1, now, &mut rng());
+        r.timed_out(1, now);
         assert!(r.is_down(1, now));
         let picks: Vec<usize> = (0..4).map(|_| r.pick(now, None).unwrap()).collect();
         assert!(!picks.contains(&1), "held-down node picked: {picks:?}");
@@ -172,8 +153,8 @@ mod tests {
         // known-dead machine and burning the retry budget.
         let mut r = Router::new(spec(), 2);
         let now = SimTime::from_secs(1);
-        r.timed_out(0, now, &mut rng());
-        r.timed_out(1, now, &mut rng());
+        r.timed_out(0, now);
+        r.timed_out(1, now);
         assert_eq!(r.pick(now, None), None);
         // Past the cooldown the cluster is routable again.
         let later = now + SimDuration::from_millis(500);
@@ -199,46 +180,12 @@ mod tests {
     fn mixed_soft_and_hard_down_routes_to_the_soft_node() {
         let mut r = Router::new(spec(), 3);
         let now = SimTime::from_secs(1);
-        r.timed_out(0, now, &mut rng());
-        r.timed_out(2, now, &mut rng());
+        r.timed_out(0, now);
+        r.timed_out(2, now);
         r.overloaded(1, now);
         // Node 1 is merely penalized; the forced pick must choose it over
         // the two timed-out nodes.
         assert_eq!(r.pick(now, None), Some(1));
-    }
-
-    #[test]
-    fn half_open_jitter_spreads_recovery_instants() {
-        let jittered = RouterSpec { half_open_jitter: SimDuration::from_millis(100), ..spec() };
-        let now = SimTime::from_secs(1);
-        // Two generators marking the same node down at the same instant
-        // draw different recovery times from their own seeded streams.
-        let mut a = Router::new(jittered, 2);
-        let mut b = Router::new(jittered, 2);
-        let mut rng_a = StdRng::seed_from_u64(1);
-        let mut rng_b = StdRng::seed_from_u64(2);
-        a.timed_out(0, now, &mut rng_a);
-        b.timed_out(0, now, &mut rng_b);
-        assert_ne!(a.down_until[0], b.down_until[0], "jitter did not desynchronize rejoins");
-        // Both recover somewhere inside [cooldown, cooldown + jitter].
-        for r in [&a, &b] {
-            let hold = r.down_until[0] - now;
-            assert!(hold >= SimDuration::from_millis(200));
-            assert!(hold <= SimDuration::from_millis(300));
-        }
-    }
-
-    #[test]
-    fn zero_jitter_skips_the_rng_draw() {
-        // Determinism contract: at the default ZERO the RNG stream must
-        // be left untouched (committed artifacts depend on it).
-        let mut r = Router::new(spec(), 1);
-        let mut rng_used = rng();
-        let mut rng_control = rng();
-        r.timed_out(0, SimTime::from_secs(1), &mut rng_used);
-        let a: u64 = rng_used.gen();
-        let b: u64 = rng_control.gen();
-        assert_eq!(a, b, "zero jitter consumed RNG state");
     }
 
     #[test]

@@ -1,97 +1,25 @@
 //! Declarative, cloneable descriptions of the serving layer — the data
 //! [`crate::install`] turns into front-end and load-generator actors.
 
-use sim::{SimDuration, SimTime};
-
-/// The shape of open-loop inter-arrival draws. The *rate* lives in
-/// [`OpenLoopSpec::rate_per_s`]; the spec only picks the distribution
-/// around the implied mean gap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalSpec {
-    /// Memoryless (Poisson-process) arrivals: exponential gaps. The
-    /// aggregate of many independent clients, per the usual limit.
-    Exponential,
-    /// Uniform gaps in `mean · [1 - spread, 1 + spread]` — a smoother
-    /// population with bounded burstiness.
-    Uniform {
-        /// Half-width of the gap jitter as a fraction of the mean gap,
-        /// in `[0, 1)`.
-        spread: f64,
-    },
-}
-
-/// How the offered load evolves over the run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LoadProfile {
-    /// The nominal rate for the whole run.
-    Constant,
-    /// Linear ramp from `from_frac` of the nominal rate at `t = 0` up to
-    /// the full rate at `t = over`, constant afterwards.
-    Ramp {
-        /// Starting fraction of the nominal rate, in `(0, 1]`.
-        from_frac: f64,
-        /// Ramp duration.
-        over: SimDuration,
-    },
-    /// The nominal rate, except a `factor`× surge during
-    /// `[at, at + width)` — a flash crowd.
-    Burst {
-        /// When the surge starts.
-        at: SimTime,
-        /// Rate multiplier during the surge (> 1 for a surge).
-        factor: f64,
-        /// Surge duration.
-        width: SimDuration,
-    },
-}
-
-impl LoadProfile {
-    /// The rate multiplier in effect at `now`.
-    pub fn factor_at(&self, now: SimTime) -> f64 {
-        match *self {
-            LoadProfile::Constant => 1.0,
-            LoadProfile::Ramp { from_frac, over } => {
-                if over.is_zero() {
-                    return 1.0;
-                }
-                let frac = (now.as_nanos() as f64 / over.as_nanos() as f64).min(1.0);
-                from_frac + (1.0 - from_frac) * frac
-            }
-            LoadProfile::Burst { at, factor, width } => {
-                if now >= at && now < at + width {
-                    factor
-                } else {
-                    1.0
-                }
-            }
-        }
-    }
-}
+use sim::SimDuration;
 
 /// One aggregated open-loop arrival process: a large client population
 /// modelled as a single seeded stream of requests that keeps arriving at
 /// the offered rate no matter how the cluster is doing — the load shape
-/// that actually drives servers into overload.
+/// that actually drives servers into overload. Gaps are exponential
+/// (memoryless, Poisson-process arrivals: the aggregate of many
+/// independent clients).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenLoopSpec {
-    /// Nominal offered rate (requests per simulated second).
+    /// Offered rate (requests per simulated second).
     pub rate_per_s: f64,
-    /// Inter-arrival distribution.
-    pub arrival: ArrivalSpec,
-    /// Rate evolution over the run.
-    pub profile: LoadProfile,
     /// Whether requests tolerate degraded `TimeReading` answers.
     pub accept_degraded: bool,
 }
 
 impl Default for OpenLoopSpec {
     fn default() -> Self {
-        OpenLoopSpec {
-            rate_per_s: 1000.0,
-            arrival: ArrivalSpec::Exponential,
-            profile: LoadProfile::Constant,
-            accept_degraded: true,
-        }
+        OpenLoopSpec { rate_per_s: 1000.0, accept_degraded: true }
     }
 }
 
@@ -168,13 +96,6 @@ pub struct RouterSpec {
     /// How long a node stays deprioritized after an `Overloaded` reply
     /// (it is alive but saturated — back off briefly).
     pub penalty: SimDuration,
-    /// Seeded jitter added on top of `cooldown` when a node is marked
-    /// down hard: each generator draws its own recovery instant uniformly
-    /// from `[0, half_open_jitter]`, so simultaneous rejoins don't let
-    /// every client stampede the first node whose cooldown expires.
-    /// `ZERO` (the default) disables the draw entirely, leaving the
-    /// simulation's RNG stream untouched.
-    pub half_open_jitter: SimDuration,
 }
 
 impl Default for RouterSpec {
@@ -184,7 +105,6 @@ impl Default for RouterSpec {
             max_attempts: 3,
             cooldown: SimDuration::from_millis(250),
             penalty: SimDuration::from_millis(20),
-            half_open_jitter: SimDuration::ZERO,
         }
     }
 }
@@ -248,26 +168,18 @@ impl QuorumSpec {
 
 /// One aggregated open-loop *quorum read* process: every arrival fans an
 /// attestation request out to a whole panel instead of a single node.
+/// Gaps are exponential, as in [`OpenLoopSpec`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuorumLoopSpec {
-    /// Nominal offered rate (quorum reads per simulated second).
+    /// Offered rate (quorum reads per simulated second).
     pub rate_per_s: f64,
-    /// Inter-arrival distribution.
-    pub arrival: ArrivalSpec,
-    /// Rate evolution over the run.
-    pub profile: LoadProfile,
     /// The quorum policy driving panel selection and acceptance.
     pub quorum: QuorumSpec,
 }
 
 impl Default for QuorumLoopSpec {
     fn default() -> Self {
-        QuorumLoopSpec {
-            rate_per_s: 200.0,
-            arrival: ArrivalSpec::Exponential,
-            profile: LoadProfile::Constant,
-            quorum: QuorumSpec::default(),
-        }
+        QuorumLoopSpec { rate_per_s: 200.0, quorum: QuorumSpec::default() }
     }
 }
 
@@ -352,33 +264,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ramp_profile_interpolates_and_saturates() {
-        let p = LoadProfile::Ramp { from_frac: 0.2, over: SimDuration::from_secs(10) };
-        assert!((p.factor_at(SimTime::ZERO) - 0.2).abs() < 1e-12);
-        assert!((p.factor_at(SimTime::from_secs(5)) - 0.6).abs() < 1e-12);
-        assert!((p.factor_at(SimTime::from_secs(10)) - 1.0).abs() < 1e-12);
-        assert!((p.factor_at(SimTime::from_secs(60)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn burst_profile_is_a_window() {
-        let p = LoadProfile::Burst {
-            at: SimTime::from_secs(5),
-            factor: 4.0,
-            width: SimDuration::from_secs(2),
-        };
-        assert!((p.factor_at(SimTime::from_secs(4)) - 1.0).abs() < 1e-12);
-        assert!((p.factor_at(SimTime::from_secs(5)) - 4.0).abs() < 1e-12);
-        assert!((p.factor_at(SimTime::from_secs(7)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_length_ramp_is_constant() {
-        let p = LoadProfile::Ramp { from_frac: 0.5, over: SimDuration::ZERO };
-        assert!((p.factor_at(SimTime::ZERO) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn spec_builders_accumulate_generators() {
         let spec = ServiceSpec::new()
             .open_loop(OpenLoopSpec::default())
@@ -397,12 +282,5 @@ mod tests {
         assert_eq!(q.panel_size(), 5);
         assert_eq!(q.accept_threshold(), 3);
         assert_eq!(QuorumSpec::default().panel_size(), 3);
-    }
-
-    #[test]
-    fn router_jitter_defaults_off() {
-        // Committed artifacts depend on the jitter draw being skipped
-        // entirely at the default setting.
-        assert!(RouterSpec::default().half_open_jitter.is_zero());
     }
 }

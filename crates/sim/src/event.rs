@@ -38,6 +38,18 @@ use crate::time::SimTime;
 pub struct EventId(pub(crate) u64);
 
 impl EventId {
+    /// The id as one integer, for drivers that store it in a handle of
+    /// their own.
+    pub fn to_bits(self) -> u64 {
+        self.0
+    }
+
+    /// The id [`EventId::to_bits`] returned `bits` for. Any `u64` is
+    /// safe to cancel: one that names no live event is a no-op.
+    pub fn from_bits(bits: u64) -> Self {
+        EventId(bits)
+    }
+
     pub(crate) fn pack(slot: u32, gen: u32) -> Self {
         EventId((u64::from(gen) << 32) | u64::from(slot))
     }

@@ -26,9 +26,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use netsim::Addr;
-use runtime::{open_delivery, send_message, ClockState, SysEvent, World};
-use sim::{Actor, Ctx, EventId, SimDuration};
+use netsim::{Addr, DelayModel, InterceptAction, Interceptor, MsgMeta, Network};
+use runtime::{
+    ClientWorkload, ClockState, Env, Host, Input, Machine, MachineActor, Sampler, SysEvent,
+    TimerId, World,
+};
+use sim::{SimDuration, SimTime, Simulation};
 use trace::NodeStateTag;
 use wire::Message;
 
@@ -45,7 +48,6 @@ pub const TPM_SPEC_MAX_DRIFT_PPM: f64 = 325_000.0;
 pub struct Tpm {
     me: Addr,
     drift_ppm: f64,
-    served: u64,
 }
 
 impl Tpm {
@@ -60,31 +62,23 @@ impl Tpm {
             drift_ppm.abs() <= TPM_SPEC_MAX_DRIFT_PPM,
             "TPM drift {drift_ppm} ppm exceeds the spec's ±32.5%"
         );
-        Tpm { me, drift_ppm, served: 0 }
-    }
-
-    /// Readings served so far.
-    pub fn served(&self) -> u64 {
-        self.served
+        Tpm { me, drift_ppm }
     }
 }
 
-impl Actor<World, SysEvent> for Tpm {
-    fn on_event(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, ev: SysEvent) {
-        let SysEvent::Deliver(d) = ev else { return };
-        let now = ctx.now();
-        let Ok(Message::CalibrationRequest { nonce, .. }) =
-            open_delivery(ctx.world, self.me, now, &d)
-        else {
+impl Machine for Tpm {
+    fn addr(&self) -> Addr {
+        self.me
+    }
+
+    fn on_input(&mut self, env: &mut dyn Env, input: Input) {
+        let Input::Message { src, msg: Message::CalibrationRequest { nonce, .. } } = input else {
             return;
         };
-        self.served += 1;
-        let now_ns = ctx.now().as_nanos() as f64;
+        let now_ns = env.now().as_nanos() as f64;
         let tpm_time_ns = (now_ns * (1.0 + self.drift_ppm * 1e-6)) as u64;
-        send_message(
-            ctx,
-            self.me,
-            d.src,
+        env.send(
+            src,
             &Message::CalibrationResponse { nonce, ta_time_ns: tpm_time_ns, slept_ns: 0 },
         );
     }
@@ -127,22 +121,24 @@ pub struct T3eNode {
     index: usize,
     tpm: Addr,
     cfg: T3eConfig,
+    tsc_hz: f64,
     state: NodeStateTag,
     last_reading_ns: Option<u64>,
     uses_left: u32,
     last_served_ns: u64,
-    pending_retry: Option<EventId>,
+    pending_retry: Option<TimerId>,
     next_nonce: u64,
 }
 
 impl T3eNode {
     /// Creates a node at `me` (a regular node address, so its trace lands
-    /// in the recorder) backed by the TPM at `tpm`.
+    /// in the recorder) backed by the TPM at `tpm`, on a host whose TSC
+    /// runs at the nominal `tsc_hz`.
     ///
     /// # Panics
     ///
     /// Panics on the TA address or a zero-use budget.
-    pub fn new(me: Addr, tpm: Addr, cfg: T3eConfig) -> Self {
+    pub fn new(me: Addr, tpm: Addr, cfg: T3eConfig, tsc_hz: f64) -> Self {
         assert!(me.0 >= 1, "a node cannot use the TA address");
         assert!(cfg.max_uses > 0, "a zero-use budget can never serve");
         T3eNode {
@@ -150,6 +146,7 @@ impl T3eNode {
             index: (me.0 - 1) as usize,
             tpm,
             cfg,
+            tsc_hz,
             state: NodeStateTag::Tainted,
             last_reading_ns: None,
             uses_left: 0,
@@ -159,25 +156,45 @@ impl T3eNode {
         }
     }
 
-    fn enter_state(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, state: NodeStateTag) {
+    fn enter_state(&mut self, env: &mut dyn Env, state: NodeStateTag) {
         self.state = state;
-        let now = ctx.now();
-        ctx.world.recorder.node_mut(self.index).states.enter(now, state);
+        let now = env.now();
+        env.recorder().node_mut(self.index).states.enter(now, state);
     }
 
-    fn request_reading(&mut self, ctx: &mut Ctx<'_, World, SysEvent>) {
+    fn request_reading(&mut self, env: &mut dyn Env) {
         if let Some(retry) = self.pending_retry.take() {
-            ctx.cancel(retry);
+            env.cancel_timer(retry);
         }
         self.next_nonce += 1;
-        send_message(
-            ctx,
-            self.me,
-            self.tpm,
-            &Message::CalibrationRequest { nonce: self.next_nonce, sleep_ns: 0 },
-        );
-        self.pending_retry =
-            Some(ctx.schedule_in(self.cfg.request_timeout, SysEvent::timer(TOKEN_RETRY)));
+        env.send(self.tpm, &Message::CalibrationRequest { nonce: self.next_nonce, sleep_ns: 0 });
+        self.pending_retry = Some(env.set_timer(TOKEN_RETRY, self.cfg.request_timeout));
+    }
+
+    fn on_reading(&mut self, env: &mut dyn Env, ta_time_ns: u64) {
+        if let Some(retry) = self.pending_retry.take() {
+            env.cancel_timer(retry);
+        }
+        // Monotone TPM readings only (a delayed older reading must not
+        // roll time back).
+        if self.last_reading_ns.is_some_and(|prev| ta_time_ns <= prev) {
+            return;
+        }
+        self.last_reading_ns = Some(ta_time_ns);
+        self.uses_left = self.cfg.max_uses;
+        if self.state != NodeStateTag::Ok {
+            self.enter_state(env, NodeStateTag::Ok);
+        }
+        // Publish for the drift sampler: the node's notion of time is the
+        // reading, held constant until the next one (zero-rate clock).
+        let anchor_ticks = env.read_tsc();
+        env.publish_clock(ClockState {
+            valid: true,
+            anchor_ref_ns: ta_time_ns as f64,
+            anchor_ticks,
+            f_calib_hz: self.tsc_hz,
+            uncertainty_ns: 0.0,
+        });
     }
 
     fn serve(&mut self) -> Option<u64> {
@@ -192,73 +209,42 @@ impl T3eNode {
     }
 }
 
-impl Actor<World, SysEvent> for T3eNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, World, SysEvent>) {
-        let now = ctx.now();
-        ctx.world.recorder.node_mut(self.index).states.enter(now, NodeStateTag::Tainted);
-        self.request_reading(ctx);
-        ctx.schedule_in(self.cfg.poll_interval, SysEvent::timer(TOKEN_POLL));
+impl Machine for T3eNode {
+    fn addr(&self) -> Addr {
+        self.me
     }
 
-    fn on_event(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, ev: SysEvent) {
-        match ev {
-            SysEvent::Timer { token: TOKEN_POLL } => {
-                self.request_reading(ctx);
-                ctx.schedule_in(self.cfg.poll_interval, SysEvent::timer(TOKEN_POLL));
+    fn node_index(&self) -> Option<usize> {
+        Some(self.index)
+    }
+
+    fn on_start(&mut self, env: &mut dyn Env) {
+        self.enter_state(env, NodeStateTag::Tainted);
+        self.request_reading(env);
+        env.set_timer(TOKEN_POLL, self.cfg.poll_interval);
+    }
+
+    fn on_input(&mut self, env: &mut dyn Env, input: Input) {
+        match input {
+            Input::Timer { token: TOKEN_POLL } => {
+                self.request_reading(env);
+                env.set_timer(TOKEN_POLL, self.cfg.poll_interval);
             }
-            SysEvent::Timer { token: TOKEN_RETRY } => {
-                // The outstanding request went unanswered (delayed or
-                // dropped by the OS): try again.
-                self.request_reading(ctx);
+            // The outstanding request went unanswered (delayed or dropped
+            // by the OS): try again.
+            Input::Timer { token: TOKEN_RETRY } => self.request_reading(env),
+            Input::Message { msg: Message::CalibrationResponse { ta_time_ns, .. }, .. } => {
+                self.on_reading(env, ta_time_ns);
             }
-            SysEvent::Deliver(d) => {
-                let now = ctx.now();
-                match open_delivery(ctx.world, self.me, now, &d) {
-                    Ok(Message::CalibrationResponse { ta_time_ns, .. }) => {
-                        if let Some(retry) = self.pending_retry.take() {
-                            ctx.cancel(retry);
-                        }
-                        // Monotone TPM readings only (a delayed older
-                        // reading must not roll time back).
-                        let fresh =
-                            self.last_reading_ns.map(|prev| ta_time_ns > prev).unwrap_or(true);
-                        if fresh {
-                            self.last_reading_ns = Some(ta_time_ns);
-                            self.uses_left = self.cfg.max_uses;
-                            if self.state != NodeStateTag::Ok {
-                                self.enter_state(ctx, NodeStateTag::Ok);
-                            }
-                            // Publish for the drift sampler: the node's
-                            // notion of time is the reading, held constant
-                            // until the next one (zero-rate clock).
-                            let now = ctx.now();
-                            let ticks = ctx.world.read_tsc(self.me, now);
-                            ctx.world.clocks[self.index] = ClockState {
-                                valid: true,
-                                anchor_ref_ns: ta_time_ns as f64,
-                                anchor_ticks: ticks,
-                                f_calib_hz: ctx.world.host(self.me).tsc.nominal_hz(),
-                                uncertainty_ns: 0.0,
-                            };
-                        }
-                    }
-                    Ok(Message::ClientTimeRequest { nonce }) => {
-                        let timestamp_ns = self.serve();
-                        let depleted = self.uses_left == 0 && self.state == NodeStateTag::Ok;
-                        send_message(
-                            ctx,
-                            self.me,
-                            d.src,
-                            &Message::ClientTimeResponse { nonce, timestamp_ns },
-                        );
-                        if depleted {
-                            // Budget exhausted: stall until a fresh
-                            // reading arrives (and ask for one now).
-                            self.enter_state(ctx, NodeStateTag::Tainted);
-                            self.request_reading(ctx);
-                        }
-                    }
-                    _ => {}
+            Input::Message { src, msg: Message::ClientTimeRequest { nonce } } => {
+                let timestamp_ns = self.serve();
+                let depleted = self.uses_left == 0 && self.state == NodeStateTag::Ok;
+                env.send(src, &Message::ClientTimeResponse { nonce, timestamp_ns });
+                if depleted {
+                    // Budget exhausted: stall until a fresh reading
+                    // arrives (and ask for one now).
+                    self.enter_state(env, NodeStateTag::Tainted);
+                    self.request_reading(env);
                 }
             }
             _ => {}
@@ -266,25 +252,141 @@ impl Actor<World, SysEvent> for T3eNode {
     }
 }
 
+/// The T3E node's address in [`deployment`].
+const NODE: Addr = Addr(1);
+/// The TPM's address in [`deployment`].
+const TPM: Addr = Addr(500);
+/// The client's address in [`deployment`].
+const CLIENT: Addr = Addr(1000);
+
+/// Rations TPM → node readings to one per `min_gap`, each delayed by
+/// 100 ms; surplus readings are dropped, as an OS simply not scheduling
+/// the driver would do. Uniform per-message delays alone do not starve
+/// the node — pipelined polls hide them — so a real §II-A attacker
+/// rations readings instead.
+#[derive(Debug)]
+struct ThrottleTpm {
+    min_gap: SimDuration,
+    last: Option<SimTime>,
+}
+
+impl Interceptor for ThrottleTpm {
+    fn on_message(&mut self, now: SimTime, meta: &MsgMeta, _ct: &[u8]) -> InterceptAction {
+        if meta.src != TPM || meta.dst != NODE {
+            return InterceptAction::Deliver;
+        }
+        if self.last.is_some_and(|last| now.saturating_duration_since(last) < self.min_gap) {
+            return InterceptAction::Drop;
+        }
+        self.last = Some(now);
+        InterceptAction::Delay(SimDuration::from_millis(100))
+    }
+}
+
+/// The E19 deployment: one T3E node (node index 0) on a paper-default
+/// host, backed by a TPM whose clock runs `tpm_drift_ppm` fast, one
+/// client asking it for a timestamp every `client_period`, and drift
+/// sampled every 250 ms. With `throttle`, an on-path attacker rations
+/// TPM readings to one per that gap (§II-A's delay attack).
+pub fn deployment(
+    tpm_drift_ppm: f64,
+    throttle: Option<SimDuration>,
+    client_period: SimDuration,
+    seed: u64,
+) -> Simulation<World, SysEvent> {
+    let mut net = Network::new(DelayModel::lan_default(), 0.0);
+    if let Some(min_gap) = throttle {
+        net.add_interceptor(Box::new(ThrottleTpm { min_gap, last: None }));
+    }
+    let host = Host::paper_default();
+    let tsc_hz = host.tsc.nominal_hz();
+    let mut world = World::new(net, vec![host]);
+    world.keys.provision_pair(NODE, TPM, [1u8; 32]);
+    world.keys.provision_pair(CLIENT, NODE, [2u8; 32]);
+    let mut s = Simulation::new(world, seed);
+    let node = T3eNode::new(NODE, TPM, T3eConfig::default(), tsc_hz);
+    let node = s.add_actor(Box::new(MachineActor::new(node)));
+    let tpm = s.add_actor(Box::new(MachineActor::new(Tpm::new(TPM, tpm_drift_ppm))));
+    let client = ClientWorkload::new(CLIENT, NODE, client_period);
+    let client = s.add_actor(Box::new(MachineActor::new(client)));
+    s.add_actor(Box::new(Sampler { interval: SimDuration::from_millis(250) }));
+    s.world_mut().register_actor(NODE, node);
+    s.world_mut().register_actor(TPM, tpm);
+    s.world_mut().register_actor(CLIENT, client);
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use runtime::{Effect, ScriptedEnv};
 
     #[test]
     fn tpm_drift_bounds_enforced() {
-        let _ = Tpm::new(Addr(500), 325_000.0);
-        let _ = Tpm::new(Addr(500), -325_000.0);
+        let _ = Tpm::new(TPM, 325_000.0);
+        let _ = Tpm::new(TPM, -325_000.0);
     }
 
     #[test]
     #[should_panic(expected = "exceeds the spec")]
     fn excessive_tpm_drift_rejected() {
-        let _ = Tpm::new(Addr(500), 400_000.0);
+        let _ = Tpm::new(TPM, 400_000.0);
     }
 
     #[test]
     #[should_panic(expected = "zero-use budget")]
     fn zero_uses_rejected() {
-        let _ = T3eNode::new(Addr(1), Addr(500), T3eConfig { max_uses: 0, ..Default::default() });
+        let cfg = T3eConfig { max_uses: 0, ..Default::default() };
+        let _ = T3eNode::new(NODE, TPM, cfg, 3e9);
+    }
+
+    fn reading(env: &mut ScriptedEnv, node: &mut T3eNode, ta_time_ns: u64) {
+        let msg = Message::CalibrationResponse { nonce: 0, ta_time_ns, slept_ns: 0 };
+        node.on_input(env, Input::Message { src: TPM, msg });
+    }
+
+    /// Asks once; returns the answer and whether the node asked the TPM
+    /// for a fresh reading in the same step.
+    fn ask(env: &mut ScriptedEnv, node: &mut T3eNode, nonce: u64) -> (Option<u64>, bool) {
+        let msg = Message::ClientTimeRequest { nonce };
+        node.on_input(env, Input::Message { src: CLIENT, msg });
+        let effects = env.take_effects();
+        let answer = effects.iter().find_map(|e| match e {
+            Effect::Send { dst: CLIENT, msg: Message::ClientTimeResponse { timestamp_ns, .. } } => {
+                Some(*timestamp_ns)
+            }
+            _ => None,
+        });
+        let refresh = effects.iter().any(|e| {
+            matches!(e, Effect::Send { dst: TPM, msg: Message::CalibrationRequest { .. } })
+        });
+        (answer.expect("every request is answered"), refresh)
+    }
+
+    #[test]
+    fn a_depleted_budget_stalls_until_a_fresh_reading_arrives() {
+        let mut env = ScriptedEnv::new(1, 1);
+        let cfg = T3eConfig { max_uses: 3, ..Default::default() };
+        let mut node = T3eNode::new(NODE, TPM, cfg, env.tsc_hz);
+        node.on_start(&mut env);
+        env.take_effects();
+        assert_eq!(ask(&mut env, &mut node, 1), (None, false), "no reading yet");
+        reading(&mut env, &mut node, 5_000);
+        assert!(env.clocks[0].valid && env.clocks[0].anchor_ref_ns == 5_000.0);
+        // Three uses of one reading, strictly increasing; the third
+        // depletes the budget and asks the TPM again.
+        assert_eq!(ask(&mut env, &mut node, 2), (Some(5_000), false));
+        assert_eq!(ask(&mut env, &mut node, 3), (Some(5_001), false));
+        assert_eq!(ask(&mut env, &mut node, 4), (Some(5_002), true));
+        assert_eq!(ask(&mut env, &mut node, 5), (None, false), "stalled");
+        // A reading no newer than the last one does not refresh it.
+        reading(&mut env, &mut node, 5_000);
+        assert_eq!(ask(&mut env, &mut node, 6), (None, false));
+        reading(&mut env, &mut node, 9_000);
+        assert_eq!(ask(&mut env, &mut node, 7), (Some(9_000), false));
+        let states: Vec<_> =
+            env.recorder.node(0).states.transitions().iter().map(|&(_, s)| s).collect();
+        use NodeStateTag::{Ok, Tainted};
+        assert_eq!(states, [Tainted, Ok, Tainted, Ok]);
     }
 }

@@ -1,68 +1,15 @@
 //! End-to-end T3E behaviour: the availability-vs-integrity trade-off the
 //! paper's related work describes.
 
-use netsim::{Addr, DelayModel, InterceptAction, Interceptor, MsgMeta, Network};
-use runtime::{ClientWorkload, Host, Sampler, SysEvent, World};
+use runtime::{SysEvent, World};
 use sim::{SimDuration, SimTime, Simulation};
-use t3e::{T3eConfig, T3eNode, Tpm};
-
-const NODE: Addr = Addr(1);
-const TPM: Addr = Addr(500);
-const CLIENT: Addr = Addr(1000);
-
-/// Throttles TPM → node responses: at most one reading per `min_gap`
-/// (surplus responses are dropped, as an OS simply not scheduling the
-/// driver would do). Uniform per-message delays alone do not starve the
-/// node — pipelined polls hide them — so a real §II-A attacker rations
-/// readings instead.
-#[derive(Debug)]
-struct ThrottleTpm {
-    min_gap: SimDuration,
-    delay: SimDuration,
-    last_delivered: Option<SimTime>,
-}
-
-impl Interceptor for ThrottleTpm {
-    fn on_message(&mut self, now: SimTime, meta: &MsgMeta, _ct: &[u8]) -> InterceptAction {
-        if meta.src != TPM || meta.dst != NODE {
-            return InterceptAction::Deliver;
-        }
-        if let Some(last) = self.last_delivered {
-            if now.saturating_duration_since(last) < self.min_gap {
-                return InterceptAction::Drop;
-            }
-        }
-        self.last_delivered = Some(now);
-        InterceptAction::Delay(self.delay)
-    }
-}
 
 fn build(
     tpm_drift_ppm: f64,
     source_throttle: Option<SimDuration>,
     client_period: SimDuration,
 ) -> Simulation<World, SysEvent> {
-    let mut net = Network::new(DelayModel::lan_default(), 0.0);
-    if let Some(gap) = source_throttle {
-        net.add_interceptor(Box::new(ThrottleTpm {
-            min_gap: gap,
-            delay: SimDuration::from_millis(100),
-            last_delivered: None,
-        }));
-    }
-    let mut world = World::new(net, vec![Host::paper_default()]);
-    world.keys.provision_pair(NODE, TPM, [1u8; 32]);
-    world.keys.provision_pair(CLIENT, NODE, [2u8; 32]);
-
-    let mut s = Simulation::new(world, 61);
-    let node = s.add_actor(Box::new(T3eNode::new(NODE, TPM, T3eConfig::default())));
-    let tpm = s.add_actor(Box::new(Tpm::new(TPM, tpm_drift_ppm)));
-    let client = s.add_actor(Box::new(ClientWorkload::new(CLIENT, NODE, client_period)));
-    s.add_actor(Box::new(Sampler { interval: SimDuration::from_millis(250) }));
-    s.world_mut().register_actor(NODE, node);
-    s.world_mut().register_actor(TPM, tpm);
-    s.world_mut().register_actor(CLIENT, client);
-    s
+    t3e::deployment(tpm_drift_ppm, source_throttle, client_period, 61)
 }
 
 #[test]

@@ -15,7 +15,10 @@
 //!   scanned crate: `unsafe` and CPU-intrinsic machinery are licensed
 //!   only inside the designated crypto kernel pair
 //!   (`crates/crypto/src/{backend,clmul}.rs`), where each use carries a
-//!   justified allow; an allow anywhere else is itself a policy error.
+//!   justified allow; an allow anywhere else is itself a policy error,
+//! - the **component-model lint** (`component-model`) fires everywhere
+//!   but the `Machine` adapter and the environment drivers: a protocol
+//!   participant is a `proto::Machine`, never a raw simulation actor.
 
 use crate::lexer::CodeLine;
 
@@ -30,6 +33,9 @@ pub enum Scope {
     HotPathModules,
     /// Every file of every scanned crate, deterministic or not.
     AllCrates,
+    /// Every scanned file except the `Machine` adapter and the
+    /// environment drivers (`crate::DRIVER_MODULES`).
+    OutsideDrivers,
 }
 
 /// One lint: a name, a scope, the tokens that trigger it, and the
@@ -113,6 +119,15 @@ pub const LINTS: &[Lint] = &[
                feature detection) and crates/crypto/src/clmul.rs (kernels); everything else \
                stays forbid(unsafe_code) so the determinism and memory-safety audit surface \
                is two files",
+    },
+    Lint {
+        name: "component-model",
+        scope: Scope::OutsideDrivers,
+        patterns: &["Actor<World, SysEvent> for", "impl sim::Actor"],
+        message: "a simulation actor outside the Machine adapter and the environment drivers",
+        help: "protocol participants are `proto::Machine`s, run by `runtime::MachineActor` in the \
+               simulation and by `net`'s driver live; only the adapter and the environment \
+               drivers (EnvDriver, Sampler, FaultDriver, TscAttackSchedule) implement `sim::Actor`",
     },
     Lint {
         name: "panic-surface",

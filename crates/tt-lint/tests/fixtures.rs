@@ -89,6 +89,38 @@ fn outside_impl() {
 }
 
 #[test]
+fn a_protocol_participant_written_as_a_sim_actor_is_flagged() {
+    let src = "\
+impl Actor<World, SysEvent> for TimeAuthority {}
+impl<M: Machine> Actor<World, SysEvent> for Wrapper<M> {}
+impl sim::Actor<(), ()> for Probe {}
+impl Machine for Tpm {}
+";
+    let f = lint("crates/authority/src/lib.rs", src);
+    let hits: Vec<_> = f.iter().map(|f| (f.lint, f.line, f.pattern)).collect();
+    assert_eq!(
+        hits,
+        [
+            ("component-model", 1, "Actor<World, SysEvent> for"),
+            ("component-model", 2, "Actor<World, SysEvent> for"),
+            ("component-model", 3, "impl sim::Actor"),
+        ]
+    );
+    // The live crate is scanned too.
+    assert_eq!(lint("crates/net/src/x.rs", src).len(), 3);
+}
+
+#[test]
+fn the_adapter_drivers_and_test_code_may_implement_sim_actor() {
+    let src = "impl Actor<World, SysEvent> for Sampler {}\n";
+    for driver in tt_lint::DRIVER_MODULES {
+        assert!(lint(driver, src).is_empty(), "{driver}");
+    }
+    let test_only = format!("#[cfg(test)]\nmod tests {{\n    {src}}}\n");
+    assert!(lint("crates/authority/src/lib.rs", &test_only).is_empty());
+}
+
+#[test]
 fn panic_surface_applies_only_to_hot_path_modules() {
     let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
     let f = lint("crates/wire/src/codec.rs", src);

@@ -4,74 +4,46 @@
 use triad_tt::attacks::{CalibrationDelayAttack, DelayAttackMode};
 use triad_tt::harness::ClusterBuilder;
 use triad_tt::netsim::Addr;
-use triad_tt::runtime::{open_delivery, send_message, SysEvent, World};
-use triad_tt::sim::{Actor, Ctx, SimDuration, SimTime};
+use triad_tt::proto::{Env, Input, Machine};
+use triad_tt::runtime::{MachineActor, World};
+use triad_tt::sim::{SimDuration, SimTime};
 use triad_tt::tsc::TriadLike;
 use triad_tt::wire::Message;
 
 /// A client application hammering one Triad node for timestamps. Asserts
-/// the node's monotonicity contract *inside* the simulation and counts
-/// unavailability answers.
+/// the node's monotonicity contract *inside* the simulation.
 struct ClientProbe {
     me: Addr,
     target: Addr,
     period: SimDuration,
     next_nonce: u64,
     last_timestamp: u64,
-    served: u64,
-    unavailable: u64,
 }
 
-impl ClientProbe {
-    fn new(me: Addr, target: Addr, period: SimDuration) -> Self {
-        ClientProbe {
-            me,
-            target,
-            period,
-            next_nonce: 0,
-            last_timestamp: 0,
-            served: 0,
-            unavailable: 0,
-        }
+impl Machine for ClientProbe {
+    fn addr(&self) -> Addr {
+        self.me
     }
-}
-
-impl Actor<World, SysEvent> for ClientProbe {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, World, SysEvent>) {
-        ctx.schedule_in(self.period, SysEvent::timer(0));
+    fn on_start(&mut self, env: &mut dyn Env) {
+        env.set_timer(0, self.period);
     }
-    fn on_event(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, ev: SysEvent) {
-        match ev {
-            SysEvent::Timer { .. } => {
+    fn on_input(&mut self, env: &mut dyn Env, input: Input) {
+        match input {
+            Input::Timer { .. } => {
                 self.next_nonce += 1;
-                send_message(
-                    ctx,
-                    self.me,
-                    self.target,
-                    &Message::ClientTimeRequest { nonce: self.next_nonce },
-                );
-                ctx.schedule_in(self.period, SysEvent::timer(0));
+                env.send(self.target, &Message::ClientTimeRequest { nonce: self.next_nonce });
+                env.set_timer(0, self.period);
             }
-            SysEvent::Deliver(d) => {
-                let now = ctx.now();
-                if let Ok(Message::ClientTimeResponse { timestamp_ns, .. }) =
-                    open_delivery(ctx.world, self.me, now, &d)
-                {
-                    match timestamp_ns {
-                        Some(ts) => {
-                            assert!(
-                                ts > self.last_timestamp,
-                                "monotonicity violated: {ts} after {}",
-                                self.last_timestamp
-                            );
-                            self.last_timestamp = ts;
-                            self.served += 1;
-                            // Publish progress so the test can read it back.
-                            ctx.world.recorder.node(0); // keep borrowck honest
-                        }
-                        None => self.unavailable += 1,
-                    }
-                }
+            Input::Message {
+                msg: Message::ClientTimeResponse { timestamp_ns: Some(ts), .. },
+                ..
+            } => {
+                assert!(
+                    ts > self.last_timestamp,
+                    "monotonicity violated: {ts} after {}",
+                    self.last_timestamp
+                );
+                self.last_timestamp = ts;
             }
             _ => {}
         }
@@ -93,8 +65,8 @@ fn with_client(
     s.world_mut().keys.provision_pair(client_addr, target, key);
     let dispatched_before = s.dispatched();
     assert_eq!(dispatched_before, 0);
-    let client = ClientProbe::new(client_addr, target, period);
-    let id = s.add_actor(Box::new(client));
+    let client = ClientProbe { me: client_addr, target, period, next_nonce: 0, last_timestamp: 0 };
+    let id = s.add_actor(Box::new(MachineActor::new(client)));
     s.world_mut().register_actor(client_addr, id);
     s.run_until(horizon);
     s.dispatched()
