@@ -1,55 +1,49 @@
 //! Shared cluster state boards.
 //!
-//! The simulation keeps published clocks and node states in the single
-//! `World`; the live runtime shares them across threads here. Everything
-//! a machine can observe through [`proto::Env`] — another node's
-//! published clock, a co-located node's protocol state, its TSC — lives
-//! on these boards; everything else is thread-private.
+//! The simulation keeps published clocks, node states and host platforms
+//! in the single `World`; the live runtime shares them across threads
+//! here. Everything a machine can observe through [`proto::Env`] —
+//! another node's published clock, a co-located node's protocol state,
+//! its host's TSC and INC — lives on these boards; everything else is
+//! thread-private.
 
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::Mutex;
 
 use proto::ClockState;
+use runtime::Host;
 use trace::NodeStateTag;
-
-use crate::clock::{SyntheticInc, SyntheticTsc};
 
 /// Cross-thread observable state of one live cluster.
 #[derive(Debug)]
 pub struct Boards {
     clocks: Vec<Mutex<ClockState>>,
     states: Vec<Mutex<Option<NodeStateTag>>>,
-    tscs: Vec<SyntheticTsc>,
-    inc: SyntheticInc,
+    /// Read-only: nothing manipulates a live host yet.
+    hosts: Vec<Host>,
     shutdown: AtomicBool,
 }
 
 impl Boards {
-    /// Boards for a cluster whose node `i` runs on `tscs[i]`.
-    pub fn new(tscs: Vec<SyntheticTsc>, inc: SyntheticInc) -> Self {
-        let n = tscs.len();
+    /// Boards for a cluster whose node `i` runs on `hosts[i]`.
+    pub fn new(hosts: Vec<Host>) -> Self {
+        let n = hosts.len();
         Boards {
             clocks: (0..n).map(|_| Mutex::new(ClockState::default())).collect(),
             states: (0..n).map(|_| Mutex::new(None)).collect(),
-            tscs,
-            inc,
+            hosts,
             shutdown: AtomicBool::new(false),
         }
     }
 
     /// Number of nodes on the boards.
     pub fn nodes(&self) -> usize {
-        self.tscs.len()
+        self.hosts.len()
     }
 
-    /// Node `i`'s synthetic TSC.
-    pub fn tsc(&self, i: usize) -> &SyntheticTsc {
-        &self.tscs[i]
-    }
-
-    /// The cluster's INC model.
-    pub fn inc(&self) -> &SyntheticInc {
-        &self.inc
+    /// Node `i`'s platform, read at monotonic time by the driver.
+    pub fn host(&self, i: usize) -> &Host {
+        &self.hosts[i]
     }
 
     /// Publishes node `i`'s clock parameters.
@@ -89,10 +83,7 @@ mod tests {
 
     #[test]
     fn boards_publish_and_read_back() {
-        let boards = Boards::new(
-            vec![SyntheticTsc::new(3.0e9), SyntheticTsc::new(3.1e9)],
-            SyntheticInc::new(20_000.0, 10.0),
-        );
+        let boards = Boards::new(vec![Host::paper_default(); 2]);
         assert_eq!(boards.nodes(), 2);
         assert!(!boards.clock(0).valid);
         assert_eq!(boards.state(1), None);

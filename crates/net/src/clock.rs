@@ -1,4 +1,4 @@
-//! Wall-clock time sources for the live runtime.
+//! The live runtime's time source.
 //!
 //! The live driver measures everything against one process-wide monotonic
 //! epoch, so [`proto::Env::now`] is "nanoseconds since cluster start" —
@@ -6,17 +6,12 @@
 //! arithmetic (staleness windows, calibration anchors) identical under
 //! both drivers.
 //!
-//! The TSC and INC counters are synthetic: real `rdtsc` is not available
-//! portably (and would tie the run to one micro-architecture), so each
-//! node gets a tick counter derived from the monotonic clock at a
-//! per-node frequency slightly off nominal. The protocol cannot tell the
-//! difference — it only ever sees tick values through the [`proto::Env`]
-//! capability — and the calibration loop has a real, node-specific
-//! frequency to discover over real network round-trips.
+//! A node's TSC and INC counters are not read from the hardware: real
+//! `rdtsc` is not available portably. Each node runs on a
+//! `runtime::Host`, the simulation's platform model, evaluated at
+//! [`MonoClock::now`] (see [`crate::board::Boards`]).
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use sim::{SimDuration, SimTime};
+use sim::SimTime;
 use std::time::Instant;
 
 /// The cluster's shared monotonic epoch.
@@ -43,62 +38,9 @@ impl MonoClock {
     }
 }
 
-/// One node's synthetic TimeStamp Counter: a fixed true frequency applied
-/// to the shared monotonic clock.
-#[derive(Debug, Clone, Copy)]
-pub struct SyntheticTsc {
-    freq_hz: f64,
-}
-
-impl SyntheticTsc {
-    /// A counter ticking at `freq_hz` (the node's *true* frequency, which
-    /// calibration tries to estimate).
-    pub fn new(freq_hz: f64) -> Self {
-        assert!(freq_hz > 0.0, "TSC frequency must be positive");
-        SyntheticTsc { freq_hz }
-    }
-
-    /// The true tick rate.
-    pub fn freq_hz(&self) -> f64 {
-        self.freq_hz
-    }
-
-    /// The counter value at `now_ns` monotonic nanoseconds.
-    pub fn read(&self, now_ns: u64) -> u64 {
-        (now_ns as f64 * self.freq_hz / 1e9) as u64
-    }
-}
-
-/// The monitoring thread's synthetic interrupt counter (INC): a fixed
-/// rate with a bounded multiplicative jitter, so the TSC/INC ratio the
-/// §IV-A.1 monitor watches stays well inside its detection threshold on
-/// an honest node.
-#[derive(Debug, Clone, Copy)]
-pub struct SyntheticInc {
-    rate_hz: f64,
-    jitter_ppm: f64,
-}
-
-impl SyntheticInc {
-    /// A counter at `rate_hz` with at most `jitter_ppm` relative jitter
-    /// per sample.
-    pub fn new(rate_hz: f64, jitter_ppm: f64) -> Self {
-        assert!(rate_hz > 0.0, "INC rate must be positive");
-        SyntheticInc { rate_hz, jitter_ppm }
-    }
-
-    /// The increment count over an uninterrupted wall window.
-    pub fn sample(&self, wall: SimDuration, rng: &mut StdRng) -> u64 {
-        let base = wall.as_nanos() as f64 * self.rate_hz / 1e9;
-        let jitter = 1.0 + self.jitter_ppm * 1e-6 * (rng.gen::<f64>() * 2.0 - 1.0);
-        (base * jitter).max(0.0).round() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn mono_clock_is_monotonic() {
@@ -106,25 +48,5 @@ mod tests {
         let a = c.now_ns();
         let b = c.now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn synthetic_tsc_scales_linearly() {
-        let tsc = SyntheticTsc::new(3.0e9);
-        assert_eq!(tsc.read(0), 0);
-        assert_eq!(tsc.read(1_000_000_000), 3_000_000_000);
-        assert_eq!(tsc.read(500_000_000), 1_500_000_000);
-    }
-
-    #[test]
-    fn synthetic_inc_stays_within_jitter() {
-        let inc = SyntheticInc::new(20_000.0, 10.0);
-        let mut rng = StdRng::seed_from_u64(7);
-        let wall = SimDuration::from_millis(100);
-        let nominal = 2_000.0;
-        for _ in 0..50 {
-            let n = inc.sample(wall, &mut rng) as f64;
-            assert!((n / nominal - 1.0).abs() < 1e-4, "sample {n} outside jitter band");
-        }
     }
 }

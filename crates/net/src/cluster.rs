@@ -18,7 +18,7 @@ use netsim::Addr;
 use proto::{node_addr, ClockState, Machine, NonceWindow, RetryPolicy, TA_ADDR};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use runtime::KeyTable;
+use runtime::{Host, KeyTable};
 pub use service::{frontend_addr, generator_addr};
 use service::{
     Frontend, FrontendSpec, OpenLoopGen, OpenLoopSpec, QuorumGen, QuorumLoopSpec, RouterSpec,
@@ -29,7 +29,7 @@ use wire::{Message, ServeOutcome};
 
 use crate::authority::{run_authority, AuthorityReport};
 use crate::board::Boards;
-use crate::clock::{MonoClock, SyntheticInc, SyntheticTsc};
+use crate::clock::MonoClock;
 use crate::driver::{run_machine, DriverConfig};
 use crate::endpoint::{Endpoint, Recv};
 
@@ -61,15 +61,6 @@ pub struct LiveSpec {
     pub open_loop: Option<OpenLoopSpec>,
     /// Optional open-loop quorum-read generator.
     pub quorum_loop: Option<QuorumLoopSpec>,
-    /// Nominal TSC frequency; node `i` runs at a deterministic per-node
-    /// offset around it so calibration has real skews to discover.
-    pub tsc_nominal_hz: f64,
-    /// Half-spread (ppm) of the per-node true-frequency offsets.
-    pub tsc_spread_ppm: f64,
-    /// Synthetic interrupt-counter rate for the §IV-A.1 monitor.
-    pub inc_rate_hz: f64,
-    /// Relative INC jitter (ppm) per monitor sample.
-    pub inc_jitter_ppm: f64,
     /// Pre-bound external blocking clients handed to the body via
     /// [`LiveHandle::client`].
     pub external_clients: usize,
@@ -86,24 +77,8 @@ impl Default for LiveSpec {
             router: RouterSpec::default(),
             open_loop: None,
             quorum_loop: None,
-            tsc_nominal_hz: 3.0e9,
-            tsc_spread_ppm: 40.0,
-            // High enough that integer quantization over a 100 ms monitor
-            // window (±1 count) stays far below the 100 ppm detection
-            // threshold: 5 MHz → 500k counts → ~2 ppm quantization.
-            inc_rate_hz: 5_000_000.0,
-            inc_jitter_ppm: 10.0,
             external_clients: 0,
         }
-    }
-}
-
-impl LiveSpec {
-    /// Node `i`'s true TSC frequency: the nominal rate offset by a
-    /// deterministic, centered per-node skew.
-    pub fn true_hz(&self, i: usize) -> f64 {
-        let centered = i as f64 - (self.nodes as f64 - 1.0) / 2.0;
-        self.tsc_nominal_hz * (1.0 + self.tsc_spread_ppm * 1e-6 * centered)
     }
 }
 
@@ -119,7 +94,8 @@ pub struct LiveReport {
     pub generators: Vec<Recorder>,
     /// TA service counters (absent when precalibrated).
     pub authority: Option<AuthorityReport>,
-    /// Each node's true TSC frequency, for judging calibration accuracy.
+    /// Each node's true TSC frequency (its host's nominal rate), for
+    /// judging calibration accuracy.
     pub true_hz: Vec<f64>,
 }
 
@@ -253,11 +229,9 @@ pub fn run_cluster<R>(
 ) -> (LiveReport, R) {
     let clock = MonoClock::start();
     let n = spec.nodes;
-    let true_hz: Vec<f64> = (0..n).map(|i| spec.true_hz(i)).collect();
-    let boards = Boards::new(
-        true_hz.iter().map(|&hz| SyntheticTsc::new(hz)).collect(),
-        SyntheticInc::new(spec.inc_rate_hz, spec.inc_jitter_ppm),
-    );
+    // Every node runs on the simulation's default platform.
+    let boards = Boards::new(vec![Host::paper_default(); n]);
+    let true_hz: Vec<f64> = (0..n).map(|i| boards.host(i).tsc.nominal_hz()).collect();
 
     let node_addrs: Vec<Addr> =
         if spec.precalibrated { Vec::new() } else { (0..n).map(node_addr).collect() };
@@ -303,8 +277,8 @@ pub fn run_cluster<R>(
 
     if spec.precalibrated {
         // No protocol threads: anchor every node's clock at the shared
-        // epoch with its true frequency and pin its state to Ok, exactly
-        // what a converged calibration would have published.
+        // epoch with its host's true frequency and pin its state to Ok,
+        // exactly what a converged calibration would have published.
         for (i, &hz) in true_hz.iter().enumerate() {
             boards.publish_clock(
                 i,
@@ -390,7 +364,7 @@ pub fn run_cluster<R>(
                 .map(|h| h.join().expect("generator thread"))
                 .collect(),
             authority: ta_handle.map(|h| h.join().expect("TA thread")),
-            true_hz: true_hz.clone(),
+            true_hz,
         };
         (report, body_result)
     })
@@ -407,14 +381,6 @@ mod tests {
         assert_eq!(pair_key(7, Addr(1), Addr(2)), pair_key(7, Addr(2), Addr(1)));
         assert_ne!(pair_key(7, Addr(1), Addr(2)), pair_key(7, Addr(1), Addr(3)));
         assert_ne!(pair_key(7, Addr(1), Addr(2)), pair_key(8, Addr(1), Addr(2)));
-    }
-
-    #[test]
-    fn true_frequencies_are_centered_around_nominal() {
-        let spec = LiveSpec::default();
-        let mean: f64 = (0..spec.nodes).map(|i| spec.true_hz(i)).sum::<f64>() / spec.nodes as f64;
-        assert!((mean - spec.tsc_nominal_hz).abs() < 1.0);
-        assert!(spec.true_hz(0) < spec.true_hz(spec.nodes - 1));
     }
 
     #[test]

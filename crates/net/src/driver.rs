@@ -40,16 +40,7 @@ pub(crate) fn run_machine(
     boards: &Boards,
     clock: MonoClock,
 ) -> Recorder {
-    let mut env = LiveEnv {
-        node_index: machine.node_index(),
-        publishes_state: cfg.publishes_state,
-        clock,
-        boards,
-        endpoint: cfg.endpoint,
-        timers: TimerQueue::new(),
-        rng: cfg.rng,
-        recorder: Recorder::for_nodes(boards.nodes()),
-    };
+    let mut env = LiveEnv::new(machine.node_index(), cfg, boards, clock);
     machine.on_start(&mut env);
     env.sync_state();
 
@@ -108,7 +99,25 @@ struct LiveEnv<'a> {
     recorder: Recorder,
 }
 
-impl LiveEnv<'_> {
+impl<'a> LiveEnv<'a> {
+    fn new(
+        node_index: Option<usize>,
+        cfg: DriverConfig,
+        boards: &'a Boards,
+        clock: MonoClock,
+    ) -> Self {
+        LiveEnv {
+            node_index,
+            publishes_state: cfg.publishes_state,
+            clock,
+            boards,
+            endpoint: cfg.endpoint,
+            timers: TimerQueue::new(),
+            rng: cfg.rng,
+            recorder: Recorder::for_nodes(boards.nodes()),
+        }
+    }
+
     fn index(&self) -> usize {
         // tt-lint: allow(panic-surface) — a node-only capability invoked by
         // a machine wired without a node index is a local construction
@@ -152,11 +161,11 @@ impl Env for LiveEnv<'_> {
     }
 
     fn read_tsc(&mut self) -> u64 {
-        self.boards.tsc(self.index()).read(self.clock.now_ns())
+        self.boards.host(self.index()).read_tsc(self.clock.now())
     }
 
     fn sample_inc(&mut self, wall: SimDuration) -> u64 {
-        self.boards.inc().sample(wall, &mut self.rng)
+        self.boards.host(self.index()).sample_inc(wall, &mut self.rng)
     }
 
     fn publish_clock(&mut self, clock: ClockState) {
@@ -184,9 +193,10 @@ impl Env for LiveEnv<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{SyntheticInc, SyntheticTsc};
     use crate::endpoint::tests::{hostile_datagrams, raw_peer};
+    use proto::node_addr;
     use rand::SeedableRng;
+    use runtime::Host;
     use std::time::Duration;
 
     /// Sends one `PeerTimeRequest` per timer tick and counts answers
@@ -239,7 +249,33 @@ mod tests {
     }
 
     fn boards() -> Boards {
-        Boards::new(vec![SyntheticTsc::new(3.0e9)], SyntheticInc::new(20_000.0, 10.0))
+        Boards::new(vec![Host::paper_default()])
+    }
+
+    /// The live host is the simulation's: `read_tsc` is its host's TSC at
+    /// the monotonic instant of the call, and `sample_inc` its `IncModel`
+    /// at the core's current frequency.
+    #[test]
+    fn live_env_reads_the_simulation_host_at_monotonic_time() {
+        let clock = MonoClock::start();
+        let boards = boards();
+        let host = boards.host(0);
+        let (_raw, _keys, _directory, endpoint) = raw_peer(Addr(10), node_addr(0));
+        let mut env = LiveEnv::new(Some(0), config(endpoint, 3), &boards, clock);
+
+        for _ in 0..20 {
+            let before = host.read_tsc(clock.now());
+            let ticks = env.read_tsc();
+            let after = host.read_tsc(clock.now());
+            assert!(before <= ticks && ticks <= after, "{before} <= {ticks} <= {after}");
+        }
+        let wall = SimDuration::from_millis(100);
+        let expected = host.inc.expected_count(wall, host.core.current_hz());
+        let band = host.inc.jitter_inc as f64 + 0.5; // ± jitter around the rounded mean
+        for _ in 0..50 {
+            let inc = env.sample_inc(wall) as f64;
+            assert!((inc - expected).abs() <= band, "{inc} outside {expected} ± {band}");
+        }
     }
 
     #[test]

@@ -8,15 +8,17 @@
 //!
 //! Layer map:
 //!
-//! - [`clock`] — the shared monotonic epoch plus synthetic TSC/INC
-//!   counters (real tick sources with node-specific true frequencies for
-//!   calibration to discover).
-//! - [`timers`] — a monotonic-deadline timer queue with the same
-//!   cancellation semantics as the simulation's scheduler queue.
+//! - [`clock`] — the shared monotonic epoch, the instant at which each
+//!   node's `runtime::Host` (the simulation's TSC/INC platform model) is
+//!   read.
+//! - [`timers`] — a monotonic-deadline timer queue with the simulation's
+//!   cancellation contract; re-arming a still-armed token differs (here it
+//!   supersedes the earlier arming, in the simulation both fire).
 //! - [`frame`] — the datagram format: cleartext `src` routing prefix,
 //!   AEAD-sealed payload bound to the (src, dst) link.
 //! - [`board`] — cross-thread observables (published clocks, node
-//!   states, shutdown), the live stand-in for the simulation `World`.
+//!   states, host platforms, shutdown), the live stand-in for the
+//!   simulation `World`.
 //! - `endpoint` — one live address: the only `send_to`/`recv_from` in
 //!   the crate, with parse → authenticate → decode and its typed drops.
 //!   The driver, the Time Authority and the blocking client all ride it.
@@ -41,7 +43,7 @@ pub mod timers;
 
 pub use authority::AuthorityReport;
 pub use board::Boards;
-pub use clock::{MonoClock, SyntheticInc, SyntheticTsc};
+pub use clock::MonoClock;
 pub use cluster::{
     client_addr, frontend_addr, generator_addr, run_cluster, LiveClient, LiveHandle, LiveReport,
     LiveSpec,

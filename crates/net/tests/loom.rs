@@ -10,12 +10,13 @@
 
 use loom::sync::{Arc, Mutex};
 use loom::thread;
-use net::{Boards, SyntheticInc, SyntheticTsc, TimerQueue};
+use net::{Boards, TimerQueue};
 use proto::{ClockState, NonceWindow};
+use runtime::Host;
 use trace::NodeStateTag;
 
 fn one_node_boards() -> Boards {
-    Boards::new(vec![SyntheticTsc::new(3.0e9)], SyntheticInc::new(20_000.0, 10.0))
+    Boards::new(vec![Host::paper_default()])
 }
 
 /// The driver's shutdown handshake: a clock published before

@@ -2,7 +2,9 @@
 //! driven once by the discrete-event simulation and once by the real UDP
 //! runtime, must converge to the same protocol outcome — every node
 //! completes the full calibration ladder and lands its calibrated
-//! frequency near its platform's true TSC rate.
+//! frequency near its platform's true TSC rate. Both drivers run every
+//! node on the same `runtime::Host`, so both halves judge against one
+//! rate.
 //!
 //! Tolerances are deliberately loose (1% = 10 000 ppm): the live runtime
 //! runs on shared-CPU wall clock where scheduler jitter bounds accuracy
@@ -63,7 +65,8 @@ fn sim_and_live_runs_of_the_same_machine_agree() {
     });
     for i in 0..NODES {
         let trace = report.nodes[i].node(i);
-        let true_hz = report.true_hz[i];
+        let true_hz = sim_run.world().hosts[i].tsc.nominal_hz();
+        assert_eq!(report.true_hz[i], true_hz, "live node {i} runs another host than the sim");
         let f = trace
             .latest_calibrated_hz()
             .unwrap_or_else(|| panic!("live node {i} never calibrated"));

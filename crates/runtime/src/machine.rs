@@ -182,14 +182,13 @@ impl Env for SimEnv<'_, '_> {
 
     fn read_tsc(&mut self) -> u64 {
         let now = self.ctx.now();
-        self.ctx.world.read_tsc(World::node_addr(self.index()), now)
+        self.ctx.world.host(World::node_addr(self.index())).read_tsc(now)
     }
 
     fn sample_inc(&mut self, wall: SimDuration) -> u64 {
-        let host = self.ctx.world.host(World::node_addr(self.index()));
-        let core_hz = host.core.current_hz();
-        let inc_model = host.inc.clone();
-        inc_model.measure(wall, core_hz, self.ctx.rng)
+        let addr = World::node_addr(self.index());
+        let ctx = &mut *self.ctx;
+        ctx.world.host(addr).sample_inc(wall, ctx.rng)
     }
 
     fn publish_clock(&mut self, clock: ClockState) {

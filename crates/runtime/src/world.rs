@@ -2,7 +2,8 @@
 //! measurement recorder.
 
 use netsim::{Addr, FastMap, Network};
-use sim::{ActorId, SimTime};
+use rand::rngs::StdRng;
+use sim::{ActorId, SimDuration, SimTime};
 use trace::Recorder;
 use tsc::{CoreFrequency, IncModel, TscClock};
 
@@ -43,6 +44,19 @@ impl Host {
             core: CoreFrequency::paper_default(),
             inc: IncModel::default(),
         }
+    }
+
+    /// The TSC value at reference instant `now` — [`proto::Env::read_tsc`]
+    /// under either driver.
+    pub fn read_tsc(&self, now: SimTime) -> u64 {
+        self.tsc.read(now)
+    }
+
+    /// One INC count over an uninterrupted `wall` window at the monitoring
+    /// core's current frequency — [`proto::Env::sample_inc`] under either
+    /// driver.
+    pub fn sample_inc(&self, wall: SimDuration, rng: &mut StdRng) -> u64 {
+        self.inc.measure(wall, self.core.current_hz(), rng)
     }
 }
 
@@ -137,11 +151,6 @@ impl World {
         })
     }
 
-    /// Reads the TSC of the node at `addr` at instant `now`.
-    pub fn read_tsc(&self, addr: Addr, now: SimTime) -> u64 {
-        self.host(addr).tsc.read(now)
-    }
-
     /// Binds a network address to the actor that owns it.
     pub fn register_actor(&mut self, addr: Addr, actor: ActorId) {
         let prev = self.actors.insert(addr, actor);
@@ -185,7 +194,6 @@ impl World {
 mod tests {
     use super::*;
     use netsim::DelayModel;
-    use sim::SimDuration;
 
     fn world(n: usize) -> World {
         World::new(
@@ -239,7 +247,7 @@ mod tests {
     fn tsc_access_via_addresses() {
         let w = world(2);
         let t = SimTime::from_secs(1);
-        let ticks = w.read_tsc(Addr(1), t);
+        let ticks = w.host(Addr(1)).read_tsc(t);
         assert!((ticks as f64 - 2.899999e9).abs() < 2.0);
     }
 

@@ -3,7 +3,7 @@
 use attacks::PlannedManipulation;
 use faults::{FaultEvent, FaultPlan, Fields};
 use scenario::{AexSpec, AttackSpec, FaultSpec, NodeImplSpec, ScenarioSpec};
-use service::{QuorumLoopSpec, QuorumSpec, ServiceSpec};
+use service::{QuorumLoopSpec, QuorumSpec, ServiceSpec, MAX_CLUSTER_NODES};
 use sim::{SimDuration, SimTime};
 
 /// The fixed part of an evaluation: cluster shape, horizon and workload.
@@ -67,7 +67,10 @@ impl GenomeSpace {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed token.
+    /// Returns a description of the first malformed token, or of a bound
+    /// the scenario cannot be built with: `n` outside
+    /// `1..=`[`MAX_CLUSTER_NODES`], fewer than 3 nodes under the serving
+    /// layer, or a horizon of zero or past `u64` nanoseconds.
     pub fn decode(s: &str) -> Result<GenomeSpace, String> {
         let mut f = Fields::new(s)?;
         let space = GenomeSpace {
@@ -76,11 +79,14 @@ impl GenomeSpace {
             service: f.parse("service")?,
         };
         f.finish()?;
-        if space.n == 0 {
-            return Err("n must be at least 1".to_string());
+        if !(1..=MAX_CLUSTER_NODES).contains(&space.n) {
+            return Err(format!("n must be in 1..={MAX_CLUSTER_NODES}"));
         }
-        if space.horizon_s == 0 {
-            return Err("horizon-s must be at least 1".to_string());
+        if space.service && space.n < 3 {
+            return Err("service=true needs n >= 3 for an f >= 1 quorum".to_string());
+        }
+        if space.horizon_s == 0 || space.horizon_s.checked_mul(1_000_000_000).is_none() {
+            return Err("horizon-s must be at least 1 and fit u64 nanoseconds".to_string());
         }
         Ok(space)
     }
@@ -270,12 +276,42 @@ mod tests {
             assert_eq!(GenomeSpace::decode(&space.encode()), Ok(space));
         }
         assert!(GenomeSpace::decode("n=0 horizon-s=90 service=true").is_err());
+        // `f = (n-1)/2` is 0 below three nodes, which `QuorumGen` refuses
+        // (found by `tests/scn_fuzz.rs`).
+        assert!(GenomeSpace::decode("n=2 horizon-s=90 service=true").is_err());
+        assert!(GenomeSpace::decode("n=2 horizon-s=90 service=false").is_ok());
         assert!(GenomeSpace::decode("n=3 horizon-s=90").is_err());
         assert!(
             GenomeSpace::decode("n=3 horizon-s=90 service=true bogus=1").is_err(),
             "unknown key"
         );
         assert!(GenomeSpace::decode("n=3 n=3 horizon-s=90 service=true").is_err(), "repeated key");
+    }
+
+    /// `n=70` used to decode and then panic in `QuorumGen::new`.
+    #[test]
+    fn space_decode_rejects_a_cluster_past_the_quorum_bitmask() {
+        assert!(GenomeSpace::decode("n=64 horizon-s=90 service=true").is_ok());
+        let err = GenomeSpace::decode("n=70 horizon-s=90 service=true").unwrap_err();
+        assert!(err.contains("n must be in 1..=64"), "{err}");
+    }
+
+    /// 18 446 744 074 s used to wrap to ~0.29 s in release builds, so a
+    /// fault at 1.1 s read as "beyond the horizon".
+    #[test]
+    fn space_decode_rejects_a_horizon_that_wrapped_short() {
+        let largest = u64::MAX / 1_000_000_000;
+        assert!(GenomeSpace::decode(&format!("n=3 horizon-s={largest} service=true")).is_ok());
+        let err = GenomeSpace::decode("n=3 horizon-s=18446744074 service=true").unwrap_err();
+        assert!(err.contains("horizon-s"), "{err}");
+    }
+
+    /// 18 446 744 073 709 s used to wrap to ~1.8e10 s, a replay that never
+    /// ends.
+    #[test]
+    fn space_decode_rejects_a_horizon_that_wrapped_long() {
+        let err = GenomeSpace::decode("n=3 horizon-s=18446744073709 service=true").unwrap_err();
+        assert!(err.contains("horizon-s"), "{err}");
     }
 
     #[test]

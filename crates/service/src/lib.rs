@@ -49,7 +49,9 @@ use sim::Simulation;
 
 pub use frontend::Frontend;
 pub use gen::{ClosedLoopGen, OpenLoopGen};
-pub use quorum::{decide, AttestSample, QuorumDecision, QuorumGen, QuorumHealth};
+pub use quorum::{
+    decide, AttestSample, QuorumDecision, QuorumGen, QuorumHealth, MAX_CLUSTER_NODES,
+};
 pub use router::Router;
 pub use spec::{
     ClosedLoopSpec, FrontendSpec, OpenLoopSpec, QuorumLoopSpec, QuorumSpec, RouterSpec, ServiceSpec,

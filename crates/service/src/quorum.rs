@@ -232,6 +232,10 @@ impl QuorumHealth {
     }
 }
 
+/// The largest cluster a [`QuorumGen`] fans over: one bit per node in a
+/// read's `u64` answer bitmask.
+pub const MAX_CLUSTER_NODES: usize = u64::BITS as usize;
+
 /// One in-flight quorum read.
 #[derive(Debug)]
 struct PendingRead {
@@ -271,12 +275,15 @@ impl QuorumGen {
     /// # Panics
     ///
     /// Panics on a non-positive rate, an empty cluster, a cluster larger
-    /// than 64 nodes (the answer bitmask), or `f = 0` panels (a 1-node
-    /// "quorum" would re-introduce single-node trust).
+    /// than [`MAX_CLUSTER_NODES`], or `f = 0` panels (a 1-node "quorum"
+    /// would re-introduce single-node trust).
     pub fn new(me: Addr, frontends: Vec<Addr>, spec: QuorumLoopSpec) -> Self {
         assert!(spec.rate_per_s > 0.0, "quorum-read rate must be positive");
         assert!(!frontends.is_empty(), "quorum reads need a cluster");
-        assert!(frontends.len() <= 64, "answer bitmask caps the cluster at 64 nodes");
+        assert!(
+            frontends.len() <= MAX_CLUSTER_NODES,
+            "answer bitmask caps the cluster at {MAX_CLUSTER_NODES} nodes"
+        );
         assert!(spec.quorum.f >= 1, "f = 0 would accept single-node answers unchecked");
         let health = QuorumHealth::new(spec.quorum, frontends.len());
         QuorumGen {

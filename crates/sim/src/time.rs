@@ -55,8 +55,12 @@ impl SimTime {
     }
 
     /// Creates an instant from whole seconds since scenario start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `secs` is not representable in `u64` nanoseconds.
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * 1_000_000_000)
+        SimTime(SimDuration::from_secs(secs).0)
     }
 
     /// Creates an instant from fractional seconds since scenario start.
@@ -107,24 +111,38 @@ impl SimDuration {
         SimDuration(ns)
     }
 
+    /// `count` units of `unit_ns` nanoseconds; panics instead of wrapping
+    /// in release builds.
+    const fn scaled(count: u64, unit_ns: u64) -> Self {
+        match count.checked_mul(unit_ns) {
+            Some(ns) => SimDuration(ns),
+            None => panic!("duration overflows u64 nanoseconds"),
+        }
+    }
+
     /// Creates a duration from microseconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result is not representable in `u64` nanoseconds
+    /// (and so for every multiplying constructor below).
     pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
+        SimDuration::scaled(us, 1_000)
     }
 
     /// Creates a duration from milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
+        SimDuration::scaled(ms, 1_000_000)
     }
 
     /// Creates a duration from whole seconds.
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1_000_000_000)
+        SimDuration::scaled(secs, 1_000_000_000)
     }
 
     /// Creates a duration from whole minutes.
     pub const fn from_mins(mins: u64) -> Self {
-        SimDuration(mins * 60 * 1_000_000_000)
+        SimDuration::scaled(mins, 60 * 1_000_000_000)
     }
 
     /// Creates a duration from fractional seconds.
@@ -295,6 +313,16 @@ mod tests {
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
         assert_eq!(SimDuration::from_mins(2), SimDuration::from_secs(120));
         assert_eq!(SimTime::from_secs(1).as_nanos(), 1_000_000_000);
+        let largest = u64::MAX / 1_000_000_000;
+        assert_eq!(SimTime::from_secs(largest).as_nanos(), largest * 1_000_000_000);
+    }
+
+    /// One second past the largest representable one used to wrap to
+    /// ~0.29 s in release builds.
+    #[test]
+    #[should_panic(expected = "overflows u64 nanoseconds")]
+    fn overflowing_constructors_panic_instead_of_wrapping() {
+        let _ = SimTime::from_secs(u64::MAX / 1_000_000_000 + 1);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! Stands up a Time Authority, `--nodes` Triad nodes (each with a serving
 //! front-end), an open-loop serve generator, and a quorum-read generator,
-//! entirely on `127.0.0.1`. Every node calibrates its synthetic TSC
-//! against the TA over real round-trips, then serves timestamps while the
-//! quorum layer cross-checks attestation panels.
+//! entirely on `127.0.0.1`. Every node runs on the simulation's host model
+//! (`runtime::Host`, read at monotonic time), calibrates its TSC against
+//! the TA over real round-trips, then serves timestamps while the quorum
+//! layer cross-checks attestation panels.
 //!
 //! ```sh
 //! cargo run --release --example live -- --nodes 3 --secs 5
@@ -71,7 +72,7 @@ fn main() {
         std::thread::sleep(Duration::from_secs_f64(args.secs));
     });
 
-    println!("\nCalibration (synthetic TSC vs TA over real UDP round-trips):");
+    println!("\nCalibration (host-model TSC vs TA over real UDP round-trips):");
     let mut calibrated_nodes = 0usize;
     for (i, rec) in report.nodes.iter().enumerate() {
         let trace = rec.node(i);
