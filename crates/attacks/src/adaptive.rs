@@ -11,7 +11,8 @@
 //! It passively observes a warm-up batch of request→response gaps, splits
 //! them at the widest gap between sorted observations (a 1-D two-cluster
 //! split), and then delays whichever class its mode targets. Paired with a
-//! TSC nudge that forces the victim to recalibrate (`TscAttackSchedule`),
+//! TSC nudge that forces the victim to recalibrate (a scheduled
+//! `faults::FaultAction::ManipulateTsc`),
 //! this mounts the full attack with *zero* protocol knowledge.
 
 use std::collections::VecDeque;

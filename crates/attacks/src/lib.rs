@@ -11,8 +11,10 @@
 //!    (core isolation), which the paper notes strengthens F+ by letting a
 //!    miscalibrated clock run undisturbed — expressed as AEX model choices
 //!    on the scenario (see [`aex_flood`] and the `harness` builder);
-//! 3. **TSC virtualisation** ([`TscAttackSchedule`]): offset jumps and
-//!    rate scaling that the INC monitor is meant to detect.
+//! 3. **TSC virtualisation**: offset jumps and rate scaling that the INC
+//!    monitor is meant to detect — a `tsc::TscManipulation` scheduled as
+//!    a `faults::FaultAction::ManipulateTsc` and applied by
+//!    `faults::FaultDriver`, beside every other timed adversary action.
 //!
 //! None of these touch protocol code: delays go through `netsim`
 //! interception, interrupts through the environment driver, TSC changes
@@ -26,13 +28,11 @@ mod adaptive;
 mod fdelay;
 mod isolation;
 mod replay;
-mod tsc_manip;
 
 pub use adaptive::AdaptiveDelayAttack;
 pub use fdelay::{CalibrationDelayAttack, DelayAttackMode};
 pub use isolation::{IsolationAttack, IsolationScope};
 pub use replay::{ReplayAttack, ReplayTarget};
-pub use tsc_manip::{PlannedManipulation, TscAttackSchedule};
 
 use sim::SimDuration;
 use tsc::{AexModel, Periodic};

@@ -1,13 +1,19 @@
 //! End-to-end attack reproductions: the headline numbers of §IV-B.
 
-use attacks::{CalibrationDelayAttack, DelayAttackMode, PlannedManipulation, TscAttackSchedule};
-use harness::ClusterBuilder;
+use attacks::{CalibrationDelayAttack, DelayAttackMode};
+use harness::{ClusterBuilder, FaultAction, FaultPlan};
 use netsim::Addr;
 use runtime::World;
 use sim::{SimDuration, SimTime};
 use tsc::{IsolatedCore, SwitchAt, TriadLike, TscManipulation, PAPER_TSC_HZ};
 
 const NODE3: Addr = Addr(3);
+
+/// The hypervisor changes node 3's TSC at t = 60 s.
+fn tsc_at_60s(manipulation: TscManipulation) -> FaultPlan {
+    FaultPlan::new()
+        .at(SimTime::from_secs(60), FaultAction::ManipulateTsc { node: 2, manipulation })
+}
 
 /// §IV-B.1 / Fig. 4: F+ with the victim on an isolated core. The paper
 /// reports `F_3^calib ≈ 3191 MHz` (≈ 1.1 × F^TSC) and a drift of
@@ -217,11 +223,7 @@ fn f_plus_with_aex_oscillates_between_peer_resets_and_slow_clock() {
 #[test]
 fn inc_monitor_detects_tsc_rate_manipulation() {
     let mut s = ClusterBuilder::new(3, 106)
-        .extra_actor(Box::new(TscAttackSchedule::new(vec![PlannedManipulation {
-            at: SimTime::from_secs(60),
-            victim: NODE3,
-            manipulation: TscManipulation::ScaleRate(1.001), // +1000 ppm
-        }])))
+        .fault_plan(tsc_at_60s(TscManipulation::ScaleRate(1.001))) // +1000 ppm
         .build();
     s.run_until(SimTime::from_secs(150));
     let w = s.world();
@@ -254,11 +256,7 @@ fn inc_monitor_detects_tsc_rate_manipulation() {
 fn inc_monitor_detects_tsc_offset_jump() {
     let jump_ticks = 29_000_000; // ≈ 10 ms of TSC progress injected at once
     let mut s = ClusterBuilder::new(3, 107)
-        .extra_actor(Box::new(TscAttackSchedule::new(vec![PlannedManipulation {
-            at: SimTime::from_secs(60),
-            victim: NODE3,
-            manipulation: TscManipulation::OffsetJump(jump_ticks),
-        }])))
+        .fault_plan(tsc_at_60s(TscManipulation::OffsetJump(jump_ticks)))
         .build();
     s.run_until(SimTime::from_secs(150));
     let w = s.world();
@@ -287,11 +285,7 @@ fn adaptive_attacker_learns_schedule_and_poisons_recalibration() {
         )))
         // Nudge the victim's TSC just enough to trip the INC monitor and
         // force a full recalibration at t = 60 s.
-        .extra_actor(Box::new(TscAttackSchedule::new(vec![PlannedManipulation {
-            at: SimTime::from_secs(60),
-            victim: NODE3,
-            manipulation: TscManipulation::ScaleRate(1.0005),
-        }])))
+        .fault_plan(tsc_at_60s(TscManipulation::ScaleRate(1.0005)))
         .build();
     s.run_until(SimTime::from_secs(200));
     let w = s.world();

@@ -24,8 +24,8 @@ use ::search::{
     delete_one_variants, evaluate, search as run_search, shrink, AdversaryGenome, Fitness,
     FitnessTarget, GenomeSpace, Reproducer, SearchConfig, SearchOutcome,
 };
-use attacks::{DelayAttackMode, PlannedManipulation};
-use faults::FaultPlan;
+use attacks::DelayAttackMode;
+use faults::{FaultAction, FaultEvent, FaultPlan};
 use netsim::Addr;
 use scenario::{derive_seed, AttackSpec, RunPlan};
 use sim::{SimDuration, SimTime};
@@ -189,7 +189,7 @@ fn baseline_genomes(space: &GenomeSpace, base_seed: u64) -> Vec<(String, Adversa
             ..Default::default()
         },
     ));
-    let victim = Addr(space.n as u16);
+    let node = space.n - 1;
     for (name, manipulation) in [
         ("tsc-scale-5e-5", TscManipulation::ScaleRate(1.000_05)),
         ("tsc-scale-2e-4", TscManipulation::ScaleRate(1.000_2)),
@@ -199,7 +199,10 @@ fn baseline_genomes(space: &GenomeSpace, base_seed: u64) -> Vec<(String, Adversa
         out.push((
             name.to_string(),
             AdversaryGenome {
-                manipulations: vec![PlannedManipulation { at: third, victim, manipulation }],
+                manipulations: vec![FaultEvent {
+                    at: third,
+                    action: FaultAction::ManipulateTsc { node, manipulation },
+                }],
                 ..Default::default()
             },
         ));

@@ -5,9 +5,8 @@
 //! experiment sweeps manipulation magnitudes and records whether the node
 //! detected (recalibrated) and how quickly.
 
-use attacks::PlannedManipulation;
-use netsim::Addr;
-use scenario::{ParamGrid, RunCell, ScenarioSpec};
+use faults::{FaultAction, FaultPlan};
+use scenario::{FaultSpec, ParamGrid, RunCell, ScenarioSpec};
 use sim::SimTime;
 use tsc::TscManipulation;
 
@@ -44,7 +43,9 @@ fn run_one(cell: &RunCell<SweepPoint>) -> DetectOutcome {
     let horizon = SimTime::from_secs(150);
     let world = ScenarioSpec::new(3)
         .horizon(horizon)
-        .manipulation(PlannedManipulation { at: inject_at, victim: Addr(3), manipulation })
+        .faults(FaultSpec::Fixed(
+            FaultPlan::new().at(inject_at, FaultAction::ManipulateTsc { node: 2, manipulation }),
+        ))
         .run(cell.seed);
     let trace = world.recorder.node(2);
     let recalib = trace

@@ -1,24 +1,29 @@
-//! A deterministic text codec for fault plans.
+//! A deterministic text codec for scheduled adversary actions.
 //!
 //! The search subsystem commits shrunk adversary plans as reviewable
-//! reproducer files, so fault actions need a serialization that (a)
+//! reproducer files, so fault events need a serialization that (a)
 //! round-trips exactly, (b) diffs cleanly, and (c) rejects out-of-bounds
 //! plans at decode time instead of panicking mid-simulation. The format
-//! is one event per line:
+//! is one event per line, in one of two spellings:
 //!
 //! ```text
-//! <at_ns> <action-keyword> [key=value ...]
+//! fault <at_ns> <action-keyword> [key=value ...]
+//! manip <at_ns> <victim> <kind> <value>
 //! ```
 //!
-//! e.g. `40000000000 partition-pair a=1 b=0`. Addresses are raw [`Addr`]
-//! values (`0` is the TA, `1..=n` the nodes); durations and instants are
-//! nanoseconds; floats use Rust's shortest-round-trip `Display`, so
+//! e.g. `fault 40000000000 partition-pair a=1 b=0` or
+//! `manip 30000000000 2 scale-rate 1.00005`. The `manip` spelling is the
+//! one a [`FaultAction::ManipulateTsc`] takes, and no other action takes
+//! it. Addresses (and a `manip` victim) are raw [`Addr`] values (`0` is
+//! the TA, `1..=n` the nodes); durations and instants are nanoseconds;
+//! floats use Rust's shortest-round-trip `Display`, so
 //! `decode(encode(x)) == x` holds exactly (see the proptest below).
 
 use netsim::Addr;
+use runtime::TscManipulation;
 use sim::{SimDuration, SimTime};
 
-use crate::plan::{FaultAction, FaultEvent, FaultPlan};
+use crate::plan::{FaultAction, FaultEvent};
 
 /// The strict reader over the `key=value` tokens of one reproducer-format
 /// line, shared by every keyed decoder of the format ([`FaultAction`],
@@ -119,8 +124,9 @@ impl<'a> Fields<'a> {
 }
 
 impl FaultAction {
-    /// Encodes the action as `keyword key=value ...` (no timestamp).
-    pub fn encode(&self) -> String {
+    /// Encodes the action without its timestamp: `<victim> <kind> <value>`
+    /// for a TSC manipulation, `keyword key=value ...` for the rest.
+    fn encode(&self) -> String {
         match self {
             FaultAction::PartitionPair { a, b } => format!("partition-pair a={} b={}", a.0, b.0),
             FaultAction::PartitionLink { src, dst } => {
@@ -152,15 +158,28 @@ impl FaultAction {
                 format!("start-lie node={node} offset={offset_ns} equivocate={equivocate}")
             }
             FaultAction::StopLie { node } => format!("stop-lie node={node}"),
+            FaultAction::ManipulateTsc { node, manipulation } => {
+                format!("{} {}", node + 1, manipulation.encode())
+            }
         }
     }
 
-    /// Decodes one `keyword key=value ...` action.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed token.
-    pub fn decode(s: &str) -> Result<FaultAction, String> {
+    /// Decodes the `<victim> <kind> <value>` of a `manip` line.
+    fn decode_manipulation(s: &str) -> Result<FaultAction, String> {
+        let (victim, manipulation) =
+            s.split_once(' ').ok_or_else(|| "missing manipulation".to_string())?;
+        let victim: u16 = victim.parse().map_err(|_| format!("unparseable victim {victim:?}"))?;
+        let node = usize::from(victim)
+            .checked_sub(1)
+            .ok_or_else(|| "victim 0 is the TA, whose clock is the reference".to_string())?;
+        Ok(FaultAction::ManipulateTsc {
+            node,
+            manipulation: TscManipulation::decode(manipulation)?,
+        })
+    }
+
+    /// Decodes the `keyword key=value ...` of a `fault` line.
+    fn decode(s: &str) -> Result<FaultAction, String> {
         let (keyword, mut f) = Fields::after_keyword(s)?;
         let action = match keyword {
             "partition-pair" => FaultAction::PartitionPair { a: f.addr("a")?, b: f.addr("b")? },
@@ -266,64 +285,44 @@ impl FaultAction {
                 Ok(())
             }
             FaultAction::StartLie { node, .. } => node_ok(node),
+            FaultAction::ManipulateTsc { node, manipulation } => {
+                node_ok(node)?;
+                manipulation.validate()
+            }
         }
     }
 }
 
 impl FaultEvent {
-    /// Encodes as `<at_ns> <action>`.
+    /// Encodes as one reproducer line: `manip <at_ns> <victim> <kind>
+    /// <value>` for a TSC manipulation, `fault <at_ns> <action>` for the
+    /// rest.
     pub fn encode(&self) -> String {
-        format!("{} {}", self.at.as_nanos(), self.action.encode())
+        let class = match self.action {
+            FaultAction::ManipulateTsc { .. } => "manip",
+            _ => "fault",
+        };
+        format!("{class} {} {}", self.at.as_nanos(), self.action.encode())
     }
 
-    /// Decodes one `<at_ns> <action>` line.
+    /// Decodes one `fault` or `manip` line.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed token.
     pub fn decode(s: &str) -> Result<FaultEvent, String> {
-        let (at, action) = s
-            .trim()
-            .split_once(' ')
-            .ok_or_else(|| format!("expected '<at_ns> <action>': {s:?}"))?;
+        let mut parts = s.trim().splitn(3, ' ');
+        let (class, at, action) = match (parts.next(), parts.next(), parts.next()) {
+            (Some(class), Some(at), Some(action)) => (class, at, action),
+            _ => return Err(format!("expected '<fault|manip> <at_ns> <action>': {s:?}")),
+        };
         let at = at.parse().map_err(|_| format!("unparseable timestamp {at:?}"))?;
-        Ok(FaultEvent { at: SimTime::from_nanos(at), action: FaultAction::decode(action)? })
-    }
-}
-
-impl FaultPlan {
-    /// Encodes the plan, one event per line, in insertion order.
-    pub fn encode(&self) -> String {
-        self.events().iter().map(FaultEvent::encode).collect::<Vec<_>>().join("\n")
-    }
-
-    /// Decodes a plan (one event per line; blank lines ignored).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first offending line and why.
-    pub fn decode(s: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::new();
-        for (i, line) in s.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let ev = FaultEvent::decode(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            plan = plan.at(ev.at, ev.action);
-        }
-        Ok(plan)
-    }
-
-    /// Bounds-checks every event against an `n_nodes` cluster.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first offending event and why.
-    pub fn validate(&self, n_nodes: usize) -> Result<(), String> {
-        for (i, ev) in self.events().iter().enumerate() {
-            ev.action.validate(n_nodes).map_err(|e| format!("event {}: {e}", i + 1))?;
-        }
-        Ok(())
+        let action = match class {
+            "fault" => FaultAction::decode(action)?,
+            "manip" => FaultAction::decode_manipulation(action)?,
+            other => return Err(format!("unknown event class {other:?}")),
+        };
+        Ok(FaultEvent { at: SimTime::from_nanos(at), action })
     }
 }
 
@@ -354,28 +353,24 @@ mod tests {
             },
             FaultAction::StartLie { node: 1, offset_ns: -250_000_000, equivocate: true },
             FaultAction::StopLie { node: 1 },
+            FaultAction::ManipulateTsc {
+                node: 1,
+                manipulation: TscManipulation::OffsetJump(-29_000_000),
+            },
+            FaultAction::ManipulateTsc {
+                node: 0,
+                manipulation: TscManipulation::ScaleRate(1.000_05),
+            },
         ]
     }
 
     #[test]
     fn every_action_round_trips() {
         for action in sample_actions() {
-            let encoded = action.encode();
-            let decoded = FaultAction::decode(&encoded).expect(&encoded);
-            assert_eq!(action, decoded, "{encoded}");
+            let ev = FaultEvent { at: SimTime::from_secs(42), action };
+            let encoded = ev.encode();
+            assert_eq!(FaultEvent::decode(&encoded).as_ref(), Ok(&ev), "{encoded}");
         }
-    }
-
-    #[test]
-    fn plans_round_trip_preserving_order() {
-        let plan = FaultPlan::new()
-            .ta_outage(SimTime::from_secs(40), SimDuration::from_secs(60))
-            .crash_window(0, SimTime::from_secs(45), SimDuration::from_secs(5))
-            .at(SimTime::from_secs(10), FaultAction::SetDuplication { probability: 0.25 });
-        let decoded = FaultPlan::decode(&plan.encode()).expect("round trip");
-        assert_eq!(plan, decoded);
-        assert_eq!(plan.encode(), decoded.encode());
-        assert!(FaultPlan::decode("").expect("empty").is_empty());
     }
 
     #[test]
@@ -383,9 +378,50 @@ mod tests {
         assert!(FaultAction::decode("warp-core-breach node=1").is_err());
         assert!(FaultAction::decode("crash").is_err());
         assert!(FaultAction::decode("crash node=banana").is_err());
-        assert!(FaultEvent::decode("ta-outage").is_err());
-        assert!(FaultPlan::decode("5 ta-outage\nnonsense").is_err());
+        assert!(FaultEvent::decode("fault ta-outage").is_err());
+        assert!(FaultEvent::decode("5 ta-outage").is_err(), "the class word is required");
+        assert!(FaultEvent::decode("glitch 5 ta-outage").is_err());
         assert!(FaultAction::decode("").is_err());
+    }
+
+    /// A TSC manipulation has exactly one spelling, the positional `manip`
+    /// line committed reproducers carry; the keyed `fault` form has no
+    /// keyword for it.
+    #[test]
+    fn manip_lines_round_trip_byte_for_byte_and_reject_garbage() {
+        for line in [
+            "manip 30000000000 2 scale-rate 1.000045111111905",
+            "manip 87000000000 2 offset-jump 1",
+            "manip 20000000000 3 set-rate-hz 2903583121.180945",
+            "manip 1 1 offset-jump -29000000",
+        ] {
+            let ev = FaultEvent::decode(line).expect(line);
+            assert!(matches!(ev.action, FaultAction::ManipulateTsc { .. }), "{line}");
+            assert_eq!(ev.encode(), line);
+        }
+        assert_eq!(
+            FaultEvent::decode("manip 5 3 offset-jump 7"),
+            Ok(FaultEvent {
+                at: SimTime::from_nanos(5),
+                action: FaultAction::ManipulateTsc {
+                    node: 2,
+                    manipulation: TscManipulation::OffsetJump(7)
+                },
+            })
+        );
+        for bad in [
+            "manip 5 1",
+            "manip x 1 offset-jump 5",
+            "manip 5 1 scale-rate -1",
+            "manip 5 0 offset-jump 1",
+            "manip 5 -1 offset-jump 1",
+            "fault 5 1 offset-jump 5",
+        ] {
+            assert!(FaultEvent::decode(bad).is_err(), "{bad}");
+        }
+        let above = FaultEvent::decode("manip 5 4 offset-jump 1").expect("decodes");
+        assert!(above.action.validate(3).is_err(), "victim 4 in a 3-node cluster");
+        assert!(above.action.validate(4).is_ok());
     }
 
     #[test]
@@ -394,7 +430,7 @@ mod tests {
         assert!(FaultAction::decode("crash node=1 bogus=2").is_err());
         assert!(FaultAction::decode("crash node=1 node=2").is_err());
         assert!(FaultAction::decode("ta-outage node=1").is_err());
-        assert!(FaultEvent::decode("5 partition-pair a=1 b=0 a=1").is_err());
+        assert!(FaultEvent::decode("fault 5 partition-pair a=1 b=0 a=1").is_err());
 
         let mut f = Fields::new("b=2  a=1").expect("two fields, any order");
         assert_eq!((f.parse::<u8>("a"), f.raw("b")), (Ok(1), Ok("2")));
@@ -417,9 +453,8 @@ mod tests {
         assert!(FaultAction::AexStorm { node: None, count: 0, spacing: SimDuration::ZERO }
             .validate(3)
             .is_err());
-        let plan = FaultPlan::new().crash_window(5, SimTime::from_secs(1), SimDuration::ZERO);
-        assert!(plan.validate(3).is_err());
-        assert!(plan.validate(6).is_ok());
+        assert!(FaultAction::RestartNode { node: 5 }.validate(3).is_err());
+        assert!(FaultAction::RestartNode { node: 5 }.validate(6).is_ok());
     }
 
     /// Strategy over arbitrary (not merely sample) actions, floats
@@ -453,6 +488,18 @@ mod tests {
                 FaultAction::StartLie { node, offset_ns, equivocate }
             }),
             (0..8usize).prop_map(|node| FaultAction::StopLie { node }),
+            (0..8usize, any::<i64>()).prop_map(|(node, ticks)| FaultAction::ManipulateTsc {
+                node,
+                manipulation: TscManipulation::OffsetJump(ticks)
+            }),
+            (0..8usize, 1e-6..1e6f64).prop_map(|(node, factor)| FaultAction::ManipulateTsc {
+                node,
+                manipulation: TscManipulation::ScaleRate(factor)
+            }),
+            (0..8usize, 1.0..1e12f64).prop_map(|(node, hz)| FaultAction::ManipulateTsc {
+                node,
+                manipulation: TscManipulation::SetRateHz(hz)
+            }),
         ]
     }
 
@@ -460,21 +507,10 @@ mod tests {
         #[test]
         fn decode_encode_is_identity(at in 0..u64::MAX / 2, action in arb_action()) {
             let ev = FaultEvent { at: SimTime::from_nanos(at), action };
-            let decoded = FaultEvent::decode(&ev.encode()).unwrap();
-            prop_assert_eq!(ev, decoded);
-        }
-
-        #[test]
-        fn plan_decode_encode_is_identity(
-            events in proptest::collection::vec((0..u64::MAX / 2, arb_action()), 0..12)
-        ) {
-            let mut plan = FaultPlan::new();
-            for (at, action) in events {
-                plan = plan.at(SimTime::from_nanos(at), action);
-            }
-            let decoded = FaultPlan::decode(&plan.encode()).unwrap();
-            prop_assert_eq!(&plan, &decoded);
-            prop_assert_eq!(plan.encode(), decoded.encode());
+            let encoded = ev.encode();
+            let decoded = FaultEvent::decode(&encoded).unwrap();
+            prop_assert_eq!(&ev, &decoded);
+            prop_assert_eq!(encoded, decoded.encode());
         }
     }
 }

@@ -5,13 +5,15 @@ use sim::{Actor, Ctx, SimDuration};
 
 use crate::plan::{FaultAction, FaultEvent, FaultPlan};
 
-/// Replays a [`FaultPlan`] against the running simulation.
+/// Replays a [`FaultPlan`] against the running simulation: the one actor
+/// that applies scheduled adversary actions.
 ///
 /// The driver arms one timer per distinct firing time; when it wakes it
 /// applies every due action in plan order, logs each into
 /// `world.recorder.faults`, and re-arms for the next. Network actions
 /// mutate the fabric in place (affecting datagrams sent from that instant
-/// on); TA outages and restores, node crashes and restarts, and AEX
+/// on) and TSC manipulations re-anchor the victim host's counter at that
+/// instant; TA outages and restores, node crashes and restarts, and AEX
 /// interrupts are delivered to the TA and node actors as ordinary
 /// [`SysEvent`]s (`Crash`, `Restart`, `Aex`) with zero delay, so they
 /// interleave deterministically with protocol traffic scheduled at the
@@ -82,6 +84,10 @@ impl FaultDriver {
                 ctx.world.lies[node] = Some(runtime::Lie { offset_ns, equivocate });
             }
             FaultAction::StopLie { node } => ctx.world.lies[node] = None,
+            FaultAction::ManipulateTsc { node, manipulation } => {
+                let now = ctx.now();
+                ctx.world.host_mut(World::node_addr(node)).tsc.manipulate(now, manipulation);
+            }
             FaultAction::AexStorm { node, count, spacing } => {
                 let machine_wide = node.is_none();
                 let targets: Vec<_> = match node {
@@ -128,19 +134,74 @@ impl Actor<World, SysEvent> for FaultDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{DelayModel, Network};
-    use runtime::Host;
+    use netsim::{Addr, DelayModel, Network};
+    use runtime::{Host, TscManipulation};
     use sim::{SimTime, Simulation};
 
     #[test]
     fn a_ta_outage_without_a_ta_is_logged_and_otherwise_a_no_op() {
-        let net = Network::new(DelayModel::Constant(SimDuration::ZERO), 0.0);
-        let mut s = Simulation::new(World::new(net, vec![Host::paper_default()]), 1);
+        let mut s = one_host();
         let plan = FaultPlan::new().ta_outage(SimTime::from_secs(1), SimDuration::from_secs(1));
         s.add_actor(Box::new(FaultDriver::new(plan)));
         s.run();
         assert_eq!(s.world().recorder.faults.len(), 2);
         assert_eq!(s.dispatched(), 2, "the driver's own two wake-ups, nothing delivered");
+    }
+
+    fn one_host() -> Simulation<World, SysEvent> {
+        let net = Network::new(DelayModel::Constant(SimDuration::ZERO), 0.0);
+        Simulation::new(World::new(net, vec![Host::paper_default()]), 1)
+    }
+
+    fn tsc(manipulation: TscManipulation) -> FaultAction {
+        FaultAction::ManipulateTsc { node: 0, manipulation }
+    }
+
+    #[test]
+    fn a_tsc_action_changes_the_victim_host_at_its_instant_and_is_logged() {
+        let nominal = Host::paper_default().tsc.rate_hz();
+        let mut s = one_host();
+        let plan = FaultPlan::new()
+            .at(SimTime::from_secs(10), tsc(TscManipulation::ScaleRate(1.1)))
+            .at(SimTime::from_secs(5), tsc(TscManipulation::OffsetJump(1_000_000)));
+        s.add_actor(Box::new(FaultDriver::new(plan)));
+        let host = |s: &Simulation<World, SysEvent>| s.world().host(Addr(1)).tsc.clone();
+        s.run_until(SimTime::from_secs(4));
+        assert_eq!(host(&s).manipulation_count(), 0);
+        s.run_until(SimTime::from_secs(6));
+        assert_eq!(host(&s).manipulation_count(), 1);
+        assert_eq!(host(&s).rate_hz(), nominal);
+        s.run_until(SimTime::from_secs(11));
+        assert_eq!(host(&s).manipulation_count(), 2);
+        assert!((host(&s).rate_hz() - nominal * 1.1).abs() < 1.0);
+        assert_eq!(
+            s.world().recorder.faults.events()[..],
+            [
+                (SimTime::from_secs(5), "tsc node1 offset-jump 1000000".to_string()),
+                (SimTime::from_secs(10), "tsc node1 scale-rate 1.1".to_string()),
+            ]
+        );
+    }
+
+    /// Actions sharing an instant apply in the order the plan lists them:
+    /// here the final rate is 2 × 1 GHz one way round and 1 GHz the other.
+    #[test]
+    fn actions_at_one_instant_apply_in_plan_order() {
+        let t = SimTime::from_secs(3);
+        let set = tsc(TscManipulation::SetRateHz(1e9));
+        let double = tsc(TscManipulation::ScaleRate(2.0));
+        for (plan, rate) in [
+            (FaultPlan::new().at(t, set.clone()).at(t, double.clone()), 2e9),
+            (FaultPlan::new().at(t, double.clone()).at(t, set.clone()), 1e9),
+        ] {
+            let first = plan.events()[0].action.label();
+            let mut s = one_host();
+            s.add_actor(Box::new(FaultDriver::new(plan)));
+            s.run();
+            assert_eq!(s.world().host(Addr(1)).tsc.rate_hz(), rate);
+            assert_eq!(s.world().recorder.faults.events()[0].1, first);
+            assert_eq!(s.dispatched(), 1, "one wake-up for the shared instant");
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! # faults — cross-layer fault injection for Triad simulations
 //!
-//! A [`FaultPlan`] is a deterministic, time-ordered script of fault
+//! A [`FaultPlan`] is a deterministic, time-ordered script of adversary
 //! actions — link partitions and heals, per-link loss overrides, packet
 //! duplication/reordering regimes, Time-Authority outage windows, node
-//! crash/restart cycles, and correlated AEX storms. The [`FaultDriver`]
-//! actor replays the plan through the discrete-event loop, mutating the
-//! network fabric and world flags and delivering crash/AEX events to node
-//! actors, while logging every applied fault into the run's
-//! [`trace::Recorder`] fault overlay.
+//! crash/restart cycles, correlated AEX storms, serving-path lies and
+//! hypervisor TSC manipulations. The [`FaultDriver`] actor, the one
+//! replayer of scheduled adversary actions, plays the plan through the
+//! discrete-event loop, mutating the network fabric, the hosts' counters
+//! and world flags and delivering crash/AEX events to node actors, while
+//! logging every applied action into the run's [`trace::Recorder`] fault
+//! overlay.
 //!
 //! Plans are either scripted explicitly (builder API) or generated from a
 //! seed by [`FaultPlan::randomized`] — the generator uses its own PRNG, so

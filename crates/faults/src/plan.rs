@@ -3,14 +3,15 @@
 use netsim::Addr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use runtime::TscManipulation;
 use sim::{SimDuration, SimTime};
 
-/// One fault to apply at a scheduled instant.
+/// One adversary action to apply at a scheduled instant.
 ///
-/// Network actions mutate the fabric directly; TA outage/restore, crash,
-/// restart and AEX actions are delivered to the TA or the target node
-/// actor as ordinary events, so they compose with everything it was
-/// already doing.
+/// Network actions mutate the fabric directly and a TSC manipulation
+/// rewrites the victim host's counter; TA outage/restore, crash, restart
+/// and AEX actions are delivered to the TA or the target node actor as
+/// ordinary events, so they compose with everything it was already doing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultAction {
     /// Block both directions between `a` and `b`.
@@ -113,6 +114,15 @@ pub enum FaultAction {
         /// 0-based node index.
         node: usize,
     },
+    /// The hypervisor changes node `node`'s TSC offset or rate (§III-A);
+    /// the INC monitor is what should notice.
+    ManipulateTsc {
+        /// 0-based node index (the TA's clock is the reference and is
+        /// never manipulated).
+        node: usize,
+        /// What is done to the counter.
+        manipulation: TscManipulation,
+    },
 }
 
 impl FaultAction {
@@ -144,6 +154,9 @@ impl FaultAction {
                 format!("lie node{} {mode} {offset_ns}ns", node + 1)
             }
             FaultAction::StopLie { node } => format!("lie-stop node{}", node + 1),
+            FaultAction::ManipulateTsc { node, manipulation } => {
+                format!("tsc node{} {}", node + 1, manipulation.encode())
+            }
         }
     }
 }
@@ -519,6 +532,8 @@ mod tests {
             FaultAction::StartLie { node: 0, offset_ns: 100, equivocate: false }.label(),
             FaultAction::StartLie { node: 0, offset_ns: 100, equivocate: true }.label(),
             FaultAction::StopLie { node: 0 }.label(),
+            FaultAction::ManipulateTsc { node: 0, manipulation: TscManipulation::OffsetJump(5) }
+                .label(),
         ];
         let unique: std::collections::BTreeSet<_> = labels.iter().collect();
         assert_eq!(unique.len(), labels.len());
@@ -526,6 +541,11 @@ mod tests {
         assert_eq!(
             FaultAction::StartLie { node: 1, offset_ns: -250, equivocate: false }.label(),
             "lie node2 skew -250ns"
+        );
+        assert_eq!(
+            FaultAction::ManipulateTsc { node: 2, manipulation: TscManipulation::ScaleRate(1.5) }
+                .label(),
+            "tsc node3 scale-rate 1.5"
         );
     }
 

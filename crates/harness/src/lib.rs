@@ -15,7 +15,9 @@
 #![warn(missing_docs)]
 
 use authority::TimeAuthority;
-use faults::{FaultDriver, FaultPlan};
+use faults::FaultDriver;
+/// The adversary schedule [`ClusterBuilder::fault_plan`] takes.
+pub use faults::{FaultAction, FaultPlan};
 use netsim::{Addr, DelayModel, Interceptor, Network};
 use runtime::{
     ClientMode, ClientWorkload, EnvDriver, Host, MachineActor, Sampler, SysEvent, World,
@@ -50,7 +52,6 @@ pub struct ClusterBuilder {
     config: TriadConfig,
     sample_interval: SimDuration,
     interceptors: Vec<Box<dyn Interceptor>>,
-    extra_actors: Vec<Box<dyn Actor<World, SysEvent>>>,
     node_factory: Option<NodeFactory>,
     hosts: Option<Vec<Host>>,
     clients: Vec<(usize, SimDuration, ClientMode)>,
@@ -72,7 +73,6 @@ impl ClusterBuilder {
             config: TriadConfig::default(),
             sample_interval: SimDuration::from_millis(250),
             interceptors: Vec::new(),
-            extra_actors: Vec::new(),
             node_factory: None,
             hosts: None,
             clients: Vec::new(),
@@ -134,13 +134,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Adds an auxiliary actor (e.g. a TSC manipulation schedule or a
-    /// client workload).
-    pub fn extra_actor(mut self, actor: Box<dyn Actor<World, SysEvent>>) -> Self {
-        self.extra_actors.push(actor);
-        self
-    }
-
     /// Attaches a client application workload querying node index
     /// `target` every `period`; outcomes land in that node's trace
     /// (`client_served` / `client_denied`).
@@ -175,9 +168,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Installs a fault-injection plan, replayed by a [`faults::FaultDriver`]
-    /// riding the event loop. Every applied fault is logged into
-    /// `world.recorder.faults`.
+    /// Installs the adversary schedule — faults and TSC manipulations —
+    /// replayed by a [`faults::FaultDriver`] riding the event loop. Every
+    /// applied action is logged into `world.recorder.faults`.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -214,7 +207,6 @@ impl ClusterBuilder {
             config,
             sample_interval,
             interceptors,
-            extra_actors,
             mut node_factory,
             hosts,
             clients,
@@ -261,9 +253,6 @@ impl ClusterBuilder {
         }
         if let Some(plan) = fault_plan {
             simulation.add_actor(Box::new(FaultDriver::new(plan)));
-        }
-        for actor in extra_actors {
-            simulation.add_actor(actor);
         }
 
         simulation.world_mut().register_actor(World::TA_ADDR, ta);

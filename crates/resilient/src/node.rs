@@ -43,7 +43,7 @@ pub type ResilientNode = Node<Hardened>;
 /// inside the node's own error bound (the committed `drift-n5`
 /// reproducer) raises no detection on a hardened node while the paper's
 /// node catches it. Switching it on changes `results/` and the corpus
-/// and is ROADMAP item 4(c); `crates/scenario/tests/monitor_gap.rs` pins
+/// and is ROADMAP item 1(a); `crates/scenario/tests/monitor_gap.rs` pins
 /// the gap until then.
 #[derive(Debug)]
 pub struct Hardened {

@@ -36,4 +36,5 @@ pub use keys::{link_aad, KeyTable};
 pub use machine::MachineActor;
 pub use proto::{Effect, Env, Input, Machine, NonceWindow, ScriptedEnv, TimerId};
 pub use sampler::Sampler;
+pub use tsc::TscManipulation;
 pub use world::{ClockState, Host, Lie, World};

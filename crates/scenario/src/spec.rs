@@ -1,7 +1,7 @@
 //! The declarative scenario description: everything
 //! [`harness::ClusterBuilder`] assembles, as cloneable data.
 
-use attacks::{CalibrationDelayAttack, DelayAttackMode, PlannedManipulation, TscAttackSchedule};
+use attacks::{CalibrationDelayAttack, DelayAttackMode};
 use faults::{FaultPlan, Fields, RandomFaultConfig};
 use harness::ClusterBuilder;
 use netsim::{Addr, DelayModel};
@@ -229,9 +229,7 @@ pub struct ScenarioSpec {
     pub config: TriadConfig,
     /// On-path attacker, if any.
     pub attack: Option<AttackSpec>,
-    /// Scheduled hypervisor TSC manipulations.
-    pub manipulations: Vec<PlannedManipulation>,
-    /// Fault-injection plan, if any.
+    /// Scheduled adversary actions (faults and TSC manipulations), if any.
     pub faults: Option<FaultSpec>,
     /// Client workloads.
     pub clients: Vec<ClientSpec>,
@@ -256,7 +254,6 @@ impl ScenarioSpec {
             node_impl: NodeImplSpec::Triad,
             config: TriadConfig::default(),
             attack: None,
-            manipulations: Vec::new(),
             faults: None,
             clients: Vec::new(),
             service: None,
@@ -337,14 +334,8 @@ impl ScenarioSpec {
         self
     }
 
-    /// Schedules a hypervisor TSC manipulation.
-    #[must_use]
-    pub fn manipulation(mut self, m: PlannedManipulation) -> Self {
-        self.manipulations.push(m);
-        self
-    }
-
-    /// Installs a fault-injection plan.
+    /// Installs the adversary schedule: network faults, TA outages,
+    /// crashes, AEX storms, lies and TSC manipulations alike.
     #[must_use]
     pub fn faults(mut self, faults: FaultSpec) -> Self {
         self.faults = Some(faults);
@@ -422,10 +413,6 @@ impl ScenarioSpec {
                     )));
                 }
             }
-        }
-        if !self.manipulations.is_empty() {
-            builder =
-                builder.extra_actor(Box::new(TscAttackSchedule::new(self.manipulations.clone())));
         }
         if let Some(faults) = &self.faults {
             let plan = match faults {

@@ -1,7 +1,6 @@
 //! The searchable adversary description and the scenario it runs in.
 
-use attacks::PlannedManipulation;
-use faults::{FaultEvent, FaultPlan, Fields};
+use faults::{FaultAction, FaultEvent, FaultPlan, Fields};
 use scenario::{AexSpec, AttackSpec, FaultSpec, NodeImplSpec, ScenarioSpec};
 use service::{QuorumLoopSpec, QuorumSpec, ServiceSpec, MAX_CLUSTER_NODES};
 use sim::{SimDuration, SimTime};
@@ -32,6 +31,9 @@ impl GenomeSpace {
     /// The scenario a genome is evaluated in: `n` §V hardened nodes under
     /// the paper's AEX regime, probing clients on node 0, and (when
     /// enabled) a serving layer with an `f = (n-1)/2` quorum read loop.
+    /// The genome's fault events and TSC manipulations become one plan,
+    /// manipulations last, so of two actions at one instant the fault
+    /// applies first.
     pub fn spec(&self, genome: &AdversaryGenome) -> ScenarioSpec {
         let mut spec = ScenarioSpec::new(self.n)
             .horizon(self.horizon())
@@ -46,11 +48,12 @@ impl GenomeSpace {
             });
             spec = spec.service(svc);
         }
-        if !genome.faults.is_empty() {
-            spec = spec.faults(FaultSpec::Fixed(genome.faults.clone()));
-        }
-        for &m in &genome.manipulations {
-            spec = spec.manipulation(m);
+        let plan = genome
+            .manipulations
+            .iter()
+            .fold(genome.faults.clone(), |plan, m| plan.at(m.at, m.action.clone()));
+        if !plan.is_empty() {
+            spec = spec.faults(FaultSpec::Fixed(plan));
         }
         if let Some(attack) = &genome.attack {
             spec = spec.attack(attack.clone());
@@ -97,10 +100,12 @@ impl GenomeSpace {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdversaryGenome {
     /// Scripted infrastructure faults (partitions, outages, crashes, AEX
-    /// storms, serving-path lies).
+    /// storms, serving-path lies); no TSC manipulation.
     pub faults: FaultPlan,
-    /// Hypervisor-level TSC manipulations.
-    pub manipulations: Vec<PlannedManipulation>,
+    /// Hypervisor-level TSC manipulations: `FaultAction::ManipulateTsc`
+    /// events only, kept apart from `faults` so the mutation operators
+    /// draw them separately.
+    pub manipulations: Vec<FaultEvent>,
     /// At most one on-path protocol attack.
     pub attack: Option<AttackSpec>,
 }
@@ -125,12 +130,7 @@ impl AdversaryGenome {
         if let Some(attack) = &self.attack {
             lines.push(format!("attack {}", attack.encode()));
         }
-        for m in &self.manipulations {
-            lines.push(format!("manip {}", m.encode()));
-        }
-        for e in self.faults.events() {
-            lines.push(format!("fault {}", e.encode()));
-        }
+        lines.extend(self.manipulations.iter().chain(self.faults.events()).map(FaultEvent::encode));
         lines.join("\n")
     }
 
@@ -148,24 +148,18 @@ impl AdversaryGenome {
                 continue;
             }
             let err = |e: String| format!("line {}: {e}", i + 1);
-            let (kind, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| err(format!("expected '<kind> ...', got {line:?}")))?;
-            match kind {
-                "attack" => {
-                    if genome.attack.is_some() {
-                        return Err(err("duplicate attack line".to_string()));
-                    }
-                    genome.attack = Some(AttackSpec::decode(rest).map_err(err)?);
+            if let Some(attack) = line.strip_prefix("attack ") {
+                if genome.attack.is_some() {
+                    return Err(err("duplicate attack line".to_string()));
                 }
-                "manip" => {
-                    genome.manipulations.push(PlannedManipulation::decode(rest).map_err(err)?);
-                }
-                "fault" => {
-                    let e = FaultEvent::decode(rest).map_err(err)?;
-                    genome.faults = std::mem::take(&mut genome.faults).at(e.at, e.action);
-                }
-                other => return Err(err(format!("unknown element kind {other:?}"))),
+                genome.attack = Some(AttackSpec::decode(attack).map_err(err)?);
+                continue;
+            }
+            let e = FaultEvent::decode(line).map_err(err)?;
+            if matches!(e.action, FaultAction::ManipulateTsc { .. }) {
+                genome.manipulations.push(e);
+            } else {
+                genome.faults = std::mem::take(&mut genome.faults).at(e.at, e.action);
             }
         }
         Ok(genome)
@@ -178,16 +172,10 @@ impl AdversaryGenome {
     ///
     /// Returns a description of the first violated bound.
     pub fn validate(&self, space: &GenomeSpace) -> Result<(), String> {
-        self.faults.validate(space.n)?;
-        for e in self.faults.events() {
+        for e in self.faults.events().iter().chain(&self.manipulations) {
+            e.action.validate(space.n)?;
             if e.at > space.horizon() {
-                return Err(format!("fault at {} ns beyond the horizon", e.at.as_nanos()));
-            }
-        }
-        for m in &self.manipulations {
-            m.validate(space.n)?;
-            if m.at > space.horizon() {
-                return Err(format!("manipulation at {} ns beyond the horizon", m.at.as_nanos()));
+                return Err(format!("event at {} ns beyond the horizon", e.at.as_nanos()));
             }
         }
         if let Some(attack) = &self.attack {
@@ -200,9 +188,12 @@ impl AdversaryGenome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faults::FaultAction;
     use netsim::Addr;
     use tsc::TscManipulation;
+
+    fn manip(at: SimTime, node: usize, manipulation: TscManipulation) -> FaultEvent {
+        FaultEvent { at, action: FaultAction::ManipulateTsc { node, manipulation } }
+    }
 
     fn sample() -> AdversaryGenome {
         AdversaryGenome {
@@ -213,11 +204,11 @@ mod tests {
                     SimTime::from_secs(20),
                     FaultAction::StartLie { node: 1, offset_ns: -250_000_000, equivocate: true },
                 ),
-            manipulations: vec![PlannedManipulation {
-                at: SimTime::from_secs(30),
-                victim: Addr(2),
-                manipulation: TscManipulation::ScaleRate(1.000_05),
-            }],
+            manipulations: vec![manip(
+                SimTime::from_secs(30),
+                1,
+                TscManipulation::ScaleRate(1.000_05),
+            )],
             attack: Some(AttackSpec::calibration_delay_paper(
                 Addr(1),
                 attacks::DelayAttackMode::FMinus,
@@ -257,11 +248,7 @@ mod tests {
         };
         assert!(late.validate(&space).is_err());
         let oob = AdversaryGenome {
-            manipulations: vec![PlannedManipulation {
-                at: SimTime::from_secs(1),
-                victim: Addr(4),
-                manipulation: TscManipulation::OffsetJump(5),
-            }],
+            manipulations: vec![manip(SimTime::from_secs(1), 3, TscManipulation::OffsetJump(5))],
             ..Default::default()
         };
         assert!(oob.validate(&space).is_err());
@@ -343,5 +330,25 @@ mod tests {
             world.recorder.faults.events()[..],
             [(SimTime::from_secs(2), "ta-outage".to_string())]
         );
+    }
+
+    /// Of a fault and a manipulation at one instant, the fault applies
+    /// first: the order the committed corpus and `results/` were produced
+    /// in, which listing the manipulations first in the plan would flip.
+    #[test]
+    fn spec_applies_manipulations_after_faults_at_the_same_instant() {
+        let space = GenomeSpace { n: 3, horizon_s: 5, service: false };
+        let t = SimTime::from_secs(2);
+        let g = AdversaryGenome {
+            faults: FaultPlan::new().at(t, FaultAction::TaOutage),
+            manipulations: vec![manip(t, 0, TscManipulation::OffsetJump(1))],
+            ..Default::default()
+        };
+        let world = space.spec(&g).run(7);
+        assert_eq!(
+            world.recorder.faults.events()[..],
+            [(t, "ta-outage".to_string()), (t, "tsc node1 offset-jump 1".to_string())]
+        );
+        assert_eq!(world.host(Addr(1)).tsc.manipulation_count(), 1);
     }
 }

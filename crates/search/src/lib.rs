@@ -3,8 +3,9 @@
 //! The hand-written chaos suites (E20/E22) exercise fault classes a human
 //! thought of. This crate searches for the ones nobody did: a seeded
 //! mutation/crossover loop over [`AdversaryGenome`]s — compositions of a
-//! [`faults::FaultPlan`], planned TSC manipulations and an on-path attack
-//! — each evaluated by running the scenario it encodes and scoring the
+//! [`faults::FaultPlan`], hypervisor TSC manipulations (replayed with the
+//! plan by the same `faults::FaultDriver`) and an on-path attack — each
+//! evaluated by running the scenario it encodes and scoring the
 //! resulting trace. Fitness is lexicographic ([`Fitness`]): a plan that
 //! triggers fewer detections always beats one that triggers more, and ties
 //! break on the damage metric the [`FitnessTarget`] selects (undetected

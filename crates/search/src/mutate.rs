@@ -5,7 +5,7 @@
 //! [`AdversaryGenome::validate`] by construction (in-range addresses,
 //! safe probabilities/rates, times on a 100 ms grid inside the horizon).
 
-use attacks::{DelayAttackMode, PlannedManipulation};
+use attacks::DelayAttackMode;
 use faults::{FaultAction, FaultEvent, FaultPlan};
 use netsim::Addr;
 use rand::rngs::StdRng;
@@ -116,17 +116,17 @@ fn random_action(space: &GenomeSpace, rng: &mut StdRng) -> FaultAction {
     }
 }
 
-fn random_manipulation(space: &GenomeSpace, rng: &mut StdRng) -> PlannedManipulation {
+fn random_manipulation(space: &GenomeSpace, rng: &mut StdRng) -> FaultEvent {
     let manipulation = match rng.gen_range(0..3u32) {
         0 => TscManipulation::OffsetJump(log_uniform_signed(rng, 3.0, 9.5) as i64),
         1 => TscManipulation::ScaleRate(1.0 + log_uniform_signed(rng, -6.0, -0.7)),
         _ => TscManipulation::SetRateHz(PAPER_TSC_HZ * (1.0 + log_uniform_signed(rng, -6.0, -0.7))),
     };
-    PlannedManipulation {
-        at: random_time(space, rng),
-        victim: random_node_addr(space, rng),
-        manipulation,
-    }
+    let at = random_time(space, rng);
+    // An address draw, not `random_node`: the two consume the RNG
+    // differently, and the committed corpus was bred with this one.
+    let node = usize::from(random_node_addr(space, rng).0) - 1;
+    FaultEvent { at, action: FaultAction::ManipulateTsc { node, manipulation } }
 }
 
 fn random_attack(space: &GenomeSpace, rng: &mut StdRng) -> AttackSpec {
@@ -236,7 +236,7 @@ pub fn crossover(
     let cut_ma = rng.gen_range(0..=a.manipulations.len());
     let cut_mb = rng.gen_range(0..=b.manipulations.len());
     let manipulations =
-        a.manipulations[..cut_ma].iter().chain(&b.manipulations[cut_mb..]).copied().collect();
+        a.manipulations[..cut_ma].iter().chain(&b.manipulations[cut_mb..]).cloned().collect();
     let g = AdversaryGenome {
         faults: plan_from(events),
         manipulations,

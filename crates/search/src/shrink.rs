@@ -7,8 +7,7 @@
 //! fitness) at the evaluation seed, which is what makes committed
 //! reproducers readable as attack explanations rather than noise.
 
-use attacks::PlannedManipulation;
-use faults::FaultAction;
+use faults::{FaultAction, FaultEvent};
 use scenario::AttackSpec;
 use sim::SimTime;
 use tsc::TscManipulation;
@@ -80,12 +79,13 @@ fn simplify_variants(genome: &AdversaryGenome) -> Vec<AdversaryGenome> {
         }
     }
     for (i, m) in genome.manipulations.iter().enumerate() {
-        let mut candidates: Vec<PlannedManipulation> = Vec::new();
+        let FaultAction::ManipulateTsc { node, manipulation } = m.action else { continue };
+        let mut candidates: Vec<FaultEvent> = Vec::new();
         let rounded = round_down_to_second(m.at);
         if rounded != m.at {
-            candidates.push(PlannedManipulation { at: rounded, ..*m });
+            candidates.push(FaultEvent { at: rounded, ..m.clone() });
         }
-        let halved = match m.manipulation {
+        let halved = match manipulation {
             TscManipulation::OffsetJump(t) if t.abs() >= 2 => {
                 Some(TscManipulation::OffsetJump(t / 2))
             }
@@ -98,7 +98,8 @@ fn simplify_variants(genome: &AdversaryGenome) -> Vec<AdversaryGenome> {
             _ => None,
         };
         if let Some(manipulation) = halved {
-            candidates.push(PlannedManipulation { manipulation, ..*m });
+            let action = FaultAction::ManipulateTsc { node, manipulation };
+            candidates.push(FaultEvent { at: m.at, action });
         }
         for c in candidates {
             let mut edited = genome.manipulations.clone();
@@ -187,10 +188,12 @@ mod tests {
             faults: FaultPlan::new()
                 .at(SimTime::from_secs(19), FaultAction::PartitionPair { a: Addr(1), b: Addr(2) })
                 .at(SimTime::from_secs(19), FaultAction::HealPair { a: Addr(1), b: Addr(2) }),
-            manipulations: vec![PlannedManipulation {
+            manipulations: vec![FaultEvent {
                 at: SimTime::from_nanos(2_500_000_000),
-                victim: Addr(3),
-                manipulation: TscManipulation::ScaleRate(1.002),
+                action: FaultAction::ManipulateTsc {
+                    node: 2,
+                    manipulation: TscManipulation::ScaleRate(1.002),
+                },
             }],
             attack: None,
         };

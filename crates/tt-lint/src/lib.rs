@@ -85,15 +85,14 @@ pub const HOT_PATH_MODULES: &[&str] = &[
 ];
 
 /// The only modules exempt from `component-model`: the `Machine` adapter
-/// and the environment drivers (AEX injection, drift sampling, fault
-/// replay, TSC attack schedules), which act on the simulated world rather
-/// than take part in the protocol.
+/// and the environment drivers (AEX injection, drift sampling, and the
+/// replay of scheduled adversary actions), which act on the simulated
+/// world rather than take part in the protocol.
 pub const DRIVER_MODULES: &[&str] = &[
     "crates/runtime/src/machine.rs",
     "crates/runtime/src/env.rs",
     "crates/runtime/src/sampler.rs",
     "crates/faults/src/driver.rs",
-    "crates/attacks/src/tsc_manip.rs",
 ];
 
 /// One confirmed violation.

@@ -127,7 +127,7 @@ pub const LINTS: &[Lint] = &[
         message: "a simulation actor outside the Machine adapter and the environment drivers",
         help: "protocol participants are `proto::Machine`s, run by `runtime::MachineActor` in the \
                simulation and by `net`'s driver live; only the adapter and the environment \
-               drivers (EnvDriver, Sampler, FaultDriver, TscAttackSchedule) implement `sim::Actor`",
+               drivers (EnvDriver, Sampler, FaultDriver) implement `sim::Actor`",
     },
     Lint {
         name: "panic-surface",
