@@ -10,7 +10,7 @@
 //! 2. **Interrupt control**: adding AEXs (flooding) or *removing* them
 //!    (core isolation), which the paper notes strengthens F+ by letting a
 //!    miscalibrated clock run undisturbed — expressed as AEX model choices
-//!    on the scenario (see [`aex_flood`] and the `harness` builder);
+//!    on the scenario (see [`aex_flood`] and `scenario::AexSpec`);
 //! 3. **TSC virtualisation**: offset jumps and rate scaling that the INC
 //!    monitor is meant to detect — a `tsc::TscManipulation` scheduled as
 //!    a `faults::FaultAction::ManipulateTsc` and applied by

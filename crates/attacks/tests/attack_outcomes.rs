@@ -1,18 +1,21 @@
 //! End-to-end attack reproductions: the headline numbers of §IV-B.
 
-use attacks::{CalibrationDelayAttack, DelayAttackMode};
-use harness::{ClusterBuilder, FaultAction, FaultPlan};
+use attacks::DelayAttackMode;
+use faults::{FaultAction, FaultPlan};
 use netsim::Addr;
 use runtime::World;
+use scenario::{AexSpec, AttackSpec, FaultSpec, ScenarioSpec};
 use sim::{SimDuration, SimTime};
-use tsc::{IsolatedCore, SwitchAt, TriadLike, TscManipulation, PAPER_TSC_HZ};
+use tsc::{TscManipulation, PAPER_TSC_HZ};
 
 const NODE3: Addr = Addr(3);
 
 /// The hypervisor changes node 3's TSC at t = 60 s.
-fn tsc_at_60s(manipulation: TscManipulation) -> FaultPlan {
-    FaultPlan::new()
-        .at(SimTime::from_secs(60), FaultAction::ManipulateTsc { node: 2, manipulation })
+fn tsc_at_60s(manipulation: TscManipulation) -> FaultSpec {
+    FaultSpec::Fixed(
+        FaultPlan::new()
+            .at(SimTime::from_secs(60), FaultAction::ManipulateTsc { node: 2, manipulation }),
+    )
 }
 
 /// §IV-B.1 / Fig. 4: F+ with the victim on an isolated core. The paper
@@ -20,16 +23,12 @@ fn tsc_at_60s(manipulation: TscManipulation) -> FaultPlan {
 /// −91 ms/s.
 #[test]
 fn f_plus_slows_victim_clock_by_91ms_per_s() {
-    let mut s = ClusterBuilder::new(3, 101)
-        .node_aex(0, Box::new(TriadLike::default()))
-        .node_aex(1, Box::new(TriadLike::default()))
+    let mut s = ScenarioSpec::new(3)
+        .node_aex(0, AexSpec::TriadLike)
+        .node_aex(1, AexSpec::TriadLike)
         // Node 3's attacker additionally isolates its core (low AEX).
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            NODE3,
-            World::TA_ADDR,
-            DelayAttackMode::FPlus,
-        )))
-        .build();
+        .attack(AttackSpec::calibration_delay_paper(NODE3, DelayAttackMode::FPlus))
+        .build(101);
     s.run_until(SimTime::from_secs(180));
     let w = s.world();
 
@@ -60,13 +59,9 @@ fn f_plus_slows_victim_clock_by_91ms_per_s() {
 /// (≈ 0.9 × F^TSC) and +113 ms/s of positive drift.
 #[test]
 fn f_minus_speeds_victim_clock_by_111ms_per_s() {
-    let mut s = ClusterBuilder::new(3, 102)
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            NODE3,
-            World::TA_ADDR,
-            DelayAttackMode::FMinus,
-        )))
-        .build();
+    let mut s = ScenarioSpec::new(3)
+        .attack(AttackSpec::calibration_delay_paper(NODE3, DelayAttackMode::FMinus))
+        .build(102);
     s.run_until(SimTime::from_secs(120));
     let w = s.world();
 
@@ -89,23 +84,17 @@ fn f_minus_speeds_victim_clock_by_111ms_per_s() {
 #[test]
 fn f_minus_propagates_forward_time_jumps_to_honest_nodes() {
     let switch = SimTime::from_secs(104);
-    let honest_env = || {
-        Box::new(SwitchAt {
-            at: switch,
-            before: Box::new(IsolatedCore::default()),
-            after: Box::new(TriadLike::default()),
-        })
+    let honest_env = AexSpec::SwitchAt {
+        at: switch,
+        before: Box::new(AexSpec::IsolatedCore),
+        after: Box::new(AexSpec::TriadLike),
     };
-    let mut s = ClusterBuilder::new(3, 103)
-        .node_aex(0, honest_env())
-        .node_aex(1, honest_env())
-        .node_aex(2, Box::new(TriadLike::default()))
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            NODE3,
-            World::TA_ADDR,
-            DelayAttackMode::FMinus,
-        )))
-        .build();
+    let mut s = ScenarioSpec::new(3)
+        .node_aex(0, honest_env.clone())
+        .node_aex(1, honest_env)
+        .node_aex(2, AexSpec::TriadLike)
+        .attack(AttackSpec::calibration_delay_paper(NODE3, DelayAttackMode::FMinus))
+        .build(103);
     s.run_until(SimTime::from_secs(420));
     let w = s.world();
 
@@ -160,16 +149,12 @@ fn f_minus_propagates_forward_time_jumps_to_honest_nodes() {
 /// corrections at all, so the −91 ms/s drift runs unbounded.
 #[test]
 fn aex_suppression_lets_f_plus_drift_unbounded() {
-    let mut s = ClusterBuilder::new(3, 104)
-        .node_aex(0, Box::new(TriadLike::default()))
-        .node_aex(1, Box::new(TriadLike::default()))
+    let mut s = ScenarioSpec::new(3)
+        .node_aex(0, AexSpec::TriadLike)
+        .node_aex(1, AexSpec::TriadLike)
         // Node 3: no AEX model at all — perfectly isolated core.
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            NODE3,
-            World::TA_ADDR,
-            DelayAttackMode::FPlus,
-        )))
-        .build();
+        .attack(AttackSpec::calibration_delay_paper(NODE3, DelayAttackMode::FPlus))
+        .build(104);
     s.run_until(SimTime::from_secs(300));
     let w = s.world();
     let trace = w.recorder.node(2);
@@ -191,14 +176,10 @@ fn aex_suppression_lets_f_plus_drift_unbounded() {
 /// −150 ms before the next AEX).
 #[test]
 fn f_plus_with_aex_oscillates_between_peer_resets_and_slow_clock() {
-    let mut s = ClusterBuilder::new(3, 105)
-        .all_nodes_aex(|| Box::new(TriadLike::default()))
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            NODE3,
-            World::TA_ADDR,
-            DelayAttackMode::FPlus,
-        )))
-        .build();
+    let mut s = ScenarioSpec::new(3)
+        .all_nodes_aex(AexSpec::TriadLike)
+        .attack(AttackSpec::calibration_delay_paper(NODE3, DelayAttackMode::FPlus))
+        .build(105);
     s.run_until(SimTime::from_secs(240));
     let w = s.world();
     let trace = w.recorder.node(2);
@@ -222,9 +203,9 @@ fn f_plus_with_aex_oscillates_between_peer_resets_and_slow_clock() {
 /// a full recalibration (RQ A.1's detection claim).
 #[test]
 fn inc_monitor_detects_tsc_rate_manipulation() {
-    let mut s = ClusterBuilder::new(3, 106)
-        .fault_plan(tsc_at_60s(TscManipulation::ScaleRate(1.001))) // +1000 ppm
-        .build();
+    let mut s = ScenarioSpec::new(3)
+        .faults(tsc_at_60s(TscManipulation::ScaleRate(1.001))) // +1000 ppm
+        .build(106);
     s.run_until(SimTime::from_secs(150));
     let w = s.world();
     let trace = w.recorder.node(2);
@@ -255,9 +236,8 @@ fn inc_monitor_detects_tsc_rate_manipulation() {
 #[test]
 fn inc_monitor_detects_tsc_offset_jump() {
     let jump_ticks = 29_000_000; // ≈ 10 ms of TSC progress injected at once
-    let mut s = ClusterBuilder::new(3, 107)
-        .fault_plan(tsc_at_60s(TscManipulation::OffsetJump(jump_ticks)))
-        .build();
+    let mut s =
+        ScenarioSpec::new(3).faults(tsc_at_60s(TscManipulation::OffsetJump(jump_ticks))).build(107);
     s.run_until(SimTime::from_secs(150));
     let w = s.world();
     let trace = w.recorder.node(2);
@@ -275,18 +255,18 @@ fn inc_monitor_detects_tsc_offset_jump() {
 #[test]
 fn adaptive_attacker_learns_schedule_and_poisons_recalibration() {
     use attacks::AdaptiveDelayAttack;
-    let mut s = ClusterBuilder::new(3, 108)
-        .interceptor(Box::new(AdaptiveDelayAttack::new(
-            NODE3,
-            World::TA_ADDR,
-            DelayAttackMode::FMinus,
-            SimDuration::from_millis(100),
-            6,
-        )))
+    let mut s = ScenarioSpec::new(3)
         // Nudge the victim's TSC just enough to trip the INC monitor and
         // force a full recalibration at t = 60 s.
-        .fault_plan(tsc_at_60s(TscManipulation::ScaleRate(1.0005)))
-        .build();
+        .faults(tsc_at_60s(TscManipulation::ScaleRate(1.0005)))
+        .build(108);
+    s.world_mut().net.add_interceptor(Box::new(AdaptiveDelayAttack::new(
+        NODE3,
+        World::TA_ADDR,
+        DelayAttackMode::FMinus,
+        SimDuration::from_millis(100),
+        6,
+    )));
     s.run_until(SimTime::from_secs(200));
     let w = s.world();
     let trace = w.recorder.node(2);
@@ -315,14 +295,12 @@ fn adaptive_attacker_learns_schedule_and_poisons_recalibration() {
 #[test]
 fn peer_isolation_forces_ta_dependence() {
     use attacks::{IsolationAttack, IsolationScope};
-    let mut s = ClusterBuilder::new(3, 109)
-        .all_nodes_aex(|| Box::new(TriadLike::default()))
-        .interceptor(Box::new(IsolationAttack::new(
-            NODE3,
-            World::TA_ADDR,
-            IsolationScope::PeersOnly,
-        )))
-        .build();
+    let mut s = ScenarioSpec::new(3).all_nodes_aex(AexSpec::TriadLike).build(109);
+    s.world_mut().net.add_interceptor(Box::new(IsolationAttack::new(
+        NODE3,
+        World::TA_ADDR,
+        IsolationScope::PeersOnly,
+    )));
     s.run_until(SimTime::from_secs(120));
     let w = s.world();
     let victim = w.recorder.node(2);
@@ -351,23 +329,23 @@ fn full_isolation_is_a_permanent_denial_of_service() {
     // Let the cluster calibrate cleanly first, then cut node 3 off by
     // installing the interceptor from t=0 but giving node 3 no AEXs until
     // its environment starts at 30 s.
-    let mut s = ClusterBuilder::new(3, 110)
-        .node_aex(0, Box::new(TriadLike::default()))
-        .node_aex(1, Box::new(TriadLike::default()))
+    let mut s = ScenarioSpec::new(3)
+        .node_aex(0, AexSpec::TriadLike)
+        .node_aex(1, AexSpec::TriadLike)
         .node_aex(
             2,
-            Box::new(SwitchAt {
+            AexSpec::SwitchAt {
                 at: SimTime::from_secs(30),
-                before: Box::new(tsc::Periodic { period: SimDuration::from_secs(3600) }),
-                after: Box::new(TriadLike::default()),
-            }),
+                before: Box::new(AexSpec::Periodic { period: SimDuration::from_secs(3600) }),
+                after: Box::new(AexSpec::TriadLike),
+            },
         )
-        .interceptor(Box::new(IsolationAttack::new(
-            NODE3,
-            World::TA_ADDR,
-            IsolationScope::Everything,
-        )))
-        .build();
+        .build(110);
+    s.world_mut().net.add_interceptor(Box::new(IsolationAttack::new(
+        NODE3,
+        World::TA_ADDR,
+        IsolationScope::Everything,
+    )));
     s.run_until(SimTime::from_secs(120));
     let w = s.world();
     let victim = w.recorder.node(2);
@@ -393,22 +371,20 @@ fn full_isolation_is_a_permanent_denial_of_service() {
 fn replay_attack_changes_nothing_observable() {
     use attacks::{ReplayAttack, ReplayTarget};
     let run = |replay: bool, seed: u64| {
-        let mut builder =
-            ClusterBuilder::new(3, seed).all_nodes_aex(|| Box::new(TriadLike::default()));
+        let mut s = ScenarioSpec::new(3).all_nodes_aex(AexSpec::TriadLike).build(seed);
         if replay {
-            builder = builder
-                .interceptor(Box::new(ReplayAttack::new(
-                    NODE3,
-                    ReplayTarget::TowardVictim,
-                    SimDuration::from_secs(2),
-                )))
-                .interceptor(Box::new(ReplayAttack::new(
-                    NODE3,
-                    ReplayTarget::FromVictim,
-                    SimDuration::from_millis(500),
-                )));
+            let net = &mut s.world_mut().net;
+            net.add_interceptor(Box::new(ReplayAttack::new(
+                NODE3,
+                ReplayTarget::TowardVictim,
+                SimDuration::from_secs(2),
+            )));
+            net.add_interceptor(Box::new(ReplayAttack::new(
+                NODE3,
+                ReplayTarget::FromVictim,
+                SimDuration::from_millis(500),
+            )));
         }
-        let mut s = builder.build();
         s.run_until(SimTime::from_secs(120));
         let w = s.world();
         (

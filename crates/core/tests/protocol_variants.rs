@@ -2,9 +2,9 @@
 //! don't exercise.
 
 use authority::TimeAuthority;
-use harness::ClusterBuilder;
 use netsim::{Addr, DelayModel, Network};
 use runtime::{EnvDriver, Host, MachineActor, Sampler, World};
+use scenario::{AexSpec, AttackSpec, ScenarioSpec};
 use sim::{SimDuration, SimTime, Simulation};
 use triad_core::{TriadConfig, TriadNode};
 use tsc::{TriadLike, PAPER_TSC_HZ};
@@ -13,7 +13,7 @@ use tsc::{TriadLike, PAPER_TSC_HZ};
 /// TA (the degenerate case §III-B's clustering exists to avoid).
 #[test]
 fn single_node_cluster_depends_entirely_on_the_ta() {
-    let mut s = ClusterBuilder::new(1, 51).all_nodes_aex(|| Box::new(TriadLike::default())).build();
+    let mut s = ScenarioSpec::new(1).all_nodes_aex(AexSpec::TriadLike).build(51);
     s.run_until(SimTime::from_secs(60));
     let w = s.world();
     let trace = w.recorder.node(0);
@@ -47,7 +47,7 @@ fn multi_point_sleep_schedule_calibrates() {
         samples_per_sleep: 2,
         ..Default::default()
     };
-    let mut s = ClusterBuilder::new(3, 52).config(cfg).build();
+    let mut s = ScenarioSpec::new(3).config(cfg).build(52);
     s.run_until(SimTime::from_secs(60));
     let w = s.world();
     for i in 0..3 {
@@ -68,18 +68,14 @@ fn multi_point_sleep_schedule_calibrates() {
 /// the defence.
 #[test]
 fn tighter_sleep_schedules_amplify_f_minus() {
-    use attacks::{CalibrationDelayAttack, DelayAttackMode};
+    use attacks::DelayAttackMode;
     let run = |sleeps: Vec<SimDuration>, samples: usize, seed: u64| -> f64 {
         let cfg =
             TriadConfig { calib_sleeps: sleeps, samples_per_sleep: samples, ..Default::default() };
-        let mut s = ClusterBuilder::new(3, seed)
+        let mut s = ScenarioSpec::new(3)
             .config(cfg)
-            .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-                Addr(3),
-                World::TA_ADDR,
-                DelayAttackMode::FMinus,
-            )))
-            .build();
+            .attack(AttackSpec::calibration_delay_paper(Addr(3), DelayAttackMode::FMinus))
+            .build(seed);
         s.run_until(SimTime::from_secs(120));
         s.world()
             .recorder
@@ -119,7 +115,7 @@ fn disabling_rtt_correction_biases_the_anchor_into_the_past() {
     let run = |rtt_half_correction: bool, seed: u64| -> f64 {
         let delay = DelayModel::Constant(SimDuration::from_millis(2));
         let cfg = TriadConfig { rtt_half_correction, ..Default::default() };
-        let mut s = ClusterBuilder::new(3, seed).delay(delay).config(cfg).build();
+        let mut s = ScenarioSpec::new(3).delay(delay).config(cfg).build(seed);
         s.run_until(SimTime::from_secs(20));
         // First drift sample after calibration.
         s.world().recorder.node(0).drift_ms.points()[0].1
@@ -138,7 +134,7 @@ fn disabling_rtt_correction_biases_the_anchor_into_the_past() {
 /// still gets calibrated against, just slower.
 #[test]
 fn calibration_survives_heavy_request_loss() {
-    let mut s = ClusterBuilder::new(2, 55).loss(0.25).build();
+    let mut s = ScenarioSpec::new(2).loss(0.25).build(55);
     s.run_until(SimTime::from_secs(120));
     let w = s.world();
     for i in 0..2 {
@@ -164,10 +160,7 @@ fn stale_peer_responses_are_ignored() {
         peer_timeout: SimDuration::from_micros(10),
         ..Default::default()
     };
-    let mut s = ClusterBuilder::new(3, 56)
-        .config(cfg)
-        .all_nodes_aex(|| Box::new(TriadLike::default()))
-        .build();
+    let mut s = ScenarioSpec::new(3).config(cfg).all_nodes_aex(AexSpec::TriadLike).build(56);
     s.run_until(SimTime::from_secs(60));
     let w = s.world();
     for i in 0..3 {

@@ -6,12 +6,11 @@
 //! surface as clock skew). This experiment runs both under their
 //! respective §II/§III attacks and tabulates the trade-off.
 
-use attacks::{CalibrationDelayAttack, DelayAttackMode};
-use harness::ClusterBuilder;
+use attacks::DelayAttackMode;
 use netsim::Addr;
 use runtime::World;
+use scenario::{AexSpec, AttackSpec, ScenarioSpec};
 use sim::{SimDuration, SimTime};
-use tsc::TriadLike;
 
 use crate::output::{Comparison, RunOpts, Table};
 
@@ -48,21 +47,16 @@ fn run_t3e(
 }
 
 fn run_triad(label: &'static str, attacked: bool, horizon: SimTime, seed: u64) -> BaselineRow {
-    let mut builder = ClusterBuilder::new(3, seed)
-        .all_nodes_aex(|| Box::new(TriadLike::default()))
+    let mut spec = ScenarioSpec::new(3)
+        .horizon(horizon)
+        .all_nodes_aex(AexSpec::TriadLike)
         .client(2, SimDuration::from_millis(5));
     if attacked {
-        builder = builder.interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            Addr(3),
-            World::TA_ADDR,
-            DelayAttackMode::FMinus,
-        )));
+        spec = spec.attack(AttackSpec::calibration_delay_paper(Addr(3), DelayAttackMode::FMinus));
     }
-    let mut s = builder.build();
-    s.run_until(horizon);
+    let world = spec.run(seed);
     // Summarise node 3 (the client's target and, when attacked, the
     // victim).
-    let world = s.world();
     let trace = world.recorder.node(2);
     let served = trace.client_served.count();
     let denied = trace.client_denied.count();

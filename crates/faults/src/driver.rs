@@ -19,7 +19,7 @@ use crate::plan::{FaultAction, FaultEvent, FaultPlan};
 /// interleave deterministically with protocol traffic scheduled at the
 /// same instant.
 ///
-/// Register it via `harness::ClusterBuilder::fault_plan`, or add it as an
+/// Schedule one via `scenario::ScenarioSpec::faults`, or add it as an
 /// extra actor by hand.
 #[derive(Debug)]
 pub struct FaultDriver {

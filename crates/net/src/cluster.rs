@@ -1,11 +1,11 @@
 //! Live cluster orchestration: sockets, keys, threads, and reports.
 //!
-//! [`run_cluster`] is the real-runtime counterpart of the simulation's
-//! harness builders. It binds one loopback UDP socket per endpoint,
-//! derives the pairwise AEAD keys every link needs from the cluster seed,
-//! spawns one scoped thread per protocol machine (plus the Time
-//! Authority), runs a caller-supplied body on the main thread while the
-//! cluster is live, and joins everything back into a [`LiveReport`]
+//! [`run_cluster`] is the real-runtime counterpart of
+//! `scenario::ScenarioSpec::build`. It binds one loopback UDP socket per
+//! endpoint, derives the pairwise AEAD keys every link needs from the
+//! cluster seed, spawns one scoped thread per protocol machine (plus the
+//! Time Authority), runs a caller-supplied body on the main thread while
+//! the cluster is live, and joins everything back into a [`LiveReport`]
 //! carrying the same per-thread [`Recorder`] traces the simulation
 //! driver fills in.
 
@@ -33,10 +33,8 @@ use crate::clock::MonoClock;
 use crate::driver::{run_machine, DriverConfig};
 use crate::endpoint::{Endpoint, Recv};
 
-/// Address of external blocking client `c` (matches the simulated layout).
-pub fn client_addr(c: usize) -> Addr {
-    Addr(u16::try_from(1000 + c).expect("client address fits u16"))
-}
+/// Address of external blocking client `c`: the simulated layout.
+pub use proto::client_addr;
 
 /// Everything needed to stand up one live loopback cluster.
 #[derive(Debug, Clone)]
@@ -83,7 +81,7 @@ impl Default for LiveSpec {
 }
 
 /// What one live run produced: the per-thread trace recorders, in the
-/// same vocabulary the simulation harness reports.
+/// same vocabulary the simulation reports.
 #[derive(Debug)]
 pub struct LiveReport {
     /// One recorder per protocol-node thread (empty when precalibrated).

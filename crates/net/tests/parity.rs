@@ -13,8 +13,8 @@
 //! this one checks that the *same machine* behaves the same way through
 //! both drivers.
 
-use harness::ClusterBuilder;
 use net::{run_cluster, LiveSpec};
+use scenario::ScenarioSpec;
 use sim::{SimDuration, SimTime};
 use triad_core::TriadConfig;
 
@@ -38,7 +38,7 @@ const SEED: u64 = 7;
 #[test]
 fn sim_and_live_runs_of_the_same_machine_agree() {
     // --- Simulated driver ---
-    let mut sim_run = ClusterBuilder::new(NODES, SEED).config(short_ladder()).build();
+    let mut sim_run = ScenarioSpec::new(NODES).config(short_ladder()).build(SEED);
     sim_run.run_until(SimTime::from_secs(10));
     for i in 0..NODES {
         let trace = sim_run.world().recorder.node(i);

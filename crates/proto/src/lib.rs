@@ -54,3 +54,12 @@ pub const TA_ADDR: Addr = Addr(0);
 pub fn node_addr(i: usize) -> Addr {
     Addr(u16::try_from(i + 1).expect("node count fits u16"))
 }
+
+/// The network address of client workload index `i`, on both drivers.
+///
+/// # Panics
+///
+/// Panics when the client count overflows the address space.
+pub fn client_addr(i: usize) -> Addr {
+    Addr(u16::try_from(1000 + i).expect("client address fits u16"))
+}

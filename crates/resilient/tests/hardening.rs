@@ -1,19 +1,25 @@
 //! E12: the hardened protocol under the paper's attacks, with ablations.
 
-use attacks::{CalibrationDelayAttack, DelayAttackMode};
-use harness::ClusterBuilder;
+use attacks::DelayAttackMode;
 use netsim::Addr;
-use resilient::{ResilientConfig, ResilientNode};
-use runtime::World;
+use resilient::ResilientConfig;
+use scenario::{AexSpec, AttackSpec, NodeImplSpec, ScenarioSpec};
 use sim::SimTime;
-use tsc::{IsolatedCore, SwitchAt, TriadLike, PAPER_TSC_HZ};
+use tsc::PAPER_TSC_HZ;
 
 const NODE3: Addr = Addr(3);
 
-fn resilient_cluster(seed: u64, cfg: ResilientConfig) -> ClusterBuilder {
-    ClusterBuilder::new(3, seed).node_factory(Box::new(move |me, peers| {
-        Box::new(runtime::MachineActor::new(ResilientNode::new(me, peers, cfg.clone())))
-    }))
+fn resilient_cluster(cfg: ResilientConfig) -> ScenarioSpec {
+    ScenarioSpec::new(3).node_impl(NodeImplSpec::Resilient(Box::new(cfg)))
+}
+
+/// Honest nodes on quiet cores until `switch`, then Triad-like AEXs.
+fn honest_env(switch: SimTime) -> AexSpec {
+    AexSpec::SwitchAt {
+        at: switch,
+        before: Box::new(AexSpec::IsolatedCore),
+        after: Box::new(AexSpec::TriadLike),
+    }
 }
 
 #[test]
@@ -21,7 +27,7 @@ fn fault_free_hardened_cluster_beats_base_precision() {
     // The long-window refinement should pull calibration error well below
     // the base protocol's ~100 ppm band (§V: honest nodes "will be able to
     // calibrate high-quality clocks over time").
-    let mut s = resilient_cluster(201, ResilientConfig::default()).build();
+    let mut s = resilient_cluster(ResilientConfig::default()).build(201);
     s.run_until(SimTime::from_secs(600));
     let w = s.world();
     for i in 0..3 {
@@ -46,23 +52,12 @@ fn f_minus_no_longer_propagates_to_honest_nodes() {
     // honest nodes switching from quiet cores to Triad-like AEXs at 104 s.
     // With chimer filtering the honest nodes must stay near the reference.
     let switch = SimTime::from_secs(104);
-    let honest_env = || {
-        Box::new(SwitchAt {
-            at: switch,
-            before: Box::new(IsolatedCore::default()),
-            after: Box::new(TriadLike::default()),
-        })
-    };
-    let mut s = resilient_cluster(202, ResilientConfig::default())
-        .node_aex(0, honest_env())
-        .node_aex(1, honest_env())
-        .node_aex(2, Box::new(TriadLike::default()))
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            NODE3,
-            World::TA_ADDR,
-            DelayAttackMode::FMinus,
-        )))
-        .build();
+    let mut s = resilient_cluster(ResilientConfig::default())
+        .node_aex(0, honest_env(switch))
+        .node_aex(1, honest_env(switch))
+        .node_aex(2, AexSpec::TriadLike)
+        .attack(AttackSpec::calibration_delay_paper(NODE3, DelayAttackMode::FMinus))
+        .build(202);
     s.run_until(SimTime::from_secs(420));
     let w = s.world();
 
@@ -100,23 +95,12 @@ fn ablation_without_chimer_filter_gets_infected_again() {
         ..Default::default()
     };
     let switch = SimTime::from_secs(104);
-    let honest_env = || {
-        Box::new(SwitchAt {
-            at: switch,
-            before: Box::new(IsolatedCore::default()),
-            after: Box::new(TriadLike::default()),
-        })
-    };
-    let mut s = resilient_cluster(203, cfg)
-        .node_aex(0, honest_env())
-        .node_aex(1, honest_env())
-        .node_aex(2, Box::new(TriadLike::default()))
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            NODE3,
-            World::TA_ADDR,
-            DelayAttackMode::FMinus,
-        )))
-        .build();
+    let mut s = resilient_cluster(cfg)
+        .node_aex(0, honest_env(switch))
+        .node_aex(1, honest_env(switch))
+        .node_aex(2, AexSpec::TriadLike)
+        .attack(AttackSpec::calibration_delay_paper(NODE3, DelayAttackMode::FMinus))
+        .build(203);
     s.run_until(SimTime::from_secs(420));
     let w = s.world();
     let (_, final_drift) = w.recorder.node(0).drift_ms.last().unwrap();
@@ -131,13 +115,9 @@ fn f_plus_victim_heals_itself_through_long_window_refit() {
     // F+ poisons the bootstrap fit to 1.1×; the added 100 ms only hits
     // 1 s-sleep probes, while cross-check samples (0 s) pass untouched, so
     // the long-window fit converges to the true frequency.
-    let mut s = resilient_cluster(204, ResilientConfig::default())
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            NODE3,
-            World::TA_ADDR,
-            DelayAttackMode::FPlus,
-        )))
-        .build();
+    let mut s = resilient_cluster(ResilientConfig::default())
+        .attack(AttackSpec::calibration_delay_paper(NODE3, DelayAttackMode::FPlus))
+        .build(204);
     s.run_until(SimTime::from_secs(600));
     let w = s.world();
     let trace = w.recorder.node(2);
@@ -164,13 +144,9 @@ fn deadline_bounds_drift_even_without_any_aex() {
         enable_chimer_filter: false, // isolate deadline + cross-check
         ..Default::default()
     };
-    let mut s = resilient_cluster(205, cfg)
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            NODE3,
-            World::TA_ADDR,
-            DelayAttackMode::FPlus,
-        )))
-        .build();
+    let mut s = resilient_cluster(cfg)
+        .attack(AttackSpec::calibration_delay_paper(NODE3, DelayAttackMode::FPlus))
+        .build(205);
     s.run_until(SimTime::from_secs(300));
     let w = s.world();
     let trace = w.recorder.node(2);
@@ -190,14 +166,10 @@ fn gossip_flags_the_attacked_clock_and_triggers_self_checks() {
     // nodes' consistency rounds exclude node 3 from their true-chimer
     // announcements; node 3 accumulates gossip alerts and self-checks
     // against the TA.
-    let mut s = resilient_cluster(206, ResilientConfig::default())
-        .all_nodes_aex(|| Box::new(TriadLike::default()))
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            NODE3,
-            World::TA_ADDR,
-            DelayAttackMode::FMinus,
-        )))
-        .build();
+    let mut s = resilient_cluster(ResilientConfig::default())
+        .all_nodes_aex(AexSpec::TriadLike)
+        .attack(AttackSpec::calibration_delay_paper(NODE3, DelayAttackMode::FMinus))
+        .build(206);
     s.run_until(SimTime::from_secs(120));
     let w = s.world();
     let victim_alerts = w.recorder.node(2).gossip_alerts.count();
@@ -212,9 +184,8 @@ fn gossip_flags_the_attacked_clock_and_triggers_self_checks() {
 
 #[test]
 fn gossip_is_quiet_in_a_fault_free_cluster() {
-    let mut s = resilient_cluster(207, ResilientConfig::default())
-        .all_nodes_aex(|| Box::new(TriadLike::default()))
-        .build();
+    let mut s =
+        resilient_cluster(ResilientConfig::default()).all_nodes_aex(AexSpec::TriadLike).build(207);
     s.run_until(SimTime::from_secs(120));
     let w = s.world();
     let total_alerts: u64 = (0..3).map(|i| w.recorder.node(i).gossip_alerts.count()).sum();

@@ -54,7 +54,7 @@ impl ClientWorkload {
     /// request period.
     ///
     /// The caller must provision a key for the pair and register the
-    /// actor's address; `harness::ClusterBuilder::client` does both.
+    /// actor's address; `scenario::ScenarioSpec::client` does both.
     ///
     /// # Panics
     ///

@@ -34,7 +34,7 @@ pub use env::EnvDriver;
 pub use event::SysEvent;
 pub use keys::{link_aad, KeyTable};
 pub use machine::MachineActor;
-pub use proto::{Effect, Env, Input, Machine, NonceWindow, ScriptedEnv, TimerId};
+pub use proto::{client_addr, Effect, Env, Input, Machine, NonceWindow, ScriptedEnv, TimerId};
 pub use sampler::Sampler;
 pub use tsc::TscManipulation;
 pub use world::{ClockState, Host, Lie, World};

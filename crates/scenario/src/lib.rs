@@ -4,11 +4,10 @@
 //! environment + maybe an attacker + maybe a fault plan, run for a
 //! horizon, results reduced". This crate splits that into three layers:
 //!
-//! - [`ScenarioSpec`]: a *cloneable description* of one such run. Unlike
-//!   [`harness::ClusterBuilder`] (which owns boxed trait objects and can
-//!   only be consumed once), a spec is plain data: it can be stored in a
-//!   grid, shipped to a worker thread, and instantiated any number of
-//!   times with different seeds.
+//! - [`ScenarioSpec`]: a *cloneable description* of one such run and the
+//!   one way to build a simulated cluster. A spec is plain data: it can be
+//!   stored in a grid, shipped to a worker thread, and instantiated any
+//!   number of times with different seeds.
 //! - [`RunPlan`] / [`SeedGrid`] / [`ParamGrid`]: expansion of a parameter
 //!   sweep (and optionally a multi-seed replication grid) into a flat list
 //!   of independent [`RunCell`]s, each with its own derived seed.

@@ -1,19 +1,20 @@
-//! The declarative scenario description: everything
-//! [`harness::ClusterBuilder`] assembles, as cloneable data.
+//! The declarative scenario description: one cluster, its environment,
+//! attacker, adversary schedule, clients and serving layer, as cloneable
+//! data that [`harness::Cluster`] assembles.
 
 use attacks::{CalibrationDelayAttack, DelayAttackMode};
 use faults::{FaultPlan, Fields, RandomFaultConfig};
-use harness::ClusterBuilder;
-use netsim::{Addr, DelayModel};
+use harness::Cluster;
+use netsim::{Addr, DelayModel, Network};
 use resilient::{ResilientConfig, ResilientNode};
-use runtime::{ClientMode, SysEvent, World};
+use runtime::{ClientMode, MachineActor, SysEvent, World};
 use service::ServiceSpec;
-use sim::{SimDuration, SimTime, Simulation};
-use triad_core::TriadConfig;
+use sim::{Actor, SimDuration, SimTime, Simulation};
+use triad_core::{TriadConfig, TriadNode};
 use tsc::{AexModel, Exponential, IsolatedCore, Periodic, SwitchAt, TriadLike};
 
 /// A cloneable description of an AEX environment (the data behind the
-/// boxed [`tsc::AexModel`] trait objects the builder wants).
+/// boxed [`tsc::AexModel`] trait objects the assembly wants).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AexSpec {
     /// No AEX source.
@@ -381,51 +382,59 @@ impl ScenarioSpec {
     }
 
     /// Instantiates the spec into a runnable simulation with `seed`.
+    ///
+    /// Anything the spec cannot describe (another interceptor, an extra
+    /// actor) is added to the returned simulation before its first run
+    /// step, as [`service::install`] does.
     pub fn build(&self, seed: u64) -> Simulation<World, SysEvent> {
-        let mut builder = ClusterBuilder::new(self.n, seed)
-            .delay(self.delay)
-            .loss(self.loss)
-            .sample_interval(self.sample_interval)
-            .config(self.config.clone());
-        for (i, aex) in self.node_aex.iter().enumerate() {
-            if let Some(model) = aex.model() {
-                builder = builder.node_aex(i, model);
-            }
-        }
-        if let Some(model) = self.machine_aex.model() {
-            builder = builder.machine_aex(model);
-        }
-        if let NodeImplSpec::Resilient(cfg) = &self.node_impl {
-            let cfg = (**cfg).clone();
-            builder = builder.node_factory(Box::new(move |me, peers| {
-                Box::new(runtime::MachineActor::new(ResilientNode::new(me, peers, cfg.clone())))
-            }));
-        }
+        let mut net = Network::new(self.delay, self.loss);
         if let Some(attack) = &self.attack {
-            match attack {
-                AttackSpec::CalibrationDelay { victim, mode, added_delay, sleep_threshold } => {
-                    builder = builder.interceptor(Box::new(CalibrationDelayAttack::new(
-                        *victim,
-                        World::TA_ADDR,
-                        *mode,
-                        *added_delay,
-                        *sleep_threshold,
-                    )));
+            let AttackSpec::CalibrationDelay { victim, mode, added_delay, sleep_threshold } =
+                attack;
+            net.add_interceptor(Box::new(CalibrationDelayAttack::new(
+                *victim,
+                World::TA_ADDR,
+                *mode,
+                *added_delay,
+                *sleep_threshold,
+            )));
+        }
+        let nodes = (0..self.n)
+            .map(|i| -> Box<dyn Actor<World, SysEvent>> {
+                let me = World::node_addr(i);
+                let peers = (0..self.n).filter(|&j| j != i).map(World::node_addr).collect();
+                match &self.node_impl {
+                    NodeImplSpec::Triad => {
+                        Box::new(MachineActor::new(TriadNode::new(me, peers, self.config.clone())))
+                    }
+                    NodeImplSpec::Resilient(cfg) => {
+                        Box::new(MachineActor::new(ResilientNode::new(me, peers, (**cfg).clone())))
+                    }
                 }
-            }
+            })
+            .collect();
+        let faults = self.faults.as_ref().map(|faults| match faults {
+            FaultSpec::Fixed(plan) => plan.clone(),
+            FaultSpec::Randomized(cfg) => FaultPlan::randomized(cfg, self.n, seed),
+        });
+        let clients = self
+            .clients
+            .iter()
+            .map(|c| {
+                let mode = if c.reading { ClientMode::Reading } else { ClientMode::Timestamp };
+                (c.target, c.period, mode)
+            })
+            .collect();
+        let mut simulation = Cluster {
+            net,
+            nodes,
+            node_aex: self.node_aex.iter().map(AexSpec::model).collect(),
+            machine_aex: self.machine_aex.model(),
+            sample_interval: self.sample_interval,
+            clients,
+            faults,
         }
-        if let Some(faults) = &self.faults {
-            let plan = match faults {
-                FaultSpec::Fixed(plan) => plan.clone(),
-                FaultSpec::Randomized(cfg) => FaultPlan::randomized(cfg, self.n, seed),
-            };
-            builder = builder.fault_plan(plan);
-        }
-        for c in &self.clients {
-            let mode = if c.reading { ClientMode::Reading } else { ClientMode::Timestamp };
-            builder = builder.client_with(c.target, c.period, mode);
-        }
-        let mut simulation = builder.build();
+        .assemble(seed);
         if let Some(svc) = &self.service {
             service::install(&mut simulation, svc, seed);
         }
@@ -457,6 +466,124 @@ mod tests {
         assert_eq!(summarize(&a), summarize(&b));
         assert_ne!(summarize(&a), summarize(&c));
         assert!(a.recorder.node(0).latest_calibrated_hz().is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one node")]
+    fn zero_nodes_rejected() {
+        let _ = ScenarioSpec::new(0);
+    }
+
+    #[test]
+    fn client_workload_measures_availability() {
+        let mut s = ScenarioSpec::new(3)
+            .all_nodes_aex(AexSpec::TriadLike)
+            .client(0, SimDuration::from_millis(20))
+            .client(2, SimDuration::from_millis(20))
+            .build(9);
+        s.run_until(SimTime::from_secs(60));
+        let w = s.world();
+        for target in [0usize, 2] {
+            let t = w.recorder.node(target);
+            let served = t.client_served.count();
+            let denied = t.client_denied.count();
+            assert!(served > 1_000, "node {target} served {served}");
+            // Denials happen (initial calibration at minimum).
+            assert!(denied > 0, "node {target} denied {denied}");
+            // Steady state (past the initial calibration): ≥ 95% of client
+            // requests answered with a timestamp.
+            let steady = SimTime::from_secs(30);
+            let served_late = served - t.client_served.count_at(steady);
+            let denied_late = denied - t.client_denied.count_at(steady);
+            let ratio = served_late as f64 / (served_late + denied_late) as f64;
+            assert!(ratio > 0.95, "client-observed availability {ratio}");
+        }
+        // The untargeted node saw no client traffic.
+        assert_eq!(w.recorder.node(1).client_served.count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn client_target_validated() {
+        let _ = ScenarioSpec::new(2).client(5, SimDuration::from_millis(10)).build(1);
+    }
+
+    #[test]
+    fn crash_recovery_recalibrates_and_serves_monotonic_time() {
+        let plan =
+            FaultPlan::new().crash_window(0, SimTime::from_secs(20), SimDuration::from_secs(5));
+        let mut s = ScenarioSpec::new(2)
+            .client(0, SimDuration::from_millis(20))
+            .reading_client(0, SimDuration::from_millis(20))
+            .faults(FaultSpec::Fixed(plan))
+            .build(11);
+        // ClientWorkload panics on any monotonicity violation, so a clean
+        // run is itself the assertion that the serving floor survived the
+        // crash.
+        s.run_until(SimTime::from_secs(60));
+        let w = s.world();
+        let t = w.recorder.node(0);
+        assert_eq!(t.crashes.count(), 1);
+        // One calibration before the crash, one forced re-FullCalib after.
+        assert!(t.calibrations_hz.len() >= 2, "calibrations: {}", t.calibrations_hz.len());
+        assert_eq!(w.recorder.faults.len(), 2);
+        assert!(w.recorder.faults.events()[0].1.starts_with("crash"));
+        // The node went down and came back: clients saw denials during the
+        // window but service afterwards.
+        assert!(t.client_denied.count() > 0);
+        assert!(t.client_served.count() > t.client_served.count_at(SimTime::from_secs(30)));
+    }
+
+    #[test]
+    fn hardened_cluster_rides_out_ta_outage() {
+        // Node 0 restarts in the middle of a 60 s TA blackout: its forced
+        // full calibration meets a dead TA, so it must retry with backoff
+        // (opening the circuit breaker) until the TA returns.
+        let plan = FaultPlan::new()
+            .ta_outage(SimTime::from_secs(15), SimDuration::from_secs(60))
+            .crash_window(0, SimTime::from_secs(18), SimDuration::from_secs(4));
+        let mut s = ScenarioSpec::new(2)
+            .config(TriadConfig::hardened())
+            .all_nodes_aex(AexSpec::TriadLike)
+            .faults(FaultSpec::Fixed(plan))
+            .build(13);
+        s.run_until(SimTime::from_secs(150));
+        let w = s.world();
+        let t = w.recorder.node(0);
+        assert!(t.probe_retries.count() > 0, "expected retry pressure during the TA outage");
+        assert!(t.breaker_opens.count() > 0, "expected the TA circuit breaker to open");
+        // Recovery: the node re-calibrated once the TA came back, and the
+        // quiet peer never lost its calibration.
+        assert!(t.calibrations_hz.len() >= 2, "calibrations: {}", t.calibrations_hz.len());
+        assert!(w.recorder.node(1).latest_calibrated_hz().is_some());
+    }
+
+    #[test]
+    fn chaos_runs_are_bit_reproducible() {
+        let run = |seed| {
+            let cfg = RandomFaultConfig {
+                window: (SimTime::from_secs(20), SimTime::from_secs(80)),
+                ..Default::default()
+            };
+            let plan = FaultPlan::randomized(&cfg, 3, seed);
+            let mut s = ScenarioSpec::new(3)
+                .all_nodes_aex(AexSpec::TriadLike)
+                .reading_client(1, SimDuration::from_millis(50))
+                .faults(FaultSpec::Fixed(plan))
+                .build(seed);
+            s.run_until(SimTime::from_secs(120));
+            let w = s.world();
+            (
+                w.recorder.faults.events().to_vec(),
+                (0..3).map(|i| w.recorder.node(i).calibrations_hz.clone()).collect::<Vec<_>>(),
+                w.recorder.node(1).client_served.count(),
+                w.net.total_stats(),
+            )
+        };
+        let a = run(77);
+        let b = run(77);
+        assert_eq!(a, b);
+        assert!(!a.0.is_empty(), "randomized plan applied no faults");
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub fn generator_addr(g: usize) -> Addr {
 /// [`Frontend`] per node, every generator in `spec`, and the pairwise
 /// generator↔front-end keys (derived deterministically from `seed`).
 ///
-/// Call after `harness::ClusterBuilder::build` (or
-/// `scenario::ScenarioSpec::build`) and before the first run step.
+/// Call after `scenario::ScenarioSpec::build` and before the first run
+/// step; `ScenarioSpec::service` does so for you.
 ///
 /// # Panics
 ///

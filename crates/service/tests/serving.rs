@@ -2,9 +2,9 @@
 //! amortization, overload shedding, crash failover, determinism.
 
 use faults::FaultPlan;
-use harness::ClusterBuilder;
 use runtime::World;
-use service::{install, ClosedLoopSpec, FrontendSpec, OpenLoopSpec, RouterSpec, ServiceSpec};
+use scenario::{FaultSpec, ScenarioSpec};
+use service::{ClosedLoopSpec, FrontendSpec, OpenLoopSpec, RouterSpec, ServiceSpec};
 use sim::{SimDuration, SimTime};
 
 fn run_with(
@@ -14,14 +14,11 @@ fn run_with(
     spec: &ServiceSpec,
     plan: Option<FaultPlan>,
 ) -> World {
-    let mut builder = ClusterBuilder::new(n, seed);
+    let mut scenario = ScenarioSpec::new(n).horizon(horizon).service(spec.clone());
     if let Some(plan) = plan {
-        builder = builder.fault_plan(plan);
+        scenario = scenario.faults(FaultSpec::Fixed(plan));
     }
-    let mut simulation = builder.build();
-    install(&mut simulation, spec, seed);
-    simulation.run_until(horizon);
-    simulation.into_world()
+    scenario.run(seed)
 }
 
 fn frontend_sums(world: &World) -> (u64, u64, u64) {

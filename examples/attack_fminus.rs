@@ -13,12 +13,11 @@
 //! cargo run --example attack_fminus
 //! ```
 
-use triad_tt::attacks::{CalibrationDelayAttack, DelayAttackMode};
-use triad_tt::harness::ClusterBuilder;
+use triad_tt::attacks::DelayAttackMode;
 use triad_tt::netsim::Addr;
-use triad_tt::runtime::World;
+use triad_tt::scenario::{AexSpec, AttackSpec, ScenarioSpec};
 use triad_tt::sim::SimTime;
-use triad_tt::tsc::{IsolatedCore, SwitchAt, TriadLike, PAPER_TSC_HZ};
+use triad_tt::tsc::PAPER_TSC_HZ;
 
 fn main() {
     let switch = SimTime::from_secs(104);
@@ -28,25 +27,18 @@ fn main() {
          Honest nodes run on quiet cores until t = {switch}, then see Triad-like AEXs.\n"
     );
 
-    let honest_env = || {
-        Box::new(SwitchAt {
-            at: switch,
-            before: Box::new(IsolatedCore::default()),
-            after: Box::new(TriadLike::default()),
-        })
+    let honest_env = AexSpec::SwitchAt {
+        at: switch,
+        before: Box::new(AexSpec::IsolatedCore),
+        after: Box::new(AexSpec::TriadLike),
     };
-    let mut simulation = ClusterBuilder::new(3, 7)
-        .node_aex(0, honest_env())
-        .node_aex(1, honest_env())
-        .node_aex(2, Box::new(TriadLike::default()))
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            Addr(3),
-            World::TA_ADDR,
-            DelayAttackMode::FMinus,
-        )))
-        .build();
-    simulation.run_until(horizon);
-    let world = simulation.world();
+    let world = ScenarioSpec::new(3)
+        .horizon(horizon)
+        .node_aex(0, honest_env.clone())
+        .node_aex(1, honest_env)
+        .node_aex(2, AexSpec::TriadLike)
+        .attack(AttackSpec::calibration_delay_paper(Addr(3), DelayAttackMode::FMinus))
+        .run(7);
 
     let victim = world.recorder.node(2);
     let f3 = victim.latest_calibrated_hz().unwrap();

@@ -6,24 +6,22 @@
 //! cargo run --example quickstart
 //! ```
 
-use triad_tt::harness::ClusterBuilder;
+use triad_tt::scenario::{AexSpec, ScenarioSpec};
 use triad_tt::sim::{SimDuration, SimTime};
 use triad_tt::stats;
-use triad_tt::tsc::{IsolatedCore, TriadLike};
 
 fn main() {
     let horizon = SimTime::from_secs(300);
     println!("Three Triad nodes + Time Authority, Triad-like AEXs, {horizon} horizon\n");
 
-    let mut simulation = ClusterBuilder::new(3, 2025)
-        .all_nodes_aex(|| Box::new(TriadLike::default()))
+    let world = ScenarioSpec::new(3)
+        .horizon(horizon)
+        .all_nodes_aex(AexSpec::TriadLike)
         // Machine-wide correlated interrupts every ~5.4 minutes, as on the
         // paper's testbed.
-        .machine_aex(Box::new(IsolatedCore::default()))
+        .machine_aex(AexSpec::IsolatedCore)
         .sample_interval(SimDuration::from_millis(250))
-        .build();
-    simulation.run_until(horizon);
-    let world = simulation.world();
+        .run(2025);
 
     for i in 0..3 {
         let trace = world.recorder.node(i);

@@ -7,41 +7,28 @@
 //! cargo run --example resilient_cluster
 //! ```
 
-use triad_tt::attacks::{CalibrationDelayAttack, DelayAttackMode};
-use triad_tt::harness::ClusterBuilder;
+use triad_tt::attacks::DelayAttackMode;
 use triad_tt::netsim::Addr;
-use triad_tt::resilient::{ResilientConfig, ResilientNode};
-use triad_tt::runtime::World;
+use triad_tt::scenario::{AexSpec, AttackSpec, NodeImplSpec, ScenarioSpec};
 use triad_tt::sim::SimTime;
-use triad_tt::tsc::{IsolatedCore, SwitchAt, TriadLike};
 
 fn run(hardened: bool) -> (f64, f64, u64) {
     let switch = SimTime::from_secs(104);
-    let honest_env = || {
-        Box::new(SwitchAt {
-            at: switch,
-            before: Box::new(IsolatedCore::default()),
-            after: Box::new(TriadLike::default()),
-        })
+    let honest_env = AexSpec::SwitchAt {
+        at: switch,
+        before: Box::new(AexSpec::IsolatedCore),
+        after: Box::new(AexSpec::TriadLike),
     };
-    let mut builder = ClusterBuilder::new(3, 11)
-        .node_aex(0, honest_env())
-        .node_aex(1, honest_env())
-        .node_aex(2, Box::new(TriadLike::default()))
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            Addr(3),
-            World::TA_ADDR,
-            DelayAttackMode::FMinus,
-        )));
+    let mut spec = ScenarioSpec::new(3)
+        .horizon(SimTime::from_secs(420))
+        .node_aex(0, honest_env.clone())
+        .node_aex(1, honest_env)
+        .node_aex(2, AexSpec::TriadLike)
+        .attack(AttackSpec::calibration_delay_paper(Addr(3), DelayAttackMode::FMinus));
     if hardened {
-        let cfg = ResilientConfig::default();
-        builder = builder.node_factory(Box::new(move |me, peers| {
-            Box::new(runtime::MachineActor::new(ResilientNode::new(me, peers, cfg.clone())))
-        }));
+        spec = spec.node_impl(NodeImplSpec::Resilient(Box::default()));
     }
-    let mut simulation = builder.build();
-    simulation.run_until(SimTime::from_secs(420));
-    let world = simulation.world();
+    let world = spec.run(11);
     let honest_final = (0..2)
         .map(|i| world.recorder.node(i).drift_ms.last().map(|(_, d)| d).unwrap_or(0.0))
         .fold(f64::NEG_INFINITY, f64::max);

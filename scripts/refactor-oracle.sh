@@ -10,7 +10,8 @@
 # --jobs 2 on each and `diff -r`s the four output trees against each
 # other, does the same for one `--smoke` run of the grid experiments per
 # side (the smoke grids are separate cell lists `all --quick` never
-# builds), and replays the committed reproducer corpus on the working
+# builds), and replays the committed reproducer corpus and the two
+# benchmark reproducers under bench/inputs (read only) on the working
 # tree's binary. Exits non-zero on the first difference or replay
 # mismatch.
 # Everything is built --offline (the workspace vendors its dependencies).
@@ -61,5 +62,5 @@ diff -r "$work/base-smoke" "$work/change-smoke" ||
     { echo "refactor-oracle: smoke trees differ" >&2; exit 1; }
 echo "refactor-oracle: smoke trees identical"
 
-(cd "$root" && "$change_bin" replay results/search/corpus/*.scn)
-echo "refactor-oracle: corpus replays to its recorded fitness — pass"
+(cd "$root" && "$change_bin" replay results/search/corpus/*.scn bench/inputs/*.scn)
+echo "refactor-oracle: corpus and bench/inputs replay to their recorded fitness — pass"

@@ -13,14 +13,12 @@
 //! ## Quick start
 //!
 //! ```
-//! use triad_tt::harness::ClusterBuilder;
+//! use triad_tt::scenario::ScenarioSpec;
 //! use triad_tt::sim::SimTime;
 //!
-//! // Three Triad nodes + a Time Authority on a quiet machine.
-//! let mut simulation = ClusterBuilder::new(3, 42).build();
-//! simulation.run_until(SimTime::from_secs(30));
+//! // Three Triad nodes + a Time Authority on a quiet machine, seed 42.
+//! let world = ScenarioSpec::new(3).horizon(SimTime::from_secs(30)).run(42);
 //!
-//! let world = simulation.world();
 //! for i in 0..3 {
 //!     let f = world.recorder.node(i).latest_calibrated_hz().unwrap();
 //!     println!("Node {} calibrated to {:.3} MHz", i + 1, f / 1e6);
@@ -44,7 +42,7 @@
 //! | [`attacks`] | F+/F– delay attacks, AEX control, TSC manipulation |
 //! | [`resilient`] | the §V hardened protocol |
 //! | [`faults`] | cross-layer fault injection (chaos plans + driver) |
-//! | [`harness`] | scenario builder tying everything together |
+//! | [`scenario`] | declarative cluster specs (`ScenarioSpec`), the one cluster builder, and the parallel multi-seed runner |
 //! | [`service`] | trusted-timestamp serving layer: load generation, batching front-ends, failover routing, quorum-attested reads with Byzantine detection, SLO accounting |
 //! | [`proto`] | runtime-agnostic protocol boundary: the `Env`/`Machine` effect surface both drivers interpret |
 //! | [`net`] | live UDP runtime: the same machines on real loopback sockets, OS clocks, and threads |
@@ -58,11 +56,11 @@ pub use attacks;
 pub use authority;
 pub use experiments;
 pub use faults;
-pub use harness;
 pub use net;
 pub use netsim;
 pub use proto;
 pub use resilient;
+pub use scenario;
 pub use search;
 pub use service;
 pub use sim;

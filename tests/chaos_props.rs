@@ -11,11 +11,10 @@
 
 use proptest::prelude::*;
 use triad_tt::faults::{FaultPlan, RandomFaultConfig};
-use triad_tt::harness::ClusterBuilder;
-use triad_tt::resilient::{ResilientConfig, ResilientNode};
+use triad_tt::resilient::ResilientConfig;
+use triad_tt::scenario::{AexSpec, FaultSpec, NodeImplSpec, ScenarioSpec};
 use triad_tt::sim::{SimDuration, SimTime};
 use triad_tt::triad::TriadConfig;
-use triad_tt::tsc::TriadLike;
 
 /// A compressed chaos window so every recovery lands inside the horizon.
 fn fault_config(
@@ -61,14 +60,14 @@ proptest! {
         let cfg = fault_config(crashes, ta_outages, partitions, loss, storms);
         let plan = FaultPlan::randomized(&cfg, 3, seed);
         let n_faults = plan.len();
-        let mut s = ClusterBuilder::new(3, seed)
-            .all_nodes_aex(|| Box::new(TriadLike::default()))
+        let mut s = ScenarioSpec::new(3)
+            .all_nodes_aex(AexSpec::TriadLike)
             .config(TriadConfig::hardened())
             .client(0, SimDuration::from_millis(50))
             .reading_client(0, SimDuration::from_millis(50))
             .client(1, SimDuration::from_millis(50))
-            .fault_plan(plan)
-            .build();
+            .faults(FaultSpec::Fixed(plan))
+            .build(seed);
         // Any monotonicity violation panics inside the run.
         s.run_until(SimTime::from_secs(90));
         let w = s.world();
@@ -96,15 +95,13 @@ proptest! {
         let cfg = fault_config(crashes, ta_outages, partitions, 0, storms);
         let plan = FaultPlan::randomized(&cfg, 3, seed);
         let node_cfg = ResilientConfig { base: TriadConfig::hardened(), ..Default::default() };
-        let mut s = ClusterBuilder::new(3, seed)
-            .all_nodes_aex(|| Box::new(TriadLike::default()))
-            .node_factory(Box::new(move |me, peers| {
-                Box::new(runtime::MachineActor::new(ResilientNode::new(me, peers, node_cfg.clone())))
-            }))
+        let mut s = ScenarioSpec::new(3)
+            .all_nodes_aex(AexSpec::TriadLike)
+            .node_impl(NodeImplSpec::Resilient(Box::new(node_cfg)))
             .client(0, SimDuration::from_millis(50))
             .reading_client(0, SimDuration::from_millis(50))
-            .fault_plan(plan)
-            .build();
+            .faults(FaultSpec::Fixed(plan))
+            .build(seed);
         s.run_until(SimTime::from_secs(90));
         prop_assert!(s.world().recorder.node(0).client_served.count() > 0);
     }

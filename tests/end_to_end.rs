@@ -1,13 +1,12 @@
 //! Workspace-level integration tests: client-facing behaviour across the
 //! full stack (crypto + wire + netsim + runtime + protocol).
 
-use triad_tt::attacks::{CalibrationDelayAttack, DelayAttackMode};
-use triad_tt::harness::ClusterBuilder;
+use triad_tt::attacks::DelayAttackMode;
 use triad_tt::netsim::Addr;
 use triad_tt::proto::{Env, Input, Machine};
 use triad_tt::runtime::{MachineActor, World};
+use triad_tt::scenario::{AexSpec, AttackSpec, ScenarioSpec};
 use triad_tt::sim::{SimDuration, SimTime};
-use triad_tt::tsc::TriadLike;
 use triad_tt::wire::Message;
 
 /// A client application hammering one Triad node for timestamps. Asserts
@@ -50,16 +49,17 @@ impl Machine for ClientProbe {
     }
 }
 
-/// Wires a client at a spare address into a built cluster.
+/// Wires a client at a spare address into a cluster built with `seed`.
 fn with_client(
-    builder: ClusterBuilder,
+    spec: ScenarioSpec,
+    seed: u64,
     target: Addr,
     period: SimDuration,
     horizon: SimTime,
 ) -> u64 {
     // The client lives at an address above the nodes; provision its key.
     let client_addr = Addr(100);
-    let mut s = builder.build();
+    let mut s = spec.build(seed);
     // Key + actor registration must happen before the run starts.
     let key = [0x42u8; 32];
     s.world_mut().keys.provision_pair(client_addr, target, key);
@@ -74,11 +74,11 @@ fn with_client(
 
 #[test]
 fn clients_get_monotonic_timestamps_from_an_honest_cluster() {
-    let builder = ClusterBuilder::new(3, 31).all_nodes_aex(|| Box::new(TriadLike::default()));
+    let spec = ScenarioSpec::new(3).all_nodes_aex(AexSpec::TriadLike);
     // The ClientProbe asserts monotonicity internally; reaching the end
     // without a panic is the property.
     let dispatched =
-        with_client(builder, Addr(1), SimDuration::from_millis(50), SimTime::from_secs(60));
+        with_client(spec, 31, Addr(1), SimDuration::from_millis(50), SimTime::from_secs(60));
     assert!(dispatched > 2_000, "client traffic must actually flow ({dispatched})");
 }
 
@@ -86,29 +86,21 @@ fn clients_get_monotonic_timestamps_from_an_honest_cluster() {
 fn clients_get_monotonic_timestamps_even_from_an_attacked_node() {
     // Even while the F– attack skews node 3's clock, timestamps served to
     // clients must never go backwards.
-    let builder = ClusterBuilder::new(3, 32)
-        .all_nodes_aex(|| Box::new(TriadLike::default()))
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            Addr(3),
-            World::TA_ADDR,
-            DelayAttackMode::FMinus,
-        )));
+    let spec = ScenarioSpec::new(3)
+        .all_nodes_aex(AexSpec::TriadLike)
+        .attack(AttackSpec::calibration_delay_paper(Addr(3), DelayAttackMode::FMinus));
     let dispatched =
-        with_client(builder, Addr(3), SimDuration::from_millis(50), SimTime::from_secs(60));
+        with_client(spec, 32, Addr(3), SimDuration::from_millis(50), SimTime::from_secs(60));
     assert!(dispatched > 2_000);
 }
 
 #[test]
 fn identical_seeds_reproduce_identical_attack_outcomes() {
     let run = |seed: u64| {
-        let mut s = ClusterBuilder::new(3, seed)
-            .all_nodes_aex(|| Box::new(TriadLike::default()))
-            .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-                Addr(3),
-                World::TA_ADDR,
-                DelayAttackMode::FPlus,
-            )))
-            .build();
+        let mut s = ScenarioSpec::new(3)
+            .all_nodes_aex(AexSpec::TriadLike)
+            .attack(AttackSpec::calibration_delay_paper(Addr(3), DelayAttackMode::FPlus))
+            .build(seed);
         s.run_until(SimTime::from_secs(60));
         let w = s.world();
         (
@@ -128,13 +120,9 @@ fn identical_seeds_reproduce_identical_attack_outcomes() {
 
 #[test]
 fn fabric_statistics_reflect_the_attack() {
-    let mut s = ClusterBuilder::new(3, 33)
-        .interceptor(Box::new(CalibrationDelayAttack::paper_default(
-            Addr(3),
-            World::TA_ADDR,
-            DelayAttackMode::FPlus,
-        )))
-        .build();
+    let mut s = ScenarioSpec::new(3)
+        .attack(AttackSpec::calibration_delay_paper(Addr(3), DelayAttackMode::FPlus))
+        .build(33);
     s.run_until(SimTime::from_secs(30));
     let w = s.world();
     // The attacker delayed TA→node3 responses (the 1 s-sleep ones) …
@@ -153,10 +141,7 @@ fn fabric_statistics_reflect_the_attack() {
 fn protocol_survives_datagram_loss() {
     // 2% loss on every link: retransmissions must still converge to a
     // calibrated, serving cluster.
-    let mut s = ClusterBuilder::new(3, 34)
-        .loss(0.02)
-        .all_nodes_aex(|| Box::new(TriadLike::default()))
-        .build();
+    let mut s = ScenarioSpec::new(3).loss(0.02).all_nodes_aex(AexSpec::TriadLike).build(34);
     s.run_until(SimTime::from_secs(120));
     let w = s.world();
     for i in 0..3 {
