@@ -22,9 +22,9 @@
 //! protocol; `resilient::Hardened` is its §V hardening.
 
 use netsim::Addr;
-use proto::{ClockState, Env, Input, Machine, TimerId, AEX_RESUME_TOKEN, TA_ADDR};
+use proto::{ClockState, Env, Input, Machine, ProtoEvent, TimerId, AEX_RESUME_TOKEN, TA_ADDR};
 use sim::{SimDuration, SimTime};
-use trace::{NodeStateTag, NodeTrace};
+use trace::NodeStateTag;
 use wire::Message;
 
 use crate::calib::Calibrator;
@@ -253,11 +253,6 @@ impl Core {
         self.state
     }
 
-    /// This node's trace in the run's recorder.
-    pub fn trace<'e>(&self, env: &'e mut dyn Env) -> &'e mut NodeTrace {
-        env.recorder().node_mut(self.index)
-    }
-
     /// The calibrated TSC frequency, once a calibration completed.
     pub fn frequency_hz(&self) -> Option<f64> {
         self.f_calib_hz
@@ -316,8 +311,7 @@ impl Core {
     /// Anchors to a TA sample and returns to OK.
     pub fn anchor_to_ta(&mut self, env: &mut dyn Env, ticks: u64, ref_ns: f64, bound: Option<f64>) {
         self.set_anchor(env, ticks, ref_ns, bound);
-        let now = env.now();
-        self.trace(env).ta_references.increment(now);
+        env.emit(ProtoEvent::TaReference);
         self.taint_snapshot_ns = None;
         self.enter_state(env, NodeStateTag::Ok);
     }
@@ -350,7 +344,7 @@ impl Core {
         } else {
             self.degraded_since.get_or_insert(now);
         }
-        self.trace(env).states.enter(now, state);
+        env.emit(ProtoEvent::State(state));
     }
 
     fn fresh_nonce(&mut self) -> u64 {
@@ -393,8 +387,7 @@ impl Core {
                 // Speed fit complete → F^calib, then anchor the reference.
                 let fit = self.calibrator.fit().expect("two distinct sleeps are configured");
                 self.f_calib_hz = Some(fit.slope);
-                let now = env.now();
-                self.trace(env).calibrations_hz.push((now, fit.slope));
+                env.emit(ProtoEvent::Calibration { hz: fit.slope });
                 self.send_probe(env, ProbeKind::Anchor);
             }
         }
@@ -441,8 +434,7 @@ impl Core {
     /// circuit breaker after too many consecutive failures.
     fn on_probe_timeout(&mut self, env: &mut dyn Env, kind: ProbeKind, attempt: u32) {
         self.probe_failures = self.probe_failures.saturating_add(1);
-        let now = env.now();
-        self.trace(env).probe_retries.increment(now);
+        env.emit(ProtoEvent::ProbeRetry);
         self.pending_probe = None;
 
         if let Some(breaker) = self.cfg.ta_breaker {
@@ -450,7 +442,7 @@ impl Core {
                 // Stop hammering an unreachable TA; try again once per
                 // cooldown until it answers (half-open trials).
                 self.breaker_stage = Some(kind);
-                self.trace(env).breaker_opens.increment(now);
+                env.emit(ProtoEvent::BreakerOpen);
                 env.set_timer(TOKEN_BREAKER | (self.timer_epoch & TOKEN_MASK), breaker.cooldown);
                 return;
             }
@@ -537,7 +529,6 @@ impl Core {
     /// makes every node follow the fastest clock in the cluster and what
     /// the F– attack exploits.
     pub fn max_adopt(&mut self, env: &mut dyn Env, responses: &[PeerSample], bound: Option<f64>) {
-        let now = env.now();
         let ticks = env.read_tsc();
         let local_pre_interrupt =
             self.taint_snapshot_ns.expect("tainted state always has a snapshot");
@@ -546,7 +537,7 @@ impl Core {
         if best_peer > local_pre_interrupt {
             // "the incoming timestamp becomes the new reference"
             self.set_anchor(env, ticks, best_peer, bound);
-            self.trace(env).peer_adoptions.increment(now);
+            env.emit(ProtoEvent::PeerAdoption);
         } else if self.clock_ns(ticks).expect("clock was valid before the taint")
             <= local_pre_interrupt
         {
@@ -560,8 +551,7 @@ impl Core {
     /// The peers vouched for the clock (possibly after a correction):
     /// back to OK.
     pub fn untainted_by_peers(&mut self, env: &mut dyn Env) {
-        let now = env.now();
-        self.trace(env).peer_untaints.increment(now);
+        env.emit(ProtoEvent::PeerUntaint);
         self.taint_snapshot_ns = None;
         self.enter_state(env, NodeStateTag::Ok);
     }
@@ -625,8 +615,7 @@ impl<P: Policy> Node<P> {
     fn on_aex(&mut self, env: &mut dyn Env) {
         let core = &mut self.core;
         core.aex_count += 1;
-        let now = env.now();
-        core.trace(env).aex_events.increment(now);
+        env.emit(ProtoEvent::Aex);
         self.policy.on_aex();
 
         match core.state {
@@ -699,8 +688,7 @@ impl<P: Policy> Node<P> {
         core.breaker_stage = None;
         self.policy.reset();
         core.publish_clock(env, self.policy.error_bound_ns(0.0));
-        let now = env.now();
-        core.trace(env).crashes.increment(now);
+        env.emit(ProtoEvent::Crash);
         core.enter_state(env, NodeStateTag::Crashed);
     }
 
@@ -722,7 +710,7 @@ impl<P: Policy> Node<P> {
         }
         let estimate_ns = core.serve_ns(ticks)?;
         let uncertainty_ns = uncertainty as u64;
-        core.trace(env).reading_uncertainty_ns.push(now, uncertainty_ns as f64);
+        env.emit(ProtoEvent::ReadingUncertainty { ns: uncertainty_ns });
         let degraded = core.state != NodeStateTag::Ok;
         Some(wire::TimeReading { estimate_ns, uncertainty_ns, degraded })
     }

@@ -2,7 +2,7 @@
 //! follow the fastest peer, watch the TSC with the INC monitor.
 
 use netsim::Addr;
-use proto::Env;
+use proto::{Env, ProtoEvent};
 use sim::SimTime;
 use wire::Message;
 
@@ -56,7 +56,7 @@ impl Policy for Paper {
                     Some(baseline) => {
                         let ppm = (ratio / baseline - 1.0).abs() * 1e6;
                         if ppm > core.cfg().monitor_threshold_ppm {
-                            core.trace(env).monitor_detections.increment(now);
+                            env.emit(ProtoEvent::MonitorDetection);
                             self.inc_ticks_per_inc = None;
                             detected = true;
                         }

@@ -317,14 +317,11 @@ pub fn run_cluster<R>(
             s.spawn(move |_| run_authority(endpoint, boards, clock))
         });
 
-        // One driver thread per machine; only protocol nodes publish state.
-        let mut spawn = |machine: Box<dyn Machine + Send>, peers: &[Addr], publishes_state| {
+        // One driver thread per machine.
+        let mut spawn = |machine: Box<dyn Machine + Send>, peers: &[Addr]| {
             let me = machine.addr();
-            let cfg = DriverConfig {
-                endpoint: endpoint(me, peers),
-                rng: thread_rng_for(spec.seed, me),
-                publishes_state,
-            };
+            let cfg =
+                DriverConfig { endpoint: endpoint(me, peers), rng: thread_rng_for(spec.seed, me) };
             s.spawn(move |_| run_machine(machine, cfg, boards, clock))
         };
 
@@ -334,18 +331,16 @@ pub fn run_cluster<R>(
                 let peers: Vec<Addr> = node_addrs.iter().copied().filter(|&p| p != me).collect();
                 let mut key_peers = peers.clone();
                 key_peers.push(TA_ADDR);
-                spawn(Box::new(TriadNode::new(me, peers, spec.node_cfg.clone())), &key_peers, true)
+                spawn(Box::new(TriadNode::new(me, peers, spec.node_cfg.clone())), &key_peers)
             })
             .collect();
         let frontend_handles: Vec<_> = frontend_addrs
             .iter()
             .enumerate()
-            .map(|(i, &me)| {
-                spawn(Box::new(Frontend::new(me, i, spec.frontend)), &frontend_peers, false)
-            })
+            .map(|(i, &me)| spawn(Box::new(Frontend::new(me, i, spec.frontend)), &frontend_peers))
             .collect();
         let generator_handles: Vec<_> =
-            generators.into_iter().map(|g| spawn(g, &frontend_addrs, false)).collect();
+            generators.into_iter().map(|g| spawn(g, &frontend_addrs)).collect();
 
         let mut handle = LiveHandle { clock, boards, frontends: frontend_addrs.clone(), clients };
         let body_result = body(&mut handle);

@@ -11,12 +11,12 @@ use netsim::Addr;
 use proto::{ClockState, Env, Input, Lie, Machine, TimerId, AEX_RESUME_TOKEN};
 use rand::rngs::StdRng;
 use sim::{SimDuration, SimTime};
-use trace::{NodeStateTag, Recorder};
+use trace::{NodeStateTag, ProtoEvent, Recorder};
 use wire::Message;
 
 use crate::board::Boards;
 use crate::clock::MonoClock;
-use crate::endpoint::{Dropped, Endpoint, Recv, MAX_IDLE_NS, MIN_WAIT_NS};
+use crate::endpoint::{Endpoint, Recv, MAX_IDLE_NS, MIN_WAIT_NS};
 use crate::timers::TimerQueue;
 
 /// Everything one live driver thread owns.
@@ -25,10 +25,6 @@ pub(crate) struct DriverConfig {
     pub(crate) endpoint: Endpoint,
     /// The machine's seeded randomness stream.
     pub(crate) rng: StdRng,
-    /// Whether this machine's recorder is the authority for its node's
-    /// protocol state (true for protocol nodes, false for front-ends and
-    /// generators, which only *read* the state board).
-    pub(crate) publishes_state: bool,
 }
 
 /// Runs `machine` against real sockets and wall-clock timers until the
@@ -42,7 +38,6 @@ pub(crate) fn run_machine(
 ) -> Recorder {
     let mut env = LiveEnv::new(machine.node_index(), cfg, boards, clock);
     machine.on_start(&mut env);
-    env.sync_state();
 
     loop {
         // Fire everything due before blocking on the socket again.
@@ -50,7 +45,6 @@ pub(crate) fn run_machine(
             let input =
                 if token == AEX_RESUME_TOKEN { Input::AexResume } else { Input::Timer { token } };
             machine.on_input(&mut env, input);
-            env.sync_state();
         }
         if boards.shutting_down() {
             break;
@@ -66,19 +60,11 @@ pub(crate) fn run_machine(
             continue; // a downed platform hears nothing, not even a drop
         }
         match received {
-            Recv::Message { src, msg } => {
-                machine.on_input(&mut env, Input::Message { src, msg });
-                env.sync_state();
-            }
+            Recv::Message { src, msg } => machine.on_input(&mut env, Input::Message { src, msg }),
             // Every pre-machine drop is typed and counted, mirroring the
             // simulation's open_delivery accounting.
-            Recv::Dropped(kind) => {
-                let drops = &mut env.recorder.service;
-                match kind {
-                    Dropped::Frame => drops.drops_frame.increment(clock.now()),
-                    Dropped::Auth => drops.drops_auth.increment(clock.now()),
-                    Dropped::Decode => drops.drops_decode.increment(clock.now()),
-                }
+            Recv::Dropped(reason) => {
+                env.recorder.apply(clock.now(), None, ProtoEvent::Drop(reason))
             }
             Recv::Idle => {}
         }
@@ -90,7 +76,6 @@ pub(crate) fn run_machine(
 /// per driver thread, alive for the whole loop.
 struct LiveEnv<'a> {
     node_index: Option<usize>,
-    publishes_state: bool,
     clock: MonoClock,
     boards: &'a Boards,
     endpoint: Endpoint,
@@ -108,7 +93,6 @@ impl<'a> LiveEnv<'a> {
     ) -> Self {
         LiveEnv {
             node_index,
-            publishes_state: cfg.publishes_state,
             clock,
             boards,
             endpoint: cfg.endpoint,
@@ -123,19 +107,6 @@ impl<'a> LiveEnv<'a> {
         // a machine wired without a node index is a local construction
         // error, never reachable from network input (mirrors SimEnv).
         self.node_index.expect("machine has no co-located node for this capability")
-    }
-
-    /// Protocol nodes publish their recorder's state timeline to the
-    /// shared board after every step, so co-located front-ends (separate
-    /// threads, separate recorders) observe it through
-    /// [`proto::Env::node_state`].
-    fn sync_state(&self) {
-        if self.publishes_state {
-            if let Some(i) = self.node_index {
-                let state = self.recorder.node(i).states.state_at(self.clock.now());
-                self.boards.publish_state(i, state);
-            }
-        }
     }
 }
 
@@ -185,8 +156,14 @@ impl Env for LiveEnv<'_> {
         None // the live runtime carries no fault injector
     }
 
-    fn recorder(&mut self) -> &mut Recorder {
-        &mut self.recorder
+    /// A node's own [`ProtoEvent::State`] also goes to the shared board
+    /// as it happens, so co-located front-ends (separate threads, separate
+    /// recorders) observe it through [`proto::Env::node_state`].
+    fn emit(&mut self, event: ProtoEvent) {
+        if let (ProtoEvent::State(state), Some(i)) = (event, self.node_index) {
+            self.boards.publish_state(i, Some(state));
+        }
+        self.recorder.apply(self.clock.now(), self.node_index, event);
     }
 }
 
@@ -220,8 +197,7 @@ mod tests {
                     env.set_timer(1, SimDuration::from_millis(1));
                 }
                 Input::Message { msg: Message::PeerTimeResponse { .. }, .. } => {
-                    let now = env.now();
-                    env.recorder().service.served_ok.increment(now);
+                    env.emit(ProtoEvent::ServedOk { latency: SimDuration::ZERO });
                 }
                 _ => {}
             }
@@ -245,7 +221,7 @@ mod tests {
     }
 
     fn config(endpoint: Endpoint, seed: u64) -> DriverConfig {
-        DriverConfig { endpoint, rng: StdRng::seed_from_u64(seed), publishes_state: false }
+        DriverConfig { endpoint, rng: StdRng::seed_from_u64(seed) }
     }
 
     fn boards() -> Boards {
@@ -276,6 +252,28 @@ mod tests {
             let inc = env.sample_inc(wall) as f64;
             assert!((inc - expected).abs() <= band, "{inc} outside {expected} ± {band}");
         }
+    }
+
+    /// A node's own `State` event reaches the board as it is emitted; a
+    /// node-indexed machine that emits other events, as a front-end does,
+    /// leaves its board empty.
+    #[test]
+    fn only_an_emitted_state_reaches_the_board() {
+        let clock = MonoClock::start();
+        let boards = Boards::new(vec![Host::paper_default(); 2]);
+        let (_node_raw, _, _, node_endpoint) = raw_peer(Addr(10), node_addr(0));
+        let (_frontend_raw, _, _, frontend_endpoint) = raw_peer(Addr(11), node_addr(1));
+        let mut node = LiveEnv::new(Some(0), config(node_endpoint, 1), &boards, clock);
+        let mut frontend = LiveEnv::new(Some(1), config(frontend_endpoint, 2), &boards, clock);
+
+        node.emit(ProtoEvent::State(NodeStateTag::Ok));
+        frontend.emit(ProtoEvent::FrontendServed);
+        assert_eq!(boards.state(0), Some(NodeStateTag::Ok));
+        assert_eq!(boards.state(1), None);
+
+        node.emit(ProtoEvent::State(NodeStateTag::Tainted));
+        assert_eq!(boards.state(0), Some(NodeStateTag::Tainted));
+        assert_eq!(node.recorder.node(0).states.transitions().len(), 2);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use netsim::Addr;
 use runtime::KeyTable;
+use trace::DropReason;
 use wire::Message;
 
 use crate::frame::{frame_into, parse_frame};
@@ -24,17 +25,6 @@ pub(crate) const MIN_WAIT_NS: u64 = 50_000;
 pub(crate) const MAX_IDLE_NS: u64 = 2_000_000;
 /// Receive buffer size; no protocol message seals to more.
 const MAX_DATAGRAM: usize = 2048;
-
-/// Why a received datagram never became a [`Message`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Dropped {
-    /// A runt that cannot even carry the source prefix.
-    Frame,
-    /// The seal failed to authenticate: forged, tampered, or misrouted.
-    Auth,
-    /// The seal opened but the plaintext is not a protocol message.
-    Decode,
-}
 
 /// What one [`Endpoint::recv`] wait produced.
 #[derive(Debug, PartialEq)]
@@ -47,7 +37,7 @@ pub(crate) enum Recv {
         msg: Message,
     },
     /// A datagram arrived and was discarded before decoding succeeded.
-    Dropped(Dropped),
+    Dropped(DropReason),
     /// Nothing arrived within the wait (or a transient socket error: UDP
     /// semantics, drop and go on).
     Idle,
@@ -120,15 +110,15 @@ impl Endpoint {
             return Recv::Idle;
         };
         let Some((src, sealed)) = parse_frame(&self.buf[..n]) else {
-            return Recv::Dropped(Dropped::Frame);
+            return Recv::Dropped(DropReason::Frame);
         };
         self.open_buf.clear();
         if self.keys.open_into(self.me, src, sealed, &mut self.open_buf).is_err() {
-            return Recv::Dropped(Dropped::Auth);
+            return Recv::Dropped(DropReason::Auth);
         }
         match Message::decode(&self.open_buf) {
             Ok(msg) => Recv::Message { src, msg },
-            Err(_) => Recv::Dropped(Dropped::Decode),
+            Err(_) => Recv::Dropped(DropReason::Decode),
         }
     }
 }
@@ -137,7 +127,7 @@ impl Endpoint {
 pub(crate) mod tests {
     use super::*;
 
-    /// The three datagrams an endpoint must drop, in [`Dropped`] order, as
+    /// The three datagrams an endpoint must drop, in [`DropReason`] order, as
     /// `src` would have to put them on the wire towards `dst`: a 1-byte
     /// runt, a real frame whose cleartext prefix claims another sender,
     /// and an authentic seal over bytes that are not a [`Message`].
@@ -180,9 +170,9 @@ pub(crate) mod tests {
 
         assert_eq!(endpoint.recv(0), Recv::Idle);
         for (datagram, kind) in hostile_datagrams(&mut keys_a, a, b).iter().zip([
-            Dropped::Frame,
-            Dropped::Auth,
-            Dropped::Decode,
+            DropReason::Frame,
+            DropReason::Auth,
+            DropReason::Decode,
         ]) {
             raw.send_to(datagram, target).expect("send");
             assert_eq!(endpoint.recv(second), Recv::Dropped(kind));

@@ -18,12 +18,15 @@
 //!   AEAD-sealed payload bound to the (src, dst) link.
 //! - [`board`] — cross-thread observables (published clocks, node
 //!   states, host platforms, shutdown), the live stand-in for the
-//!   simulation `World`.
+//!   simulation `World`. A node's state is written as its machine emits
+//!   a `ProtoEvent::State`; nothing else writes it.
 //! - `endpoint` — one live address: the only `send_to`/`recv_from` in
-//!   the crate, with parse → authenticate → decode and its typed drops.
+//!   the crate, with parse → authenticate → decode and its drops typed
+//!   by `trace::DropReason`.
 //!   The driver, the Time Authority and the blocking client all ride it.
 //! - `driver` — the per-machine endpoint/timer loop interpreting
-//!   [`proto::Env`] effects inline.
+//!   [`proto::Env`] effects inline and folding each emitted event and
+//!   each drop into the thread's `trace::Recorder`.
 //! - [`authority`] — the live Time Authority service.
 //! - [`cluster`] — orchestration: sockets, key derivation, scoped
 //!   threads, and the joined [`LiveReport`].

@@ -3,7 +3,7 @@
 use netsim::Addr;
 use rand::rngs::StdRng;
 use sim::{SimDuration, SimTime};
-use trace::{NodeStateTag, Recorder};
+use trace::{NodeStateTag, ProtoEvent};
 use wire::Message;
 
 use crate::clock::{ClockState, Lie};
@@ -169,9 +169,11 @@ pub trait Env {
     /// any. Live drivers have no fault injector and return `None`.
     fn lie(&self, i: usize) -> Option<Lie>;
 
-    /// The run's measurement recorder. Both drivers own a
-    /// [`trace::Recorder`]; machines write the same traces under either.
-    fn recorder(&mut self) -> &mut Recorder;
+    /// Records that `event` happened. The driver stamps it with
+    /// [`Env::now`] and this machine's [`Machine::node_index`] and folds it
+    /// into the [`trace::Recorder`] it owns ([`trace::Recorder::apply`]);
+    /// machines record the same traces under every driver.
+    fn emit(&mut self, event: ProtoEvent);
 }
 
 /// A pure, IO-free protocol state machine.

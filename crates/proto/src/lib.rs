@@ -11,8 +11,9 @@
 //! A machine implements [`Machine`]: each step consumes one [`Input`]
 //! (an authenticated message, a timer firing, a fault event) plus the
 //! narrow [`Env`] capability view, and reacts by *emitting effects* —
-//! sends, timer arms/cancels, clock publications, trace records — through
-//! the `Env` methods. The [`Effect`] enum names the observable effect
+//! sends, timer arms/cancels, clock publications — through the `Env`
+//! methods, and states what happened as typed [`ProtoEvent`]s through
+//! [`Env::emit`], which each driver folds into its `trace::Recorder`. The [`Effect`] enum names the observable effect
 //! vocabulary; [`ScriptedEnv`] records it verbatim for unit tests.
 //!
 //! ## Why effects stream through `Env` instead of being returned
@@ -39,6 +40,7 @@ pub use env::{Effect, Env, Input, Machine, TimerId, AEX_RESUME_TOKEN};
 pub use nonce::NonceWindow;
 pub use retry::{CircuitBreakerPolicy, RetryPolicy};
 pub use scripted::ScriptedEnv;
+pub use trace::ProtoEvent;
 
 use netsim::Addr;
 

@@ -3,16 +3,16 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim::{SimDuration, SimTime};
-use trace::{NodeStateTag, Recorder};
+use trace::{NodeStateTag, ProtoEvent, Recorder};
 use wire::Message;
 
 use crate::clock::{ClockState, Lie};
 use crate::env::{Effect, Env, TimerId};
 use netsim::Addr;
 
-/// An [`Env`] that interprets nothing: every effect is appended to
-/// [`ScriptedEnv::effects`] and the test script sets the observable world
-/// (time, TSC rate, peer clocks/states) directly.
+/// An [`Env`] that interprets nothing: effects go to [`ScriptedEnv::effects`],
+/// events into [`ScriptedEnv::recorder`], and the test script sets the
+/// observable world (time, TSC rate, peer clocks/states) directly.
 ///
 /// # Examples
 ///
@@ -47,7 +47,8 @@ pub struct ScriptedEnv {
     /// The machine under test's node index (receives
     /// [`Env::publish_clock`] writes); `None` for pure clients.
     pub node_index: Option<usize>,
-    /// The run's recorder.
+    /// The run's recorder: every [`Env::emit`] folds into it, stamped with
+    /// [`ScriptedEnv::now`] and [`ScriptedEnv::node_index`].
     pub recorder: Recorder,
 }
 
@@ -129,7 +130,7 @@ impl Env for ScriptedEnv {
         self.lies[i]
     }
 
-    fn recorder(&mut self) -> &mut Recorder {
-        &mut self.recorder
+    fn emit(&mut self, event: ProtoEvent) {
+        self.recorder.apply(self.now, self.node_index, event);
     }
 }

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use netsim::Addr;
-use proto::Env;
+use proto::{Env, ProtoEvent};
 use stats::{marzullo, Interval, Regression};
 use trace::NodeStateTag;
 use wire::Message;
@@ -96,8 +96,7 @@ impl Hardened {
             core.refit_frequency(env, f_new, self.error_bound_ns(0.0));
             self.drift_bound_ppm = self.cfg.drift_bound_ppm_refined;
             self.refined = true;
-            let refit_at = env.now();
-            core.trace(env).calibrations_hz.push((refit_at, f_new));
+            env.emit(ProtoEvent::Calibration { hz: f_new });
         }
     }
 
@@ -113,7 +112,6 @@ impl Hardened {
     /// not our clock needed correcting).
     fn apply_consistency(&mut self, core: &mut Core, env: &mut dyn Env, round: &PeerRound) -> bool {
         let responses = &round.responses;
-        let now = env.now();
         let ticks = env.read_tsc();
         // A small allowance for the network delay on peer responses.
         let net_margin_ns = core.cfg().peer_timeout.as_nanos() as f64;
@@ -137,7 +135,7 @@ impl Hardened {
         // suggestion of publishing true-chimer lists reduces to counting
         // them here.
         for _ in agreement.support..total {
-            core.trace(env).chimer_rejections.increment(now);
+            env.emit(ProtoEvent::ChimerRejection);
         }
         // §V: publish the true-chimer set ("Nodes may publish ... their
         // list of true-chimers"). Peers excluded by all of their peers
@@ -161,7 +159,7 @@ impl Hardened {
             // (A clock consistent with the majority is kept as it is.)
             let target = agreement.interval.center().max(core.serving_floor_ns());
             core.set_anchor(env, ticks, target, self.error_bound_ns(0.0));
-            core.trace(env).corrections.increment(now);
+            env.emit(ProtoEvent::Correction);
         }
         true
     }
@@ -201,8 +199,7 @@ impl Policy for Hardened {
     fn on_timer(&mut self, core: &mut Core, env: &mut dyn Env, kind: u64) {
         if kind == DEADLINE {
             if core.state() == NodeStateTag::Ok && !core.round_pending() {
-                let now = env.now();
-                core.trace(env).deadline_checks.increment(now);
+                env.emit(ProtoEvent::DeadlineCheck);
                 core.start_round(env, true, Self::peer_request);
             }
             core.arm_policy_timer(env, DEADLINE, self.cfg.deadline);
@@ -260,9 +257,8 @@ impl Policy for Hardened {
             let target = est_ns.max(core.serving_floor_ns());
             core.set_anchor(env, recv_ticks, target, self.error_bound_ns(0.0));
             self.extra_bound_ns = sample_extra_bound;
-            let now = env.now();
-            core.trace(env).corrections.increment(now);
-            core.trace(env).ta_references.increment(now);
+            env.emit(ProtoEvent::Correction);
+            env.emit(ProtoEvent::TaReference);
         }
     }
 
@@ -297,8 +293,7 @@ impl Policy for Hardened {
                     self.gossip_suspicion = 0;
                     return None;
                 }
-                let now = env.now();
-                core.trace(env).gossip_alerts.increment(now);
+                env.emit(ProtoEvent::GossipAlert);
                 self.gossip_suspicion += 1;
                 if self.gossip_suspicion as usize >= core.peers().len().max(1) {
                     self.gossip_suspicion = 0;

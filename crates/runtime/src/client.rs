@@ -6,7 +6,7 @@
 //! (monotonicity) from outside the TCB.
 
 use netsim::Addr;
-use proto::{Env, Input, Machine, NonceWindow};
+use proto::{Env, Input, Machine, NonceWindow, ProtoEvent};
 use sim::SimDuration;
 use wire::Message;
 
@@ -89,10 +89,9 @@ impl ClientWorkload {
         if !self.pending.take(nonce) {
             return;
         }
-        let now = env.now();
-        let trace = env.recorder().node_mut(self.target_index);
+        let node = self.target_index;
         let Some(ts) = served else {
-            trace.client_denied.increment(now);
+            env.emit(ProtoEvent::ClientDenied { node });
             return;
         };
         assert!(
@@ -102,7 +101,7 @@ impl ClientWorkload {
             self.last_timestamp
         );
         self.last_timestamp = ts;
-        trace.client_served.increment(now);
+        env.emit(ProtoEvent::ClientServed { node });
     }
 }
 

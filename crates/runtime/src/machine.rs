@@ -12,7 +12,7 @@ use netsim::{Addr, Delivery};
 use proto::{ClockState, Env, Input, Lie, Machine, TimerId, AEX_RESUME_TOKEN};
 use rand::rngs::StdRng;
 use sim::{Actor, Ctx, EventId, SimDuration, SimTime};
-use trace::{NodeStateTag, Recorder};
+use trace::{DropReason, NodeStateTag, ProtoEvent};
 use wire::Message;
 
 use crate::event::SysEvent;
@@ -119,9 +119,9 @@ fn send_message(ctx: &mut Ctx<'_, World, SysEvent>, src: Addr, dst: Addr, msg: &
 /// Opens and decodes a delivery addressed to `me` at simulation time
 /// `now`. The decode → machine-input hot path never panics on network
 /// input: a datagram that fails authentication (forged, tampered,
-/// replayed, misrouted) or decoding is counted into the world recorder's
-/// drop counters and `None` comes back — the adapter ignores it, as a
-/// UDP service would.
+/// replayed, misrouted) or decoding is folded into the world recorder as
+/// a [`ProtoEvent::Drop`] and `None` comes back — the adapter ignores it,
+/// as a UDP service would.
 fn open_delivery(
     world: &mut World,
     me: Addr,
@@ -131,15 +131,11 @@ fn open_delivery(
     debug_assert_eq!(delivery.dst, me, "delivery routed to the wrong actor");
     let World { ref keys, ref mut scratch, ref mut recorder, .. } = *world;
     scratch.plain.clear();
-    if keys.open_into(me, delivery.src, &delivery.payload, &mut scratch.plain).is_err() {
-        recorder.service.drops_auth.increment(now);
-        return None;
-    }
-    let msg = Message::decode(&scratch.plain).ok();
-    if msg.is_none() {
-        recorder.service.drops_decode.increment(now);
-    }
-    msg
+    let msg = match keys.open_into(me, delivery.src, &delivery.payload, &mut scratch.plain) {
+        Ok(_) => Message::decode(&scratch.plain).map_err(|_| DropReason::Decode),
+        Err(_) => Err(DropReason::Auth),
+    };
+    msg.map_err(|reason| recorder.apply(now, None, ProtoEvent::Drop(reason))).ok()
 }
 
 /// The simulation-side [`Env`]: every capability resolves against the
@@ -208,8 +204,9 @@ impl Env for SimEnv<'_, '_> {
         self.ctx.world.lies[i]
     }
 
-    fn recorder(&mut self) -> &mut Recorder {
-        &mut self.ctx.world.recorder
+    fn emit(&mut self, event: ProtoEvent) {
+        let now = self.ctx.now();
+        self.ctx.world.recorder.apply(now, self.node_index, event);
     }
 }
 

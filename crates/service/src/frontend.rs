@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use netsim::Addr;
-use proto::{Env, Input, Lie, Machine};
+use proto::{Env, Input, Lie, Machine, ProtoEvent};
 use sim::SimTime;
 use trace::NodeStateTag;
 use wire::{AttestOutcome, Message, ServeOutcome, TimeReading};
@@ -105,8 +105,7 @@ impl Frontend {
             return;
         }
         if self.queue.len() >= self.spec.queue_cap {
-            let now = env.now();
-            env.recorder().node_mut(self.node_index).frontend_shed.increment(now);
+            env.emit(ProtoEvent::FrontendShed);
             let shed = match kind {
                 ReqKind::Serve { .. } => {
                     Message::ServeResponse { nonce, outcome: ServeOutcome::Overloaded }
@@ -154,7 +153,7 @@ impl Frontend {
         let ticks = env.read_tsc();
         let clock = env.clock(self.node_index);
         let clock_ns = clock.now_ns(ticks);
-        env.recorder().node_mut(self.node_index).frontend_batches.increment(now);
+        env.emit(ProtoEvent::FrontendBatch);
 
         let degraded_uncertainty_ns = {
             let base = self.spec.degraded_base_uncertainty.as_nanos() as f64;
@@ -206,7 +205,7 @@ impl Frontend {
                         _ => ServeOutcome::Unavailable,
                     };
                     if matches!(outcome, ServeOutcome::Time(_) | ServeOutcome::Reading(_)) {
-                        env.recorder().node_mut(self.node_index).frontend_served.increment(now);
+                        env.emit(ProtoEvent::FrontendServed);
                     }
                     Message::ServeResponse { nonce, outcome }
                 }
@@ -214,10 +213,7 @@ impl Frontend {
                     let outcome = match (state, clock_ns) {
                         (Some(s), Some(ns)) if s != NodeStateTag::Crashed => {
                             let ts = self.bump_floor(ns);
-                            env.recorder()
-                                .node_mut(self.node_index)
-                                .frontend_attests
-                                .increment(now);
+                            env.emit(ProtoEvent::FrontendAttest);
                             AttestOutcome::Attestation(TimeReading {
                                 estimate_ns: self.apply_lie(ts, lie),
                                 uncertainty_ns: attest_uncertainty_ns,

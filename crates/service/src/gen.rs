@@ -3,7 +3,7 @@
 //! client-side SLO accounting.
 
 use netsim::{Addr, FastMap};
-use proto::{Env, Input, Machine, TimerId};
+use proto::{Env, Input, Machine, ProtoEvent, TimerId};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sim::{SimDuration, SimTime};
@@ -64,7 +64,7 @@ impl Dispatcher {
     /// their think timer in that case.
     fn issue(&mut self, env: &mut dyn Env, nonce: u64) -> bool {
         let now = env.now();
-        env.recorder().service.offered.increment(now);
+        env.emit(ProtoEvent::Offered);
         self.attempt(env, nonce, now, 1, None)
     }
 
@@ -81,12 +81,12 @@ impl Dispatcher {
     ) -> bool {
         let now = env.now();
         let Some(target) = self.router.pick(now, avoid) else {
-            env.recorder().service.all_down.increment(now);
+            env.emit(ProtoEvent::AllDown);
             return true;
         };
         if let Some(prev) = avoid {
             if target != prev {
-                env.recorder().service.failovers.increment(now);
+                env.emit(ProtoEvent::Failover);
             }
         }
         env.send(
@@ -107,16 +107,14 @@ impl Dispatcher {
         };
         env.cancel_timer(pending.timeout);
         let now = env.now();
-        let service = &mut env.recorder().service;
+        let latency = now - pending.first_sent;
         match outcome {
             ServeOutcome::Time(_) => {
-                service.served_ok.increment(now);
-                service.latency.push((now - pending.first_sent).as_nanos() as f64);
+                env.emit(ProtoEvent::ServedOk { latency });
                 self.router.success(pending.target);
             }
             ServeOutcome::Reading(_) => {
-                service.served_degraded.increment(now);
-                service.latency.push((now - pending.first_sent).as_nanos() as f64);
+                env.emit(ProtoEvent::ServedDegraded { latency });
                 self.router.success(pending.target);
             }
             ServeOutcome::Overloaded => {
@@ -130,7 +128,7 @@ impl Dispatcher {
                         Some(pending.target),
                     );
                 }
-                env.recorder().service.shed.increment(now);
+                env.emit(ProtoEvent::Shed);
             }
             ServeOutcome::Unavailable => {
                 self.router.overloaded(pending.target, now);
@@ -143,7 +141,7 @@ impl Dispatcher {
                         Some(pending.target),
                     );
                 }
-                env.recorder().service.unavailable.increment(now);
+                env.emit(ProtoEvent::Unavailable);
             }
         }
         true
@@ -166,7 +164,7 @@ impl Dispatcher {
                 Some(pending.target),
             );
         }
-        env.recorder().service.timeouts.increment(now);
+        env.emit(ProtoEvent::Timeout);
         true
     }
 }

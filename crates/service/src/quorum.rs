@@ -16,7 +16,7 @@
 //! circuit breaker.
 
 use netsim::{Addr, FastMap};
-use proto::{Env, Input, Machine, TimerId};
+use proto::{Env, Input, Machine, ProtoEvent, TimerId};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sim::{SimDuration, SimTime};
@@ -321,12 +321,12 @@ impl QuorumGen {
 
     fn issue(&mut self, env: &mut dyn Env) {
         let now = env.now();
-        env.recorder().service.quorum_offered.increment(now);
+        env.emit(ProtoEvent::QuorumOffered);
         let panel = self.pick_panel(now);
         if panel.len() < self.spec.quorum.accept_threshold() {
             // Not even f+1 nodes worth asking: the read cannot possibly
             // accept, so fail it fast.
-            env.recorder().service.quorum_unavailable.increment(now);
+            env.emit(ProtoEvent::QuorumUnavailable);
             return;
         }
         self.next_nonce += 1;
@@ -382,33 +382,25 @@ impl QuorumGen {
         let now = env.now();
         let verdict =
             decide(&read.samples, self.spec.quorum.f, now, self.spec.quorum.suspect_margin);
-        let service = &mut env.recorder().service;
-        match &verdict.accepted {
-            Some(_) => {
-                service.quorum_accepted.increment(now);
-                service.quorum_latency.push((now - read.first_sent).as_nanos() as f64);
-            }
+        env.emit(match &verdict.accepted {
+            Some(_) => ProtoEvent::QuorumAccepted { latency: now - read.first_sent },
             // Too few attestations is a *liveness* failure (nodes refused
             // or never answered); only an actual overlap failure among
             // enough samples counts as disagreement.
             None if read.samples.len() < self.spec.quorum.accept_threshold() => {
-                service.quorum_unavailable.increment(now);
+                ProtoEvent::QuorumUnavailable
             }
-            None => {
-                service.quorum_no_quorum.increment(now);
-            }
-        }
-        for &i in &verdict.suspects {
-            env.recorder().service.byzantine_suspects.increment(now);
-            env.recorder().node_mut(i).byzantine_suspected.increment(now);
-            if self.health.on_suspect(i, now, env.rng()) {
-                env.recorder().service.quarantines.increment(now);
-                env.recorder().node_mut(i).quarantined.increment(now);
+            None => ProtoEvent::QuorumNoQuorum,
+        });
+        for &node in &verdict.suspects {
+            env.emit(ProtoEvent::ByzantineSuspect { node });
+            if self.health.on_suspect(node, now, env.rng()) {
+                env.emit(ProtoEvent::Quarantine { node });
             }
         }
         for &i in &verdict.supporters {
             if self.health.on_clean(i) {
-                env.recorder().service.rejoins.increment(now);
+                env.emit(ProtoEvent::Rejoin);
             }
         }
     }

@@ -32,7 +32,7 @@ use runtime::{
     TimerId, World,
 };
 use sim::{SimDuration, SimTime, Simulation};
-use trace::NodeStateTag;
+use trace::{NodeStateTag, ProtoEvent};
 use wire::Message;
 
 /// Largest TPM rate deviation the TPM 2.0 spec tolerates (±32.5%,
@@ -158,8 +158,7 @@ impl T3eNode {
 
     fn enter_state(&mut self, env: &mut dyn Env, state: NodeStateTag) {
         self.state = state;
-        let now = env.now();
-        env.recorder().node_mut(self.index).states.enter(now, state);
+        env.emit(ProtoEvent::State(state));
     }
 
     fn request_reading(&mut self, env: &mut dyn Env) {

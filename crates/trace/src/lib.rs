@@ -11,8 +11,9 @@
 //! - [`RateCounter`]: per-request serving counts on a one-second grid —
 //!   a total, exact counts between whole-second instants and a digest of
 //!   the instants, in memory that does not grow with the requests,
-//! - [`NodeTrace`] / [`Recorder`]: the per-node bundle a simulation run
-//!   fills in,
+//! - [`NodeTrace`] / [`Recorder`]: the per-node bundle a run fills in,
+//! - [`ProtoEvent`] and [`Recorder::apply`]: the typed facts machines
+//!   emit and the one fold that lands each in its trace field,
 //! - [`ServiceTrace`]: serving-layer SLO accounting — end-to-end latency
 //!   histogram, goodput/shed/failover grid counters,
 //! - [`write_csv`], [`render_markdown`], [`write_text`]: the three
@@ -24,6 +25,7 @@
 #![warn(missing_docs)]
 
 mod counter;
+mod event;
 mod recorder;
 mod render;
 mod series;
@@ -32,6 +34,7 @@ mod sink;
 mod timeline;
 
 pub use counter::{RateCounter, StepCounter};
+pub use event::{DropReason, ProtoEvent};
 pub use recorder::{FaultLog, NodeTrace, Recorder, DETECTION_GRACE};
 pub use render::{
     ascii_chart, ascii_fault_overlay, ascii_gantt, availability_report, render_table,

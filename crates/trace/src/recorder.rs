@@ -101,7 +101,21 @@ impl NodeTrace {
     /// which are robustness responses to *faults*, not evidence that an
     /// adversary was caught.
     pub fn detection_times(&self) -> Vec<SimTime> {
-        let mut times: Vec<SimTime> = [
+        let mut times: Vec<SimTime> =
+            self.detection_counters().iter().flat_map(|c| c.events().iter().copied()).collect();
+        times.sort_unstable();
+        times
+    }
+
+    /// Total detection events (the sum behind [`NodeTrace::detection_times`]).
+    pub fn detection_count(&self) -> u64 {
+        self.detection_counters().iter().map(|c| c.count()).sum()
+    }
+
+    /// The detection-class counters, the one list behind
+    /// [`NodeTrace::detection_times`] and [`NodeTrace::detection_count`].
+    fn detection_counters(&self) -> [&StepCounter; 6] {
+        [
             &self.monitor_detections,
             &self.corrections,
             &self.chimer_rejections,
@@ -109,21 +123,6 @@ impl NodeTrace {
             &self.byzantine_suspected,
             &self.quarantined,
         ]
-        .iter()
-        .flat_map(|c| c.events().iter().copied())
-        .collect();
-        times.sort_unstable();
-        times
-    }
-
-    /// Total detection events (the sum behind [`NodeTrace::detection_times`]).
-    pub fn detection_count(&self) -> u64 {
-        self.monitor_detections.count()
-            + self.corrections.count()
-            + self.chimer_rejections.count()
-            + self.gossip_alerts.count()
-            + self.byzantine_suspected.count()
-            + self.quarantined.count()
     }
 
     /// The worst clock error that *escaped detection*: the largest
@@ -298,6 +297,30 @@ mod tests {
             t.detection_times(),
             vec![SimTime::from_secs(5), SimTime::from_secs(12), SimTime::from_secs(20)]
         );
+    }
+
+    #[test]
+    fn detection_count_and_times_read_the_same_six_counters() {
+        let mut t = NodeTrace::new("x");
+        let at = SimTime::from_secs(7);
+        for c in [
+            &mut t.monitor_detections,
+            &mut t.corrections,
+            &mut t.chimer_rejections,
+            &mut t.gossip_alerts,
+            &mut t.byzantine_suspected,
+            &mut t.quarantined,
+        ] {
+            c.increment(at);
+        }
+        assert_eq!(t.detection_count(), 6);
+        assert_eq!(t.detection_times().len(), 6);
+        // Fault responses are not detections.
+        t.breaker_opens.increment(at);
+        t.probe_retries.increment(at);
+        t.crashes.increment(at);
+        assert_eq!(t.detection_count(), 6);
+        assert_eq!(t.detection_times().len(), 6);
     }
 
     #[test]

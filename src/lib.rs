@@ -35,7 +35,7 @@
 //! | [`wire`] | protocol message vocabulary + codec |
 //! | [`tsc`] | TSC / core-frequency / INC / AEX models |
 //! | [`netsim`] | datagram fabric with attacker interception |
-//! | [`trace`] | drift series, state timelines, figure rendering |
+//! | [`trace`] | typed protocol events and their one fold, drift series, state timelines, figure rendering |
 //! | [`runtime`] | world state, sealed messaging, AEX driver |
 //! | [`authority`] | the Time Authority actor |
 //! | [`triad`] | **the Triad protocol node** |
@@ -44,7 +44,7 @@
 //! | [`faults`] | cross-layer fault injection (chaos plans + driver) |
 //! | [`scenario`] | declarative cluster specs (`ScenarioSpec`), the one cluster builder, and the parallel multi-seed runner |
 //! | [`service`] | trusted-timestamp serving layer: load generation, batching front-ends, failover routing, quorum-attested reads with Byzantine detection, SLO accounting |
-//! | [`proto`] | runtime-agnostic protocol boundary: the `Env`/`Machine` effect surface both drivers interpret |
+//! | [`proto`] | runtime-agnostic protocol boundary: the `Env`/`Machine` effect surface both drivers interpret, events out through `Env::emit` |
 //! | [`net`] | live UDP runtime: the same machines on real loopback sockets, OS clocks, and threads |
 //! | [`search`] | adversarial scenario search: seeded mutation over fault/attack plans, shrinking, reproducer corpus |
 //! | [`experiments`] | regeneration of every paper figure/table |
