@@ -3,7 +3,7 @@
 use attacks::DelayAttackMode;
 use faults::{FaultAction, FaultPlan};
 use netsim::Addr;
-use runtime::World;
+use runtime::TA_ADDR;
 use scenario::{AexSpec, AttackSpec, FaultSpec, ScenarioSpec};
 use sim::{SimDuration, SimTime};
 use tsc::{TscManipulation, PAPER_TSC_HZ};
@@ -262,7 +262,7 @@ fn adaptive_attacker_learns_schedule_and_poisons_recalibration() {
         .build(108);
     s.world_mut().net.add_interceptor(Box::new(AdaptiveDelayAttack::new(
         NODE3,
-        World::TA_ADDR,
+        TA_ADDR,
         DelayAttackMode::FMinus,
         SimDuration::from_millis(100),
         6,
@@ -298,7 +298,7 @@ fn peer_isolation_forces_ta_dependence() {
     let mut s = ScenarioSpec::new(3).all_nodes_aex(AexSpec::TriadLike).build(109);
     s.world_mut().net.add_interceptor(Box::new(IsolationAttack::new(
         NODE3,
-        World::TA_ADDR,
+        TA_ADDR,
         IsolationScope::PeersOnly,
     )));
     s.run_until(SimTime::from_secs(120));
@@ -343,7 +343,7 @@ fn full_isolation_is_a_permanent_denial_of_service() {
         .build(110);
     s.world_mut().net.add_interceptor(Box::new(IsolationAttack::new(
         NODE3,
-        World::TA_ADDR,
+        TA_ADDR,
         IsolationScope::Everything,
     )));
     s.run_until(SimTime::from_secs(120));

@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use netsim::{Addr, DelayModel};
-use runtime::{Env, Input, Machine, World};
+use runtime::{Env, Input, Machine, TA_ADDR};
 use sim::SimDuration;
 use wire::Message;
 
@@ -39,7 +39,7 @@ struct Hold {
 
 /// The Time Authority machine.
 ///
-/// Listens at [`World::TA_ADDR`]; every node shares a pairwise AEAD key
+/// Listens at [`TA_ADDR`]; every node shares a pairwise AEAD key
 /// with it.
 ///
 /// ## Hold jitter
@@ -86,7 +86,7 @@ impl TimeAuthority {
 
 impl Machine for TimeAuthority {
     fn addr(&self) -> Addr {
-        World::TA_ADDR
+        TA_ADDR
     }
 
     fn on_input(&mut self, env: &mut dyn Env, input: Input) {

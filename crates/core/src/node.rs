@@ -209,7 +209,7 @@ impl Core {
     fn new(me: Addr, peers: Vec<Addr>, cfg: TriadConfig) -> Self {
         Core {
             me,
-            index: (me.0 - 1) as usize,
+            index: proto::node_index(me).expect("a Triad node serves from a node address"),
             peers,
             calibrator: Calibrator::new(cfg.calib_sleeps.clone(), cfg.samples_per_sleep),
             cfg,
@@ -570,10 +570,9 @@ impl<P: Policy> Node<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `me` is the TA address, appears in `peers`, or the
+    /// Panics if `me` is not a node address, appears in `peers`, or the
     /// configuration is invalid.
     pub fn new(me: Addr, peers: Vec<Addr>, cfg: P::Config) -> Self {
-        assert!(me.0 >= 1, "a Triad node cannot use the TA address");
         assert!(!peers.contains(&me), "a node is not its own peer");
         let (cfg, policy) = P::new(cfg);
         Node { core: Core::new(me, peers, cfg), policy }
@@ -771,7 +770,9 @@ impl<P: Policy> Machine for Node<P> {
             Input::AexResume => self.on_resume(env),
             Input::Crash => self.on_crash(env),
             Input::Restart if self.core.crashed => self.on_start(env),
-            Input::Restart => {}
+            // A node's protocol stack stays honest; lies live on its
+            // serving edge.
+            Input::Restart | Input::Lie(_) => {}
             Input::Message { src, msg } => self.on_message(env, src, msg),
             Input::Timer { token } => {
                 let low = token & TOKEN_MASK;

@@ -4,6 +4,7 @@
 
 use authority::TimeAuthority;
 use netsim::{Addr, DelayModel, Network};
+use proto::{node_addr, TA_ADDR};
 use runtime::{EnvDriver, Host, MachineActor, Sampler, SysEvent, World};
 use sim::{SimDuration, SimTime, Simulation};
 use trace::NodeStateTag;
@@ -27,17 +28,17 @@ fn build_cluster(
     let ta = s.add_actor(Box::new(MachineActor::new(TimeAuthority::new())));
     let mut node_ids = Vec::new();
     for i in 0..n {
-        let me = World::node_addr(i);
-        let peers: Vec<Addr> = (0..n).filter(|&j| j != i).map(World::node_addr).collect();
+        let me = node_addr(i);
+        let peers: Vec<Addr> = (0..n).filter(|&j| j != i).map(node_addr).collect();
         let node = MachineActor::new(TriadNode::new(me, peers, TriadConfig::default()));
         node_ids.push(s.add_actor(Box::new(node)));
     }
     s.add_actor(Box::new(EnvDriver::new(node_ids.clone(), per_node_aex, machine_aex)));
     s.add_actor(Box::new(Sampler { interval: SimDuration::from_millis(250) }));
 
-    s.world_mut().register_actor(World::TA_ADDR, ta);
+    s.world_mut().register_actor(TA_ADDR, ta);
     for (i, &id) in node_ids.iter().enumerate() {
-        s.world_mut().register_actor(World::node_addr(i), id);
+        s.world_mut().register_actor(node_addr(i), id);
     }
     s
 }

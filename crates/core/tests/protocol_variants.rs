@@ -3,6 +3,7 @@
 
 use authority::TimeAuthority;
 use netsim::{Addr, DelayModel, Network};
+use proto::TA_ADDR;
 use runtime::{EnvDriver, Host, MachineActor, Sampler, World};
 use scenario::{AexSpec, AttackSpec, ScenarioSpec};
 use sim::{SimDuration, SimTime, Simulation};
@@ -202,7 +203,7 @@ fn manual_wiring_without_the_harness_works() {
         None,
     )));
     s.add_actor(Box::new(Sampler { interval: SimDuration::from_secs(1) }));
-    s.world_mut().register_actor(World::TA_ADDR, ta);
+    s.world_mut().register_actor(TA_ADDR, ta);
     s.world_mut().register_actor(Addr(1), n1);
     s.world_mut().register_actor(Addr(2), n2);
     s.run_until(SimTime::from_secs(30));

@@ -13,7 +13,7 @@
 use faults::{FaultAction, FaultPlan, RandomFaultConfig};
 use netsim::{Addr, LinkStats};
 use resilient::ResilientConfig;
-use runtime::World;
+use runtime::{World, TA_ADDR};
 use scenario::{AexSpec, FaultSpec, NodeImplSpec, ParamGrid, RunCell, ScenarioSpec};
 use sim::{SimDuration, SimTime};
 use triad_core::{RetryPolicy, TriadConfig};
@@ -83,11 +83,11 @@ impl FaultClass {
             ),
             FaultClass::Crash => FaultPlan::new().crash_window(0, from, SimDuration::from_secs(10)),
             FaultClass::Partition => FaultPlan::new()
-                .partition_window(node0, World::TA_ADDR, from, window)
+                .partition_window(node0, TA_ADDR, from, window)
                 .partition_window(node0, Addr(2), from, window)
                 .partition_window(node0, Addr(3), from, window),
             FaultClass::Loss => FaultPlan::new()
-                .loss_window(World::TA_ADDR, node0, 0.9, from, window)
+                .loss_window(TA_ADDR, node0, 0.9, from, window)
                 .at(from, FaultAction::SetDuplication { probability: 0.05 })
                 .at(
                     from,

@@ -1,6 +1,7 @@
 //! The actor that replays a [`FaultPlan`] through the event loop.
 
-use runtime::{SysEvent, World};
+use netsim::Addr;
+use runtime::{frontend_addr, node_addr, Lie, SysEvent, World, TA_ADDR};
 use sim::{Actor, Ctx, SimDuration};
 
 use crate::plan::{FaultAction, FaultEvent, FaultPlan};
@@ -13,11 +14,11 @@ use crate::plan::{FaultAction, FaultEvent, FaultPlan};
 /// `world.recorder.faults`, and re-arms for the next. Network actions
 /// mutate the fabric in place (affecting datagrams sent from that instant
 /// on) and TSC manipulations re-anchor the victim host's counter at that
-/// instant; TA outages and restores, node crashes and restarts, and AEX
-/// interrupts are delivered to the TA and node actors as ordinary
-/// [`SysEvent`]s (`Crash`, `Restart`, `Aex`) with zero delay, so they
-/// interleave deterministically with protocol traffic scheduled at the
-/// same instant.
+/// instant; TA outages and restores, node crashes and restarts, AEX
+/// interrupts and serving-path lies are delivered to the TA, node and
+/// front-end actors as ordinary [`SysEvent`]s (`Crash`, `Restart`, `Aex`,
+/// `Lie`) with zero delay, so they interleave deterministically with
+/// protocol traffic scheduled at the same instant.
 ///
 /// Schedule one via `scenario::ScenarioSpec::faults`, or add it as an
 /// extra actor by hand.
@@ -44,12 +45,21 @@ impl FaultDriver {
         }
     }
 
-    /// Tells the TA it goes down or comes back. A world without a TA
-    /// (E19's T3E deployment) has no one to tell.
-    fn signal_ta(ctx: &mut Ctx<'_, World, SysEvent>, ev: SysEvent) {
-        if let Some(ta) = ctx.world.try_actor_of(World::TA_ADDR) {
-            ctx.send(ta, SimDuration::ZERO, ev);
+    /// Delivers `ev` now to whoever owns `addr`, if anyone does: a world
+    /// without a TA (E19's T3E deployment) or without a serving layer has
+    /// no one to tell.
+    fn signal(ctx: &mut Ctx<'_, World, SysEvent>, addr: Addr, ev: SysEvent) {
+        if let Some(actor) = ctx.world.try_actor_of(addr) {
+            ctx.send(actor, SimDuration::ZERO, ev);
         }
+    }
+
+    /// Node `node`'s front-end address; panics past the cluster, as
+    /// `CrashNode` does.
+    fn frontend_of(world: &World, node: usize) -> Addr {
+        let n = world.node_count();
+        assert!(node < n, "no node{node} to lie through: cluster has {n} node(s)");
+        frontend_addr(node)
     }
 
     fn apply(&self, ctx: &mut Ctx<'_, World, SysEvent>, action: &FaultAction) {
@@ -70,30 +80,33 @@ impl FaultDriver {
             FaultAction::SetReordering { probability, window } => {
                 ctx.world.net.set_reordering(probability, window);
             }
-            FaultAction::TaOutage => Self::signal_ta(ctx, SysEvent::Crash),
-            FaultAction::TaRestore => Self::signal_ta(ctx, SysEvent::Restart),
+            FaultAction::TaOutage => Self::signal(ctx, TA_ADDR, SysEvent::Crash),
+            FaultAction::TaRestore => Self::signal(ctx, TA_ADDR, SysEvent::Restart),
             FaultAction::CrashNode { node } => {
-                let actor = ctx.world.actor_of(World::node_addr(node));
+                let actor = ctx.world.actor_of(node_addr(node));
                 ctx.send(actor, SimDuration::ZERO, SysEvent::Crash);
             }
             FaultAction::RestartNode { node } => {
-                let actor = ctx.world.actor_of(World::node_addr(node));
+                let actor = ctx.world.actor_of(node_addr(node));
                 ctx.send(actor, SimDuration::ZERO, SysEvent::Restart);
             }
             FaultAction::StartLie { node, offset_ns, equivocate } => {
-                ctx.world.lies[node] = Some(runtime::Lie { offset_ns, equivocate });
+                let lie = Some(Lie { offset_ns, equivocate });
+                Self::signal(ctx, Self::frontend_of(ctx.world, node), SysEvent::Lie(lie));
             }
-            FaultAction::StopLie { node } => ctx.world.lies[node] = None,
+            FaultAction::StopLie { node } => {
+                Self::signal(ctx, Self::frontend_of(ctx.world, node), SysEvent::Lie(None));
+            }
             FaultAction::ManipulateTsc { node, manipulation } => {
                 let now = ctx.now();
-                ctx.world.host_mut(World::node_addr(node)).tsc.manipulate(now, manipulation);
+                ctx.world.host_mut(node_addr(node)).tsc.manipulate(now, manipulation);
             }
             FaultAction::AexStorm { node, count, spacing } => {
                 let machine_wide = node.is_none();
                 let targets: Vec<_> = match node {
-                    Some(i) => vec![ctx.world.actor_of(World::node_addr(i))],
+                    Some(i) => vec![ctx.world.actor_of(node_addr(i))],
                     None => (0..ctx.world.node_count())
-                        .map(|i| ctx.world.actor_of(World::node_addr(i)))
+                        .map(|i| ctx.world.actor_of(node_addr(i)))
                         .collect(),
                 };
                 let now = ctx.now();
@@ -134,7 +147,7 @@ impl Actor<World, SysEvent> for FaultDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{Addr, DelayModel, Network};
+    use netsim::{DelayModel, Network};
     use runtime::{Host, TscManipulation};
     use sim::{SimTime, Simulation};
 
@@ -146,6 +159,15 @@ mod tests {
         s.run();
         assert_eq!(s.world().recorder.faults.len(), 2);
         assert_eq!(s.dispatched(), 2, "the driver's own two wake-ups, nothing delivered");
+    }
+
+    #[test]
+    #[should_panic(expected = "no node1 to lie through: cluster has 1 node(s)")]
+    fn a_lie_on_a_node_past_the_cluster_panics() {
+        let mut s = one_host();
+        let lie = FaultAction::StartLie { node: 1, offset_ns: 1_000, equivocate: false };
+        s.add_actor(Box::new(FaultDriver::new(FaultPlan::new().at(SimTime::from_secs(1), lie))));
+        s.run();
     }
 
     fn one_host() -> Simulation<World, SysEvent> {

@@ -6,10 +6,10 @@
 //! crash/restart cycles, correlated AEX storms, serving-path lies and
 //! hypervisor TSC manipulations. The [`FaultDriver`] actor, the one
 //! replayer of scheduled adversary actions, plays the plan through the
-//! discrete-event loop, mutating the network fabric, the hosts' counters
-//! and world flags and delivering crash/AEX events to node actors, while
-//! logging every applied action into the run's [`trace::Recorder`] fault
-//! overlay.
+//! discrete-event loop, mutating the network fabric and the hosts'
+//! counters and delivering crash/AEX events to node actors and lies to
+//! their serving front-ends, while logging every applied action into the
+//! run's [`trace::Recorder`] fault overlay.
 //!
 //! Plans are either scripted explicitly (builder API) or generated from a
 //! seed by [`FaultPlan::randomized`] — the generator uses its own PRNG, so

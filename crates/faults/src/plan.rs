@@ -3,7 +3,7 @@
 use netsim::Addr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use runtime::TscManipulation;
+use runtime::{node_addr, TscManipulation, TA_ADDR};
 use sim::{SimDuration, SimTime};
 
 /// One adversary action to apply at a scheduled instant.
@@ -100,7 +100,8 @@ pub enum FaultAction {
     /// Make node `node` start lying: its serving front-end skews every
     /// served/attested timestamp by `offset_ns` (alternating sign when
     /// `equivocate`). The node's protocol stack stays honest — this is the
-    /// compromised-serving-path threat the quorum reader must catch.
+    /// compromised-serving-path threat the quorum reader must catch. A
+    /// cluster without a serving layer logs it and is otherwise unchanged.
     StartLie {
         /// 0-based node index.
         node: usize,
@@ -254,7 +255,6 @@ impl FaultPlan {
         config.validate(n_nodes);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6661_756c_7470_6c6e); // "faultpln"
         let mut plan = FaultPlan::new();
-        let node_addr = |i: usize| Addr((i + 1) as u16);
 
         for _ in 0..config.ta_outages {
             let from = config.draw_start(&mut rng);
@@ -271,11 +271,7 @@ impl FaultPlan {
             // Partition a node either from the TA or from a distinct peer.
             let a = rng.gen_range(0..n_nodes);
             let other = rng.gen_range(0..n_nodes + 1);
-            let b_addr = if other == n_nodes || other == a {
-                Addr(0) // the TA
-            } else {
-                node_addr(other)
-            };
+            let b_addr = if other == n_nodes || other == a { TA_ADDR } else { node_addr(other) };
             let from = config.draw_start(&mut rng);
             let d = draw_duration(&mut rng, config.partition_duration);
             plan = plan.partition_window(node_addr(a), b_addr, from, d);
@@ -287,7 +283,7 @@ impl FaultPlan {
             let d = draw_duration(&mut rng, config.loss_duration);
             // Loss on the TA→node direction: responses vanish, requests
             // arrive — the asymmetric case that exercises retry/backoff.
-            plan = plan.loss_window(Addr(0), node_addr(node), loss, from, d);
+            plan = plan.loss_window(TA_ADDR, node_addr(node), loss, from, d);
         }
         for _ in 0..config.aex_storms {
             let machine_wide = rng.gen_range(0..4usize) == 0;

@@ -16,8 +16,8 @@ use authority::TimeAuthority;
 use faults::{FaultDriver, FaultPlan};
 use netsim::Network;
 use runtime::{
-    client_addr, ClientMode, ClientWorkload, EnvDriver, Host, MachineActor, Sampler, SysEvent,
-    World,
+    client_addr, node_addr, ClientMode, ClientWorkload, EnvDriver, Host, MachineActor, Sampler,
+    SysEvent, World, TA_ADDR,
 };
 use sim::{Actor, SimDuration, Simulation};
 use tsc::AexModel;
@@ -26,7 +26,7 @@ use tsc::AexModel;
 pub struct Cluster {
     /// The fabric, with any on-path attacker already installed.
     pub net: Network,
-    /// One protocol node actor per node index, at `World::node_addr(i)`.
+    /// One protocol node actor per node index, at `proto::node_addr(i)`.
     pub nodes: Vec<Box<dyn Actor<World, SysEvent>>>,
     /// Core-local AEX model per node index (`None` = no AEXs).
     pub node_aex: Vec<Option<Box<dyn AexModel>>>,
@@ -67,7 +67,7 @@ impl Cluster {
         let mut client_regs = Vec::new();
         for (i, (target, period, mode)) in clients.into_iter().enumerate() {
             let client_addr = client_addr(i);
-            let target_addr = World::node_addr(target);
+            let target_addr = node_addr(target);
             let key = {
                 use rand::{Rng, SeedableRng};
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x636c_6e74 ^ i as u64);
@@ -84,9 +84,9 @@ impl Cluster {
             simulation.add_actor(Box::new(FaultDriver::new(plan)));
         }
 
-        simulation.world_mut().register_actor(World::TA_ADDR, ta);
+        simulation.world_mut().register_actor(TA_ADDR, ta);
         for (i, &id) in node_ids.iter().enumerate() {
-            simulation.world_mut().register_actor(World::node_addr(i), id);
+            simulation.world_mut().register_actor(node_addr(i), id);
         }
         for (addr, id) in client_regs {
             simulation.world_mut().register_actor(addr, id);

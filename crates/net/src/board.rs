@@ -2,10 +2,9 @@
 //!
 //! The simulation keeps published clocks, node states and host platforms
 //! in the single `World`; the live runtime shares them across threads
-//! here. Everything a machine can observe through [`proto::Env`] —
-//! another node's published clock, a co-located node's protocol state,
-//! its host's TSC and INC — lives on these boards; everything else is
-//! thread-private.
+//! here. Everything a machine can observe through [`proto::Env`] — its
+//! co-located node's published clock and protocol state, its host's TSC
+//! and INC — lives on these boards; everything else is thread-private.
 
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::Mutex;

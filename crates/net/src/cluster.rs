@@ -19,7 +19,6 @@ use proto::{node_addr, ClockState, Machine, NonceWindow, RetryPolicy, TA_ADDR};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use runtime::{Host, KeyTable};
-pub use service::{frontend_addr, generator_addr};
 use service::{
     Frontend, FrontendSpec, OpenLoopGen, OpenLoopSpec, QuorumGen, QuorumLoopSpec, RouterSpec,
 };
@@ -33,8 +32,8 @@ use crate::clock::MonoClock;
 use crate::driver::{run_machine, DriverConfig};
 use crate::endpoint::{Endpoint, Recv};
 
-/// Address of external blocking client `c`: the simulated layout.
-pub use proto::client_addr;
+/// The simulated address layout, shared by the live cluster.
+pub use proto::{client_addr, frontend_addr, generator_addr};
 
 /// Everything needed to stand up one live loopback cluster.
 #[derive(Debug, Clone)]

@@ -8,7 +8,7 @@
 //! machine cannot tell which driver it is riding.
 
 use netsim::Addr;
-use proto::{ClockState, Env, Input, Lie, Machine, TimerId, AEX_RESUME_TOKEN};
+use proto::{ClockState, Env, Input, Machine, TimerId, AEX_RESUME_TOKEN};
 use rand::rngs::StdRng;
 use sim::{SimDuration, SimTime};
 use trace::{NodeStateTag, ProtoEvent, Recorder};
@@ -144,16 +144,12 @@ impl Env for LiveEnv<'_> {
         self.boards.publish_clock(i, clock);
     }
 
-    fn clock(&self, i: usize) -> ClockState {
-        self.boards.clock(i)
+    fn clock(&self) -> ClockState {
+        self.boards.clock(self.index())
     }
 
-    fn node_state(&self, i: usize) -> Option<NodeStateTag> {
-        self.boards.state(i)
-    }
-
-    fn lie(&self, _i: usize) -> Option<Lie> {
-        None // the live runtime carries no fault injector
+    fn node_state(&self) -> Option<NodeStateTag> {
+        self.boards.state(self.index())
     }
 
     /// A node's own [`ProtoEvent::State`] also goes to the shared board

@@ -55,8 +55,9 @@ impl ClockState {
 ///
 /// This models a compromised serving path (the paper's single-node-trust
 /// failure): calibration, peer untainting and the published clock are all
-/// correct, but everything the node *tells clients* is skewed. Installed
-/// and cleared by the fault driver; `None` means the node is honest.
+/// correct, but everything the node *tells clients* is skewed. The fault
+/// driver starts and stops it as [`crate::Input::Lie`] on the node's
+/// serving front-end; `None` means the node is honest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lie {
     /// Planned skew applied to served/attested timestamps (ns, signed).

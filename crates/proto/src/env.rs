@@ -48,6 +48,10 @@ impl TimerId {
 }
 
 /// One step's worth of input to a protocol machine.
+///
+/// Everything that happens *to* a machine arrives here: messages, timer
+/// firings, interrupts, and the adversary's faults (`Crash`/`Restart`,
+/// `Lie`). A machine ignores the inputs that do not concern it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Input {
     /// An authenticated, decoded protocol message. Drivers open the AEAD
@@ -74,6 +78,10 @@ pub enum Input {
     Crash,
     /// The platform booted again after a crash.
     Restart,
+    /// A lying-node fault starts (`Some`) or stops (`None`) on the
+    /// receiving serving front-end, the only machine the fault driver
+    /// sends it to.
+    Lie(Option<Lie>),
 }
 
 /// The observable effect vocabulary of a protocol machine.
@@ -109,6 +117,12 @@ pub enum Effect {
 
 /// The narrow capability view a protocol machine steps against.
 ///
+/// Every method speaks for the calling machine: the node capabilities
+/// (`read_tsc`, `sample_inc`, `publish_clock`, `clock`, `node_state`)
+/// reach only the node co-located with it ([`Machine::node_index`]) and
+/// may panic for a machine without one. Faults are not capabilities; they
+/// arrive as [`Input`]s.
+///
 /// Implementations must interpret each call **immediately, in emission
 /// order** — the determinism contract of the simulation driver (shared
 /// seeded RNG) depends on it.
@@ -142,11 +156,6 @@ pub trait Env {
     fn cancel_timer(&mut self, id: TimerId);
 
     /// Reads the co-located node's TimeStamp Counter.
-    ///
-    /// # Panics
-    ///
-    /// May panic for machines with no co-located node
-    /// ([`Machine::node_index`] returns `None`).
     fn read_tsc(&mut self) -> u64;
 
     /// The monitoring thread's INC count over the uninterrupted wall
@@ -158,16 +167,12 @@ pub trait Env {
     /// drift sampler, serving front-ends).
     fn publish_clock(&mut self, clock: ClockState);
 
-    /// The published clock parameters of node index `i`.
-    fn clock(&self, i: usize) -> ClockState;
+    /// The co-located node's published clock parameters.
+    fn clock(&self) -> ClockState;
 
-    /// The protocol state node index `i` is currently in, as discoverable
-    /// by co-located infrastructure (`None` before the node first runs).
-    fn node_state(&self, i: usize) -> Option<NodeStateTag>;
-
-    /// The active lying-node fault on node index `i`'s serving edge, if
-    /// any. Live drivers have no fault injector and return `None`.
-    fn lie(&self, i: usize) -> Option<Lie>;
+    /// The protocol state the co-located node is currently in (`None`
+    /// before the node first runs).
+    fn node_state(&self) -> Option<NodeStateTag>;
 
     /// Records that `event` happened. The driver stamps it with
     /// [`Env::now`] and this machine's [`Machine::node_index`] and folds it

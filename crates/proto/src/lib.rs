@@ -9,12 +9,15 @@
 //!   clocks, and a monotonic timer queue).
 //!
 //! A machine implements [`Machine`]: each step consumes one [`Input`]
-//! (an authenticated message, a timer firing, a fault event) plus the
-//! narrow [`Env`] capability view, and reacts by *emitting effects* —
+//! (an authenticated message, a timer firing, an interrupt, a fault) plus
+//! the narrow [`Env`] capability view, and reacts by *emitting effects* —
 //! sends, timer arms/cancels, clock publications — through the `Env`
 //! methods, and states what happened as typed [`ProtoEvent`]s through
-//! [`Env::emit`], which each driver folds into its `trace::Recorder`. The [`Effect`] enum names the observable effect
-//! vocabulary; [`ScriptedEnv`] records it verbatim for unit tests.
+//! [`Env::emit`], which each driver folds into its `trace::Recorder`. The
+//! [`Effect`] enum names the observable effect vocabulary; [`ScriptedEnv`]
+//! records it verbatim for unit tests. The address layout every driver
+//! shares ([`TA_ADDR`], [`node_addr`], [`client_addr`], [`frontend_addr`],
+//! [`generator_addr`] and the inverses) is defined here too.
 //!
 //! ## Why effects stream through `Env` instead of being returned
 //!
@@ -57,6 +60,12 @@ pub fn node_addr(i: usize) -> Addr {
     Addr(u16::try_from(i + 1).expect("node count fits u16"))
 }
 
+/// The node index at `addr`: the inverse of [`node_addr`], `None` for the
+/// TA and for client, front-end and generator addresses.
+pub fn node_index(addr: Addr) -> Option<usize> {
+    (1..1000).contains(&addr.0).then(|| usize::from(addr.0 - 1))
+}
+
 /// The network address of client workload index `i`, on both drivers.
 ///
 /// # Panics
@@ -64,4 +73,39 @@ pub fn node_addr(i: usize) -> Addr {
 /// Panics when the client count overflows the address space.
 pub fn client_addr(i: usize) -> Addr {
     Addr(u16::try_from(1000 + i).expect("client address fits u16"))
+}
+
+/// The serving address of the front-end beside node index `i`.
+pub fn frontend_addr(i: usize) -> Addr {
+    Addr(2000 + u16::try_from(i).expect("node count fits the frontend address range"))
+}
+
+/// The node index whose front-end serves from `addr`: the inverse of
+/// [`frontend_addr`], `None` for node, client and generator addresses.
+pub fn frontend_index(addr: Addr) -> Option<usize> {
+    (2000..3000).contains(&addr.0).then(|| usize::from(addr.0 - 2000))
+}
+
+/// The source address of load generator index `g`.
+pub fn generator_addr(g: usize) -> Addr {
+    Addr(3000 + u16::try_from(g).expect("generator count fits the address range"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn node_and_frontend_index_invert_only_their_own_addresses() {
+        for i in 0..64 {
+            assert_eq!(node_index(node_addr(i)), Some(i));
+            assert_eq!(frontend_index(frontend_addr(i)), Some(i));
+            for other in [client_addr(i), generator_addr(i)] {
+                assert_eq!((node_index(other), frontend_index(other)), (None, None));
+            }
+            assert_eq!(node_index(frontend_addr(i)), None);
+            assert_eq!(frontend_index(node_addr(i)), None);
+        }
+        assert_eq!((node_index(TA_ADDR), frontend_index(TA_ADDR)), (None, None));
+    }
 }

@@ -6,13 +6,13 @@ use sim::{SimDuration, SimTime};
 use trace::{NodeStateTag, ProtoEvent, Recorder};
 use wire::Message;
 
-use crate::clock::{ClockState, Lie};
+use crate::clock::ClockState;
 use crate::env::{Effect, Env, TimerId};
 use netsim::Addr;
 
 /// An [`Env`] that interprets nothing: effects go to [`ScriptedEnv::effects`],
 /// events into [`ScriptedEnv::recorder`], and the test script sets the
-/// observable world (time, TSC rate, peer clocks/states) directly.
+/// observable world (time, TSC rate, node clocks/states) directly.
 ///
 /// # Examples
 ///
@@ -42,10 +42,9 @@ pub struct ScriptedEnv {
     pub clocks: Vec<ClockState>,
     /// Per-node protocol states as the script wants them discovered.
     pub states: Vec<Option<NodeStateTag>>,
-    /// Per-node lying-node faults.
-    pub lies: Vec<Option<Lie>>,
     /// The machine under test's node index (receives
-    /// [`Env::publish_clock`] writes); `None` for pure clients.
+    /// [`Env::publish_clock`] writes, answers [`Env::clock`] and
+    /// [`Env::node_state`]); `None` for pure clients.
     pub node_index: Option<usize>,
     /// The run's recorder: every [`Env::emit`] folds into it, stamped with
     /// [`ScriptedEnv::now`] and [`ScriptedEnv::node_index`].
@@ -63,7 +62,6 @@ impl ScriptedEnv {
             effects: Vec::new(),
             clocks: vec![ClockState::default(); n],
             states: vec![None; n],
-            lies: vec![None; n],
             node_index: Some(0),
             recorder: Recorder::for_nodes(n),
         }
@@ -77,6 +75,10 @@ impl ScriptedEnv {
     /// Drains and returns the recorded effects.
     pub fn take_effects(&mut self) -> Vec<Effect> {
         std::mem::take(&mut self.effects)
+    }
+
+    fn index(&self) -> usize {
+        self.node_index.expect("node capabilities need a node index")
     }
 }
 
@@ -113,21 +115,17 @@ impl Env for ScriptedEnv {
     }
 
     fn publish_clock(&mut self, clock: ClockState) {
-        let i = self.node_index.expect("publishing machines have a node index");
+        let i = self.index();
         self.clocks[i] = clock;
         self.effects.push(Effect::PublishClock(clock));
     }
 
-    fn clock(&self, i: usize) -> ClockState {
-        self.clocks[i]
+    fn clock(&self) -> ClockState {
+        self.clocks[self.index()]
     }
 
-    fn node_state(&self, i: usize) -> Option<NodeStateTag> {
-        self.states[i]
-    }
-
-    fn lie(&self, i: usize) -> Option<Lie> {
-        self.lies[i]
+    fn node_state(&self) -> Option<NodeStateTag> {
+        self.states[self.index()]
     }
 
     fn emit(&mut self, event: ProtoEvent) {

@@ -6,7 +6,7 @@
 //! (monotonicity) from outside the TCB.
 
 use netsim::Addr;
-use proto::{Env, Input, Machine, NonceWindow, ProtoEvent};
+use proto::{node_index, Env, Input, Machine, NonceWindow, ProtoEvent};
 use sim::SimDuration;
 use wire::Message;
 
@@ -69,11 +69,10 @@ impl ClientWorkload {
     ///
     /// Panics if `target` is not a node address.
     pub fn with_mode(me: Addr, target: Addr, period: SimDuration, mode: ClientMode) -> Self {
-        assert!(target.0 >= 1, "clients query nodes, not the TA");
         ClientWorkload {
             me,
             target,
-            target_index: (target.0 - 1) as usize,
+            target_index: node_index(target).expect("clients query nodes, not the TA"),
             period,
             mode,
             next_nonce: 0,

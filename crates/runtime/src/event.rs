@@ -1,6 +1,7 @@
 //! The system-wide event vocabulary.
 
 use netsim::Delivery;
+use proto::Lie;
 
 /// Every event that can be delivered to an actor in the composed
 //  simulation.
@@ -38,6 +39,9 @@ pub enum SysEvent {
     /// The crashed node boots again and must re-enter FullCalib from
     /// scratch before serving time.
     Restart,
+    /// A lying-node fault starts (`Some`) or stops (`None`) on the
+    /// receiving serving front-end (`proto::Input::Lie`).
+    Lie(Option<Lie>),
 }
 
 impl SysEvent {

@@ -15,8 +15,9 @@
 //! - [`EnvDriver`]: OS-side AEX injection (per-core and machine-wide);
 //! - [`Sampler`]: the external drift-measurement harness.
 //!
-//! Address conventions: `Addr(0)` is the Time Authority, `Addr(i + 1)` is
-//! node index `i` (the paper's "Node i+1").
+//! Address conventions are `proto`'s ([`TA_ADDR`], [`node_addr`],
+//! [`node_index`], [`client_addr`], [`frontend_addr`]), re-exported here
+//! for the crates that reach `proto` only through this one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +35,10 @@ pub use env::EnvDriver;
 pub use event::SysEvent;
 pub use keys::{link_aad, KeyTable};
 pub use machine::MachineActor;
-pub use proto::{client_addr, Effect, Env, Input, Machine, NonceWindow, ScriptedEnv, TimerId};
+pub use proto::{
+    client_addr, frontend_addr, node_addr, node_index, Effect, Env, Input, Lie, Machine,
+    NonceWindow, ScriptedEnv, TimerId, TA_ADDR,
+};
 pub use sampler::Sampler;
 pub use tsc::TscManipulation;
-pub use world::{ClockState, Host, Lie, World};
+pub use world::{ClockState, Host, World};

@@ -9,7 +9,7 @@
 //! artifacts byte-identical across the effect-boundary refactor.
 
 use netsim::{Addr, Delivery};
-use proto::{ClockState, Env, Input, Lie, Machine, TimerId, AEX_RESUME_TOKEN};
+use proto::{ClockState, Env, Input, Machine, TimerId, AEX_RESUME_TOKEN};
 use rand::rngs::StdRng;
 use sim::{Actor, Ctx, EventId, SimDuration, SimTime};
 use trace::{DropReason, NodeStateTag, ProtoEvent};
@@ -72,6 +72,7 @@ impl<M: Machine> Actor<World, SysEvent> for MachineActor<M> {
             SysEvent::Timer { token } => Input::Timer { token },
             SysEvent::Crash => Input::Crash,
             SysEvent::Restart => Input::Restart,
+            SysEvent::Lie(lie) => Input::Lie(lie),
             SysEvent::Sample => return, // the Sampler's private event
         };
         let mut env = self.env(ctx);
@@ -178,11 +179,11 @@ impl Env for SimEnv<'_, '_> {
 
     fn read_tsc(&mut self) -> u64 {
         let now = self.ctx.now();
-        self.ctx.world.host(World::node_addr(self.index())).read_tsc(now)
+        self.ctx.world.host(proto::node_addr(self.index())).read_tsc(now)
     }
 
     fn sample_inc(&mut self, wall: SimDuration) -> u64 {
-        let addr = World::node_addr(self.index());
+        let addr = proto::node_addr(self.index());
         let ctx = &mut *self.ctx;
         ctx.world.host(addr).sample_inc(wall, ctx.rng)
     }
@@ -192,16 +193,12 @@ impl Env for SimEnv<'_, '_> {
         self.ctx.world.clocks[i] = clock;
     }
 
-    fn clock(&self, i: usize) -> ClockState {
-        self.ctx.world.clocks[i]
+    fn clock(&self) -> ClockState {
+        self.ctx.world.clocks[self.index()]
     }
 
-    fn node_state(&self, i: usize) -> Option<NodeStateTag> {
-        self.ctx.world.recorder.node(i).states.state_at(self.ctx.now())
-    }
-
-    fn lie(&self, i: usize) -> Option<Lie> {
-        self.ctx.world.lies[i]
+    fn node_state(&self) -> Option<NodeStateTag> {
+        self.ctx.world.recorder.node(self.index()).states.state_at(self.ctx.now())
     }
 
     fn emit(&mut self, event: ProtoEvent) {
@@ -235,7 +232,7 @@ mod tests {
             self.me
         }
         fn node_index(&self) -> Option<usize> {
-            Some((self.me.0 - 1) as usize)
+            proto::node_index(self.me)
         }
         fn on_start(&mut self, env: &mut dyn Env) {
             (self.hook)(env, None);

@@ -9,7 +9,7 @@ use tsc::{CoreFrequency, IncModel, TscClock};
 
 use crate::keys::KeyTable;
 
-pub use proto::{ClockState, Lie};
+pub use proto::ClockState;
 
 /// Reusable buffers for the messaging hot path, owned by the world so the
 /// steady state of encode → seal → dispatch → open never allocates.
@@ -65,7 +65,7 @@ impl Host {
 pub struct World {
     /// The datagram fabric (with any attacker interceptors installed).
     pub net: Network,
-    /// Per-node platforms; index `i` belongs to the node at `Addr(i + 1)`.
+    /// Per-node platforms; index `i` belongs to [`proto::node_addr`]`(i)`.
     pub hosts: Vec<Host>,
     /// Per-node published clock parameters (same indexing as `hosts`).
     pub clocks: Vec<ClockState>,
@@ -73,9 +73,6 @@ pub struct World {
     pub recorder: Recorder,
     /// Pairwise AEAD sessions.
     pub keys: KeyTable,
-    /// Per-node active lying-node fault (same indexing as `hosts`).
-    /// `None` everywhere unless a fault plan injects a [`Lie`].
-    pub lies: Vec<Option<Lie>>,
     actors: FastMap<Addr, ActorId>,
     /// Messaging hot-path scratch buffers (see [`Scratch`]).
     pub(crate) scratch: Scratch,
@@ -91,7 +88,6 @@ impl World {
             clocks: vec![ClockState::default(); n],
             recorder: Recorder::for_nodes(n),
             keys: KeyTable::new(),
-            lies: vec![None; n],
             actors: FastMap::default(),
             scratch: Scratch::default(),
         }
@@ -102,25 +98,21 @@ impl World {
         self.hosts.len()
     }
 
-    /// The network address of node index `i` (0-based index, 1-based addr).
+    /// [`proto::node_addr`], under the name `bench/src/layers.rs` still
+    /// calls it by; every other caller uses `proto`'s.
     pub fn node_addr(i: usize) -> Addr {
-        Addr(u16::try_from(i + 1).expect("node count fits u16"))
+        proto::node_addr(i)
     }
-
-    /// The Time Authority's address.
-    pub const TA_ADDR: Addr = Addr(0);
 
     /// Host of the node at `addr`, or `None` for the TA address, client
     /// addresses, and anything past the cluster.
     pub fn try_host(&self, addr: Addr) -> Option<&Host> {
-        let index = (addr.0 as usize).checked_sub(1)?;
-        self.hosts.get(index)
+        self.hosts.get(proto::node_index(addr)?)
     }
 
     /// Mutable counterpart of [`World::try_host`].
     pub fn try_host_mut(&mut self, addr: Addr) -> Option<&mut Host> {
-        let index = (addr.0 as usize).checked_sub(1)?;
-        self.hosts.get_mut(index)
+        self.hosts.get_mut(proto::node_index(addr)?)
     }
 
     /// Host of the node at `addr`.
@@ -130,23 +122,20 @@ impl World {
     /// Panics for the TA address or unknown nodes; use [`World::try_host`]
     /// for fallible access.
     pub fn host(&self, addr: Addr) -> &Host {
-        assert!(addr.0 >= 1, "the TA has no enclave host");
-        let n = self.node_count();
-        self.try_host(addr).unwrap_or_else(|| {
-            panic!("no host for {addr}: cluster has {n} node(s) (Addr(1)..=Addr({n}))")
-        })
+        &self.hosts[self.host_index(addr)]
     }
 
-    /// Mutable host access (TSC manipulation by the attacker).
-    ///
-    /// # Panics
-    ///
-    /// Panics for the TA address or unknown nodes; use
-    /// [`World::try_host_mut`] for fallible access.
+    /// Mutable host access (TSC manipulation by the attacker); panics as
+    /// [`World::host`] does.
     pub fn host_mut(&mut self, addr: Addr) -> &mut Host {
+        let i = self.host_index(addr);
+        &mut self.hosts[i]
+    }
+
+    fn host_index(&self, addr: Addr) -> usize {
         assert!(addr.0 >= 1, "the TA has no enclave host");
         let n = self.node_count();
-        self.try_host_mut(addr).unwrap_or_else(|| {
+        proto::node_index(addr).filter(|&i| i < n).unwrap_or_else(|| {
             panic!("no host for {addr}: cluster has {n} node(s) (Addr(1)..=Addr({n}))")
         })
     }
@@ -178,8 +167,8 @@ impl World {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x6b65_7973); // "keys"
         let n = self.node_count();
-        let mut endpoints = vec![Self::TA_ADDR];
-        endpoints.extend((0..n).map(Self::node_addr));
+        let mut endpoints = vec![proto::TA_ADDR];
+        endpoints.extend((0..n).map(proto::node_addr));
         for i in 0..endpoints.len() {
             for j in (i + 1)..endpoints.len() {
                 let mut key = [0u8; 32];
@@ -194,6 +183,7 @@ impl World {
 mod tests {
     use super::*;
     use netsim::DelayModel;
+    use proto::{node_addr, TA_ADDR};
 
     fn world(n: usize) -> World {
         World::new(
@@ -204,9 +194,9 @@ mod tests {
 
     #[test]
     fn addressing_conventions() {
-        assert_eq!(World::node_addr(0), Addr(1));
-        assert_eq!(World::node_addr(2), Addr(3));
-        assert_eq!(World::TA_ADDR, Addr(0));
+        assert_eq!(node_addr(0), Addr(1));
+        assert_eq!(node_addr(2), Addr(3));
+        assert_eq!(TA_ADDR, Addr(0));
         let w = world(3);
         assert_eq!(w.node_count(), 3);
     }
@@ -228,19 +218,6 @@ mod tests {
         // Ticks *before* the anchor also evaluate (negative progress).
         let ns = c.now_ns(0).unwrap();
         assert!((ns - 0.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn lies_default_honest_and_skew_alternates() {
-        let w = world(3);
-        assert!(w.lies.iter().all(Option::is_none));
-        let skew = Lie { offset_ns: 250, equivocate: false };
-        assert_eq!(skew.skew_ns(0), 250);
-        assert_eq!(skew.skew_ns(1), 250);
-        let equiv = Lie { offset_ns: 250, equivocate: true };
-        assert_eq!(equiv.skew_ns(0), 250);
-        assert_eq!(equiv.skew_ns(1), -250);
-        assert_eq!(equiv.skew_ns(2), 250);
     }
 
     #[test]
@@ -298,12 +275,12 @@ mod tests {
         let mut w = world(3);
         w.provision_all_keys(42);
         for i in 0..3 {
-            let a = World::node_addr(i);
-            assert!(w.keys.has_session(a, World::TA_ADDR));
-            assert!(w.keys.has_session(World::TA_ADDR, a));
+            let a = node_addr(i);
+            assert!(w.keys.has_session(a, TA_ADDR));
+            assert!(w.keys.has_session(TA_ADDR, a));
             for j in 0..3 {
                 if i != j {
-                    assert!(w.keys.has_session(a, World::node_addr(j)));
+                    assert!(w.keys.has_session(a, node_addr(j)));
                 }
             }
         }

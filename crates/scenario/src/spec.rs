@@ -7,7 +7,7 @@ use faults::{FaultPlan, Fields, RandomFaultConfig};
 use harness::Cluster;
 use netsim::{Addr, DelayModel, Network};
 use resilient::{ResilientConfig, ResilientNode};
-use runtime::{ClientMode, MachineActor, SysEvent, World};
+use runtime::{node_addr, ClientMode, MachineActor, SysEvent, World, TA_ADDR};
 use service::ServiceSpec;
 use sim::{Actor, SimDuration, SimTime, Simulation};
 use triad_core::{TriadConfig, TriadNode};
@@ -393,7 +393,7 @@ impl ScenarioSpec {
                 attack;
             net.add_interceptor(Box::new(CalibrationDelayAttack::new(
                 *victim,
-                World::TA_ADDR,
+                TA_ADDR,
                 *mode,
                 *added_delay,
                 *sleep_threshold,
@@ -401,8 +401,8 @@ impl ScenarioSpec {
         }
         let nodes = (0..self.n)
             .map(|i| -> Box<dyn Actor<World, SysEvent>> {
-                let me = World::node_addr(i);
-                let peers = (0..self.n).filter(|&j| j != i).map(World::node_addr).collect();
+                let me = node_addr(i);
+                let peers = (0..self.n).filter(|&j| j != i).map(node_addr).collect();
                 match &self.node_impl {
                     NodeImplSpec::Triad => {
                         Box::new(MachineActor::new(TriadNode::new(me, peers, self.config.clone())))
@@ -452,6 +452,7 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faults::FaultAction;
 
     #[test]
     fn spec_is_reusable_and_seed_deterministic() {
@@ -675,24 +676,41 @@ mod tests {
 
     #[test]
     fn quorum_service_with_a_lying_node_assembles_and_detects() {
-        let svc = ServiceSpec::new().quorum_loop(service::QuorumLoopSpec::default());
-        let spec = ScenarioSpec::new(3)
+        let cluster = ScenarioSpec::new(3)
             .horizon(SimTime::from_secs(30))
-            .node_impl(NodeImplSpec::Resilient(Box::default()))
-            .service(svc)
-            .faults(FaultSpec::Fixed(FaultPlan::new().lie_window(
-                0,
-                250_000_000,
-                false,
-                SimTime::from_secs(18),
-                SimDuration::from_secs(10),
-            )));
-        let w = spec.run(13);
+            .node_impl(NodeImplSpec::Resilient(Box::default()));
+        let lie = FaultSpec::Fixed(FaultPlan::new().lie_window(
+            0,
+            250_000_000,
+            false,
+            SimTime::from_secs(18),
+            SimDuration::from_secs(10),
+        ));
+        let svc = ServiceSpec::new().quorum_loop(service::QuorumLoopSpec::default());
+        let w = cluster.clone().service(svc).faults(lie.clone()).run(13);
         let s = &w.recorder.service;
         assert!(s.quorum_accepted.count() > 0, "quorum reads must keep accepting");
         assert!(w.recorder.node(0).byzantine_suspected.count() > 0, "the liar must be flagged");
         assert_eq!(w.recorder.node(1).byzantine_suspected.count(), 0);
         assert_eq!(w.recorder.node(2).byzantine_suspected.count(), 0);
+
+        // Without a serving layer no one hears the lie: both actions are
+        // logged, and the run is otherwise the fault-free one.
+        let mut lied = cluster.clone().faults(lie).run(13);
+        let honest = cluster.run(13);
+        let labels: Vec<_> = lied.recorder.faults.events().iter().map(|(_, l)| l.clone()).collect();
+        assert_eq!(
+            labels,
+            [
+                FaultAction::StartLie { node: 0, offset_ns: 250_000_000, equivocate: false }
+                    .label(),
+                FaultAction::StopLie { node: 0 }.label(),
+            ]
+        );
+        assert!(honest.recorder.faults.is_empty());
+        lied.recorder.faults = honest.recorder.faults.clone();
+        assert_eq!(lied.recorder, honest.recorder);
+        assert_eq!(lied.clocks, honest.clocks);
     }
 
     #[test]

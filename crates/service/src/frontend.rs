@@ -54,10 +54,14 @@ struct Queued {
 /// node's staleness-aware readings; all other requests get
 /// [`ServeOutcome::Unavailable`].
 ///
+/// A lying-node fault ([`Input::Lie`]) skews every timestamp the
+/// front-end hands out until the fault stops; the node underneath stays
+/// honest.
+///
 /// Implemented as a pure [`proto::Machine`]: the co-located node's TSC,
-/// published clock, protocol state, and any active lying-node fault all
-/// arrive through the [`Env`] capabilities, so the same front-end serves
-/// under the simulation and the live UDP runtime.
+/// published clock and protocol state arrive through the [`Env`]
+/// capabilities, so the same front-end serves under the simulation and
+/// the live UDP runtime.
 #[derive(Debug)]
 pub struct Frontend {
     me: Addr,
@@ -74,6 +78,8 @@ pub struct Frontend {
     /// When the node's current degraded stretch started, as observed at
     /// flush time; drives the widening uncertainty term.
     degraded_since: Option<SimTime>,
+    /// The active lying-node fault, if any.
+    lie: Option<Lie>,
     /// Answers served while a lying-node fault is active; drives the
     /// equivocation alternation in [`Lie::skew_ns`].
     lie_seq: u64,
@@ -94,12 +100,13 @@ impl Frontend {
             next_allowed: SimTime::ZERO,
             floor_ns: 0,
             degraded_since: None,
+            lie: None,
             lie_seq: 0,
         }
     }
 
     fn on_request(&mut self, env: &mut dyn Env, client: Addr, nonce: u64, kind: ReqKind) {
-        if env.node_state(self.node_index) == Some(NodeStateTag::Crashed) {
+        if env.node_state() == Some(NodeStateTag::Crashed) {
             // The machine is down: nothing answers. Clients find out the
             // honest way — by timing out and failing over.
             return;
@@ -136,7 +143,7 @@ impl Frontend {
         }
         let now = env.now();
         self.next_allowed = now + self.spec.batch_window;
-        let state = env.node_state(self.node_index);
+        let state = env.node_state();
         if state == Some(NodeStateTag::Crashed) {
             // Crashed between admission and flush: the queue dies with
             // the machine.
@@ -151,7 +158,7 @@ impl Frontend {
 
         // The whole batch shares one enclave read.
         let ticks = env.read_tsc();
-        let clock = env.clock(self.node_index);
+        let clock = env.clock();
         let clock_ns = clock.now_ns(ticks);
         env.emit(ProtoEvent::FrontendBatch);
 
@@ -179,10 +186,6 @@ impl Frontend {
             };
             widened.max(self.spec.attest_floor_uncertainty.as_nanos() as f64) as u64
         };
-        // An active lying-node fault skews everything this front-end tells
-        // clients; the protocol stack underneath stays honest.
-        let lie = env.lie(self.node_index);
-
         let drained = self.queue.len().min(self.spec.batch_max);
         for _ in 0..drained {
             let Queued { client, nonce, kind } =
@@ -192,12 +195,12 @@ impl Frontend {
                     let outcome = match (state, clock_ns) {
                         (Some(NodeStateTag::Ok), Some(ns)) => {
                             let ts = self.bump_floor(ns);
-                            ServeOutcome::Time(self.apply_lie(ts, lie))
+                            ServeOutcome::Time(self.apply_lie(ts))
                         }
                         (Some(_), Some(ns)) if accept_degraded => {
                             let ts = self.bump_floor(ns);
                             ServeOutcome::Reading(TimeReading {
-                                estimate_ns: self.apply_lie(ts, lie),
+                                estimate_ns: self.apply_lie(ts),
                                 uncertainty_ns: degraded_uncertainty_ns,
                                 degraded: true,
                             })
@@ -215,7 +218,7 @@ impl Frontend {
                             let ts = self.bump_floor(ns);
                             env.emit(ProtoEvent::FrontendAttest);
                             AttestOutcome::Attestation(TimeReading {
-                                estimate_ns: self.apply_lie(ts, lie),
+                                estimate_ns: self.apply_lie(ts),
                                 uncertainty_ns: attest_uncertainty_ns,
                                 degraded: s != NodeStateTag::Ok,
                             })
@@ -247,8 +250,8 @@ impl Frontend {
     /// Applies the active lying-node fault, if any, to an outgoing
     /// timestamp. The monotonic floor tracks the *honest* value — a liar
     /// skews at the edge, it does not corrupt its own bookkeeping.
-    fn apply_lie(&mut self, ts: u64, lie: Option<Lie>) -> u64 {
-        match lie {
+    fn apply_lie(&mut self, ts: u64) -> u64 {
+        match self.lie {
             Some(l) => {
                 let skew = l.skew_ns(self.lie_seq);
                 self.lie_seq += 1;
@@ -283,6 +286,7 @@ impl Machine for Frontend {
                 self.flush_armed = false;
                 self.flush(env);
             }
+            Input::Lie(lie) => self.lie = lie,
             _ => {}
         }
     }
@@ -290,7 +294,8 @@ impl Machine for Frontend {
 
 #[cfg(test)]
 mod tests {
-    use proto::{Effect, ScriptedEnv};
+    use proto::{ClockState, Effect, ScriptedEnv};
+    use sim::SimDuration;
 
     use super::*;
 
@@ -333,5 +338,54 @@ mod tests {
         // The backlog drains on the re-armed flush, which arms nothing more.
         fe.on_input(&mut env, Input::Timer { token: TOKEN_FLUSH });
         assert_eq!(answered(&env.take_effects()), asks[3..]);
+    }
+
+    /// A lying-node fault arrives as an input and skews only what the
+    /// front-end tells clients: equivocation alternates sign per answer,
+    /// within a batch and across batches, the monotonic floor keeps
+    /// tracking the honest reading, and `Lie(None)` restores honest
+    /// answers.
+    #[test]
+    fn a_lie_input_skews_answers_while_the_floor_stays_honest() {
+        let spec = FrontendSpec { batch_max: 3, ..FrontendSpec::default() };
+        let mut fe = Frontend::new(crate::frontend_addr(0), 0, spec);
+        let mut env = ScriptedEnv::new(1, 7);
+        // One tick per ns, so the honest reading is exactly `env.now`.
+        env.tsc_hz = 1e9;
+        env.clocks[0] = ClockState { valid: true, f_calib_hz: 1e9, ..ClockState::default() };
+        env.states[0] = Some(NodeStateTag::Ok);
+        env.advance(SimDuration::from_secs(1));
+        let t = env.now.as_nanos() as i64;
+
+        // Serves `asks` requests in one batch at a frozen clock; returns
+        // each answer's offset from `t`.
+        let batch = |fe: &mut Frontend, env: &mut ScriptedEnv, asks: u64| -> Vec<i64> {
+            for nonce in 0..asks {
+                let msg = Message::ServeRequest { nonce, accept_degraded: false };
+                fe.on_input(env, Input::Message { src: Addr(1000), msg });
+            }
+            fe.on_input(env, Input::Timer { token: TOKEN_FLUSH });
+            env.take_effects()
+                .iter()
+                .filter_map(|e| match e {
+                    Effect::Send {
+                        msg: Message::ServeResponse { outcome: ServeOutcome::Time(ts), .. },
+                        ..
+                    } => Some(*ts as i64 - t),
+                    _ => None,
+                })
+                .collect()
+        };
+        let lie = |offset_ns, equivocate| Input::Lie(Some(Lie { offset_ns, equivocate }));
+
+        fe.on_input(&mut env, lie(1_000, true));
+        assert_eq!(batch(&mut fe, &mut env, 3), [1_000, 1 - 1_000, 2 + 1_000]);
+        assert_eq!(batch(&mut fe, &mut env, 1), [3 - 1_000], "alternation spans batches");
+        fe.on_input(&mut env, lie(-500, false));
+        assert_eq!(batch(&mut fe, &mut env, 2), [4 - 500, 5 - 500]);
+        // Honest again, one past the honest floor (5), not past the
+        // largest skewed answer (1 002).
+        fe.on_input(&mut env, Input::Lie(None));
+        assert_eq!(batch(&mut fe, &mut env, 1), [6]);
     }
 }

@@ -30,9 +30,9 @@
 //! [`install`] onto an already-assembled cluster simulation, and fully
 //! deterministic: all randomness flows from the simulation's seeded RNG.
 //!
-//! Address conventions extend the runtime's: front-end `i` serves from
-//! `Addr(2000 + i)` beside node `Addr(i + 1)`; generator `g` sends from
-//! `Addr(3000 + g)`.
+//! Addresses are `proto`'s, re-exported here: front-end `i` serves from
+//! [`frontend_addr`]`(i)` beside node `i`; generator `g` sends from
+//! [`generator_addr`]`(g)`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,12 +43,12 @@ mod quorum;
 mod router;
 mod spec;
 
-use netsim::Addr;
 use runtime::{MachineActor, SysEvent, World};
 use sim::Simulation;
 
 pub use frontend::Frontend;
 pub use gen::{ClosedLoopGen, OpenLoopGen};
+pub use proto::{frontend_addr, frontend_index, generator_addr};
 pub use quorum::{
     decide, AttestSample, QuorumDecision, QuorumGen, QuorumHealth, MAX_CLUSTER_NODES,
 };
@@ -56,22 +56,6 @@ pub use router::Router;
 pub use spec::{
     ClosedLoopSpec, FrontendSpec, OpenLoopSpec, QuorumLoopSpec, QuorumSpec, RouterSpec, ServiceSpec,
 };
-
-/// The serving address of the front-end beside node index `i`.
-pub fn frontend_addr(i: usize) -> Addr {
-    Addr(2000 + u16::try_from(i).expect("node count fits the frontend address range"))
-}
-
-/// The node index whose front-end serves from `addr`: the inverse of
-/// [`frontend_addr`], `None` for node, client and generator addresses.
-pub fn frontend_index(addr: Addr) -> Option<usize> {
-    (2000..3000).contains(&addr.0).then(|| usize::from(addr.0 - 2000))
-}
-
-/// The source address of generator index `g`.
-pub fn generator_addr(g: usize) -> Addr {
-    Addr(3000 + u16::try_from(g).expect("generator count fits the address range"))
-}
 
 /// Installs the serving layer onto an assembled cluster simulation: one
 /// [`Frontend`] per node, every generator in `spec`, and the pairwise
@@ -142,23 +126,5 @@ pub fn install(simulation: &mut Simulation<World, SysEvent>, spec: &ServiceSpec,
         ))));
         register(simulation, g, id);
         g += 1;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn frontend_index_inverts_frontend_addr_only() {
-        for i in 0..64 {
-            assert_eq!(frontend_index(frontend_addr(i)), Some(i));
-            // Node i, client i (`Addr(1000 + i)`) and generator i are not
-            // front-ends.
-            assert_eq!(frontend_index(proto::node_addr(i)), None);
-            assert_eq!(frontend_index(Addr(1000 + i as u16)), None);
-            assert_eq!(frontend_index(generator_addr(i)), None);
-        }
-        assert_eq!(frontend_index(proto::TA_ADDR), None);
     }
 }

@@ -28,8 +28,8 @@
 
 use netsim::{Addr, DelayModel, InterceptAction, Interceptor, MsgMeta, Network};
 use runtime::{
-    ClientWorkload, ClockState, Env, Host, Input, Machine, MachineActor, Sampler, SysEvent,
-    TimerId, World,
+    node_index, ClientWorkload, ClockState, Env, Host, Input, Machine, MachineActor, Sampler,
+    SysEvent, TimerId, World,
 };
 use sim::{SimDuration, SimTime, Simulation};
 use trace::{NodeStateTag, ProtoEvent};
@@ -137,13 +137,12 @@ impl T3eNode {
     ///
     /// # Panics
     ///
-    /// Panics on the TA address or a zero-use budget.
+    /// Panics when `me` is not a node address, or on a zero-use budget.
     pub fn new(me: Addr, tpm: Addr, cfg: T3eConfig, tsc_hz: f64) -> Self {
-        assert!(me.0 >= 1, "a node cannot use the TA address");
         assert!(cfg.max_uses > 0, "a zero-use budget can never serve");
         T3eNode {
             me,
-            index: (me.0 - 1) as usize,
+            index: node_index(me).expect("a T3E node serves from a node address"),
             tpm,
             cfg,
             tsc_hz,

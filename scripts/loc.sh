@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The one definition of the workspace line count ROADMAP item 6 budgets.
+# The one definition of the workspace line count ROADMAP item 9 budgets.
 #
 #   scripts/loc.sh [<tree-ish>]        (default: the working tree)
 #

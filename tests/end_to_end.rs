@@ -3,8 +3,8 @@
 
 use triad_tt::attacks::DelayAttackMode;
 use triad_tt::netsim::Addr;
-use triad_tt::proto::{Env, Input, Machine};
-use triad_tt::runtime::{MachineActor, World};
+use triad_tt::proto::{Env, Input, Machine, TA_ADDR};
+use triad_tt::runtime::MachineActor;
 use triad_tt::scenario::{AexSpec, AttackSpec, ScenarioSpec};
 use triad_tt::sim::{SimDuration, SimTime};
 use triad_tt::wire::Message;
@@ -126,12 +126,12 @@ fn fabric_statistics_reflect_the_attack() {
     s.run_until(SimTime::from_secs(30));
     let w = s.world();
     // The attacker delayed TA→node3 responses (the 1 s-sleep ones) …
-    let to_victim = w.net.link_stats(World::TA_ADDR, Addr(3));
+    let to_victim = w.net.link_stats(TA_ADDR, Addr(3));
     assert!(to_victim.attacker_delayed > 0, "{to_victim:?}");
     assert!(to_victim.attacker_delay_ns >= to_victim.attacker_delayed * 100_000_000);
     // … but never touched honest nodes' traffic.
     for honest in [Addr(1), Addr(2)] {
-        let stats = w.net.link_stats(World::TA_ADDR, honest);
+        let stats = w.net.link_stats(TA_ADDR, honest);
         assert_eq!(stats.attacker_delayed, 0, "honest link touched: {stats:?}");
         assert_eq!(stats.attacker_dropped, 0);
     }
