@@ -54,12 +54,12 @@ impl FaultDriver {
         }
     }
 
-    /// Node `node`'s front-end address; panics past the cluster, as
-    /// `CrashNode` does.
-    fn frontend_of(world: &World, node: usize) -> Addr {
+    /// `node`, checked against the cluster: an action naming a node past
+    /// it panics with the bounds, as `CrashNode` does.
+    fn in_cluster(world: &World, node: usize, action: &str) -> usize {
         let n = world.node_count();
-        assert!(node < n, "no node{node} to lie through: cluster has {n} node(s)");
-        frontend_addr(node)
+        assert!(node < n, "no node{node} to {action}: cluster has {n} node(s)");
+        node
     }
 
     fn apply(&self, ctx: &mut Ctx<'_, World, SysEvent>, action: &FaultAction) {
@@ -91,15 +91,17 @@ impl FaultDriver {
                 ctx.send(actor, SimDuration::ZERO, SysEvent::Restart);
             }
             FaultAction::StartLie { node, offset_ns, equivocate } => {
-                let lie = Some(Lie { offset_ns, equivocate });
-                Self::signal(ctx, Self::frontend_of(ctx.world, node), SysEvent::Lie(lie));
+                let frontend = frontend_addr(Self::in_cluster(ctx.world, node, "lie through"));
+                Self::signal(ctx, frontend, SysEvent::Lie(Some(Lie { offset_ns, equivocate })));
             }
             FaultAction::StopLie { node } => {
-                Self::signal(ctx, Self::frontend_of(ctx.world, node), SysEvent::Lie(None));
+                let frontend = frontend_addr(Self::in_cluster(ctx.world, node, "lie through"));
+                Self::signal(ctx, frontend, SysEvent::Lie(None));
             }
             FaultAction::ManipulateTsc { node, manipulation } => {
                 let now = ctx.now();
-                ctx.world.host_mut(node_addr(node)).tsc.manipulate(now, manipulation);
+                let i = Self::in_cluster(ctx.world, node, "manipulate");
+                ctx.world.hosts[i].tsc.manipulate(now, manipulation);
             }
             FaultAction::AexStorm { node, count, spacing } => {
                 let machine_wide = node.is_none();
@@ -170,6 +172,18 @@ mod tests {
         s.run();
     }
 
+    #[test]
+    #[should_panic(expected = "no node1 to manipulate: cluster has 1 node(s)")]
+    fn a_tsc_action_on_a_node_past_the_cluster_panics() {
+        let mut s = one_host();
+        let jump = FaultAction::ManipulateTsc {
+            node: 1,
+            manipulation: TscManipulation::OffsetJump(1_000),
+        };
+        s.add_actor(Box::new(FaultDriver::new(FaultPlan::new().at(SimTime::from_secs(1), jump))));
+        s.run();
+    }
+
     fn one_host() -> Simulation<World, SysEvent> {
         let net = Network::new(DelayModel::Constant(SimDuration::ZERO), 0.0);
         Simulation::new(World::new(net, vec![Host::paper_default()]), 1)
@@ -187,7 +201,7 @@ mod tests {
             .at(SimTime::from_secs(10), tsc(TscManipulation::ScaleRate(1.1)))
             .at(SimTime::from_secs(5), tsc(TscManipulation::OffsetJump(1_000_000)));
         s.add_actor(Box::new(FaultDriver::new(plan)));
-        let host = |s: &Simulation<World, SysEvent>| s.world().host(Addr(1)).tsc.clone();
+        let host = |s: &Simulation<World, SysEvent>| s.world().hosts[0].tsc.clone();
         s.run_until(SimTime::from_secs(4));
         assert_eq!(host(&s).manipulation_count(), 0);
         s.run_until(SimTime::from_secs(6));
@@ -220,7 +234,7 @@ mod tests {
             let mut s = one_host();
             s.add_actor(Box::new(FaultDriver::new(plan)));
             s.run();
-            assert_eq!(s.world().host(Addr(1)).tsc.rate_hz(), rate);
+            assert_eq!(s.world().hosts[0].tsc.rate_hz(), rate);
             assert_eq!(s.world().recorder.faults.events()[0].1, first);
             assert_eq!(s.dispatched(), 1, "one wake-up for the shared instant");
         }

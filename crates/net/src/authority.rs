@@ -6,15 +6,13 @@
 //! driver's read-timeout wait, whose natural OS overshoot is exactly the
 //! scheduling-latency effect the simulated TA has to synthesize.
 
-use std::collections::HashMap;
-
 use netsim::Addr;
+use sim::{EventQueue, SimTime};
 use wire::Message;
 
 use crate::board::Boards;
 use crate::clock::MonoClock;
 use crate::endpoint::{Endpoint, Recv, MAX_IDLE_NS, MIN_WAIT_NS};
-use crate::timers::TimerQueue;
 
 /// Blocking-recv timeouts round up to kernel tick granularity (several
 /// milliseconds on a coarse-HZ host), which would bias every hold long
@@ -46,27 +44,25 @@ pub(crate) fn run_authority(
     clock: MonoClock,
 ) -> AuthorityReport {
     let mut report = AuthorityReport::default();
-    let mut holds: HashMap<u64, Hold> = HashMap::new();
-    let mut timers = TimerQueue::new();
-    let mut next_token = 0u64;
+    // Each pending hold is its own arming, answered at its deadline.
+    let mut holds: EventQueue<Hold> = EventQueue::new();
 
     loop {
-        while let Some(token) = timers.pop_due(clock.now_ns()) {
-            if let Some(hold) = holds.remove(&token) {
-                respond(&mut endpoint, clock, hold);
-                report.responses += 1;
-            }
+        while let Some(hold) = holds.pop_due(clock.now()) {
+            respond(&mut endpoint, clock, hold);
+            report.responses += 1;
         }
         if boards.shutting_down() {
             break;
         }
-        let next_deadline = timers.next_deadline();
-        let remaining =
-            next_deadline.map(|d| d.saturating_sub(clock.now_ns())).unwrap_or(MAX_IDLE_NS);
+        let next_deadline = holds.peek_time();
+        let remaining = next_deadline
+            .map(|d| d.as_nanos().saturating_sub(clock.now_ns()))
+            .unwrap_or(MAX_IDLE_NS);
         if next_deadline.is_some() && remaining <= SPIN_WINDOW_NS {
             // Requests arriving mid-spin stay queued in the socket buffer
             // for the next loop pass; the spin never exceeds the window.
-            while timers.next_deadline().is_some_and(|d| clock.now_ns() < d) {
+            while holds.peek_time().is_some_and(|d| clock.now() < d) {
                 std::thread::yield_now();
             }
             continue;
@@ -85,10 +81,7 @@ pub(crate) fn run_authority(
             respond(&mut endpoint, clock, hold);
             report.responses += 1;
         } else {
-            let token = next_token;
-            next_token += 1;
-            holds.insert(token, hold);
-            timers.arm(token, clock.now_ns().saturating_add(sleep_ns));
+            holds.arm(SimTime::from_nanos(clock.now_ns().saturating_add(sleep_ns)), hold);
         }
     }
     report

@@ -11,9 +11,6 @@
 //! - [`clock`] — the shared monotonic epoch, the instant at which each
 //!   node's `runtime::Host` (the simulation's TSC/INC platform model) is
 //!   read.
-//! - [`timers`] — a monotonic-deadline timer queue with the simulation's
-//!   cancellation contract; re-arming a still-armed token differs (here it
-//!   supersedes the earlier arming, in the simulation both fire).
 //! - [`frame`] — the datagram format: cleartext `src` routing prefix,
 //!   AEAD-sealed payload bound to the (src, dst) link.
 //! - [`board`] — cross-thread observables (published clocks, node
@@ -26,7 +23,10 @@
 //!   The driver, the Time Authority and the blocking client all ride it.
 //! - `driver` — the per-machine endpoint/timer loop interpreting
 //!   [`proto::Env`] effects inline and folding each emitted event and
-//!   each drop into the thread's `trace::Recorder`.
+//!   each drop into the thread's `trace::Recorder`. Timers arm in a
+//!   `sim::EventQueue`, the simulation's own deadline queue, so they
+//!   follow its one rule; the driver's `conformance` tests check this
+//!   `Env`, the simulation's and `proto::ScriptedEnv` against it.
 //! - [`authority`] — the live Time Authority service.
 //! - [`cluster`] — orchestration: sockets, key derivation, scoped
 //!   threads, and the joined [`LiveReport`].
@@ -42,7 +42,6 @@ mod driver;
 mod endpoint;
 pub mod frame;
 pub mod sync;
-pub mod timers;
 
 pub use authority::AuthorityReport;
 pub use board::Boards;
@@ -52,4 +51,3 @@ pub use cluster::{
     LiveSpec,
 };
 pub use frame::{frame_into, parse_frame};
-pub use timers::TimerQueue;

@@ -1,7 +1,7 @@
 //! Loom model checks for the live runtime's cross-thread state:
-//! the [`net::board::Boards`] blackboards, the [`net::TimerQueue`]
-//! under a driver-style mutex, and [`proto::NonceWindow`] shared by
-//! concurrent front-ends.
+//! the [`net::board::Boards`] blackboards and [`proto::NonceWindow`]
+//! shared by concurrent front-ends. Timers are not cross-thread state:
+//! each driver thread owns its `sim::EventQueue`.
 //!
 //! Off the normal build: run with
 //! `RUSTFLAGS="--cfg loom" cargo test -p net --test loom --release`.
@@ -10,7 +10,7 @@
 
 use loom::sync::{Arc, Mutex};
 use loom::thread;
-use net::{Boards, TimerQueue};
+use net::Boards;
 use proto::{ClockState, NonceWindow};
 use runtime::Host;
 use trace::NodeStateTag;
@@ -62,49 +62,6 @@ fn racing_state_publishes_never_tear() {
             matches!(last, Some(NodeStateTag::Ok) | Some(NodeStateTag::Tainted)),
             "a write was lost: {last:?}"
         );
-    });
-}
-
-/// Tombstone cancellation under contention: whatever order the arm and
-/// the cancel interleave, token 1 never fires after its cancel was
-/// issued by the same thread that armed it, and token 2 always fires.
-#[test]
-fn timer_queue_cancel_race_keeps_tombstone_contract() {
-    loom::model(|| {
-        let queue = Arc::new(Mutex::new(TimerQueue::new()));
-        let (qa, qb) = (Arc::clone(&queue), Arc::clone(&queue));
-        let canceller = thread::spawn(move || {
-            let id = qa.lock().expect("queue").arm(1, 100);
-            qa.lock().expect("queue").cancel(id);
-        });
-        let armer = thread::spawn(move || qb.lock().expect("queue").arm(2, 50));
-        canceller.join().expect("canceller");
-        armer.join().expect("armer");
-        let mut q = queue.lock().expect("queue");
-        assert_eq!(q.pop_due(200), Some(2));
-        assert_eq!(q.pop_due(200), None, "cancelled token fired");
-        assert!(q.is_empty());
-    });
-}
-
-/// Concurrent re-arms of one token: exactly one firing survives, at one
-/// of the two racing deadlines (the armed-map entry of the loser is a
-/// heap tombstone), and cancelling the loser's id leaves it standing.
-#[test]
-fn timer_queue_concurrent_rearms_fire_exactly_once() {
-    loom::model(|| {
-        let queue = Arc::new(Mutex::new(TimerQueue::new()));
-        let (qa, qb) = (Arc::clone(&queue), Arc::clone(&queue));
-        let t1 = thread::spawn(move || qa.lock().expect("queue").arm(7, 100));
-        let t2 = thread::spawn(move || qb.lock().expect("queue").arm(7, 50));
-        let a = t1.join().expect("armer 1");
-        let b = t2.join().expect("armer 2");
-        let mut q = queue.lock().expect("queue");
-        // Arming sequences are issued in lock order: the lower one lost.
-        q.cancel(if a.handle() < b.handle() { a } else { b });
-        assert_eq!(q.pop_due(200), Some(7));
-        assert_eq!(q.pop_due(200), None, "a superseded arm fired twice");
-        assert!(q.is_empty());
     });
 }
 

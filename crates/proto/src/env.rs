@@ -18,11 +18,12 @@ pub const AEX_RESUME_TOKEN: u64 = u64::MAX;
 
 /// Handle to one arming of a timer, returned by [`Env::set_timer`].
 ///
-/// Carries the machine's token plus the driver's own handle for that
-/// arming (the simulation's event id, the live timer queue's arming
-/// sequence), so a cancel names one arming and the simulation driver
-/// keeps no token → handle map. A machine that may cancel keeps the id
-/// in the record the timer guards.
+/// Carries the machine's token plus the arming's [`sim::EventId`] (as
+/// [`sim::EventId::to_bits`]) in the [`sim::EventQueue`] the driver arms
+/// in — the simulation's own queue, or the one the live driver and
+/// [`crate::ScriptedEnv`] keep — so a cancel names one arming on every
+/// driver and none keeps a token → handle map. A machine that may cancel
+/// keeps the id in the record the timer guards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerId {
     token: u64,
@@ -41,7 +42,7 @@ impl TimerId {
         self.token
     }
 
-    /// The driver's handle for this arming.
+    /// The arming's event id in the driver's queue, as bits.
     pub fn handle(self) -> u64 {
         self.handle
     }
@@ -84,6 +85,19 @@ pub enum Input {
     Lie(Option<Lie>),
 }
 
+impl Input {
+    /// The input a firing of timer `token` is delivered as:
+    /// [`Input::AexResume`] for [`AEX_RESUME_TOKEN`], else [`Input::Timer`].
+    #[inline]
+    pub fn timer(token: u64) -> Input {
+        if token == AEX_RESUME_TOKEN {
+            Input::AexResume
+        } else {
+            Input::Timer { token }
+        }
+    }
+}
+
 /// The observable effect vocabulary of a protocol machine.
 ///
 /// Live drivers interpret effects inline as the machine emits them
@@ -98,18 +112,18 @@ pub enum Effect {
         /// The message to seal and send.
         msg: Message,
     },
-    /// Arm (or re-arm) the timer identified by `token`.
+    /// Arm the timer identified by `token`; an arming of it that is
+    /// still pending stays armed too (see [`Env::set_timer`]).
     SetTimer {
         /// Machine-chosen timer identity.
         token: u64,
         /// Delay from now until the timer fires.
         after: SimDuration,
     },
-    /// Disarm one arming of the timer identified by `token`, if still
-    /// pending.
+    /// Disarm the one arming `id` names, if still pending.
     CancelTimer {
-        /// The token the timer was armed with.
-        token: u64,
+        /// The arming to disarm.
+        id: TimerId,
     },
     /// Publish the node's clock parameters to co-located readers.
     PublishClock(ClockState),
@@ -141,18 +155,18 @@ pub trait Env {
     fn send(&mut self, dst: Addr, msg: &Message) -> bool;
 
     /// Arms a timer that will come back as [`Input::Timer`] (or
-    /// [`Input::AexResume`] for [`AEX_RESUME_TOKEN`]) after `after`, and
-    /// returns the handle [`Env::cancel_timer`] takes.
+    /// [`Input::AexResume`] for [`AEX_RESUME_TOKEN`]) once `after` has
+    /// passed, and returns the handle [`Env::cancel_timer`] takes.
     ///
-    /// Re-arming a token that is still armed is driver-dependent, so
-    /// machines should cancel first: the live `TimerQueue` supersedes the
-    /// old arming (one firing, and the old id goes stale), while the
-    /// simulation's `MachineActor` keeps both events — both fire, and
-    /// each id cancels only its own arming.
+    /// One rule on every driver: each call is its own arming — re-arming
+    /// a token that is still armed leaves the earlier arming in place, so
+    /// both fire — and armings due at the same instant fire in the order
+    /// they were armed.
     fn set_timer(&mut self, token: u64, after: SimDuration) -> TimerId;
 
-    /// Cancels the arming `id` names; a no-op when it already fired, was
-    /// cancelled, or was superseded.
+    /// Cancels the one arming `id` names and no other, not even a later
+    /// arming of the same token; a no-op when it already fired or was
+    /// cancelled.
     fn cancel_timer(&mut self, id: TimerId);
 
     /// Reads the co-located node's TimeStamp Counter.

@@ -6,7 +6,8 @@
 //! - the deterministic discrete-event simulation (`runtime::MachineActor`
 //!   binds [`Env`] onto the sim world, fabric, and event queue), and
 //! - the real UDP runtime (`net::LiveEnv` binds it onto sockets, OS
-//!   clocks, and a monotonic timer queue).
+//!   clocks, and a `sim::EventQueue` of monotonic deadlines — the
+//!   simulation's own queue type, so timers follow one rule under both).
 //!
 //! A machine implements [`Machine`]: each step consumes one [`Input`]
 //! (an authenticated message, a timer firing, an interrupt, a fault) plus

@@ -2,27 +2,33 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim::{SimDuration, SimTime};
+use sim::{EventId, EventQueue, SimDuration, SimTime};
 use trace::{NodeStateTag, ProtoEvent, Recorder};
 use wire::Message;
 
 use crate::clock::ClockState;
-use crate::env::{Effect, Env, TimerId};
+use crate::env::{Effect, Env, Input, TimerId};
 use netsim::Addr;
 
-/// An [`Env`] that interprets nothing: effects go to [`ScriptedEnv::effects`],
-/// events into [`ScriptedEnv::recorder`], and the test script sets the
-/// observable world (time, TSC rate, node clocks/states) directly.
+/// An [`Env`] that interprets nothing but timers: effects go to
+/// [`ScriptedEnv::effects`], events into [`ScriptedEnv::recorder`], and the
+/// test script sets the observable world (time, TSC rate, node
+/// clocks/states) directly. Timers also arm in a [`sim::EventQueue`], as
+/// under the other drivers, so a script may fire them in deadline order
+/// with [`ScriptedEnv::fire_next`] instead of feeding [`Input::Timer`]s
+/// by hand.
 ///
 /// # Examples
 ///
 /// ```
-/// use proto::{Env, ScriptedEnv};
+/// use proto::{Env, Input, ScriptedEnv};
 /// use sim::SimDuration;
 ///
 /// let mut env = ScriptedEnv::new(1, 7);
 /// env.set_timer(42, SimDuration::from_millis(5));
 /// assert_eq!(env.effects.len(), 1);
+/// assert_eq!(env.fire_next(), Some(Input::Timer { token: 42 }));
+/// assert_eq!(env.now.as_nanos(), 5_000_000);
 /// ```
 #[derive(Debug)]
 pub struct ScriptedEnv {
@@ -49,6 +55,7 @@ pub struct ScriptedEnv {
     /// The run's recorder: every [`Env::emit`] folds into it, stamped with
     /// [`ScriptedEnv::now`] and [`ScriptedEnv::node_index`].
     pub recorder: Recorder,
+    timers: EventQueue<u64>,
 }
 
 impl ScriptedEnv {
@@ -64,12 +71,21 @@ impl ScriptedEnv {
             states: vec![None; n],
             node_index: Some(0),
             recorder: Recorder::for_nodes(n),
+            timers: EventQueue::new(),
         }
     }
 
     /// Advances the scripted clock.
     pub fn advance(&mut self, by: SimDuration) {
         self.now += by;
+    }
+
+    /// Fires the earliest pending timer: advances [`ScriptedEnv::now`] to
+    /// its deadline (never backwards) and returns the input it fires as,
+    /// or `None` when no timer is armed.
+    pub fn fire_next(&mut self) -> Option<Input> {
+        self.now = self.now.max(self.timers.peek_time()?);
+        self.timers.pop_due(self.now).map(Input::timer)
     }
 
     /// Drains and returns the recorded effects.
@@ -96,14 +112,14 @@ impl Env for ScriptedEnv {
         true
     }
 
-    /// The id's handle is the arming's index in [`ScriptedEnv::effects`].
     fn set_timer(&mut self, token: u64, after: SimDuration) -> TimerId {
         self.effects.push(Effect::SetTimer { token, after });
-        TimerId::new(token, self.effects.len() as u64 - 1)
+        TimerId::new(token, self.timers.arm(self.now + after, token).to_bits())
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.push(Effect::CancelTimer { token: id.token() });
+        self.effects.push(Effect::CancelTimer { id });
+        self.timers.cancel(EventId::from_bits(id.handle()));
     }
 
     fn read_tsc(&mut self) -> u64 {

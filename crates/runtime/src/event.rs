@@ -20,9 +20,6 @@ pub enum SysEvent {
         /// True when the same interrupt hits every node at this instant.
         machine_wide: bool,
     },
-    /// The enclave thread resumes after an AEX; AEX-Notify runs the
-    /// node's untainting logic now.
-    AexResume,
     /// A timer the receiving actor armed for itself; `token` is
     /// actor-private.
     Timer {

@@ -30,7 +30,7 @@ impl Actor<World, SysEvent> for Sampler {
         let now = ctx.now();
         let ref_ns = now.as_nanos() as f64;
         for i in 0..ctx.world.node_count() {
-            let ticks = ctx.world.host(proto::node_addr(i)).read_tsc(now);
+            let ticks = ctx.world.hosts[i].read_tsc(now);
             if let Some(node_ns) = ctx.world.clocks[i].now_ns(ticks) {
                 let drift_ms = (node_ns - ref_ns) / 1e6;
                 ctx.world.recorder.node_mut(i).drift_ms.push(now, drift_ms);

@@ -104,42 +104,6 @@ impl World {
         proto::node_addr(i)
     }
 
-    /// Host of the node at `addr`, or `None` for the TA address, client
-    /// addresses, and anything past the cluster.
-    pub fn try_host(&self, addr: Addr) -> Option<&Host> {
-        self.hosts.get(proto::node_index(addr)?)
-    }
-
-    /// Mutable counterpart of [`World::try_host`].
-    pub fn try_host_mut(&mut self, addr: Addr) -> Option<&mut Host> {
-        self.hosts.get_mut(proto::node_index(addr)?)
-    }
-
-    /// Host of the node at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the TA address or unknown nodes; use [`World::try_host`]
-    /// for fallible access.
-    pub fn host(&self, addr: Addr) -> &Host {
-        &self.hosts[self.host_index(addr)]
-    }
-
-    /// Mutable host access (TSC manipulation by the attacker); panics as
-    /// [`World::host`] does.
-    pub fn host_mut(&mut self, addr: Addr) -> &mut Host {
-        let i = self.host_index(addr);
-        &mut self.hosts[i]
-    }
-
-    fn host_index(&self, addr: Addr) -> usize {
-        assert!(addr.0 >= 1, "the TA has no enclave host");
-        let n = self.node_count();
-        proto::node_index(addr).filter(|&i| i < n).unwrap_or_else(|| {
-            panic!("no host for {addr}: cluster has {n} node(s) (Addr(1)..=Addr({n}))")
-        })
-    }
-
     /// Binds a network address to the actor that owns it.
     pub fn register_actor(&mut self, addr: Addr, actor: ActorId) {
         let prev = self.actors.insert(addr, actor);
@@ -218,40 +182,6 @@ mod tests {
         // Ticks *before* the anchor also evaluate (negative progress).
         let ns = c.now_ns(0).unwrap();
         assert!((ns - 0.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn tsc_access_via_addresses() {
-        let w = world(2);
-        let t = SimTime::from_secs(1);
-        let ticks = w.host(Addr(1)).read_tsc(t);
-        assert!((ticks as f64 - 2.899999e9).abs() < 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no enclave host")]
-    fn ta_has_no_host() {
-        let w = world(1);
-        let _ = w.host(Addr(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "no host for addr5: cluster has 2 node(s)")]
-    fn out_of_range_host_names_the_bounds() {
-        let w = world(2);
-        let _ = w.host(Addr(5));
-    }
-
-    #[test]
-    fn try_host_is_total() {
-        let mut w = world(2);
-        assert!(w.try_host(Addr(0)).is_none());
-        assert!(w.try_host(Addr(1)).is_some());
-        assert!(w.try_host(Addr(2)).is_some());
-        assert!(w.try_host(Addr(3)).is_none());
-        assert!(w.try_host_mut(Addr(0)).is_none());
-        assert!(w.try_host_mut(Addr(2)).is_some());
-        assert!(w.try_host_mut(Addr(9)).is_none());
     }
 
     #[test]

@@ -349,6 +349,6 @@ mod tests {
             world.recorder.faults.events()[..],
             [(t, "ta-outage".to_string()), (t, "tsc node1 offset-jump 1".to_string())]
         );
-        assert_eq!(world.host(Addr(1)).tsc.manipulation_count(), 1);
+        assert_eq!(world.hosts[0].tsc.manipulation_count(), 1);
     }
 }

@@ -1,5 +1,5 @@
-//! Event-queue internals: scheduled events, their deterministic ordering,
-//! and the one structure that stores, orders, and cancels them.
+//! The one deadline queue: scheduled events, their deterministic
+//! ordering, and the structure that stores, orders, and cancels them.
 //!
 //! [`EventQueue`] is an implicit 4-ary min-heap of small fixed-size
 //! [`QueuedEvent`] records keyed by `(time, seq)`, over a generation-stamped
@@ -10,6 +10,12 @@
 //! generation counter that is bumped each time the slot is vacated, so a
 //! stale handle (an already-fired or already-cancelled event, or a recycled
 //! slot) can never reach a payload — or a heap record — it does not own.
+//!
+//! The simulation schedules every event in it, and the drivers that run
+//! without a simulation (the live runtime, the scripted test `Env`) arm
+//! their timers in one of their own through [`EventQueue::arm`] and
+//! [`EventQueue::pop_due`], so every `proto::Env` mints its timer handles
+//! from the same structure under the same rule.
 //!
 //! # Ordering contract
 //!
@@ -32,8 +38,9 @@ use crate::time::SimTime;
 /// Opaque handle to a scheduled event, usable for cancellation.
 ///
 /// Returned by the scheduling methods on [`crate::Ctx`] and
-/// [`crate::Simulation`]. Internally packs the payload slot and its
-/// generation stamp, which makes stale handles (recycled slots) inert.
+/// [`crate::Simulation`], and by [`EventQueue::arm`]. Internally packs the
+/// payload slot and its generation stamp, which makes stale handles
+/// (recycled slots) inert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(pub(crate) u64);
 
@@ -98,7 +105,7 @@ struct Slot<M> {
     payload: Option<M>,
 }
 
-/// The scheduler queue: slab-indexed 4-ary min-heap (see module docs).
+/// The deadline queue: slab-indexed 4-ary min-heap (see module docs).
 ///
 /// Slots are handed out densely and recycled through a free list, so a
 /// steady-state simulation (schedule one, dispatch one) reaches a fixed
@@ -106,27 +113,34 @@ struct Slot<M> {
 /// `slots[heap[i].id.slot()].heap_pos == i`; a slot is on the free list
 /// exactly when its payload is `None`.
 #[derive(Debug)]
-pub(crate) struct EventQueue<M> {
+pub struct EventQueue<M> {
     heap: Vec<QueuedEvent>,
     slots: Vec<Slot<M>>,
     free: Vec<u32>,
     next_seq: u64,
 }
 
-impl<M> EventQueue<M> {
-    pub fn new() -> Self {
+impl<M> Default for EventQueue<M> {
+    fn default() -> Self {
         EventQueue { heap: Vec::new(), slots: Vec::new(), free: Vec::new(), next_seq: 0 }
+    }
+}
+
+impl<M> EventQueue<M> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of events scheduled and not yet fired or cancelled.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Number of slab slots ever allocated (the memory high-water mark in
     /// slot units; flat slot counts across long cancel/fire loops are the
     /// no-leak regression signal).
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.slots.len()
     }
 
@@ -135,13 +149,34 @@ impl<M> EventQueue<M> {
         self.heap.first().map(|ev| ev.time)
     }
 
+    /// Arms `payload` to come due at `deadline`, after every arming
+    /// already due at the same instant: the timer entry point of a driver
+    /// that runs without a simulation. The id cancels this arming alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `u32::MAX` armings are simultaneously pending.
+    pub fn arm(&mut self, deadline: SimTime, payload: M) -> EventId {
+        // Nothing dispatches on the target outside a simulation.
+        self.push(deadline, ActorId(0), payload)
+    }
+
+    /// Pops the next arming in `(deadline, arming order)` if its deadline
+    /// is at or before `now`.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<M> {
+        if self.peek_time()? > now {
+            return None;
+        }
+        self.pop().map(|(_, payload)| payload)
+    }
+
     /// Stores `payload` and queues it for `target` at `time`, after every
     /// event already scheduled for the same instant.
     ///
     /// # Panics
     ///
     /// Panics if more than `u32::MAX` events are simultaneously in flight.
-    pub fn push(&mut self, time: SimTime, target: ActorId, payload: M) -> EventId {
+    pub(crate) fn push(&mut self, time: SimTime, target: ActorId, payload: M) -> EventId {
         let id = match self.free.pop() {
             Some(slot) => {
                 let entry = &mut self.slots[slot as usize];
@@ -166,7 +201,7 @@ impl<M> EventQueue<M> {
 
     /// Removes and returns the next event in `(time, seq)` order together
     /// with its payload, recycling the slot.
-    pub fn pop(&mut self) -> Option<(QueuedEvent, M)> {
+    pub(crate) fn pop(&mut self) -> Option<(QueuedEvent, M)> {
         let ev = *self.heap.first()?;
         self.remove_at(0);
         let payload = self.vacate(ev.id.slot()).expect("queued event owns a payload");
@@ -415,6 +450,20 @@ mod tests {
         assert!(!q.is_live(a));
         assert!(!q.cancel(EventId::pack(77, 0)));
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn pop_due_waits_for_the_deadline_then_fires_in_arming_order() {
+        let mut q = EventQueue::new();
+        q.arm(at(20), 'b');
+        q.arm(at(10), 'a');
+        q.arm(at(20), 'c');
+        assert_eq!(q.pop_due(at(9)), None);
+        assert_eq!(q.pop_due(at(10)), Some('a'));
+        assert_eq!(q.pop_due(at(19)), None);
+        assert_eq!(q.pop_due(at(25)), Some('b'));
+        assert_eq!(q.pop_due(at(25)), Some('c'));
+        assert_eq!(q.pop_due(at(u64::MAX)), None);
     }
 
     #[test]

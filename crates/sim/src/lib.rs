@@ -11,6 +11,11 @@
 //! a bit-identical event sequence. All randomness must be drawn from
 //! [`Ctx::rng`]; all time must come from [`Ctx::now`].
 //!
+//! The scheduler's deadline queue is public as [`EventQueue`]: drivers
+//! that run protocol machines without a simulation arm their timers in
+//! one of their own, so every driver orders and cancels timers by the same
+//! `(deadline, arming order)` key and generation-checked [`EventId`].
+//!
 //! ## Example
 //!
 //! ```
@@ -47,6 +52,6 @@ mod simulation;
 mod time;
 
 pub use actor::{Actor, ActorId};
-pub use event::EventId;
+pub use event::{EventId, EventQueue};
 pub use simulation::{Ctx, Simulation};
 pub use time::{SimDuration, SimTime};
