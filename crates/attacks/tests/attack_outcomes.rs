@@ -294,13 +294,10 @@ fn adaptive_attacker_learns_schedule_and_poisons_recalibration() {
 /// every taint costs a TA round-trip (§III-A's drop capability).
 #[test]
 fn peer_isolation_forces_ta_dependence() {
-    use attacks::{IsolationAttack, IsolationScope};
     let mut s = ScenarioSpec::new(3).all_nodes_aex(AexSpec::TriadLike).build(109);
-    s.world_mut().net.add_interceptor(Box::new(IsolationAttack::new(
-        NODE3,
-        TA_ADDR,
-        IsolationScope::PeersOnly,
-    )));
+    for peer in [Addr(1), Addr(2)] {
+        s.world_mut().net.partition_pair(NODE3, peer);
+    }
     s.run_until(SimTime::from_secs(120));
     let w = s.world();
     let victim = w.recorder.node(2);
@@ -324,11 +321,9 @@ fn peer_isolation_forces_ta_dependence() {
 /// denial of service: the first AEX taints it forever.
 #[test]
 fn full_isolation_is_a_permanent_denial_of_service() {
-    use attacks::{IsolationAttack, IsolationScope};
     use trace::NodeStateTag;
-    // Let the cluster calibrate cleanly first, then cut node 3 off by
-    // installing the interceptor from t=0 but giving node 3 no AEXs until
-    // its environment starts at 30 s.
+    // Cut node 3 off from every endpoint from t=0, and give it no AEXs
+    // until its Triad-like environment starts at 30 s.
     let mut s = ScenarioSpec::new(3)
         .node_aex(0, AexSpec::TriadLike)
         .node_aex(1, AexSpec::TriadLike)
@@ -341,11 +336,9 @@ fn full_isolation_is_a_permanent_denial_of_service() {
             },
         )
         .build(110);
-    s.world_mut().net.add_interceptor(Box::new(IsolationAttack::new(
-        NODE3,
-        TA_ADDR,
-        IsolationScope::Everything,
-    )));
+    for other in [TA_ADDR, Addr(1), Addr(2)] {
+        s.world_mut().net.partition_pair(NODE3, other);
+    }
     s.run_until(SimTime::from_secs(120));
     let w = s.world();
     let victim = w.recorder.node(2);

@@ -2,52 +2,15 @@
 //! the sealed network fabric, exercising the fault-free behaviour of
 //! §IV-A.
 
-use authority::TimeAuthority;
-use netsim::{Addr, DelayModel, Network};
-use proto::{node_addr, TA_ADDR};
-use runtime::{EnvDriver, Host, MachineActor, Sampler, SysEvent, World};
-use sim::{SimDuration, SimTime, Simulation};
+use scenario::{AexSpec, ScenarioSpec};
+use sim::{SimDuration, SimTime};
 use trace::NodeStateTag;
-use triad_core::{TriadConfig, TriadNode};
-use tsc::{AexModel, IsolatedCore, Periodic, TriadLike};
-
-type AexSlots = Vec<Option<Box<dyn AexModel>>>;
-
-fn build_cluster(
-    n: usize,
-    seed: u64,
-    per_node_aex: AexSlots,
-    machine_aex: Option<Box<dyn AexModel>>,
-) -> Simulation<World, SysEvent> {
-    assert_eq!(per_node_aex.len(), n);
-    let net = Network::new(DelayModel::lan_default(), 0.0);
-    let mut world = World::new(net, (0..n).map(|_| Host::paper_default()).collect());
-    world.provision_all_keys(seed);
-
-    let mut s = Simulation::new(world, seed);
-    let ta = s.add_actor(Box::new(MachineActor::new(TimeAuthority::new())));
-    let mut node_ids = Vec::new();
-    for i in 0..n {
-        let me = node_addr(i);
-        let peers: Vec<Addr> = (0..n).filter(|&j| j != i).map(node_addr).collect();
-        let node = MachineActor::new(TriadNode::new(me, peers, TriadConfig::default()));
-        node_ids.push(s.add_actor(Box::new(node)));
-    }
-    s.add_actor(Box::new(EnvDriver::new(node_ids.clone(), per_node_aex, machine_aex)));
-    s.add_actor(Box::new(Sampler { interval: SimDuration::from_millis(250) }));
-
-    s.world_mut().register_actor(TA_ADDR, ta);
-    for (i, &id) in node_ids.iter().enumerate() {
-        s.world_mut().register_actor(node_addr(i), id);
-    }
-    s
-}
 
 #[test]
 fn quiet_cluster_calibrates_once_and_tracks_reference() {
     // No AEXs at all: every node full-calibrates exactly once, reaches OK,
     // and then free-runs on its calibrated clock.
-    let mut s = build_cluster(3, 42, vec![None, None, None], None);
+    let mut s = ScenarioSpec::new(3).build(42);
     s.run_until(SimTime::from_secs(60));
     let w = s.world();
     for i in 0..3 {
@@ -75,7 +38,7 @@ fn calibration_error_matches_papers_effective_drift_band() {
     // clearly worse than NTP, clearly better than 1000 ppm.
     let mut worst: f64 = 0.0;
     for seed in [1, 2, 3, 4, 5] {
-        let mut s = build_cluster(3, seed, vec![None, None, None], None);
+        let mut s = ScenarioSpec::new(3).build(seed);
         s.run_until(SimTime::from_secs(30));
         for i in 0..3 {
             let f = s.world().recorder.node(i).latest_calibrated_hz().unwrap();
@@ -88,15 +51,11 @@ fn calibration_error_matches_papers_effective_drift_band() {
 
 #[test]
 fn triad_like_aex_cluster_stays_available_and_bounded() {
-    let per_node: AexSlots =
-        (0..3).map(|_| Some(Box::new(TriadLike::default()) as Box<dyn AexModel>)).collect();
     // Machine-wide correlated AEXs every ~90 s force TA re-anchoring.
-    let mut s = build_cluster(
-        3,
-        7,
-        per_node,
-        Some(Box::new(Periodic { period: SimDuration::from_secs(90) })),
-    );
+    let mut s = ScenarioSpec::new(3)
+        .all_nodes_aex(AexSpec::TriadLike)
+        .machine_aex(AexSpec::Periodic { period: SimDuration::from_secs(90) })
+        .build(7);
     let horizon = SimTime::from_secs(300);
     s.run_until(horizon);
     let w = s.world();
@@ -131,9 +90,10 @@ fn tainted_node_recovers_via_peer_timestamps() {
     // Node 1 is on a perfectly isolated core; nodes 2 and 3 see Triad-like
     // AEXs. After the initial calibration, nodes 2 and 3 should resolve
     // (almost) all taints through node 1 without returning to the TA.
-    let per_node: AexSlots =
-        vec![None, Some(Box::new(TriadLike::default())), Some(Box::new(TriadLike::default()))];
-    let mut s = build_cluster(3, 11, per_node, None);
+    let mut s = ScenarioSpec::new(3)
+        .node_aex(1, AexSpec::TriadLike)
+        .node_aex(2, AexSpec::TriadLike)
+        .build(11);
     s.run_until(SimTime::from_secs(120));
     let w = s.world();
     for i in [1usize, 2] {
@@ -154,13 +114,9 @@ fn simultaneous_machine_wide_aex_forces_ta_recalibration() {
     // Only machine-wide AEXs: every taint is simultaneous, peer untainting
     // must always fail (everyone tainted), so every AEX costs one TA
     // reference per node — the Figure 2a sawtooth mechanism.
-    let per_node: AexSlots = vec![None, None, None];
-    let mut s = build_cluster(
-        3,
-        13,
-        per_node,
-        Some(Box::new(Periodic { period: SimDuration::from_secs(30) })),
-    );
+    let mut s = ScenarioSpec::new(3)
+        .machine_aex(AexSpec::Periodic { period: SimDuration::from_secs(30) })
+        .build(13);
     s.run_until(SimTime::from_secs(125));
     let w = s.world();
     for i in 0..3 {
@@ -183,9 +139,7 @@ fn simultaneous_machine_wide_aex_forces_ta_recalibration() {
 #[test]
 fn low_aex_environment_gives_three_nines_availability() {
     // Figure 3's environment: isolated cores, AEXs ~5.4 minutes apart.
-    let per_node: AexSlots =
-        (0..3).map(|_| Some(Box::new(IsolatedCore::default()) as Box<dyn AexModel>)).collect();
-    let mut s = build_cluster(3, 17, per_node, None);
+    let mut s = ScenarioSpec::new(3).all_nodes_aex(AexSpec::IsolatedCore).build(17);
     let horizon = SimTime::from_secs(3600);
     s.run_until(horizon);
     let w = s.world();

@@ -8,7 +8,7 @@ use runtime::{EnvDriver, Host, MachineActor, Sampler, World};
 use scenario::{AexSpec, AttackSpec, ScenarioSpec};
 use sim::{SimDuration, SimTime, Simulation};
 use triad_core::{TriadConfig, TriadNode};
-use tsc::{TriadLike, PAPER_TSC_HZ};
+use tsc::PAPER_TSC_HZ;
 
 /// A single-node "cluster" has no peers: every AEX must fall back to the
 /// TA (the degenerate case §III-B's clustering exists to avoid).
@@ -199,8 +199,8 @@ fn manual_wiring_without_the_harness_works() {
     ))));
     s.add_actor(Box::new(EnvDriver::new(
         vec![n1, n2],
-        vec![Some(Box::new(TriadLike::default())), Some(Box::new(TriadLike::default()))],
-        None,
+        vec![AexSpec::TriadLike, AexSpec::TriadLike],
+        AexSpec::None,
     )));
     s.add_actor(Box::new(Sampler { interval: SimDuration::from_secs(1) }));
     s.world_mut().register_actor(TA_ADDR, ta);

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim::SimTime;
 use stats::Cdf;
-use tsc::{AexModel, IsolatedCore, TriadLike};
+use tsc::AexSpec;
 
 use crate::output::{Comparison, RunOpts, Table};
 
@@ -37,12 +37,11 @@ pub fn run(opts: &RunOpts) -> Fig1Result {
     let n = if opts.quick { 5_000 } else { 20_000 };
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xF161);
 
-    let mut triad = TriadLike::default();
-    let triad_samples: Vec<f64> =
-        (0..n).map(|_| triad.next_delay(SimTime::ZERO, &mut rng).as_secs_f64()).collect();
-    let mut isolated = IsolatedCore::default();
-    let isolated_samples: Vec<f64> =
-        (0..n).map(|_| isolated.next_delay(SimTime::ZERO, &mut rng).as_secs_f64()).collect();
+    let mut draw = |aex: AexSpec| -> Vec<f64> {
+        (0..n).map(|_| aex.next_delay(SimTime::ZERO, &mut rng).unwrap().as_secs_f64()).collect()
+    };
+    let triad_samples = draw(AexSpec::TriadLike);
+    let isolated_samples = draw(AexSpec::IsolatedCore);
 
     let result = Fig1Result {
         triad_like: Cdf::from_samples(triad_samples),

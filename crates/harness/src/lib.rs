@@ -20,7 +20,7 @@ use runtime::{
     SysEvent, World, TA_ADDR,
 };
 use sim::{Actor, SimDuration, Simulation};
-use tsc::AexModel;
+use tsc::AexSpec;
 
 /// The instantiated parts of one cluster, ready to be assembled.
 pub struct Cluster {
@@ -28,10 +28,10 @@ pub struct Cluster {
     pub net: Network,
     /// One protocol node actor per node index, at `proto::node_addr(i)`.
     pub nodes: Vec<Box<dyn Actor<World, SysEvent>>>,
-    /// Core-local AEX model per node index (`None` = no AEXs).
-    pub node_aex: Vec<Option<Box<dyn AexModel>>>,
-    /// Machine-wide correlated AEX model.
-    pub machine_aex: Option<Box<dyn AexModel>>,
+    /// Core-local AEX environment per node index.
+    pub node_aex: Vec<AexSpec>,
+    /// Machine-wide correlated AEX environment.
+    pub machine_aex: AexSpec,
     /// Drift-sampling cadence.
     pub sample_interval: SimDuration,
     /// Client workloads: target node index, query period, request mode.
@@ -48,7 +48,8 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if a client targets a node index past the cluster.
+    /// Panics if a client targets a node index past the cluster, or on an
+    /// [`AexSpec::SwitchAt`] with an [`AexSpec::None`] arm.
     pub fn assemble(self, seed: u64) -> Simulation<World, SysEvent> {
         let Cluster { net, nodes, node_aex, machine_aex, sample_interval, clients, faults } = self;
         let n = nodes.len();

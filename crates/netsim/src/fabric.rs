@@ -85,8 +85,6 @@ struct LinkState {
     blocked: bool,
     /// Per-link loss override (fabric default when `None`).
     loss: Option<f64>,
-    /// Per-link delay override (fabric default when `None`).
-    delay: Option<DelayModel>,
 }
 
 fn assert_probability(p: f64, what: &str) {
@@ -112,11 +110,6 @@ impl Network {
             interceptors: Vec::new(),
             links: FastMap::default(),
         }
-    }
-
-    /// Overrides the delay model of one directed link.
-    pub fn set_link_delay(&mut self, src: Addr, dst: Addr, model: DelayModel) {
-        self.links.entry((src, dst)).or_default().delay = Some(model);
     }
 
     /// Overrides the loss probability of one directed link (`1.0` makes the
@@ -281,8 +274,7 @@ impl Network {
             return;
         }
 
-        let model = link.delay.unwrap_or(self.default_delay);
-        let mut delay = model.sample(rng);
+        let mut delay = self.default_delay.sample(rng);
 
         // Fault-driven reordering: an extra uniform delay lets datagrams
         // sent later overtake this one. Gated so a zero probability draws
@@ -321,7 +313,7 @@ impl Network {
         // link delay, so it can land before or after the original.
         let duplicate_delay =
             if self.duplicate_probability > 0.0 && rng.gen_bool(self.duplicate_probability) {
-                Some(model.sample(rng) + attacker_delay)
+                Some(self.default_delay.sample(rng) + attacker_delay)
             } else {
                 None
             };
@@ -370,26 +362,6 @@ mod tests {
         assert_eq!(d.send_time, SimTime::from_secs(1));
         assert_eq!(net.link_stats(Addr(1), Addr(2)).sent, 1);
         assert_eq!(net.link_stats(Addr(1), Addr(2)).delivered, 1);
-    }
-
-    #[test]
-    fn per_link_override_beats_default() {
-        let mut net = fixed_net(150);
-        net.set_link_delay(Addr(1), Addr(2), DelayModel::Constant(SimDuration::from_millis(5)));
-        let mut rng = StdRng::seed_from_u64(0);
-        let (at, _) = net
-            .dispatch(SimTime::ZERO, &mut rng, Addr(1), Addr(2), vec![])
-            .into_iter()
-            .next()
-            .unwrap();
-        assert_eq!(at, SimTime::ZERO + SimDuration::from_millis(5));
-        // Reverse direction still uses the default.
-        let (at, _) = net
-            .dispatch(SimTime::ZERO, &mut rng, Addr(2), Addr(1), vec![])
-            .into_iter()
-            .next()
-            .unwrap();
-        assert_eq!(at, SimTime::ZERO + SimDuration::from_micros(150));
     }
 
     #[test]

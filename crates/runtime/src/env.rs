@@ -2,14 +2,14 @@
 //!
 //! AEX arrival is OS behaviour, i.e. *outside* the protocol — so it is
 //! driven by a dedicated actor rather than by the nodes themselves. The
-//! driver owns one [`AexModel`] per node (per-core interruptions) plus an
-//! optional machine-wide model whose events hit **all** nodes at the same
+//! driver holds one [`AexSpec`] per node (per-core interruptions) plus a
+//! machine-wide one whose events hit **all** nodes at the same
 //! instant — the correlated simultaneous AEXs that §IV-A.2 identifies as
 //! the cause of Figure 2a's sawtooth (all nodes taint together, peer
 //! untainting fails, everyone goes back to the TA).
 
 use sim::{Actor, ActorId, Ctx, SimDuration};
-use tsc::AexModel;
+use tsc::AexSpec;
 
 use crate::event::SysEvent;
 use crate::world::World;
@@ -17,50 +17,40 @@ use crate::world::World;
 const MACHINE_TOKEN: u64 = u64::MAX;
 
 /// Drives per-node and machine-wide AEX injection.
+#[derive(Debug)]
 pub struct EnvDriver {
     node_actors: Vec<ActorId>,
-    per_node: Vec<Option<Box<dyn AexModel>>>,
-    machine_wide: Option<Box<dyn AexModel>>,
+    per_node: Vec<AexSpec>,
+    machine_wide: AexSpec,
 }
 
 impl EnvDriver {
     /// Creates a driver for the given node actors.
     ///
     /// `per_node[i]` generates core-local AEXs for `node_actors[i]`
-    /// (`None` = that node's core is perfectly isolated); `machine_wide`
-    /// generates interrupts hitting every node simultaneously.
+    /// ([`AexSpec::None`] = that node's core is perfectly isolated);
+    /// `machine_wide` generates interrupts hitting every node
+    /// simultaneously.
     ///
     /// # Panics
     ///
-    /// Panics if the model list length differs from the actor list.
-    pub fn new(
-        node_actors: Vec<ActorId>,
-        per_node: Vec<Option<Box<dyn AexModel>>>,
-        machine_wide: Option<Box<dyn AexModel>>,
-    ) -> Self {
+    /// Panics if the model list length differs from the actor list, or
+    /// on an [`AexSpec::SwitchAt`] with an [`AexSpec::None`] arm.
+    pub fn new(node_actors: Vec<ActorId>, per_node: Vec<AexSpec>, machine_wide: AexSpec) -> Self {
         assert_eq!(node_actors.len(), per_node.len(), "one AEX model slot per node actor");
+        per_node.iter().chain([&machine_wide]).for_each(AexSpec::assert_valid);
         EnvDriver { node_actors, per_node, machine_wide }
     }
 
-    fn arm(&mut self, ctx: &mut Ctx<'_, World, SysEvent>, token: u64) {
-        let now = ctx.now();
-        let delay = if token == MACHINE_TOKEN {
-            self.machine_wide.as_mut().map(|m| m.next_delay(now, ctx.rng))
+    fn arm(&self, ctx: &mut Ctx<'_, World, SysEvent>, token: u64) {
+        let spec = if token == MACHINE_TOKEN {
+            &self.machine_wide
         } else {
-            self.per_node[token as usize].as_mut().map(|m| m.next_delay(now, ctx.rng))
+            &self.per_node[token as usize]
         };
-        if let Some(d) = delay {
+        if let Some(d) = spec.next_delay(ctx.now(), ctx.rng) {
             ctx.schedule_in(d, SysEvent::timer(token));
         }
-    }
-}
-
-impl std::fmt::Debug for EnvDriver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EnvDriver")
-            .field("nodes", &self.node_actors.len())
-            .field("machine_wide", &self.machine_wide.is_some())
-            .finish()
     }
 }
 
@@ -94,7 +84,6 @@ mod tests {
     use crate::world::Host;
     use netsim::{DelayModel, Network};
     use sim::{SimTime, Simulation};
-    use tsc::Periodic;
 
     #[derive(Default)]
     struct AexCounter {
@@ -129,10 +118,10 @@ mod tests {
         let driver = EnvDriver::new(
             ids.clone(),
             vec![
-                Some(Box::new(Periodic { period: SimDuration::from_secs(1) })),
-                Some(Box::new(Periodic { period: SimDuration::from_secs(2) })),
+                AexSpec::Periodic { period: SimDuration::from_secs(1) },
+                AexSpec::Periodic { period: SimDuration::from_secs(2) },
             ],
-            None,
+            AexSpec::None,
         );
         s.add_actor(Box::new(driver));
         s.run_until(SimTime::from_secs_f64(10.5));
@@ -145,8 +134,8 @@ mod tests {
         let (mut s, ids) = build(3);
         let driver = EnvDriver::new(
             ids,
-            vec![None, None, None],
-            Some(Box::new(Periodic { period: SimDuration::from_secs(5) })),
+            vec![AexSpec::None, AexSpec::None, AexSpec::None],
+            AexSpec::Periodic { period: SimDuration::from_secs(5) },
         );
         s.add_actor(Box::new(driver));
         s.run_until(SimTime::from_secs(11));
@@ -158,7 +147,7 @@ mod tests {
     #[should_panic(expected = "one AEX model slot per node actor")]
     fn mismatched_lengths_rejected() {
         let (mut s, ids) = build(2);
-        let driver = EnvDriver::new(ids, vec![None], None);
+        let driver = EnvDriver::new(ids, vec![AexSpec::None], AexSpec::None);
         s.add_actor(Box::new(driver));
     }
 }

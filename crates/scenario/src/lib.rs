@@ -29,4 +29,5 @@ mod spec;
 
 pub use plan::{derive_seed, splitmix64, ParamGrid, RunCell, RunPlan, SeedGrid};
 pub use runner::Runner;
-pub use spec::{AexSpec, AttackSpec, ClientSpec, FaultSpec, NodeImplSpec, ScenarioSpec};
+pub use spec::{AttackSpec, ClientSpec, FaultSpec, NodeImplSpec, ScenarioSpec};
+pub use tsc::AexSpec;

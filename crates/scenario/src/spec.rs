@@ -11,61 +11,7 @@ use runtime::{node_addr, ClientMode, MachineActor, SysEvent, World, TA_ADDR};
 use service::ServiceSpec;
 use sim::{Actor, SimDuration, SimTime, Simulation};
 use triad_core::{TriadConfig, TriadNode};
-use tsc::{AexModel, Exponential, IsolatedCore, Periodic, SwitchAt, TriadLike};
-
-/// A cloneable description of an AEX environment (the data behind the
-/// boxed [`tsc::AexModel`] trait objects the assembly wants).
-#[derive(Debug, Clone, PartialEq)]
-pub enum AexSpec {
-    /// No AEX source.
-    None,
-    /// The paper's Triad-like busy-core distribution.
-    TriadLike,
-    /// The paper's isolated-core (sparse) distribution.
-    IsolatedCore,
-    /// Memoryless arrivals with the given mean inter-AEX delay.
-    Exponential {
-        /// Mean inter-AEX delay.
-        mean: SimDuration,
-    },
-    /// Deterministic fixed-period arrivals.
-    Periodic {
-        /// The constant inter-AEX delay.
-        period: SimDuration,
-    },
-    /// Regime change at a reference instant (Fig. 6's honest nodes).
-    SwitchAt {
-        /// Instant of the regime change.
-        at: SimTime,
-        /// Environment while `now < at`. Must not be [`AexSpec::None`].
-        before: Box<AexSpec>,
-        /// Environment once `now >= at`. Must not be [`AexSpec::None`].
-        after: Box<AexSpec>,
-    },
-}
-
-impl AexSpec {
-    /// Instantiates the model, or `None` for [`AexSpec::None`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when a [`AexSpec::SwitchAt`] arm is [`AexSpec::None`] (the
-    /// underlying [`SwitchAt`] model always needs both regimes).
-    pub fn model(&self) -> Option<Box<dyn AexModel>> {
-        match self {
-            AexSpec::None => None,
-            AexSpec::TriadLike => Some(Box::new(TriadLike::default())),
-            AexSpec::IsolatedCore => Some(Box::new(IsolatedCore::default())),
-            AexSpec::Exponential { mean } => Some(Box::new(Exponential { mean: *mean })),
-            AexSpec::Periodic { period } => Some(Box::new(Periodic { period: *period })),
-            AexSpec::SwitchAt { at, before, after } => Some(Box::new(SwitchAt {
-                at: *at,
-                before: before.model().expect("SwitchAt.before must be a real AEX model"),
-                after: after.model().expect("SwitchAt.after must be a real AEX model"),
-            })),
-        }
-    }
-}
+use tsc::AexSpec;
 
 /// A cloneable description of an on-path attacker.
 #[derive(Debug, Clone, PartialEq)]
@@ -428,8 +374,8 @@ impl ScenarioSpec {
         let mut simulation = Cluster {
             net,
             nodes,
-            node_aex: self.node_aex.iter().map(AexSpec::model).collect(),
-            machine_aex: self.machine_aex.model(),
+            node_aex: self.node_aex.clone(),
+            machine_aex: self.machine_aex.clone(),
             sample_interval: self.sample_interval,
             clients,
             faults,
@@ -632,12 +578,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "SwitchAt.before must be a real AEX model")]
     fn switch_at_rejects_none_arm() {
-        let _ = AexSpec::SwitchAt {
-            at: SimTime::from_secs(5),
-            before: Box::new(AexSpec::None),
-            after: Box::new(AexSpec::TriadLike),
-        }
-        .model();
+        let _ = ScenarioSpec::new(1)
+            .node_aex(
+                0,
+                AexSpec::SwitchAt {
+                    at: SimTime::from_secs(5),
+                    before: Box::new(AexSpec::None),
+                    after: Box::new(AexSpec::TriadLike),
+                },
+            )
+            .build(3);
     }
 
     #[test]

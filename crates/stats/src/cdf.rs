@@ -1,4 +1,4 @@
-//! Empirical distributions: CDFs, percentiles, and fixed-width histograms.
+//! Empirical distributions: CDFs and percentiles.
 //!
 //! Figure 1 of the paper plots cumulative distributions of inter-AEX delays;
 //! [`Cdf`] regenerates those series.
@@ -101,87 +101,6 @@ impl Cdf {
     }
 }
 
-/// A fixed-width histogram over a closed range.
-///
-/// # Examples
-///
-/// ```
-/// use stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// for x in [0.5, 1.5, 2.5, 2.6, 11.0] {
-///     h.push(x);
-/// }
-/// assert_eq!(h.counts(), &[2, 2, 0, 0, 0]);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `bins` equal-width buckets spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram { lo, hi, counts: vec![0; bins], underflow: 0, overflow: 0 }
-    }
-
-    /// Adds a sample; out-of-range samples land in under/overflow counters.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.counts.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// In-range bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples observed, including out-of-range.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Center of bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of bounds.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len(), "bin {i} out of range");
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,28 +158,5 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn cdf_rejects_nan() {
         let _ = Cdf::from_samples([1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn histogram_bins_and_centers() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for i in 0..100 {
-            h.push(i as f64);
-        }
-        assert!(h.counts().iter().all(|&c| c == 10));
-        assert_eq!(h.total(), 100);
-        assert_eq!(h.bin_center(0), 5.0);
-        assert_eq!(h.bin_center(9), 95.0);
-    }
-
-    #[test]
-    fn histogram_out_of_range() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.push(-0.1);
-        h.push(1.0); // hi is exclusive
-        h.push(0.999);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.counts(), &[0, 1]);
     }
 }

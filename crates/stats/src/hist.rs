@@ -5,8 +5,8 @@
 //! on a geometric grid (each bucket `ratio` times wider than the last), so
 //! the relative quantization error of any reported percentile is bounded
 //! by one bucket — `ratio - 1` — across the whole dynamic range, unlike a
-//! fixed-width [`crate::Histogram`] whose relative error explodes near its
-//! lower edge.
+//! fixed-width histogram, whose relative error explodes near its lower
+//! edge.
 
 /// A histogram whose bucket boundaries grow geometrically from `lo`.
 ///

@@ -8,8 +8,7 @@
 //! - [`Regression`]: ordinary least squares — Triad's calibration fit over
 //!   `(sleep, ΔTSC)` round-trips — plus a robust Theil–Sen variant used by
 //!   the hardened protocol,
-//! - [`Cdf`] / [`Histogram`]: empirical distributions (Figure 1's inter-AEX
-//!   delay CDFs),
+//! - [`Cdf`]: empirical distributions (Figure 1's inter-AEX delay CDFs),
 //! - [`LogHistogram`]: log-linear latency buckets with bounded-relative-error
 //!   percentiles (the serving layer's SLO accounting),
 //! - [`Interval`] / [`marzullo`]: clock-agreement primitives for Section V's
@@ -26,7 +25,7 @@ mod interval;
 mod regression;
 mod summary;
 
-pub use cdf::{Cdf, Histogram};
+pub use cdf::Cdf;
 pub use drift::{
     drift_rate_ms_per_s, drift_rate_ppm, freq_error_ppm, ppm_to_ms_per_s, ppm_to_s_per_day,
 };

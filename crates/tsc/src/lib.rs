@@ -11,9 +11,9 @@
 //!    INC counting frequency-dependent (§IV-A.1);
 //! 3. [`IncModel`] / [`IncExperiment`] — the monitoring thread's
 //!    INC-counter statistics and TSC cross-check;
-//! 4. [`AexModel`] implementations — when AEXs (taint events) hit each
-//!    node: the paper's Triad-like and isolated-core environments, plus
-//!    compositors for regime switches and recorded traces.
+//! 4. [`AexSpec`] — when AEXs (taint events) hit each node: the paper's
+//!    Triad-like and isolated-core environments, memoryless and periodic
+//!    arrivals, and a regime switch between two of them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,10 +23,7 @@ mod clock;
 mod governor;
 mod inc;
 
-pub use aex::{
-    sample_normal, AexModel, AexPause, Exponential, FromTrace, IsolatedCore, Periodic, SwitchAt,
-    TriadLike,
-};
+pub use aex::{sample_normal, AexPause, AexSpec};
 pub use clock::{TscClock, TscManipulation, PAPER_TSC_HZ};
 pub use governor::{CoreFrequency, Governor};
 pub use inc::{reject_outliers, IncExperiment, IncModel, IncSamples, PAPER_CYCLES_PER_ITER};

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim::{SimDuration, SimTime};
-use tsc::{AexModel, Exponential, IncModel, IsolatedCore, TriadLike, TscClock, TscManipulation};
+use tsc::{AexSpec, IncModel, TscClock, TscManipulation};
 
 proptest! {
     /// An unmanipulated TSC is (weakly) monotone and linear: reading at
@@ -47,22 +47,32 @@ proptest! {
         prop_assert!((after - (before + jump).max(0)).abs() <= 1, "jump applies exactly");
     }
 
-    /// Every AEX model only ever returns positive, finite delays.
+    /// Every AEX model only ever returns positive, finite delays, and
+    /// `AexSpec::None` returns none at all.
     #[test]
     fn aex_models_return_positive_delays(seed in any::<u64>(), n in 1usize..200) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut models: Vec<Box<dyn AexModel>> = vec![
-            Box::new(TriadLike::default()),
-            Box::new(IsolatedCore::default()),
-            Box::new(Exponential { mean: SimDuration::from_millis(500) }),
+        let models = [
+            AexSpec::TriadLike,
+            AexSpec::IsolatedCore,
+            AexSpec::Exponential { mean: SimDuration::from_millis(500) },
+            AexSpec::Periodic { period: SimDuration::from_millis(5) },
+            AexSpec::SwitchAt {
+                at: SimTime::from_secs(60),
+                before: Box::new(AexSpec::IsolatedCore),
+                after: Box::new(AexSpec::TriadLike),
+            },
         ];
-        for m in &mut models {
+        for m in &models {
+            let mut now = SimTime::ZERO;
             for _ in 0..n {
-                let d = m.next_delay(SimTime::ZERO, &mut rng);
+                let d = m.next_delay(now, &mut rng).expect("a real model always draws");
                 prop_assert!(d > SimDuration::ZERO, "{m:?} returned zero delay");
                 prop_assert!(d < SimDuration::from_secs(86_400), "{m:?} returned {d}");
+                now += d;
             }
         }
+        prop_assert_eq!(AexSpec::None.next_delay(SimTime::ZERO, &mut rng), None);
     }
 
     /// The INC model's discrepancy is ~zero for an honest TSC and grows
