@@ -69,14 +69,6 @@ impl Cluster {
         for (i, (target, period, mode)) in clients.into_iter().enumerate() {
             let client_addr = client_addr(i);
             let target_addr = node_addr(target);
-            let key = {
-                use rand::{Rng, SeedableRng};
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x636c_6e74 ^ i as u64);
-                let mut key = [0u8; 32];
-                rng.fill(&mut key);
-                key
-            };
-            simulation.world_mut().keys.provision_pair(client_addr, target_addr, key);
             let workload = ClientWorkload::with_mode(client_addr, target_addr, period, mode);
             let id = simulation.add_actor(Box::new(MachineActor::new(workload)));
             client_regs.push((client_addr, id));

@@ -2,12 +2,11 @@
 //!
 //! [`run_cluster`] is the real-runtime counterpart of
 //! `scenario::ScenarioSpec::build`. It binds one loopback UDP socket per
-//! endpoint, derives the pairwise AEAD keys every link needs from the
-//! cluster seed, spawns one scoped thread per protocol machine (plus the
-//! Time Authority), runs a caller-supplied body on the main thread while
-//! the cluster is live, and joins everything back into a [`LiveReport`]
-//! carrying the same per-thread [`Recorder`] traces the simulation
-//! driver fills in.
+//! endpoint, seeds each endpoint's key table with the cluster seed, spawns
+//! one scoped thread per protocol machine (plus the Time Authority), runs
+//! a caller-supplied body on the main thread while the cluster is live,
+//! and joins everything back into a [`LiveReport`] carrying the same
+//! per-thread [`Recorder`] traces the simulation driver fills in.
 
 use std::collections::HashMap;
 use std::net::UdpSocket;
@@ -17,7 +16,7 @@ use std::time::Duration;
 use netsim::Addr;
 use proto::{node_addr, ClockState, Machine, NonceWindow, RetryPolicy, TA_ADDR};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use runtime::{Host, KeyTable};
 use service::{
     Frontend, FrontendSpec, OpenLoopGen, OpenLoopSpec, QuorumGen, QuorumLoopSpec, RouterSpec,
@@ -195,21 +194,6 @@ impl LiveClient {
     }
 }
 
-/// Deterministic pairwise link key: both endpoints derive the same 32
-/// bytes from the cluster seed and the unordered address pair.
-fn pair_key(seed: u64, a: Addr, b: Addr) -> [u8; 32] {
-    let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-    let mut rng = StdRng::seed_from_u64(
-        seed ^ (u64::from(lo) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ ((u64::from(hi) + 1) << 17),
-    );
-    let mut key = [0u8; 32];
-    for chunk in key.chunks_mut(8) {
-        chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
-    }
-    key
-}
-
 /// Per-thread RNG stream, decorrelated by endpoint address.
 fn thread_rng_for(seed: u64, addr: Addr) -> StdRng {
     StdRng::seed_from_u64(
@@ -262,14 +246,11 @@ pub fn run_cluster<R>(
             .map(|(&a, socket)| (a, socket.local_addr().expect("bound socket has an address")))
             .collect::<HashMap<_, _>>(),
     );
-    // `me`'s endpoint, carrying the pairwise keys for exactly `peers`.
-    let mut endpoint = |me: Addr, peers: &[Addr]| {
+    // `me`'s endpoint. Who talks to whom is `proto::linked`: a session
+    // derives on the first frame to or from a linked directory address.
+    let mut endpoint = |me: Addr| {
         let socket = sockets.remove(&me).expect("every address was bound above");
-        let mut keys = KeyTable::new();
-        for &p in peers {
-            keys.provision_pair(me, p, pair_key(spec.seed, me, p));
-        }
-        Endpoint::new(me, socket, keys, Arc::clone(&directory))
+        Endpoint::new(me, socket, KeyTable::seeded(spec.seed), Arc::clone(&directory))
     };
 
     if spec.precalibrated {
@@ -291,16 +272,10 @@ pub fn run_cluster<R>(
         }
     }
 
-    // Who talks to whom (and therefore which pairwise keys each endpoint
-    // carries): nodes ↔ TA, nodes ↔ nodes, front-ends ↔ generators and
-    // external clients.
-    let frontend_peers: Vec<Addr> =
-        generator_addrs.iter().chain(client_addrs.iter()).copied().collect();
-
     let clients: Vec<LiveClient> = client_addrs
         .iter()
         .map(|&me| LiveClient {
-            endpoint: endpoint(me, &frontend_addrs),
+            endpoint: endpoint(me),
             clock,
             window: NonceWindow::new(64),
             retry: RetryPolicy::hardened(),
@@ -312,15 +287,14 @@ pub fn run_cluster<R>(
     let scope_result = crossbeam::thread::scope(|s| {
         let boards = &boards;
         let ta_handle = (!spec.precalibrated).then(|| {
-            let endpoint = endpoint(TA_ADDR, &node_addrs);
+            let endpoint = endpoint(TA_ADDR);
             s.spawn(move |_| run_authority(endpoint, boards, clock))
         });
 
         // One driver thread per machine.
-        let mut spawn = |machine: Box<dyn Machine + Send>, peers: &[Addr]| {
+        let mut spawn = |machine: Box<dyn Machine + Send>| {
             let me = machine.addr();
-            let cfg =
-                DriverConfig { endpoint: endpoint(me, peers), rng: thread_rng_for(spec.seed, me) };
+            let cfg = DriverConfig { endpoint: endpoint(me), rng: thread_rng_for(spec.seed, me) };
             s.spawn(move |_| run_machine(machine, cfg, boards, clock))
         };
 
@@ -328,18 +302,15 @@ pub fn run_cluster<R>(
             .iter()
             .map(|&me| {
                 let peers: Vec<Addr> = node_addrs.iter().copied().filter(|&p| p != me).collect();
-                let mut key_peers = peers.clone();
-                key_peers.push(TA_ADDR);
-                spawn(Box::new(TriadNode::new(me, peers, spec.node_cfg.clone())), &key_peers)
+                spawn(Box::new(TriadNode::new(me, peers, spec.node_cfg.clone())))
             })
             .collect();
         let frontend_handles: Vec<_> = frontend_addrs
             .iter()
             .enumerate()
-            .map(|(i, &me)| spawn(Box::new(Frontend::new(me, i, spec.frontend)), &frontend_peers))
+            .map(|(i, &me)| spawn(Box::new(Frontend::new(me, i, spec.frontend))))
             .collect();
-        let generator_handles: Vec<_> =
-            generators.into_iter().map(|g| spawn(g, &frontend_addrs)).collect();
+        let generator_handles: Vec<_> = generators.into_iter().map(spawn).collect();
 
         let mut handle = LiveHandle { clock, boards, frontends: frontend_addrs.clone(), clients };
         let body_result = body(&mut handle);
@@ -367,13 +338,6 @@ pub fn run_cluster<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pair_keys_are_symmetric_and_distinct() {
-        assert_eq!(pair_key(7, Addr(1), Addr(2)), pair_key(7, Addr(2), Addr(1)));
-        assert_ne!(pair_key(7, Addr(1), Addr(2)), pair_key(7, Addr(1), Addr(3)));
-        assert_ne!(pair_key(7, Addr(1), Addr(2)), pair_key(8, Addr(1), Addr(2)));
-    }
 
     #[test]
     fn precalibrated_cluster_serves_external_clients() {

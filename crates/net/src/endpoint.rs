@@ -60,7 +60,8 @@ pub(crate) struct Endpoint {
 
 impl Endpoint {
     /// `me`'s endpoint over its bound `socket` (its directory entry) and
-    /// provisioned AEAD sessions.
+    /// its AEAD sessions: a seeded table derives one on the first frame to
+    /// or from a linked address in `directory`.
     pub(crate) fn new(
         me: Addr,
         socket: UdpSocket,
@@ -85,8 +86,8 @@ impl Endpoint {
     }
 
     /// Seals `msg` for `dst` and sends it as one datagram. False when the
-    /// pair has no session, `dst` is not in the directory, or the socket
-    /// refused the datagram.
+    /// pair has no session and derives none, `dst` is not in the
+    /// directory, or the socket refused the datagram.
     pub(crate) fn send(&mut self, dst: Addr, msg: &Message) -> bool {
         if !self.keys.has_session(self.me, dst) {
             return false;
@@ -113,7 +114,14 @@ impl Endpoint {
             return Recv::Dropped(DropReason::Frame);
         };
         self.open_buf.clear();
-        if self.keys.open_into(self.me, src, sealed, &mut self.open_buf).is_err() {
+        // A missing session fails the first open; the first frame from a
+        // linked directory address derives it and is opened again.
+        let mut open = |keys: &KeyTable| keys.open_into(self.me, src, sealed, &mut self.open_buf);
+        if open(&self.keys).is_err()
+            && !(self.directory.contains_key(&src)
+                && self.keys.derive(self.me, src)
+                && open(&self.keys).is_ok())
+        {
             return Recv::Dropped(DropReason::Auth);
         }
         match Message::decode(&self.open_buf) {
@@ -187,5 +195,51 @@ pub(crate) mod tests {
         assert!(endpoint.send(a, &reply));
         assert!(!endpoint.send(Addr(30), &reply), "no session, no directory entry");
         assert_eq!(peer.recv(second), Recv::Message { src: b, msg: reply });
+    }
+
+    #[test]
+    fn a_session_derives_only_for_a_linked_address_in_the_directory() {
+        use proto::{client_addr, frontend_addr, generator_addr, node_addr};
+        let seed = 11;
+        let (fe, node, client, outsider) =
+            (frontend_addr(0), node_addr(0), client_addr(0), generator_addr(0));
+        let raw = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let (raw_at, target) =
+            (raw.local_addr().expect("addr"), socket.local_addr().expect("addr"));
+        let directory = Arc::new(HashMap::from([(fe, target), (node, raw_at), (client, raw_at)]));
+        let mut endpoint = Endpoint::new(fe, socket, KeyTable::seeded(seed), directory);
+        let msg = Message::ServeRequest { nonce: 1, accept_degraded: true };
+        // An authentic frame from `src`: sealed under the pair's run key.
+        let authentic = |src: Addr| {
+            let mut keys = KeyTable::new();
+            keys.provision_pair(src, fe, runtime::pair_key(seed, src, fe));
+            let (mut plain, mut wire) = (Vec::new(), Vec::new());
+            frame_into(&mut keys, src, fe, &msg, &mut plain, &mut wire);
+            wire
+        };
+        let second = 1_000_000_000;
+
+        // A node is in the directory but has no channel to a front-end.
+        raw.send_to(&authentic(node), target).expect("send");
+        assert_eq!(endpoint.recv(second), Recv::Dropped(DropReason::Auth));
+        assert!(!endpoint.keys.has_session(fe, node));
+        // A generator is linked but outside the directory: nothing derives.
+        raw.send_to(&authentic(outsider), target).expect("send");
+        assert_eq!(endpoint.recv(second), Recv::Dropped(DropReason::Auth));
+        assert!(endpoint.keys.derive(fe, outsider), "the dropped frame derived a session");
+        // A client is both: its first frame derives the session and lands,
+        // and the reply opens under the client's own seeded table.
+        raw.send_to(&authentic(client), target).expect("send");
+        assert_eq!(endpoint.recv(second), Recv::Message { src: client, msg });
+        let reply = Message::ServeResponse { nonce: 1, outcome: wire::ServeOutcome::Time(5) };
+        assert!(endpoint.send(client, &reply));
+        let mut buf = [0u8; MAX_DATAGRAM];
+        let (n, _) = raw.recv_from(&mut buf).expect("reply");
+        let (src, sealed) = parse_frame(&buf[..n]).expect("framed");
+        let mut keys = KeyTable::seeded(seed);
+        assert!(keys.derive(client, src));
+        let opened = keys.open(client, src, sealed).expect("authentic reply");
+        assert_eq!(Message::decode(&opened), Ok(reply));
     }
 }

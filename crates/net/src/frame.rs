@@ -15,7 +15,7 @@ use wire::Message;
 ///
 /// # Panics
 ///
-/// Panics when the pair has no provisioned key (a deployment wiring bug).
+/// Panics when the pair has no key and derives none (a wiring bug).
 pub fn frame_into(
     keys: &mut KeyTable,
     src: Addr,

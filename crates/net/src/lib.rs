@@ -28,7 +28,7 @@
 //!   follow its one rule; the driver's `conformance` tests check this
 //!   `Env`, the simulation's and `proto::ScriptedEnv` against it.
 //! - [`authority`] — the live Time Authority service.
-//! - [`cluster`] — orchestration: sockets, key derivation, scoped
+//! - [`cluster`] — orchestration: sockets, seeded key tables, scoped
 //!   threads, and the joined [`LiveReport`].
 
 #![forbid(unsafe_code)]

@@ -18,7 +18,8 @@
 //! [`Effect`] enum names the observable effect vocabulary; [`ScriptedEnv`]
 //! records it verbatim for unit tests. The address layout every driver
 //! shares ([`TA_ADDR`], [`node_addr`], [`client_addr`], [`frontend_addr`],
-//! [`generator_addr`] and the inverses) is defined here too.
+//! [`generator_addr`] and the inverses) is defined here too, with the one
+//! link policy — which pairs share a sealed channel — in [`linked`].
 //!
 //! ## Why effects stream through `Env` instead of being returned
 //!
@@ -92,6 +93,16 @@ pub fn generator_addr(g: usize) -> Addr {
     Addr(3000 + u16::try_from(g).expect("generator count fits the address range"))
 }
 
+/// True when `a` and `b` share a sealed channel, on both drivers: TA ↔
+/// node, node ↔ node, client ↔ node, client ↔ front-end and generator ↔
+/// front-end. No other pair, an address with itself included, has one.
+pub fn linked(a: Addr, b: Addr) -> bool {
+    // 0 TA, 1 node, 2 client, 3 front-end, 4 generator, 5.. unassigned.
+    let class = |x: Addr| if x == TA_ADDR { 0 } else { x.0 / 1000 + 1 };
+    let (lo, hi) = (class(a).min(class(b)), class(a).max(class(b)));
+    a != b && matches!((lo, hi), (0, 1) | (1, 1) | (1, 2) | (2, 3) | (3, 4))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,5 +119,34 @@ mod tests {
             assert_eq!(frontend_index(node_addr(i)), None);
         }
         assert_eq!((node_index(TA_ADDR), frontend_index(TA_ADDR)), (None, None));
+    }
+
+    #[test]
+    fn linked_is_the_five_class_links_in_both_orders() {
+        let (node, client, fe, gen) =
+            (node_addr(3), client_addr(2), frontend_addr(5), generator_addr(1));
+        let linked_pairs =
+            [(TA_ADDR, node), (node, node_addr(7)), (client, node), (client, fe), (gen, fe)];
+        let unlinked_pairs = [
+            (TA_ADDR, fe),
+            (node, fe),
+            (node, gen),
+            (client, gen),
+            (gen, generator_addr(2)),
+            (client, client_addr(3)),
+            (TA_ADDR, client),
+            (TA_ADDR, gen),
+            (fe, frontend_addr(6)),
+            (node, Addr(4000)),
+        ];
+        for (a, b) in linked_pairs {
+            assert!(linked(a, b) && linked(b, a), "{a} <-> {b} must be linked");
+        }
+        for (a, b) in unlinked_pairs {
+            assert!(!linked(a, b) && !linked(b, a), "{a} <-> {b} must not be linked");
+        }
+        for a in [TA_ADDR, node, client, fe, gen] {
+            assert!(!linked(a, a), "{a} is not linked with itself");
+        }
     }
 }

@@ -53,8 +53,9 @@ impl ClientWorkload {
     /// Creates a workload from `me` against `target` with the given
     /// request period.
     ///
-    /// The caller must provision a key for the pair and register the
-    /// actor's address; `scenario::ScenarioSpec::client` does both.
+    /// The caller must register the actor's address in a world whose key
+    /// table is seeded, as `scenario::ScenarioSpec::client` does; the
+    /// pair's session then derives on first use.
     ///
     /// # Panics
     ///

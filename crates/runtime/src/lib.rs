@@ -33,7 +33,7 @@ mod world;
 pub use client::{ClientMode, ClientWorkload};
 pub use env::EnvDriver;
 pub use event::SysEvent;
-pub use keys::{link_aad, KeyTable};
+pub use keys::{link_aad, pair_key, KeyTable};
 pub use machine::MachineActor;
 pub use proto::{
     client_addr, frontend_addr, node_addr, node_index, Effect, Env, Input, Lie, Machine,

@@ -89,8 +89,9 @@ impl<M: Machine> Actor<World, SysEvent> for MachineActor<M> {
 ///
 /// # Panics
 ///
-/// Panics if no key is provisioned for the pair or `dst` has no registered
-/// actor.
+/// Panics if the pair has no key and derives none (it is not
+/// [`proto::linked`], or the world was never seeded) or `dst` has no
+/// registered actor.
 fn send_message(ctx: &mut Ctx<'_, World, SysEvent>, src: Addr, dst: Addr, msg: &Message) -> bool {
     let now = ctx.now();
     {

@@ -71,7 +71,7 @@ pub struct World {
     pub clocks: Vec<ClockState>,
     /// All measurements of the run.
     pub recorder: Recorder,
-    /// Pairwise AEAD sessions.
+    /// Pairwise AEAD sessions, derived on first use once seeded.
     pub keys: KeyTable,
     actors: FastMap<Addr, ActorId>,
     /// Messaging hot-path scratch buffers (see [`Scratch`]).
@@ -125,21 +125,10 @@ impl World {
         self.try_actor_of(addr).unwrap_or_else(|| panic!("no actor registered for {addr}"))
     }
 
-    /// Provisions pairwise keys: every node with the TA, and every node
-    /// pair, derived deterministically from `seed`.
+    /// Seeds a fresh key table: each [`proto::linked`] pair derives its
+    /// session from `seed` the first time one side seals to the other.
     pub fn provision_all_keys(&mut self, seed: u64) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x6b65_7973); // "keys"
-        let n = self.node_count();
-        let mut endpoints = vec![proto::TA_ADDR];
-        endpoints.extend((0..n).map(proto::node_addr));
-        for i in 0..endpoints.len() {
-            for j in (i + 1)..endpoints.len() {
-                let mut key = [0u8; 32];
-                rng.fill(&mut key);
-                self.keys.provision_pair(endpoints[i], endpoints[j], key);
-            }
-        }
+        self.keys = KeyTable::seeded(seed);
     }
 }
 
@@ -147,7 +136,7 @@ impl World {
 mod tests {
     use super::*;
     use netsim::DelayModel;
-    use proto::{node_addr, TA_ADDR};
+    use proto::{frontend_addr, node_addr, TA_ADDR};
 
     fn world(n: usize) -> World {
         World::new(
@@ -214,5 +203,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no key provisioned for")]
+    fn sealing_to_an_unlinked_pair_panics() {
+        let mut w = world(1);
+        w.provision_all_keys(42);
+        w.keys.seal(node_addr(0), frontend_addr(0), b"no channel");
     }
 }

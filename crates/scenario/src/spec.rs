@@ -382,7 +382,7 @@ impl ScenarioSpec {
         }
         .assemble(seed);
         if let Some(svc) = &self.service {
-            service::install(&mut simulation, svc, seed);
+            service::install(&mut simulation, svc);
         }
         simulation
     }

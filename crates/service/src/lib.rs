@@ -58,8 +58,8 @@ pub use spec::{
 };
 
 /// Installs the serving layer onto an assembled cluster simulation: one
-/// [`Frontend`] per node, every generator in `spec`, and the pairwise
-/// generator↔front-end keys (derived deterministically from `seed`).
+/// [`Frontend`] per node and every generator in `spec`. Their sessions
+/// with each other derive from the world's run seed on first use.
 ///
 /// Call after `scenario::ScenarioSpec::build` and before the first run
 /// step; `ScenarioSpec::service` does so for you.
@@ -68,9 +68,7 @@ pub use spec::{
 ///
 /// Panics when called twice on one simulation (serving addresses would
 /// be registered twice) or when `spec` has no generators.
-pub fn install(simulation: &mut Simulation<World, SysEvent>, spec: &ServiceSpec, seed: u64) {
-    use rand::{Rng, SeedableRng};
-
+pub fn install(simulation: &mut Simulation<World, SysEvent>, spec: &ServiceSpec) {
     assert!(spec.generator_count() > 0, "a serving layer without generators measures nothing");
     let n = simulation.world().node_count();
 
@@ -86,17 +84,6 @@ pub fn install(simulation: &mut Simulation<World, SysEvent>, spec: &ServiceSpec,
         frontends.push(addr);
     }
 
-    let mut key_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7365_7276); // "serv"
-    let mut register = |simulation: &mut Simulation<World, SysEvent>, g: usize, id| {
-        let addr = generator_addr(g);
-        for &fe in &frontends {
-            let mut key = [0u8; 32];
-            key_rng.fill(&mut key);
-            simulation.world_mut().keys.provision_pair(addr, fe, key);
-        }
-        simulation.world_mut().register_actor(addr, id);
-    };
-
     let mut g = 0;
     for open in &spec.open_loop {
         let id = simulation.add_actor(Box::new(MachineActor::new(OpenLoopGen::new(
@@ -105,7 +92,7 @@ pub fn install(simulation: &mut Simulation<World, SysEvent>, spec: &ServiceSpec,
             *open,
             spec.router,
         ))));
-        register(simulation, g, id);
+        simulation.world_mut().register_actor(generator_addr(g), id);
         g += 1;
     }
     for closed in &spec.closed_loop {
@@ -115,7 +102,7 @@ pub fn install(simulation: &mut Simulation<World, SysEvent>, spec: &ServiceSpec,
             *closed,
             spec.router,
         ))));
-        register(simulation, g, id);
+        simulation.world_mut().register_actor(generator_addr(g), id);
         g += 1;
     }
     for quorum in &spec.quorum_loop {
@@ -124,7 +111,7 @@ pub fn install(simulation: &mut Simulation<World, SysEvent>, spec: &ServiceSpec,
             frontends.clone(),
             *quorum,
         ))));
-        register(simulation, g, id);
+        simulation.world_mut().register_actor(generator_addr(g), id);
         g += 1;
     }
 }

@@ -28,8 +28,8 @@
 
 use netsim::{Addr, DelayModel, InterceptAction, Interceptor, MsgMeta, Network};
 use runtime::{
-    node_index, ClientWorkload, ClockState, Env, Host, Input, Machine, MachineActor, Sampler,
-    SysEvent, TimerId, World,
+    client_addr, node_addr, node_index, ClientWorkload, ClockState, Env, Host, Input, Machine,
+    MachineActor, Sampler, SysEvent, TimerId, World, TA_ADDR,
 };
 use sim::{SimDuration, SimTime, Simulation};
 use trace::{NodeStateTag, ProtoEvent};
@@ -250,12 +250,8 @@ impl Machine for T3eNode {
     }
 }
 
-/// The T3E node's address in [`deployment`].
-const NODE: Addr = Addr(1);
-/// The TPM's address in [`deployment`].
-const TPM: Addr = Addr(500);
-/// The client's address in [`deployment`].
-const CLIENT: Addr = Addr(1000);
+/// The TPM's address in [`deployment`]: it plays the Time Authority.
+const TPM: Addr = TA_ADDR;
 
 /// Rations TPM → node readings to one per `min_gap`, each delayed by
 /// 100 ms; surplus readings are dropped, as an OS simply not scheduling
@@ -270,7 +266,7 @@ struct ThrottleTpm {
 
 impl Interceptor for ThrottleTpm {
     fn on_message(&mut self, now: SimTime, meta: &MsgMeta, _ct: &[u8]) -> InterceptAction {
-        if meta.src != TPM || meta.dst != NODE {
+        if meta.src != TPM || meta.dst != node_addr(0) {
             return InterceptAction::Deliver;
         }
         if self.last.is_some_and(|last| now.saturating_duration_since(last) < self.min_gap) {
@@ -299,18 +295,18 @@ pub fn deployment(
     let host = Host::paper_default();
     let tsc_hz = host.tsc.nominal_hz();
     let mut world = World::new(net, vec![host]);
-    world.keys.provision_pair(NODE, TPM, [1u8; 32]);
-    world.keys.provision_pair(CLIENT, NODE, [2u8; 32]);
+    world.provision_all_keys(seed);
+    let (me, client) = (node_addr(0), client_addr(0));
     let mut s = Simulation::new(world, seed);
-    let node = T3eNode::new(NODE, TPM, T3eConfig::default(), tsc_hz);
+    let node = T3eNode::new(me, TPM, T3eConfig::default(), tsc_hz);
     let node = s.add_actor(Box::new(MachineActor::new(node)));
     let tpm = s.add_actor(Box::new(MachineActor::new(Tpm::new(TPM, tpm_drift_ppm))));
-    let client = ClientWorkload::new(CLIENT, NODE, client_period);
-    let client = s.add_actor(Box::new(MachineActor::new(client)));
+    let workload = ClientWorkload::new(client, me, client_period);
+    let workload = s.add_actor(Box::new(MachineActor::new(workload)));
     s.add_actor(Box::new(Sampler { interval: SimDuration::from_millis(250) }));
-    s.world_mut().register_actor(NODE, node);
+    s.world_mut().register_actor(me, node);
     s.world_mut().register_actor(TPM, tpm);
-    s.world_mut().register_actor(CLIENT, client);
+    s.world_mut().register_actor(client, workload);
     s
 }
 
@@ -335,7 +331,7 @@ mod tests {
     #[should_panic(expected = "zero-use budget")]
     fn zero_uses_rejected() {
         let cfg = T3eConfig { max_uses: 0, ..Default::default() };
-        let _ = T3eNode::new(NODE, TPM, cfg, 3e9);
+        let _ = T3eNode::new(node_addr(0), TPM, cfg, 3e9);
     }
 
     fn reading(env: &mut ScriptedEnv, node: &mut T3eNode, ta_time_ns: u64) {
@@ -347,10 +343,12 @@ mod tests {
     /// for a fresh reading in the same step.
     fn ask(env: &mut ScriptedEnv, node: &mut T3eNode, nonce: u64) -> (Option<u64>, bool) {
         let msg = Message::ClientTimeRequest { nonce };
-        node.on_input(env, Input::Message { src: CLIENT, msg });
+        node.on_input(env, Input::Message { src: client_addr(0), msg });
         let effects = env.take_effects();
         let answer = effects.iter().find_map(|e| match e {
-            Effect::Send { dst: CLIENT, msg: Message::ClientTimeResponse { timestamp_ns, .. } } => {
+            Effect::Send { dst, msg: Message::ClientTimeResponse { timestamp_ns, .. } }
+                if *dst == client_addr(0) =>
+            {
                 Some(*timestamp_ns)
             }
             _ => None,
@@ -365,7 +363,7 @@ mod tests {
     fn a_depleted_budget_stalls_until_a_fresh_reading_arrives() {
         let mut env = ScriptedEnv::new(1, 1);
         let cfg = T3eConfig { max_uses: 3, ..Default::default() };
-        let mut node = T3eNode::new(NODE, TPM, cfg, env.tsc_hz);
+        let mut node = T3eNode::new(node_addr(0), TPM, cfg, env.tsc_hz);
         node.on_start(&mut env);
         env.take_effects();
         assert_eq!(ask(&mut env, &mut node, 1), (None, false), "no reading yet");

@@ -3,7 +3,7 @@
 
 use triad_tt::attacks::DelayAttackMode;
 use triad_tt::netsim::Addr;
-use triad_tt::proto::{Env, Input, Machine, TA_ADDR};
+use triad_tt::proto::{client_addr, Env, Input, Machine, TA_ADDR};
 use triad_tt::runtime::MachineActor;
 use triad_tt::scenario::{AexSpec, AttackSpec, ScenarioSpec};
 use triad_tt::sim::{SimDuration, SimTime};
@@ -57,17 +57,16 @@ fn with_client(
     period: SimDuration,
     horizon: SimTime,
 ) -> u64 {
-    // The client lives at an address above the nodes; provision its key.
-    let client_addr = Addr(100);
+    // The first client address: the spec builds no client of its own, and
+    // the client's session with `target` derives from the run seed.
+    let me = client_addr(0);
     let mut s = spec.build(seed);
-    // Key + actor registration must happen before the run starts.
-    let key = [0x42u8; 32];
-    s.world_mut().keys.provision_pair(client_addr, target, key);
+    // Actor registration must happen before the run starts.
     let dispatched_before = s.dispatched();
     assert_eq!(dispatched_before, 0);
-    let client = ClientProbe { me: client_addr, target, period, next_nonce: 0, last_timestamp: 0 };
+    let client = ClientProbe { me, target, period, next_nonce: 0, last_timestamp: 0 };
     let id = s.add_actor(Box::new(MachineActor::new(client)));
-    s.world_mut().register_actor(client_addr, id);
+    s.world_mut().register_actor(me, id);
     s.run_until(horizon);
     s.dispatched()
 }
