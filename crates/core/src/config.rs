@@ -1,7 +1,6 @@
 //! Triad node configuration.
 
 use sim::SimDuration;
-use tsc::AexPause;
 
 use crate::retry::{CircuitBreakerPolicy, RetryPolicy};
 
@@ -17,23 +16,10 @@ pub struct TriadConfig {
     pub calib_sleeps: Vec<SimDuration>,
     /// Valid round-trips collected per sleep value before fitting.
     pub samples_per_sleep: usize,
-    /// Extra wait beyond the requested sleep before a calibration probe is
-    /// retransmitted (covers loss and attacker drops).
-    pub probe_timeout: SimDuration,
     /// How long to wait for peer timestamps after an AEX before falling
     /// back to the TA (§III-D: "only asks the TA upon failure to receive
     /// any responses from peers").
     pub peer_timeout: SimDuration,
-    /// The smallest timestamp increment used to preserve monotonicity when
-    /// a peer timestamp is *behind* the local one.
-    pub epsilon_ns: u64,
-    /// How long the enclave thread stays suspended per AEX.
-    pub aex_pause: AexPause,
-    /// Cadence of the INC-vs-TSC cross-check on the monitoring thread.
-    pub monitor_interval: SimDuration,
-    /// Relative TSC-rate discrepancy (ppm) that triggers full
-    /// recalibration.
-    pub monitor_threshold_ppm: f64,
     /// Whether the time-reference anchor compensates half the measured
     /// round-trip (`ta_time + RTT/2`); disabling it reproduces a pure
     /// offset-toward-the-past error.
@@ -47,13 +33,6 @@ pub struct TriadConfig {
     /// consecutive probe timeouts the node stops hammering the TA and only
     /// sends one trial probe per cooldown until the TA answers again.
     pub ta_breaker: Option<CircuitBreakerPolicy>,
-    /// Base half-width (ns) of the uncertainty attached to degraded-mode
-    /// [`wire::TimeReading`]s while the node is OK.
-    pub reading_uncertainty_ns: u64,
-    /// Widening rate of the reading uncertainty while the node is degraded
-    /// (Tainted / recalibrating), in parts-per-million of elapsed
-    /// staleness: `uncertainty += ppm · 1e-6 · ns_since_degraded`.
-    pub reading_drift_ppm: f64,
 }
 
 impl Default for TriadConfig {
@@ -61,17 +40,10 @@ impl Default for TriadConfig {
         TriadConfig {
             calib_sleeps: vec![SimDuration::ZERO, SimDuration::from_secs(1)],
             samples_per_sleep: 3,
-            probe_timeout: SimDuration::from_millis(500),
             peer_timeout: SimDuration::from_millis(10),
-            epsilon_ns: 1,
-            aex_pause: AexPause::default(),
-            monitor_interval: SimDuration::from_millis(100),
-            monitor_threshold_ppm: 100.0,
             rtt_half_correction: true,
             probe_retry: RetryPolicy::default(),
             ta_breaker: None,
-            reading_uncertainty_ns: 1_000_000, // 1 ms
-            reading_drift_ppm: 200.0,
         }
     }
 }
@@ -94,13 +66,10 @@ impl TriadConfig {
         distinct.dedup();
         assert!(distinct.len() >= 2, "calibration sleeps must not all be equal");
         assert!(self.samples_per_sleep > 0, "need at least one sample per sleep");
-        assert!(self.epsilon_ns > 0, "epsilon must be a positive increment");
         self.probe_retry.validate();
         if let Some(b) = &self.ta_breaker {
             b.validate();
         }
-        assert!(self.reading_uncertainty_ns > 0, "reading uncertainty floor must be positive");
-        assert!(self.reading_drift_ppm >= 0.0, "reading drift rate cannot be negative");
     }
 
     /// A configuration with every robustness feature enabled: hardened
@@ -125,7 +94,7 @@ mod tests {
         assert_eq!(cfg.calib_sleeps.len(), 2);
         assert_eq!(cfg.calib_sleeps[0], SimDuration::ZERO);
         assert_eq!(cfg.calib_sleeps[1], SimDuration::from_secs(1));
-        assert_eq!(cfg.epsilon_ns, 1);
+        assert_eq!(crate::node::EPSILON_NS, 1);
         // The default retry policy must stay bit-compatible with the
         // legacy schedule so seeded experiments replay unchanged.
         assert_eq!(cfg.probe_retry, RetryPolicy::default());

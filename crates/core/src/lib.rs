@@ -33,8 +33,11 @@ mod retry;
 
 pub use calib::Calibrator;
 pub use config::TriadConfig;
-pub use node::{Core, Node, PeerRound, PeerSample, Policy, ProbeKind, TaSample, POLICY_TIMERS};
-pub use paper::Paper;
+pub use node::{
+    Core, Node, PeerRound, PeerSample, Policy, ProbeKind, TaSample, POLICY_TIMERS,
+    READING_UNCERTAINTY_NS,
+};
+pub use paper::{Paper, MONITOR_INTERVAL, MONITOR_THRESHOLD_PPM};
 pub use retry::{CircuitBreakerPolicy, RetryPolicy};
 
 /// One base Triad protocol node (the paper's primary artifact).

@@ -21,8 +21,11 @@
 //! what error bound the node claims. [`crate::Paper`] is the paper's
 //! protocol; `resilient::Hardened` is its §V hardening.
 
+use std::ops::RangeInclusive;
+
 use netsim::Addr;
 use proto::{ClockState, Env, Input, Machine, ProtoEvent, TimerId, AEX_RESUME_TOKEN, TA_ADDR};
+use rand::Rng;
 use sim::{SimDuration, SimTime};
 use trace::NodeStateTag;
 use wire::Message;
@@ -43,6 +46,28 @@ const TOKEN_MASK: u64 = (1 << 58) - 1;
 const KINDS: u64 =
     TOKEN_PEER_TIMEOUT | TOKEN_PROBE_RETRY | TOKEN_BREAKER | POLICY_TIMERS[0] | POLICY_TIMERS[1];
 const _: () = assert!(KINDS.count_ones() == 5 && KINDS & TOKEN_MASK == 0);
+
+/// Extra wait beyond the requested sleep before a calibration probe is
+/// retransmitted (covers loss and attacker drops).
+const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// The smallest timestamp increment used to preserve monotonicity when a
+/// peer timestamp is *behind* the local one.
+pub(crate) const EPSILON_NS: u64 = 1;
+// Strict monotonicity of served timestamps rests on a positive ε.
+const _: () = assert!(EPSILON_NS > 0);
+/// How long (ns) the enclave thread stays suspended per AEX (interrupt
+/// handling plus rescheduling), drawn uniformly.
+const AEX_PAUSE_NS: RangeInclusive<u64> = 10_000..=120_000;
+/// Base half-width (ns) of the uncertainty attached to degraded-mode
+/// [`wire::TimeReading`]s when the policy claims no error bound. The same
+/// 1 ms is restated, with no shared source, as `resilient`'s
+/// `BASE_ERROR_BOUND` and `service`'s `DEGRADED_BASE_UNCERTAINTY`; change
+/// all three together.
+pub const READING_UNCERTAINTY_NS: u64 = 1_000_000;
+/// Widening rate of the reading uncertainty while the node is degraded
+/// (Tainted / recalibrating), in parts-per-million of elapsed staleness:
+/// `uncertainty += ppm · 1e-6 · ns_since_degraded`.
+const READING_DRIFT_PPM: f64 = 200.0;
 
 /// What an outstanding TA exchange is for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,7 +297,7 @@ impl Core {
 
     /// The lowest timestamp the node may still serve.
     pub fn serving_floor_ns(&self) -> f64 {
-        self.last_served_ns + self.cfg.epsilon_ns as f64
+        self.last_served_ns + EPSILON_NS as f64
     }
 
     fn publish_clock(&self, env: &mut dyn Env, bound: Option<f64>) {
@@ -416,7 +441,7 @@ impl Core {
         // The order send → backoff draw → timer → TSC read fixes the
         // seeded stream and the measured round trip; keep it.
         env.send(TA_ADDR, &Message::CalibrationRequest { nonce, sleep_ns: sleep.as_nanos() });
-        let backoff = self.cfg.probe_retry.backoff(self.cfg.probe_timeout, attempt, env.rng());
+        let backoff = self.cfg.probe_retry.backoff(PROBE_TIMEOUT, attempt, env.rng());
         let retry = env.set_timer(TOKEN_PROBE_RETRY | nonce, sleep + backoff);
         self.pending_probe = Some(PendingProbe {
             nonce,
@@ -475,7 +500,7 @@ impl Core {
             return;
         }
         self.resume_pending = true;
-        let pause = self.cfg.aex_pause.sample(env.rng());
+        let pause = SimDuration::from_nanos(env.rng().gen_range(AEX_PAUSE_NS));
         env.set_timer(AEX_RESUME_TOKEN, pause);
     }
 
@@ -543,7 +568,7 @@ impl Core {
         {
             // "the local timestamp is increased by the smallest possible
             // increment to ensure monotonicity"
-            self.set_anchor(env, ticks, local_pre_interrupt + self.cfg.epsilon_ns as f64, bound);
+            self.set_anchor(env, ticks, local_pre_interrupt + EPSILON_NS as f64, bound);
         }
         self.untainted_by_peers(env);
     }
@@ -701,11 +726,11 @@ impl<P: Policy> Node<P> {
         let core = &mut self.core;
         let now = env.now();
         let ticks = env.read_tsc();
-        let floor = core.cfg.reading_uncertainty_ns as f64;
+        let floor = READING_UNCERTAINTY_NS as f64;
         let mut uncertainty =
             self.policy.error_bound_ns(core.secs_since_anchor(ticks)).unwrap_or(floor);
         if let Some(t0) = core.degraded_since {
-            uncertainty += core.cfg.reading_drift_ppm * 1e-6 * (now - t0).as_nanos() as f64;
+            uncertainty += READING_DRIFT_PPM * 1e-6 * (now - t0).as_nanos() as f64;
         }
         let estimate_ns = core.serve_ns(ticks)?;
         let uncertainty_ns = uncertainty as u64;

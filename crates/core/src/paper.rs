@@ -3,13 +3,18 @@
 
 use netsim::Addr;
 use proto::{Env, ProtoEvent};
-use sim::SimTime;
+use sim::{SimDuration, SimTime};
 use wire::Message;
 
 use crate::config::TriadConfig;
 use crate::node::{Core, PeerRound, PeerSample, Policy, TaSample, POLICY_TIMERS};
 
 const MONITOR: u64 = POLICY_TIMERS[0];
+
+/// Cadence of the INC-vs-TSC cross-check on the monitoring thread.
+pub const MONITOR_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// Relative TSC-rate discrepancy (ppm) that triggers full recalibration.
+pub const MONITOR_THRESHOLD_PPM: f64 = 100.0;
 
 /// Base Triad, the paper's primary artifact.
 ///
@@ -34,7 +39,7 @@ impl Policy for Paper {
     }
 
     fn arm_timers(&mut self, core: &mut Core, env: &mut dyn Env) {
-        core.arm_policy_timer(env, MONITOR, core.cfg().monitor_interval);
+        core.arm_policy_timer(env, MONITOR, MONITOR_INTERVAL);
     }
 
     /// One tick of the INC-vs-TSC cross-check (§IV-A.1): a TSC-per-INC
@@ -55,7 +60,7 @@ impl Policy for Paper {
                     None => self.inc_ticks_per_inc = Some(ratio),
                     Some(baseline) => {
                         let ppm = (ratio / baseline - 1.0).abs() * 1e6;
-                        if ppm > core.cfg().monitor_threshold_ppm {
+                        if ppm > MONITOR_THRESHOLD_PPM {
                             env.emit(ProtoEvent::MonitorDetection);
                             self.inc_ticks_per_inc = None;
                             detected = true;

@@ -16,7 +16,7 @@ use resilient::ResilientConfig;
 use runtime::{World, TA_ADDR};
 use scenario::{AexSpec, FaultSpec, NodeImplSpec, ParamGrid, RunCell, ScenarioSpec};
 use sim::{SimDuration, SimTime};
-use triad_core::{RetryPolicy, TriadConfig};
+use triad_core::{RetryPolicy, TriadConfig, READING_UNCERTAINTY_NS};
 
 use crate::grid;
 use crate::output::{Comparison, RunOpts, Table};
@@ -400,7 +400,7 @@ impl ChaosResult {
         let hardened = self.cell(FaultClass::TaOutage, Variant::Hardened);
         let crash = self.cell(FaultClass::Crash, Variant::Hardened);
         let part = self.cell(FaultClass::Partition, Variant::Hardened);
-        let floor_ms = TriadConfig::default().reading_uncertainty_ns as f64 / 1e6;
+        let floor_ms = READING_UNCERTAINTY_NS as f64 / 1e6;
         vec![
             Comparison::new(
                 "chaos",

@@ -137,7 +137,6 @@ fn frontend_spec(opts: &RunOpts) -> FrontendSpec {
 fn quorum_spec(f: usize) -> QuorumSpec {
     QuorumSpec {
         f,
-        collect_timeout: SimDuration::from_millis(50),
         suspect_threshold: 3,
         probation: SimDuration::from_secs(2),
         probe_jitter: SimDuration::from_millis(100),
@@ -278,7 +277,7 @@ fn spec_for(opts: &RunOpts, f: usize, lie: LieLevel, load: LoadLevel) -> Scenari
     let svc = ServiceSpec::new()
         .frontend(frontend_spec(opts))
         .router(grid::router_spec())
-        .open_loop(OpenLoopSpec { rate_per_s: single_rate, accept_degraded: true })
+        .open_loop(OpenLoopSpec { rate_per_s: single_rate })
         .quorum_loop(QuorumLoopSpec { rate_per_s: quorum_rate, quorum: quorum_spec(f) });
     // The §V hardened node is the one that publishes a usable
     // self-assessed error bound — the quantity quorum attestations carry.

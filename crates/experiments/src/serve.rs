@@ -249,7 +249,7 @@ fn spec_for(opts: &RunOpts, size: usize, load: LoadLevel, overlay: Overlay) -> S
     let svc = ServiceSpec::new()
         .frontend(grid::frontend_spec(opts))
         .router(grid::router_spec())
-        .open_loop(OpenLoopSpec { rate_per_s: load.rate(opts), accept_degraded: true })
+        .open_loop(OpenLoopSpec { rate_per_s: load.rate(opts) })
         // A small strict population: full precision or nothing, so
         // degraded windows show up as `Unavailable` pressure too.
         .closed_loop(ClosedLoopSpec {

@@ -1,7 +1,6 @@
 //! Hardened-protocol configuration (§V), with per-feature switches so the
 //! ablation experiments can isolate each countermeasure.
 
-use sim::SimDuration;
 use triad_core::TriadConfig;
 
 /// Configuration of a [`crate::ResilientNode`].
@@ -21,10 +20,8 @@ use triad_core::TriadConfig;
 ///   round-trips are retried, bounding delay-attack offsets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilientConfig {
-    /// Shared lifecycle parameters (probe scheduling, retry and breaker,
-    /// peer timeout, ε, AEX pause, degraded readings). The INC-monitor
-    /// fields `monitor_interval` / `monitor_threshold_ppm` are accepted
-    /// and ignored: [`crate::Hardened`] runs no monitor.
+    /// Shared lifecycle parameters (calibration sleeps, retry and
+    /// breaker, peer timeout, RTT/2 correction).
     pub base: TriadConfig,
     /// §V change 1: proactive in-TCB deadline checks.
     pub enable_deadline: bool,
@@ -41,25 +38,6 @@ pub struct ResilientConfig {
     /// §V: periodically verify the local clock against the TA ("a node may
     /// now check if its clock is consistent with the TA").
     pub enable_ta_cross_check: bool,
-    /// Clock progress between proactive checks.
-    pub deadline: SimDuration,
-    /// Cadence of TA cross-check exchanges.
-    pub ta_check_interval: SimDuration,
-    /// Largest acceptable TA round-trip before a sample is retried.
-    pub max_rtt: SimDuration,
-    /// Consecutive RTT rejections before accepting anyway (liveness),
-    /// with the error bound widened by the observed round-trip.
-    pub max_rtt_rejects: u32,
-    /// Floor of each node's self-assessed error bound.
-    pub base_error_bound: SimDuration,
-    /// Assumed drift bound before long-window refinement (ppm).
-    pub drift_bound_ppm_initial: f64,
-    /// Assumed drift bound after refinement (ppm).
-    pub drift_bound_ppm_refined: f64,
-    /// Minimum sample span before a long-window refit.
-    pub ntp_min_window: SimDuration,
-    /// Maximum retained TA samples (ring buffer).
-    pub ntp_max_samples: usize,
 }
 
 impl Default for ResilientConfig {
@@ -72,15 +50,6 @@ impl Default for ResilientConfig {
             enable_rtt_filter: true,
             enable_gossip: true,
             enable_ta_cross_check: true,
-            deadline: SimDuration::from_secs(2),
-            ta_check_interval: SimDuration::from_secs(15),
-            max_rtt: SimDuration::from_millis(10),
-            max_rtt_rejects: 3,
-            base_error_bound: SimDuration::from_millis(1),
-            drift_bound_ppm_initial: 400.0,
-            drift_bound_ppm_refined: 40.0,
-            ntp_min_window: SimDuration::from_secs(60),
-            ntp_max_samples: 64,
         }
     }
 }
@@ -99,22 +68,6 @@ impl ResilientConfig {
             ..Default::default()
         }
     }
-
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on nonsensical parameters.
-    pub fn validate(&self) {
-        self.base.validate();
-        assert!(!self.deadline.is_zero(), "deadline must be positive");
-        assert!(!self.ta_check_interval.is_zero(), "TA check interval must be positive");
-        assert!(self.ntp_max_samples >= 4, "long-window fit needs samples");
-        assert!(
-            self.drift_bound_ppm_initial >= self.drift_bound_ppm_refined,
-            "refinement must not loosen the drift bound"
-        );
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +77,7 @@ mod tests {
     #[test]
     fn default_validates_with_all_features_on() {
         let cfg = ResilientConfig::default();
-        cfg.validate();
+        cfg.base.validate();
         assert!(cfg.enable_deadline && cfg.enable_long_window);
         assert!(cfg.enable_chimer_filter && cfg.enable_rtt_filter);
         assert!(cfg.enable_gossip);
@@ -133,14 +86,8 @@ mod tests {
     #[test]
     fn ablation_baseline_disables_everything() {
         let cfg = ResilientConfig::all_disabled();
-        cfg.validate();
+        cfg.base.validate();
         assert!(!cfg.enable_deadline && !cfg.enable_long_window);
         assert!(!cfg.enable_chimer_filter && !cfg.enable_rtt_filter);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadline must be positive")]
-    fn zero_deadline_rejected() {
-        ResilientConfig { deadline: SimDuration::ZERO, ..Default::default() }.validate();
     }
 }

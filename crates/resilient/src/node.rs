@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 
 use netsim::Addr;
 use proto::{Env, ProtoEvent};
+use sim::SimDuration;
 use stats::{marzullo, Interval, Regression};
 use trace::NodeStateTag;
 use wire::Message;
@@ -17,6 +18,31 @@ use crate::config::ResilientConfig;
 
 const DEADLINE: u64 = POLICY_TIMERS[0];
 const TA_CHECK: u64 = POLICY_TIMERS[1];
+
+/// Clock progress between proactive (deadline) checks.
+const DEADLINE_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// Cadence of TA cross-check exchanges.
+const TA_CHECK_INTERVAL: SimDuration = SimDuration::from_secs(15);
+/// Largest acceptable TA round trip before a sample is retried.
+const MAX_RTT: SimDuration = SimDuration::from_millis(10);
+/// Consecutive RTT rejections before accepting anyway (liveness), with the
+/// error bound widened by the observed round trip.
+const MAX_RTT_REJECTS: u32 = 3;
+/// Floor of the node's self-assessed error bound. `service`'s
+/// `DEGRADED_BASE_UNCERTAINTY` restates this 1 ms, as does
+/// `triad_core::READING_UNCERTAINTY_NS`; change all three together.
+const BASE_ERROR_BOUND: SimDuration = SimDuration::from_millis(1);
+/// Assumed drift bound before long-window refinement (ppm).
+const DRIFT_BOUND_PPM_INITIAL: f64 = 400.0;
+/// Assumed drift bound after refinement (ppm).
+const DRIFT_BOUND_PPM_REFINED: f64 = 40.0;
+const _: () = assert!(DRIFT_BOUND_PPM_INITIAL >= DRIFT_BOUND_PPM_REFINED);
+/// Minimum sample span before a long-window refit.
+const NTP_MIN_WINDOW: SimDuration = SimDuration::from_secs(60);
+/// Maximum retained TA samples (ring buffer).
+const NTP_MAX_SAMPLES: usize = 64;
+// `maybe_refit` needs eight retained samples.
+const _: () = assert!(NTP_MAX_SAMPLES >= 8);
 
 /// A Triad node hardened with the countermeasures of §V.
 pub type ResilientNode = Node<Hardened>;
@@ -37,9 +63,8 @@ pub type ResilientNode = Node<Hardened>;
 /// - TA anchors with implausible round-trips are retried, bounding
 ///   message-delay offsets.
 ///
-/// **This policy does not run the §III-B / §IV-A.1 INC monitor.**
-/// `ResilientConfig::base.monitor_interval` and `monitor_threshold_ppm`
-/// are accepted and unused here, so a TSC rate manipulation that stays
+/// **Hardened runs no monitor**: the §III-B / §IV-A.1 INC-vs-TSC check
+/// is [`triad_core::Paper`]'s alone, so a TSC rate manipulation that stays
 /// inside the node's own error bound (the committed `drift-n5`
 /// reproducer) raises no detection on a hardened node while the paper's
 /// node catches it. Switching it on changes `results/` and the corpus
@@ -76,7 +101,7 @@ impl Hardened {
         let span_ticks = self.ta_samples.back().expect("non-empty").0
             - self.ta_samples.front().expect("non-empty").0;
         let span_ns = span_ticks / f * 1e9;
-        if span_ns < self.cfg.ntp_min_window.as_nanos() as f64 {
+        if span_ns < NTP_MIN_WINDOW.as_nanos() as f64 {
             return;
         }
         let reg: Regression = self.ta_samples.iter().copied().collect();
@@ -94,7 +119,7 @@ impl Hardened {
         }
         if !self.refined || changed * 1e6 > 1.0 {
             core.refit_frequency(env, f_new, self.error_bound_ns(0.0));
-            self.drift_bound_ppm = self.cfg.drift_bound_ppm_refined;
+            self.drift_bound_ppm = DRIFT_BOUND_PPM_REFINED;
             self.refined = true;
             env.emit(ProtoEvent::Calibration { hz: f_new });
         }
@@ -102,7 +127,7 @@ impl Hardened {
 
     /// The self-assessed half-width error bound `secs` after the anchor.
     fn bound_ns(&self, secs_since_anchor: f64) -> f64 {
-        self.cfg.base_error_bound.as_nanos() as f64
+        BASE_ERROR_BOUND.as_nanos() as f64
             + self.drift_bound_ppm * 1e-6 * secs_since_anchor * 1e9
             + self.extra_bound_ns
     }
@@ -169,12 +194,12 @@ impl Policy for Hardened {
     type Config = ResilientConfig;
 
     fn new(cfg: ResilientConfig) -> (TriadConfig, Self) {
-        cfg.validate();
+        cfg.base.validate();
         let policy = Hardened {
             rtt_rejects: 0,
             extra_bound_ns: 0.0,
             ta_samples: VecDeque::new(),
-            drift_bound_ppm: cfg.drift_bound_ppm_initial,
+            drift_bound_ppm: DRIFT_BOUND_PPM_INITIAL,
             refined: false,
             epoch: 0,
             gossip_suspicion: 0,
@@ -189,10 +214,10 @@ impl Policy for Hardened {
 
     fn arm_timers(&mut self, core: &mut Core, env: &mut dyn Env) {
         if self.cfg.enable_deadline {
-            core.arm_policy_timer(env, DEADLINE, self.cfg.deadline);
+            core.arm_policy_timer(env, DEADLINE, DEADLINE_INTERVAL);
         }
         if self.cfg.enable_ta_cross_check {
-            core.arm_policy_timer(env, TA_CHECK, self.cfg.ta_check_interval);
+            core.arm_policy_timer(env, TA_CHECK, TA_CHECK_INTERVAL);
         }
     }
 
@@ -202,10 +227,10 @@ impl Policy for Hardened {
                 env.emit(ProtoEvent::DeadlineCheck);
                 core.start_round(env, true, Self::peer_request);
             }
-            core.arm_policy_timer(env, DEADLINE, self.cfg.deadline);
+            core.arm_policy_timer(env, DEADLINE, DEADLINE_INTERVAL);
         } else if kind == TA_CHECK {
             core.cross_check(env);
-            core.arm_policy_timer(env, TA_CHECK, self.cfg.ta_check_interval);
+            core.arm_policy_timer(env, TA_CHECK, TA_CHECK_INTERVAL);
         }
     }
 
@@ -213,15 +238,15 @@ impl Policy for Hardened {
         self.rtt_rejects = 0;
         self.extra_bound_ns = 0.0;
         self.ta_samples.clear();
-        self.drift_bound_ppm = self.cfg.drift_bound_ppm_initial;
+        self.drift_bound_ppm = DRIFT_BOUND_PPM_INITIAL;
         self.refined = false;
         self.gossip_suspicion = 0;
     }
 
     fn on_ta_sample(&mut self, core: &mut Core, env: &mut dyn Env, sample: TaSample) {
         let TaSample { kind, rtt_ns, recv_ticks, ta_time_ns } = sample;
-        let implausible = self.cfg.enable_rtt_filter && rtt_ns > self.cfg.max_rtt.as_nanos() as f64;
-        if implausible && self.rtt_rejects < self.cfg.max_rtt_rejects {
+        let implausible = self.cfg.enable_rtt_filter && rtt_ns > MAX_RTT.as_nanos() as f64;
+        if implausible && self.rtt_rejects < MAX_RTT_REJECTS {
             // An on-path attacker is (or congestion is) stretching the
             // exchange: retry rather than anchor to a skewed estimate.
             self.rtt_rejects += 1;
@@ -236,7 +261,7 @@ impl Policy for Hardened {
 
         // Feed the long-window (NTP-style) refinement.
         self.ta_samples.push_back((recv_ticks as f64, est_ns));
-        while self.ta_samples.len() > self.cfg.ntp_max_samples {
+        while self.ta_samples.len() > NTP_MAX_SAMPLES {
             self.ta_samples.pop_front();
         }
         self.maybe_refit(core, env);

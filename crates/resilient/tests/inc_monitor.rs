@@ -12,8 +12,9 @@
 
 use netsim::Addr;
 use proto::{node_addr, Effect, Input, Machine, ScriptedEnv, TA_ADDR};
-use sim::SimDuration;
-use triad_core::{Node, Paper, TriadConfig, POLICY_TIMERS};
+use triad_core::{
+    Node, Paper, TriadConfig, MONITOR_INTERVAL, MONITOR_THRESHOLD_PPM, POLICY_TIMERS,
+};
 
 /// The monitor chain's token in crash epoch 0.
 const MONITOR: u64 = POLICY_TIMERS[0];
@@ -30,16 +31,13 @@ fn shifted(ppm: f64) -> u64 {
 struct Rig {
     node: Node<Paper>,
     env: ScriptedEnv,
-    interval: SimDuration,
 }
 
 impl Rig {
     fn boot() -> Self {
-        let cfg = TriadConfig::default();
-        assert_eq!(cfg.monitor_threshold_ppm, 100.0, "the shifts below straddle 100 ppm");
-        let interval = cfg.monitor_interval;
-        let node = Node::<Paper>::new(node_addr(0), vec![Addr(2), Addr(3)], cfg);
-        let mut rig = Rig { node, env: ScriptedEnv::new(3, 7), interval };
+        assert_eq!(MONITOR_THRESHOLD_PPM, 100.0, "the shifts below straddle 100 ppm");
+        let node = Node::<Paper>::new(node_addr(0), vec![Addr(2), Addr(3)], TriadConfig::default());
+        let mut rig = Rig { node, env: ScriptedEnv::new(3, 7) };
         rig.node.on_start(&mut rig.env);
         rig.env.take_effects();
         rig
@@ -49,7 +47,7 @@ impl Rig {
     /// thread counted `inc`; returns whether it raised a detection.
     fn tick(&mut self, inc: u64) -> bool {
         let before = self.detections();
-        self.env.advance(self.interval);
+        self.env.advance(MONITOR_INTERVAL);
         self.env.inc_per_sample = inc;
         self.node.on_input(&mut self.env, Input::Timer { token: MONITOR });
         let effects = self.env.take_effects();

@@ -1,7 +1,8 @@
 //! The shared node lifecycle, checked once and run for both policies.
 //!
 //! Each check drives a `Node<P>` under `proto::ScriptedEnv` — no driver,
-//! no network — and asserts on the recorded `Effect` sequence.
+//! no network — and asserts on the recorded `Effect` sequence. Two checks
+//! are `Hardened`'s alone: its §V RTT filter on the anchor exchange.
 
 use netsim::Addr;
 use proto::{
@@ -104,15 +105,31 @@ impl<P: Subject> Rig<P> {
 
     /// Answers probe `nonce` after its hold plus a 200 µs round trip, the
     /// TA's clock reading `ta_num / ta_den` of scripted time.
-    fn answer(
+    fn answer(&mut self, probe: Probe, ta_num: u64, ta_den: u64) -> Vec<Effect> {
+        self.answer_after(probe, SimDuration::from_micros(200), ta_num, ta_den)
+    }
+
+    /// [`Rig::answer`] with a round trip of `rtt` on top of the hold.
+    fn answer_after(
         &mut self,
         Probe { nonce, sleep_ns, .. }: Probe,
+        rtt: SimDuration,
         ta_num: u64,
         ta_den: u64,
     ) -> Vec<Effect> {
-        self.env.advance(SimDuration::from_nanos(sleep_ns) + SimDuration::from_micros(200));
+        self.env.advance(SimDuration::from_nanos(sleep_ns) + rtt);
         let ta_time_ns = self.env.now.as_nanos() * ta_num / ta_den;
         self.msg(TA_ADDR, Message::CalibrationResponse { nonce, ta_time_ns, slept_ns: sleep_ns })
+    }
+
+    /// Plays the TA through the speed fit; returns the anchor probe that
+    /// follows it.
+    fn fit_speed(&mut self, mut effects: Vec<Effect>) -> Probe {
+        while self.env.recorder.node(0).calibrations_hz.is_empty() {
+            let probe = probe_in(&effects).expect("a calibrating node has a probe in flight");
+            effects = self.answer(probe, 1, 1);
+        }
+        probe_in(&effects).expect("the speed fit is followed by the anchor probe")
     }
 
     /// Plays the TA from the probe in `effects` until the node is OK.
@@ -267,6 +284,45 @@ mod check {
         rig.msg(Addr(3), P::peer_answer(nonce, now));
         assert_eq!(rig.state(), NodeStateTag::Ok, "both peers answered the live round");
     }
+}
+
+/// The §V RTT filter: an anchor answered after a 15 ms round trip (the
+/// limit is 10 ms) is re-probed three times in a row; the fourth slow
+/// answer anchors anyway, with the bound widened by that round trip.
+#[test]
+fn hardened_reprobes_a_slow_anchor_three_times_then_widens_its_bound() {
+    let rtt = SimDuration::from_millis(15);
+    let (mut rig, boot) = Rig::<Hardened>::boot();
+    let mut anchor = rig.fit_speed(boot);
+    for reject in 1..=3 {
+        let effects = rig.answer_after(anchor, rtt, 1, 1);
+        let reprobe = probe_in(&effects).expect("a slow anchor is re-probed");
+        assert_eq!(
+            (rig.state(), reprobe.sleep_ns),
+            (NodeStateTag::FullCalib, 0),
+            "slow answer {reject}: re-probed, not anchored"
+        );
+        assert_ne!(reprobe.nonce, anchor.nonce);
+        anchor = reprobe;
+    }
+    rig.answer_after(anchor, rtt, 1, 1);
+    assert_eq!(rig.state(), NodeStateTag::Ok, "the fourth slow answer anchors (liveness)");
+    let reading = match rig.msg(CLIENT, Message::TimeReadingRequest { nonce: 3 })[..] {
+        [Effect::Send { msg: Message::TimeReadingResponse { reading: Some(r), .. }, .. }] => r,
+        ref other => panic!("an OK node answers a reading request, got {other:?}"),
+    };
+    assert!(
+        reading.uncertainty_ns >= rtt.as_nanos(),
+        "the accepted slow anchor widens the bound by its round trip: {reading:?}"
+    );
+}
+
+#[test]
+fn hardened_anchors_a_fast_answer_at_once() {
+    let (mut rig, boot) = Rig::<Hardened>::boot();
+    let anchor = rig.fit_speed(boot);
+    rig.answer_after(anchor, SimDuration::from_micros(200), 1, 1);
+    assert_eq!(rig.state(), NodeStateTag::Ok);
 }
 
 macro_rules! for_both_policies {

@@ -50,22 +50,6 @@ impl<P> RunPlan<P> {
         }
     }
 
-    /// A plan whose cell seeds are derived from `base` via
-    /// [`derive_seed`].
-    pub fn derived(base: u64, params: impl IntoIterator<Item = P>) -> Self {
-        RunPlan {
-            cells: params
-                .into_iter()
-                .enumerate()
-                .map(|(index, param)| RunCell {
-                    index,
-                    seed: derive_seed(base, index as u64),
-                    param,
-                })
-                .collect(),
-        }
-    }
-
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -99,8 +83,9 @@ impl SeedGrid {
     }
 }
 
-/// An ordered parameter sweep, expandable into a [`RunPlan`] directly or
-/// crossed with a [`SeedGrid`] for multi-seed replication.
+/// An ordered parameter sweep, expandable into a [`RunPlan`] with an
+/// explicit seed per point or crossed with a [`SeedGrid`] for multi-seed
+/// replication.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamGrid<P> {
     /// The sweep points, in report order.
@@ -111,11 +96,6 @@ impl<P: Clone> ParamGrid<P> {
     /// Builds the grid.
     pub fn new(params: impl Into<Vec<P>>) -> Self {
         ParamGrid { params: params.into() }
-    }
-
-    /// One cell per parameter, seeds derived from `base`.
-    pub fn plan(&self, base: u64) -> RunPlan<P> {
-        RunPlan::derived(base, self.params.iter().cloned())
     }
 
     /// One cell per parameter with an explicit seed formula (preserves
@@ -153,19 +133,6 @@ mod tests {
         // splitmix64(0) from the reference implementation.
         assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
         assert_ne!(splitmix64(1), splitmix64(2));
-    }
-
-    #[test]
-    fn derived_seeds_are_stable_and_distinct() {
-        let plan = RunPlan::derived(42, ["a", "b", "c"]);
-        let again = RunPlan::derived(42, ["a", "b", "c"]);
-        assert_eq!(plan, again);
-        assert_eq!(plan.len(), 3);
-        let mut seeds: Vec<u64> = plan.cells.iter().map(|c| c.seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 3, "cell seeds must be pairwise distinct");
-        assert_ne!(plan.cells[0].seed, RunPlan::derived(43, ["a"]).cells[0].seed);
     }
 
     #[test]

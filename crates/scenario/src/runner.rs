@@ -89,10 +89,16 @@ impl Default for Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::derive_seed;
+
+    /// One cell per `u64` in `params`, seeds derived from `base`.
+    fn seeded_plan(base: u64, params: impl Iterator<Item = u64>) -> RunPlan<u64> {
+        RunPlan::with_seeds(params.map(|p| (p, derive_seed(base, p))))
+    }
 
     #[test]
     fn serial_and_parallel_merge_identically() {
-        let plan = RunPlan::derived(9, 0..37u64);
+        let plan = seeded_plan(9, 0..37);
         let f = |cell: &RunCell<u64>| (cell.index, cell.seed, cell.param * 3);
         let serial = Runner::new(1).run(&plan, f);
         let parallel = Runner::new(8).run(&plan, f);
@@ -106,14 +112,14 @@ mod tests {
 
     #[test]
     fn more_workers_than_cells_is_fine() {
-        let plan = RunPlan::derived(1, 0..2u64);
+        let plan = seeded_plan(1, 0..2);
         let out = Runner::new(16).run(&plan, |c| c.param);
         assert_eq!(out, vec![0, 1]);
     }
 
     #[test]
     fn empty_plan_returns_empty() {
-        let plan: RunPlan<u8> = RunPlan::derived(1, std::iter::empty());
+        let plan = seeded_plan(1, std::iter::empty());
         let out = Runner::new(4).run(&plan, |c| c.param);
         assert!(out.is_empty());
     }

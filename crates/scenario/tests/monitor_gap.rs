@@ -1,9 +1,9 @@
 //! Pins the INC-monitor gap between the two node policies.
 //!
 //! The paper's node (`triad_core::Paper`) runs the §III-B / §IV-A.1
-//! INC-vs-TSC monitor; the §V hardened policy (`resilient::Hardened`)
-//! does not, although `ResilientConfig::base` carries the monitor's
-//! parameters. Same spec, same seed, same `set-rate-hz` — the committed
+//! INC-vs-TSC monitor (`triad_core::MONITOR_INTERVAL`,
+//! `MONITOR_THRESHOLD_PPM`); Hardened runs no monitor. Same spec, same
+//! seed, same `set-rate-hz` — the committed
 //! `drift-n5` manipulation without its TA outage: the paper's node sees
 //! it, the hardened node does not.
 //!

@@ -61,7 +61,7 @@ fn live_heap_at_horizon(rate_per_s: f64) -> (isize, u64) {
         .horizon(horizon)
         .node_impl(NodeImplSpec::Resilient(Box::default()))
         .all_nodes_aex(AexSpec::TriadLike)
-        .service(ServiceSpec::new().open_loop(OpenLoopSpec { rate_per_s, ..Default::default() }))
+        .service(ServiceSpec::new().open_loop(OpenLoopSpec { rate_per_s }))
         .build(7);
     sim.run_until(horizon);
     let held = LIVE_BYTES.load(Ordering::Relaxed) - before;

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use netsim::Addr;
 use proto::{Env, Input, Lie, Machine, ProtoEvent};
-use sim::SimTime;
+use sim::{SimDuration, SimTime};
 use trace::NodeStateTag;
 use wire::{AttestOutcome, Message, ServeOutcome, TimeReading};
 
@@ -13,6 +13,17 @@ use crate::spec::FrontendSpec;
 
 /// Timer token for the batch-window flush (machine-private).
 const TOKEN_FLUSH: u64 = 1 << 63;
+
+/// Base half-width of degraded-mode answers. It restates the hardened
+/// node's standing self-assessed error bound (`resilient`'s
+/// `BASE_ERROR_BOUND`, 1 ms) because `service` has no dependency edge to
+/// `resilient`; change both together.
+const DEGRADED_BASE_UNCERTAINTY: SimDuration = SimDuration::from_millis(1);
+/// Floor half-width of quorum attestations. The attested uncertainty is the
+/// node's published self-assessed bound (plus staleness widening), but
+/// never below this floor — it must cover the honest inter-node clock
+/// divergence or honest panels will false-positive.
+const ATTEST_FLOOR_UNCERTAINTY: SimDuration = SimDuration::from_millis(2);
 
 /// What a queued request is asking for.
 #[derive(Debug, Clone, Copy)]
@@ -163,7 +174,7 @@ impl Frontend {
         env.emit(ProtoEvent::FrontendBatch);
 
         let degraded_uncertainty_ns = {
-            let base = self.spec.degraded_base_uncertainty.as_nanos() as f64;
+            let base = DEGRADED_BASE_UNCERTAINTY.as_nanos() as f64;
             let staleness = self.degraded_since.map_or(0.0, |t0| (now - t0).as_nanos() as f64);
             (base + self.spec.degraded_drift_ppm * 1e-6 * staleness) as u64
         };
@@ -184,7 +195,7 @@ impl Frontend {
             } else {
                 published + degraded_uncertainty_ns as f64
             };
-            widened.max(self.spec.attest_floor_uncertainty.as_nanos() as f64) as u64
+            widened.max(ATTEST_FLOOR_UNCERTAINTY.as_nanos() as f64) as u64
         };
         let drained = self.queue.len().min(self.spec.batch_max);
         for _ in 0..drained {

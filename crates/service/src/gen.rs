@@ -189,10 +189,10 @@ impl OpenLoopGen {
     /// Panics on a non-positive rate or an empty cluster.
     pub fn new(me: Addr, frontends: Vec<Addr>, spec: OpenLoopSpec, router: RouterSpec) -> Self {
         assert!(spec.rate_per_s > 0.0, "open-loop rate must be positive");
-        let accept = spec.accept_degraded;
+        // Open-loop requests always accept degraded answers.
         OpenLoopGen {
             spec,
-            dispatcher: Dispatcher::new(me, frontends, router, accept),
+            dispatcher: Dispatcher::new(me, frontends, router, true),
             next_nonce: 0,
         }
     }

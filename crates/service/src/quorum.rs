@@ -33,6 +33,10 @@ const TOKEN_DEADLINE: u64 = 1 << 62;
 /// Low bits available for a nonce inside a token.
 const TOKEN_PAYLOAD: u64 = (1 << 62) - 1;
 
+/// How long a read waits for panel answers before deciding with whatever
+/// arrived.
+const COLLECT_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+
 /// One collected attestation, stamped with when its request leg was sent
 /// and when the answer arrived (the projection inputs).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -334,7 +338,7 @@ impl QuorumGen {
         for &i in &panel {
             env.send(self.frontends[i], &Message::AttestRequest { nonce });
         }
-        let deadline = env.set_timer(TOKEN_DEADLINE | nonce, self.spec.quorum.collect_timeout);
+        let deadline = env.set_timer(TOKEN_DEADLINE | nonce, COLLECT_TIMEOUT);
         self.pending.insert(
             nonce,
             PendingRead { first_sent: now, deadline, panel, answered: 0, samples: Vec::new() },
@@ -466,10 +470,8 @@ mod tests {
             dst: crate::frontend_addr(i),
             msg: Message::AttestRequest { nonce: 4 },
         };
-        let deadline = proto::Effect::SetTimer {
-            token: TOKEN_DEADLINE | 4,
-            after: spec.quorum.collect_timeout,
-        };
+        let deadline =
+            proto::Effect::SetTimer { token: TOKEN_DEADLINE | 4, after: COLLECT_TIMEOUT };
         assert_eq!(env.take_effects()[..4], [ask(3), ask(0), ask(1), deadline]);
     }
 

@@ -1,15 +1,19 @@
 //! Client-side cluster routing: round-robin spreading with per-node
 //! health tracking and failover.
 
-use sim::SimTime;
+use sim::{SimDuration, SimTime};
 
 use crate::spec::RouterSpec;
+
+/// How long a node stays deprioritized after an `Overloaded` reply (it is
+/// alive but saturated — back off briefly).
+const PENALTY: SimDuration = SimDuration::from_millis(20);
 
 /// Per-generator routing state over an `n`-node cluster.
 ///
 /// Requests round-robin across nodes, skipping any node currently held
 /// down: a timeout marks its target *hard*-down for `cooldown` (it may be
-/// crashed), an `Overloaded` reply *soft*-down for the shorter `penalty`
+/// crashed), an `Overloaded` reply *soft*-down for the shorter `PENALTY`
 /// (it is alive but saturated). When every node is soft-down the router
 /// still picks one — a saturated cluster is worth a try — but when every
 /// node is hard-down [`Router::pick`] returns `None` so the caller can
@@ -83,7 +87,7 @@ impl Router {
 
     /// Records an `Overloaded` reply from node `i`: deprioritize briefly.
     pub fn overloaded(&mut self, i: usize, now: SimTime) {
-        self.down_until[i] = self.down_until[i].max(now + self.spec.penalty);
+        self.down_until[i] = self.down_until[i].max(now + PENALTY);
     }
 
     /// Records a timed-out attempt against node `i`: back off hard.
@@ -101,8 +105,6 @@ impl Router {
 
 #[cfg(test)]
 mod tests {
-    use sim::SimDuration;
-
     use super::*;
 
     fn spec() -> RouterSpec {
@@ -110,7 +112,6 @@ mod tests {
             timeout: SimDuration::from_millis(25),
             max_attempts: 3,
             cooldown: SimDuration::from_millis(200),
-            penalty: SimDuration::from_millis(20),
         }
     }
 

@@ -8,18 +8,17 @@ use sim::SimDuration;
 /// the offered rate no matter how the cluster is doing — the load shape
 /// that actually drives servers into overload. Gaps are exponential
 /// (memoryless, Poisson-process arrivals: the aggregate of many
-/// independent clients).
+/// independent clients). Every request tolerates degraded `TimeReading`
+/// answers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenLoopSpec {
     /// Offered rate (requests per simulated second).
     pub rate_per_s: f64,
-    /// Whether requests tolerate degraded `TimeReading` answers.
-    pub accept_degraded: bool,
 }
 
 impl Default for OpenLoopSpec {
     fn default() -> Self {
-        OpenLoopSpec { rate_per_s: 1000.0, accept_degraded: true }
+        OpenLoopSpec { rate_per_s: 1000.0 }
     }
 }
 
@@ -56,17 +55,9 @@ pub struct FrontendSpec {
     /// `batch_max` this bounds the front-end's drain rate at
     /// `batch_max / batch_window`.
     pub batch_window: SimDuration,
-    /// Base half-width of degraded-mode answers (mirrors the hardened
-    /// node's standing self-assessed error bound).
-    pub degraded_base_uncertainty: SimDuration,
     /// Widening rate of degraded-mode answers while the node stays
     /// degraded (ppm of elapsed degraded time).
     pub degraded_drift_ppm: f64,
-    /// Floor half-width of quorum attestations. The attested uncertainty
-    /// is the node's published self-assessed bound (plus staleness
-    /// widening), but never below this floor — it must cover the honest
-    /// inter-node clock divergence or honest panels will false-positive.
-    pub attest_floor_uncertainty: SimDuration,
 }
 
 impl Default for FrontendSpec {
@@ -75,9 +66,7 @@ impl Default for FrontendSpec {
             queue_cap: 256,
             batch_max: 32,
             batch_window: SimDuration::from_millis(2),
-            degraded_base_uncertainty: SimDuration::from_millis(1),
             degraded_drift_ppm: 50.0,
-            attest_floor_uncertainty: SimDuration::from_millis(2),
         }
     }
 }
@@ -93,9 +82,6 @@ pub struct RouterSpec {
     /// How long a node stays deprioritized after a timeout (it may be
     /// crashed — back off hard).
     pub cooldown: SimDuration,
-    /// How long a node stays deprioritized after an `Overloaded` reply
-    /// (it is alive but saturated — back off briefly).
-    pub penalty: SimDuration,
 }
 
 impl Default for RouterSpec {
@@ -104,7 +90,6 @@ impl Default for RouterSpec {
             timeout: SimDuration::from_millis(25),
             max_attempts: 3,
             cooldown: SimDuration::from_millis(250),
-            penalty: SimDuration::from_millis(20),
         }
     }
 }
@@ -118,9 +103,6 @@ pub struct QuorumSpec {
     /// Tolerated simultaneous liars. Reads fan out to up to `2f + 1`
     /// nodes and accept on `f + 1` mutually overlapping attestations.
     pub f: usize,
-    /// How long a read waits for panel answers before deciding with
-    /// whatever arrived.
-    pub collect_timeout: SimDuration,
     /// Suspect flags (strikes) before a node is quarantined; a clean
     /// attestation while trusted resets the count.
     pub suspect_threshold: u32,
@@ -145,7 +127,6 @@ impl Default for QuorumSpec {
     fn default() -> Self {
         QuorumSpec {
             f: 1,
-            collect_timeout: SimDuration::from_millis(50),
             suspect_threshold: 3,
             probation: SimDuration::from_secs(2),
             probe_jitter: SimDuration::from_millis(100),
@@ -267,7 +248,7 @@ mod tests {
     fn spec_builders_accumulate_generators() {
         let spec = ServiceSpec::new()
             .open_loop(OpenLoopSpec::default())
-            .open_loop(OpenLoopSpec { rate_per_s: 50.0, ..Default::default() })
+            .open_loop(OpenLoopSpec { rate_per_s: 50.0 })
             .closed_loop(ClosedLoopSpec::default())
             .quorum_loop(QuorumLoopSpec::default());
         assert_eq!(spec.generator_count(), 4);

@@ -37,8 +37,7 @@ fn frontend_sums(world: &World) -> (u64, u64, u64) {
 fn nominal_load_is_served_with_amortized_enclave_reads() {
     // 2000/s per node against a 2 ms batch window: ~4 requests amortized
     // over each enclave read, well under the 16k/s per-node drain bound.
-    let spec =
-        ServiceSpec::new().open_loop(OpenLoopSpec { rate_per_s: 4000.0, ..Default::default() });
+    let spec = ServiceSpec::new().open_loop(OpenLoopSpec { rate_per_s: 4000.0 });
     let world = run_with(2, 11, SimTime::from_secs(8), &spec, None);
     let s = &world.recorder.service;
     assert!(s.offered.count() > 5_000, "offered: {}", s.offered.count());
@@ -73,7 +72,7 @@ fn overload_sheds_instead_of_collapsing() {
             batch_window: SimDuration::from_millis(5),
             ..Default::default()
         })
-        .open_loop(OpenLoopSpec { rate_per_s: 3000.0, ..Default::default() });
+        .open_loop(OpenLoopSpec { rate_per_s: 3000.0 });
     let world = run_with(2, 12, SimTime::from_secs(10), &spec, None);
     let s = &world.recorder.service;
     let (_, _, fe_shed) = frontend_sums(&world);
@@ -88,8 +87,7 @@ fn overload_sheds_instead_of_collapsing() {
 
 #[test]
 fn node_crash_fails_over_and_recovers() {
-    let spec =
-        ServiceSpec::new().open_loop(OpenLoopSpec { rate_per_s: 300.0, ..Default::default() });
+    let spec = ServiceSpec::new().open_loop(OpenLoopSpec { rate_per_s: 300.0 });
     let plan = FaultPlan::new().crash_window(0, SimTime::from_secs(8), SimDuration::from_secs(6));
     let world = run_with(2, 13, SimTime::from_secs(24), &spec, Some(plan));
     let s = &world.recorder.service;
@@ -130,7 +128,7 @@ fn closed_loop_population_self_paces() {
 #[test]
 fn serving_runs_are_seed_deterministic() {
     let spec = ServiceSpec::new()
-        .open_loop(OpenLoopSpec { rate_per_s: 200.0, ..Default::default() })
+        .open_loop(OpenLoopSpec { rate_per_s: 200.0 })
         .closed_loop(ClosedLoopSpec::default())
         .router(RouterSpec { max_attempts: 2, ..Default::default() });
     let a = run_with(2, 21, SimTime::from_secs(10), &spec, None);

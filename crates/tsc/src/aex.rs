@@ -111,37 +111,6 @@ impl AexSpec {
     }
 }
 
-/// How long the enclave thread stays suspended once an AEX fires (interrupt
-/// handling plus rescheduling). Uniform between the bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AexPause {
-    /// Shortest suspension.
-    pub min: SimDuration,
-    /// Longest suspension.
-    pub max: SimDuration,
-}
-
-impl Default for AexPause {
-    fn default() -> Self {
-        AexPause { min: SimDuration::from_micros(10), max: SimDuration::from_micros(120) }
-    }
-}
-
-impl AexPause {
-    /// Samples one suspension length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min > max`.
-    pub fn sample(&self, rng: &mut StdRng) -> SimDuration {
-        assert!(self.min <= self.max, "AexPause bounds out of order");
-        if self.min == self.max {
-            return self.min;
-        }
-        SimDuration::from_nanos(rng.gen_range(self.min.as_nanos()..=self.max.as_nanos()))
-    }
-}
-
 /// One standard-normal-based sample via Box–Muller (rand 0.8 ships no
 /// normal distribution and external distribution crates are out of scope).
 pub fn sample_normal(rng: &mut StdRng, mean: f64, std_dev: f64) -> f64 {
@@ -222,18 +191,6 @@ mod tests {
         // After the switch, the fast regime is active.
         let d1 = m.next_delay(SimTime::from_secs(104), &mut rng).unwrap();
         assert_eq!(d1, SimDuration::from_millis(10));
-    }
-
-    #[test]
-    fn pause_samples_within_bounds() {
-        let p = AexPause::default();
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..100 {
-            let d = p.sample(&mut rng);
-            assert!(d >= p.min && d <= p.max);
-        }
-        let fixed = AexPause { min: SimDuration::from_micros(5), max: SimDuration::from_micros(5) };
-        assert_eq!(fixed.sample(&mut rng), SimDuration::from_micros(5));
     }
 
     #[test]

@@ -23,7 +23,7 @@ mod clock;
 mod governor;
 mod inc;
 
-pub use aex::{sample_normal, AexPause, AexSpec};
+pub use aex::{sample_normal, AexSpec};
 pub use clock::{TscClock, TscManipulation, PAPER_TSC_HZ};
 pub use governor::{CoreFrequency, Governor};
 pub use inc::{reject_outliers, IncExperiment, IncModel, IncSamples, PAPER_CYCLES_PER_ITER};

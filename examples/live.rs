@@ -59,7 +59,7 @@ fn main() {
             samples_per_sleep: 3,
             ..TriadConfig::default()
         },
-        open_loop: Some(OpenLoopSpec { rate_per_s: 200.0, ..OpenLoopSpec::default() }),
+        open_loop: Some(OpenLoopSpec { rate_per_s: 200.0 }),
         quorum_loop: Some(QuorumLoopSpec { rate_per_s: 50.0, ..QuorumLoopSpec::default() }),
         ..LiveSpec::default()
     };

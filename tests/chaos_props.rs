@@ -14,7 +14,7 @@ use triad_tt::faults::{FaultPlan, RandomFaultConfig};
 use triad_tt::resilient::ResilientConfig;
 use triad_tt::scenario::{AexSpec, FaultSpec, NodeImplSpec, ScenarioSpec};
 use triad_tt::sim::{SimDuration, SimTime};
-use triad_tt::triad::TriadConfig;
+use triad_tt::triad::{TriadConfig, READING_UNCERTAINTY_NS};
 
 /// A compressed chaos window so every recovery lands inside the horizon.
 fn fault_config(
@@ -77,7 +77,7 @@ proptest! {
         // fault could fire (calibration finishes well before t=20 s).
         prop_assert!(w.recorder.node(0).client_served.count() > 0);
         // Served reading uncertainties never drop below the honest floor.
-        let floor = TriadConfig::hardened().reading_uncertainty_ns as f64;
+        let floor = READING_UNCERTAINTY_NS as f64;
         for &(_, u) in w.recorder.node(0).reading_uncertainty_ns.points() {
             prop_assert!(u >= floor, "uncertainty {u} below floor {floor}");
         }
