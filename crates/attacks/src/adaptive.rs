@@ -65,16 +65,6 @@ impl AdaptiveDelayAttack {
         }
     }
 
-    /// The learned classification threshold, once warm-up completed.
-    pub fn learned_threshold(&self) -> Option<SimDuration> {
-        self.threshold_s.map(SimDuration::from_secs_f64)
-    }
-
-    /// Responses delayed so far.
-    pub fn delayed(&self) -> u64 {
-        self.delayed
-    }
-
     /// Splits sorted observations at the widest gap; returns the midpoint,
     /// or `None` when the spread is too small to distinguish classes.
     fn split(mut holds: Vec<f64>) -> Option<f64> {
@@ -163,10 +153,10 @@ mod tests {
             atk.on_message(at(t + hold), &meta(0, 3), &[]);
             t += hold + 10;
         }
-        let learned = atk.learned_threshold().expect("threshold learned");
+        let learned = SimDuration::from_secs_f64(atk.threshold_s.expect("threshold learned"));
         let s = learned.as_secs_f64();
         assert!(s > 0.1 && s < 0.9, "threshold {s} should sit between classes");
-        assert_eq!(atk.delayed(), 0, "passive during warm-up");
+        assert_eq!(atk.delayed, 0, "passive during warm-up");
 
         // Now a short exchange gets the F– treatment…
         atk.on_message(at(t), &meta(3, 0), &[]);
@@ -177,7 +167,7 @@ mod tests {
         // …and a long one passes.
         atk.on_message(at(t + 10), &meta(3, 0), &[]);
         assert_eq!(atk.on_message(at(t + 1011), &meta(0, 3), &[]), InterceptAction::Deliver);
-        assert_eq!(atk.delayed(), 1);
+        assert_eq!(atk.delayed, 1);
     }
 
     #[test]
@@ -196,8 +186,8 @@ mod tests {
             atk.on_message(at(t + 1), &meta(0, 3), &[]);
             t += 20;
         }
-        assert!(atk.learned_threshold().is_none());
-        assert_eq!(atk.delayed(), 0);
+        assert!(atk.threshold_s.is_none());
+        assert_eq!(atk.delayed, 0);
     }
 
     #[test]

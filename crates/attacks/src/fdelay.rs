@@ -72,16 +72,6 @@ impl CalibrationDelayAttack {
             observed_responses: 0,
         }
     }
-
-    /// How many responses the attack has delayed so far.
-    pub fn delayed(&self) -> u64 {
-        self.delayed
-    }
-
-    /// How many TA→victim responses passed the attacker.
-    pub fn observed_responses(&self) -> u64 {
-        self.observed_responses
-    }
 }
 
 impl Interceptor for CalibrationDelayAttack {
@@ -135,8 +125,8 @@ mod tests {
             atk.on_message(t(1010), &meta(0, 3, t(1010)), &[]),
             InterceptAction::Delay(SimDuration::from_millis(100))
         );
-        assert_eq!(atk.delayed(), 1);
-        assert_eq!(atk.observed_responses(), 2);
+        assert_eq!(atk.delayed, 1);
+        assert_eq!(atk.observed_responses, 2);
     }
 
     #[test]
@@ -150,7 +140,7 @@ mod tests {
         );
         atk.on_message(t(10), &meta(3, 0, t(10)), &[]);
         assert_eq!(atk.on_message(t(1010), &meta(0, 3, t(1010)), &[]), InterceptAction::Deliver);
-        assert_eq!(atk.delayed(), 1);
+        assert_eq!(atk.delayed, 1);
     }
 
     #[test]
@@ -162,8 +152,8 @@ mod tests {
         assert_eq!(atk.on_message(t(1), &meta(0, 1, t(1)), &[]), InterceptAction::Deliver);
         // Peer-to-peer traffic of the victim too.
         assert_eq!(atk.on_message(t(2), &meta(3, 1, t(2)), &[]), InterceptAction::Deliver);
-        assert_eq!(atk.delayed(), 0);
-        assert_eq!(atk.observed_responses(), 0);
+        assert_eq!(atk.delayed, 0);
+        assert_eq!(atk.observed_responses, 0);
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl ReplayAttack {
     pub fn new(victim: Addr, target: ReplayTarget, delay: SimDuration) -> Self {
         ReplayAttack { victim, target, delay, replayed: 0 }
     }
-
-    /// Datagrams duplicated so far.
-    pub fn replayed(&self) -> u64 {
-        self.replayed
-    }
 }
 
 impl Interceptor for ReplayAttack {
@@ -76,7 +71,7 @@ mod tests {
         ));
         assert_eq!(toward.on_message(SimTime::ZERO, &meta(3, 0), &[]), InterceptAction::Deliver);
         assert_eq!(toward.on_message(SimTime::ZERO, &meta(1, 2), &[]), InterceptAction::Deliver);
-        assert_eq!(toward.replayed(), 1);
+        assert_eq!(toward.replayed, 1);
 
         let mut from =
             ReplayAttack::new(Addr(3), ReplayTarget::FromVictim, SimDuration::from_secs(1));

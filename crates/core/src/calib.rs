@@ -64,16 +64,6 @@ impl Calibrator {
         self.regression.push(self.sleeps[idx].as_secs_f64(), delta_ticks as f64);
     }
 
-    /// True when every sleep value has enough samples.
-    pub fn is_complete(&self) -> bool {
-        self.next_probe().is_none()
-    }
-
-    /// Total samples recorded so far.
-    pub fn sample_count(&self) -> usize {
-        self.regression.len()
-    }
-
     /// The least-squares fit; slope is `F^calib` in Hz.
     ///
     /// Returns `None` until at least two distinct sleeps have samples.
@@ -106,9 +96,8 @@ mod tests {
         assert_eq!(c.next_probe(), Some(0));
         c.record(0, 100);
         c.record(1, 200);
-        assert!(c.is_complete());
         assert_eq!(c.next_probe(), None);
-        assert_eq!(c.sample_count(), 4);
+        assert_eq!(c.regression.len(), 4);
     }
 
     #[test]
@@ -146,10 +135,9 @@ mod tests {
         let mut c = Calibrator::new(vec![SimDuration::ZERO, secs(1)], 1);
         c.record(0, 1);
         c.record(1, 2);
-        assert!(c.is_complete());
+        assert!(c.next_probe().is_none());
         c.reset();
-        assert!(!c.is_complete());
-        assert_eq!(c.sample_count(), 0);
+        assert_eq!(c.regression.len(), 0);
         assert_eq!(c.next_probe(), Some(0));
     }
 

@@ -94,7 +94,7 @@ mod tests {
         assert_eq!(cfg.calib_sleeps.len(), 2);
         assert_eq!(cfg.calib_sleeps[0], SimDuration::ZERO);
         assert_eq!(cfg.calib_sleeps[1], SimDuration::from_secs(1));
-        assert_eq!(crate::node::EPSILON_NS, 1);
+        assert_eq!(proto::EPSILON_NS, 1);
         // The default retry policy must stay bit-compatible with the
         // legacy schedule so seeded experiments replay unchanged.
         assert_eq!(cfg.probe_retry, RetryPolicy::default());

@@ -24,7 +24,10 @@
 use std::ops::RangeInclusive;
 
 use netsim::Addr;
-use proto::{ClockState, Env, Input, Machine, ProtoEvent, TimerId, AEX_RESUME_TOKEN, TA_ADDR};
+use proto::{
+    ClockState, Env, Input, Machine, ProtoEvent, ServingFloor, TimerId, AEX_RESUME_TOKEN,
+    EPSILON_NS, STANDING_ERROR_BOUND, TA_ADDR,
+};
 use rand::Rng;
 use sim::{SimDuration, SimTime};
 use trace::NodeStateTag;
@@ -50,20 +53,13 @@ const _: () = assert!(KINDS.count_ones() == 5 && KINDS & TOKEN_MASK == 0);
 /// Extra wait beyond the requested sleep before a calibration probe is
 /// retransmitted (covers loss and attacker drops).
 const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-/// The smallest timestamp increment used to preserve monotonicity when a
-/// peer timestamp is *behind* the local one.
-pub(crate) const EPSILON_NS: u64 = 1;
-// Strict monotonicity of served timestamps rests on a positive ε.
-const _: () = assert!(EPSILON_NS > 0);
 /// How long (ns) the enclave thread stays suspended per AEX (interrupt
 /// handling plus rescheduling), drawn uniformly.
 const AEX_PAUSE_NS: RangeInclusive<u64> = 10_000..=120_000;
 /// Base half-width (ns) of the uncertainty attached to degraded-mode
-/// [`wire::TimeReading`]s when the policy claims no error bound. The same
-/// 1 ms is restated, with no shared source, as `resilient`'s
-/// `BASE_ERROR_BOUND` and `service`'s `DEGRADED_BASE_UNCERTAINTY`; change
-/// all three together.
-pub const READING_UNCERTAINTY_NS: u64 = 1_000_000;
+/// [`wire::TimeReading`]s when the policy claims no error bound:
+/// [`proto::STANDING_ERROR_BOUND`].
+pub const READING_UNCERTAINTY_NS: u64 = STANDING_ERROR_BOUND.as_nanos();
 /// Widening rate of the reading uncertainty while the node is degraded
 /// (Tainted / recalibrating), in parts-per-million of elapsed staleness:
 /// `uncertainty += ppm · 1e-6 · ns_since_degraded`.
@@ -204,7 +200,7 @@ pub struct Core {
     anchor_ticks: u64,
     f_calib_hz: Option<f64>,
     clock_valid: bool,
-    last_served_ns: f64,
+    floor: ServingFloor,
 
     calibrator: Calibrator,
     pending_probe: Option<PendingProbe>,
@@ -243,7 +239,7 @@ impl Core {
             anchor_ticks: 0,
             f_calib_hz: None,
             clock_valid: false,
-            last_served_ns: 0.0,
+            floor: ServingFloor::default(),
             pending_probe: None,
             pending_round: None,
             taint_snapshot_ns: None,
@@ -297,7 +293,7 @@ impl Core {
 
     /// The lowest timestamp the node may still serve.
     pub fn serving_floor_ns(&self) -> f64 {
-        self.last_served_ns + EPSILON_NS as f64
+        self.floor.next_ns() as f64
     }
 
     fn publish_clock(&self, env: &mut dyn Env, bound: Option<f64>) {
@@ -353,10 +349,7 @@ impl Core {
     /// A monotonic timestamp for serving (peer or client). `None` while
     /// the clock is invalid.
     pub fn serve_ns(&mut self, ticks: u64) -> Option<u64> {
-        let now = self.clock_ns(ticks)?;
-        let served = if now > self.last_served_ns { now } else { self.serving_floor_ns() };
-        self.last_served_ns = served;
-        Some(served as u64)
+        Some(self.floor.serve(self.clock_ns(ticks)?))
     }
 
     fn enter_state(&mut self, env: &mut dyn Env, state: NodeStateTag) {
@@ -690,7 +683,7 @@ impl<P: Policy> Node<P> {
     }
 
     /// The platform goes down: all enclave state is lost. Only
-    /// `last_served_ns` survives — Triad seals the monotonic serving floor
+    /// the serving floor survives — Triad seals the monotonic serving floor
     /// outside the enclave, so a rebooted node can never serve a timestamp
     /// below one it already handed out.
     fn on_crash(&mut self, env: &mut dyn Env) {

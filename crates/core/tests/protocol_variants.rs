@@ -171,8 +171,8 @@ fn stale_peer_responses_are_ignored() {
         assert_eq!(trace.peer_adoptions.count(), 0, "node {i} adopted a stale response");
         assert!(trace.ta_references.count() > 5, "node {i} fell back to the TA");
         assert_eq!(
-            trace.states.state_at(SimTime::from_secs(59)).map(|s| s.is_available()),
-            Some(true),
+            trace.states.state_at(SimTime::from_secs(59)),
+            Some(trace::NodeStateTag::Ok),
             "node {i} ends the run serving"
         );
     }

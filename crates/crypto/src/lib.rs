@@ -39,7 +39,8 @@ mod backend;
 mod clmul;
 mod gcm;
 mod ghash;
-pub mod hex;
+#[cfg(test)]
+mod hex;
 mod session;
 
 pub use aes::Aes256;

@@ -79,6 +79,7 @@ impl SealingKey {
     }
 
     /// Sequence number that the next [`SealingKey::seal`] will consume.
+    // tt-lint: allow(test-only-pub) — `crypto/tests/props.rs` checks the nonce sequence through it
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }

@@ -41,7 +41,7 @@ fn run_t3e(
     horizon: SimTime,
     seed: u64,
 ) -> BaselineRow {
-    let mut s = t3e::deployment(tpm_drift_ppm, throttle, SimDuration::from_millis(5), seed);
+    let mut s = crate::t3e::deployment(tpm_drift_ppm, throttle, SimDuration::from_millis(5), seed);
     s.run_until(horizon);
     summarise(label, s.world(), horizon)
 }
@@ -117,7 +117,7 @@ pub fn run(opts: &RunOpts) -> BaselineResult {
         ),
         run_t3e(
             "t3e with owner-skewed TPM (+32.5%)",
-            t3e::TPM_SPEC_MAX_DRIFT_PPM,
+            crate::t3e::TPM_SPEC_MAX_DRIFT_PPM,
             None,
             horizon,
             opts.seed ^ 0xE19 ^ 2,

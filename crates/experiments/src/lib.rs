@@ -43,6 +43,7 @@ pub mod resilience;
 pub mod search;
 pub mod serve;
 pub mod sweeps;
+mod t3e;
 pub mod tsc_detect;
 
 pub use output::{comparison_markdown, comparison_table, Comparison, RunOpts};

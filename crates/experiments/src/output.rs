@@ -42,11 +42,13 @@ impl Default for RunOpts {
 
 impl RunOpts {
     /// A quick-mode configuration writing to `out_dir`.
-    pub fn quick(out_dir: impl Into<PathBuf>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn quick(out_dir: impl Into<PathBuf>) -> Self {
         RunOpts { quick: true, out_dir: out_dir.into(), ..Default::default() }
     }
 
     /// A smoke-mode configuration writing to `out_dir`.
+    // tt-lint: allow(test-only-pub) — the root `*_determinism` tests build their smoke runs with it
     pub fn smoke(out_dir: impl Into<PathBuf>) -> Self {
         RunOpts { quick: true, smoke: true, out_dir: out_dir.into(), ..Default::default() }
     }

@@ -156,11 +156,6 @@ impl Network {
         self.heal_link(b, a);
     }
 
-    /// Whether a directed link is currently blocked by a partition.
-    pub fn is_blocked(&self, src: Addr, dst: Addr) -> bool {
-        self.links.get(&(src, dst)).is_some_and(|l| l.blocked)
-    }
-
     /// Sets the fabric-wide probability that a delivered datagram is
     /// duplicated (the copy takes an independently sampled link delay).
     ///
@@ -191,6 +186,7 @@ impl Network {
     }
 
     /// Statistics for a directed link (zeroes if never used).
+    // tt-lint: allow(test-only-pub) — `tests/end_to_end.rs` and `netsim/tests/props.rs` read one link's counters
     pub fn link_stats(&self, src: Addr, dst: Addr) -> LinkStats {
         self.links.get(&(src, dst)).map(|l| l.stats).unwrap_or_default()
     }
@@ -508,7 +504,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         assert!(net.dispatch(SimTime::ZERO, &mut rng, Addr(1), Addr(2), vec![]).is_empty());
         assert!(net.dispatch(SimTime::ZERO, &mut rng, Addr(2), Addr(1), vec![]).is_empty());
-        assert!(net.is_blocked(Addr(1), Addr(2)));
+        assert!(net.links[&(Addr(1), Addr(2))].blocked);
         // Asymmetric heal: only 2→1 comes back.
         net.heal_link(Addr(2), Addr(1));
         assert!(net.dispatch(SimTime::ZERO, &mut rng, Addr(1), Addr(2), vec![]).is_empty());

@@ -9,7 +9,7 @@
 //! input.
 
 // tt-lint: allow(hash-collections) — this module *defines* the deterministic replacement: BuildHasherDefault<FastHasher> has no RandomState, so iteration order is a pure function of the keys and identical in every process.
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-mix [`Hasher`] for short fixed-width keys (see module docs).
@@ -52,10 +52,6 @@ impl Hasher for FastHasher {
 // tt-lint: allow(hash-collections) — fixed deterministic hasher, not RandomState (see module docs).
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// `HashSet` with the [`FastHasher`] — for small hot-path keys only.
-// tt-lint: allow(hash-collections) — fixed deterministic hasher, not RandomState (see module docs).
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,13 +68,5 @@ mod tests {
         assert_eq!(map.len(), 32 * 32);
         assert_eq!(map.get(&(Addr(3), Addr(7))), Some(&307));
         assert_eq!(map.get(&(Addr(7), Addr(3))), Some(&703), "order must matter");
-    }
-
-    #[test]
-    fn set_distinguishes_directions() {
-        let mut set: FastSet<(Addr, Addr)> = FastSet::default();
-        set.insert((Addr(1), Addr(2)));
-        assert!(set.contains(&(Addr(1), Addr(2))));
-        assert!(!set.contains(&(Addr(2), Addr(1))));
     }
 }

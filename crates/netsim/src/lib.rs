@@ -21,5 +21,5 @@ mod intercept;
 
 pub use delay::DelayModel;
 pub use fabric::{Delivery, LinkStats, Network};
-pub use hash::{FastHasher, FastMap, FastSet};
+pub use hash::{FastHasher, FastMap};
 pub use intercept::{Addr, InterceptAction, Interceptor, MsgMeta, PassThrough};

@@ -1,5 +1,45 @@
-//! Published clock parameters and the lying-node fault description —
-//! shared vocabulary between protocol machines and both drivers.
+//! Published clock parameters, the serving floor, the standing error
+//! bound and the lying-node fault description — shared vocabulary between
+//! protocol machines and both drivers.
+
+use sim::SimDuration;
+
+/// The smallest timestamp increment (the paper's ε): a served timestamp
+/// that would not advance moves this far past the last one.
+pub const EPSILON_NS: u64 = 1;
+// Strict monotonicity of served timestamps rests on a positive ε.
+const _: () = assert!(EPSILON_NS > 0);
+
+/// The standing half-width (1 ms) of a node's timestamp error: the bound a
+/// reading carries before staleness or drift widens it. The core node's
+/// degraded readings, the hardened node's self-assessed bound and the
+/// serving front-end's degraded answers all start from it.
+pub const STANDING_ERROR_BOUND: SimDuration = SimDuration::from_millis(1);
+
+/// The monotonic serving floor: every timestamp a node hands out, to a
+/// client or a peer, full or degraded, is above the one before.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServingFloor {
+    last_ns: u64,
+}
+
+impl ServingFloor {
+    /// The lowest timestamp the next [`ServingFloor::serve`] may return.
+    #[inline]
+    pub fn next_ns(self) -> u64 {
+        self.last_ns + EPSILON_NS
+    }
+
+    /// Serves the clock reading `raw_ns`: whole nanoseconds (a negative
+    /// reading counts as 0), raised to [`ServingFloor::next_ns`] when
+    /// it is not above the last timestamp served.
+    #[inline]
+    pub fn serve(&mut self, raw_ns: f64) -> u64 {
+        let ts = (raw_ns.max(0.0) as u64).max(self.next_ns());
+        self.last_ns = ts;
+        ts
+    }
+}
 
 /// A node's published clock parameters — enough for anyone holding the TSC
 /// value to evaluate the node's current timestamp.

@@ -37,11 +37,6 @@ impl TimerId {
         TimerId { token, handle }
     }
 
-    /// The token the timer was armed with.
-    pub fn token(self) -> u64 {
-        self.token
-    }
-
     /// The arming's event id in the driver's queue, as bits.
     pub fn handle(self) -> u64 {
         self.handle

@@ -40,7 +40,7 @@ mod nonce;
 mod retry;
 mod scripted;
 
-pub use clock::{ClockState, Lie};
+pub use clock::{ClockState, Lie, ServingFloor, EPSILON_NS, STANDING_ERROR_BOUND};
 pub use env::{Effect, Env, Input, Machine, TimerId, AEX_RESUME_TOKEN};
 pub use nonce::NonceWindow;
 pub use retry::{CircuitBreakerPolicy, RetryPolicy};

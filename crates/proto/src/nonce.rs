@@ -72,11 +72,6 @@ impl NonceWindow {
     pub fn is_empty(&self) -> bool {
         self.window.is_empty()
     }
-
-    /// The eviction bound this window was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +123,7 @@ mod tests {
             }
             assert!(w.len() <= 64);
         }
-        assert_eq!(w.capacity(), 64);
+        assert_eq!(w.capacity, 64);
         assert!(w.len() <= 64);
         // The backing storage never outgrew the capacity either.
         assert!(w.window.capacity() <= 128, "backing buffer grew: {}", w.window.capacity());

@@ -83,6 +83,7 @@ impl ScriptedEnv {
     /// Fires the earliest pending timer: advances [`ScriptedEnv::now`] to
     /// its deadline (never backwards) and returns the input it fires as,
     /// or `None` when no timer is armed.
+    // tt-lint: allow(test-only-pub) — `net`'s `Env` conformance suite drives a scripted machine's timers with it
     pub fn fire_next(&mut self) -> Option<Input> {
         self.now = self.now.max(self.timers.peek_time()?);
         self.timers.pop_due(self.now).map(Input::timer)

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use netsim::Addr;
-use proto::{Env, ProtoEvent};
+use proto::{Env, ProtoEvent, STANDING_ERROR_BOUND};
 use sim::SimDuration;
 use stats::{marzullo, Interval, Regression};
 use trace::NodeStateTag;
@@ -28,10 +28,6 @@ const MAX_RTT: SimDuration = SimDuration::from_millis(10);
 /// Consecutive RTT rejections before accepting anyway (liveness), with the
 /// error bound widened by the observed round trip.
 const MAX_RTT_REJECTS: u32 = 3;
-/// Floor of the node's self-assessed error bound. `service`'s
-/// `DEGRADED_BASE_UNCERTAINTY` restates this 1 ms, as does
-/// `triad_core::READING_UNCERTAINTY_NS`; change all three together.
-const BASE_ERROR_BOUND: SimDuration = SimDuration::from_millis(1);
 /// Assumed drift bound before long-window refinement (ppm).
 const DRIFT_BOUND_PPM_INITIAL: f64 = 400.0;
 /// Assumed drift bound after refinement (ppm).
@@ -127,7 +123,7 @@ impl Hardened {
 
     /// The self-assessed half-width error bound `secs` after the anchor.
     fn bound_ns(&self, secs_since_anchor: f64) -> f64 {
-        BASE_ERROR_BOUND.as_nanos() as f64
+        STANDING_ERROR_BOUND.as_nanos() as f64
             + self.drift_bound_ppm * 1e-6 * secs_since_anchor * 1e9
             + self.extra_bound_ns
     }

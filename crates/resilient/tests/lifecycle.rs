@@ -208,6 +208,21 @@ mod check {
         assert!(rig.client_read().expect("re-anchored") > before);
     }
 
+    /// Client and peer reads 1 ns apart: the clock may advance less than
+    /// a nanosecond between them, and each still gets a fresh timestamp.
+    pub fn reads_one_nanosecond_apart_strictly_increase<P: Subject>() {
+        let (mut rig, boot) = Rig::<P>::boot();
+        rig.calibrate(boot, 1, 1);
+        let mut last = 0;
+        for i in 0..20_000 {
+            rig.env.advance(SimDuration::from_nanos(1));
+            let read = if i % 2 == 0 { rig.client_read() } else { rig.peer_read() };
+            let ts = read.expect("an OK node serves");
+            assert!(ts > last, "read {i} served {ts} after {last}");
+            last = ts;
+        }
+    }
+
     pub fn timers_from_before_a_crash_are_ignored<P: Subject>() {
         let (mut rig, boot) = Rig::<P>::boot();
         rig.step(Input::Crash);
@@ -338,6 +353,7 @@ macro_rules! for_both_policies {
 for_both_policies!(
     timestamps_are_served_only_while_ok,
     crash_keeps_the_serving_floor,
+    reads_one_nanosecond_apart_strictly_increase,
     timers_from_before_a_crash_are_ignored,
     breaker_opens_probes_once_per_cooldown_and_closes,
     interrupted_probe_is_resent_and_stale_nonces_are_ignored,

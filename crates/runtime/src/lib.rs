@@ -37,7 +37,7 @@ pub use keys::{link_aad, pair_key, KeyTable};
 pub use machine::MachineActor;
 pub use proto::{
     client_addr, frontend_addr, node_addr, node_index, Effect, Env, Input, Lie, Machine,
-    NonceWindow, ScriptedEnv, TimerId, TA_ADDR,
+    NonceWindow, ScriptedEnv, ServingFloor, TimerId, TA_ADDR,
 };
 pub use sampler::Sampler;
 pub use tsc::TscManipulation;

@@ -39,11 +39,6 @@ impl<M: Machine> MachineActor<M> {
         MachineActor { machine }
     }
 
-    /// The wrapped machine.
-    pub fn inner(&self) -> &M {
-        &self.machine
-    }
-
     fn env<'e, 'w>(&self, ctx: &'e mut Ctx<'w, World, SysEvent>) -> SimEnv<'e, 'w> {
         SimEnv { me: self.machine.addr(), node_index: self.machine.node_index(), ctx }
     }

@@ -230,6 +230,7 @@ impl ScenarioSpec {
 
     /// Sets the i.i.d. datagram loss probability.
     #[must_use]
+    // tt-lint: allow(test-only-pub) — `tests/end_to_end.rs` and `core/tests/protocol_variants.rs` build lossy clusters with it
     pub fn loss(mut self, loss: f64) -> Self {
         self.loss = loss;
         self

@@ -160,6 +160,7 @@ impl Reproducer {
     /// # Errors
     ///
     /// Propagates filesystem and format errors.
+    // tt-lint: allow(test-only-pub) — `tests/search_corpus.rs` replays the committed corpus through it
     pub fn load_dir(dir: &Path) -> io::Result<Vec<Reproducer>> {
         let mut paths: Vec<PathBuf> = match fs::read_dir(dir) {
             Ok(entries) => entries

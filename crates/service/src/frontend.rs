@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use netsim::Addr;
-use proto::{Env, Input, Lie, Machine, ProtoEvent};
+use proto::{Env, Input, Lie, Machine, ProtoEvent, ServingFloor, STANDING_ERROR_BOUND};
 use sim::{SimDuration, SimTime};
 use trace::NodeStateTag;
 use wire::{AttestOutcome, Message, ServeOutcome, TimeReading};
@@ -14,11 +14,6 @@ use crate::spec::FrontendSpec;
 /// Timer token for the batch-window flush (machine-private).
 const TOKEN_FLUSH: u64 = 1 << 63;
 
-/// Base half-width of degraded-mode answers. It restates the hardened
-/// node's standing self-assessed error bound (`resilient`'s
-/// `BASE_ERROR_BOUND`, 1 ms) because `service` has no dependency edge to
-/// `resilient`; change both together.
-const DEGRADED_BASE_UNCERTAINTY: SimDuration = SimDuration::from_millis(1);
 /// Floor half-width of quorum attestations. The attested uncertainty is the
 /// node's published self-assessed bound (plus staleness widening), but
 /// never below this floor — it must cover the honest inter-node clock
@@ -83,9 +78,8 @@ pub struct Frontend {
     /// Earliest instant the next batch may run (pacing: one enclave read
     /// per `batch_window`).
     next_allowed: SimTime,
-    /// Monotonic serving floor (ns): no answer, full or degraded, ever
-    /// goes backwards or repeats.
-    floor_ns: u64,
+    /// No answer, full or degraded, ever goes backwards or repeats.
+    floor: ServingFloor,
     /// When the node's current degraded stretch started, as observed at
     /// flush time; drives the widening uncertainty term.
     degraded_since: Option<SimTime>,
@@ -109,7 +103,7 @@ impl Frontend {
             queue: VecDeque::with_capacity(spec.queue_cap),
             flush_armed: false,
             next_allowed: SimTime::ZERO,
-            floor_ns: 0,
+            floor: ServingFloor::default(),
             degraded_since: None,
             lie: None,
             lie_seq: 0,
@@ -174,7 +168,7 @@ impl Frontend {
         env.emit(ProtoEvent::FrontendBatch);
 
         let degraded_uncertainty_ns = {
-            let base = DEGRADED_BASE_UNCERTAINTY.as_nanos() as f64;
+            let base = STANDING_ERROR_BOUND.as_nanos() as f64;
             let staleness = self.degraded_since.map_or(0.0, |t0| (now - t0).as_nanos() as f64);
             (base + self.spec.degraded_drift_ppm * 1e-6 * staleness) as u64
         };
@@ -205,11 +199,11 @@ impl Frontend {
                 ReqKind::Serve { accept_degraded } => {
                     let outcome = match (state, clock_ns) {
                         (Some(NodeStateTag::Ok), Some(ns)) => {
-                            let ts = self.bump_floor(ns);
+                            let ts = self.floor.serve(ns);
                             ServeOutcome::Time(self.apply_lie(ts))
                         }
                         (Some(_), Some(ns)) if accept_degraded => {
-                            let ts = self.bump_floor(ns);
+                            let ts = self.floor.serve(ns);
                             ServeOutcome::Reading(TimeReading {
                                 estimate_ns: self.apply_lie(ts),
                                 uncertainty_ns: degraded_uncertainty_ns,
@@ -226,7 +220,7 @@ impl Frontend {
                 ReqKind::Attest => {
                     let outcome = match (state, clock_ns) {
                         (Some(s), Some(ns)) if s != NodeStateTag::Crashed => {
-                            let ts = self.bump_floor(ns);
+                            let ts = self.floor.serve(ns);
                             env.emit(ProtoEvent::FrontendAttest);
                             AttestOutcome::Attestation(TimeReading {
                                 estimate_ns: self.apply_lie(ts),
@@ -248,14 +242,6 @@ impl Frontend {
             env.set_timer(TOKEN_FLUSH, self.spec.batch_window);
             self.flush_armed = true;
         }
-    }
-
-    /// Applies the monotonic serving floor with an ε-bump: equal or
-    /// regressed raw readings serve `floor + 1`.
-    fn bump_floor(&mut self, raw_ns: f64) -> u64 {
-        let ts = (raw_ns.max(0.0) as u64).max(self.floor_ns + 1);
-        self.floor_ns = ts;
-        ts
     }
 
     /// Applies the active lying-node fault, if any, to an outgoing

@@ -221,7 +221,8 @@ impl QuorumHealth {
 
     /// True while node `i` is serving out a quarantine (or its half-open
     /// probe has not yet succeeded).
-    pub fn is_quarantined(&self, i: usize) -> bool {
+    #[cfg(test)]
+    fn is_quarantined(&self, i: usize) -> bool {
         matches!(self.trust[i], Trust::Quarantined { .. })
     }
 

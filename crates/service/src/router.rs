@@ -98,7 +98,8 @@ impl Router {
     }
 
     /// True when node `i` is currently held down.
-    pub fn is_down(&self, i: usize, now: SimTime) -> bool {
+    #[cfg(test)]
+    fn is_down(&self, i: usize, now: SimTime) -> bool {
         self.down_until[i] > now
     }
 }

@@ -57,11 +57,6 @@ impl<'a, W, M> Ctx<'a, W, M> {
         self.now
     }
 
-    /// The actor this context belongs to.
-    pub fn self_id(&self) -> ActorId {
-        self.self_id
-    }
-
     /// Schedules `payload` for this actor after `delay`.
     pub fn schedule_in(&mut self, delay: SimDuration, payload: M) -> EventId {
         self.queue.push(self.now + delay, self.self_id, payload)
@@ -285,7 +280,7 @@ mod tests {
             ctx.schedule_in(self.period, self.tag);
         }
         fn on_event(&mut self, ctx: &mut Ctx<'_, Log, u32>, event: u32) {
-            ctx.world.entries.push((ctx.now(), ctx.self_id().index(), event));
+            ctx.world.entries.push((ctx.now(), ctx.self_id.index(), event));
             self.remaining -= 1;
             if self.remaining > 0 {
                 ctx.schedule_in(self.period, self.tag);
@@ -383,13 +378,13 @@ mod tests {
                 }
             }
             fn on_event(&mut self, ctx: &mut Ctx<'_, Log, u32>, event: u32) {
-                ctx.world.entries.push((ctx.now(), ctx.self_id().index(), event));
+                ctx.world.entries.push((ctx.now(), ctx.self_id.index(), event));
                 if event < 5 {
                     if let Some(peer) = self.peer {
                         ctx.send(peer, SimDuration::from_millis(10), event + 1);
                     } else {
                         // Reply to the other actor: ids are 0 and 1.
-                        let me = ctx.self_id().index();
+                        let me = ctx.self_id.index();
                         let other = ActorId(1 - me);
                         ctx.send(other, SimDuration::from_millis(10), event + 1);
                     }
@@ -527,7 +522,7 @@ mod tests {
             }
             fn on_event(&mut self, ctx: &mut Ctx<'_, (), u64>, received: u64) {
                 if received < CHAIN_EVENTS {
-                    let peer = self.peer.unwrap_or_else(|| ctx.self_id());
+                    let peer = self.peer.unwrap_or(ctx.self_id);
                     ctx.send(peer, SimDuration::from_micros(1), received + 1);
                 }
             }

@@ -140,11 +140,6 @@ impl SimDuration {
         SimDuration::scaled(secs, 1_000_000_000)
     }
 
-    /// Creates a duration from whole minutes.
-    pub const fn from_mins(mins: u64) -> Self {
-        SimDuration::scaled(mins, 60 * 1_000_000_000)
-    }
-
     /// Creates a duration from fractional seconds.
     ///
     /// # Panics
@@ -311,7 +306,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(3).as_nanos(), 3_000_000_000);
         assert_eq!(SimDuration::from_millis(5).as_nanos(), 5_000_000);
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
-        assert_eq!(SimDuration::from_mins(2), SimDuration::from_secs(120));
         assert_eq!(SimTime::from_secs(1).as_nanos(), 1_000_000_000);
         let largest = u64::MAX / 1_000_000_000;
         assert_eq!(SimTime::from_secs(largest).as_nanos(), largest * 1_000_000_000);

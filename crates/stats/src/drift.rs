@@ -42,21 +42,6 @@ pub fn ppm_to_ms_per_s(ppm: f64) -> f64 {
     ppm / 1e3
 }
 
-/// Converts a drift rate in ppm to seconds of drift per day.
-pub fn ppm_to_s_per_day(ppm: f64) -> f64 {
-    ppm * 86_400.0 / 1e6
-}
-
-/// Observed drift rate from two (reference time, drift) samples, in ms/s.
-///
-/// # Panics
-///
-/// Panics if the two samples are at the same reference time.
-pub fn drift_rate_ms_per_s((t0_s, drift0_ms): (f64, f64), (t1_s, drift1_ms): (f64, f64)) -> f64 {
-    assert!(t1_s != t0_s, "samples must span a non-empty window");
-    (drift1_ms - drift0_ms) / (t1_s - t0_s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,14 +66,6 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        // NTP's 15 ppm bound is ~1.3 s/day (paper §IV-A.2).
-        assert!((ppm_to_s_per_day(15.0) - 1.296).abs() < 1e-9);
         assert_eq!(ppm_to_ms_per_s(110.0), 0.11);
-    }
-
-    #[test]
-    fn rate_from_samples() {
-        let r = drift_rate_ms_per_s((10.0, 0.0), (20.0, -910.0));
-        assert!((r + 91.0).abs() < 1e-9);
     }
 }

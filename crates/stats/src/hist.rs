@@ -104,16 +104,19 @@ impl LogHistogram {
     }
 
     /// Samples below the range.
+    // tt-lint: allow(test-only-pub) — `stats/tests/props.rs` checks that binning conserves every sample
     pub fn underflow(&self) -> u64 {
         self.underflow
     }
 
     /// Samples at or above the upper bound.
+    // tt-lint: allow(test-only-pub) — `stats/tests/props.rs` checks that binning conserves every sample
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
 
     /// In-range bucket counts.
+    // tt-lint: allow(test-only-pub) — `stats/tests/props.rs` checks that binning conserves every sample
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }

@@ -79,17 +79,6 @@ impl Interval {
     pub fn shift(&self, delta: f64) -> Interval {
         Interval::new(self.lo + delta, self.hi + delta)
     }
-
-    /// Intersection of two intervals, if non-empty.
-    pub fn intersect(&self, other: &Interval) -> Option<Interval> {
-        let lo = self.lo.max(other.lo);
-        let hi = self.hi.min(other.hi);
-        if lo <= hi {
-            Some(Interval { lo, hi })
-        } else {
-            None
-        }
-    }
 }
 
 impl std::fmt::Display for Interval {
@@ -227,17 +216,12 @@ mod tests {
     }
 
     #[test]
-    fn intersection() {
+    fn overlap_is_closed() {
         let a = Interval::new(0.0, 10.0);
-        let b = Interval::new(5.0, 15.0);
-        assert_eq!(a.intersect(&b), Some(Interval::new(5.0, 10.0)));
-        assert!(a.overlaps(&b));
-        let c = Interval::new(11.0, 12.0);
-        assert_eq!(a.intersect(&c), None);
-        assert!(!a.overlaps(&c));
+        assert!(a.overlaps(&Interval::new(5.0, 15.0)));
+        assert!(!a.overlaps(&Interval::new(11.0, 12.0)));
         // Touching endpoints count as overlap (closed intervals).
-        let d = Interval::new(10.0, 11.0);
-        assert_eq!(a.intersect(&d), Some(Interval::new(10.0, 10.0)));
+        assert!(a.overlaps(&Interval::new(10.0, 11.0)));
     }
 
     #[test]

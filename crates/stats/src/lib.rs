@@ -26,9 +26,7 @@ mod regression;
 mod summary;
 
 pub use cdf::Cdf;
-pub use drift::{
-    drift_rate_ms_per_s, drift_rate_ppm, freq_error_ppm, ppm_to_ms_per_s, ppm_to_s_per_day,
-};
+pub use drift::{drift_rate_ppm, freq_error_ppm, ppm_to_ms_per_s};
 pub use hist::LogHistogram;
 pub use interval::{marzullo, Agreement, Interval};
 pub use regression::{median_in_place, LinearFit, Regression};

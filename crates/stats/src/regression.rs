@@ -21,13 +21,6 @@ pub struct LinearFit {
     pub n: usize,
 }
 
-impl LinearFit {
-    /// Evaluates the fitted line at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-}
-
 /// Accumulates `(x, y)` samples and produces least-squares / Theil–Sen fits.
 ///
 /// # Examples
@@ -73,11 +66,6 @@ impl Regression {
     /// Discards all samples.
     pub fn clear(&mut self) {
         self.samples.clear();
-    }
-
-    /// The accumulated samples.
-    pub fn samples(&self) -> &[(f64, f64)] {
-        &self.samples
     }
 
     /// Ordinary least-squares fit.
@@ -193,7 +181,6 @@ mod tests {
         assert!((fit.intercept + 4.0).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
         assert_eq!(fit.n, 20);
-        assert!((fit.predict(100.0) - 246.0).abs() < 1e-9);
     }
 
     #[test]

@@ -98,6 +98,7 @@ impl Summary {
     }
 
     /// Population variance (divides by `n`); `NaN` when empty.
+    // tt-lint: allow(test-only-pub) — the Welford checks (doc example, `stats/tests/props.rs`) read the second moment through it
     pub fn population_variance(&self) -> f64 {
         if self.count == 0 {
             f64::NAN

@@ -83,16 +83,6 @@ impl TimeSeries {
         reg.ols().map(|fit| fit.slope)
     }
 
-    /// Largest jump between consecutive samples (value-units), with its
-    /// time; `None` with < 2 samples. Useful for spotting the peer-untaint
-    /// time-jumps of Figures 3a and 6a.
-    pub fn max_step(&self) -> Option<(SimTime, f64)> {
-        self.points
-            .windows(2)
-            .map(|w| (w[1].0, w[1].1 - w[0].1))
-            .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).expect("values are finite"))
-    }
-
     /// All forward jumps of at least `min_step` between consecutive samples.
     pub fn steps_above(&self, min_step: f64) -> Vec<(SimTime, f64)> {
         self.points
@@ -173,11 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn max_step_and_steps_above() {
+    fn steps_above_finds_the_jumps() {
         let s = series(&[(0, 0.0), (1, 0.1), (2, 35.0), (3, 35.2), (4, 70.0)]);
-        let (t, d) = s.max_step().unwrap();
-        assert_eq!(t, SimTime::from_secs(2));
-        assert!((d - 34.9).abs() < 1e-9);
         let jumps = s.steps_above(30.0);
         assert_eq!(jumps.len(), 2);
         assert_eq!(jumps[1].0, SimTime::from_secs(4));
@@ -188,7 +175,6 @@ mod tests {
         let s = TimeSeries::new();
         assert!(s.is_empty());
         assert!(s.slope_per_sec().is_none());
-        assert!(s.max_step().is_none());
         assert!(s.value_range().is_none());
         assert!(s.last().is_none());
     }

@@ -42,11 +42,6 @@ impl NodeStateTag {
             NodeStateTag::Crashed => "Crashed",
         }
     }
-
-    /// Whether the node can serve client timestamps in this state.
-    pub fn is_available(self) -> bool {
-        matches!(self, NodeStateTag::Ok)
-    }
 }
 
 impl std::fmt::Display for NodeStateTag {
@@ -114,13 +109,9 @@ impl StateTimeline {
     }
 
     /// Raw transitions in time order.
+    // tt-lint: allow(test-only-pub) — the trace, T3E and live-driver tests compare state sequences through it
     pub fn transitions(&self) -> &[(SimTime, NodeStateTag)] {
         &self.transitions
-    }
-
-    /// Number of times `state` was entered within `[from, to]`.
-    pub fn entries_into(&self, state: NodeStateTag, from: SimTime, to: SimTime) -> usize {
-        self.transitions.iter().filter(|&&(t, s)| s == state && t >= from && t <= to).count()
     }
 
     /// Segments covering `[from, to]`, clipped to that window.
@@ -168,9 +159,6 @@ mod tests {
 
     #[test]
     fn state_tags() {
-        assert!(NodeStateTag::Ok.is_available());
-        assert!(!NodeStateTag::Tainted.is_available());
-        assert!(!NodeStateTag::Crashed.is_available());
         assert_eq!(NodeStateTag::FullCalib.to_string(), "FullCalib");
         assert_eq!(NodeStateTag::Crashed.to_string(), "Crashed");
         assert_eq!(NodeStateTag::ALL.len(), 5);
@@ -241,7 +229,6 @@ mod tests {
         let a = tl.availability(t(0), t(100));
         assert!((a - 0.8).abs() < 1e-12, "availability {a}");
         assert_eq!(tl.time_in(NodeStateTag::Tainted, t(0), t(100)), SimDuration::from_secs(10));
-        assert_eq!(tl.entries_into(NodeStateTag::Ok, t(0), t(100)), 2);
     }
 
     #[test]

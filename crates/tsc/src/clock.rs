@@ -139,11 +139,13 @@ impl TscClock {
     }
 
     /// The currently effective rate (equals nominal unless manipulated).
+    // tt-lint: allow(test-only-pub) — the `faults` and `search` tests read a manipulated host through it
     pub fn rate_hz(&self) -> f64 {
         self.rate_hz
     }
 
     /// How many manipulations have been applied so far.
+    // tt-lint: allow(test-only-pub) — the `faults` and `search` tests read a manipulated host through it
     pub fn manipulation_count(&self) -> u32 {
         self.manipulations
     }
@@ -174,7 +176,8 @@ impl TscClock {
     /// # Panics
     ///
     /// Panics if `from > to`.
-    pub fn ticks_between(&self, from: SimTime, to: SimTime) -> u64 {
+    #[cfg(test)]
+    fn ticks_between(&self, from: SimTime, to: SimTime) -> u64 {
         assert!(from <= to, "ticks_between arguments out of order");
         self.read(to).saturating_sub(self.read(from))
     }

@@ -61,6 +61,7 @@ impl CoreFrequency {
     }
 
     /// The active scaling policy.
+    // tt-lint: allow(test-only-pub) — the frequency-scaling attack that would drive it waits on ROADMAP item 4
     pub fn governor(&self) -> Governor {
         self.governor
     }
@@ -70,6 +71,7 @@ impl CoreFrequency {
     /// # Panics
     ///
     /// Panics if a pinned index is out of range.
+    // tt-lint: allow(test-only-pub) — the frequency-scaling attack that would drive it waits on ROADMAP item 4
     pub fn set_governor(&mut self, governor: Governor) {
         if let Governor::Pinned(i) = governor {
             assert!(i < self.pstates_hz.len(), "pinned P-state {i} out of range");
@@ -78,6 +80,7 @@ impl CoreFrequency {
     }
 
     /// The discrete P-state menu, ascending.
+    // tt-lint: allow(test-only-pub) — the frequency-scaling attack that would drive it waits on ROADMAP item 4
     pub fn pstates_hz(&self) -> &[f64] {
         &self.pstates_hz
     }

@@ -91,11 +91,15 @@ impl Lexed {
         while let Some(pos) = find_from(&flat.text, attr, from) {
             from = pos + attr.len();
             // The attribute gates the next item: skip any further
-            // attributes, then brace-match the item's block.
-            let Some(brace) = flat.text[from..].find('{').map(|i| from + i) else {
+            // attributes, then brace-match the item's block. An item
+            // without one (`use …;`, `const X: u8 = 1;`) ends at its `;`.
+            let Some(end) = item_body_or_end(&flat.text, from) else {
                 continue;
             };
-            if let Some(close) = matching_brace(&flat.text, brace) {
+            if flat.text.as_bytes()[end] == b';' {
+                spans.push((flat.line_of(pos), flat.line_of(end)));
+                from = end;
+            } else if let Some(close) = matching_brace(&flat.text, end) {
                 spans.push((flat.line_of(pos), flat.line_of(close)));
                 from = close;
             }
@@ -112,6 +116,50 @@ impl Lexed {
             text.push('\n');
         }
         Flat { text, starts }
+    }
+}
+
+/// One identifier or punctuation character of the code text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
+    /// The identifier, or a single punctuation character.
+    pub text: &'a str,
+    /// 1-based line.
+    pub line: usize,
+}
+
+impl Token<'_> {
+    /// True for an identifier or keyword (not punctuation).
+    pub fn is_ident(&self) -> bool {
+        self.text.starts_with(|c: char| c.is_alphabetic() || c == '_')
+    }
+}
+
+impl Lexed {
+    /// The code's identifiers and punctuation in order. Numbers and
+    /// whitespace are dropped; `::` is two `:` tokens.
+    pub fn tokens(&self) -> Vec<Token<'_>> {
+        let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+        let mut out = Vec::new();
+        for line in &self.lines {
+            let code = line.code.as_str();
+            let mut chars = code.char_indices().peekable();
+            while let Some((i, c)) = chars.next() {
+                let mut end = i + c.len_utf8();
+                if is_ident(c) {
+                    while let Some((j, d)) = chars.next_if(|&(_, d)| is_ident(d)) {
+                        end = j + d.len_utf8();
+                    }
+                    if c.is_ascii_digit() {
+                        continue;
+                    }
+                } else if c.is_whitespace() {
+                    continue;
+                }
+                out.push(Token { text: &code[i..end], line: line.number });
+            }
+        }
+        out
     }
 }
 
@@ -141,6 +189,21 @@ pub fn is_word_boundary(text: &str, pos: usize, len: usize) -> bool {
     let after = text[pos + len..].chars().next();
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     before.is_none_or(|c| !is_ident(c)) && after.is_none_or(|c| !is_ident(c))
+}
+
+/// Byte offset of the first `{` or `;` at or after `from` that sits
+/// outside any `(…)` or `[…]` (so `[u8; 4]` in a signature is skipped).
+fn item_body_or_end(text: &str, from: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (i, b) in text.bytes().enumerate().skip(from) {
+        match b {
+            b'(' | b'[' => depth += 1,
+            b')' | b']' => depth = depth.saturating_sub(1),
+            b'{' | b';' if depth == 0 => return Some(i),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Byte offset of the `}` matching the `{` at `open`, if balanced.
@@ -351,8 +414,8 @@ fn starts_raw_string(chars: &[char], i: usize) -> bool {
     chars.get(j) == Some(&'"')
 }
 
-fn parse_directive(comment: &str, at: usize) -> Option<Directive> {
-    let body = comment.trim_start_matches('/').trim();
+pub(crate) fn parse_directive(comment: &str, at: usize) -> Option<Directive> {
+    let body = comment.trim_start_matches(['/', '#']).trim();
     let rest = body.strip_prefix("tt-lint:")?.trim();
     let (whole_file, rest) = if let Some(r) = rest.strip_prefix("allow-file(") {
         (true, r)
@@ -416,6 +479,13 @@ mod tests {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn after() {}\n";
         let lexed = lex(src);
         assert_eq!(lexed.test_spans(), vec![(2, 5)]);
+    }
+
+    #[test]
+    fn cfg_test_spans_end_at_a_bodiless_item() {
+        let src =
+            "#[cfg(test)]\nmod hex;\nfn live(x: [u8; 2]) {}\n#[cfg(test)]\nfn t(x: [u8; 2]) {\n}\n";
+        assert_eq!(lex(src).test_spans(), vec![(1, 2), (4, 6)]);
     }
 
     #[test]

@@ -13,15 +13,17 @@
 //! token-level (in the style of rustc's `tidy`): [`lexer`] strips
 //! comments/strings and recovers the little structure the lints need
 //! (cfg(test) spans, `impl Machine` spans, allow directives), and
-//! [`lints`] pattern-matches the remaining code. Exceptions are explicit
-//! and justified — inline `// tt-lint: allow(<lint>) — <why>` for single
-//! lines, a workspace allowlist file for whole files — and both go stale
-//! loudly: an exception that no longer suppresses anything fails the
-//! check.
+//! [`lints`] pattern-matches the remaining code; [`usage`] reads the
+//! whole workspace for dead dependency edges and test-only public items.
+//! Exceptions are explicit and justified — inline
+//! `// tt-lint: allow(<lint>) — <why>` for single lines, a workspace
+//! allowlist file for whole files — and both go stale loudly: an
+//! exception that no longer suppresses anything fails the check.
 
 pub mod allowlist;
 pub mod lexer;
 pub mod lints;
+pub mod usage;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -48,7 +50,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "service",
     "sim",
     "stats",
-    "t3e",
     "trace",
     "tsc",
     "wire",
@@ -104,8 +105,8 @@ pub struct Finding {
     pub line: usize,
     /// Lint name.
     pub lint: &'static str,
-    /// The token that triggered it.
-    pub pattern: &'static str,
+    /// The token that triggered it (the dependency or item it names).
+    pub pattern: String,
     /// Diagnostic text.
     pub message: &'static str,
     /// Fix guidance.
@@ -185,10 +186,11 @@ fn lint_applies(lint: &Lint, class: FileClass) -> bool {
         Scope::HotPathModules => class.hot_path,
         Scope::AllCrates => true,
         Scope::OutsideDrivers => !class.driver_module,
+        Scope::Workspace => false,
     }
 }
 
-fn in_spans(spans: &[(usize, usize)], line: usize) -> bool {
+pub(crate) fn in_spans(spans: &[(usize, usize)], line: usize) -> bool {
     spans.iter().any(|&(a, b)| line >= a && line <= b)
 }
 
@@ -211,7 +213,11 @@ pub fn lint_source(
     // Validate directives up front; invalid ones never suppress.
     let mut directives = Vec::new();
     for d in &lexed.directives {
-        if lints::lint_by_name(&d.lint).is_none() {
+        let lint = lints::lint_by_name(&d.lint);
+        if lint.is_some_and(|l| l.scope == Scope::Workspace) {
+            continue; // validated and credited by `usage`
+        }
+        if lint.is_none() {
             policy.push(PolicyError {
                 file: rel.to_string(),
                 line: d.at,
@@ -276,7 +282,7 @@ pub fn lint_source(
                     file: rel.to_string(),
                     line: line.number,
                     lint: lint.name,
-                    pattern,
+                    pattern: pattern.to_string(),
                     message: lint.message,
                     help: lint.help,
                 });
@@ -301,18 +307,38 @@ pub fn lint_source(
     (findings, policy, suppressed, used_entries)
 }
 
-fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    let mut children: Vec<PathBuf> =
-        std::fs::read_dir(dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-    children.sort();
-    for child in children {
-        if child.is_dir() {
-            walk_rs(&child, out)?;
-        } else if child.extension().is_some_and(|e| e == "rs") {
-            out.push(child);
+/// The files the checks read, as `(workspace-relative path, text)`:
+/// every `*.rs` and `Cargo.toml` under `crates/`, the root manifest, and
+/// the `*.rs` files of the root package's `src/`, `tests/` and
+/// `examples/` and of `bench/src`.
+fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+        let mut children: Vec<PathBuf> =
+            std::fs::read_dir(dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
+        children.sort();
+        for child in children {
+            if child.is_dir() {
+                walk(&child, out)?;
+            } else if child.extension().is_some_and(|e| e == "rs")
+                || child.file_name().is_some_and(|n| n == "Cargo.toml")
+            {
+                out.push(child);
+            }
+        }
+        Ok(())
+    }
+    let mut paths: Vec<PathBuf> =
+        Some(root.join("Cargo.toml")).filter(|p| p.is_file()).into_iter().collect();
+    for dir in ["crates", "src", "tests", "examples", "bench/src"] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            walk(&dir, &mut paths)?;
         }
     }
-    Ok(())
+    paths
+        .into_iter()
+        .map(|p| Ok((allowlist::normalize_rel(root, &p), std::fs::read_to_string(&p)?)))
+        .collect()
 }
 
 /// Checks the whole workspace rooted at `root`, reading the allowlist
@@ -357,26 +383,25 @@ pub fn check_workspace(root: &Path, allowlist_path: &Path) -> std::io::Result<Re
         }
     }
 
-    let crates_dir = root.join("crates");
-    let mut files = Vec::new();
-    walk_rs(&crates_dir, &mut files)?;
-
+    let files = read_tree(root)?;
     let mut entry_uses: BTreeMap<usize, usize> = BTreeMap::new();
-    for file in files {
-        let rel = allowlist::normalize_rel(root, &file);
-        if classify(&rel).is_none() {
-            continue;
-        }
-        let source = std::fs::read_to_string(&file)?;
-        let (findings, policy, suppressed, used) = lint_source(&rel, &source, &entries);
-        report.files_scanned += 1;
+    let mut merge = |report: &mut Report, (findings, policy, suppressed, used): usage::Outcome| {
         report.suppressed += suppressed;
         report.findings.extend(findings);
         report.policy_errors.extend(policy);
         for line in used {
             *entry_uses.entry(line).or_insert(0) += 1;
         }
+    };
+    let test_files = usage::test_module_files(&files);
+    for (rel, source) in &files {
+        if rel.ends_with(".rs") && classify(rel).is_some() && !test_files.contains(rel) {
+            report.files_scanned += 1;
+            merge(&mut report, lint_source(rel, source, &entries));
+        }
     }
+    merge(&mut report, usage::unused_edges(&files, &entries));
+    merge(&mut report, usage::test_only_pub(&files, &entries));
 
     for e in &entries {
         if lints::lint_by_name(&e.lint).is_some() && !entry_uses.contains_key(&e.line) {

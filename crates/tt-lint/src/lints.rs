@@ -18,7 +18,10 @@
 //!   justified allow; an allow anywhere else is itself a policy error,
 //! - the **component-model lint** (`component-model`) fires everywhere
 //!   but the `Machine` adapter and the environment drivers: a protocol
-//!   participant is a `proto::Machine`, never a raw simulation actor.
+//!   participant is a `proto::Machine`, never a raw simulation actor,
+//! - the **usage lints** (`unused-edge`, `test-only-pub`) read the whole
+//!   workspace at once rather than one line at a time; they live in
+//!   [`crate::usage`] and have no patterns here.
 
 use crate::lexer::CodeLine;
 
@@ -36,6 +39,9 @@ pub enum Scope {
     /// Every scanned file except the `Machine` adapter and the
     /// environment drivers (`crate::DRIVER_MODULES`).
     OutsideDrivers,
+    /// The whole workspace at once ([`crate::usage`]); never matched
+    /// line by line.
+    Workspace,
 }
 
 /// One lint: a name, a scope, the tokens that trigger it, and the
@@ -128,6 +134,21 @@ pub const LINTS: &[Lint] = &[
         help: "protocol participants are `proto::Machine`s, run by `runtime::MachineActor` in the \
                simulation and by `net`'s driver live; only the adapter and the environment \
                drivers (EnvDriver, Sampler, FaultDriver) implement `sim::Actor`",
+    },
+    Lint {
+        name: "unused-edge",
+        scope: Scope::Workspace,
+        patterns: &[],
+        message: "dependency edge that no non-test code of the crate names",
+        help: "delete the entry",
+    },
+    Lint {
+        name: "test-only-pub",
+        scope: Scope::Workspace,
+        patterns: &[],
+        message: "public item that no non-test code names outside its definition",
+        help: "delete it, gate it behind `cfg(test)`, narrow its visibility, or write \
+               `// tt-lint: allow(test-only-pub) — <why>` on the line above it",
     },
     Lint {
         name: "panic-surface",

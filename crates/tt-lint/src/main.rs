@@ -13,7 +13,9 @@ USAGE:
     tt-lint check [--root <dir>] [--allowlist <file>]
 
 Checks every crate under <dir>/crates against the determinism,
-effect-boundary, and panic-surface lints (see DESIGN.md). Exits
+effect-boundary, and panic-surface lints, and the workspace for
+dependency edges no code uses and public items only tests use (see
+DESIGN.md). Exits
 non-zero on any unsuppressed finding, bad or stale exception, or
 malformed allowlist entry. Defaults: --root . --allowlist
 <root>/tt-lint.allow";

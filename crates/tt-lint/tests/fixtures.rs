@@ -2,7 +2,7 @@
 //! analyzer must keep, one small source text per rule.
 
 use tt_lint::allowlist;
-use tt_lint::lint_source;
+use tt_lint::{lint_source, usage};
 
 /// Helper: lint a snippet as the given workspace-relative file with an
 /// empty allowlist.
@@ -97,7 +97,7 @@ impl sim::Actor<(), ()> for Probe {}
 impl Machine for Tpm {}
 ";
     let f = lint("crates/authority/src/lib.rs", src);
-    let hits: Vec<_> = f.iter().map(|f| (f.lint, f.line, f.pattern)).collect();
+    let hits: Vec<_> = f.iter().map(|f| (f.lint, f.line, f.pattern.as_str())).collect();
     assert_eq!(
         hits,
         [
@@ -125,7 +125,7 @@ fn panic_surface_applies_only_to_hot_path_modules() {
     let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
     let f = lint("crates/wire/src/codec.rs", src);
     assert_eq!(f.len(), 1);
-    assert_eq!((f[0].lint, f[0].pattern), ("panic-surface", ".unwrap()"));
+    assert_eq!((f[0].lint, f[0].pattern.as_str()), ("panic-surface", ".unwrap()"));
     // The same code outside the hot path is not a finding.
     assert!(lint("crates/wire/src/lib.rs", src).is_empty());
 }
@@ -215,4 +215,97 @@ fn allowlist_entry_without_justification_is_rejected() {
     let (entries, errs) = allowlist::parse("hash-collections crates/proto/src/x.rs\n");
     assert!(entries.is_empty());
     assert_eq!(errs.len(), 1);
+}
+
+/// Helper: an in-memory workspace tree for the workspace-wide passes.
+fn tree(files: &[(&str, &str)]) -> Vec<(String, String)> {
+    files.iter().map(|(path, text)| (path.to_string(), text.to_string())).collect()
+}
+
+/// Helper: `(file, line, pattern, help)` of each finding, no policy errors.
+fn hits(outcome: usage::Outcome) -> Vec<(String, usize, String, &'static str)> {
+    let (findings, policy, _, _) = outcome;
+    assert!(policy.is_empty(), "unexpected policy errors: {policy:?}");
+    findings.into_iter().map(|f| (f.file, f.line, f.pattern, f.help)).collect()
+}
+
+#[test]
+fn an_edge_named_only_in_a_doc_line_is_flagged() {
+    let files = tree(&[
+        ("crates/a/Cargo.toml", "[dependencies]\ntsc.workspace = true\nsim.workspace = true\n"),
+        ("crates/a/src/lib.rs", "//! Reads the `tsc::TscClock` model.\nuse sim::SimTime;\n"),
+    ]);
+    let h = hits(usage::unused_edges(&files, &[]));
+    assert_eq!(h.len(), 1, "{h:?}");
+    assert_eq!((h[0].0.as_str(), h[0].1, h[0].2.as_str()), ("crates/a/Cargo.toml", 2, "tsc"));
+    assert_eq!(h[0].3, "delete the entry");
+}
+
+#[test]
+fn a_normal_edge_only_tests_use_belongs_in_dev_dependencies() {
+    let files = tree(&[
+        ("Cargo.toml", "[workspace.dependencies]\nrand = { path = \"vendor/rand\" }\n"),
+        ("crates/a/Cargo.toml", "[dependencies]\nrand.workspace = true\n"),
+        (
+            "crates/a/src/lib.rs",
+            "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    use rand::Rng;\n}\n",
+        ),
+    ]);
+    let h = hits(usage::unused_edges(&files, &[]));
+    assert_eq!(h.len(), 1, "the workspace table is not an edge: {h:?}");
+    assert_eq!((h[0].0.as_str(), h[0].2.as_str()), ("crates/a/Cargo.toml", "rand"));
+    assert!(h[0].3.contains("move it to `[dev-dependencies]`"), "{h:?}");
+}
+
+#[test]
+fn a_dev_edge_reached_only_as_a_field_is_flagged() {
+    let files = tree(&[
+        ("crates/a/Cargo.toml", "[dev-dependencies]\ntsc.workspace = true\nsim.workspace = true\n"),
+        (
+            "crates/a/tests/t.rs",
+            "use sim::SimTime;\nfn hz(h: &Host) -> f64 { h.tsc.nominal_hz() }\n",
+        ),
+    ]);
+    let h = hits(usage::unused_edges(&files, &[]));
+    assert_eq!(h.len(), 1, "{h:?}");
+    assert_eq!((h[0].1, h[0].2.as_str()), (2, "tsc"));
+}
+
+#[test]
+fn a_pub_fn_only_test_code_calls_is_flagged() {
+    let lib = "pub fn helper() -> u8 { 1 }\npub fn used() -> u8 { 2 }\n\
+               #[cfg(test)]\nmod tests {\n    fn t() { assert_eq!(super::helper(), 1); }\n}\n";
+    let files = tree(&[
+        ("crates/a/src/lib.rs", lib),
+        ("crates/a/tests/t.rs", "fn t() { a::helper(); }\n"),
+        ("examples/demo.rs", "fn main() { a::used(); }\n"),
+    ]);
+    let h = hits(usage::test_only_pub(&files, &[]));
+    assert_eq!(h.len(), 1, "{h:?}");
+    assert_eq!((h[0].0.as_str(), h[0].1, h[0].2.as_str()), ("crates/a/src/lib.rs", 1, "fn helper"));
+}
+
+#[test]
+fn a_pub_fn_only_the_benchmark_calls_is_not_flagged() {
+    let files = tree(&[
+        ("crates/a/src/lib.rs", "pub fn timed() {}\n"),
+        ("bench/src/main.rs", "fn main() { a::timed(); }\n"),
+    ]);
+    assert!(hits(usage::test_only_pub(&files, &[])).is_empty());
+}
+
+#[test]
+fn a_stale_unused_edge_allow_is_a_policy_error() {
+    let manifest = "[dependencies]\n\
+                    sim.workspace = true # tt-lint: allow(unused-edge) — pinned elsewhere\n\
+                    # tt-lint: allow(unused-edge) — pinned elsewhere\n\
+                    tsc.workspace = true\n";
+    let files =
+        tree(&[("crates/a/Cargo.toml", manifest), ("crates/a/src/lib.rs", "use sim::SimTime;\n")]);
+    let (f, p, suppressed, _) = usage::unused_edges(&files, &[]);
+    assert!(f.is_empty(), "the unused `tsc` edge is allowed: {f:?}");
+    assert_eq!(suppressed, 1);
+    assert_eq!(p.len(), 1, "{p:?}");
+    assert_eq!((p[0].file.as_str(), p[0].line), ("crates/a/Cargo.toml", 2));
+    assert!(p[0].message.contains("stale"), "{p:?}");
 }
