@@ -2,7 +2,7 @@
 
 use sim::SimDuration;
 
-use crate::retry::{CircuitBreakerPolicy, RetryPolicy};
+use proto::RetryPolicy;
 
 /// Tunable parameters of a Triad node.
 ///
@@ -20,19 +20,15 @@ pub struct TriadConfig {
     /// back to the TA (§III-D: "only asks the TA upon failure to receive
     /// any responses from peers").
     pub peer_timeout: SimDuration,
-    /// Whether the time-reference anchor compensates half the measured
-    /// round-trip (`ta_time + RTT/2`); disabling it reproduces a pure
-    /// offset-toward-the-past error.
-    pub rtt_half_correction: bool,
     /// How probe retransmissions are spaced; the default reproduces the
     /// legacy fixed-interval unlimited retry (no RNG draws), while
     /// [`RetryPolicy::hardened`] adds bounded exponential backoff with
     /// seeded jitter.
     pub probe_retry: RetryPolicy,
-    /// Optional circuit breaker: after the configured number of
-    /// consecutive probe timeouts the node stops hammering the TA and only
-    /// sends one trial probe per cooldown until the TA answers again.
-    pub ta_breaker: Option<CircuitBreakerPolicy>,
+    /// Whether the TA circuit breaker runs: after 8 consecutive probe
+    /// timeouts the node stops hammering the TA and only sends one trial
+    /// probe per 5 s cooldown until the TA answers again.
+    pub ta_breaker: bool,
 }
 
 impl Default for TriadConfig {
@@ -41,9 +37,8 @@ impl Default for TriadConfig {
             calib_sleeps: vec![SimDuration::ZERO, SimDuration::from_secs(1)],
             samples_per_sleep: 3,
             peer_timeout: SimDuration::from_millis(10),
-            rtt_half_correction: true,
             probe_retry: RetryPolicy::default(),
-            ta_breaker: None,
+            ta_breaker: false,
         }
     }
 }
@@ -67,19 +62,12 @@ impl TriadConfig {
         assert!(distinct.len() >= 2, "calibration sleeps must not all be equal");
         assert!(self.samples_per_sleep > 0, "need at least one sample per sleep");
         self.probe_retry.validate();
-        if let Some(b) = &self.ta_breaker {
-            b.validate();
-        }
     }
 
     /// A configuration with every robustness feature enabled: hardened
     /// retry backoff and the TA circuit breaker.
     pub fn hardened() -> Self {
-        TriadConfig {
-            probe_retry: RetryPolicy::hardened(),
-            ta_breaker: Some(CircuitBreakerPolicy::default()),
-            ..Default::default()
-        }
+        TriadConfig { probe_retry: RetryPolicy::hardened(), ta_breaker: true, ..Default::default() }
     }
 }
 
@@ -98,7 +86,7 @@ mod tests {
         // The default retry policy must stay bit-compatible with the
         // legacy schedule so seeded experiments replay unchanged.
         assert_eq!(cfg.probe_retry, RetryPolicy::default());
-        assert!(cfg.ta_breaker.is_none());
+        assert!(!cfg.ta_breaker);
     }
 
     #[test]
@@ -106,7 +94,7 @@ mod tests {
         let cfg = TriadConfig::hardened();
         cfg.validate();
         assert!(cfg.probe_retry.max_attempts.is_some());
-        assert!(cfg.ta_breaker.is_some());
+        assert!(cfg.ta_breaker);
     }
 
     #[test]

@@ -29,7 +29,6 @@ mod calib;
 mod config;
 mod node;
 mod paper;
-mod retry;
 
 pub use calib::Calibrator;
 pub use config::TriadConfig;
@@ -38,7 +37,6 @@ pub use node::{
     READING_UNCERTAINTY_NS,
 };
 pub use paper::{Paper, MONITOR_INTERVAL, MONITOR_THRESHOLD_PPM};
-pub use retry::{CircuitBreakerPolicy, RetryPolicy};
 
 /// One base Triad protocol node (the paper's primary artifact).
 pub type TriadNode = Node<Paper>;

@@ -53,6 +53,12 @@ const _: () = assert!(KINDS.count_ones() == 5 && KINDS & TOKEN_MASK == 0);
 /// Extra wait beyond the requested sleep before a calibration probe is
 /// retransmitted (covers loss and attacker drops).
 const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// Consecutive probe timeouts that open the TA circuit breaker (when
+/// [`TriadConfig::ta_breaker`] is on).
+const BREAKER_THRESHOLD: u32 = 8;
+/// Silence while the breaker is open, before the next half-open trial
+/// probe.
+const BREAKER_COOLDOWN: SimDuration = SimDuration::from_secs(5);
 /// How long (ns) the enclave thread stays suspended per AEX (interrupt
 /// handling plus rescheduling), drawn uniformly.
 const AEX_PAUSE_NS: RangeInclusive<u64> = 10_000..=120_000;
@@ -455,15 +461,13 @@ impl Core {
         env.emit(ProtoEvent::ProbeRetry);
         self.pending_probe = None;
 
-        if let Some(breaker) = self.cfg.ta_breaker {
-            if self.probe_failures >= breaker.failure_threshold {
-                // Stop hammering an unreachable TA; try again once per
-                // cooldown until it answers (half-open trials).
-                self.breaker_stage = Some(kind);
-                env.emit(ProtoEvent::BreakerOpen);
-                env.set_timer(TOKEN_BREAKER | (self.timer_epoch & TOKEN_MASK), breaker.cooldown);
-                return;
-            }
+        if self.cfg.ta_breaker && self.probe_failures >= BREAKER_THRESHOLD {
+            // Stop hammering an unreachable TA; try again once per
+            // cooldown until it answers (half-open trials).
+            self.breaker_stage = Some(kind);
+            env.emit(ProtoEvent::BreakerOpen);
+            env.set_timer(TOKEN_BREAKER | (self.timer_epoch & TOKEN_MASK), BREAKER_COOLDOWN);
+            return;
         }
         let next = attempt + 1;
         // A burst that exhausts its attempt budget restarts from attempt 0

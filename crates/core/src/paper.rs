@@ -88,9 +88,9 @@ impl Policy for Paper {
 
     fn on_ta_sample(&mut self, core: &mut Core, env: &mut dyn Env, sample: TaSample) {
         // Base Triad only ever sends the time-reference exchange: anchor
-        // to the TA timestamp.
-        let correction_ns = if core.cfg().rtt_half_correction { sample.rtt_ns / 2.0 } else { 0.0 };
-        core.anchor_to_ta(env, sample.recv_ticks, sample.ta_time_ns as f64 + correction_ns, None);
+        // to the TA timestamp plus half the measured round trip.
+        let ta_now_ns = sample.ta_time_ns as f64 + sample.rtt_ns / 2.0;
+        core.anchor_to_ta(env, sample.recv_ticks, ta_now_ns, None);
     }
 
     fn peer_request(nonce: u64) -> Message {

@@ -12,11 +12,12 @@
 
 use faults::{FaultAction, FaultPlan, RandomFaultConfig};
 use netsim::{Addr, LinkStats};
+use proto::{RetryPolicy, TA_ADDR};
 use resilient::ResilientConfig;
-use runtime::{World, TA_ADDR};
-use scenario::{AexSpec, FaultSpec, NodeImplSpec, ParamGrid, RunCell, ScenarioSpec};
+use runtime::World;
+use scenario::{AexSpec, FaultSpec, NodeImplSpec, RunCell, RunPlan, ScenarioSpec};
 use sim::{SimDuration, SimTime};
-use triad_core::{RetryPolicy, TriadConfig, READING_UNCERTAINTY_NS};
+use triad_core::{TriadConfig, READING_UNCERTAINTY_NS};
 
 use crate::grid;
 use crate::output::{Comparison, RunOpts, Table};
@@ -120,8 +121,9 @@ impl FaultClass {
 /// One protocol variant in the head-to-head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
-    /// Probes are sent once and effectively never retried (the ablation
-    /// baseline the retry/backoff machinery is measured against).
+    /// Each probe is retransmitted once and then effectively never again
+    /// (the ablation baseline the retry/backoff machinery is measured
+    /// against).
     NoRetry,
     /// Base Triad: the paper's fixed-interval retransmission.
     BaseTriad,
@@ -148,8 +150,9 @@ impl Variant {
 
     fn triad_config(self) -> TriadConfig {
         match self {
-            // A backoff factor of 10^6 pushes the second attempt far past
-            // any horizon: one shot per probe, no breaker.
+            // The first retry waits the plain probe timeout (factor^0 = 1),
+            // so a second probe goes out; a backoff factor of 10^6 pushes
+            // the third ~5·10^5 s away, past any horizon. No breaker.
             Variant::NoRetry => TriadConfig {
                 probe_retry: RetryPolicy {
                     factor: 1e6,
@@ -157,7 +160,7 @@ impl Variant {
                     jitter_frac: 0.0,
                     max_attempts: None,
                 },
-                ta_breaker: None,
+                ta_breaker: false,
                 ..Default::default()
             },
             Variant::BaseTriad => TriadConfig::default(),
@@ -343,13 +346,11 @@ const SMOKE_CLASSES: [FaultClass; 3] =
 /// `chaos_grid.csv` + `chaos_links.csv`.
 pub fn run(opts: &RunOpts) -> ChaosResult {
     let classes: &[FaultClass] = if opts.smoke { &SMOKE_CLASSES } else { &FaultClass::ALL };
-    let grid: Vec<(FaultClass, Variant)> = classes
-        .iter()
-        .flat_map(|&class| Variant::ALL.iter().map(move |&variant| (class, variant)))
-        .collect();
-    let plan = ParamGrid::new(grid).plan_seeded(|&(class, variant)| {
-        opts.seed ^ 0xE20_0000 ^ ((class as u64) << 8) ^ (variant as u64)
-    });
+    let plan = RunPlan::with_seeds(classes.iter().flat_map(|&class| {
+        Variant::ALL.iter().map(move |&variant| {
+            ((class, variant), opts.seed ^ 0xE20_0000 ^ ((class as u64) << 8) ^ (variant as u64))
+        })
+    }));
     let outputs: Vec<CellOutput> = opts.runner().run(&plan, |cell| run_cell(opts, cell));
 
     let mut cells = Vec::new();
@@ -468,6 +469,35 @@ impl ChaosResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proto::{node_addr, Effect, Machine, ScriptedEnv};
+    use triad_core::TriadNode;
+
+    #[test]
+    fn no_retry_sends_each_probe_twice_then_falls_silent() {
+        let cfg = Variant::NoRetry.triad_config();
+        let mut node = TriadNode::new(node_addr(0), vec![node_addr(1)], cfg);
+        let mut env = ScriptedEnv::new(2, 1);
+        let probes = |effects: Vec<Effect>| {
+            effects.iter().filter(|e| matches!(e, Effect::Send { dst: TA_ADDR, .. })).count()
+        };
+        node.on_start(&mut env);
+        let mut sent = vec![(env.now, probes(env.take_effects()))];
+        // The TA never answers: play every timer due within a day.
+        while let Some(input) = env.fire_next() {
+            if env.now > SimTime::from_secs(86_400) {
+                break;
+            }
+            node.on_input(&mut env, input);
+            let n = probes(env.take_effects());
+            if n > 0 {
+                sent.push((env.now, n));
+            }
+        }
+        // The original probe, one retry after the 500 ms probe timeout,
+        // then silence.
+        let retry_at = SimTime::ZERO + SimDuration::from_millis(500);
+        assert_eq!(sent, [(SimTime::ZERO, 1), (retry_at, 1)]);
+    }
 
     #[test]
     fn chaos_grid_matches_its_claims() {

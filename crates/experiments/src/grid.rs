@@ -49,7 +49,7 @@ pub(crate) fn frontend_spec(opts: &RunOpts) -> FrontendSpec {
 
 /// The client-side router E21 and E22 share.
 pub(crate) fn router_spec() -> RouterSpec {
-    RouterSpec { timeout: SimDuration::from_millis(60), ..Default::default() }
+    RouterSpec { timeout: SimDuration::from_millis(60) }
 }
 
 /// Test body shared by the grid experiments: every claim holds and every

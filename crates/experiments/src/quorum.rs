@@ -15,7 +15,7 @@
 //! single reads is quantified.
 
 use faults::FaultPlan;
-use scenario::{AexSpec, FaultSpec, NodeImplSpec, ParamGrid, RunCell, ScenarioSpec};
+use scenario::{AexSpec, FaultSpec, NodeImplSpec, RunCell, RunPlan, ScenarioSpec};
 use service::{FrontendSpec, OpenLoopSpec, QuorumLoopSpec, QuorumSpec, ServiceSpec};
 use sim::{SimDuration, SimTime};
 
@@ -137,9 +137,6 @@ fn frontend_spec(opts: &RunOpts) -> FrontendSpec {
 fn quorum_spec(f: usize) -> QuorumSpec {
     QuorumSpec {
         f,
-        suspect_threshold: 3,
-        probation: SimDuration::from_secs(2),
-        probe_jitter: SimDuration::from_millis(100),
         // Wider than both honest failure modes: the agreement
         // displacement an in-envelope skew can buy (bounded by the ~2 ms
         // envelope) and the brief excursions a §V node shows right after
@@ -371,7 +368,9 @@ pub fn run(opts: &RunOpts) -> QuorumResult {
             })
             .collect()
     };
-    let plan = ParamGrid::new(grid).plan_seeded(|&(f, lie, load)| cell_seed(opts, f, lie, load));
+    let plan = RunPlan::with_seeds(
+        grid.into_iter().map(|(f, lie, load)| ((f, lie, load), cell_seed(opts, f, lie, load))),
+    );
     let cells: Vec<CellResult> = opts.runner().run(&plan, |cell| run_cell(opts, cell));
 
     // Acceptance check: the quorum layer is bit-reproducible, lying

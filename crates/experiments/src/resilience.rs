@@ -10,7 +10,7 @@
 use attacks::DelayAttackMode;
 use netsim::Addr;
 use resilient::ResilientConfig;
-use scenario::{AexSpec, AttackSpec, NodeImplSpec, ParamGrid, RunCell, ScenarioSpec};
+use scenario::{AexSpec, AttackSpec, NodeImplSpec, RunCell, RunPlan, ScenarioSpec};
 use sim::SimTime;
 
 use crate::output::{Comparison, RunOpts, Table};
@@ -158,7 +158,7 @@ const REPORT: Table<CellResult> = Table(&[
 
 /// Runs the full grid and writes the summary CSV.
 pub fn run(opts: &RunOpts) -> ResilienceResult {
-    let plan = ParamGrid::new(Variant::ALL).plan_seeded(|&v| opts.seed ^ 0xE12 ^ (v as u64));
+    let plan = RunPlan::with_seeds(Variant::ALL.map(|v| (v, opts.seed ^ 0xE12 ^ (v as u64))));
     let cells: Vec<CellResult> = opts.runner().run(&plan, |cell| run_cell(opts, cell));
     let dir = opts.dir_for("resilience");
     CSV.write_csv(&dir, "resilience_grid.csv", &cells).expect("write resilience csv");

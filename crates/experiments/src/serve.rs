@@ -12,8 +12,8 @@
 //! histogram (p50/p95/p99/p99.9) and outcome counters.
 
 use faults::{FaultAction, FaultPlan};
-use scenario::{AexSpec, FaultSpec, ParamGrid, RunCell, ScenarioSpec};
-use service::{ClosedLoopSpec, OpenLoopSpec, ServiceSpec};
+use scenario::{AexSpec, FaultSpec, RunCell, RunPlan, ScenarioSpec};
+use service::{OpenLoopSpec, ServiceSpec};
 use sim::{SimDuration, SimTime};
 use triad_core::TriadConfig;
 
@@ -252,11 +252,7 @@ fn spec_for(opts: &RunOpts, size: usize, load: LoadLevel, overlay: Overlay) -> S
         .open_loop(OpenLoopSpec { rate_per_s: load.rate(opts) })
         // A small strict population: full precision or nothing, so
         // degraded windows show up as `Unavailable` pressure too.
-        .closed_loop(ClosedLoopSpec {
-            clients: 16,
-            think: SimDuration::from_millis(100),
-            accept_degraded: false,
-        });
+        .closed_loop();
     let mut spec = ScenarioSpec::new(size)
         .horizon(t.horizon)
         .all_nodes_aex(AexSpec::TriadLike)
@@ -341,8 +337,9 @@ pub fn run(opts: &RunOpts) -> ServeResult {
             })
             .collect()
     };
-    let plan = ParamGrid::new(grid)
-        .plan_seeded(|&(size, load, overlay)| cell_seed(opts, size, load, overlay));
+    let plan = RunPlan::with_seeds(grid.into_iter().map(|(size, load, overlay)| {
+        ((size, load, overlay), cell_seed(opts, size, load, overlay))
+    }));
     let cells: Vec<CellResult> = opts.runner().run(&plan, |cell| run_cell(opts, cell));
 
     // Acceptance check: the serving layer is bit-reproducible.

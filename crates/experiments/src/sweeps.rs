@@ -20,7 +20,7 @@
 
 use attacks::DelayAttackMode;
 use netsim::{Addr, DelayModel};
-use scenario::{AexSpec, AttackSpec, ParamGrid, ScenarioSpec, SeedGrid};
+use scenario::{derive_seed, AexSpec, AttackSpec, RunPlan, ScenarioSpec};
 use sim::{SimDuration, SimTime};
 
 use crate::output::{Comparison, RunOpts, Table};
@@ -175,7 +175,8 @@ const TA_LOAD_REPORT: Table<TaLoadPoint> = Table(&[
 
 fn delay_sweep(opts: &RunOpts) -> Vec<DelayPoint> {
     let horizon = if opts.quick { SimTime::from_secs(90) } else { SimTime::from_secs(180) };
-    let plan = ParamGrid::new([25u64, 50, 100, 200, 400]).plan_seeded(|&ms| opts.seed ^ 0xE14 ^ ms);
+    let plan =
+        RunPlan::with_seeds([25u64, 50, 100, 200, 400].map(|ms| (ms, opts.seed ^ 0xE14 ^ ms)));
     opts.runner().run(&plan, |cell| {
         let ms = cell.param;
         let d = ms as f64 / 1000.0;
@@ -204,7 +205,7 @@ fn delay_sweep(opts: &RunOpts) -> Vec<DelayPoint> {
 
 fn size_sweep(opts: &RunOpts) -> Vec<SizePoint> {
     let horizon = if opts.quick { SimTime::from_secs(120) } else { SimTime::from_secs(240) };
-    let plan = ParamGrid::new([2usize, 3, 5, 7]).plan_seeded(|&n| opts.seed ^ 0xE15 ^ n as u64);
+    let plan = RunPlan::with_seeds([2usize, 3, 5, 7].map(|n| (n, opts.seed ^ 0xE15 ^ n as u64)));
     opts.runner().run(&plan, |cell| {
         let n = cell.param;
         // Fault-free availability.
@@ -232,8 +233,9 @@ fn size_sweep(opts: &RunOpts) -> Vec<SizePoint> {
 
 fn aex_rate_sweep(opts: &RunOpts) -> Vec<AexRatePoint> {
     let horizon = if opts.quick { SimTime::from_secs(120) } else { SimTime::from_secs(300) };
-    let plan = ParamGrid::new([0.1f64, 0.5, 2.0, 10.0])
-        .plan_seeded(|&mean_s| opts.seed ^ 0xE16 ^ mean_s.to_bits());
+    let plan = RunPlan::with_seeds(
+        [0.1f64, 0.5, 2.0, 10.0].map(|mean_s| (mean_s, opts.seed ^ 0xE16 ^ mean_s.to_bits())),
+    );
     opts.runner().run(&plan, |cell| {
         let mean_s = cell.param;
         let world = ScenarioSpec::new(3)
@@ -264,9 +266,14 @@ fn network_sweep(opts: &RunOpts) -> Vec<NetworkPoint> {
     // across a seed grid and the criterion reads the mean.
     let reps = if opts.quick { 3 } else { 5 };
     let params = [("localhost", 30u64), ("lan", 300), ("wan", 10_000)];
-    let plan = ParamGrid::new(params).plan_replicated(&SeedGrid::new(opts.seed ^ 0xE17, reps));
+    // Replication `r` draws its base seed from the experiment seed, and
+    // its point `j` from that base.
+    let plan = RunPlan::with_seeds((0..reps).flat_map(|r| {
+        let base = derive_seed(opts.seed ^ 0xE17, r as u64);
+        params.into_iter().enumerate().map(move |(j, p)| (p, derive_seed(base, j as u64)))
+    }));
     let slopes: Vec<f64> = opts.runner().run(&plan, |cell| {
-        let (_rep, (_, one_way_us)) = cell.param;
+        let (_, one_way_us) = cell.param;
         let delay = DelayModel::NormalClamped {
             mean: SimDuration::from_micros(one_way_us),
             std: SimDuration::from_micros(one_way_us / 5),
@@ -316,7 +323,7 @@ fn network_sweep(opts: &RunOpts) -> Vec<NetworkPoint> {
 fn ta_load_sweep(opts: &RunOpts) -> Vec<TaLoadPoint> {
     let horizon = if opts.quick { SimTime::from_secs(120) } else { SimTime::from_secs(300) };
     let steady = SimTime::from_secs(60);
-    let plan = ParamGrid::new([1usize, 3, 5]).plan_seeded(|&n| opts.seed ^ 0xE18 ^ n as u64);
+    let plan = RunPlan::with_seeds([1usize, 3, 5].map(|n| (n, opts.seed ^ 0xE18 ^ n as u64)));
     opts.runner().run(&plan, |cell| {
         let n = cell.param;
         let world =

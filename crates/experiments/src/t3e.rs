@@ -16,7 +16,7 @@
 //!   TPM spec tolerates up to ±32.5% rate deviation, and the TPM's owner
 //!   (the attacker, §II-A) may configure it anywhere in that range;
 //! - [`T3eNode`]: serves timestamps from the latest TPM reading, at most
-//!   [`T3eConfig::max_uses`] times per reading, stalling (unavailable)
+//!   `MAX_USES` times per reading, stalling (unavailable)
 //!   when depleted until a fresh reading arrives.
 //!
 //! The trade-off the paper describes falls out measurably: under a
@@ -25,10 +25,11 @@
 //! *correctness* (F± skew). Neither dominates — which is the paper's point.
 
 use netsim::{Addr, DelayModel, InterceptAction, Interceptor, MsgMeta, Network};
-use runtime::{
-    client_addr, node_addr, node_index, ClientWorkload, ClockState, Env, Host, Input, Machine,
-    MachineActor, Sampler, ServingFloor, SysEvent, TimerId, World, TA_ADDR,
+use proto::{
+    client_addr, node_addr, node_index, ClockState, Env, Input, Machine, ServingFloor, TimerId,
+    TA_ADDR,
 };
+use runtime::{ClientWorkload, Host, MachineActor, Sampler, SysEvent, World};
 use sim::{SimDuration, SimTime, Simulation};
 use trace::{NodeStateTag, ProtoEvent};
 use wire::Message;
@@ -82,29 +83,15 @@ impl Machine for Tpm {
     }
 }
 
-/// T3E node parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct T3eConfig {
-    /// Proactive TPM polling period.
-    poll_interval: SimDuration,
-    /// How many timestamps one TPM reading may serve before the node
-    /// stalls (the paper: "limiting how many times the same timestamp can
-    /// be used by the TEE and by stalling TEE execution if uses are
-    /// depleted").
-    max_uses: u32,
-    /// Retransmit an unanswered TPM request after this long.
-    request_timeout: SimDuration,
-}
-
-impl Default for T3eConfig {
-    fn default() -> Self {
-        T3eConfig {
-            poll_interval: SimDuration::from_millis(100),
-            max_uses: 32,
-            request_timeout: SimDuration::from_millis(50),
-        }
-    }
-}
+/// Proactive TPM polling period.
+const POLL_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// How many timestamps one TPM reading may serve before the node stalls
+/// (the paper: "limiting how many times the same timestamp can be used by
+/// the TEE and by stalling TEE execution if uses are depleted").
+const MAX_USES: u32 = 32;
+const _: () = assert!(MAX_USES > 0, "a zero-use budget can never serve");
+/// Retransmit an unanswered TPM request after this long.
+const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 
 const TOKEN_POLL: u64 = 1;
 const TOKEN_RETRY: u64 = 2;
@@ -118,7 +105,6 @@ struct T3eNode {
     me: Addr,
     index: usize,
     tpm: Addr,
-    cfg: T3eConfig,
     tsc_hz: f64,
     state: NodeStateTag,
     last_reading_ns: Option<u64>,
@@ -135,14 +121,12 @@ impl T3eNode {
     ///
     /// # Panics
     ///
-    /// Panics when `me` is not a node address, or on a zero-use budget.
-    fn new(me: Addr, tpm: Addr, cfg: T3eConfig, tsc_hz: f64) -> Self {
-        assert!(cfg.max_uses > 0, "a zero-use budget can never serve");
+    /// Panics when `me` is not a node address.
+    fn new(me: Addr, tpm: Addr, tsc_hz: f64) -> Self {
         T3eNode {
             me,
             index: node_index(me).expect("a T3E node serves from a node address"),
             tpm,
-            cfg,
             tsc_hz,
             state: NodeStateTag::Tainted,
             last_reading_ns: None,
@@ -164,7 +148,7 @@ impl T3eNode {
         }
         self.next_nonce += 1;
         env.send(self.tpm, &Message::CalibrationRequest { nonce: self.next_nonce, sleep_ns: 0 });
-        self.pending_retry = Some(env.set_timer(TOKEN_RETRY, self.cfg.request_timeout));
+        self.pending_retry = Some(env.set_timer(TOKEN_RETRY, REQUEST_TIMEOUT));
     }
 
     fn on_reading(&mut self, env: &mut dyn Env, ta_time_ns: u64) {
@@ -177,7 +161,7 @@ impl T3eNode {
             return;
         }
         self.last_reading_ns = Some(ta_time_ns);
-        self.uses_left = self.cfg.max_uses;
+        self.uses_left = MAX_USES;
         if self.state != NodeStateTag::Ok {
             self.enter_state(env, NodeStateTag::Ok);
         }
@@ -215,14 +199,14 @@ impl Machine for T3eNode {
     fn on_start(&mut self, env: &mut dyn Env) {
         self.enter_state(env, NodeStateTag::Tainted);
         self.request_reading(env);
-        env.set_timer(TOKEN_POLL, self.cfg.poll_interval);
+        env.set_timer(TOKEN_POLL, POLL_INTERVAL);
     }
 
     fn on_input(&mut self, env: &mut dyn Env, input: Input) {
         match input {
             Input::Timer { token: TOKEN_POLL } => {
                 self.request_reading(env);
-                env.set_timer(TOKEN_POLL, self.cfg.poll_interval);
+                env.set_timer(TOKEN_POLL, POLL_INTERVAL);
             }
             // The outstanding request went unanswered (delayed or dropped
             // by the OS): try again.
@@ -294,7 +278,7 @@ pub(crate) fn deployment(
     world.provision_all_keys(seed);
     let (me, client) = (node_addr(0), client_addr(0));
     let mut s = Simulation::new(world, seed);
-    let node = T3eNode::new(me, TPM, T3eConfig::default(), tsc_hz);
+    let node = T3eNode::new(me, TPM, tsc_hz);
     let node = s.add_actor(Box::new(MachineActor::new(node)));
     let tpm = s.add_actor(Box::new(MachineActor::new(Tpm::new(TPM, tpm_drift_ppm))));
     let workload = ClientWorkload::new(client, me, client_period);
@@ -309,7 +293,7 @@ pub(crate) fn deployment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use runtime::{Effect, ScriptedEnv};
+    use proto::{Effect, ScriptedEnv};
 
     #[test]
     fn tpm_drift_bounds_enforced() {
@@ -321,13 +305,6 @@ mod tests {
     #[should_panic(expected = "exceeds the spec")]
     fn excessive_tpm_drift_rejected() {
         let _ = Tpm::new(TPM, 400_000.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-use budget")]
-    fn zero_uses_rejected() {
-        let cfg = T3eConfig { max_uses: 0, ..Default::default() };
-        let _ = T3eNode::new(node_addr(0), TPM, cfg, 3e9);
     }
 
     fn reading(env: &mut ScriptedEnv, node: &mut T3eNode, ta_time_ns: u64) {
@@ -358,24 +335,24 @@ mod tests {
     #[test]
     fn a_depleted_budget_stalls_until_a_fresh_reading_arrives() {
         let mut env = ScriptedEnv::new(1, 1);
-        let cfg = T3eConfig { max_uses: 3, ..Default::default() };
-        let mut node = T3eNode::new(node_addr(0), TPM, cfg, env.tsc_hz);
+        let mut node = T3eNode::new(node_addr(0), TPM, env.tsc_hz);
         node.on_start(&mut env);
         env.take_effects();
         assert_eq!(ask(&mut env, &mut node, 1), (None, false), "no reading yet");
         reading(&mut env, &mut node, 5_000);
         assert!(env.clocks[0].valid && env.clocks[0].anchor_ref_ns == 5_000.0);
-        // Three uses of one reading, strictly increasing; the third
+        // `MAX_USES` uses of one reading, strictly increasing; the last
         // depletes the budget and asks the TPM again.
-        assert_eq!(ask(&mut env, &mut node, 2), (Some(5_000), false));
-        assert_eq!(ask(&mut env, &mut node, 3), (Some(5_001), false));
-        assert_eq!(ask(&mut env, &mut node, 4), (Some(5_002), true));
-        assert_eq!(ask(&mut env, &mut node, 5), (None, false), "stalled");
+        for k in 0..u64::from(MAX_USES) {
+            let last = k + 1 == u64::from(MAX_USES);
+            assert_eq!(ask(&mut env, &mut node, 2 + k), (Some(5_000 + k), last));
+        }
+        assert_eq!(ask(&mut env, &mut node, 100), (None, false), "stalled");
         // A reading no newer than the last one does not refresh it.
         reading(&mut env, &mut node, 5_000);
-        assert_eq!(ask(&mut env, &mut node, 6), (None, false));
+        assert_eq!(ask(&mut env, &mut node, 101), (None, false));
         reading(&mut env, &mut node, 9_000);
-        assert_eq!(ask(&mut env, &mut node, 7), (Some(9_000), false));
+        assert_eq!(ask(&mut env, &mut node, 102), (Some(9_000), false));
         let states: Vec<_> =
             env.recorder.node(0).states.transitions().iter().map(|&(_, s)| s).collect();
         use NodeStateTag::{Ok, Tainted};

@@ -6,7 +6,7 @@
 //! detected (recalibrated) and how quickly.
 
 use faults::{FaultAction, FaultPlan};
-use scenario::{FaultSpec, ParamGrid, RunCell, ScenarioSpec};
+use scenario::{FaultSpec, RunCell, RunPlan, ScenarioSpec};
 use sim::SimTime;
 use tsc::TscManipulation;
 
@@ -101,7 +101,10 @@ pub fn run(opts: &RunOpts) -> TscDetectResult {
             TscManipulation::OffsetJump(ticks),
         ));
     }
-    let plan = ParamGrid::new(points).plan_seeded(|p| opts.seed ^ 0xE13 ^ p.0);
+    let plan = RunPlan::with_seeds(points.into_iter().map(|p| {
+        let seed = opts.seed ^ 0xE13 ^ p.0;
+        (p, seed)
+    }));
     let outcomes: Vec<DetectOutcome> = opts.runner().run(&plan, run_one);
 
     let dir = opts.dir_for("tsc-detect");

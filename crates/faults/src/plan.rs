@@ -293,18 +293,6 @@ impl FaultPlan {
             plan = plan
                 .at(from, FaultAction::AexStorm { node, count, spacing: config.aex_storm_spacing });
         }
-        // Lying episodes draw last so plans generated before this fault
-        // class existed (lying_episodes = 0, the default) replay the
-        // identical RNG stream and stay byte-for-byte stable.
-        for _ in 0..config.lying_episodes {
-            let node = rng.gen_range(0..n_nodes);
-            let magnitude = rng.gen_range(config.lie_offset_ns.0..=config.lie_offset_ns.1);
-            let offset_ns = if rng.gen_range(0..2u32) == 0 { magnitude } else { -magnitude };
-            let equivocate = rng.gen_range(0..3u32) == 0;
-            let from = config.draw_start(&mut rng);
-            let d = draw_duration(&mut rng, config.lie_duration);
-            plan = plan.lie_window(node, offset_ns, equivocate, from, d);
-        }
         plan
     }
 
@@ -336,7 +324,9 @@ fn draw_duration(rng: &mut StdRng, (lo, hi): (SimDuration, SimDuration)) -> SimD
 }
 
 /// Knobs for [`FaultPlan::randomized`]: how many faults of each class to
-/// draw and the ranges their windows are drawn from.
+/// draw and the ranges their windows are drawn from. Lying nodes are not
+/// among the classes: a lie only reaches clients through a serving layer,
+/// so plans script it with [`FaultPlan::lie_window`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RandomFaultConfig {
     /// Faults start uniformly inside `[window.0, window.1)` — leave a
@@ -367,14 +357,6 @@ pub struct RandomFaultConfig {
     pub aex_storm_len: (u32, u32),
     /// Gap between interrupts inside a storm.
     pub aex_storm_spacing: SimDuration,
-    /// Number of lying-node windows (default 0: plans generated before
-    /// this fault class existed are reproduced unchanged).
-    pub lying_episodes: u32,
-    /// Skew magnitude range drawn per lying episode (ns; the sign and an
-    /// equivocation coin are drawn separately).
-    pub lie_offset_ns: (i64, i64),
-    /// Duration range for each lying episode.
-    pub lie_duration: (SimDuration, SimDuration),
 }
 
 impl Default for RandomFaultConfig {
@@ -395,9 +377,6 @@ impl Default for RandomFaultConfig {
             aex_storms: 2,
             aex_storm_len: (3, 10),
             aex_storm_spacing: SimDuration::from_millis(200),
-            lying_episodes: 0,
-            lie_offset_ns: (50_000_000, 500_000_000),
-            lie_duration: (SimDuration::from_secs(20), SimDuration::from_secs(60)),
         }
     }
 }
@@ -405,12 +384,8 @@ impl Default for RandomFaultConfig {
 impl RandomFaultConfig {
     fn validate(&self, n_nodes: usize) {
         assert!(self.window.0 < self.window.1, "fault window must be non-empty");
-        let targets_nodes = self.crashes
-            + self.partitions
-            + self.loss_episodes
-            + self.aex_storms
-            + self.lying_episodes
-            > 0;
+        let targets_nodes =
+            self.crashes + self.partitions + self.loss_episodes + self.aex_storms > 0;
         assert!(n_nodes > 0 || !targets_nodes, "node-targeting faults need at least one node");
         assert!(
             (0.0..=1.0).contains(&self.loss_range.0)
@@ -427,11 +402,6 @@ impl RandomFaultConfig {
             assert!(lo <= hi, "duration ranges must be ordered");
         }
         assert!(self.aex_storm_len.0 <= self.aex_storm_len.1, "aex_storm_len must be ordered");
-        assert!(
-            0 <= self.lie_offset_ns.0 && self.lie_offset_ns.0 <= self.lie_offset_ns.1,
-            "lie_offset_ns must be an ordered non-negative magnitude range"
-        );
-        assert!(self.lie_duration.0 <= self.lie_duration.1, "duration ranges must be ordered");
     }
 
     fn draw_start(&self, rng: &mut StdRng) -> SimTime {
@@ -563,30 +533,6 @@ mod tests {
         );
         assert_eq!(sched[1].at, SimTime::from_secs(70));
         assert_eq!(sched[1].action, FaultAction::StopLie { node: 2 });
-    }
-
-    #[test]
-    fn lying_episodes_default_off_and_leave_legacy_plans_unchanged() {
-        // A config predating the lying fault class must generate the exact
-        // same plan it always did (committed chaos artifacts depend on it).
-        let cfg = RandomFaultConfig::default();
-        assert_eq!(cfg.lying_episodes, 0);
-        let plan = FaultPlan::randomized(&cfg, 3, 42);
-        assert!(!plan.events().iter().any(|e| matches!(
-            e.action,
-            FaultAction::StartLie { .. } | FaultAction::StopLie { .. }
-        )));
-
-        // Turning episodes on appends lie windows without perturbing the
-        // prefix drawn for the older fault classes.
-        let lying = RandomFaultConfig { lying_episodes: 2, ..RandomFaultConfig::default() };
-        let lying_plan = FaultPlan::randomized(&lying, 3, 42);
-        assert_eq!(plan.events(), &lying_plan.events()[..plan.len()]);
-        let n_lies = lying_plan.events()[plan.len()..]
-            .iter()
-            .filter(|e| matches!(e.action, FaultAction::StartLie { .. }))
-            .count();
-        assert_eq!(n_lies, 2);
     }
 
     #[test]

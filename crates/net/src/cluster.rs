@@ -51,8 +51,6 @@ pub struct LiveSpec {
     pub precalibrated: bool,
     /// Per-node serving front-end parameters.
     pub frontend: FrontendSpec,
-    /// Routing policy shared by the load generators.
-    pub router: RouterSpec,
     /// Optional open-loop serve-load generator.
     pub open_loop: Option<OpenLoopSpec>,
     /// Optional open-loop quorum-read generator.
@@ -70,7 +68,6 @@ impl Default for LiveSpec {
             node_cfg: TriadConfig::default(),
             precalibrated: false,
             frontend: FrontendSpec::default(),
-            router: RouterSpec::default(),
             open_loop: None,
             quorum_loop: None,
             external_clients: 0,
@@ -220,7 +217,8 @@ pub fn run_cluster<R>(
     let mut generators: Vec<Box<dyn Machine + Send>> = Vec::new();
     if let Some(open) = spec.open_loop {
         let me = generator_addr(generators.len());
-        generators.push(Box::new(OpenLoopGen::new(me, frontend_addrs.clone(), open, spec.router)));
+        let router = RouterSpec::default();
+        generators.push(Box::new(OpenLoopGen::new(me, frontend_addrs.clone(), open, router)));
     }
     if let Some(quorum) = spec.quorum_loop {
         let me = generator_addr(generators.len());

@@ -43,7 +43,7 @@ mod scripted;
 pub use clock::{ClockState, Lie, ServingFloor, EPSILON_NS, STANDING_ERROR_BOUND};
 pub use env::{Effect, Env, Input, Machine, TimerId, AEX_RESUME_TOKEN};
 pub use nonce::NonceWindow;
-pub use retry::{CircuitBreakerPolicy, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use scripted::ScriptedEnv;
 pub use trace::ProtoEvent;
 

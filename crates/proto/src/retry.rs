@@ -1,14 +1,13 @@
-//! Bounded retry with exponential backoff, and a circuit breaker for a
-//! repeatedly unreachable Time Authority.
+//! Bounded retry with exponential backoff for calibration probes.
 //!
 //! The base protocol retransmits a lost calibration probe after a fixed
 //! timeout, forever. Under a TA outage or a long partition that turns every
 //! node into a synchronized retry hammer: all nodes probe in lock-step at
 //! the same cadence and the TA takes the full thundering herd the instant
 //! it heals. The hardened retry policy spaces retransmissions out
-//! exponentially (with deterministic, seeded jitter to decorrelate nodes)
-//! and the circuit breaker stops probing entirely for a cooldown once the
-//! TA has been unreachable for a configured number of consecutive
+//! exponentially (with deterministic, seeded jitter to decorrelate nodes);
+//! `triad_core`'s TA circuit breaker stops probing entirely for a cooldown
+//! once the TA has been unreachable for a fixed number of consecutive
 //! attempts.
 //!
 //! The default [`RetryPolicy`] reproduces the legacy behaviour exactly —
@@ -91,35 +90,6 @@ impl RetryPolicy {
     }
 }
 
-/// Opens after `failure_threshold` consecutive probe failures; while open
-/// the node sends no TA traffic at all, then retries once per `cooldown`
-/// (half-open) until an answer arrives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CircuitBreakerPolicy {
-    /// Consecutive failed probes (timeouts) that trip the breaker.
-    pub failure_threshold: u32,
-    /// Silence period before the next half-open trial probe.
-    pub cooldown: SimDuration,
-}
-
-impl CircuitBreakerPolicy {
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero threshold or zero cooldown.
-    pub fn validate(&self) {
-        assert!(self.failure_threshold > 0, "breaker threshold must be positive");
-        assert!(!self.cooldown.is_zero(), "breaker cooldown must be positive");
-    }
-}
-
-impl Default for CircuitBreakerPolicy {
-    fn default() -> Self {
-        CircuitBreakerPolicy { failure_threshold: 8, cooldown: SimDuration::from_secs(5) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,12 +143,5 @@ mod tests {
     #[should_panic(expected = "jitter fraction")]
     fn excessive_jitter_rejected() {
         RetryPolicy { jitter_frac: 1.0, ..Default::default() }.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must be positive")]
-    fn zero_breaker_threshold_rejected() {
-        CircuitBreakerPolicy { failure_threshold: 0, cooldown: SimDuration::from_secs(1) }
-            .validate();
     }
 }

@@ -5,15 +5,16 @@
 //! are `Hardened`'s alone: its §V RTT filter on the anchor exchange.
 
 use netsim::Addr;
-use proto::{
-    node_addr, CircuitBreakerPolicy, Effect, Input, Machine, ScriptedEnv, AEX_RESUME_TOKEN, TA_ADDR,
-};
+use proto::{node_addr, Effect, Input, Machine, ScriptedEnv, AEX_RESUME_TOKEN, TA_ADDR};
 use resilient::{Hardened, ResilientConfig};
 use sim::SimDuration;
 use trace::NodeStateTag;
 use triad_core::{Node, Paper, Policy, TriadConfig};
 use wire::Message;
 
+// The TA circuit breaker's fixed schedule, `triad_core`'s private
+// `BREAKER_THRESHOLD` and `BREAKER_COOLDOWN`: the checks pin it.
+const BREAKER_THRESHOLD: u64 = 8;
 const COOLDOWN: SimDuration = SimDuration::from_secs(5);
 const PEER: Addr = Addr(2);
 const CLIENT: Addr = Addr(900);
@@ -26,8 +27,7 @@ trait Subject: Policy {
 }
 
 fn base_cfg() -> TriadConfig {
-    let ta_breaker = Some(CircuitBreakerPolicy { failure_threshold: 3, cooldown: COOLDOWN });
-    TriadConfig { ta_breaker, ..TriadConfig::default() }
+    TriadConfig { ta_breaker: true, ..TriadConfig::default() }
 }
 
 impl Subject for Paper {
@@ -242,15 +242,15 @@ mod check {
     pub fn breaker_opens_probes_once_per_cooldown_and_closes<P: Subject>() {
         let (mut rig, mut effects) = Rig::<P>::boot();
         let breaker = loop {
-            // Two timeouts retransmit; the third trips the breaker: silence
-            // but for one timer, the cooldown.
+            // Seven timeouts retransmit; the eighth trips the breaker:
+            // silence but for one timer, the cooldown.
             let Probe { retry, .. } = probe_in(&effects).expect("still probing");
             effects = rig.step(Input::Timer { token: retry });
             if let [Effect::SetTimer { token, after: COOLDOWN }] = &effects[..] {
                 break *token;
             }
         };
-        assert_eq!(rig.env.recorder.node(0).probe_retries.count(), 3);
+        assert_eq!(rig.env.recorder.node(0).probe_retries.count(), BREAKER_THRESHOLD);
         assert_eq!(rig.env.recorder.node(0).breaker_opens.count(), 1);
         // Half-open: exactly one trial probe per cooldown; its timeout re-opens.
         let trial = rig.step(Input::Timer { token: breaker });

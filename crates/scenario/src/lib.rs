@@ -8,9 +8,10 @@
 //!   one way to build a simulated cluster. A spec is plain data: it can be
 //!   stored in a grid, shipped to a worker thread, and instantiated any
 //!   number of times with different seeds.
-//! - [`RunPlan`] / [`SeedGrid`] / [`ParamGrid`]: expansion of a parameter
-//!   sweep (and optionally a multi-seed replication grid) into a flat list
-//!   of independent [`RunCell`]s, each with its own derived seed.
+//! - [`RunPlan`]: a parameter sweep (and optionally a multi-seed
+//!   replication grid) as a flat list of independent [`RunCell`]s, each
+//!   with its own seed ([`derive_seed`] derives one from a base seed and
+//!   an index).
 //! - [`Runner`]: a work-stealing thread pool executing the cells of a
 //!   plan. Results are merged back **in cell order**, so the aggregated
 //!   output is bit-identical whether the plan ran on 1 thread or 16.
@@ -27,7 +28,7 @@ mod plan;
 mod runner;
 mod spec;
 
-pub use plan::{derive_seed, splitmix64, ParamGrid, RunCell, RunPlan, SeedGrid};
+pub use plan::{derive_seed, splitmix64, RunCell, RunPlan};
 pub use runner::Runner;
 pub use spec::{AttackSpec, ClientSpec, FaultSpec, NodeImplSpec, ScenarioSpec};
 pub use tsc::AexSpec;

@@ -1,4 +1,4 @@
-//! Expansion of parameter sweeps and seed grids into flat run plans.
+//! Run plans: the flat cell lists a parameter sweep expands into.
 //!
 //! A [`RunPlan`] is an ordered list of independent [`RunCell`]s. Cell
 //! seeds are a pure function of `(base seed, cell index)` (or supplied
@@ -61,69 +61,6 @@ impl<P> RunPlan<P> {
     }
 }
 
-/// A replication grid: `count` independent base seeds derived from one
-/// root seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeedGrid {
-    /// The root seed.
-    pub base: u64,
-    /// Number of replications.
-    pub count: usize,
-}
-
-impl SeedGrid {
-    /// Builds the grid.
-    pub fn new(base: u64, count: usize) -> Self {
-        SeedGrid { base, count }
-    }
-
-    /// The derived base seeds, one per replication.
-    pub fn seeds(&self) -> Vec<u64> {
-        (0..self.count as u64).map(|i| derive_seed(self.base, i)).collect()
-    }
-}
-
-/// An ordered parameter sweep, expandable into a [`RunPlan`] with an
-/// explicit seed per point or crossed with a [`SeedGrid`] for multi-seed
-/// replication.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParamGrid<P> {
-    /// The sweep points, in report order.
-    pub params: Vec<P>,
-}
-
-impl<P: Clone> ParamGrid<P> {
-    /// Builds the grid.
-    pub fn new(params: impl Into<Vec<P>>) -> Self {
-        ParamGrid { params: params.into() }
-    }
-
-    /// One cell per parameter with an explicit seed formula (preserves
-    /// historical per-experiment seed derivations).
-    pub fn plan_seeded(&self, seed_of: impl Fn(&P) -> u64) -> RunPlan<P> {
-        RunPlan::with_seeds(self.params.iter().map(|p| (p.clone(), seed_of(p))))
-    }
-
-    /// The cross product with a replication grid: for every base seed
-    /// `r`, every parameter `j`, one cell with seed
-    /// `derive_seed(seeds[r], j)` and param `(r, P)`. Replications are
-    /// the outer loop, so the first `params.len()` cells are replication
-    /// 0 in sweep order.
-    pub fn plan_replicated(&self, grid: &SeedGrid) -> RunPlan<(usize, P)> {
-        let mut cells = Vec::with_capacity(grid.count * self.params.len());
-        for (r, base) in grid.seeds().into_iter().enumerate() {
-            for (j, p) in self.params.iter().enumerate() {
-                cells.push(RunCell {
-                    index: cells.len(),
-                    seed: derive_seed(base, j as u64),
-                    param: (r, p.clone()),
-                });
-            }
-        }
-        RunPlan { cells }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,24 +78,5 @@ mod tests {
         assert_eq!(plan.cells[0].seed, 0xF162);
         assert_eq!(plan.cells[1].seed, 0xF163);
         assert_eq!(plan.cells[1].index, 1);
-    }
-
-    #[test]
-    fn replicated_plan_crosses_seeds_and_params() {
-        let grid = ParamGrid::new(vec![10u32, 20]);
-        let plan = grid.plan_replicated(&SeedGrid::new(7, 3));
-        assert_eq!(plan.len(), 6);
-        assert_eq!(plan.cells[0].param, (0, 10));
-        assert_eq!(plan.cells[3].param, (1, 20));
-        assert_eq!(plan.cells[5].param, (2, 20));
-        // Indices are dense and ordered.
-        for (i, c) in plan.cells.iter().enumerate() {
-            assert_eq!(c.index, i);
-        }
-        // All 6 seeds distinct.
-        let mut seeds: Vec<u64> = plan.cells.iter().map(|c| c.seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 6);
     }
 }

@@ -315,7 +315,7 @@ impl ScenarioSpec {
     /// a liar tolerance the cluster cannot deliver.
     #[must_use]
     pub fn service(mut self, service: ServiceSpec) -> Self {
-        for q in &service.quorum_loop {
+        if let Some(q) = &service.quorum_loop {
             assert!(
                 q.quorum.panel_size() <= self.n,
                 "quorum f={} needs a {}-node panel but the cluster has {} node(s)",
@@ -610,8 +610,8 @@ mod tests {
 
     #[test]
     fn service_layer_installs_and_serves_through_the_spec() {
-        let spec =
-            ScenarioSpec::new(2).horizon(SimTime::from_secs(10)).service(ServiceSpec::default());
+        let svc = ServiceSpec::new().open_loop(service::OpenLoopSpec::default());
+        let spec = ScenarioSpec::new(2).horizon(SimTime::from_secs(10)).service(svc);
         let a = spec.run(5);
         let b = spec.run(5);
         assert!(a.recorder.service.offered.count() > 0);

@@ -7,7 +7,7 @@
 
 use std::path::Path;
 
-use scenario::{AexSpec, ParamGrid, RunPlan, Runner, ScenarioSpec, SeedGrid};
+use scenario::{derive_seed, AexSpec, RunPlan, Runner, ScenarioSpec};
 use sim::{SimDuration, SimTime};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -75,8 +75,12 @@ fn write_artifacts(dir: &Path, rows: &[Vec<String>]) {
 
 #[test]
 fn jobs_1_and_jobs_8_produce_byte_identical_artifacts() {
-    let grid = ParamGrid::new(variants());
-    let plan = grid.plan_replicated(&SeedGrid::new(0xD51A_2025, 3));
+    // Replications are the outer loop: replication `r` derives its base
+    // seed from the root, and variant `j` its cell seed from that base.
+    let plan = RunPlan::with_seeds((0..3usize).flat_map(|r| {
+        let base = derive_seed(0xD51A_2025, r as u64);
+        variants().into_iter().enumerate().map(move |(j, v)| ((r, v), derive_seed(base, j as u64)))
+    }));
     assert_eq!(plan.len(), 12);
 
     let root = std::env::temp_dir().join("scenario_determinism_test");

@@ -2,7 +2,7 @@
 
 use faults::{FaultAction, FaultEvent, FaultPlan, Fields};
 use scenario::{AexSpec, AttackSpec, FaultSpec, NodeImplSpec, ScenarioSpec};
-use service::{QuorumLoopSpec, QuorumSpec, ServiceSpec, MAX_CLUSTER_NODES};
+use service::{OpenLoopSpec, QuorumLoopSpec, QuorumSpec, ServiceSpec, MAX_CLUSTER_NODES};
 use sim::{SimDuration, SimTime};
 
 /// The fixed part of an evaluation: cluster shape, horizon and workload.
@@ -42,10 +42,11 @@ impl GenomeSpace {
             .client(0, SimDuration::from_millis(20))
             .reading_client(0, SimDuration::from_millis(20));
         if self.service {
-            let svc = ServiceSpec::default().quorum_loop(QuorumLoopSpec {
-                quorum: QuorumSpec { f: (self.n - 1) / 2, ..Default::default() },
-                ..Default::default()
-            });
+            let svc =
+                ServiceSpec::new().open_loop(OpenLoopSpec::default()).quorum_loop(QuorumLoopSpec {
+                    quorum: QuorumSpec { f: (self.n - 1) / 2, ..Default::default() },
+                    ..Default::default()
+                });
             spec = spec.service(svc);
         }
         let plan = genome

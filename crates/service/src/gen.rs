@@ -10,7 +10,7 @@ use sim::{SimDuration, SimTime};
 use wire::{Message, ServeOutcome};
 
 use crate::router::Router;
-use crate::spec::{ClosedLoopSpec, OpenLoopSpec, RouterSpec};
+use crate::spec::{OpenLoopSpec, RouterSpec};
 
 /// Timer token: next open-loop arrival.
 const TOKEN_ARRIVAL: u64 = 1 << 63;
@@ -20,6 +20,18 @@ const TOKEN_TIMEOUT: u64 = 1 << 62;
 const TOKEN_THINK: u64 = (1 << 63) | (1 << 62);
 /// Low bits available for a nonce or client index inside a token.
 const TOKEN_PAYLOAD: u64 = (1 << 62) - 1;
+
+/// Total attempts per request (1 = no retry).
+const MAX_ATTEMPTS: u32 = 3;
+
+/// Virtual users in the closed-loop population.
+const CLOSED_LOOP_USERS: usize = 16;
+/// Mean think time between a closed-loop user's answer and its next
+/// request (exponentially distributed).
+const CLOSED_LOOP_THINK: SimDuration = SimDuration::from_millis(100);
+// The nonce is `(user << 32) | seq`, and a user index must stay clear of
+// the timer tags.
+const _: () = assert!(CLOSED_LOOP_USERS >= 1 && CLOSED_LOOP_USERS < (1 << 30));
 
 /// An exponential draw with mean `mean_ns`, at least 1 ns.
 pub(crate) fn exp_draw(rng: &mut StdRng, mean_ns: f64) -> u64 {
@@ -45,7 +57,7 @@ struct Dispatcher {
     me: Addr,
     frontends: Vec<Addr>,
     router: Router,
-    spec: RouterSpec,
+    timeout: SimDuration,
     accept_degraded: bool,
     /// Probed by nonce only, never iterated, so its order cannot reach
     /// an artifact.
@@ -54,11 +66,18 @@ struct Dispatcher {
 
 impl Dispatcher {
     fn new(me: Addr, frontends: Vec<Addr>, spec: RouterSpec, accept_degraded: bool) -> Self {
-        let router = Router::new(spec, frontends.len());
-        Dispatcher { me, frontends, router, spec, accept_degraded, in_flight: FastMap::default() }
+        let router = Router::new(frontends.len());
+        Dispatcher {
+            me,
+            frontends,
+            router,
+            timeout: spec.timeout,
+            accept_degraded,
+            in_flight: FastMap::default(),
+        }
     }
 
-    /// Issues a brand-new request (attempt 1 of `max_attempts`). Returns
+    /// Issues a brand-new request (attempt 1 of [`MAX_ATTEMPTS`]). Returns
     /// `true` when the request settled immediately (every node hard-down:
     /// the distinct fail-fast outcome) — closed-loop users must still get
     /// their think timer in that case.
@@ -93,7 +112,7 @@ impl Dispatcher {
             self.frontends[target],
             &Message::ServeRequest { nonce, accept_degraded: self.accept_degraded },
         );
-        let timeout = env.set_timer(TOKEN_TIMEOUT | nonce, self.spec.timeout);
+        let timeout = env.set_timer(TOKEN_TIMEOUT | nonce, self.timeout);
         self.in_flight.insert(nonce, Pending { first_sent, attempts, target, timeout });
         false
     }
@@ -119,7 +138,7 @@ impl Dispatcher {
             }
             ServeOutcome::Overloaded => {
                 self.router.overloaded(pending.target, now);
-                if pending.attempts < self.spec.max_attempts {
+                if pending.attempts < MAX_ATTEMPTS {
                     return self.attempt(
                         env,
                         nonce,
@@ -132,7 +151,7 @@ impl Dispatcher {
             }
             ServeOutcome::Unavailable => {
                 self.router.overloaded(pending.target, now);
-                if pending.attempts < self.spec.max_attempts {
+                if pending.attempts < MAX_ATTEMPTS {
                     return self.attempt(
                         env,
                         nonce,
@@ -155,7 +174,7 @@ impl Dispatcher {
         };
         let now = env.now();
         self.router.timed_out(pending.target, now);
-        if pending.attempts < self.spec.max_attempts {
+        if pending.attempts < MAX_ATTEMPTS {
             return self.attempt(
                 env,
                 nonce,
@@ -231,12 +250,14 @@ impl Machine for OpenLoopGen {
     }
 }
 
-/// A closed-loop population: each virtual user waits for its answer (or
-/// gives up at the final timeout), thinks for an exponential while, then
-/// asks again — load that self-throttles as the cluster slows.
+/// A closed-loop population: each of `CLOSED_LOOP_USERS` virtual
+/// users waits for its answer (or gives up at the final timeout), thinks
+/// for an exponential while of mean `CLOSED_LOOP_THINK`, then asks
+/// again — load that self-throttles as the cluster slows. Its requests
+/// are strict: full precision or nothing, so degraded windows show up as
+/// `Unavailable` pressure.
 #[derive(Debug)]
 pub struct ClosedLoopGen {
-    spec: ClosedLoopSpec,
     dispatcher: Dispatcher,
     /// Per-user next sequence number; the wire nonce is
     /// `(user << 32) | seq`.
@@ -249,21 +270,17 @@ impl ClosedLoopGen {
     ///
     /// # Panics
     ///
-    /// Panics on an empty population, an empty cluster, or more than
-    /// 2³⁰ users (the nonce encoding's limit).
-    pub fn new(me: Addr, frontends: Vec<Addr>, spec: ClosedLoopSpec, router: RouterSpec) -> Self {
-        assert!(spec.clients >= 1, "a closed-loop population needs users");
-        assert!(spec.clients < (1 << 30), "closed-loop population too large for nonce encoding");
-        let accept = spec.accept_degraded;
+    /// Panics on an empty cluster.
+    pub fn new(me: Addr, frontends: Vec<Addr>, router: RouterSpec) -> Self {
         ClosedLoopGen {
-            dispatcher: Dispatcher::new(me, frontends, router, accept),
-            next_seq: vec![0; spec.clients],
-            spec,
+            dispatcher: Dispatcher::new(me, frontends, router, false),
+            next_seq: vec![0; CLOSED_LOOP_USERS],
         }
     }
 
     fn schedule_think(&self, env: &mut dyn Env, user: usize) {
-        let think = SimDuration::from_nanos(exp_draw(env.rng(), self.spec.think.as_nanos() as f64));
+        let mean_ns = CLOSED_LOOP_THINK.as_nanos() as f64;
+        let think = SimDuration::from_nanos(exp_draw(env.rng(), mean_ns));
         env.set_timer(TOKEN_THINK | user as u64, think);
     }
 
@@ -284,7 +301,7 @@ impl Machine for ClosedLoopGen {
     }
 
     fn on_start(&mut self, env: &mut dyn Env) {
-        for user in 0..self.spec.clients {
+        for user in 0..CLOSED_LOOP_USERS {
             self.schedule_think(env, user);
         }
     }

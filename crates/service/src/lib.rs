@@ -53,9 +53,7 @@ pub use quorum::{
     decide, AttestSample, QuorumDecision, QuorumGen, QuorumHealth, MAX_CLUSTER_NODES,
 };
 pub use router::Router;
-pub use spec::{
-    ClosedLoopSpec, FrontendSpec, OpenLoopSpec, QuorumLoopSpec, QuorumSpec, RouterSpec, ServiceSpec,
-};
+pub use spec::{FrontendSpec, OpenLoopSpec, QuorumLoopSpec, QuorumSpec, RouterSpec, ServiceSpec};
 
 /// Installs the serving layer onto an assembled cluster simulation: one
 /// [`Frontend`] per node and every generator in `spec`. Their sessions
@@ -85,33 +83,31 @@ pub fn install(simulation: &mut Simulation<World, SysEvent>, spec: &ServiceSpec)
     }
 
     let mut g = 0;
-    for open in &spec.open_loop {
+    if let Some(open) = spec.open_loop {
         let id = simulation.add_actor(Box::new(MachineActor::new(OpenLoopGen::new(
             generator_addr(g),
             frontends.clone(),
-            *open,
+            open,
             spec.router,
         ))));
         simulation.world_mut().register_actor(generator_addr(g), id);
         g += 1;
     }
-    for closed in &spec.closed_loop {
+    if spec.closed_loop {
         let id = simulation.add_actor(Box::new(MachineActor::new(ClosedLoopGen::new(
             generator_addr(g),
             frontends.clone(),
-            *closed,
             spec.router,
         ))));
         simulation.world_mut().register_actor(generator_addr(g), id);
         g += 1;
     }
-    for quorum in &spec.quorum_loop {
+    if let Some(quorum) = spec.quorum_loop {
         let id = simulation.add_actor(Box::new(MachineActor::new(QuorumGen::new(
             generator_addr(g),
-            frontends.clone(),
-            *quorum,
+            frontends,
+            quorum,
         ))));
         simulation.world_mut().register_actor(generator_addr(g), id);
-        g += 1;
     }
 }

@@ -24,7 +24,7 @@ use stats::{marzullo, Interval};
 use wire::{AttestOutcome, Message, TimeReading};
 
 use crate::gen::exp_draw;
-use crate::spec::{QuorumLoopSpec, QuorumSpec};
+use crate::spec::QuorumLoopSpec;
 
 /// Timer token: next quorum-read arrival.
 const TOKEN_ARRIVAL: u64 = 1 << 63;
@@ -36,6 +36,16 @@ const TOKEN_PAYLOAD: u64 = (1 << 62) - 1;
 /// How long a read waits for panel answers before deciding with whatever
 /// arrived.
 const COLLECT_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+
+/// Suspect flags (strikes) before a node is quarantined; a clean
+/// attestation while trusted resets the count.
+const SUSPECT_THRESHOLD: u32 = 3;
+/// How long a quarantined node sits out before a half-open probe may
+/// readmit it.
+const PROBATION: SimDuration = SimDuration::from_secs(2);
+/// Upper bound of the seeded jitter added to each probation, so
+/// simultaneously quarantined nodes don't rejoin in lockstep.
+const PROBE_JITTER: SimDuration = SimDuration::from_millis(100);
 
 /// One collected attestation, stamped with when its request leg was sent
 /// and when the answer arrived (the projection inputs).
@@ -153,20 +163,20 @@ enum Trust {
 
 /// The suspect quarantine/rejoin tracker — the PR 1 circuit-breaker
 /// shape (failure threshold → cooldown → half-open probe) re-applied to
-/// Byzantine suspicion: `suspect_threshold` strikes quarantine a node
-/// for `probation` (+ seeded jitter), a clean half-open attestation
-/// readmits it, a dirty one re-quarantines it on the spot.
+/// Byzantine suspicion: `SUSPECT_THRESHOLD` (3) strikes quarantine a
+/// node for `PROBATION` (2 s) plus a seeded jitter of up to
+/// `PROBE_JITTER` (100 ms), a clean half-open attestation readmits it, a
+/// dirty one re-quarantines it on the spot.
 #[derive(Debug, Clone)]
 pub struct QuorumHealth {
-    spec: QuorumSpec,
     trust: Vec<Trust>,
     strikes: Vec<u32>,
 }
 
 impl QuorumHealth {
     /// A tracker over node indices `0..n`, all initially trusted.
-    pub fn new(spec: QuorumSpec, n: usize) -> Self {
-        QuorumHealth { spec, trust: vec![Trust::Trusted; n], strikes: vec![0; n] }
+    pub fn new(n: usize) -> Self {
+        QuorumHealth { trust: vec![Trust::Trusted; n], strikes: vec![0; n] }
     }
 
     /// Whether node `i` may sit on a panel at `now`. Transitions an
@@ -187,7 +197,7 @@ impl QuorumHealth {
         match self.trust[i] {
             Trust::Trusted => {
                 self.strikes[i] += 1;
-                if self.strikes[i] >= self.spec.suspect_threshold {
+                if self.strikes[i] >= SUSPECT_THRESHOLD {
                     self.quarantine(i, now, rng);
                     return true;
                 }
@@ -227,12 +237,8 @@ impl QuorumHealth {
     }
 
     fn quarantine(&mut self, i: usize, now: SimTime, rng: &mut StdRng) {
-        let mut hold = self.spec.probation;
-        if !self.spec.probe_jitter.is_zero() {
-            let jitter_ns = rng.gen_range(0..=self.spec.probe_jitter.as_nanos());
-            hold += SimDuration::from_nanos(jitter_ns);
-        }
-        self.trust[i] = Trust::Quarantined { until: now + hold };
+        let jitter = SimDuration::from_nanos(rng.gen_range(0..=PROBE_JITTER.as_nanos()));
+        self.trust[i] = Trust::Quarantined { until: now + (PROBATION + jitter) };
         self.strikes[i] = 0;
     }
 }
@@ -290,7 +296,7 @@ impl QuorumGen {
             "answer bitmask caps the cluster at {MAX_CLUSTER_NODES} nodes"
         );
         assert!(spec.quorum.f >= 1, "f = 0 would accept single-node answers unchecked");
-        let health = QuorumHealth::new(spec.quorum, frontends.len());
+        let health = QuorumHealth::new(frontends.len());
         QuorumGen {
             spec,
             me,
@@ -605,54 +611,54 @@ mod tests {
         assert!(margined.suspects.contains(&4), "margin never shields a real liar");
     }
 
+    /// When node `i`'s quarantine ends.
+    fn quarantined_until(h: &QuorumHealth, i: usize) -> SimTime {
+        match h.trust[i] {
+            Trust::Quarantined { until } => until,
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+    }
+
     #[test]
     fn quarantine_state_machine_threshold_probation_halfopen_rejoin() {
-        let spec = QuorumSpec {
-            suspect_threshold: 2,
-            probation: SimDuration::from_secs(1),
-            probe_jitter: SimDuration::ZERO,
-            ..Default::default()
-        };
-        let mut h = QuorumHealth::new(spec, 3);
+        let mut h = QuorumHealth::new(3);
         let mut rng = StdRng::seed_from_u64(1);
         let t0 = SimTime::from_secs(10);
         assert!(h.eligible(0, t0));
 
-        // First strike: still trusted.
-        assert!(!h.on_suspect(0, t0, &mut rng));
-        assert!(h.eligible(0, t0));
-        // Second strike: quarantined for the probation.
+        // Strikes below the threshold: still trusted.
+        for _ in 1..SUSPECT_THRESHOLD {
+            assert!(!h.on_suspect(0, t0, &mut rng));
+            assert!(h.eligible(0, t0));
+        }
+        // The threshold strike: quarantined for the probation.
         assert!(h.on_suspect(0, t0, &mut rng));
         assert!(h.is_quarantined(0));
-        assert!(!h.eligible(0, t0 + SimDuration::from_millis(999)));
-        // Probation over: half-open, eligible again.
-        let t1 = t0 + SimDuration::from_secs(1);
+        assert!(!h.eligible(0, t0 + PROBATION - SimDuration::from_nanos(1)));
+        // Probation (and its jitter) over: half-open, eligible again.
+        let t1 = quarantined_until(&h, 0);
         assert!(h.eligible(0, t1));
         assert!(!h.is_quarantined(0));
         // A clean probe readmits to full trust (rejoin event).
         assert!(h.on_clean(0));
         assert!(!h.on_clean(0), "already trusted: no second rejoin event");
         // Fresh strikes are needed again to re-quarantine.
-        assert!(!h.on_suspect(0, t1, &mut rng));
+        for _ in 1..SUSPECT_THRESHOLD {
+            assert!(!h.on_suspect(0, t1, &mut rng));
+        }
         assert!(h.on_suspect(0, t1, &mut rng));
     }
 
     #[test]
     fn dirty_halfopen_probe_requarantines_immediately() {
-        let spec = QuorumSpec {
-            suspect_threshold: 3,
-            probation: SimDuration::from_secs(1),
-            probe_jitter: SimDuration::ZERO,
-            ..Default::default()
-        };
-        let mut h = QuorumHealth::new(spec, 1);
+        let mut h = QuorumHealth::new(1);
         let mut rng = StdRng::seed_from_u64(2);
         let t0 = SimTime::from_secs(5);
-        for _ in 0..3 {
+        for _ in 0..SUSPECT_THRESHOLD {
             h.on_suspect(0, t0, &mut rng);
         }
         assert!(h.is_quarantined(0));
-        let t1 = t0 + SimDuration::from_secs(1);
+        let t1 = quarantined_until(&h, 0);
         assert!(h.eligible(0, t1));
         // One strike in half-open: straight back in, no threshold count.
         assert!(h.on_suspect(0, t1, &mut rng));
@@ -661,43 +667,32 @@ mod tests {
 
     #[test]
     fn clean_attestations_reset_trusted_strikes() {
-        let spec = QuorumSpec { suspect_threshold: 2, ..Default::default() };
-        let mut h = QuorumHealth::new(spec, 1);
+        let mut h = QuorumHealth::new(1);
         let mut rng = StdRng::seed_from_u64(3);
         let t = SimTime::from_secs(1);
-        assert!(!h.on_suspect(0, t, &mut rng));
-        assert!(!h.on_clean(0)); // strike forgiven
+        for _ in 1..SUSPECT_THRESHOLD {
+            assert!(!h.on_suspect(0, t, &mut rng));
+        }
+        assert!(!h.on_clean(0)); // strikes forgiven
         assert!(!h.on_suspect(0, t, &mut rng), "strike count must have reset");
     }
 
     #[test]
-    fn probe_jitter_is_seeded_and_skipped_at_zero() {
-        let jittered = QuorumSpec {
-            suspect_threshold: 1,
-            probation: SimDuration::from_secs(1),
-            probe_jitter: SimDuration::from_millis(500),
-            ..Default::default()
-        };
+    fn probe_jitter_is_seeded_and_bounded() {
         let t0 = SimTime::from_secs(1);
         let until = |seed: u64| {
-            let mut h = QuorumHealth::new(jittered, 1);
+            let mut h = QuorumHealth::new(1);
             let mut rng = StdRng::seed_from_u64(seed);
-            h.on_suspect(0, t0, &mut rng);
-            match h.trust[0] {
-                Trust::Quarantined { until } => until,
-                _ => panic!("expected quarantine"),
+            for _ in 0..SUSPECT_THRESHOLD {
+                h.on_suspect(0, t0, &mut rng);
             }
+            quarantined_until(&h, 0)
         };
         assert_ne!(until(1), until(2), "different seeds must draw different probations");
         assert_eq!(until(7), until(7), "same seed must reproduce the probation");
-
-        // ZERO jitter leaves the RNG stream untouched.
-        let plain =
-            QuorumSpec { probe_jitter: SimDuration::ZERO, suspect_threshold: 1, ..jittered };
-        let mut h = QuorumHealth::new(plain, 1);
-        let mut used = StdRng::seed_from_u64(9);
-        let mut control = StdRng::seed_from_u64(9);
-        h.on_suspect(0, t0, &mut used);
-        assert_eq!(used.gen::<u64>(), control.gen::<u64>());
+        for seed in 0..32 {
+            let hold = until(seed) - t0;
+            assert!(PROBATION <= hold && hold <= PROBATION + PROBE_JITTER, "hold {hold:?}");
+        }
     }
 }

@@ -3,7 +3,9 @@
 
 use sim::{SimDuration, SimTime};
 
-use crate::spec::RouterSpec;
+/// How long a node stays deprioritized after a timeout (it may be
+/// crashed — back off hard).
+const COOLDOWN: SimDuration = SimDuration::from_millis(250);
 
 /// How long a node stays deprioritized after an `Overloaded` reply (it is
 /// alive but saturated — back off briefly).
@@ -12,7 +14,7 @@ const PENALTY: SimDuration = SimDuration::from_millis(20);
 /// Per-generator routing state over an `n`-node cluster.
 ///
 /// Requests round-robin across nodes, skipping any node currently held
-/// down: a timeout marks its target *hard*-down for `cooldown` (it may be
+/// down: a timeout marks its target *hard*-down for `COOLDOWN` (it may be
 /// crashed), an `Overloaded` reply *soft*-down for the shorter `PENALTY`
 /// (it is alive but saturated). When every node is soft-down the router
 /// still picks one — a saturated cluster is worth a try — but when every
@@ -21,7 +23,6 @@ const PENALTY: SimDuration = SimDuration::from_millis(20);
 /// against known-dead machines.
 #[derive(Debug, Clone)]
 pub struct Router {
-    spec: RouterSpec,
     cursor: usize,
     down_until: Vec<SimTime>,
     hard_until: Vec<SimTime>,
@@ -33,14 +34,9 @@ impl Router {
     /// # Panics
     ///
     /// Panics when `n` is zero.
-    pub fn new(spec: RouterSpec, n: usize) -> Self {
+    pub fn new(n: usize) -> Self {
         assert!(n >= 1, "routing needs at least one node");
-        Router {
-            spec,
-            cursor: 0,
-            down_until: vec![SimTime::ZERO; n],
-            hard_until: vec![SimTime::ZERO; n],
-        }
+        Router { cursor: 0, down_until: vec![SimTime::ZERO; n], hard_until: vec![SimTime::ZERO; n] }
     }
 
     /// Picks the next node, preferring healthy ones and avoiding
@@ -92,7 +88,7 @@ impl Router {
 
     /// Records a timed-out attempt against node `i`: back off hard.
     pub fn timed_out(&mut self, i: usize, now: SimTime) {
-        let until = now + self.spec.cooldown;
+        let until = now + COOLDOWN;
         self.down_until[i] = self.down_until[i].max(until);
         self.hard_until[i] = self.hard_until[i].max(until);
     }
@@ -108,17 +104,9 @@ impl Router {
 mod tests {
     use super::*;
 
-    fn spec() -> RouterSpec {
-        RouterSpec {
-            timeout: SimDuration::from_millis(25),
-            max_attempts: 3,
-            cooldown: SimDuration::from_millis(200),
-        }
-    }
-
     #[test]
     fn round_robin_spreads_over_healthy_nodes() {
-        let mut r = Router::new(spec(), 3);
+        let mut r = Router::new(3);
         let now = SimTime::ZERO;
         let picks: Vec<usize> = (0..6).map(|_| r.pick(now, None).unwrap()).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
@@ -126,14 +114,14 @@ mod tests {
 
     #[test]
     fn down_nodes_are_skipped_until_they_recover() {
-        let mut r = Router::new(spec(), 3);
+        let mut r = Router::new(3);
         let now = SimTime::from_secs(1);
         r.timed_out(1, now);
         assert!(r.is_down(1, now));
         let picks: Vec<usize> = (0..4).map(|_| r.pick(now, None).unwrap()).collect();
         assert!(!picks.contains(&1), "held-down node picked: {picks:?}");
         // After the cooldown it rejoins the rotation.
-        let later = now + SimDuration::from_millis(500);
+        let later = now + COOLDOWN;
         assert!(!r.is_down(1, later));
         let picks: Vec<usize> = (0..3).map(|_| r.pick(later, None).unwrap()).collect();
         assert!(picks.contains(&1));
@@ -141,7 +129,7 @@ mod tests {
 
     #[test]
     fn failover_avoids_the_failing_node_when_possible() {
-        let mut r = Router::new(spec(), 2);
+        let mut r = Router::new(2);
         let now = SimTime::ZERO;
         for _ in 0..4 {
             assert_ne!(r.pick(now, Some(0)), Some(0));
@@ -153,13 +141,13 @@ mod tests {
         // Satellite regression: when every node timed out recently, the
         // router must say so (`None`) instead of routing the request at a
         // known-dead machine and burning the retry budget.
-        let mut r = Router::new(spec(), 2);
+        let mut r = Router::new(2);
         let now = SimTime::from_secs(1);
         r.timed_out(0, now);
         r.timed_out(1, now);
         assert_eq!(r.pick(now, None), None);
         // Past the cooldown the cluster is routable again.
-        let later = now + SimDuration::from_millis(500);
+        let later = now + COOLDOWN;
         let i = r.pick(later, None).unwrap();
         assert!(i < 2);
         // Success clears the hold immediately.
@@ -171,7 +159,7 @@ mod tests {
     fn all_soft_down_still_forces_a_pick() {
         // Overload penalties mean "alive but saturated" — a cluster of
         // saturated nodes is still worth one attempt.
-        let mut r = Router::new(spec(), 2);
+        let mut r = Router::new(2);
         let now = SimTime::from_secs(1);
         r.overloaded(0, now);
         r.overloaded(1, now);
@@ -180,7 +168,7 @@ mod tests {
 
     #[test]
     fn mixed_soft_and_hard_down_routes_to_the_soft_node() {
-        let mut r = Router::new(spec(), 3);
+        let mut r = Router::new(3);
         let now = SimTime::from_secs(1);
         r.timed_out(0, now);
         r.timed_out(2, now);
@@ -192,7 +180,7 @@ mod tests {
 
     #[test]
     fn single_node_cluster_always_routes_to_it() {
-        let mut r = Router::new(spec(), 1);
+        let mut r = Router::new(1);
         let now = SimTime::ZERO;
         r.overloaded(0, now);
         assert_eq!(r.pick(now, Some(0)), Some(0));

@@ -22,26 +22,6 @@ impl Default for OpenLoopSpec {
     }
 }
 
-/// A closed-loop population: `clients` virtual users that each wait for
-/// their answer (or its timeout), think for a while, and only then ask
-/// again — load that self-throttles when the cluster slows down.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClosedLoopSpec {
-    /// Number of virtual users.
-    pub clients: usize,
-    /// Mean think time between an answer and the next request
-    /// (exponentially distributed).
-    pub think: SimDuration,
-    /// Whether requests tolerate degraded `TimeReading` answers.
-    pub accept_degraded: bool,
-}
-
-impl Default for ClosedLoopSpec {
-    fn default() -> Self {
-        ClosedLoopSpec { clients: 16, think: SimDuration::from_millis(100), accept_degraded: true }
-    }
-}
-
 /// The per-node serving front-end: a bounded admission queue drained in
 /// batches, one enclave timestamp read per batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,47 +52,31 @@ impl Default for FrontendSpec {
 }
 
 /// Client-side routing policy: per-node health tracking with failover.
+/// The retry budget and the timed-out node's cooldown are the router's
+/// constants (`gen.rs`, `router.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouterSpec {
     /// How long a generator waits for an answer before declaring the
     /// attempt dead and failing over.
     pub timeout: SimDuration,
-    /// Total attempts per request (1 = no retry).
-    pub max_attempts: u32,
-    /// How long a node stays deprioritized after a timeout (it may be
-    /// crashed — back off hard).
-    pub cooldown: SimDuration,
 }
 
 impl Default for RouterSpec {
     fn default() -> Self {
-        RouterSpec {
-            timeout: SimDuration::from_millis(25),
-            max_attempts: 3,
-            cooldown: SimDuration::from_millis(250),
-        }
+        RouterSpec { timeout: SimDuration::from_millis(25) }
     }
 }
 
-/// The quorum read policy: panel sizing, the overlap acceptance rule's
-/// `f`, and the suspect quarantine/probation knobs (the same
-/// threshold-cooldown shape as `triad_core`'s TA circuit breaker, applied
-/// to Byzantine suspicion instead of TA failures).
+/// The quorum read policy: panel sizing and the overlap acceptance
+/// rule's `f` and suspect margin. The quarantine/probation policy behind
+/// it is [`crate::QuorumHealth`]'s constants (the same threshold-cooldown
+/// shape as `triad_core`'s TA circuit breaker, applied to Byzantine
+/// suspicion instead of TA failures).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuorumSpec {
     /// Tolerated simultaneous liars. Reads fan out to up to `2f + 1`
     /// nodes and accept on `f + 1` mutually overlapping attestations.
     pub f: usize,
-    /// Suspect flags (strikes) before a node is quarantined; a clean
-    /// attestation while trusted resets the count.
-    pub suspect_threshold: u32,
-    /// How long a quarantined node sits out before a half-open probe
-    /// may readmit it.
-    pub probation: SimDuration,
-    /// Seeded jitter added to each probation so simultaneously
-    /// quarantined nodes don't rejoin in lockstep. `ZERO` disables the
-    /// draw.
-    pub probe_jitter: SimDuration,
     /// Slack beyond strict disjointness before an attestation is flagged:
     /// a node is suspected only when its projected interval misses the
     /// agreement region by more than this margin. An in-envelope
@@ -125,13 +89,7 @@ pub struct QuorumSpec {
 
 impl Default for QuorumSpec {
     fn default() -> Self {
-        QuorumSpec {
-            f: 1,
-            suspect_threshold: 3,
-            probation: SimDuration::from_secs(2),
-            probe_jitter: SimDuration::from_millis(100),
-            suspect_margin: SimDuration::from_millis(10),
-        }
+        QuorumSpec { f: 1, suspect_margin: SimDuration::from_millis(10) }
     }
 }
 
@@ -164,39 +122,30 @@ impl Default for QuorumLoopSpec {
     }
 }
 
-/// The whole serving layer: one front-end per node plus any number of
-/// load generators, all sharing one routing policy.
-#[derive(Debug, Clone, PartialEq)]
+/// The whole serving layer: one front-end per node plus at most one load
+/// generator of each kind, all sharing one routing policy. Generators
+/// take addresses in the order open loop, closed loop, quorum loop.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceSpec {
     /// Per-node front-end parameters (identical across nodes).
     pub frontend: FrontendSpec,
     /// Client-side routing policy (identical across generators).
     pub router: RouterSpec,
-    /// Aggregated open-loop arrival processes.
-    pub open_loop: Vec<OpenLoopSpec>,
-    /// Closed-loop think-time populations.
-    pub closed_loop: Vec<ClosedLoopSpec>,
-    /// Open-loop quorum read processes.
-    pub quorum_loop: Vec<QuorumLoopSpec>,
-}
-
-impl Default for ServiceSpec {
-    fn default() -> Self {
-        ServiceSpec {
-            frontend: FrontendSpec::default(),
-            router: RouterSpec::default(),
-            open_loop: vec![OpenLoopSpec::default()],
-            closed_loop: Vec::new(),
-            quorum_loop: Vec::new(),
-        }
-    }
+    /// The aggregated open-loop arrival process, if any.
+    pub open_loop: Option<OpenLoopSpec>,
+    /// Whether the closed-loop think-time population runs (see
+    /// [`crate::ClosedLoopGen`]).
+    pub closed_loop: bool,
+    /// The open-loop quorum read process, if any.
+    pub quorum_loop: Option<QuorumLoopSpec>,
 }
 
 impl ServiceSpec {
     /// A serving layer with no generators yet; attach them with
-    /// [`ServiceSpec::open_loop`] / [`ServiceSpec::closed_loop`].
+    /// [`ServiceSpec::open_loop`], [`ServiceSpec::closed_loop`] and
+    /// [`ServiceSpec::quorum_loop`].
     pub fn new() -> Self {
-        ServiceSpec { open_loop: Vec::new(), ..Default::default() }
+        ServiceSpec::default()
     }
 
     /// Overrides the front-end parameters.
@@ -213,30 +162,32 @@ impl ServiceSpec {
         self
     }
 
-    /// Attaches an open-loop arrival process.
+    /// Sets the open-loop arrival process.
     #[must_use]
     pub fn open_loop(mut self, spec: OpenLoopSpec) -> Self {
-        self.open_loop.push(spec);
+        self.open_loop = Some(spec);
         self
     }
 
-    /// Attaches a closed-loop population.
+    /// Adds the closed-loop population.
     #[must_use]
-    pub fn closed_loop(mut self, spec: ClosedLoopSpec) -> Self {
-        self.closed_loop.push(spec);
+    pub fn closed_loop(mut self) -> Self {
+        self.closed_loop = true;
         self
     }
 
-    /// Attaches an open-loop quorum read process.
+    /// Sets the open-loop quorum read process.
     #[must_use]
     pub fn quorum_loop(mut self, spec: QuorumLoopSpec) -> Self {
-        self.quorum_loop.push(spec);
+        self.quorum_loop = Some(spec);
         self
     }
 
     /// Total generator actors this spec will install.
     pub fn generator_count(&self) -> usize {
-        self.open_loop.len() + self.closed_loop.len() + self.quorum_loop.len()
+        usize::from(self.open_loop.is_some())
+            + usize::from(self.closed_loop)
+            + usize::from(self.quorum_loop.is_some())
     }
 }
 
@@ -245,16 +196,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spec_builders_accumulate_generators() {
+    fn spec_builders_attach_one_generator_of_each_kind() {
+        assert_eq!(ServiceSpec::new().generator_count(), 0);
         let spec = ServiceSpec::new()
             .open_loop(OpenLoopSpec::default())
             .open_loop(OpenLoopSpec { rate_per_s: 50.0 })
-            .closed_loop(ClosedLoopSpec::default())
+            .closed_loop()
             .quorum_loop(QuorumLoopSpec::default());
-        assert_eq!(spec.generator_count(), 4);
-        assert_eq!(spec.open_loop.len(), 2);
-        assert_eq!(spec.closed_loop.len(), 1);
-        assert_eq!(spec.quorum_loop.len(), 1);
+        assert_eq!(spec.generator_count(), 3);
+        assert_eq!(
+            spec.open_loop,
+            Some(OpenLoopSpec { rate_per_s: 50.0 }),
+            "the last one set wins"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use faults::FaultPlan;
 use runtime::World;
 use scenario::{FaultSpec, ScenarioSpec};
-use service::{ClosedLoopSpec, FrontendSpec, OpenLoopSpec, RouterSpec, ServiceSpec};
+use service::{FrontendSpec, OpenLoopSpec, ServiceSpec};
 use sim::{SimDuration, SimTime};
 
 fn run_with(
@@ -108,18 +108,14 @@ fn node_crash_fails_over_and_recovers() {
 
 #[test]
 fn closed_loop_population_self_paces() {
-    let spec = ServiceSpec::new().closed_loop(ClosedLoopSpec {
-        clients: 8,
-        think: SimDuration::from_millis(50),
-        accept_degraded: true,
-    });
+    let spec = ServiceSpec::new().closed_loop();
     let world = run_with(2, 14, SimTime::from_secs(10), &spec, None);
     let s = &world.recorder.service;
     assert!(s.offered.count() > 100);
     assert!(s.goodput() > 0);
-    // 8 users with 50 ms think time can never exceed ~160/s offered.
+    // 16 users with 100 ms mean think time offer ~160/s at most.
     assert!(
-        s.offered.count() < 8 * 10 * 25,
+        s.offered.count() < 16 * 10 * 25 / 2,
         "closed loop offered more than its population allows: {}",
         s.offered.count()
     );
@@ -127,10 +123,7 @@ fn closed_loop_population_self_paces() {
 
 #[test]
 fn serving_runs_are_seed_deterministic() {
-    let spec = ServiceSpec::new()
-        .open_loop(OpenLoopSpec { rate_per_s: 200.0 })
-        .closed_loop(ClosedLoopSpec::default())
-        .router(RouterSpec { max_attempts: 2, ..Default::default() });
+    let spec = ServiceSpec::new().open_loop(OpenLoopSpec { rate_per_s: 200.0 }).closed_loop();
     let a = run_with(2, 21, SimTime::from_secs(10), &spec, None);
     let b = run_with(2, 21, SimTime::from_secs(10), &spec, None);
     let c = run_with(2, 22, SimTime::from_secs(10), &spec, None);

@@ -190,6 +190,13 @@ fn lint_applies(lint: &Lint, class: FileClass) -> bool {
     }
 }
 
+/// Lines of `source` inside `#[cfg(test)]`-gated items: the test code
+/// every lint skips, and the lines `scripts/loc.sh` leaves out of its
+/// non-test count.
+pub fn test_line_count(source: &str) -> usize {
+    lexer::lex(source).test_spans().iter().map(|&(from, to)| to + 1 - from).sum()
+}
+
 pub(crate) fn in_spans(spans: &[(usize, usize)], line: usize) -> bool {
     spans.iter().any(|&(a, b)| line >= a && line <= b)
 }
@@ -446,6 +453,13 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests {\n    use std::time::Instant;\n}\n";
         let (f, _, _, _) = lint_source("crates/proto/src/x.rs", src, &[]);
         assert!(f.is_empty());
+    }
+
+    #[test]
+    fn test_lines_are_the_gated_spans_not_a_doc_mention() {
+        let src = "//! see `#[cfg(test)]`\nstruct R;\nimpl R {\n    #[cfg(test)]\n    fn probe(&self) {}\n    fn live(&self) {}\n}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        // Lines 4–5 (the gated method) and 8–11 (the module).
+        assert_eq!(test_line_count(src), 2 + 4);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! `cargo run -p tt-lint -- check` — gate the workspace on the
 //! determinism contract.
 
+use std::io::Read;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tt_lint::{check_workspace, Report};
+use tt_lint::{check_workspace, test_line_count, Report};
 
 const USAGE: &str = "\
 tt-lint — workspace determinism/effect-boundary analyzer
 
 USAGE:
     tt-lint check [--root <dir>] [--allowlist <file>]
+    tt-lint test-lines < <file.rs>
 
 Checks every crate under <dir>/crates against the determinism,
 effect-boundary, and panic-surface lints, and the workspace for
@@ -18,7 +20,10 @@ dependency edges no code uses and public items only tests use (see
 DESIGN.md). Exits
 non-zero on any unsuppressed finding, bad or stale exception, or
 malformed allowlist entry. Defaults: --root . --allowlist
-<root>/tt-lint.allow";
+<root>/tt-lint.allow
+
+`test-lines` prints how many lines of the Rust source on stdin lie in
+`#[cfg(test)]`-gated items, the test code the lints skip.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,6 +35,7 @@ fn main() -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "check" => cmd = Some("check"),
+            "test-lines" => cmd = Some("test-lines"),
             "--root" => match it.next() {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage_error("--root needs a value"),
@@ -45,8 +51,10 @@ fn main() -> ExitCode {
             other => return usage_error(&format!("unknown argument `{other}`")),
         }
     }
-    if cmd != Some("check") {
-        return usage_error("expected the `check` subcommand");
+    match cmd {
+        Some("check") => {}
+        Some(_) => return test_lines(),
+        None => return usage_error("expected the `check` or `test-lines` subcommand"),
     }
     let allowlist = allowlist.unwrap_or_else(|| root.join("tt-lint.allow"));
 
@@ -57,6 +65,16 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+fn test_lines() -> ExitCode {
+    let mut source = String::new();
+    if let Err(e) = std::io::stdin().read_to_string(&mut source) {
+        eprintln!("tt-lint: cannot read stdin: {e}");
+        return ExitCode::from(2);
+    }
+    println!("{}", test_line_count(&source));
+    ExitCode::SUCCESS
 }
 
 fn usage_error(msg: &str) -> ExitCode {

@@ -6,8 +6,10 @@
 # Counts first-party Rust: tracked `*.rs` files outside `vendor/` and
 # `bench/`. Prints three numbers:
 #   all       every line of those files
-#   non-test  lines before the first `#[cfg(test)]` of each file
-#   product   the same, leaving out files under a `tests/` directory
+#   non-test  the same, leaving out the lines of `#[cfg(test)]`-gated
+#             items (as `tt-lint test-lines` finds them: the test code
+#             every lint skips)
+#   product   the non-test lines of files outside a `tests/` directory
 # plus the `crates/net/src` share of the last one, and three shape counts:
 #   crates    `crates/*/Cargo.toml` manifests
 #   edges     entries of every `*dependencies]` table of those manifests
@@ -15,19 +17,24 @@
 #             version table, not an edge)
 #   pub-use   `pub use` lines in `crates/*/src/lib.rs`
 # With a <tree-ish> the files are read from that commit, so parent and
-# change are counted by the same rule.
+# change are counted by the same rule (the working tree's tt-lint).
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 ref=${1:-}
+
+cargo build --release --offline --quiet -p tt-lint
+lint="${CARGO_TARGET_DIR:-target}/release/tt-lint"
 
 tracked() { if [ -n "$ref" ]; then git ls-tree -r --name-only "$ref"; else git ls-files; fi; }
 list() { tracked | grep '\.rs$' | grep -v -e '^vendor/' -e '^bench/'; }
 show() { if [ -n "$ref" ]; then git show "$ref:$1"; else cat "$1"; fi; }
 
 list | while read -r f; do
-    show "$f" | awk -v f="$f" '
-        /#\[cfg\(test\)\]/ && !cut { cut = NR }
-        END { print NR, (cut ? cut - 1 : NR), f }'
+    src=$(show "$f"; echo x)
+    src=${src%x}
+    lines=$(printf '%s' "$src" | awk 'END { print NR }')
+    test_lines=$(printf '%s' "$src" | "$lint" test-lines)
+    echo "$lines" "$((lines - test_lines))" "$f"
 done | awk '
     { all += $1; nontest += $2 }
     $3 !~ /(^|\/)tests\// { product += $2 }

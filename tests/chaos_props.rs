@@ -38,11 +38,6 @@ fn fault_config(
         aex_storms: storms,
         aex_storm_len: (2, 6),
         aex_storm_spacing: SimDuration::from_millis(100),
-        // Lying nodes skew only the serving edge; these clusters have no
-        // serving layer, so the chaos mix leaves them out.
-        lying_episodes: 0,
-        lie_offset_ns: (50_000_000, 500_000_000),
-        lie_duration: (SimDuration::from_secs(20), SimDuration::from_secs(60)),
     }
 }
 

@@ -3,82 +3,27 @@
 
 use triad_tt::attacks::DelayAttackMode;
 use triad_tt::netsim::Addr;
-use triad_tt::proto::{client_addr, Env, Input, Machine, TA_ADDR};
-use triad_tt::runtime::MachineActor;
+use triad_tt::proto::TA_ADDR;
 use triad_tt::scenario::{AexSpec, AttackSpec, ScenarioSpec};
 use triad_tt::sim::{SimDuration, SimTime};
-use triad_tt::wire::Message;
 
-/// A client application hammering one Triad node for timestamps. Asserts
-/// the node's monotonicity contract *inside* the simulation.
-struct ClientProbe {
-    me: Addr,
-    target: Addr,
-    period: SimDuration,
-    next_nonce: u64,
-    last_timestamp: u64,
-}
-
-impl Machine for ClientProbe {
-    fn addr(&self) -> Addr {
-        self.me
-    }
-    fn on_start(&mut self, env: &mut dyn Env) {
-        env.set_timer(0, self.period);
-    }
-    fn on_input(&mut self, env: &mut dyn Env, input: Input) {
-        match input {
-            Input::Timer { .. } => {
-                self.next_nonce += 1;
-                env.send(self.target, &Message::ClientTimeRequest { nonce: self.next_nonce });
-                env.set_timer(0, self.period);
-            }
-            Input::Message {
-                msg: Message::ClientTimeResponse { timestamp_ns: Some(ts), .. },
-                ..
-            } => {
-                assert!(
-                    ts > self.last_timestamp,
-                    "monotonicity violated: {ts} after {}",
-                    self.last_timestamp
-                );
-                self.last_timestamp = ts;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Wires a client at a spare address into a cluster built with `seed`.
-fn with_client(
-    spec: ScenarioSpec,
-    seed: u64,
-    target: Addr,
-    period: SimDuration,
-    horizon: SimTime,
-) -> u64 {
-    // The first client address: the spec builds no client of its own, and
-    // the client's session with `target` derives from the run seed.
-    let me = client_addr(0);
-    let mut s = spec.build(seed);
-    // Actor registration must happen before the run starts.
-    let dispatched_before = s.dispatched();
-    assert_eq!(dispatched_before, 0);
-    let client = ClientProbe { me, target, period, next_nonce: 0, last_timestamp: 0 };
-    let id = s.add_actor(Box::new(MachineActor::new(client)));
-    s.world_mut().register_actor(me, id);
-    s.run_until(horizon);
-    s.dispatched()
+/// Runs `spec` to 60 s with a client asking node index `target` for a
+/// timestamp every 50 ms. The client (`runtime::ClientWorkload`) asserts
+/// the node's monotonicity contract *inside* the simulation, so reaching
+/// the end without a panic is the property. Returns the events dispatched
+/// and the timestamps the node served.
+fn with_client(spec: ScenarioSpec, seed: u64, target: usize) -> (u64, u64) {
+    let mut s = spec.client(target, SimDuration::from_millis(50)).build(seed);
+    s.run_until(SimTime::from_secs(60));
+    (s.dispatched(), s.world().recorder.node(target).client_served.count())
 }
 
 #[test]
 fn clients_get_monotonic_timestamps_from_an_honest_cluster() {
     let spec = ScenarioSpec::new(3).all_nodes_aex(AexSpec::TriadLike);
-    // The ClientProbe asserts monotonicity internally; reaching the end
-    // without a panic is the property.
-    let dispatched =
-        with_client(spec, 31, Addr(1), SimDuration::from_millis(50), SimTime::from_secs(60));
+    let (dispatched, served) = with_client(spec, 31, 0);
     assert!(dispatched > 2_000, "client traffic must actually flow ({dispatched})");
+    assert!(served > 0, "the honest node served no timestamp");
 }
 
 #[test]
@@ -88,9 +33,9 @@ fn clients_get_monotonic_timestamps_even_from_an_attacked_node() {
     let spec = ScenarioSpec::new(3)
         .all_nodes_aex(AexSpec::TriadLike)
         .attack(AttackSpec::calibration_delay_paper(Addr(3), DelayAttackMode::FMinus));
-    let dispatched =
-        with_client(spec, 32, Addr(3), SimDuration::from_millis(50), SimTime::from_secs(60));
+    let (dispatched, served) = with_client(spec, 32, 2);
     assert!(dispatched > 2_000);
+    assert!(served > 0, "the attacked node served no timestamp");
 }
 
 #[test]
