@@ -104,26 +104,16 @@ pub fn run_by_id(id: &str, opts: &RunOpts) -> (String, Vec<Comparison>) {
     run(opts)
 }
 
-/// Runs all experiments in parallel (one thread each) and returns their
-/// reports in `ALL_EXPERIMENTS` order.
-pub fn run_all(opts: &RunOpts) -> Vec<(String, String, Vec<Comparison>)> {
-    let mut results: Vec<Option<(String, String, Vec<Comparison>)>> =
-        (0..ALL_EXPERIMENTS.len()).map(|_| None).collect();
+/// Runs every experiment in parallel (one thread each) through `run`, and
+/// returns what `run` returned in `ALL_EXPERIMENTS` order.
+pub fn run_all<R: Send>(run: impl Fn(&'static str) -> R + Sync) -> Vec<R> {
     crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &id in &ALL_EXPERIMENTS {
-            let opts = opts.clone();
-            handles.push(scope.spawn(move |_| {
-                let (report, comparisons) = run_by_id(id, &opts);
-                (id.to_string(), report, comparisons)
-            }));
-        }
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("experiment thread panicked"));
-        }
+        let run = &run;
+        let handles: Vec<_> =
+            ALL_EXPERIMENTS.iter().map(|&id| scope.spawn(move |_| run(id))).collect();
+        handles.into_iter().map(|h| h.join().expect("experiment thread panicked")).collect()
     })
-    .expect("crossbeam scope");
-    results.into_iter().map(|r| r.expect("all slots filled")).collect()
+    .expect("crossbeam scope")
 }
 
 #[cfg(test)]

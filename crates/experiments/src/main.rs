@@ -22,7 +22,9 @@
 //!
 //! Outputs per experiment: CSV series (for plotting), a rendered text
 //! report, and a consolidated paper-vs-measured table written to
-//! `<out>/comparison.md`.
+//! `<out>/comparison.md`. Each experiment's wall seconds and the process's
+//! peak RSS when it finished go to stderr, never under `--out`, so the
+//! artifacts stay byte-identical run to run.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -82,6 +84,14 @@ fn replay(paths: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// `resources <id>: wall <s> s, peak RSS <MiB> MiB`; the RSS is the whole
+/// process's peak so far, shared by experiments that run concurrently.
+fn resource_line(id: &str, wall_ns: u64) -> String {
+    let rss =
+        net::peak_rss_kib().map_or("n/a".to_string(), |kib| format!("{:.1}", kib as f64 / 1024.0));
+    format!("resources {id}: wall {:.2} s, peak RSS {rss} MiB", wall_ns as f64 / 1e9)
 }
 
 /// Resolves the positional experiment ids: none, or `all` anywhere,
@@ -160,18 +170,22 @@ fn main() -> ExitCode {
         opts.out_dir.display()
     );
 
+    let clock = net::MonoClock::start();
+    let run = |id: &str| {
+        let start = clock.now_ns();
+        let (report, rows) = run_by_id(id, &opts);
+        eprintln!("{}", resource_line(id, clock.now_ns() - start));
+        (id.to_string(), report, rows)
+    };
+    let results: Vec<_> = if ids.len() == ALL_EXPERIMENTS.len() {
+        run_all(run)
+    } else {
+        ids.iter().map(|id| run(id)).collect()
+    };
+    eprintln!("{}", resource_line("total", clock.now_ns()));
+
     let mut all_rows = Vec::new();
     let mut all_ok = true;
-    let results = if ids.len() == ALL_EXPERIMENTS.len() {
-        run_all(&opts)
-    } else {
-        ids.iter()
-            .map(|id| {
-                let (report, rows) = run_by_id(id, &opts);
-                (id.to_string(), report, rows)
-            })
-            .collect()
-    };
 
     for (id, report, rows) in results {
         println!("\n=== {id} ===\n{report}");

@@ -38,6 +38,14 @@ impl MonoClock {
     }
 }
 
+/// This process's peak resident set size so far, in KiB (`VmHWM` in
+/// `/proc/self/status`); `None` where the kernel does not report it.
+pub fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,5 +56,12 @@ mod tests {
         let a = c.now_ns();
         let b = c.now_ns();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn peak_rss_is_reported_on_linux() {
+        if cfg!(target_os = "linux") {
+            assert!(peak_rss_kib().is_some_and(|kib| kib > 0));
+        }
     }
 }

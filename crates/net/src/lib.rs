@@ -45,7 +45,7 @@ pub mod sync;
 
 pub use authority::AuthorityReport;
 pub use board::Boards;
-pub use clock::MonoClock;
+pub use clock::{peak_rss_kib, MonoClock};
 pub use cluster::{
     client_addr, frontend_addr, generator_addr, run_cluster, LiveClient, LiveHandle, LiveReport,
     LiveSpec,

@@ -163,10 +163,9 @@ impl Hardened {
         // self-check against the TA.
         if self.cfg.enable_gossip {
             self.epoch += 1;
-            let chimers = agreement
-                .chimers
-                .iter()
-                .map(|&idx| {
+            let chimers = (0..total)
+                .filter(|&idx| agreement.chimers & 1 << idx != 0)
+                .map(|idx| {
                     wire::NodeId(if idx == own_idx { core.me().0 } else { responses[idx].from.0 })
                 })
                 .collect();
@@ -175,7 +174,7 @@ impl Hardened {
                 env.send(peer, &announcement);
             }
         }
-        if !agreement.chimers.contains(&own_idx) {
+        if agreement.chimers & 1 << own_idx == 0 {
             // Outvoted: correct toward the agreement midpoint, monotonic.
             // (A clock consistent with the majority is kept as it is.)
             let target = agreement.interval.center().max(core.serving_floor_ns());

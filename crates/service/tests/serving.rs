@@ -1,11 +1,12 @@
 //! End-to-end serving-layer tests over a real cluster: batching
 //! amortization, overload shedding, crash failover, determinism.
 
-use faults::FaultPlan;
+use faults::{FaultPlan, RandomFaultConfig};
 use runtime::World;
 use scenario::{FaultSpec, ScenarioSpec};
-use service::{FrontendSpec, OpenLoopSpec, ServiceSpec};
+use service::{FrontendSpec, OpenLoopSpec, QuorumLoopSpec, ServiceSpec};
 use sim::{SimDuration, SimTime};
+use trace::RateCounter;
 
 fn run_with(
     n: usize,
@@ -133,4 +134,63 @@ fn serving_runs_are_seed_deterministic() {
         a.recorder.service.latency, c.recorder.service.latency,
         "different seeds produced identical latency histograms"
     );
+}
+
+/// Checks `offered = settled + in flight` at every whole second up to
+/// `horizon_s`, where a request offered a second before it must have
+/// settled: `in flight` lies between zero and the offers of the last
+/// second, and never above `cap`.
+fn assert_conserved(
+    kind: &str,
+    offered: &RateCounter,
+    settled: &[&RateCounter],
+    horizon_s: u64,
+    cap: u64,
+) {
+    for t in (1..=horizon_s).map(SimTime::from_secs) {
+        let done: u64 = settled.iter().map(|c| c.count_at(t)).sum();
+        let in_flight = offered.count_at(t).checked_sub(done);
+        let last_second = offered.count_in(t - SimDuration::from_secs(1), t);
+        assert!(
+            in_flight.is_some_and(|n| n <= last_second.min(cap)),
+            "{kind} at {t:?}: offered {} settled {done}, {last_second} offered in the last second",
+            offered.count_at(t)
+        );
+    }
+}
+
+#[test]
+fn every_request_and_read_settles_exactly_once_under_random_fault_plans() {
+    let horizon_s = 12;
+    let faults = RandomFaultConfig {
+        window: (SimTime::from_secs(4), SimTime::from_secs(9)),
+        crash_downtime: (SimDuration::from_millis(500), SimDuration::from_secs(2)),
+        ta_outage_duration: (SimDuration::from_secs(1), SimDuration::from_secs(3)),
+        partition_duration: (SimDuration::from_millis(500), SimDuration::from_secs(2)),
+        loss_duration: (SimDuration::from_secs(1), SimDuration::from_secs(2)),
+        ..RandomFaultConfig::default()
+    };
+    let open_and_quorum = ServiceSpec::new()
+        .open_loop(OpenLoopSpec { rate_per_s: 400.0 })
+        .quorum_loop(QuorumLoopSpec { rate_per_s: 200.0, ..QuorumLoopSpec::default() });
+    let closed = ServiceSpec::new().closed_loop();
+    for seed in 1..=8 {
+        let plan = FaultPlan::randomized(&faults, 3, seed);
+        let horizon = SimTime::from_secs(horizon_s);
+        let world = run_with(3, seed, horizon, &open_and_quorum, Some(plan.clone()));
+        let s = &world.recorder.service;
+        assert!(s.timeouts.count() + s.quorum_unavailable.count() > 0, "seed {seed}: no fault bit");
+        let settled =
+            [&s.served_ok, &s.served_degraded, &s.shed, &s.unavailable, &s.timeouts, &s.all_down];
+        assert_conserved("open loop", &s.offered, &settled, horizon_s, u64::MAX);
+        let settled = [&s.quorum_accepted, &s.quorum_no_quorum, &s.quorum_unavailable];
+        assert_conserved("quorum", &s.quorum_offered, &settled, horizon_s, u64::MAX);
+
+        let world = run_with(3, seed, horizon, &closed, Some(plan));
+        let s = &world.recorder.service;
+        let settled =
+            [&s.served_ok, &s.served_degraded, &s.shed, &s.unavailable, &s.timeouts, &s.all_down];
+        // One request in flight per user at most.
+        assert_conserved("closed loop", &s.offered, &settled, horizon_s, 16);
+    }
 }

@@ -87,16 +87,20 @@ impl std::fmt::Display for Interval {
     }
 }
 
+/// The most intervals one [`marzullo`] call takes: one bit per input in
+/// [`Agreement::chimers`].
+pub const MAX_INTERVALS: usize = u64::BITS as usize;
+
 /// Outcome of running [`marzullo`] over a set of intervals.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Agreement {
     /// The smallest interval contained in [`Agreement::support`] inputs.
     pub interval: Interval,
     /// How many input intervals contain [`Agreement::interval`].
     pub support: usize,
-    /// Indices (into the input slice) of the intervals containing
-    /// [`Agreement::interval`] — the *true-chimers*.
-    pub chimers: Vec<usize>,
+    /// Bit `i` is set when input `i` contains [`Agreement::interval`]:
+    /// the *true-chimers*.
+    pub chimers: u64,
 }
 
 impl Agreement {
@@ -107,10 +111,15 @@ impl Agreement {
 }
 
 /// Marzullo's algorithm: finds the smallest interval lying within the
-/// largest number of the input intervals.
+/// largest number of the input intervals. It allocates nothing: the sorted
+/// bounds live in stack buffers.
 ///
 /// Returns `None` for an empty input. For ties in support, the earliest
 /// such interval on the timeline is returned (deterministic).
+///
+/// # Panics
+///
+/// Panics on more than [`MAX_INTERVALS`] inputs.
 ///
 /// # Examples
 ///
@@ -124,54 +133,55 @@ impl Agreement {
 /// ];
 /// let agreement = marzullo(&clocks).unwrap();
 /// assert_eq!(agreement.support, 2);
-/// assert_eq!(agreement.chimers, vec![0, 1]);
+/// assert_eq!(agreement.chimers, 0b011);
 /// assert!(agreement.interval.contains(100.0));
 /// ```
 pub fn marzullo(intervals: &[Interval]) -> Option<Agreement> {
     if intervals.is_empty() {
         return None;
     }
-    // Edge table: (+1 at lo, -1 just after hi). Sorting lo-edges before
-    // hi-edges at equal offsets treats closed-interval touching as overlap.
-    let mut edges: Vec<(f64, i32)> = Vec::with_capacity(intervals.len() * 2);
-    for iv in intervals {
-        edges.push((iv.lo, 1));
-        edges.push((iv.hi, -1));
+    assert!(intervals.len() <= MAX_INTERVALS, "marzullo takes at most {MAX_INTERVALS} intervals");
+    // The edges, as the sorted lower and the sorted upper bounds, swept
+    // in offset order. A lower bound goes before an upper bound at the
+    // same offset, so closed intervals that touch overlap.
+    let n = intervals.len();
+    let (mut lo_buf, mut hi_buf) = ([0.0; MAX_INTERVALS], [0.0; MAX_INTERVALS]);
+    let (los, his) = (&mut lo_buf[..n], &mut hi_buf[..n]);
+    for ((lo, hi), iv) in los.iter_mut().zip(his.iter_mut()).zip(intervals) {
+        (*lo, *hi) = (iv.lo, iv.hi);
     }
-    edges.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0).expect("interval bounds are never NaN").then(b.1.cmp(&a.1))
-        // +1 edges before -1 edges at same offset
-    });
+    let by_offset = |a: &f64, b: &f64| a.partial_cmp(b).expect("interval bounds are never NaN");
+    los.sort_unstable_by(by_offset);
+    his.sort_unstable_by(by_offset);
 
     let mut depth = 0;
     let mut best_depth = 0;
     let mut best_lo = f64::NAN;
     let mut best_hi = f64::NAN;
     let mut current_lo = f64::NAN;
-    for &(offset, kind) in &edges {
-        if kind == 1 {
+    let mut lower = los.iter().peekable();
+    for &hi in his.iter() {
+        while let Some(&lo) = lower.next_if(|&&lo| lo <= hi) {
             depth += 1;
             if depth > best_depth {
                 best_depth = depth;
-                current_lo = offset;
+                current_lo = lo;
                 best_lo = f64::NAN; // a deeper region supersedes earlier best
             }
-        } else {
-            if depth == best_depth && best_lo.is_nan() {
-                best_lo = current_lo;
-                best_hi = offset;
-            }
-            depth -= 1;
         }
+        if depth == best_depth && best_lo.is_nan() {
+            best_lo = current_lo;
+            best_hi = hi;
+        }
+        depth -= 1;
     }
     let interval = Interval::new(best_lo, best_hi);
-    let chimers: Vec<usize> = intervals
+    let chimers = intervals
         .iter()
         .enumerate()
         .filter(|(_, iv)| iv.lo <= interval.lo && interval.hi <= iv.hi)
-        .map(|(i, _)| i)
-        .collect();
-    debug_assert_eq!(chimers.len(), best_depth);
+        .fold(0u64, |mask, (i, _)| mask | 1 << i);
+    debug_assert_eq!(chimers.count_ones() as usize, best_depth);
     Some(Agreement { interval, support: best_depth, chimers })
 }
 
@@ -233,7 +243,7 @@ mod tests {
         ];
         let a = marzullo(&ivs).unwrap();
         assert_eq!(a.support, 3);
-        assert_eq!(a.chimers, vec![0, 1, 2]);
+        assert_eq!(a.chimers, 0b111);
         // Intersection of all three: [93, 108] ∩ ... = [93, 108]∩[88,108]
         assert_eq!(a.interval, Interval::new(93.0, 108.0));
     }
@@ -247,7 +257,7 @@ mod tests {
         ];
         let a = marzullo(&ivs).unwrap();
         assert_eq!(a.support, 2);
-        assert_eq!(a.chimers, vec![0, 1]);
+        assert_eq!(a.chimers, 0b011);
         assert!(a.is_majority_of(3));
         assert!(!a.interval.contains(1000.0));
     }
@@ -276,7 +286,7 @@ mod tests {
         let a = marzullo(&[Interval::new(1.0, 2.0)]).unwrap();
         assert_eq!(a.support, 1);
         assert_eq!(a.interval, Interval::new(1.0, 2.0));
-        assert_eq!(a.chimers, vec![0]);
+        assert_eq!(a.chimers, 0b1);
     }
 
     #[test]

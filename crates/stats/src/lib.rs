@@ -28,6 +28,6 @@ mod summary;
 pub use cdf::Cdf;
 pub use drift::{drift_rate_ppm, freq_error_ppm, ppm_to_ms_per_s};
 pub use hist::LogHistogram;
-pub use interval::{marzullo, Agreement, Interval};
+pub use interval::{marzullo, Agreement, Interval, MAX_INTERVALS};
 pub use regression::{median_in_place, LinearFit, Regression};
 pub use summary::Summary;

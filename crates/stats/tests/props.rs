@@ -3,6 +3,21 @@
 use proptest::prelude::*;
 use stats::{marzullo, Cdf, Interval, LogHistogram, Regression, Summary};
 
+/// Marzullo by brute force over every endpoint: the agreement starts at
+/// the earliest endpoint covered by the most closed intervals and ends
+/// where the first of those covering it does; the chimers are exactly
+/// the intervals covering that start.
+fn brute_force_marzullo(ivs: &[Interval]) -> (Interval, usize, u64) {
+    let covering = |x: f64| ivs.iter().filter(|iv| iv.contains(x)).count();
+    let endpoints = ivs.iter().flat_map(|iv| [iv.lo, iv.hi]);
+    let support = endpoints.clone().map(covering).max().unwrap();
+    let start = endpoints.filter(|&x| covering(x) == support).fold(f64::INFINITY, f64::min);
+    let end =
+        ivs.iter().filter(|iv| iv.contains(start)).map(|iv| iv.hi).fold(f64::INFINITY, f64::min);
+    let chimers = (0..ivs.len()).filter(|&i| ivs[i].contains(start)).fold(0u64, |m, i| m | 1 << i);
+    (Interval::new(start, end), support, chimers)
+}
+
 fn finite_f64() -> impl Strategy<Value = f64> {
     (-1.0e9..1.0e9f64).prop_filter("finite", |x| x.is_finite())
 }
@@ -85,16 +100,12 @@ proptest! {
         let a = marzullo(&ivs).unwrap();
         prop_assert!(a.support >= 1);
         prop_assert!(a.support <= ivs.len());
-        prop_assert_eq!(a.chimers.len(), a.support);
-        // Every reported chimer really contains the agreement interval.
-        for &i in &a.chimers {
-            prop_assert!(ivs[i].lo <= a.interval.lo && a.interval.hi <= ivs[i].hi);
-        }
-        // No non-chimer contains it (maximality of the chimer set).
+        prop_assert_eq!(a.chimers.count_ones() as usize, a.support);
+        prop_assert!(a.chimers >> ivs.len() == 0, "a chimer past the inputs");
+        // Exactly the chimers contain the agreement interval.
         for (i, iv) in ivs.iter().enumerate() {
-            if !a.chimers.contains(&i) {
-                prop_assert!(!(iv.lo <= a.interval.lo && a.interval.hi <= iv.hi));
-            }
+            let contains = iv.lo <= a.interval.lo && a.interval.hi <= iv.hi;
+            prop_assert_eq!(a.chimers & 1 << i != 0, contains, "interval {}", i);
         }
     }
 
@@ -142,5 +153,22 @@ proptest! {
         let b = marzullo(&rev).unwrap();
         prop_assert_eq!(a.support, b.support);
         prop_assert_eq!(a.interval, b.interval);
+    }
+
+    /// The allocation-free Marzullo against the brute-force reference, on
+    /// up to 64 intervals whose integer bounds often touch or coincide.
+    #[test]
+    fn marzullo_matches_brute_force_over_all_endpoints(
+        bounds in proptest::collection::vec((0u32..24, 0u32..5), 1..65),
+    ) {
+        let ivs: Vec<Interval> = bounds
+            .iter()
+            .map(|&(lo, len)| Interval::new(f64::from(lo), f64::from(lo + len)))
+            .collect();
+        let a = marzullo(&ivs).unwrap();
+        let (interval, support, chimers) = brute_force_marzullo(&ivs);
+        prop_assert_eq!(a.interval, interval);
+        prop_assert_eq!(a.support, support);
+        prop_assert_eq!(a.chimers, chimers);
     }
 }

@@ -197,6 +197,20 @@ pub fn test_line_count(source: &str) -> usize {
     lexer::lex(source).test_spans().iter().map(|&(from, to)| to + 1 - from).sum()
 }
 
+/// The files of the workspace at `root` that are whole test modules
+/// (`x.rs` or `x/mod.rs` beside a parent declaring `#[cfg(test)] mod x;`),
+/// as sorted workspace-relative paths: every line of them is test code,
+/// and `scripts/loc.sh` counts them so.
+///
+/// # Errors
+///
+/// Returns an I/O error when the workspace layout cannot be read.
+pub fn test_module_files(root: &Path) -> std::io::Result<Vec<String>> {
+    let files = read_tree(root)?;
+    let modules = usage::test_module_files(&files);
+    Ok(files.into_iter().map(|(rel, _)| rel).filter(|rel| modules.contains(rel)).collect())
+}
+
 pub(crate) fn in_spans(spans: &[(usize, usize)], line: usize) -> bool {
     spans.iter().any(|&(a, b)| line >= a && line <= b)
 }

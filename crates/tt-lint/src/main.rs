@@ -5,7 +5,7 @@ use std::io::Read;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tt_lint::{check_workspace, test_line_count, Report};
+use tt_lint::{check_workspace, test_line_count, test_module_files, Report};
 
 const USAGE: &str = "\
 tt-lint — workspace determinism/effect-boundary analyzer
@@ -13,6 +13,7 @@ tt-lint — workspace determinism/effect-boundary analyzer
 USAGE:
     tt-lint check [--root <dir>] [--allowlist <file>]
     tt-lint test-lines < <file.rs>
+    tt-lint test-modules [--root <dir>]
 
 Checks every crate under <dir>/crates against the determinism,
 effect-boundary, and panic-surface lints, and the workspace for
@@ -23,7 +24,9 @@ malformed allowlist entry. Defaults: --root . --allowlist
 <root>/tt-lint.allow
 
 `test-lines` prints how many lines of the Rust source on stdin lie in
-`#[cfg(test)]`-gated items, the test code the lints skip.";
+`#[cfg(test)]`-gated items, the test code the lints skip.
+`test-modules` lists, one path a line, the files under <dir> that are
+whole test modules (declared by `#[cfg(test)] mod x;`).";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,6 +39,7 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "check" => cmd = Some("check"),
             "test-lines" => cmd = Some("test-lines"),
+            "test-modules" => cmd = Some("test-modules"),
             "--root" => match it.next() {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage_error("--root needs a value"),
@@ -53,6 +57,7 @@ fn main() -> ExitCode {
     }
     match cmd {
         Some("check") => {}
+        Some("test-modules") => return test_modules(&root),
         Some(_) => return test_lines(),
         None => return usage_error("expected the `check` or `test-lines` subcommand"),
     }
@@ -75,6 +80,21 @@ fn test_lines() -> ExitCode {
     }
     println!("{}", test_line_count(&source));
     ExitCode::SUCCESS
+}
+
+fn test_modules(root: &std::path::Path) -> ExitCode {
+    match test_module_files(root) {
+        Ok(files) => {
+            for f in files {
+                println!("{f}");
+            }
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("tt-lint: cannot read workspace at {}: {e}", root.display());
+            ExitCode::from(2)
+        }
+    }
 }
 
 fn usage_error(msg: &str) -> ExitCode {

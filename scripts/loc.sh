@@ -8,7 +8,9 @@
 #   all       every line of those files
 #   non-test  the same, leaving out the lines of `#[cfg(test)]`-gated
 #             items (as `tt-lint test-lines` finds them: the test code
-#             every lint skips)
+#             every lint skips) and every line of a file that is a whole
+#             test module (`#[cfg(test)] mod x;`, as `tt-lint test-modules`
+#             lists them)
 #   product   the non-test lines of files outside a `tests/` directory
 # plus the `crates/net/src` share of the last one, and three shape counts:
 #   crates    `crates/*/Cargo.toml` manifests
@@ -26,6 +28,13 @@ cargo build --release --offline --quiet -p tt-lint
 lint="${CARGO_TARGET_DIR:-target}/release/tt-lint"
 
 tracked() { if [ -n "$ref" ]; then git ls-tree -r --name-only "$ref"; else git ls-files; fi; }
+tree=.
+if [ -n "$ref" ]; then
+    tree=$(mktemp -d)
+    trap 'rm -rf "$tree"' EXIT
+    git archive "$ref" Cargo.toml crates src tests examples | tar -x -C "$tree"
+fi
+test_modules=$("$lint" test-modules --root "$tree")
 list() { tracked | grep '\.rs$' | grep -v -e '^vendor/' -e '^bench/'; }
 show() { if [ -n "$ref" ]; then git show "$ref:$1"; else cat "$1"; fi; }
 
@@ -33,7 +42,11 @@ list | while read -r f; do
     src=$(show "$f"; echo x)
     src=${src%x}
     lines=$(printf '%s' "$src" | awk 'END { print NR }')
-    test_lines=$(printf '%s' "$src" | "$lint" test-lines)
+    if grep -qxF "$f" <<<"$test_modules"; then
+        test_lines=$lines
+    else
+        test_lines=$(printf '%s' "$src" | "$lint" test-lines)
+    fi
     echo "$lines" "$((lines - test_lines))" "$f"
 done | awk '
     { all += $1; nontest += $2 }

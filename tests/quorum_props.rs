@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use triad_tt::service::{decide, AttestSample};
 use triad_tt::sim::{SimDuration, SimTime};
+use triad_tt::stats::Interval;
 use triad_tt::wire::TimeReading;
 
 /// An attestation sample with a zero round-trip at `now`, so projection
@@ -69,8 +70,9 @@ proptest! {
         );
         // The liars can at most be flagged, never adopted as the basis of
         // an agreement that excludes every honest node.
-        let honest_supporters =
-            verdict.supporters.iter().filter(|&&n| n < honest).count();
+        let honest_supporters = (0..samples.len())
+            .filter(|&k| verdict.supporters & 1 << k != 0 && samples[k].node < honest)
+            .count();
         prop_assert!(honest_supporters >= 1, "agreement without any honest supporter");
     }
 
@@ -97,6 +99,113 @@ proptest! {
         // honest geometry, any configured margin can only be safer.
         let verdict = decide(&samples, f, now, SimDuration::ZERO);
         prop_assert!(verdict.accepted.is_some());
-        prop_assert!(verdict.suspects.is_empty(), "honest panel flagged {:?}", verdict.suspects);
+        prop_assert_eq!(verdict.suspects, 0, "honest panel flagged {:#b}", verdict.suspects);
+    }
+
+    /// `decide` agrees with the rule it replaced — a `Vec`-based Marzullo
+    /// and node lists — on panels of up to 64 attestations with touching
+    /// and duplicate bounds, projected over unequal round-trips.
+    #[test]
+    fn decide_matches_the_vec_based_rule(
+        raw in proptest::collection::vec((0u64..40, 0u64..6, 0u64..4), 1..65),
+        f in 1usize..5,
+        margin_ns in 0u64..3,
+        liar in any::<bool>(),
+    ) {
+        let now = SimTime::from_nanos(1_000);
+        let samples: Vec<AttestSample> = raw
+            .iter()
+            .enumerate()
+            .map(|(k, &(est, unc, rtt))| AttestSample {
+                // Node indices out of sample order, as answers arrive.
+                node: (k * 7 + 3) % 64,
+                reading: TimeReading {
+                    estimate_ns: est + if liar && k == 0 { 1_000 } else { 0 },
+                    uncertainty_ns: unc,
+                    degraded: k == 1,
+                },
+                sent: SimTime::from_nanos(1_000 - 2 * rtt),
+                received: now,
+            })
+            .collect();
+        let margin = SimDuration::from_nanos(margin_ns);
+        let verdict = decide(&samples, f, now, margin);
+        let (accepted, suspects, supporters) = reference::decide(&samples, f, now, margin);
+        let nodes = |mask: u64| -> Vec<usize> {
+            (0..samples.len()).filter(|&k| mask & 1 << k != 0).map(|k| samples[k].node).collect()
+        };
+        prop_assert_eq!(verdict.accepted, accepted);
+        prop_assert_eq!(nodes(verdict.suspects), suspects);
+        prop_assert_eq!(nodes(verdict.supporters), supporters);
+    }
+}
+
+/// The acceptance rule as it stood before the masks: a heap-allocated edge
+/// table sorted stably, chimers and verdicts as index lists.
+mod reference {
+    use super::*;
+
+    fn marzullo(intervals: &[Interval]) -> (Interval, usize, Vec<usize>) {
+        let mut edges: Vec<(f64, i32)> = Vec::with_capacity(intervals.len() * 2);
+        for iv in intervals {
+            edges.push((iv.lo, 1));
+            edges.push((iv.hi, -1));
+        }
+        edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)));
+        let (mut depth, mut best_depth) = (0, 0);
+        let (mut best_lo, mut best_hi, mut current_lo) = (f64::NAN, f64::NAN, f64::NAN);
+        for &(offset, kind) in &edges {
+            if kind == 1 {
+                depth += 1;
+                if depth > best_depth {
+                    best_depth = depth;
+                    current_lo = offset;
+                    best_lo = f64::NAN;
+                }
+            } else {
+                if depth == best_depth && best_lo.is_nan() {
+                    best_lo = current_lo;
+                    best_hi = offset;
+                }
+                depth -= 1;
+            }
+        }
+        let interval = Interval::new(best_lo, best_hi);
+        let chimers = (0..intervals.len())
+            .filter(|&i| intervals[i].lo <= interval.lo && interval.hi <= intervals[i].hi)
+            .collect();
+        (interval, best_depth, chimers)
+    }
+
+    pub fn decide(
+        samples: &[AttestSample],
+        f: usize,
+        now: SimTime,
+        margin: SimDuration,
+    ) -> (Option<TimeReading>, Vec<usize>, Vec<usize>) {
+        if samples.len() < f + 1 {
+            return (None, Vec::new(), Vec::new());
+        }
+        let intervals: Vec<Interval> = samples.iter().map(|s| s.project(now)).collect();
+        let (agreed, support, chimers) = marzullo(&intervals);
+        if support < f + 1 {
+            return (None, Vec::new(), Vec::new());
+        }
+        let margin_ns = margin.as_nanos() as f64;
+        let mut suspects = Vec::new();
+        let mut supporters = Vec::new();
+        for (k, iv) in intervals.iter().enumerate() {
+            if !iv.inflate(margin_ns).overlaps(&agreed) {
+                suspects.push(samples[k].node);
+            } else if chimers.contains(&k) {
+                supporters.push(samples[k].node);
+            }
+        }
+        let accepted = TimeReading {
+            estimate_ns: agreed.center().max(0.0) as u64,
+            uncertainty_ns: (agreed.width() / 2.0) as u64,
+            degraded: samples.iter().any(|s| s.reading.degraded),
+        };
+        (Some(accepted), suspects, supporters)
     }
 }
